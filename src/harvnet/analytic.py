@@ -2,15 +2,16 @@
 
 Ties together the geometric side (mean service areas, energy utilization
 rates) and the temporal side (per-BS birth-death chains) into the coupled
-fixed-point system for the availability vector rho.  The map rho -> g(rho)
-is element-wise increasing and concave, so iterating from the all-ones
-vector walks monotonically down onto the unique positive fixed point
-whenever the energy-conservation condition gamma > 1 holds.
+fixed-point system for the availability vector rho.  Every tier sees rho
+only through the weighted ON density D = sum_j rho_j lambda_j w_j, so the
+K-dimensional fixed point is the largest root of one scalar equation in D,
+which has a positive root whenever the energy-conservation condition
+gamma > 1 holds.  `_outer_root` finds such roots for many lanes at once;
+the region boundaries use it too.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,18 +21,18 @@ from .coverage import coverage_prob
 from .model import (
     NetworkScenario,
     ScenarioError,
-    ShadowingSpec,
     check_availability_vector,
     validate,
 )
 
-# |s - 1| below this switches g to its continuous-limit expansion; the naive
-# form is 0/0 at s = 1.
-_S_DEGENERATE = 1e-8
+# Descending scan for the outermost root, as fractions of the range: linear
+# steps, then a geometric tail towards 0 for roots vanishing like gamma - 1.
+_SCAN = np.concatenate([np.linspace(1.0, 1.0 / 64, 64),
+                        np.geomspace(1.0 / 64, 1e-300, 150)[1:]])
 
 
 class NonConvergenceError(RuntimeError):
-    """Fixed-point iteration ran out of iterations; carries the last state."""
+    """The fixed-point bisection ran out of steps; carries the last state."""
 
     def __init__(self, rho: np.ndarray, residual: float, iterations: int):
         self.rho = rho
@@ -44,21 +45,18 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """Availability fixed point plus solver diagnostics."""
+    """Availability fixed point plus solver diagnostics.
+
+    `iterations`: bisection steps after the scan; `residual`:
+    max_k |a_k(s_k(D(rho))) - rho_k|; `bracket`: max_k |rho_k(D_hi) -
+    rho_k(D_lo)| over the final bracket of the root, a bound on the error.
+    """
 
     rho: np.ndarray
     iterations: int
     residual: float
     feasible: bool
-
-
-def frac_moment(shadowing: ShadowingSpec, alpha: float) -> float:
-    """E[X^(2/alpha)] of lognormal shadowing with dB-scale mean and std."""
-    return shadowing.frac_moment(alpha)
-
-
-def _weighted_on_density(scenario: NetworkScenario, rho: np.ndarray) -> float:
-    return float(np.sum(rho * scenario.densities() * scenario.tier_weights()))
+    bracket: float = 0.0
 
 
 def mean_service_area(scenario: NetworkScenario, rho, k: int) -> float:
@@ -68,7 +66,7 @@ def mean_service_area(scenario: NetworkScenario, rho, k: int) -> float:
     areas weighted by rho_k lambda_k sum to one over tiers.
     """
     rho = check_availability_vector(rho, scenario.k_tiers)
-    denom = _weighted_on_density(scenario, rho)
+    denom = rho @ (scenario.densities() * scenario.tier_weights())
     if denom <= 0.0:
         raise ScenarioError("no BS available: weighted ON density is zero")
     return float(scenario.tier_weights()[k] / denom)
@@ -80,34 +78,30 @@ def energy_utilization(scenario: NetworkScenario, rho, k: int) -> float:
     return pc * scenario.user_density * mean_service_area(scenario, rho, k)
 
 
+def _tier_constants(scenario: NetworkScenario) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_j w_j, mu_j/(lambda_u P_c w_j)): D = rho @ first, s_j = second_j D."""
+    w = scenario.tier_weights()
+    slope = scenario.harvest_rates() / (
+        scenario.user_density * coverage_prob(scenario) * w)
+    return scenario.densities() * w, slope
+
+
 def load_ratio(scenario: NetworkScenario, rho, k: int) -> float:
     """s_k = mu_k / nu_k(rho), the birth-death ratio of tier k at load rho."""
     rho = check_availability_vector(rho, scenario.k_tiers)
-    w = scenario.tier_weights()
-    pc = coverage_prob(scenario)
-    num = scenario.tiers[k].harvest_rate * _weighted_on_density(scenario, rho)
-    return float(num / (scenario.user_density * pc * w[k]))
-
-
-def _g_scalar(s: float, battery: int) -> float:
-    if s < 0.0:
-        raise ScenarioError(f"load ratio must be nonnegative (got {s})")
-    n = battery
-    if abs(s - 1.0) < _S_DEGENERATE:
-        return n / (n + 1.0) + (s - 1.0) * n / (2.0 * (n + 1.0))
-    if s > 1.0 and (n + 1) * math.log(s) > 700.0:
-        return 1.0 - (s - 1.0) * math.exp(-(n + 1) * math.log(s))
-    return 1.0 - (1.0 - s) / (1.0 - s ** (n + 1))
+    on_weight, slope = _tier_constants(scenario)
+    return float(slope[k] * (rho @ on_weight))
 
 
 def g(scenario: NetworkScenario, rho, k: int) -> float:
     """Right-hand side of the tier-k availability fixed-point equation.
 
-    1 - (1 - s_k)/(1 - s_k^(N_k+1)) with s_k the load ratio at rho; equals
-    the stationary ON probability of the tier-k energy chain.  Continuous
-    at s_k = 1 with value N/(N+1).
+    s_k (1 - s_k^N_k)/(1 - s_k^(N_k+1)) with s_k the load ratio at rho;
+    equals the stationary ON probability of the tier-k energy chain.
+    Continuous at s_k = 1 with value N/(N+1).
     """
-    return _g_scalar(load_ratio(scenario, rho, k), scenario.tiers[k].battery)
+    return float(markov.tier_availability(load_ratio(scenario, rho, k),
+                                          scenario.tiers[k].battery))
 
 
 def check_feasibility(scenario: NetworkScenario) -> tuple[bool, float]:
@@ -142,71 +136,92 @@ def equivalence_check(scenario: NetworkScenario, rho) -> bool:
         load_ratio(scenario, rho, k) > rho[k] for k in range(scenario.k_tiers))
 
 
-def _normalize_policy(scenario: NetworkScenario, policy) -> list[markov.PolicySpec]:
-    k = scenario.k_tiers
+def _cutoffs(scenario: NetworkScenario, policy) -> list[int]:
+    """Per-tier cutoffs from None (S(1) everywhere) or one PolicySpec per tier."""
     if policy is None:
-        return [markov.PolicySpec(1)] * k
-    if isinstance(policy, markov.PolicySpec):
-        policy = [policy] * k
-    out = []
-    for i, p in enumerate(policy):
-        if p is None:
-            p = markov.PolicySpec(1)
-        elif isinstance(p, (int, np.integer)):
-            p = markov.PolicySpec(int(p))
-        p.check(markov.BirthDeathSpec(
-            scenario.tiers[i].harvest_rate, 1.0, scenario.tiers[i].battery))
-        out.append(p)
-    if len(out) != k:
-        raise ScenarioError(f"policy list must have {k} entries (got {len(out)})")
-    return out
+        return [1] * scenario.k_tiers
+    if len(policy) != scenario.k_tiers:
+        raise ScenarioError(
+            f"policy list must have {scenario.k_tiers} entries (got {len(policy)})")
+    for p, tier in zip(policy, scenario.tiers):
+        p.check(markov.BirthDeathSpec(tier.harvest_rate, 1.0, tier.battery))
+    return [p.cutoff for p in policy]
 
 
-def _availability_update(scenario: NetworkScenario, rho: np.ndarray,
-                         policies: list[markov.PolicySpec]) -> np.ndarray:
-    out = np.empty_like(rho)
-    for k, pol in enumerate(policies):
-        tier = scenario.tiers[k]
-        s = load_ratio(scenario, rho, k)
-        if s <= 0.0:
-            out[k] = 0.0
-        elif pol.cutoff == 1:
-            out[k] = _g_scalar(s, tier.battery)
-        else:
-            spec = markov.BirthDeathSpec(
-                tier.harvest_rate, tier.harvest_rate / s, tier.battery)
-            out[k] = markov.policy_availability(spec, pol)
-    return out
+def _outer_root(h, top, tol: float, max_iter: int | None = None):
+    """Outermost root of h below `top` in every lane: scan, then bisection.
+
+    h maps points x to (excess, y): excess >= 0 just below the outermost
+    root, < 0 above it; y (shape x.shape + (M,)) grows with x.  Lanes are
+    bisected in lock step until max |y(hi) - y(lo)| <= tol or lo, hi are
+    adjacent doubles; lo = hi = top if excess(top) >= 0, lo = hi = 0 if no
+    sign change.  Returns (lo, hi, bracket, steps, unfinished lanes).
+    """
+    top = np.asarray(top, dtype=float)
+    lanes = np.arange(top.size)
+    grid = _SCAN[:, None] * top
+    excess, y = h(grid)
+    nonneg = excess >= 0.0
+    found = nonneg.any(axis=0)
+    first = np.argmax(nonneg, axis=0)      # 0 where nothing is found
+    above = np.maximum(first - 1, 0)
+    lo, hi = np.where(found, grid[np.stack([first, above]), lanes], 0.0)
+    y_lo, y_hi = y[first, lanes], y[above, lanes]
+    steps = 0
+    while True:
+        bracket = np.max(np.abs(y_hi - y_lo), axis=-1)
+        mid = 0.5 * (lo + hi)
+        live = (bracket > tol) & (lo < mid) & (mid < hi)
+        if steps == max_iter or not live.any():
+            return lo, hi, bracket, steps, live
+        excess, y_mid = h(mid)
+        up = live & (excess >= 0.0)
+        down = live & ~up
+        lo = np.where(up, mid, lo)
+        hi = np.where(down, mid, hi)
+        y_lo = np.where(up[:, None], y_mid, y_lo)
+        y_hi = np.where(down[:, None], y_mid, y_hi)
+        steps += 1
 
 
 def solve_availability(scenario: NetworkScenario, policy=None,
                        tolerance: float = 1e-10,
                        max_iter: int = 100_000) -> FixedPointResult:
-    """Solve rho_k = g_k(rho) for all tiers by monotone fixed-point iteration.
+    """Largest solution of rho_k = a_k(s_k(rho)) for all tiers, as a scalar root.
 
-    Starts at rho = (1, ..., 1), which dominates every fixed point; since
-    the update map is increasing the iterates decrease monotonically onto
-    the largest fixed point.  `policy` selects per-tier recharge cutoffs
-    (default 1 for every tier, the closed-form g); cutoff c substitutes the
-    mean-hitting-time availability of the S(c) policy.  Infeasible
-    scenarios (gamma <= 1) return the all-zero vector without iterating.
+    Tier k sees rho only through D = sum_j rho_j lambda_j w_j, at load
+    ratio s_k = mu_k D/(lambda_u P_c w_k), so rho_k = a_k(s_k(D*)) at the
+    largest root D* of sum_j lambda_j w_j a_j(s_j(D)) = D.  a_k is the
+    availability under the tier's cutoff in `policy` (default S(1), g).
+    D* is bisected until the rho at the bracket ends differ by at most
+    `tolerance` or the ends are adjacent doubles; rho is taken at the
+    midpoint.  Infeasible scenarios (gamma <= 1) return all zeros.
     """
+    if not tolerance > 0:
+        raise ScenarioError(f"tolerance must be > 0 (got {tolerance})")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+        raise ScenarioError(f"max_iter must be an integer >= 1 (got {max_iter})")
     feasible, _ = check_feasibility(scenario)
-    policies = _normalize_policy(scenario, policy)
+    cutoffs = _cutoffs(scenario, policy)
     if not feasible:
         return FixedPointResult(rho=np.zeros(scenario.k_tiers), iterations=0,
                                 residual=0.0, feasible=False)
-    rho = np.ones(scenario.k_tiers)
-    for it in range(1, max_iter + 1):
-        nxt = _availability_update(scenario, rho, policies)
-        step = float(np.max(np.abs(nxt - rho)))
-        rho = nxt
-        if step <= tolerance:
-            residual = float(np.max(np.abs(
-                _availability_update(scenario, rho, policies) - rho)))
-            if residual <= tolerance:
-                return FixedPointResult(rho=rho, iterations=it,
-                                        residual=residual, feasible=True)
-    residual = float(np.max(np.abs(
-        _availability_update(scenario, rho, policies) - rho)))
-    raise NonConvergenceError(rho, residual, max_iter)
+    on_weight, slope = _tier_constants(scenario)
+    tiers = list(zip(slope, scenario.batteries(), cutoffs))
+
+    def availabilities(d):
+        return np.stack([markov.tier_availability(s * d, n, c)
+                         for s, n, c in tiers], axis=-1)
+
+    def h(d):
+        rho = availabilities(d)
+        return rho @ on_weight - d, rho
+
+    lo, hi, bracket, steps, live = _outer_root(
+        h, [on_weight.sum()], tolerance, max_iter)
+    rho = availabilities(0.5 * (lo[0] + hi[0]))
+    residual = float(np.max(np.abs(availabilities(rho @ on_weight) - rho)))
+    if live[0]:
+        raise NonConvergenceError(rho, residual, steps)
+    return FixedPointResult(rho=rho, iterations=steps, residual=residual,
+                            feasible=True, bracket=float(bracket[0]))

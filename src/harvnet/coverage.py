@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .model import NetworkScenario, ScenarioError, check_availability_vector
@@ -54,6 +53,7 @@ def hyper_f(beta: float, alpha: float) -> float:
         raise ScenarioError(f"sir threshold must be >= 0 (got {beta})")
     if beta == 0:
         return 0.0
+    from scipy.integrate import quad  # loads scipy.optimize: not at import
     p = alpha / (alpha - 2.0)
     pts = None
     if beta > 1.0:

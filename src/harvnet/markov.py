@@ -17,9 +17,6 @@ import numpy as np
 
 from .model import ScenarioError, SimEstimate
 
-# Below this distance from r = 1, closed forms with (1 - r) denominators are
-# replaced by cancellation-free power sums (their exact limits).
-_R_DEGENERATE = 1e-6
 # z quantile for two-sided 99% confidence intervals.
 _Z99 = 2.5758293035489004
 
@@ -83,17 +80,6 @@ def stationary(spec: BirthDeathSpec) -> np.ndarray:
     return w / w.sum()
 
 
-def _geometric_sum(r: float, m: int) -> float:
-    """S_m = 1 + r + ... + r^(m-1); power sum near r=1, closed form otherwise."""
-    if m <= 0:
-        return 0.0
-    if abs(r - 1.0) < _R_DEGENERATE:
-        return float(np.sum(r ** np.arange(m)))
-    if r > 1.0 and m * math.log(r) > 709.0:
-        return math.inf
-    return float((r ** m - 1.0) / (r - 1.0))
-
-
 def neg_b_inverse_entry(spec: BirthDeathSpec, i: int, j: int) -> float:
     """Entry (i, j) of (-B)^-1 where B is the generator minus row/column 0.
 
@@ -126,32 +112,45 @@ def neg_b_inverse(spec: BirthDeathSpec) -> np.ndarray:
     return mat
 
 
+def _passage_sum(s, battery: int, cutoff: int) -> np.ndarray:
+    """sum_(n=N-c+1..N) S_n, S_n = 1 + s + ... + s^(n-1), vectorized over s.
+
+    S_m = expm1(m log s)/expm1(log s) is exact near s = 0 and s = 1; the
+    partial sums F_m of the first m terms double as F_2m = (1 + s^m) F_m +
+    m S_m, positive terms only, in O(log c) steps.  Overflows to inf.
+    """
+    s = np.asarray(s, dtype=float)
+    first = battery - cutoff + 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_s, unit = np.log(s), s == 1.0
+        em = np.expm1(log_s)
+
+        def geo(m):
+            return np.where(unit, float(m), np.expm1(m * log_s) / em)
+
+        m, total = 1, geo(first)
+        for bit in bin(cutoff)[3:]:
+            s_m = geo(m)            # 1 + s^m = 2 + (s - 1) S_m
+            total = (2.0 + em * s_m) * total + m * s_m
+            m *= 2
+            if bit == "1":
+                total = total + geo(first + m)
+                m += 1
+    return total
+
+
 def mean_on_time(spec: BirthDeathSpec, start_level: int) -> float:
     """E[J1(i)]: mean time for the ON chain to hit level 0 from level i.
 
-    Row sum of (-B)^-1: (1/nu) * [sum_{j<=i} S_j + S_i * r * S_(N-i)].
-    For start_level=1 this is the Policy-1 form (1/nu)(1-r^N)/(1-r); for
-    start_level=N it matches the Policy-2 closed form.  Overflows to inf for
-    r > 1 with enormous N, where the true value exceeds double range.
+    Row sum of (-B)^-1: falling from level j to j-1 takes S_(N-j+1)/nu on
+    average, S_m = 1 + r + ... + r^(m-1).  For start_level=1 this is the
+    Policy-1 form (1/nu)(1-r^N)/(1-r); for start_level=N it matches the
+    Policy-2 closed form.  Overflows to inf where the value exceeds doubles.
     """
-    n = spec.battery
-    i = start_level
+    n, i = spec.battery, start_level
     if not (isinstance(i, (int, np.integer)) and 1 <= i <= n):
         raise ScenarioError(f"start_level must be in [1, {n}] (got {i})")
-    r = spec.ratio
-    if abs(r - 1.0) < _R_DEGENERATE:
-        t = np.arange(i, dtype=float)
-        head = float(np.sum((i - t) * r ** t))
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            head = (r * _geometric_sum(r, i) - i) / (r - 1.0)
-    s_rest = _geometric_sum(r, n - i)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # s_rest = 0 at i = N; skip the product so an infinite S_i cannot
-        # turn the mathematically zero term into nan
-        tail = _geometric_sum(r, i) * r * s_rest if s_rest > 0.0 else 0.0
-        total = (head + tail) / spec.utilization_rate
-    return float(total)
+    return float(_passage_sum(spec.ratio, n, i) / spec.utilization_rate)
 
 
 def mean_off_time(spec: BirthDeathSpec, policy: PolicySpec) -> float:
@@ -160,13 +159,30 @@ def mean_off_time(spec: BirthDeathSpec, policy: PolicySpec) -> float:
     return policy.cutoff / spec.harvest_rate
 
 
+def tier_availability(s, battery: int, cutoff: int = 1):
+    """Long-run ON fraction of the battery chain under S(cutoff), vectorized.
+
+    `s` is the load ratio mu/nu.  An ON period lasts E[J1(c)] (see
+    mean_on_time) and an OFF period c/mu, so the fraction is x/(1 + x) with
+    x = mu E[J1(c)]/c; under S(1) this is the stationary ON probability
+    g = s (1 - s^N)/(1 - s^(N+1)).
+    """
+    if not (isinstance(battery, (int, np.integer))
+            and isinstance(cutoff, (int, np.integer)) and 1 <= cutoff <= battery):
+        raise ScenarioError(f"need integers 1 <= cutoff <= battery "
+                            f"(got cutoff={cutoff}, battery={battery})")
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0.0):
+        raise ScenarioError(f"load ratio must be nonnegative (got {s})")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = s * _passage_sum(s, battery, cutoff) / cutoff
+        return np.where(x > 1.0, 1.0 / (1.0 + 1.0 / x), x / (1.0 + x))
+
+
 def policy_availability(spec: BirthDeathSpec, policy: PolicySpec) -> float:
     """Long-run ON fraction under S(cutoff): 1/(1 + cutoff/(mu E[J1(cutoff)]))."""
     policy.check(spec)
-    ej1 = mean_on_time(spec, policy.cutoff)
-    if math.isinf(ej1):
-        return 1.0
-    return 1.0 / (1.0 + policy.cutoff / (spec.harvest_rate * ej1))
+    return float(tier_availability(spec.ratio, spec.battery, policy.cutoff))
 
 
 def verify_s1_optimal(spec: BirthDeathSpec) -> int:

@@ -1,9 +1,11 @@
 """Availability region: which availability vectors are jointly achievable.
 
 The region boundary for tier k given the other tiers' availabilities is
-the largest root of the scalar equation rho_k = g_k(rho); membership is a
-per-coordinate comparison against these conditional boundaries.  A tier
-can also be pinned to a recharge policy S(c), which shrinks the region.
+the largest root of rho_k = a_k(s_k(D)), D = D_others + lambda_k w_k rho_k:
+the fixed-point solver's scalar equation with the other tiers held fixed.
+Membership compares each coordinate with its conditional boundary; a sweep
+solves all its grid points as lanes of one root search.  A tier can also
+be pinned to a recharge policy S(c), which shrinks the region.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, markov
-from .model import NetworkScenario, ScenarioError
+from .model import NetworkScenario, ScenarioError, check_availability_vector
 
-_DELTA = 1e-12        # lower bracket end; 0 is always the trivial fixed point
-_SCAN_POINTS = 129    # coarse descent grid locating the outermost root
+_TOL = 1e-10          # bisection width on rho_k
 _MEMBER_TOL = 1e-6    # slack for membership tests at the boundary itself
 
 
@@ -30,66 +31,34 @@ class RegionBoundary:
     policy_constraint: markov.PolicySpec | None = None
 
 
-def _tier_map(scenario: NetworkScenario, k: int, fixed_others) -> np.ndarray:
-    others = np.asarray(fixed_others, dtype=float)
-    if others.shape != (scenario.k_tiers - 1,):
-        raise ScenarioError(
-            f"fixed_others must have length {scenario.k_tiers - 1} "
-            f"(got shape {others.shape})")
-    if np.any(others < 0.0) or np.any(others > 1.0):
-        raise ScenarioError("fixed_others components must lie in [0, 1]")
-    rho = np.empty(scenario.k_tiers)
-    rho[:k] = others[:k]
-    rho[k + 1:] = others[k:]
-    return rho
+def _boundaries(scenario: NetworkScenario, k: int, others: np.ndarray,
+                constraint: markov.PolicySpec | None, tol: float) -> np.ndarray:
+    """Tier-k boundary for each row of `others`, the other tiers' rho."""
+    on_weight, slope = analytic._tier_constants(scenario)
+    d_others = others @ np.delete(on_weight, k)
+    battery, cutoff = scenario.tiers[k].battery, getattr(constraint, "cutoff", 1)
+
+    def h(x):
+        s = slope[k] * (d_others + on_weight[k] * x)
+        return markov.tier_availability(s, battery, cutoff) - x, x[..., None]
+
+    lo, hi, *_ = analytic._outer_root(h, np.ones(len(others)), tol)
+    return 0.5 * (lo + hi)
 
 
 def boundary(scenario: NetworkScenario, k: int, fixed_others,
              constraint: markov.PolicySpec | None = None,
-             tol: float = 1e-10) -> float:
+             tol: float = _TOL) -> float:
     """Largest rho_k in [0, 1] with rho_k = g_k(rho), others held fixed.
 
     Returns 0.0 when no positive root exists (the tier cannot be ON at all
-    given the conditioning load).  With `constraint`, the S(cutoff)
-    availability formula replaces g_k.
+    given the conditioning load) and 1.0 when g_k rounds to 1 there.  With
+    `constraint`, the S(cutoff) availability formula replaces g_k.
     """
-    rho = _tier_map(scenario, k, fixed_others)
-    tier = scenario.tiers[k]
-
-    def h(x: float) -> float:
-        rho[k] = x
-        s = analytic.load_ratio(scenario, rho, k)
-        if constraint is None or constraint.cutoff == 1:
-            val = analytic._g_scalar(s, tier.battery)
-        elif s <= 0.0:
-            val = 0.0
-        else:
-            spec = markov.BirthDeathSpec(
-                tier.harvest_rate, tier.harvest_rate / s, tier.battery)
-            val = markov.policy_availability(spec, constraint)
-        return val - x
-
-    if h(1.0) >= 0.0:
-        return 1.0
-    # Walk down from 1 to find the outermost sign change, then bisect.  g_k
-    # is concave in rho_k, so a single downcrossing separates the region
-    # from its complement; the scan only guards the policy-constrained map.
-    xs = np.linspace(1.0, _DELTA, _SCAN_POINTS)
-    hi = 1.0
-    for x in xs[1:]:
-        if h(float(x)) >= 0.0:
-            lo = float(x)
-            break
-        hi = float(x)
-    else:
-        return 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if h(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if not tol > 0:
+        raise ScenarioError(f"tol must be > 0 (got {tol})")
+    others = check_availability_vector(fixed_others, scenario.k_tiers - 1)
+    return float(_boundaries(scenario, k, others[None, :], constraint, tol)[0])
 
 
 def contains(scenario: NetworkScenario, rho, constraints=None,
@@ -109,11 +78,9 @@ def contains(scenario: NetworkScenario, rho, constraints=None,
     if np.any(rho < 0.0) or np.any(rho > 1.0):
         return False
     constraints = constraints or {}
-    for k in range(scenario.k_tiers):
-        others = np.delete(rho, k)
-        if rho[k] > boundary(scenario, k, others, constraints.get(k)) + tol:
-            return False
-    return True
+    return all(rho[k] <= boundary(scenario, k, np.delete(rho, k),
+                                  constraints.get(k)) + tol
+               for k in range(scenario.k_tiers))
 
 
 def sweep_boundary(scenario: NetworkScenario, k: int,
@@ -126,8 +93,7 @@ def sweep_boundary(scenario: NetworkScenario, k: int,
     if grid_resolution < 2:
         raise ScenarioError(f"grid_resolution must be >= 2 (got {grid_resolution})")
     grid = np.linspace(0.0, 1.0, grid_resolution)
-    values = np.array(
-        [boundary(scenario, k, [t], constraint) for t in grid])
+    values = _boundaries(scenario, k, grid[:, None], constraint, _TOL)
     return RegionBoundary(tier=k, grid=grid, values=values,
                           policy_constraint=constraint)
 

@@ -88,9 +88,11 @@ def suggest_window_side(scenario: NetworkScenario, rho,
 
 
 def _thread_count(tasks: int) -> int:
-    env = os.environ.get("HETNET_THREADS", "").strip()
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, tasks))
+    env = os.environ.get("HETNET_THREADS", "").strip() or str(os.cpu_count() or 1)
+    if not (env.isdecimal() and int(env) >= 1):
+        raise ScenarioError(
+            f"HETNET_THREADS must be a positive integer (got {env!r})")
+    return min(int(env), tasks)
 
 
 def _run_replicates(fn, config: SimConfig):

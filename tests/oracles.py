@@ -64,3 +64,87 @@ def hp_mean_on_times(spec, dps=300, as_mpf=False):
         if as_mpf:
             return x
         return np.array([float(v) for v in x])
+
+
+def mp_on_fraction(s, battery, cutoff=1):
+    """ON fraction of the battery chain under S(cutoff) at load ratio s.
+
+    Level passage: tau_N = 1 and tau_i = 1 + s tau_(i+1) is nu times the
+    mean time to fall from level i to i-1.  The ON period from `cutoff`
+    lasts sum_(i<=cutoff) tau_i / nu and the OFF period cutoff/mu, so the
+    fraction is x/(1 + x) with x = s sum tau_i / cutoff.  O(battery) steps.
+    """
+    with mp.workdps(50):
+        s = mp.mpf(s)
+        tau, total = mp.mpf(1), mp.mpf(0)
+        for level in range(battery, 0, -1):
+            if level <= cutoff:
+                total += tau
+            tau = 1 + s * tau
+        x = s * total / cutoff
+        return x / (1 + x)
+
+
+def mp_on_fraction_closed(s, battery, cutoff=1):
+    """mp_on_fraction from the geometric-sum closed form, O(1) in the battery.
+
+    sum_(i<=c) tau_i = (s^(N-c+1) (s^c - 1)/(s - 1) - c)/(s - 1), whose
+    cancellation near s = 1 the working precision absorbs.  Evaluates at
+    the caller's precision.
+    """
+    s = mp.mpf(s)
+    n, c = battery, cutoff
+    if s == 1:
+        total = mp.mpf(c * (2 * n - c + 1)) / 2
+    else:
+        total = (s ** (n - c + 1) * (s ** c - 1) / (s - 1) - c) / (s - 1)
+    x = s * total / c
+    return x / (1 + x)
+
+
+def mp_outer_root(excess, top, dps=60, steps=110):
+    """Largest x in (0, top] with excess(x) >= 0, in mpmath.
+
+    Scans down from top (64 linear steps, then decades down to 1e-60 of
+    top) for the first nonnegative excess and bisects the sign change.
+    Returns 0 when the excess stays negative.
+    """
+    with mp.workdps(dps):
+        top = mp.mpf(top)
+        grid = [top * (64 - i) / 64 for i in range(64)]
+        grid += [top / 64 / mp.mpf(10) ** j for j in range(1, 60)]
+        hi = None
+        for lo in grid:
+            if excess(lo) >= 0:
+                break
+            hi = lo
+        else:
+            return mp.mpf(0)
+        if hi is None:
+            return top
+        for _ in range(steps):
+            mid = (lo + hi) / 2
+            if excess(mid) >= 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def mp_tier_constants(scenario):
+    """Per tier (lambda_j w_j, mu_j/(lambda_u P_c w_j)) in mpmath.
+
+    With these, D = sum_j rho_j (first) and s_j = (second) D.  Only for
+    unshadowed scenarios at alpha = 4, beta = 1, where w_j = sqrt(P_j) and
+    P_c = 1/(1 + pi/4); evaluates at the caller's precision.
+    """
+    assert scenario.path_loss_exp == 4.0 and scenario.sir_target == 1.0
+    assert all(t.shadowing.mean_db == t.shadowing.std_db == 0.0
+               for t in scenario.tiers)
+    pc = 1 / (1 + mp.pi / 4)
+    out = []
+    for t in scenario.tiers:
+        w = mp.sqrt(t.tx_power)
+        out.append((t.density * w,
+                    t.harvest_rate / (mp.mpf(scenario.user_density) * pc * w)))
+    return out

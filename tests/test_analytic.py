@@ -1,3 +1,6 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,8 +16,19 @@ from harvnet.analytic import (
     solve_availability,
 )
 from harvnet.coverage import coverage_prob
-from harvnet.markov import PolicySpec, policy_availability, BirthDeathSpec
+from harvnet.markov import (
+    BirthDeathSpec,
+    PolicySpec,
+    policy_availability,
+    tier_availability,
+)
 from harvnet.model import NetworkScenario, ScenarioError, ShadowingSpec, TierParams
+from oracles import (
+    mp_on_fraction,
+    mp_on_fraction_closed,
+    mp_outer_root,
+    mp_tier_constants,
+)
 
 PC_BETA1_ALPHA4 = 0.5600991535115574
 
@@ -275,3 +289,79 @@ def test_coverage_prob_used_by_feasibility_is_density_free():
     sc_a = two_tier(lams=(1.0, 10.0))
     sc_b = two_tier(lams=(3.0, 1.0))
     assert coverage_prob(sc_a) == coverage_prob(sc_b)
+
+
+LOAD_RATIOS = (1e-300, 1e-12, 1e-6, 0.3, 1 - 1e-9, 1.0, 1 + 1e-9, 40.0, 1e6)
+
+
+@pytest.mark.parametrize("battery", [1, 2, 8, 1000])
+def test_tier_availability_matches_mpmath(battery):
+    for cutoff in sorted({1, math.ceil(battery / 2), battery}):
+        got = tier_availability(np.array(LOAD_RATIOS), battery, cutoff)
+        for s, value in zip(LOAD_RATIOS, got):
+            want = mp_on_fraction(s, battery, cutoff)
+            with mp.workdps(50):
+                closed = mp_on_fraction_closed(s, battery, cutoff)
+                assert abs(closed / want - 1) < mp.mpf(10) ** -20
+            assert abs(value / float(want) - 1.0) <= 1e-13, (s, cutoff, value)
+            assert tier_availability(s, battery, cutoff) == pytest.approx(
+                value, rel=1e-15)
+
+
+@pytest.mark.parametrize("battery", [1, 2, 8, 1000])
+def test_g_matches_mpmath_over_load_ratios(battery):
+    # one tier at rho = 1 has load ratio equal to its over-provisioning
+    for target in LOAD_RATIOS:
+        sc = one_tier(target, battery=battery)
+        s = load_ratio(sc, [1.0], 0)
+        want = float(mp_on_fraction(s, battery))
+        assert abs(g(sc, [1.0], 0) / want - 1.0) <= 1e-13, (s, battery)
+
+
+def test_tier_availability_rejects_bad_inputs():
+    with pytest.raises(ScenarioError):
+        tier_availability(-0.5, 4)
+    with pytest.raises(ScenarioError):
+        tier_availability(0.5, 4, cutoff=5)
+    with pytest.raises(ScenarioError):
+        tier_availability(0.5, 0)
+
+
+def mp_fixed_point(sc, cutoffs):
+    """rho at the largest root of sum_j lambda_j w_j a_j(s_j(D)) = D, in mpmath."""
+    with mp.workdps(60):
+        tiers = [(on, slope, t.battery, c) for (on, slope), t, c in
+                 zip(mp_tier_constants(sc), sc.tiers, cutoffs)]
+
+        def avail(d):
+            return [mp_on_fraction_closed(slope * d, n, c)
+                    for _, slope, n, c in tiers]
+
+        def excess(d):
+            return mp.fsum(t[0] * a for t, a in zip(tiers, avail(d))) - d
+
+        d_star = mp_outer_root(excess, mp.fsum(t[0] for t in tiers))
+        return np.array([float(a) for a in avail(d_star)])
+
+
+@pytest.mark.parametrize("batteries", [(1, 1), (10, 8), (1000, 500)])
+@pytest.mark.parametrize("full_battery", [False, True])
+def test_fixed_point_matches_mpmath_scalar_root(batteries, full_battery):
+    cutoffs = batteries if full_battery else (1, 1)
+    for gamma in (1 + 1e-7, 1 + 1e-5, 1.001, 1.1, 3.0):
+        sc = two_tier(gamma=gamma, batteries=batteries)
+        res = solve_availability(sc, policy=[PolicySpec(c) for c in cutoffs])
+        want = mp_fixed_point(sc, cutoffs)
+        assert res.feasible and np.all(res.rho > 0.0)
+        assert np.max(np.abs(res.rho - want)) <= 1e-9, (gamma, res.rho, want)
+        assert res.bracket <= 1e-10 and res.residual <= 1e-10
+
+
+def test_solver_rejects_bad_tolerance_and_budget():
+    sc = two_tier()
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ScenarioError, match="tolerance"):
+            solve_availability(sc, tolerance=tol)
+    for budget in (0, -5, 2.5):
+        with pytest.raises(ScenarioError, match="max_iter"):
+            solve_availability(sc, max_iter=budget)

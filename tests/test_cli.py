@@ -2,12 +2,15 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import harvnet
 from harvnet.analytic import solve_availability
 from harvnet.cli import load_scenario, main
 from harvnet.coverage import coverage_prob
@@ -214,6 +217,13 @@ def test_usage_errors(scenario_file, capsys):
     capsys.readouterr()
 
 
+def test_availability_rejects_nonpositive_tol(scenario_file, capsys):
+    for tol in ("-1", "0"):
+        assert main(["availability", scenario_file, "--tol", tol]) == 1
+        err = capsys.readouterr().err
+        assert "tolerance must be > 0" in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "availability" in capsys.readouterr().out
@@ -248,3 +258,15 @@ def test_module_entry_point(scenario_file):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("sir_target,")
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # every CLI call pays for what `import harvnet` loads
+    src_dir = str(Path(harvnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, harvnet; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from harvnet.analytic import solve_availability
 from harvnet.markov import PolicySpec
 from harvnet.model import NetworkScenario, ScenarioError, ShadowingSpec, TierParams
 from harvnet.region import boundary, contains, grid_coverage, sweep_boundary
+from oracles import mp_on_fraction_closed, mp_outer_root, mp_tier_constants
 
 PC = 1 / (1 + math.pi / 4)
 
@@ -140,3 +142,44 @@ def test_grid_coverage_bounds_and_battery_growth():
     frac_small = grid_coverage(small, 21)
     frac_large = grid_coverage(large, 21)
     assert 0.0 < frac_small <= frac_large <= 1.0
+
+
+def test_sweep_equals_pointwise_boundary():
+    sc = two_tier()
+    for k, constraint in ((0, None), (1, None), (0, PolicySpec(10)),
+                          (1, PolicySpec(8))):
+        sweep = sweep_boundary(sc, k, 41, constraint)
+        points = [boundary(sc, k, [t], constraint) for t in sweep.grid]
+        np.testing.assert_allclose(sweep.values, points, rtol=0, atol=1e-15)
+
+
+def test_three_tier_boundary_matches_mpmath_root():
+    tiers = tuple(TierParams(lam, p, mu, n) for lam, p, mu, n in
+                  ((1.0, 1.0, 3.0, 6), (4.0, 0.25, 1.5, 4), (10.0, 0.01, 0.5, 3)))
+    lam_u = sum(t.density * t.harvest_rate for t in tiers) / (1.2 * PC)
+    sc = NetworkScenario(tiers=tiers, path_loss_exp=4.0, sir_target=1.0,
+                         user_density=lam_u)
+    for k, others, cutoff in ((1, [0.6, 0.3], 1), (2, [0.8, 0.5], 3),
+                              (0, [0.2, 0.1], 4), (1, [1.0, 0.0], 2)):
+        got = boundary(sc, k, others,
+                       PolicySpec(cutoff) if cutoff > 1 else None)
+        with mp.workdps(60):
+            consts = mp_tier_constants(sc)
+            d_others = mp.fsum(rho * on for rho, (on, _) in
+                               zip(others, consts[:k] + consts[k + 1:]))
+            on_k, slope_k = consts[k]
+
+            def excess(x):
+                s = slope_k * (d_others + on_k * x)
+                return mp_on_fraction_closed(s, tiers[k].battery, cutoff) - x
+
+            want = float(mp_outer_root(excess, 1))
+        assert 0.0 < want < 1.0
+        assert abs(got - want) <= 1e-10, (k, others, got, want)
+
+
+def test_boundary_rejects_nonpositive_tol():
+    sc = two_tier()
+    for tol in (0.0, -1e-3):
+        with pytest.raises(ScenarioError, match="tol"):
+            boundary(sc, 0, [0.5], tol=tol)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from harvnet.model import NetworkScenario, ScenarioError, ShadowingSpec, TierPar
 from harvnet.simulate import (
     Realization,
     SimConfig,
+    _thread_count,
     associate,
     association_mc,
     coverage_mc,
@@ -183,6 +185,16 @@ def test_thread_count_does_not_change_results(monkeypatch):
     monkeypatch.setenv("HETNET_THREADS", "4")
     threaded = coverage_mc(sc, [1.0, 1.0], config)
     assert serial == threaded
+
+
+def test_thread_count_rejects_malformed_env(monkeypatch):
+    for bad in ("two", "0", "-3", "1.5"):
+        monkeypatch.setenv("HETNET_THREADS", bad)
+        with pytest.raises(ScenarioError, match=f"HETNET_THREADS.*'{re.escape(bad)}'"):
+            _thread_count(4)
+    monkeypatch.setenv("HETNET_THREADS", " 3 ")
+    assert _thread_count(8) == 3
+    assert _thread_count(2) == 2
 
 
 def test_sim_config_validation():
