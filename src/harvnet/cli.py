@@ -278,9 +278,10 @@ def cmd_simulate(args) -> int:
             row("association", k + 1, None, est)
     elif kind == "area":
         tiers = [args.tier - 1] if args.tier else range(scenario.k_tiers)
-        for k in tiers:
-            row("area", k + 1, None,
-                simulate.service_area_mc(scenario, rho, k, config))
+        areas = simulate.spatial_mc(scenario, rho, config, area_tiers=tiers,
+                                    users=False).area
+        for k, est in areas.items():
+            row("area", k + 1, None, est)
     else:
         target = args.rate_target if args.rate_target is not None else 0.1
         row("rate", "", target, simulate.rate_mc(scenario, rho, target, config))
@@ -339,28 +340,27 @@ def cmd_validate(args) -> int:
                      "using rho=1 for the spatial checks")
     config = _sim_config(args, doc, scenario, rho)
 
+    target = args.rate_target if args.rate_target is not None else 0.1
+    sim = simulate.spatial_mc(scenario, rho, config, rate_target=target,
+                              area_tiers=range(scenario.k_tiers))
     pc = coverage.coverage_prob(scenario)
-    est = simulate.coverage_mc(scenario, rho, config)
-    ok &= _check(lines, "coverage-mc", pc, est.mean,
-                 est.ci_halfwidth_99 + 0.01, est.seed)
+    ok &= _check(lines, "coverage-mc", pc, sim.coverage.mean,
+                 sim.coverage.ci_halfwidth_99 + 0.01, sim.coverage.seed)
 
     for k in range(scenario.k_tiers):
         area = analytic.mean_service_area(scenario, rho, k)
-        est = simulate.service_area_mc(scenario, rho, k, config)
+        est = sim.area[k]
         ok &= _check(lines, f"service-area-tier{k + 1}", area, est.mean,
                      est.ci_halfwidth_99 + 0.02 * area, est.seed)
 
-    assoc = simulate.association_mc(scenario, rho, config)
-    for k in range(scenario.k_tiers):
+    for k, est in enumerate(sim.association):
         pk = coverage.tier_association_prob(scenario, rho, k)
-        ok &= _check(lines, f"association-tier{k + 1}", pk, assoc[k].mean,
-                     assoc[k].ci_halfwidth_99 + 0.01, assoc[k].seed)
+        ok &= _check(lines, f"association-tier{k + 1}", pk, est.mean,
+                     est.ci_halfwidth_99 + 0.01, est.seed)
 
-    target = args.rate_target if args.rate_target is not None else 0.1
     series = coverage.rate_ccdf(scenario, rho,
                                 coverage.RateQuery(rate_target=target))
-    est = simulate.rate_mc(scenario, rho, target, config)
-    ok &= _check(lines, "rate-mc", series, est.mean, 0.03, est.seed)
+    ok &= _check(lines, "rate-mc", series, sim.rate.mean, 0.03, sim.rate.seed)
 
     print("\n".join(lines))
     print("all checks passed" if ok else "validation FAILED")

@@ -126,12 +126,17 @@ def validate(scenario: NetworkScenario) -> None:
 
 @dataclass(frozen=True)
 class SimEstimate:
-    """Monte Carlo estimate: mean, 99% confidence half-width, sample count, seed."""
+    """Monte Carlo estimate: mean, 99% confidence half-width, sample count, seed.
+
+    `dropped` counts replicates left out because their realization could
+    not yield the statistic (no BS or no user in the window).
+    """
 
     mean: float
     ci_halfwidth_99: float
     samples: int
     seed: int
+    dropped: int = 0
 
     def agrees_with(self, value: float, other_halfwidth: float = 0.0) -> bool:
         """True iff value lies within the combined 99% confidence interval."""

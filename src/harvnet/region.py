@@ -19,6 +19,7 @@ from .model import NetworkScenario, ScenarioError, check_availability_vector
 
 _TOL = 1e-10          # bisection width on rho_k
 _MEMBER_TOL = 1e-6    # slack for membership tests at the boundary itself
+_LANE_BLOCK = 2048    # grid lanes per root search
 
 
 @dataclass(frozen=True)
@@ -38,12 +39,17 @@ def _boundaries(scenario: NetworkScenario, k: int, others: np.ndarray,
     d_others = others @ np.delete(on_weight, k)
     battery, cutoff = scenario.tiers[k].battery, getattr(constraint, "cutoff", 1)
 
-    def h(x):
-        s = slope[k] * (d_others + on_weight[k] * x)
-        return markov.tier_availability(s, battery, cutoff) - x, x[..., None]
+    def block(d):
+        def h(x):
+            s = slope[k] * (d + on_weight[k] * x)
+            return markov.tier_availability(s, battery, cutoff) - x, x[..., None]
 
-    lo, hi, *_ = analytic._outer_root(h, np.ones(len(others)), tol)
-    return 0.5 * (lo + hi)
+        lo, hi, *_ = analytic._outer_root(h, np.ones(d.size), tol)
+        return 0.5 * (lo + hi)
+
+    # The root scan holds a full scan column per lane; blocks cap its memory.
+    return np.concatenate([block(d_others[i:i + _LANE_BLOCK])
+                           for i in range(0, d_others.size, _LANE_BLOCK)])
 
 
 def boundary(scenario: NetworkScenario, k: int, fixed_others,

@@ -7,14 +7,27 @@ interest (service areas, association fractions, SIR coverage, per-user
 rate) are tallied from the realization.  None of the analytic formulas are
 consulted on this path, so agreement between the two is real evidence.
 
+`spatial_mc` makes a single pass: each replicate draws one realization,
+and its user pass yields coverage, per-tier association and the rate
+tally together.  When service areas are asked for, a probe pass over the
+same realization gives all requested tiers at once.  The probe pass draws
+its probe points and shadowing from a copy of the replicate generator
+taken right after `sample_network`, so its numbers do not depend on
+whether the user pass runs; a requested tier that came up empty is
+resampled from a fresh copy of that state.  `coverage_mc`,
+`association_mc`, `rate_mc` and `service_area_mc` are views of this pass.
+
 Replicates are embarrassingly parallel: replicate i derives its own
 generator from (seed, i), runs independently (optionally on a thread pool
 capped by HETNET_THREADS), and results are reduced in replicate order, so
-the thread count never changes the output.
+the thread count never changes the output.  A replicate whose realization
+has no BS or no user is dropped and counted in `SimEstimate.dropped`; a
+run with no usable replicate is an error.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import os
@@ -105,15 +118,20 @@ def _run_replicates(fn, config: SimConfig):
         return list(pool.map(fn, reps))
 
 
-def _combine(values, config: SimConfig) -> SimEstimate:
+def _combine(values, config: SimConfig, what: str) -> SimEstimate:
+    """Reduce per-replicate values in replicate order; nan marks a dropped one."""
     vals = np.asarray(values, dtype=float)
-    mean = float(vals.mean())
-    if vals.size > 1:
-        hw = _Z99 * float(vals.std(ddof=1)) / math.sqrt(vals.size)
+    usable = vals[~np.isnan(vals)]
+    if usable.size == 0:
+        raise ScenarioError(f"no usable replicate for {what} out of {vals.size}; "
+                            f"enlarge the window")
+    mean = float(usable.mean())
+    if usable.size > 1:
+        hw = _Z99 * float(usable.std(ddof=1)) / math.sqrt(usable.size)
     else:
         hw = math.nan
-    return SimEstimate(mean=mean, ci_halfwidth_99=hw,
-                       samples=int(vals.size), seed=int(config.seed))
+    return SimEstimate(mean=mean, ci_halfwidth_99=hw, samples=int(usable.size),
+                       seed=int(config.seed), dropped=int(vals.size - usable.size))
 
 
 def _replicate_rng(config: SimConfig, replicate: int) -> np.random.Generator:
@@ -146,36 +164,78 @@ def sample_network(scenario: NetworkScenario, rho, config: SimConfig,
     return Realization(bs_pos=bs_pos, users=users, window_side=side)
 
 
-def _flatten_bs(realization: Realization, scenario: NetworkScenario):
-    xy = np.vstack([p for p in realization.bs_pos] or [np.empty((0, 2))])
+@dataclass(frozen=True)
+class _BSField:
+    """One realization's BSs, flattened, with what the gain kernel needs per BS."""
+
+    x: np.ndarray                   # (n_bs,) contiguous coordinates
+    y: np.ndarray
+    tier_of: np.ndarray
+    power: np.ndarray               # (n_bs, 1) transmit power
+    shadow: tuple[np.ndarray, np.ndarray] | None   # (n_bs, 1) dB mean, std
+    alpha: float
+    period: float | None            # wrap period in toroidal mode
+
+
+def _bs_field(realization: Realization, scenario: NetworkScenario,
+              config: SimConfig) -> _BSField:
+    xy = np.vstack(realization.bs_pos or [np.empty((0, 2))])
     tier_of = np.repeat(np.arange(len(realization.bs_pos)),
                         realization.tier_counts)
-    return xy, tier_of
+    col = tier_of[:, None]
+    means = np.array([t.shadowing.mean_db for t in scenario.tiers])
+    stds = np.array([t.shadowing.std_db for t in scenario.tiers])
+    shadowed = np.any(stds > 0) or np.any(means != 0)
+    return _BSField(
+        x=np.ascontiguousarray(xy[:, 0]), y=np.ascontiguousarray(xy[:, 1]),
+        tier_of=tier_of,
+        power=np.array([t.tx_power for t in scenario.tiers])[col],
+        shadow=(means[col], stds[col]) if shadowed else None,
+        alpha=scenario.path_loss_exp,
+        period=config.window_side if config.boundary == "toroidal" else None)
 
 
-def _chunk_gains(bs_xy, tier_of, probes, scenario: NetworkScenario,
-                 config: SimConfig, rng, lo, hi):
-    """Average received power matrix W (n_bs, hi-lo) for one probe block.
+def _axis_sq(bs_coord, pts_coord, period):
+    """Squared (wrapped) coordinate differences, (n_bs, n_pts), in one block."""
+    d = np.subtract.outer(bs_coord, pts_coord)
+    np.abs(d, out=d)
+    if period is not None:
+        np.minimum(d, period - d, out=d)
+    return np.multiply(d, d, out=d)
+
+
+def _chunk_gains(bs: _BSField, pts: np.ndarray, rng) -> np.ndarray:
+    """Average received power matrix W (n_bs, len(pts)) for one point block.
 
     W includes transmit power, per-link lognormal shadowing, and path
     loss; fading is deliberately excluded because cell selection averages
     over it.  Toroidal mode wraps coordinate differences at window scale.
+    Path loss is (d^2)^(-alpha/2) with d^2 summed from one contiguous block
+    per coordinate; the shadowing normals are drawn in (n_bs, len(pts))
+    order.
     """
-    pts = probes[lo:hi]
-    d = np.abs(bs_xy[:, None, :] - pts[None, :, :])
-    if config.boundary == "toroidal":
-        d = np.minimum(d, config.window_side - d)
-    dist = np.hypot(d[..., 0], d[..., 1])
-    np.maximum(dist, 1e-9, out=dist)
-    powers = np.array([t.tx_power for t in scenario.tiers])
-    w = powers[tier_of, None] * dist ** (-scenario.path_loss_exp)
-    means = np.array([t.shadowing.mean_db for t in scenario.tiers])
-    stds = np.array([t.shadowing.std_db for t in scenario.tiers])
-    if np.any(stds > 0) or np.any(means != 0):
-        db = means[tier_of, None] + stds[tier_of, None] * \
-            rng.standard_normal(w.shape)
-        w *= 10.0 ** (db / 10.0)
+    w = _axis_sq(bs.x, pts[:, 0], bs.period)
+    w += _axis_sq(bs.y, pts[:, 1], bs.period)
+    np.maximum(w, 1e-18, out=w)
+    np.power(w, -0.5 * bs.alpha, out=w)
+    w *= bs.power
+    if bs.shadow is not None:
+        mean_db, std_db = bs.shadow
+        db = rng.standard_normal(w.shape)
+        db *= std_db
+        db += mean_db
+        db /= 10.0
+        w *= np.power(10.0, db, out=db)
     return w
+
+
+def _serving(bs: _BSField, pts: np.ndarray, rng) -> np.ndarray:
+    """Flat index of the strongest-average BS for every point."""
+    serving = np.empty(pts.shape[0], dtype=np.int64)
+    for lo in range(0, pts.shape[0], _USER_CHUNK):
+        hi = min(lo + _USER_CHUNK, pts.shape[0])
+        serving[lo:hi] = np.argmax(_chunk_gains(bs, pts[lo:hi], rng), axis=0)
+    return serving
 
 
 def associate(realization: Realization, scenario: NetworkScenario,
@@ -185,133 +245,175 @@ def associate(realization: Realization, scenario: NetworkScenario,
         raise ScenarioError("no BS available: realization has no ON BS")
     if config is None:
         config = SimConfig(window_side=realization.window_side, replicates=1)
-    bs_xy, tier_of = _flatten_bs(realization, scenario)
-    users = realization.users
-    serving = np.empty(users.shape[0], dtype=np.int64)
-    for lo in range(0, users.shape[0], _USER_CHUNK):
-        hi = min(lo + _USER_CHUNK, users.shape[0])
-        w = _chunk_gains(bs_xy, tier_of, users, scenario, config, rng, lo, hi)
-        serving[lo:hi] = np.argmax(w, axis=0)
-    tiers = tier_of[serving]
+    bs = _bs_field(realization, scenario, config)
+    serving = _serving(bs, realization.users, rng)
+    tiers = bs.tier_of[serving]
     offsets = np.concatenate([[0], np.cumsum(realization.tier_counts)])
     return tiers, serving - offsets[tiers]
 
 
-def service_area_mc(scenario: NetworkScenario, rho, k: int,
-                    config: SimConfig) -> SimEstimate:
-    """Mean service area of a tier-k BS: window area x (probe fraction)/count.
-
-    Replicates where tier k comes up empty are resampled from the same
-    stream; the resample count is logged because heavy resampling means
-    the window is too small for the requested tier.
-    """
-    rho = check_availability_vector(rho, scenario.k_tiers)
-    if rho[k] * scenario.tiers[k].density <= 0:
-        raise ScenarioError(f"tier {k} has zero ON density; its area is undefined")
-
-    def one(replicate: int) -> tuple[float, int]:
-        rng = _replicate_rng(config, replicate)
-        resamples = 0
-        while True:
-            real = sample_network(scenario, rho, config, rng)
-            if real.tier_counts[k] > 0:
-                break
-            resamples += 1
-        bs_xy, tier_of = _flatten_bs(real, scenario)
-        if config.boundary == "guard":
-            g = config.guard_margin
-            side = config.window_side - 2.0 * g
-            probes = rng.uniform(g, config.window_side - g, (_AREA_PROBES, 2))
-            in_tier = tier_of == k
-            inner = (np.all(bs_xy >= g, axis=1)
-                     & np.all(bs_xy <= config.window_side - g, axis=1))
-            n_k = int(np.count_nonzero(in_tier & inner))
-            if n_k == 0:
-                return math.nan, resamples
-        else:
-            side = config.window_side
-            probes = rng.uniform(0.0, side, (_AREA_PROBES, 2))
-            n_k = int(real.tier_counts[k])
-        hits = 0
-        for lo in range(0, _AREA_PROBES, _USER_CHUNK):
-            hi = min(lo + _USER_CHUNK, _AREA_PROBES)
-            w = _chunk_gains(bs_xy, tier_of, probes, scenario, config, rng, lo, hi)
-            hits += int(np.count_nonzero(tier_of[np.argmax(w, axis=0)] == k))
-        return side * side * (hits / _AREA_PROBES) / n_k, resamples
-
-    results = _run_replicates(one, config)
-    resampled = sum(r for _, r in results)
-    if resampled:
-        log.info("service_area_mc: %d resamples for empty tier %d; "
-                 "consider a larger window", resampled, k)
-    vals = [v for v, _ in results if not math.isnan(v)]
-    if not vals:
-        raise ScenarioError(
-            f"tier {k} produced no usable replicate; enlarge the window")
-    return _combine(vals, config)
-
-
-def _sir_stats(scenario: NetworkScenario, rho, config: SimConfig,
-               replicate: int, rate_target: float | None):
-    """One replicate of the full SIR pipeline.
+def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
+               rng, rate_target: float | None):
+    """Coverage, per-tier association and rate tally of one realization.
 
     Returns (coverage fraction, per-tier association fractions, rate
-    coverage fraction or nan).  Load for the rate statistic counts the
-    covered users on the serving BS plus the tagged user itself.
+    coverage fraction or nan), all nan when the realization has no BS or
+    no user.  Load for the rate statistic counts the covered users on the
+    serving BS plus the tagged user itself.
     """
-    rng = _replicate_rng(config, replicate)
-    real = sample_network(scenario, rho, config, rng)
     n_users = real.users.shape[0]
     if sum(int(c) for c in real.tier_counts) == 0 or n_users == 0:
         return math.nan, np.full(scenario.k_tiers, math.nan), math.nan
-    bs_xy, tier_of = _flatten_bs(real, scenario)
+    bs = _bs_field(real, scenario, config)
     serving = np.empty(n_users, dtype=np.int64)
     sir = np.empty(n_users)
     for lo in range(0, n_users, _USER_CHUNK):
         hi = min(lo + _USER_CHUNK, n_users)
-        w = _chunk_gains(bs_xy, tier_of, real.users, scenario, config, rng, lo, hi)
+        w = _chunk_gains(bs, real.users[lo:hi], rng)
         srv = np.argmax(w, axis=0)
-        h = rng.exponential(1.0, w.shape)
-        rcv = w * h
-        cols = np.arange(hi - lo)
-        sig = rcv[srv, cols]
-        sir[lo:hi] = sig / np.maximum(rcv.sum(axis=0) - sig, 1e-300)
+        w *= rng.exponential(1.0, w.shape)
+        sig = w[srv, np.arange(hi - lo)]
+        sir[lo:hi] = sig / np.maximum(w.sum(axis=0) - sig, 1e-300)
         serving[lo:hi] = srv
     covered = sir > scenario.sir_target
-    cov_frac = float(covered.mean())
-    assoc = np.array([
-        float(np.mean(tier_of[serving] == k)) for k in range(scenario.k_tiers)])
+    assoc = np.bincount(bs.tier_of[serving], minlength=scenario.k_tiers) / n_users
     if rate_target is None:
-        return cov_frac, assoc, math.nan
-    n_bs = bs_xy.shape[0]
-    covered_load = np.bincount(serving[covered], minlength=n_bs)
+        return float(covered.mean()), assoc, math.nan
+    covered_load = np.bincount(serving[covered], minlength=bs.tier_of.size)
     others = covered_load[serving] - covered.astype(np.int64)
     rate = np.log2(1.0 + sir) / (others + 1)
-    return cov_frac, assoc, float(np.mean(rate > rate_target))
+    return float(covered.mean()), assoc, float(np.mean(rate > rate_target))
+
+
+def _probe_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
+                rng, tiers) -> dict[int, float]:
+    """Service area of each tier in `tiers`: window area x probe share / count.
+
+    One set of uniform probes, associated once, serves every tier.  In
+    guard mode probes and BS counts are restricted to the inner square,
+    and a tier with no inner BS gives nan.
+    """
+    bs = _bs_field(real, scenario, config)
+    g = config.guard_margin if config.boundary == "guard" else 0.0
+    hi = config.window_side - g
+    probes = rng.uniform(g, hi, (_AREA_PROBES, 2))
+    inner = (bs.x >= g) & (bs.x <= hi) & (bs.y >= g) & (bs.y <= hi)
+    counts = np.bincount(bs.tier_of[inner], minlength=scenario.k_tiers)
+    hits = np.bincount(bs.tier_of[_serving(bs, probes, rng)],
+                       minlength=scenario.k_tiers)
+    side = config.window_side - 2.0 * g
+    return {k: side * side * (hits[k] / _AREA_PROBES) / int(counts[k])
+            if counts[k] else math.nan for k in tiers}
+
+
+def _replicate_areas(scenario: NetworkScenario, rho, config: SimConfig,
+                     real: Realization, rng, tiers) -> tuple[dict[int, float], int]:
+    """Service areas of `tiers` in one replicate, and its resample count.
+
+    `rng` is the replicate generator right after `sample_network` drew
+    `real`; it is only copied, never advanced.  Tiers present in `real`
+    share one probe pass.  A tier that came up empty is resampled from a
+    fresh copy until it has a BS, and probed on that realization.
+    """
+    present = [k for k in tiers if real.tier_counts[k] > 0]
+    areas = _probe_pass(real, scenario, config, copy.deepcopy(rng), present) \
+        if present else {}
+    resamples = 0
+    for k in tiers:
+        if k in areas:
+            continue
+        fork = copy.deepcopy(rng)
+        while True:
+            resamples += 1
+            again = sample_network(scenario, rho, config, fork)
+            if again.tier_counts[k] > 0:
+                break
+        areas.update(_probe_pass(again, scenario, config, fork, [k]))
+    return areas, resamples
+
+
+@dataclass(frozen=True)
+class SpatialEstimate:
+    """Estimates from one spatial pass over the replicates.
+
+    `coverage`, `association` (one per tier) and `rate` come from the user
+    pass and are None when it was skipped; `rate` is also None without a
+    rate target.  `area` maps each requested tier to its mean service area.
+    """
+
+    coverage: SimEstimate | None
+    association: tuple[SimEstimate, ...] | None
+    rate: SimEstimate | None
+    area: dict[int, SimEstimate]
+
+
+def spatial_mc(scenario: NetworkScenario, rho, config: SimConfig,
+               rate_target: float | None = None, area_tiers=(),
+               users: bool = True) -> SpatialEstimate:
+    """Every spatial estimator from one realization per replicate.
+
+    With `users`, the user pass gives SIR coverage, per-tier association
+    and, given `rate_target`, P(per-user rate > rate_target) under equal
+    resource sharing.  Each tier in `area_tiers` also gets its mean
+    service area from the probe pass, which draws from a copy of the
+    replicate generator so it gives the same numbers with or without the
+    user pass.  Replicates where a requested tier comes up empty are
+    resampled for that tier; the resample count is logged because heavy
+    resampling means the window is too small for the tier.
+    """
+    rho = check_availability_vector(rho, scenario.k_tiers)
+    if rate_target is not None and rate_target < 0:
+        raise ScenarioError(f"rate_target must be >= 0 (got {rate_target})")
+    area_tiers = tuple(area_tiers)
+    for k in area_tiers:
+        if rho[k] * scenario.tiers[k].density <= 0:
+            raise ScenarioError(f"tier {k} has zero ON density; its area is undefined")
+
+    def one(replicate: int):
+        rng = _replicate_rng(config, replicate)
+        real = sample_network(scenario, rho, config, rng)
+        areas, resamples = _replicate_areas(scenario, rho, config, real, rng,
+                                            area_tiers)
+        stats = _user_pass(real, scenario, config, rng, rate_target) if users else None
+        return stats, areas, resamples
+
+    rows = _run_replicates(one, config)
+    resampled = sum(r for _, _, r in rows)
+    if resampled:
+        log.info("spatial_mc: %d resamples for empty tiers among %s; "
+                 "consider a larger window", resampled, list(area_tiers))
+    area = {k: _combine([a[k] for _, a, _ in rows], config,
+                        f"the tier-{k} service area") for k in area_tiers}
+    if not users:
+        return SpatialEstimate(coverage=None, association=None, rate=None, area=area)
+    stats = [s for s, _, _ in rows]
+    return SpatialEstimate(
+        coverage=_combine([s[0] for s in stats], config, "coverage"),
+        association=tuple(_combine([s[1][k] for s in stats], config, "association")
+                          for k in range(scenario.k_tiers)),
+        rate=None if rate_target is None else
+        _combine([s[2] for s in stats], config, "the rate tally"),
+        area=area)
+
+
+def service_area_mc(scenario: NetworkScenario, rho, k: int,
+                    config: SimConfig) -> SimEstimate:
+    """Mean service area of a tier-k BS: window area x (probe fraction)/count."""
+    return spatial_mc(scenario, rho, config, area_tiers=(k,), users=False).area[k]
 
 
 def coverage_mc(scenario: NetworkScenario, rho, config: SimConfig) -> SimEstimate:
     """Fraction of users whose serving-link SIR exceeds the target."""
-    vals = _run_replicates(
-        lambda i: _sir_stats(scenario, rho, config, i, None)[0], config)
-    return _combine([v for v in vals if not math.isnan(v)], config)
+    return spatial_mc(scenario, rho, config).coverage
 
 
 def association_mc(scenario: NetworkScenario, rho,
                    config: SimConfig) -> list[SimEstimate]:
     """Per-tier fractions of users served by that tier, one estimate each."""
-    rows = _run_replicates(
-        lambda i: _sir_stats(scenario, rho, config, i, None)[1], config)
-    rows = [r for r in rows if not math.isnan(r[0])]
-    return [_combine([r[k] for r in rows], config)
-            for k in range(scenario.k_tiers)]
+    return list(spatial_mc(scenario, rho, config).association)
 
 
 def rate_mc(scenario: NetworkScenario, rho, rate_target: float,
             config: SimConfig) -> SimEstimate:
     """Empirical P(per-user rate > rate_target) under equal resource sharing."""
-    if rate_target < 0:
-        raise ScenarioError(f"rate_target must be >= 0 (got {rate_target})")
-    vals = _run_replicates(
-        lambda i: _sir_stats(scenario, rho, config, i, rate_target)[2], config)
-    return _combine([v for v in vals if not math.isnan(v)], config)
+    return spatial_mc(scenario, rho, config, rate_target=rate_target).rate

@@ -1,11 +1,15 @@
-"""High-precision linear-algebra oracles shared by the test modules.
+"""Oracles shared by the test modules.
 
 The restricted generator -B of the battery birth-death chain has condition
 number growing like (mu/nu)^N, so float64 LAPACK inversion cannot certify
 nine-digit agreement over the parameter ranges exercised here.  These helpers
 run the standard tridiagonal LU elimination in 300-digit arithmetic instead.
 They share no code with the closed-form summation under test.
+`hypot_link_gains` recomputes the spatial simulator's link gains one link at
+a time in plain floats.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -147,4 +151,25 @@ def mp_tier_constants(scenario):
         w = mp.sqrt(t.tx_power)
         out.append((t.density * w,
                     t.harvest_rate / (mp.mpf(scenario.user_density) * pc * w)))
+    return out
+
+
+def hypot_link_gains(bs_xy, tier_of, pts, powers, alpha, period=None,
+                     shadow_db=None):
+    """Average received power of every (BS, point) link, one link at a time.
+
+    Distance is math.hypot of the coordinate differences, each wrapped to
+    min(d, period - d) when a period is given, floored at 1e-9; the gain
+    is P d^-alpha, times 10^(shadow_db/10) for the link when given.
+    """
+    out = np.empty((len(bs_xy), len(pts)))
+    for i, (bx, by) in enumerate(bs_xy):
+        for j, (px, py) in enumerate(pts):
+            dx, dy = abs(bx - px), abs(by - py)
+            if period is not None:
+                dx, dy = min(dx, period - dx), min(dy, period - dy)
+            gain = powers[tier_of[i]] * max(math.hypot(dx, dy), 1e-9) ** -alpha
+            if shadow_db is not None:
+                gain *= 10.0 ** (shadow_db[i, j] / 10.0)
+            out[i, j] = gain
     return out

@@ -204,6 +204,10 @@ def test_simulate_command(scenario_file, capsys):
     assert table[1][1] == "2"
     assert main(["simulate", scenario_file, "--estimator", "area",
                  "--tier", "9", "--replicates", "4"]) == 1
+    capsys.readouterr()
+    assert main(["simulate", scenario_file, "--window", "0.05",
+                 "--replicates", "3"]) == 1
+    assert "no usable replicate" in capsys.readouterr().err
 
 
 def test_usage_errors(scenario_file, capsys):
@@ -252,21 +256,26 @@ def test_validate_catches_a_broken_constant(scenario_file, capsys,
     assert "validation FAILED" in out
 
 
+def _child_env():
+    """Environment whose PYTHONPATH finds the harvnet imported here."""
+    src_dir = str(Path(harvnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_module_entry_point(scenario_file):
     proc = subprocess.run(
         [sys.executable, "-m", "harvnet.cli", "coverage", scenario_file],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("sir_target,")
 
 
 def test_import_leaves_scipy_optimize_unloaded():
     # every CLI call pays for what `import harvnet` loads
-    src_dir = str(Path(harvnet.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, harvnet; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

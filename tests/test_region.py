@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -151,6 +152,21 @@ def test_sweep_equals_pointwise_boundary():
         sweep = sweep_boundary(sc, k, 41, constraint)
         points = [boundary(sc, k, [t], constraint) for t in sweep.grid]
         np.testing.assert_allclose(sweep.values, points, rtol=0, atol=1e-15)
+
+
+def test_fine_sweep_memory_stays_flat():
+    # One scan column per grid lane for 20,001 lanes at once would take
+    # about 200 MB; the sweep must work in bounded blocks of lanes.
+    sc = two_tier()
+    tracemalloc.start()
+    try:
+        sweep = sweep_boundary(sc, 0, 20_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    for i in (0, 2047, 2048, 12_345, 20_000):
+        assert sweep.values[i] == boundary(sc, 0, [sweep.grid[i]])
 
 
 def test_three_tier_boundary_matches_mpmath_root():

@@ -8,6 +8,8 @@ from harvnet.model import NetworkScenario, ScenarioError, ShadowingSpec, TierPar
 from harvnet.simulate import (
     Realization,
     SimConfig,
+    _bs_field,
+    _chunk_gains,
     _thread_count,
     associate,
     association_mc,
@@ -15,8 +17,10 @@ from harvnet.simulate import (
     rate_mc,
     sample_network,
     service_area_mc,
+    spatial_mc,
     suggest_window_side,
 )
+from oracles import hypot_link_gains
 
 PC = 1 / (1 + math.pi / 4)
 
@@ -208,3 +212,105 @@ def test_sim_config_validation():
         SimConfig(window_side=5.0, boundary="guard", guard_margin=0.0)
     with pytest.raises(ScenarioError):
         SimConfig(window_side=5.0, boundary="guard", guard_margin=2.5)
+
+
+@pytest.mark.parametrize("boundary", ["toroidal", "guard"])
+@pytest.mark.parametrize("shadowing", [None, ShadowingSpec(1.5, 6.0)])
+def test_gain_kernel_matches_hypot_oracle(boundary, shadowing):
+    sc = two_tier(powers=(4.0, 0.25), shadowing=shadowing)
+    side = 5.0
+    config = SimConfig(window_side=side, replicates=1, boundary=boundary,
+                       guard_margin=1.0)
+    rng = np.random.default_rng(61)
+    real = Realization(bs_pos=[rng.uniform(0, side, (9, 2)),
+                               rng.uniform(0, side, (23, 2))],
+                       users=rng.uniform(0, side, (37, 2)), window_side=side)
+    real.users[5] = real.bs_pos[1][3]        # a link at the distance floor
+    bs = _bs_field(real, sc, config)
+    got = _chunk_gains(bs, real.users, np.random.default_rng(62))
+    tier_of = np.repeat([0, 1], [9, 23])
+    shadow_db = None
+    if shadowing is not None:
+        z = np.random.default_rng(62).standard_normal(got.shape)
+        shadow_db = shadowing.mean_db + shadowing.std_db * z
+    want = hypot_link_gains(np.vstack(real.bs_pos), tier_of, real.users,
+                            [4.0, 0.25], 4.0,
+                            side if boundary == "toroidal" else None, shadow_db)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(window_side=3.0, replicates=6, seed=4),
+    SimConfig(window_side=5.0, replicates=6, seed=0, boundary="guard",
+              guard_margin=1.0),
+])
+def test_spatial_mc_equals_wrappers(config, caplog):
+    # Tier 0 comes up empty in some replicates, so its area is resampled;
+    # in guard mode it also misses the inner square, which drops replicates.
+    sc = two_tier(powers=(1.0, 0.5), lam_u=20.0, shadowing=ShadowingSpec(0.5, 4.0))
+    rho = [0.1, 1.0]
+    with caplog.at_level("INFO", logger="harvnet.simulate"):
+        est = spatial_mc(sc, rho, config, rate_target=0.1, area_tiers=(0, 1))
+    assert "resamples" in caplog.text
+    assert est.area[0].dropped == (2 if config.boundary == "guard" else 0)
+    assert est.coverage == coverage_mc(sc, rho, config)
+    assert list(est.association) == association_mc(sc, rho, config)
+    assert est.rate == rate_mc(sc, rho, 0.1, config)
+    assert est.area == {k: service_area_mc(sc, rho, k, config) for k in (0, 1)}
+    areas_only = spatial_mc(sc, rho, config, area_tiers=(1, 0), users=False)
+    assert areas_only.coverage is None and areas_only.association is None
+    assert areas_only.area == est.area
+    assert spatial_mc(sc, rho, config).rate is None
+
+
+def test_service_area_follows_replicate_stream():
+    # Replicate i resamples from default_rng([seed, i]) until tier 0 has a
+    # BS, then draws 4096 probes and their shadowing from the same stream.
+    sc = two_tier(powers=(1.0, 0.5), lam_u=20.0, shadowing=ShadowingSpec(0.5, 4.0))
+    rho, side = [0.1, 1.0], 3.0
+    config = SimConfig(window_side=side, replicates=6, seed=4)
+    vals, draws = [], 0
+    for i in range(config.replicates):
+        rng = np.random.default_rng([config.seed, i])
+        while True:
+            draws += 1
+            real = sample_network(sc, rho, config, rng)
+            if real.tier_counts[0] > 0:
+                break
+        probes = Realization(real.bs_pos, rng.uniform(0, side, (4096, 2)), side)
+        tiers, _ = associate(probes, sc, rng, config)
+        vals.append(side * side * np.mean(tiers == 0) / int(real.tier_counts[0]))
+    assert draws > config.replicates
+    assert service_area_mc(sc, rho, 0, config).mean == np.mean(vals)
+
+
+def test_spatial_mc_ignores_thread_count(monkeypatch):
+    sc = two_tier(shadowing=ShadowingSpec(0.0, 3.0))
+    config = SimConfig(window_side=5.0, replicates=6, seed=52)
+    runs = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("HETNET_THREADS", threads)
+        runs.append(spatial_mc(sc, [0.8, 0.5], config, rate_target=0.2,
+                               area_tiers=(0, 1)))
+    assert runs[0] == runs[1]
+
+
+def test_empty_replicates_are_counted():
+    sc = NetworkScenario(tiers=(TierParams(0.1, 1.0, 1.0, 5),),
+                         path_loss_exp=4.0, sir_target=1.0, user_density=3.0)
+    est = coverage_mc(sc, [1.0], SimConfig(window_side=4.0, replicates=10, seed=0))
+    assert est.dropped > 0
+    assert est.samples + est.dropped == 10
+    assert coverage_mc(two_tier(), [1.0, 1.0],
+                       SimConfig(window_side=5.0, replicates=3)).dropped == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_all_empty_replicates_raise():
+    sc = one_tier(lam=0.01)
+    config = SimConfig(window_side=1.0, replicates=4, seed=3)
+    for estimate in (lambda: coverage_mc(sc, [1.0], config),
+                     lambda: association_mc(sc, [1.0], config),
+                     lambda: rate_mc(sc, [1.0], 0.1, config)):
+        with pytest.raises(ScenarioError, match="no usable replicate"):
+            estimate()
