@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,7 +47,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ScenarioError(f"{db} dB overflows a linear value") from None
 
 
 def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
@@ -88,7 +92,10 @@ def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
         gamma = float(doc["over_provisioning"])
         if gamma <= 0:
             raise ScenarioError(f"over_provisioning must be > 0 (got {gamma})")
-        pc = 1.0 / (1.0 + coverage.hyper_f(beta, alpha))
+        # P_c needs a valid (beta, alpha): check them before using them
+        probe = NetworkScenario(tuple(tiers), alpha, beta, user_density=1.0)
+        validate(probe)
+        pc = coverage.coverage_prob(probe)
         harvested = sum(t.density * t.harvest_rate for t in tiers)
         lam_u = harvested / (gamma * pc)
     else:
@@ -212,10 +219,9 @@ def cmd_region(args) -> int:
 def cmd_coverage(args) -> int:
     scenario, _ = load_scenario(args.scenario)
     if args.sir_target_db is not None:
-        scenario = NetworkScenario(
-            tiers=scenario.tiers, path_loss_exp=scenario.path_loss_exp,
-            sir_target=_db_to_linear(args.sir_target_db),
-            user_density=scenario.user_density)
+        scenario = replace(scenario,
+                           sir_target=_db_to_linear(args.sir_target_db))
+        validate(scenario)
     out = _writer()
     out.writerow(["sir_target", "path_loss_exp", "coverage"])
     out.writerow([_fmt(scenario.sir_target), _fmt(scenario.path_loss_exp),

@@ -2,25 +2,31 @@
 
 The coverage probability of the max-average-power cell selection model in an
 interference-limited K-tier network collapses to Pc = 1/(1 + F(beta, alpha)),
-independent of the tier densities, powers, shadowing and availabilities.  The
-rate CCDF combines per-tier association probabilities with a 3.5-law load
-model in which only covered users (effective density Pc*lambda_u) consume
-base-station resources.
+independent of the tier densities, powers, shadowing and availabilities.
+F has the closed form (2 beta/(alpha-2)) 2F1(1, 1-2/alpha; 2-2/alpha; -beta)
+and reduces to sqrt(beta) arctan(sqrt(beta)) at alpha = 4; both evaluate
+over arrays of beta, so nothing is cached.  The rate CCDF combines per-tier
+association probabilities with a 3.5-law load model in which only covered
+users (effective density Pc*lambda_u) consume base-station resources.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, hyp2f1, xlogy
 
 from .model import NetworkScenario, ScenarioError, check_availability_vector
 
-_LGAMMA_3_5 = math.lgamma(3.5)
-_LOG_3_5 = math.log(3.5)
+# log(3.5^3.5 / Gamma(3.5)), the constant of the 3.5-law load pmf.
+_LOG_PMF_CONST = 3.5 * math.log(3.5) - math.lgamma(3.5)
+# Terms of the rate series evaluated per array pass.
+_BLOCK = 64
+# 2^1000 - 1 is the largest SIR threshold the series evaluates; beyond it
+# the coverage factor is taken as zero.
+_MAX_EXPO = 1000.0
 
 
 class SeriesTruncationError(RuntimeError):
@@ -35,34 +41,27 @@ class SeriesTruncationError(RuntimeError):
             f"partial_sum={partial_sum!r}, tail_bound={tail_bound!r}")
 
 
-@lru_cache(maxsize=4096)
-def hyper_f(beta: float, alpha: float) -> float:
+def hyper_f(beta, alpha: float):
     """F(beta, alpha) = (2 beta/(alpha-2)) 2F1[1, 1-2/a; 2-2/a; -beta].
 
-    Evaluated through the Euler integral after the substitution
-    u = t^((alpha-2)/alpha), which removes the endpoint singularity:
-
-        F = (2 beta/(alpha-2)) * int_0^1 du / (1 + beta u^(alpha/(alpha-2))).
-
-    The integrand is smooth; a quadrature break point at the knee
-    u = beta^(-(alpha-2)/alpha) keeps large beta accurate.
+    Takes a scalar or an array of thresholds beta >= 0 and returns the
+    same shape (a float for a scalar).  At alpha = 4 the exact form
+    sqrt(beta) arctan(sqrt(beta)) is used, which keeps F(1, 4) = pi/4 to
+    the last bit; elsewhere scipy's hyp2f1, multiplied by beta before the
+    constant 2/(alpha-2), so that 2 beta never forms and overflows.
     """
-    if alpha <= 2:
+    if not alpha > 2:
         raise ScenarioError(f"path_loss_exp must exceed 2 (got {alpha})")
-    if beta < 0:
-        raise ScenarioError(f"sir threshold must be >= 0 (got {beta})")
-    if beta == 0:
-        return 0.0
-    from scipy.integrate import quad  # loads scipy.optimize: not at import
-    p = alpha / (alpha - 2.0)
-    pts = None
-    if beta > 1.0:
-        knee = beta ** (-1.0 / p)
-        if 0.0 < knee < 1.0:
-            pts = [knee]
-    val, _ = quad(lambda u: 1.0 / (1.0 + beta * u ** p), 0.0, 1.0,
-                  epsabs=1e-13, epsrel=1e-13, limit=200, points=pts)
-    return 2.0 * beta / (alpha - 2.0) * val
+    b = np.asarray(beta, dtype=float)
+    if not np.all(np.isfinite(b) & (b >= 0)):
+        raise ScenarioError(f"sir threshold must be finite and >= 0 (got {beta})")
+    if alpha == 4.0:
+        root = np.sqrt(b)
+        f = root * np.arctan(root)
+    else:
+        f = 2.0 / (alpha - 2.0) * (
+            b * hyp2f1(1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -b))
+    return float(f) if f.ndim == 0 else f
 
 
 def coverage_prob(scenario: NetworkScenario) -> float:
@@ -86,24 +85,22 @@ def tier_association_prob(scenario: NetworkScenario, rho, k: int | None = None):
     return probs if k is None else float(probs[k])
 
 
-def load_pmf(x: float, n: int | np.ndarray):
+def load_pmf(x, n):
     """3.5-law pmf of the number of other users sharing the serving BS.
 
     P(Psi - 1 = n) = (3.5^3.5/n!) (Gamma(n+4.5)/Gamma(3.5)) x^n (3.5+x)^-(n+4.5)
-    with mean-load parameter x >= 0.  Computed in log space: Gamma(n+4.5)
-    overflows doubles near n = 170.
+    with mean-load parameter x >= 0; broadcasts over x and n and returns a
+    float when both are scalars.  Computed in log space: Gamma(n+4.5)
+    overflows doubles near n = 170.  At x = 0 all mass sits on n = 0.
     """
-    if x < 0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
         raise ScenarioError(f"mean load parameter must be >= 0 (got {x})")
-    narr = np.atleast_1d(np.asarray(n, dtype=np.int64))
-    if x == 0.0:
-        out = np.where(narr == 0, 1.0, 0.0)
-    else:
-        logp = (3.5 * _LOG_3_5 - gammaln(narr + 1.0) + gammaln(narr + 4.5)
-                - _LGAMMA_3_5 + narr * math.log(x)
-                - (narr + 4.5) * math.log(3.5 + x))
-        out = np.exp(logp)
-    return out if np.ndim(n) else float(out[0])
+    n = np.asarray(n, dtype=np.int64)
+    logp = (_LOG_PMF_CONST - gammaln(n + 1.0) + gammaln(n + 4.5)
+            + xlogy(n, x) - (n + 4.5) * np.log(3.5 + x))
+    out = np.exp(logp)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,7 @@ class RateQuery:
     max_terms: int = 2000
 
     def __post_init__(self):
-        if self.rate_target < 0:
+        if not self.rate_target >= 0:
             raise ScenarioError(f"rate_target must be >= 0 (got {self.rate_target})")
         if self.series_tolerance <= 0 or self.max_terms < 1:
             raise ScenarioError("series_tolerance must be > 0 and max_terms >= 1")
@@ -139,39 +136,27 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery) -> float:
     assoc = tier_association_prob(scenario, rho)
     alpha = scenario.path_loss_exp
     pc = coverage_prob(scenario)
-    lam = scenario.densities()
     active = assoc > 0
-    x = np.zeros(scenario.k_tiers)
-    x[active] = pc * scenario.user_density * assoc[active] / (rho[active] * lam[active])
+    pmf_w = assoc[active]
+    pmf_x = pc * scenario.user_density * pmf_w / (
+        rho[active] * scenario.densities()[active])
 
-    total = 0.0
-    cum_mass = 0.0
-    for n in range(query.max_terms):
+    # Blocks of _BLOCK terms at a time.  The running sums are seeded with
+    # the previous block's totals and accumulate in term order, exactly as
+    # a term-by-term loop would.
+    total, cum_mass = 0.0, 0.0
+    for start in range(0, query.max_terms, _BLOCK):
+        n = np.arange(start, min(start + _BLOCK, query.max_terms))
         expo = t_rate * (n + 1)
-        if expo > 1000.0:
-            cov = 0.0  # beta overflows; coverage is numerically zero
-        else:
-            cov = 1.0 / (1.0 + hyper_f(2.0 ** expo - 1.0, alpha))
-        mass = float(np.sum(assoc[active] * load_pmf_vector(x[active], n)))
+        beta = np.exp2(np.minimum(expo, _MAX_EXPO)) - 1.0
+        cov = np.where(expo > _MAX_EXPO, 0.0, 1.0 / (1.0 + hyper_f(beta, alpha)))
+        mass = (load_pmf(pmf_x, n[:, None]) * pmf_w).sum(axis=1)
         term = cov * mass
-        total += term
-        cum_mass += mass
-        tail = (1.0 - cum_mass) * cov
-        if tail < query.series_tolerance and term < query.series_tolerance:
-            return total
-    raise SeriesTruncationError(total, (1.0 - cum_mass) * cov, query.max_terms)
-
-
-def load_pmf_vector(xs: np.ndarray, n: int) -> np.ndarray:
-    """load_pmf evaluated at a fixed n for an array of load parameters."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros_like(xs)
-    zero = xs == 0.0
-    out[zero] = 1.0 if n == 0 else 0.0
-    pos = ~zero
-    if np.any(pos):
-        xp = xs[pos]
-        logp = (3.5 * _LOG_3_5 - math.lgamma(n + 1.0) + math.lgamma(n + 4.5)
-                - _LGAMMA_3_5 + n * np.log(xp) - (n + 4.5) * np.log(3.5 + xp))
-        out[pos] = np.exp(logp)
-    return out
+        sums = np.cumsum(np.concatenate(([total], term)))[1:]
+        masses = np.cumsum(np.concatenate(([cum_mass], mass)))[1:]
+        tail = (1.0 - masses) * cov
+        done = (tail < query.series_tolerance) & (term < query.series_tolerance)
+        if done.any():
+            return float(sums[np.argmax(done)])
+        total, cum_mass = float(sums[-1]), float(masses[-1])
+    raise SeriesTruncationError(total, float(tail[-1]), query.max_terms)

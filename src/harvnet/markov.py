@@ -80,27 +80,13 @@ def stationary(spec: BirthDeathSpec) -> np.ndarray:
     return w / w.sum()
 
 
-def neg_b_inverse_entry(spec: BirthDeathSpec, i: int, j: int) -> float:
-    """Entry (i, j) of (-B)^-1 where B is the generator minus row/column 0.
-
-    Closed form: (1/nu) * sum_{n=1}^{min(i,j)} r^(j-n), the ratio form of
-    nu^-j sum mu^(j-n) nu^(n-1).
-    """
-    n = spec.battery
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ScenarioError(f"indices must lie in [1, {n}] (got i={i}, j={j})")
-    r = spec.ratio
-    m = min(i, j)
-    with np.errstate(over="ignore"):
-        powers = r ** (j - np.arange(1, m + 1, dtype=float))
-    return float(powers.sum() / spec.utilization_rate)
-
-
 def neg_b_inverse(spec: BirthDeathSpec) -> np.ndarray:
-    """Full NxN matrix of neg_b_inverse_entry, vectorized.
+    """(-B)^-1, where B is the generator without level 0's row and column.
 
-    M[i, j] = (1/nu) * r^(j-m) * S_m with m = min(i, j); the partial sums
-    S_m come from a cumulative sum of powers, which is exact at r = 1.
+    Entry (i, j), 1-based, is (1/nu) sum_{n=1}^{min(i,j)} r^(j-n), the
+    ratio form of nu^-j sum mu^(j-n) nu^(n-1): M[i, j] = (1/nu) r^(j-m) S_m
+    with m = min(i, j).  The partial sums S_m come from a cumulative sum of
+    powers, which is exact at r = 1.
     """
     n = spec.battery
     r = spec.ratio

@@ -104,8 +104,9 @@ def validate(scenario: NetworkScenario) -> None:
     if not scenario.path_loss_exp > 2:
         raise ScenarioError(
             f"path_loss_exp must exceed 2 (got {scenario.path_loss_exp})")
-    if not scenario.sir_target > 0:
-        raise ScenarioError(f"sir_target must be > 0 (got {scenario.sir_target})")
+    if not (math.isfinite(scenario.sir_target) and scenario.sir_target > 0):
+        raise ScenarioError(
+            f"sir_target must be finite and > 0 (got {scenario.sir_target})")
     if not scenario.user_density > 0:
         raise ScenarioError(f"user_density must be > 0 (got {scenario.user_density})")
     for i, t in enumerate(scenario.tiers):

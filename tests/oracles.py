@@ -6,7 +6,9 @@ nine-digit agreement over the parameter ranges exercised here.  These helpers
 run the standard tridiagonal LU elimination in 300-digit arithmetic instead.
 They share no code with the closed-form summation under test.
 `hypot_link_gains` recomputes the spatial simulator's link gains one link at
-a time in plain floats.
+a time in plain floats.  `mp_hyper_f` and `mp_rate_ccdf` evaluate the
+coverage constant and the rate series in mpmath, straight from the model
+equations.
 """
 
 import math
@@ -173,3 +175,52 @@ def hypot_link_gains(bs_xy, tier_of, pts, powers, alpha, period=None,
                 gain *= 10.0 ** (shadow_db[i, j] / 10.0)
             out[i, j] = gain
     return out
+
+
+def mp_hyper_f(beta, alpha, dps=40):
+    """F(beta, alpha) = (2 beta/(alpha-2)) 2F1(1, 1-2/alpha; 2-2/alpha; -beta)."""
+    with mp.workdps(dps):
+        b, a = mp.mpf(beta), mp.mpf(alpha)
+        return 2 * b / (a - 2) * mp.hyp2f1(1, 1 - 2 / a, 2 - 2 / a, -b)
+
+
+def mp_rate_ccdf(scenario, rho, rate_target, tol=1e-16, dps=30):
+    """P(rate > T) for the 3.5-law load model, summed term by term in mpmath.
+
+    Tier k serves the typical user with probability A_k proportional to
+    rho_k lambda_k w_k, w_k = E[X^(2/alpha)] P_k^(2/alpha); its load has
+    mean parameter x_k = P_c lambda_u A_k/(rho_k lambda_k) and the pmf
+    p_0 = (3.5/(3.5+x))^4.5, p_(n+1) = p_n (n+4.5)/(n+1) x/(3.5+x).  Term n
+    is the pmf mass times 1/(1 + F(2^(T(n+1)) - 1)); the sum stops once
+    (1 - mass so far) times the current, decreasing, coverage factor
+    bounds the rest below `tol`.
+    """
+    with mp.workdps(dps):
+        alpha = mp.mpf(scenario.path_loss_exp)
+        pc = 1 / (1 + mp_hyper_f(scenario.sir_target, scenario.path_loss_exp, dps))
+        c = mp.log(10) / 5
+        on = []
+        for r, t in zip(rho, scenario.tiers):
+            w = (mp.exp(c * t.shadowing.mean_db / alpha
+                        + (c * t.shadowing.std_db / alpha) ** 2 / 2)
+                 * mp.mpf(t.tx_power) ** (2 / alpha))
+            on.append(mp.mpf(r) * t.density * w)
+        tiers = []
+        for r, t, o in zip(rho, scenario.tiers, on):
+            if o > 0:
+                a_k = o / sum(on)
+                x = pc * scenario.user_density * a_k / (mp.mpf(r) * t.density)
+                tiers.append([a_k, (3.5 / (3.5 + x)) ** mp.mpf(4.5), x / (3.5 + x)])
+        total = mass = mp.mpf(0)
+        n = 0
+        while True:
+            beta = mp.mpf(2) ** (mp.mpf(rate_target) * (n + 1)) - 1
+            cov = 1 / (1 + mp_hyper_f(beta, scenario.path_loss_exp, dps))
+            p_n = sum(a_k * p for a_k, p, _ in tiers)
+            total += cov * p_n
+            mass += p_n
+            if (1 - mass) * cov < tol:
+                return float(total)
+            for entry in tiers:
+                entry[1] *= (n + mp.mpf(4.5)) / (n + 1) * entry[2]
+            n += 1

@@ -155,6 +155,52 @@ def test_coverage_command(scenario_file, capsys):
     assert float(rows(capsys)[1][2]) < PC
 
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def test_coverage_at_a_huge_sir_target(capsys):
+    # F(1e12, 4) = 1e6 arctan(1e6), so P_c = 6.36619772368e-07
+    assert main(["coverage", str(SCENARIOS / "two-tier-baseline.json"),
+                 "--sir-target-db", "120"]) == 0
+    assert rows(capsys)[1][2] == "6.36619772368e-07"
+
+
+@pytest.mark.parametrize("db", ["nan", "inf", "-inf", "3100"])
+def test_coverage_rejects_bad_sir_target_db(scenario_file, capsys, db):
+    assert main(["coverage", scenario_file, f"--sir-target-db={db}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("field, value", [("sir_target_db", 4000.0),
+                                          ("sir_target_db", -math.inf),
+                                          ("sir_target", math.nan),
+                                          ("sir_target", math.inf),
+                                          ("sir_target", -1.0)])
+def test_scenario_rejects_bad_sir_target(tmp_path, capsys, field, value):
+    doc = dict(BASE_DOC)
+    doc.pop("sir_target")
+    doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match="sir_target|overflows"):
+        load_scenario(str(path))
+    assert main(["coverage", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sir_target_overflow_exits_without_traceback(scenario_file):
+    proc = subprocess.run(
+        [sys.executable, "-m", "harvnet.cli", "coverage", scenario_file,
+         "--sir-target-db", "3100"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_rate_sweep_and_single_target(scenario_file, tmp_path, capsys):
     assert main(["rate", scenario_file, "--rate-target", "0.0"]) == 0
     table = rows(capsys)
@@ -279,3 +325,19 @@ def test_import_leaves_scipy_optimize_unloaded():
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_coverage_calls_leave_scipy_integrate_and_optimize_unloaded():
+    code = (
+        "import sys, harvnet as hn\n"
+        "sc = hn.NetworkScenario((hn.TierParams(1.0, 1.0, 2.0, 6),\n"
+        "                         hn.TierParams(10.0, 1.0, 1.0, 5)),\n"
+        "                        3.5, 1.0, 5.0)\n"
+        "hn.coverage_prob(sc)\n"
+        "hn.rate_ccdf(sc, [0.5, 0.5], hn.RateQuery(rate_target=0.1))\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize')\n"
+        "             if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

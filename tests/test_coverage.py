@@ -1,9 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+from harvnet.analytic import solve_availability
+from harvnet.cli import load_scenario
 from harvnet.coverage import (
     RateQuery,
     SeriesTruncationError,
@@ -14,6 +17,9 @@ from harvnet.coverage import (
     tier_association_prob,
 )
 from harvnet.model import NetworkScenario, ScenarioError, ShadowingSpec, TierParams
+from oracles import mp_hyper_f, mp_rate_ccdf
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def scenario(beta=1.0, alpha=4.0, lams=(1.0, 10.0), powers=(1.0, 1.0),
@@ -59,6 +65,43 @@ def test_hyper_f_edge_cases():
         hyper_f(-0.5, 4.0)
     with pytest.raises(ScenarioError):
         hyper_f(1.0, 2.0)
+
+
+F_BETAS = np.concatenate([np.geomspace(1e-300, 1e-10, 30),
+                          np.geomspace(1e-9, 1e30, 79), [0.5, 1.0, 2.0]])
+
+
+@pytest.mark.parametrize("alpha", [2.001, 2.5, 3.0, 4.0, 4.5, 6.0, 8.0])
+def test_hyper_f_matches_mpmath_2f1(alpha):
+    for beta in F_BETAS:
+        want = float(mp_hyper_f(beta, alpha))
+        assert hyper_f(float(beta), alpha) == pytest.approx(want, rel=1e-13), beta
+
+
+def test_hyper_f_alpha4_closed_form_is_exact():
+    assert hyper_f(1.0, 4.0) == math.pi / 4
+    for beta in (1e-300, 0.3, 7.0, 1e12, 1e30):
+        root = math.sqrt(beta)
+        assert hyper_f(beta, 4.0) == root * math.atan(root)
+
+
+@pytest.mark.parametrize("alpha", [2.7, 4.0])
+def test_hyper_f_array_call_equals_scalar_calls(alpha):
+    betas = np.concatenate([[0.0], F_BETAS])
+    got = hyper_f(betas, alpha)
+    assert isinstance(got, np.ndarray) and got.shape == betas.shape
+    assert got.tolist() == [hyper_f(float(b), alpha) for b in betas]
+    assert isinstance(hyper_f(1.0, alpha), float)
+    with pytest.raises(ScenarioError):
+        hyper_f(np.array([1.0, -1.0]), alpha)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_hyper_f_rejects_non_finite_thresholds(beta):
+    with pytest.raises(ScenarioError):
+        hyper_f(beta, 4.0)
+    with pytest.raises(ScenarioError):
+        hyper_f(beta, 3.0)
 
 
 def test_coverage_constant_beta1_alpha4():
@@ -119,6 +162,46 @@ def test_load_pmf_matches_direct_formula_at_small_n():
                   * special.gamma(n + 4.5) / special.gamma(3.5)
                   * x ** n * (3.5 + x) ** -(n + 4.5))
         assert load_pmf(x, n) == pytest.approx(direct, rel=1e-12)
+
+
+def test_load_pmf_broadcasts_over_x_and_n():
+    xs = np.array([0.0, 0.4, 7.0, 160.0])
+    ns = np.arange(0, 300)
+    table = load_pmf(xs, ns[:, None])
+    assert table.shape == (ns.size, xs.size)
+    for j, x in enumerate(xs):
+        assert table[:, j].tolist() == load_pmf(float(x), ns).tolist()
+        assert table[5, j] == load_pmf(float(x), 5)
+    with pytest.raises(ScenarioError):
+        load_pmf(np.array([1.0, -0.5]), 0)
+
+
+def test_rate_ccdf_matches_mpmath_series_on_rate_surface():
+    sc, _ = load_scenario(str(SCENARIOS / "rate-surface.json"))
+    got = rate_ccdf(sc, [0.2, 0.1], RateQuery(rate_target=0.1))
+    want = mp_rate_ccdf(sc, [0.2, 0.1], 0.1)
+    assert want == pytest.approx(0.0248873652, abs=1e-10)
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["battery-sweep", "gamma-rich",
+                                  "two-tier-baseline"])
+def test_rate_ccdf_matches_mpmath_series_on_bundled_scenarios(name):
+    sc, _ = load_scenario(str(SCENARIOS / f"{name}.json"))
+    rho = solve_availability(sc).rho
+    for t in (0.05, 0.5, 1.95):
+        want = mp_rate_ccdf(sc, rho, t)
+        assert rate_ccdf(sc, rho, RateQuery(rate_target=t)) == pytest.approx(
+            want, abs=1e-9), t
+
+
+def test_rate_ccdf_away_from_alpha4_matches_mpmath_series():
+    sc = scenario(alpha=3.3, lams=(1.0, 2.0), powers=(1.0, 0.01), lam_u=100.0,
+                  shadowing=ShadowingSpec(1.0, 4.0))
+    for t in (0.02, 0.3):
+        want = mp_rate_ccdf(sc, [0.6, 0.3], t)
+        assert rate_ccdf(sc, [0.6, 0.3], RateQuery(rate_target=t)) == \
+            pytest.approx(want, abs=1e-9), t
 
 
 def test_rate_ccdf_at_zero_is_exactly_one():

@@ -11,7 +11,6 @@ from harvnet.markov import (
     mean_off_time,
     mean_on_time,
     neg_b_inverse,
-    neg_b_inverse_entry,
     policy_availability,
     simulate_on_off,
     stationary,
@@ -63,9 +62,9 @@ def test_stationary_solves_pi_q_zero():
 
 
 def test_neg_b_inverse_entries_and_dense_agreement():
-    assert neg_b_inverse_entry(BirthDeathSpec(2.0, 4.0, 3), 1, 1) == pytest.approx(0.25)
-    assert neg_b_inverse_entry(BirthDeathSpec(2.0, 4.0, 3), 1, 2) == pytest.approx(
-        2.0 / 16.0)
+    small = neg_b_inverse(BirthDeathSpec(2.0, 4.0, 3))
+    assert small[0, 0] == pytest.approx(0.25)
+    assert small[0, 1] == pytest.approx(2.0 / 16.0)
     rng = np.random.default_rng(23)
     for _ in range(40):
         mu = float(np.exp(rng.uniform(np.log(0.05), np.log(20))))
@@ -80,17 +79,11 @@ def test_neg_b_inverse_entries_and_dense_agreement():
         resid = np.abs(neg_b @ closed - np.eye(spec.battery))
         scale = np.abs(neg_b) @ np.abs(closed) + 1.0
         assert np.max(resid / scale) < 1e-12
+        # one entry against its sum form (1/nu) sum_{n<=min(i,j)} r^(j-n)
         i = int(rng.integers(1, spec.battery + 1))
         j = int(rng.integers(1, spec.battery + 1))
-        assert neg_b_inverse_entry(spec, i, j) == pytest.approx(
-            closed[i - 1, j - 1], rel=1e-12)
-
-
-def test_neg_b_inverse_rejects_out_of_range_indices():
-    spec = BirthDeathSpec(1.0, 1.0, 4)
-    for i, j in [(0, 1), (1, 0), (5, 1), (1, 5)]:
-        with pytest.raises(ScenarioError):
-            neg_b_inverse_entry(spec, i, j)
+        entry = sum(spec.ratio ** (j - n) for n in range(1, min(i, j) + 1)) / nu
+        assert closed[i - 1, j - 1] == pytest.approx(entry, rel=1e-12)
 
 
 def test_mean_on_time_is_row_sum_of_inverse():
