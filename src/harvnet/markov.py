@@ -6,6 +6,10 @@ depart at the utilization rate nu.  Everything downstream (availabilities,
 recharge policies, the S(1) optimality check) reduces to the stationary
 distribution of this chain and the mean time to hit level 0, both available
 in closed form through the ratio r = mu/nu.
+
+The Monte Carlo check of those forms, simulate_on_off, samples each ON
+period level by level, from the number of visits to every level, so its
+cost does not grow with the length of a period.
 """
 
 from __future__ import annotations
@@ -192,34 +196,54 @@ def verify_s1_optimal(spec: BirthDeathSpec) -> int:
     return int(np.argmax(log_ratio >= best - 1e-10)) + 1
 
 
+def _on_times(spec: BirthDeathSpec, cutoff: int, cycles: int,
+              rng: np.random.Generator) -> np.ndarray:
+    """`cycles` ON-period lengths from level `cutoff` to 0 (see simulate_on_off)."""
+    mu, nu, n = spec.harvest_rate, spec.utilization_rate, spec.battery
+    r = spec.ratio
+    # Counts travel as floats, so the expected visits at each level, d_j
+    # (1 + r) below N and d_N at N, must stay exactly representable.
+    down = 0.0
+    for j in range(1, n + 1):
+        down = r * down + (j <= cutoff)
+        if not down * (1.0 + r if j < n else 1.0) <= 2.0 ** 53:
+            raise ScenarioError(
+                f"{spec} with cutoff {cutoff}: level {j} expects more than "
+                f"2^53 visits per ON period, too many to sample")
+
+    down = np.ones(cycles)
+    below = np.zeros(cycles)
+    for j in range(1, n):
+        up = rng.poisson(rng.gamma(down, r))
+        below += down
+        below += up
+        down = up + (j + 1 <= cutoff)
+    return rng.gamma(below, 1.0 / (mu + nu)) + rng.gamma(down, 1.0 / nu)
+
+
 def simulate_on_off(spec: BirthDeathSpec, policy: PolicySpec, cycles: int,
                     seed: int = 0) -> SimEstimate:
     """Estimate availability from `cycles` regenerative ON/OFF cycles.
 
-    ON periods run the exact jump chain (exponential clocks, birth rate mu
-    except at the full battery, death rate nu) from the cutoff level until
-    level 0, vectorized across cycles.  OFF periods are birth-only, so their
-    duration is Erlang(cutoff, mu), drawn directly.  The estimate is
-    sum(ON)/(sum(ON)+sum(OFF)) with a delta-method 99% CI.
+    Each ON period is sampled exactly, level by level.  Let d_j count its
+    descents j -> j-1; d_1 = 1.  Below the full level N a visit ends upward
+    with probability mu/(mu+nu), so given d_j the up-moves out of j are
+    u_j ~ NegBin(d_j, nu/(mu+nu)), drawn as a gamma-Poisson mixture so that
+    d_j = 0 works, and d_(j+1) = u_j + [j+1 <= cutoff].  Level N is left
+    only downward, so it has d_N visits.  Visits below N hold Exp(mu+nu)
+    and visits at N Exp(nu), so the period is two gamma draws over the
+    visit counts: N-1 count draws per cycle, whatever the period's length.
+    OFF periods are birth-only, so their duration is Erlang(cutoff, mu).
+    The estimate is sum(ON)/(sum(ON)+sum(OFF)) with a delta-method 99% CI.
+    Raises ScenarioError for a non-integer `cycles` and for chains whose
+    expected visits to a level exceed 2^53.
     """
     policy.check(spec)
-    if cycles < 2:
-        raise ScenarioError(f"cycles must be >= 2 (got {cycles})")
+    if not (isinstance(cycles, (int, np.integer)) and cycles >= 2):
+        raise ScenarioError(f"cycles must be an integer >= 2 (got {cycles!r})")
     rng = np.random.default_rng([seed, 0x0E])
-    mu, nu, n = spec.harvest_rate, spec.utilization_rate, spec.battery
-
-    level = np.full(cycles, policy.cutoff, dtype=np.int64)
-    on = np.zeros(cycles)
-    idx = np.arange(cycles)
-    while idx.size:
-        lv = level[idx]
-        full = lv == n
-        rate = np.where(full, nu, mu + nu)
-        on[idx] += rng.exponential(1.0, idx.size) / rate
-        up = (~full) & (rng.random(idx.size) * rate < mu)
-        level[idx] = lv + np.where(up, 1, -1)
-        idx = idx[level[idx] > 0]
-    off = rng.gamma(policy.cutoff, 1.0 / mu, cycles)
+    on = _on_times(spec, policy.cutoff, cycles, rng)
+    off = rng.gamma(policy.cutoff, 1.0 / spec.harvest_rate, cycles)
 
     x, y = on.mean(), off.mean()
     rho = x / (x + y)

@@ -229,12 +229,22 @@ def _chunk_gains(bs: _BSField, pts: np.ndarray, rng) -> np.ndarray:
     return w
 
 
+def _strongest(w: np.ndarray) -> np.ndarray:
+    """First row index of each column's maximum, as np.argmax(w, axis=0).
+
+    np.argmax along axis 0 of a C-ordered block first copies it into
+    transposed order; comparing with the column maxima reads it in place.
+    The gains are never NaN, so both pick the same row.
+    """
+    return np.argmax(w == w.max(axis=0), axis=0)
+
+
 def _serving(bs: _BSField, pts: np.ndarray, rng) -> np.ndarray:
     """Flat index of the strongest-average BS for every point."""
     serving = np.empty(pts.shape[0], dtype=np.int64)
     for lo in range(0, pts.shape[0], _USER_CHUNK):
         hi = min(lo + _USER_CHUNK, pts.shape[0])
-        serving[lo:hi] = np.argmax(_chunk_gains(bs, pts[lo:hi], rng), axis=0)
+        serving[lo:hi] = _strongest(_chunk_gains(bs, pts[lo:hi], rng))
     return serving
 
 
@@ -270,7 +280,7 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     for lo in range(0, n_users, _USER_CHUNK):
         hi = min(lo + _USER_CHUNK, n_users)
         w = _chunk_gains(bs, real.users[lo:hi], rng)
-        srv = np.argmax(w, axis=0)
+        srv = _strongest(w)
         w *= rng.exponential(1.0, w.shape)
         sig = w[srv, np.arange(hi - lo)]
         sir[lo:hi] = sig / np.maximum(w.sum(axis=0) - sig, 1e-300)

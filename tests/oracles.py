@@ -8,7 +8,8 @@ They share no code with the closed-form summation under test.
 `hypot_link_gains` recomputes the spatial simulator's link gains one link at
 a time in plain floats.  `mp_hyper_f` and `mp_rate_ccdf` evaluate the
 coverage constant and the rate series in mpmath, straight from the model
-equations.
+equations.  `jump_chain_on_times` steps the battery chain one transition at
+a time, as a trajectory oracle for the ON-period sampler.
 """
 
 import math
@@ -70,6 +71,28 @@ def hp_mean_on_times(spec, dps=300, as_mpf=False):
         if as_mpf:
             return x
         return np.array([float(v) for v in x])
+
+
+def jump_chain_on_times(spec, cutoff, cycles, rng):
+    """ON-period lengths from the jump chain, one transition per step.
+
+    Exponential clocks: birth rate mu except at the full battery, death
+    rate nu; each period runs from `cutoff` until level 0, vectorized
+    across cycles.
+    """
+    mu, nu, n = spec.harvest_rate, spec.utilization_rate, spec.battery
+    level = np.full(cycles, cutoff, dtype=np.int64)
+    on = np.zeros(cycles)
+    idx = np.arange(cycles)
+    while idx.size:
+        lv = level[idx]
+        full = lv == n
+        rate = np.where(full, nu, mu + nu)
+        on[idx] += rng.exponential(1.0, idx.size) / rate
+        up = (~full) & (rng.random(idx.size) * rate < mu)
+        level[idx] = lv + np.where(up, 1, -1)
+        idx = idx[level[idx] > 0]
+    return on
 
 
 def mp_on_fraction(s, battery, cutoff=1):

@@ -165,6 +165,14 @@ def test_coverage_at_a_huge_sir_target(capsys):
     assert rows(capsys)[1][2] == "6.36619772368e-07"
 
 
+def test_validate_runs_ctmc_checks_on_gamma_rich(capsys):
+    # the ON periods of both tiers span millions to billions of transitions
+    assert main(["validate", str(SCENARIOS / "gamma-rich.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("availability-ctmc-tier1", "availability-ctmc-tier2"):
+        assert any(line.startswith(f"PASS {name}:") for line in lines), name
+
+
 @pytest.mark.parametrize("db", ["nan", "inf", "-inf", "3100"])
 def test_coverage_rejects_bad_sir_target_db(scenario_file, capsys, db):
     assert main(["coverage", scenario_file, f"--sir-target-db={db}"]) == 1

@@ -1,12 +1,16 @@
 import math
+import re
+from statistics import NormalDist
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from harvnet.markov import (
     BirthDeathSpec,
     PolicySpec,
+    _on_times,
     generator,
     mean_off_time,
     mean_on_time,
@@ -17,7 +21,7 @@ from harvnet.markov import (
     verify_s1_optimal,
 )
 from harvnet.model import ScenarioError
-from oracles import hp_mean_on_times, hp_neg_b_inverse
+from oracles import hp_mean_on_times, hp_neg_b_inverse, jump_chain_on_times
 
 
 def test_generator_smallest_chain():
@@ -233,3 +237,52 @@ def test_mean_on_time_overflow_saturates_availability():
     spec = BirthDeathSpec(1e6, 1.0, 200)
     assert math.isinf(mean_on_time(spec, 200))
     assert policy_availability(spec, PolicySpec(200)) == 1.0
+
+
+# (battery, cutoff) pairs crossed with a ratio r = mu/nu below, at and
+# above 1; nu = 1.
+ON_CASES = [(n, c, r) for n, c in [(1, 1), (5, 1), (6, 6), (5, 3), (12, 4)]
+            for r in (0.6, 1.0, 1.4)]
+
+
+def test_on_times_match_jump_chain_oracle():
+    # two-sample KS per case, 1% family-wise over all cases
+    for i, (n, c, r) in enumerate(ON_CASES):
+        spec = BirthDeathSpec(r, 1.0, n)
+        fast = _on_times(spec, c, 4000, np.random.default_rng([7, i]))
+        slow = jump_chain_on_times(spec, c, 4000, np.random.default_rng([8, i]))
+        p = ks_2samp(fast, slow).pvalue
+        assert p > 0.01 / len(ON_CASES), (n, c, r, p)
+
+
+def test_on_time_moments_match_inverse():
+    # E[T^k] from level i is entry i of k (-B)^-1 E[T^(k-1)]; the first two
+    # sample moments must sit within a 99% family-wise normal bound whose
+    # variances come from the exact third and fourth moments
+    z = NormalDist().inv_cdf(1 - 0.005 / (2 * len(ON_CASES)))
+    size = 20_000
+    for i, (n, c, r) in enumerate(ON_CASES):
+        spec = BirthDeathSpec(r, 1.0, n)
+        inv = hp_neg_b_inverse(spec)
+        m = [np.ones(n)]
+        for k in range(1, 5):
+            m.append(k * inv @ m[-1])
+        m1, m2, m4 = m[1][c - 1], m[2][c - 1], m[4][c - 1]
+        t = _on_times(spec, c, size, np.random.default_rng([9, i]))
+        assert abs(t.mean() - m1) <= z * math.sqrt((m2 - m1 ** 2) / size), (n, c, r)
+        assert abs(np.mean(t * t) - m2) <= z * math.sqrt((m4 - m2 ** 2) / size), (n, c, r)
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_on_off_rejects_unsampleable_input():
+    # r = 2 from level 1: level j expects 2^(j-1) descents and 3 2^(j-1)
+    # visits below the top, so the counts stay under 2^53 for N = 50 and
+    # pass it for N = 55
+    est = simulate_on_off(BirthDeathSpec(2.0, 1.0, 50), PolicySpec(1), cycles=100)
+    assert est.mean == pytest.approx(1.0)
+    for spec in (BirthDeathSpec(2.0, 1.0, 55), BirthDeathSpec(1e6, 1.0, 200)):
+        with pytest.raises(ScenarioError, match=re.escape(repr(spec))):
+            simulate_on_off(spec, PolicySpec(1), cycles=100)
+    for cycles in (1e5, 100.0, "100"):
+        with pytest.raises(ScenarioError, match="integer"):
+            simulate_on_off(BirthDeathSpec(1.0, 1.0, 5), PolicySpec(1), cycles=cycles)

@@ -10,6 +10,7 @@ from harvnet.simulate import (
     SimConfig,
     _bs_field,
     _chunk_gains,
+    _strongest,
     _thread_count,
     associate,
     association_mc,
@@ -89,6 +90,17 @@ def test_single_bs_takes_every_user():
     tiers, idx = associate(real, sc, np.random.default_rng(2))
     assert np.all(tiers == 0)
     assert np.all(idx == 0)
+
+
+def test_strongest_is_first_argmax():
+    rng = np.random.default_rng(4)
+    ties = rng.integers(0, 3, (40, 512)).astype(float)     # many tied maxima
+    spiky = rng.random((40, 512))
+    spiky[rng.random((40, 512)) < 0.05] = np.inf             # tied infinities
+    spiky[:, :3] = np.inf
+    for w in (ties, spiky, rng.random((1, 512)), np.zeros((7, 512)),
+              rng.random((1237, 3))):
+        assert np.array_equal(_strongest(w), np.argmax(w, axis=0))
 
 
 def test_association_is_nearest_bs_without_shadowing():
