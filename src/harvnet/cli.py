@@ -52,6 +52,15 @@ def _db_to_linear(db: float) -> float:
         raise ScenarioError(f"{db} dB overflows a linear value") from None
 
 
+def _integer(value, field: str) -> int:
+    """A JSON number that must be integral: 10 and 10.0 pass, 10.7 does not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int):
+        raise ScenarioError(f"{field} must be an integer (got {value!r})")
+    return value
+
+
 def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
     """Parse a scenario JSON file; returns the scenario and the raw document.
 
@@ -72,7 +81,7 @@ def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
                 density=float(entry["density"]),
                 tx_power=float(entry["tx_power"]),
                 harvest_rate=float(entry["harvest_rate"]),
-                battery=int(entry["battery"]),
+                battery=_integer(entry["battery"], f"tiers[{i}].battery"),
                 shadowing=shadow))
         except KeyError as exc:
             raise ScenarioError(f"tier {i}: missing field {exc}") from None
@@ -152,15 +161,18 @@ def _resolve_rho(args, scenario: NetworkScenario) -> np.ndarray:
 def _sim_config(args, doc: dict, scenario: NetworkScenario,
                 rho: np.ndarray) -> simulate.SimConfig:
     block = doc.get("sim", {})
-    side = getattr(args, "window", None) or block.get("window_side")
+
+    def pick(flag, key, default):
+        value = getattr(args, flag, None)
+        return block.get(key, default) if value is None else value
+
+    side = pick("window", "window_side", None)
     if side is None:
         side = simulate.suggest_window_side(scenario, rho)
-    reps = getattr(args, "replicates", None) or block.get("replicates", 20)
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = block.get("seed", 0)
     return simulate.SimConfig(
-        window_side=float(side), replicates=int(reps), seed=int(seed),
+        window_side=float(side),
+        replicates=_integer(pick("replicates", "replicates", 20), "sim.replicates"),
+        seed=_integer(pick("seed", "seed", 0), "sim.seed"),
         boundary=block.get("boundary", "toroidal"),
         guard_margin=float(block.get("guard_margin", 0.0)))
 
@@ -304,7 +316,6 @@ def _check(lines, name, analytic_val, oracle_val, tol, seed) -> bool:
 
 def cmd_validate(args) -> int:
     scenario, doc = load_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else doc.get("sim", {}).get("seed", 0)
     lines: list[str] = []
     ok = True
 
@@ -320,8 +331,9 @@ def cmd_validate(args) -> int:
     ok &= _check(lines, "inverse-vs-dense", 0.0, err, 1e-9, "-")
 
     result = analytic.solve_availability(scenario)
+    rho = result.rho if result.feasible else np.ones(scenario.k_tiers)
+    config = _sim_config(args, doc, scenario, rho)
     if result.feasible:
-        rho = result.rho
         for k in range(scenario.k_tiers):
             tier = scenario.tiers[k]
             nu = analytic.energy_utilization(scenario, rho, k)
@@ -330,17 +342,15 @@ def cmd_validate(args) -> int:
             # ON time; it refuses only chains whose visit counts overflow.
             try:
                 sim = markov.simulate_on_off(bd, markov.PolicySpec(1),
-                                             cycles=100_000, seed=seed + k)
+                                             cycles=100_000, seed=config.seed + k)
             except ScenarioError as exc:
                 lines.append(f"SKIP availability-ctmc-tier{k + 1}: {exc}")
                 continue
             ok &= _check(lines, f"availability-ctmc-tier{k + 1}",
                          float(rho[k]), sim.mean, sim.ci_halfwidth_99, sim.seed)
     else:
-        rho = np.ones(scenario.k_tiers)
         lines.append("SKIP availability-ctmc: scenario infeasible, "
                      "using rho=1 for the spatial checks")
-    config = _sim_config(args, doc, scenario, rho)
 
     target = args.rate_target if args.rate_target is not None else 0.1
     sim = simulate.spatial_mc(scenario, rho, config, rate_target=target,
@@ -443,10 +453,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except analytic.NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (analytic.NonConvergenceError, coverage.SeriesTruncationError,
+            ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

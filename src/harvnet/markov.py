@@ -19,10 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ScenarioError, SimEstimate
-
-# z quantile for two-sided 99% confidence intervals.
-_Z99 = 2.5758293035489004
+from .model import _Z99, ScenarioError, SimEstimate
 
 
 @dataclass(frozen=True)
@@ -235,12 +232,15 @@ def simulate_on_off(spec: BirthDeathSpec, policy: PolicySpec, cycles: int,
     visit counts: N-1 count draws per cycle, whatever the period's length.
     OFF periods are birth-only, so their duration is Erlang(cutoff, mu).
     The estimate is sum(ON)/(sum(ON)+sum(OFF)) with a delta-method 99% CI.
-    Raises ScenarioError for a non-integer `cycles` and for chains whose
-    expected visits to a level exceed 2^53.
+    Raises ScenarioError for a non-integer `cycles`, a negative or
+    non-integer `seed`, and for chains whose expected visits to a level
+    exceed 2^53.
     """
     policy.check(spec)
     if not (isinstance(cycles, (int, np.integer)) and cycles >= 2):
         raise ScenarioError(f"cycles must be an integer >= 2 (got {cycles!r})")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ScenarioError(f"seed must be an integer >= 0 (got {seed!r})")
     rng = np.random.default_rng([seed, 0x0E])
     on = _on_times(spec, policy.cutoff, cycles, rng)
     off = rng.gamma(policy.cutoff, 1.0 / spec.harvest_rate, cycles)

@@ -125,6 +125,10 @@ def validate(scenario: NetworkScenario) -> None:
                 f"tiers[{i}].shadowing.std_db must be >= 0 (got {t.shadowing.std_db})")
 
 
+# z quantile for two-sided 99% confidence intervals.
+_Z99 = 2.5758293035489004
+
+
 @dataclass(frozen=True)
 class SimEstimate:
     """Monte Carlo estimate: mean, 99% confidence half-width, sample count, seed.

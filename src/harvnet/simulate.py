@@ -13,22 +13,21 @@ tally together.  When service areas are asked for, a probe pass over the
 same realization gives all requested tiers at once.  The probe pass draws
 its probe points and shadowing from a copy of the replicate generator
 taken right after `sample_network`, so its numbers do not depend on
-whether the user pass runs; a requested tier that came up empty is
-resampled from a fresh copy of that state.  `coverage_mc`,
-`association_mc`, `rate_mc` and `service_area_mc` are views of this pass.
+whether the user pass runs.  `coverage_mc`, `association_mc`, `rate_mc`
+and `service_area_mc` are views of this pass.
 
 Replicates are embarrassingly parallel: replicate i derives its own
 generator from (seed, i), runs independently (optionally on a thread pool
 capped by HETNET_THREADS), and results are reduced in replicate order, so
 the thread count never changes the output.  A replicate whose realization
-has no BS or no user is dropped and counted in `SimEstimate.dropped`; a
-run with no usable replicate is an error.
+has no BS or no user, or no BS of a tier whose service area is asked
+for, is dropped from that statistic and counted in `SimEstimate.dropped`;
+a run with no usable replicate is an error.
 """
 
 from __future__ import annotations
 
 import copy
-import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -37,15 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    _Z99,
     NetworkScenario,
     ScenarioError,
     SimEstimate,
     check_availability_vector,
 )
 
-log = logging.getLogger(__name__)
-
-_Z99 = 2.5758293035489004
 _USER_CHUNK = 512          # users per link-matrix block, keeps memory flat
 _AREA_PROBES = 4096        # uniform probe points per replicate for areas
 
@@ -66,6 +63,8 @@ class SimConfig:
         if not (isinstance(self.replicates, (int, np.integer)) and self.replicates >= 1):
             raise ScenarioError(f"replicates must be an integer >= 1 "
                                 f"(got {self.replicates})")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ScenarioError(f"seed must be an integer >= 0 (got {self.seed!r})")
         if self.boundary not in ("toroidal", "guard"):
             raise ScenarioError(f"boundary must be 'toroidal' or 'guard' "
                                 f"(got {self.boundary!r})")
@@ -251,7 +250,7 @@ def _serving(bs: _BSField, pts: np.ndarray, rng) -> np.ndarray:
 def associate(realization: Realization, scenario: NetworkScenario,
               rng: np.random.Generator, config: SimConfig | None = None):
     """Serving (tier, within-tier index) per user: max average received power."""
-    if sum(int(c) for c in realization.tier_counts) == 0:
+    if not realization.tier_counts.any():
         raise ScenarioError("no BS available: realization has no ON BS")
     if config is None:
         config = SimConfig(window_side=realization.window_side, replicates=1)
@@ -272,7 +271,7 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     serving BS plus the tagged user itself.
     """
     n_users = real.users.shape[0]
-    if sum(int(c) for c in real.tier_counts) == 0 or n_users == 0:
+    if not real.tier_counts.any() or n_users == 0:
         return math.nan, np.full(scenario.k_tiers, math.nan), math.nan
     bs = _bs_field(real, scenario, config)
     serving = np.empty(n_users, dtype=np.int64)
@@ -300,9 +299,12 @@ def _probe_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     """Service area of each tier in `tiers`: window area x probe share / count.
 
     One set of uniform probes, associated once, serves every tier.  In
-    guard mode probes and BS counts are restricted to the inner square,
-    and a tier with no inner BS gives nan.
+    guard mode probes and BS counts are restricted to the inner square.
+    A tier with no (inner) BS gives nan, and so does every tier of a
+    realization with no BS at all.
     """
+    if not real.tier_counts.any():
+        return {k: math.nan for k in tiers}
     bs = _bs_field(real, scenario, config)
     g = config.guard_margin if config.boundary == "guard" else 0.0
     hi = config.window_side - g
@@ -314,32 +316,6 @@ def _probe_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     side = config.window_side - 2.0 * g
     return {k: side * side * (hits[k] / _AREA_PROBES) / int(counts[k])
             if counts[k] else math.nan for k in tiers}
-
-
-def _replicate_areas(scenario: NetworkScenario, rho, config: SimConfig,
-                     real: Realization, rng, tiers) -> tuple[dict[int, float], int]:
-    """Service areas of `tiers` in one replicate, and its resample count.
-
-    `rng` is the replicate generator right after `sample_network` drew
-    `real`; it is only copied, never advanced.  Tiers present in `real`
-    share one probe pass.  A tier that came up empty is resampled from a
-    fresh copy until it has a BS, and probed on that realization.
-    """
-    present = [k for k in tiers if real.tier_counts[k] > 0]
-    areas = _probe_pass(real, scenario, config, copy.deepcopy(rng), present) \
-        if present else {}
-    resamples = 0
-    for k in tiers:
-        if k in areas:
-            continue
-        fork = copy.deepcopy(rng)
-        while True:
-            resamples += 1
-            again = sample_network(scenario, rho, config, fork)
-            if again.tier_counts[k] > 0:
-                break
-        areas.update(_probe_pass(again, scenario, config, fork, [k]))
-    return areas, resamples
 
 
 @dataclass(frozen=True)
@@ -367,9 +343,8 @@ def spatial_mc(scenario: NetworkScenario, rho, config: SimConfig,
     resource sharing.  Each tier in `area_tiers` also gets its mean
     service area from the probe pass, which draws from a copy of the
     replicate generator so it gives the same numbers with or without the
-    user pass.  Replicates where a requested tier comes up empty are
-    resampled for that tier; the resample count is logged because heavy
-    resampling means the window is too small for the tier.
+    user pass.  A replicate with no BS of a requested tier is dropped from
+    that tier's area.
     """
     rho = check_availability_vector(rho, scenario.k_tiers)
     if rate_target is not None and rate_target < 0:
@@ -382,21 +357,17 @@ def spatial_mc(scenario: NetworkScenario, rho, config: SimConfig,
     def one(replicate: int):
         rng = _replicate_rng(config, replicate)
         real = sample_network(scenario, rho, config, rng)
-        areas, resamples = _replicate_areas(scenario, rho, config, real, rng,
-                                            area_tiers)
+        areas = _probe_pass(real, scenario, config, copy.deepcopy(rng),
+                            area_tiers) if area_tiers else {}
         stats = _user_pass(real, scenario, config, rng, rate_target) if users else None
-        return stats, areas, resamples
+        return stats, areas
 
     rows = _run_replicates(one, config)
-    resampled = sum(r for _, _, r in rows)
-    if resampled:
-        log.info("spatial_mc: %d resamples for empty tiers among %s; "
-                 "consider a larger window", resampled, list(area_tiers))
-    area = {k: _combine([a[k] for _, a, _ in rows], config,
+    area = {k: _combine([a[k] for _, a in rows], config,
                         f"the tier-{k} service area") for k in area_tiers}
     if not users:
         return SpatialEstimate(coverage=None, association=None, rate=None, area=area)
-    stats = [s for s, _, _ in rows]
+    stats = [s for s, _ in rows]
     return SpatialEstimate(
         coverage=_combine([s[0] for s in stats], config, "coverage"),
         association=tuple(_combine([s[1][k] for s in stats], config, "association")

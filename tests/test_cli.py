@@ -264,6 +264,63 @@ def test_simulate_command(scenario_file, capsys):
     assert "no usable replicate" in capsys.readouterr().err
 
 
+def test_rate_series_truncation_is_an_error(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "rate-surface.json").read_text())
+    doc["user_density"] = 1000.0
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(doc))
+    assert main(["rate", str(path), "--rho", "1,1", "--rate-target", "0.01"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rate series not converged")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, value, field", [
+    ("simulate", "--replicates", "0", "replicates"),
+    ("simulate", "--window", "0", "window_side"),
+    ("simulate", "--seed", "-1", "seed"),
+    ("validate", "--replicates", "0", "replicates"),
+    ("validate", "--seed", "-1", "seed"),
+])
+def test_explicit_sim_flags_are_checked(scenario_file, capsys, command, flag,
+                                        value, field):
+    # zeros reach SimConfig instead of falling back to the scenario's values
+    assert main([command, scenario_file, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} must be")
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("tiers", 0, "battery"), 10.7, "tiers[0].battery"),
+    (("tiers", 1, "battery"), "5", "tiers[1].battery"),
+    (("sim", "replicates"), 2.9, "sim.replicates"),
+    (("sim", "seed"), 7.5, "sim.seed"),
+])
+def test_non_integral_json_values_are_rejected(tmp_path, capsys, path, value, field):
+    doc = json.loads(json.dumps(BASE_DOC))
+    *parents, key = path
+    node = doc
+    for p in parents:
+        node = node[p]
+    node[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["simulate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} must be an integer")
+
+
+def test_integral_json_floats_load_as_integers(tmp_path):
+    doc = json.loads(json.dumps(BASE_DOC))
+    doc["tiers"][0]["battery"] = 6.0
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    scenario, _ = load_scenario(str(path))
+    assert scenario.tiers[0].battery == 6 and isinstance(scenario.tiers[0].battery, int)
+
+
 def test_usage_errors(scenario_file, capsys):
     assert main(["availability", "/nonexistent/x.json"]) == 1
     assert main(["frobnicate", scenario_file]) == 1

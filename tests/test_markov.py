@@ -286,3 +286,7 @@ def test_simulate_on_off_rejects_unsampleable_input():
     for cycles in (1e5, 100.0, "100"):
         with pytest.raises(ScenarioError, match="integer"):
             simulate_on_off(BirthDeathSpec(1.0, 1.0, 5), PolicySpec(1), cycles=cycles)
+    for seed in (-1, 2.0, "3"):
+        with pytest.raises(ScenarioError, match="seed"):
+            simulate_on_off(BirthDeathSpec(1.0, 1.0, 5), PolicySpec(1), cycles=100,
+                            seed=seed)

@@ -1,15 +1,21 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import harvnet
 from harvnet.model import NetworkScenario, ScenarioError, ShadowingSpec, TierParams
 from harvnet.simulate import (
     Realization,
     SimConfig,
     _bs_field,
     _chunk_gains,
+    _probe_pass,
     _strongest,
     _thread_count,
     associate,
@@ -224,6 +230,9 @@ def test_sim_config_validation():
         SimConfig(window_side=5.0, boundary="guard", guard_margin=0.0)
     with pytest.raises(ScenarioError):
         SimConfig(window_side=5.0, boundary="guard", guard_margin=2.5)
+    for seed in (-1, 1.5, "3"):
+        with pytest.raises(ScenarioError, match="seed"):
+            SimConfig(window_side=5.0, seed=seed)
 
 
 @pytest.mark.parametrize("boundary", ["toroidal", "guard"])
@@ -256,15 +265,22 @@ def test_gain_kernel_matches_hypot_oracle(boundary, shadowing):
     SimConfig(window_side=5.0, replicates=6, seed=0, boundary="guard",
               guard_margin=1.0),
 ])
-def test_spatial_mc_equals_wrappers(config, caplog):
-    # Tier 0 comes up empty in some replicates, so its area is resampled;
-    # in guard mode it also misses the inner square, which drops replicates.
+def test_spatial_mc_equals_wrappers(config):
+    # Tier 0 comes up empty in some replicates, which drops them from its
+    # area; in guard mode so does a tier 0 with no BS in the inner square.
     sc = two_tier(powers=(1.0, 0.5), lam_u=20.0, shadowing=ShadowingSpec(0.5, 4.0))
     rho = [0.1, 1.0]
-    with caplog.at_level("INFO", logger="harvnet.simulate"):
-        est = spatial_mc(sc, rho, config, rate_target=0.1, area_tiers=(0, 1))
-    assert "resamples" in caplog.text
-    assert est.area[0].dropped == (2 if config.boundary == "guard" else 0)
+    lo, hi = 0.0, config.window_side
+    if config.boundary == "guard":
+        lo, hi = config.guard_margin, config.window_side - config.guard_margin
+    empty = 0
+    for i in range(config.replicates):
+        xy = sample_network(sc, rho, config,
+                            np.random.default_rng([config.seed, i])).bs_pos[0]
+        empty += not np.any(np.all((xy >= lo) & (xy <= hi), axis=1))
+    assert 0 < empty < config.replicates
+    est = spatial_mc(sc, rho, config, rate_target=0.1, area_tiers=(0, 1))
+    assert est.area[0].dropped == empty
     assert est.coverage == coverage_mc(sc, rho, config)
     assert list(est.association) == association_mc(sc, rho, config)
     assert est.rate == rate_mc(sc, rho, 0.1, config)
@@ -276,24 +292,59 @@ def test_spatial_mc_equals_wrappers(config, caplog):
 
 
 def test_service_area_follows_replicate_stream():
-    # Replicate i resamples from default_rng([seed, i]) until tier 0 has a
-    # BS, then draws 4096 probes and their shadowing from the same stream.
+    # Replicate i samples one network from default_rng([seed, i]), then
+    # draws 4096 probes and their shadowing from the same stream; a
+    # replicate whose tier 0 is empty gives nan and is dropped.
     sc = two_tier(powers=(1.0, 0.5), lam_u=20.0, shadowing=ShadowingSpec(0.5, 4.0))
     rho, side = [0.1, 1.0], 3.0
     config = SimConfig(window_side=side, replicates=6, seed=4)
-    vals, draws = [], 0
+    vals = []
     for i in range(config.replicates):
         rng = np.random.default_rng([config.seed, i])
-        while True:
-            draws += 1
-            real = sample_network(sc, rho, config, rng)
-            if real.tier_counts[0] > 0:
-                break
+        real = sample_network(sc, rho, config, rng)
+        if real.tier_counts[0] == 0:
+            vals.append(math.nan)
+            continue
         probes = Realization(real.bs_pos, rng.uniform(0, side, (4096, 2)), side)
         tiers, _ = associate(probes, sc, rng, config)
         vals.append(side * side * np.mean(tiers == 0) / int(real.tier_counts[0]))
-    assert draws > config.replicates
-    assert service_area_mc(sc, rho, 0, config).mean == np.mean(vals)
+    usable = [v for v in vals if not math.isnan(v)]
+    assert 0 < len(usable) < config.replicates
+    est = service_area_mc(sc, rho, 0, config)
+    assert est.mean == np.mean(usable)
+    assert (est.samples, est.dropped) == (len(usable), len(vals) - len(usable))
+
+
+def test_probe_pass_without_any_bs_gives_nan():
+    sc = two_tier()
+    real = Realization(bs_pos=[np.empty((0, 2)), np.empty((0, 2))],
+                       users=np.empty((0, 2)), window_side=3.0)
+    config = SimConfig(window_side=3.0, replicates=1)
+    areas = _probe_pass(real, sc, config, np.random.default_rng(0), (0, 1))
+    assert set(areas) == {0, 1} and all(math.isnan(a) for a in areas.values())
+
+
+def test_service_area_of_a_nearly_empty_tier_raises():
+    # Tier 0 expects 9e-7 ON BSs per window, so every replicate is dropped;
+    # a resampling estimator would spin for about 1e6 draws per replicate.
+    code = (
+        "from harvnet.model import NetworkScenario, ScenarioError, TierParams\n"
+        "from harvnet.simulate import SimConfig, service_area_mc\n"
+        "tiers = (TierParams(1.0, 1.0, 1.0, 5), TierParams(10.0, 1.0, 1.0, 5))\n"
+        "sc = NetworkScenario(tiers, 4.0, 1.0, 10.0)\n"
+        "try:\n"
+        "    service_area_mc(sc, [1e-7, 1.0], 0,\n"
+        "                    SimConfig(window_side=3.0, replicates=2))\n"
+        "except ScenarioError as exc:\n"
+        "    print(exc)\n")
+    src_dir = str(Path(harvnet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(
+        "no usable replicate for the tier-0 service area out of 2")
 
 
 def test_spatial_mc_ignores_thread_count(monkeypatch):
