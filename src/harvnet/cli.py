@@ -246,6 +246,8 @@ def cmd_rate(args) -> int:
     if args.surface:
         if scenario.k_tiers != 2:
             raise ScenarioError("rate surfaces require exactly 2 tiers")
+        if args.grid < 2:
+            raise ScenarioError(f"grid_resolution must be >= 2 (got {args.grid})")
         target = args.rate_target if args.rate_target is not None else 0.1
         query = coverage.RateQuery(rate_target=target)
         grid = np.linspace(0.1, 1.0, args.grid)
@@ -261,7 +263,7 @@ def cmd_rate(args) -> int:
         targets = [args.rate_target]
     elif sweep.get("variable") == "rate_target":
         targets = np.linspace(float(sweep["start"]), float(sweep["stop"]),
-                              int(sweep["steps"])).tolist()
+                              _integer(sweep["steps"], "sweep.steps")).tolist()
     else:
         targets = np.linspace(0.0, 2.0, 41).tolist()
     out.writerow(["rate_target", "rate_ccdf"])
@@ -295,8 +297,7 @@ def cmd_simulate(args) -> int:
             row("association", k + 1, None, est)
     elif kind == "area":
         tiers = [args.tier - 1] if args.tier else range(scenario.k_tiers)
-        areas = simulate.spatial_mc(scenario, rho, config, area_tiers=tiers,
-                                    users=False).area
+        areas = simulate.spatial_mc(scenario, rho, config, area_tiers=tiers).area
         for k, est in areas.items():
             row("area", k + 1, None, est)
     else:

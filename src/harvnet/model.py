@@ -107,22 +107,34 @@ def validate(scenario: NetworkScenario) -> None:
     if not (math.isfinite(scenario.sir_target) and scenario.sir_target > 0):
         raise ScenarioError(
             f"sir_target must be finite and > 0 (got {scenario.sir_target})")
-    if not scenario.user_density > 0:
-        raise ScenarioError(f"user_density must be > 0 (got {scenario.user_density})")
+    if not (math.isfinite(scenario.user_density) and scenario.user_density > 0):
+        raise ScenarioError(f"user_density must be finite and > 0 "
+                            f"(got {scenario.user_density})")
     for i, t in enumerate(scenario.tiers):
-        if not t.density > 0:
-            raise ScenarioError(f"tiers[{i}].density must be > 0 (got {t.density})")
-        if not t.tx_power > 0:
-            raise ScenarioError(f"tiers[{i}].tx_power must be > 0 (got {t.tx_power})")
-        if not t.harvest_rate > 0:
-            raise ScenarioError(
-                f"tiers[{i}].harvest_rate must be > 0 (got {t.harvest_rate})")
+        for name in ("density", "tx_power", "harvest_rate"):
+            value = getattr(t, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ScenarioError(
+                    f"tiers[{i}].{name} must be finite and > 0 (got {value})")
         if not (isinstance(t.battery, (int, np.integer)) and t.battery >= 1):
             raise ScenarioError(
                 f"tiers[{i}].battery must be an integer >= 1 (got {t.battery})")
-        if t.shadowing.std_db < 0:
+        sh = t.shadowing
+        if not math.isfinite(sh.mean_db):
             raise ScenarioError(
-                f"tiers[{i}].shadowing.std_db must be >= 0 (got {t.shadowing.std_db})")
+                f"tiers[{i}].shadowing.mean_db must be finite (got {sh.mean_db})")
+        if not (math.isfinite(sh.std_db) and sh.std_db >= 0):
+            raise ScenarioError(
+                f"tiers[{i}].shadowing.std_db must be finite and >= 0 (got {sh.std_db})")
+        try:
+            weight = t.weight(scenario.path_loss_exp)
+        except OverflowError:
+            weight = math.inf
+        if not 0 < weight < math.inf:
+            raise ScenarioError(
+                f"tiers[{i}] association weight leaves the float range "
+                f"(tx_power={t.tx_power}, shadowing.mean_db={sh.mean_db}, "
+                f"shadowing.std_db={sh.std_db})")
 
 
 # z quantile for two-sided 99% confidence intervals.

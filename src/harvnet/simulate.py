@@ -8,13 +8,11 @@ rate) are tallied from the realization.  None of the analytic formulas are
 consulted on this path, so agreement between the two is real evidence.
 
 `spatial_mc` makes a single pass: each replicate draws one realization,
-and its user pass yields coverage, per-tier association and the rate
-tally together.  When service areas are asked for, a probe pass over the
-same realization gives all requested tiers at once.  The probe pass draws
-its probe points and shadowing from a copy of the replicate generator
-taken right after `sample_network`, so its numbers do not depend on
-whether the user pass runs.  `coverage_mc`, `association_mc`, `rate_mc`
-and `service_area_mc` are views of this pass.
+and its user pass yields coverage, per-tier association, service areas
+and the rate tally together.  Users are uniform points, so a tier's share
+of them over its BS count measures its mean service area.
+`coverage_mc`, `association_mc`, `rate_mc` and `service_area_mc` are
+views of this pass.
 
 Replicates are embarrassingly parallel: replicate i derives its own
 generator from (seed, i), runs independently (optionally on a thread pool
@@ -27,7 +25,6 @@ a run with no usable replicate is an error.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -44,7 +41,6 @@ from .model import (
 )
 
 _USER_CHUNK = 512          # users per link-matrix block, keeps memory flat
-_AREA_PROBES = 4096        # uniform probe points per replicate for areas
 
 
 @dataclass(frozen=True)
@@ -73,6 +69,9 @@ class SimConfig:
                 raise ScenarioError(
                     f"guard_margin must lie in (0, window_side/2) "
                     f"(got {self.guard_margin})")
+        elif self.guard_margin != 0.0:
+            raise ScenarioError(f"guard_margin needs boundary 'guard' "
+                                f"(got {self.guard_margin} with 'toroidal')")
 
 
 @dataclass
@@ -143,8 +142,9 @@ def sample_network(scenario: NetworkScenario, rho, config: SimConfig,
 
     Per-tier ON BSs form a Poisson process with density rho_k lambda_k on
     the full window.  Users are Poisson(lambda_u) on the full window in
-    toroidal mode, or on the inner square in guard mode (they are probe
-    points, so shrinking their support just discards edge-biased samples).
+    toroidal mode, or on the inner square in guard mode (every statistic is
+    sampled at the users, so shrinking their support just discards
+    edge-biased samples).
     """
     rho = check_availability_vector(rho, scenario.k_tiers)
     side = config.window_side
@@ -263,16 +263,20 @@ def associate(realization: Realization, scenario: NetworkScenario,
 
 def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
                rng, rate_target: float | None):
-    """Coverage, per-tier association and rate tally of one realization.
+    """Coverage, per-tier association and area, and rate tally of one realization.
 
-    Returns (coverage fraction, per-tier association fractions, rate
-    coverage fraction or nan), all nan when the realization has no BS or
-    no user.  Load for the rate statistic counts the covered users on the
-    serving BS plus the tagged user itself.
+    Returns (coverage fraction, per-tier association fractions, per-tier
+    service areas, rate coverage fraction or nan), all nan when the
+    realization has no BS or no user.  Users are uniform on the square
+    they are dropped in, so tier k's service area is that square's area
+    times its association fraction over its BS count in the square; a tier
+    with no BS there gives nan.  Load for the rate statistic counts the
+    covered users on the serving BS plus the tagged user itself.
     """
     n_users = real.users.shape[0]
     if not real.tier_counts.any() or n_users == 0:
-        return math.nan, np.full(scenario.k_tiers, math.nan), math.nan
+        nan = np.full(scenario.k_tiers, math.nan)
+        return math.nan, nan, nan, math.nan
     bs = _bs_field(real, scenario, config)
     serving = np.empty(n_users, dtype=np.int64)
     sir = np.empty(n_users)
@@ -286,65 +290,45 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
         serving[lo:hi] = srv
     covered = sir > scenario.sir_target
     assoc = np.bincount(bs.tier_of[serving], minlength=scenario.k_tiers) / n_users
+    g = config.guard_margin if config.boundary == "guard" else 0.0
+    top = config.window_side - g
+    inner = (bs.x >= g) & (bs.x <= top) & (bs.y >= g) & (bs.y <= top)
+    counts = np.bincount(bs.tier_of[inner], minlength=scenario.k_tiers)
+    area = np.full(scenario.k_tiers, math.nan)
+    np.divide((top - g) ** 2 * assoc, counts, out=area, where=counts > 0)
     if rate_target is None:
-        return float(covered.mean()), assoc, math.nan
+        return float(covered.mean()), assoc, area, math.nan
     covered_load = np.bincount(serving[covered], minlength=bs.tier_of.size)
     others = covered_load[serving] - covered.astype(np.int64)
     rate = np.log2(1.0 + sir) / (others + 1)
-    return float(covered.mean()), assoc, float(np.mean(rate > rate_target))
-
-
-def _probe_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
-                rng, tiers) -> dict[int, float]:
-    """Service area of each tier in `tiers`: window area x probe share / count.
-
-    One set of uniform probes, associated once, serves every tier.  In
-    guard mode probes and BS counts are restricted to the inner square.
-    A tier with no (inner) BS gives nan, and so does every tier of a
-    realization with no BS at all.
-    """
-    if not real.tier_counts.any():
-        return {k: math.nan for k in tiers}
-    bs = _bs_field(real, scenario, config)
-    g = config.guard_margin if config.boundary == "guard" else 0.0
-    hi = config.window_side - g
-    probes = rng.uniform(g, hi, (_AREA_PROBES, 2))
-    inner = (bs.x >= g) & (bs.x <= hi) & (bs.y >= g) & (bs.y <= hi)
-    counts = np.bincount(bs.tier_of[inner], minlength=scenario.k_tiers)
-    hits = np.bincount(bs.tier_of[_serving(bs, probes, rng)],
-                       minlength=scenario.k_tiers)
-    side = config.window_side - 2.0 * g
-    return {k: side * side * (hits[k] / _AREA_PROBES) / int(counts[k])
-            if counts[k] else math.nan for k in tiers}
+    return float(covered.mean()), assoc, area, float(np.mean(rate > rate_target))
 
 
 @dataclass(frozen=True)
 class SpatialEstimate:
     """Estimates from one spatial pass over the replicates.
 
-    `coverage`, `association` (one per tier) and `rate` come from the user
-    pass and are None when it was skipped; `rate` is also None without a
-    rate target.  `area` maps each requested tier to its mean service area.
+    `coverage`, `association` (one per tier) and `rate` are tallied over
+    the users; `rate` is None without a rate target.  `area` maps each
+    requested tier to its mean service area, from the same users.
     """
 
-    coverage: SimEstimate | None
-    association: tuple[SimEstimate, ...] | None
+    coverage: SimEstimate
+    association: tuple[SimEstimate, ...]
     rate: SimEstimate | None
     area: dict[int, SimEstimate]
 
 
 def spatial_mc(scenario: NetworkScenario, rho, config: SimConfig,
-               rate_target: float | None = None, area_tiers=(),
-               users: bool = True) -> SpatialEstimate:
+               rate_target: float | None = None, area_tiers=()) -> SpatialEstimate:
     """Every spatial estimator from one realization per replicate.
 
-    With `users`, the user pass gives SIR coverage, per-tier association
-    and, given `rate_target`, P(per-user rate > rate_target) under equal
-    resource sharing.  Each tier in `area_tiers` also gets its mean
-    service area from the probe pass, which draws from a copy of the
-    replicate generator so it gives the same numbers with or without the
-    user pass.  A replicate with no BS of a requested tier is dropped from
-    that tier's area.
+    The user pass gives SIR coverage, per-tier association and, given
+    `rate_target`, P(per-user rate > rate_target) under equal resource
+    sharing.  Each tier in `area_tiers` also gets its mean service area
+    from the same users.  A replicate with no BS of a requested tier is
+    dropped from that tier's area; tiers not requested are not reduced,
+    so a sparse one cannot fail the run.
     """
     rho = check_availability_vector(rho, scenario.k_tiers)
     if rate_target is not None and rate_target < 0:
@@ -357,30 +341,25 @@ def spatial_mc(scenario: NetworkScenario, rho, config: SimConfig,
     def one(replicate: int):
         rng = _replicate_rng(config, replicate)
         real = sample_network(scenario, rho, config, rng)
-        areas = _probe_pass(real, scenario, config, copy.deepcopy(rng),
-                            area_tiers) if area_tiers else {}
-        stats = _user_pass(real, scenario, config, rng, rate_target) if users else None
-        return stats, areas
+        return _user_pass(real, scenario, config, rng, rate_target)
 
-    rows = _run_replicates(one, config)
-    area = {k: _combine([a[k] for _, a in rows], config,
+    stats = _run_replicates(one, config)
+    # Areas first: when no replicate has a BS or a user, the error names them.
+    area = {k: _combine([s[2][k] for s in stats], config,
                         f"the tier-{k} service area") for k in area_tiers}
-    if not users:
-        return SpatialEstimate(coverage=None, association=None, rate=None, area=area)
-    stats = [s for s, _ in rows]
     return SpatialEstimate(
         coverage=_combine([s[0] for s in stats], config, "coverage"),
         association=tuple(_combine([s[1][k] for s in stats], config, "association")
                           for k in range(scenario.k_tiers)),
         rate=None if rate_target is None else
-        _combine([s[2] for s in stats], config, "the rate tally"),
+        _combine([s[3] for s in stats], config, "the rate tally"),
         area=area)
 
 
 def service_area_mc(scenario: NetworkScenario, rho, k: int,
                     config: SimConfig) -> SimEstimate:
-    """Mean service area of a tier-k BS: window area x (probe fraction)/count."""
-    return spatial_mc(scenario, rho, config, area_tiers=(k,), users=False).area[k]
+    """Mean service area of a tier-k BS: window area x (user fraction)/count."""
+    return spatial_mc(scenario, rho, config, area_tiers=(k,)).area[k]
 
 
 def coverage_mc(scenario: NetworkScenario, rho, config: SimConfig) -> SimEstimate:

@@ -10,12 +10,17 @@ a time in plain floats.  `mp_hyper_f` and `mp_rate_ccdf` evaluate the
 coverage constant and the rate series in mpmath, straight from the model
 equations.  `jump_chain_on_times` steps the battery chain one transition at
 a time, as a trajectory oracle for the ON-period sampler.
+`probe_service_areas` estimates service areas from uniform probe points
+instead of the simulator's users.
 """
 
 import math
+from statistics import NormalDist
 
 import mpmath as mp
 import numpy as np
+
+from harvnet.simulate import Realization, associate, sample_network
 
 
 def _factor(spec):
@@ -247,3 +252,31 @@ def mp_rate_ccdf(scenario, rho, rate_target, tol=1e-16, dps=30):
             for entry in tiers:
                 entry[1] *= (n + mp.mpf(4.5)) / (n + 1) * entry[2]
             n += 1
+
+
+def probe_service_areas(scenario, rho, config, tiers):
+    """Per-tier mean service area and 99% halfwidth from uniform probes.
+
+    Replicate i samples a network from default_rng([seed, i]) with
+    `sample_network`, drops 4096 uniform points on the window (the
+    inner square in guard mode) and associates them with `associate`.  Tier
+    k's area is the square's area times its probe share over its BS count
+    in the square; a replicate without such a BS is left out.
+    """
+    g = config.guard_margin if config.boundary == "guard" else 0.0
+    lo, hi = g, config.window_side - g
+    vals = {k: [] for k in tiers}
+    for i in range(config.replicates):
+        rng = np.random.default_rng([config.seed, i])
+        real = sample_network(scenario, rho, config, rng)
+        pts = Realization(real.bs_pos, rng.uniform(lo, hi, (4096, 2)),
+                          config.window_side)
+        served, _ = associate(pts, scenario, rng, config)
+        for k in tiers:
+            xy = real.bs_pos[k]
+            count = np.sum(np.all((xy >= lo) & (xy <= hi), axis=1))
+            if count:
+                vals[k].append((hi - lo) ** 2 * np.mean(served == k) / count)
+    z99 = NormalDist().inv_cdf(0.995)
+    return {k: (float(np.mean(v)), z99 * float(np.std(v, ddof=1)) / math.sqrt(len(v)))
+            for k, v in vals.items()}

@@ -199,6 +199,50 @@ def test_scenario_rejects_bad_sir_target(tmp_path, capsys, field, value):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("density", math.nan), ("density", math.inf),
+    ("tx_power", math.nan), ("tx_power", math.inf),
+    ("harvest_rate", math.nan), ("harvest_rate", math.inf),
+    ("user_density", math.nan), ("user_density", math.inf),
+    ("shadowing.mean_db", math.nan), ("shadowing.mean_db", 1e6),
+    ("shadowing.std_db", math.nan), ("shadowing.std_db", math.inf),
+    ("shadowing.std_db", 1e6),
+])
+def test_non_finite_scenario_fields_are_rejected(tmp_path, capsys, field, value):
+    doc = json.loads(json.dumps(BASE_DOC))
+    if field == "user_density":
+        doc.pop("over_provisioning")
+        doc[field] = value
+    elif field.startswith("shadowing."):
+        doc["tiers"][1]["shadowing"] = {field.split(".")[1]: value}
+    else:
+        doc["tiers"][1][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["availability", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert field in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("sim, code", [
+    ({"guard_margin": 2}, 1),
+    ({"boundary": "toroidal", "guard_margin": 0.0}, 0),
+])
+def test_guard_margin_needs_guard_boundary(tmp_path, capsys, sim, code):
+    doc = json.loads(json.dumps(BASE_DOC))
+    doc["sim"].update(sim)
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--replicates", "2"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: guard_margin needs boundary 'guard'")
+    else:
+        assert err == ""
+
+
 def test_sir_target_overflow_exits_without_traceback(scenario_file):
     proc = subprocess.run(
         [sys.executable, "-m", "harvnet.cli", "coverage", scenario_file,
@@ -225,6 +269,12 @@ def test_rate_sweep_and_single_target(scenario_file, tmp_path, capsys):
     assert len(table) == 6
     vals = [float(r[1]) for r in table[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+    doc["sweep"]["steps"] = 5.7
+    p.write_text(json.dumps(doc))
+    assert main(["rate", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: sweep.steps must be an integer")
 
 
 def test_rate_surface_runs_without_feasibility(infeasible_file, capsys):
@@ -233,6 +283,11 @@ def test_rate_surface_runs_without_feasibility(infeasible_file, capsys):
     assert table[0] == ["rho1", "rho2", "rate_ccdf"]
     assert len(table) == 17
     assert all(0.0 <= float(r[2]) <= 1.0 for r in table[1:])
+    for grid in ("0", "1"):
+        assert main(["rate", infeasible_file, "--surface", "--grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: grid_resolution must be >= 2")
 
 
 def test_rate_requires_rho_when_infeasible(infeasible_file, capsys):

@@ -15,7 +15,6 @@ from harvnet.simulate import (
     SimConfig,
     _bs_field,
     _chunk_gains,
-    _probe_pass,
     _strongest,
     _thread_count,
     associate,
@@ -27,7 +26,7 @@ from harvnet.simulate import (
     spatial_mc,
     suggest_window_side,
 )
-from oracles import hypot_link_gains
+from oracles import hypot_link_gains, probe_service_areas
 
 PC = 1 / (1 + math.pi / 4)
 
@@ -230,6 +229,9 @@ def test_sim_config_validation():
         SimConfig(window_side=5.0, boundary="guard", guard_margin=0.0)
     with pytest.raises(ScenarioError):
         SimConfig(window_side=5.0, boundary="guard", guard_margin=2.5)
+    with pytest.raises(ScenarioError, match="guard_margin needs boundary 'guard'"):
+        SimConfig(window_side=5.0, guard_margin=1.0)
+    SimConfig(window_side=5.0, boundary="toroidal", guard_margin=0.0)
     for seed in (-1, 1.5, "3"):
         with pytest.raises(ScenarioError, match="seed"):
             SimConfig(window_side=5.0, seed=seed)
@@ -241,7 +243,7 @@ def test_gain_kernel_matches_hypot_oracle(boundary, shadowing):
     sc = two_tier(powers=(4.0, 0.25), shadowing=shadowing)
     side = 5.0
     config = SimConfig(window_side=side, replicates=1, boundary=boundary,
-                       guard_margin=1.0)
+                       guard_margin=1.0 if boundary == "guard" else 0.0)
     rng = np.random.default_rng(61)
     real = Realization(bs_pos=[rng.uniform(0, side, (9, 2)),
                                rng.uniform(0, side, (23, 2))],
@@ -285,16 +287,15 @@ def test_spatial_mc_equals_wrappers(config):
     assert list(est.association) == association_mc(sc, rho, config)
     assert est.rate == rate_mc(sc, rho, 0.1, config)
     assert est.area == {k: service_area_mc(sc, rho, k, config) for k in (0, 1)}
-    areas_only = spatial_mc(sc, rho, config, area_tiers=(1, 0), users=False)
-    assert areas_only.coverage is None and areas_only.association is None
-    assert areas_only.area == est.area
     assert spatial_mc(sc, rho, config).rate is None
 
 
 def test_service_area_follows_replicate_stream():
-    # Replicate i samples one network from default_rng([seed, i]), then
-    # draws 4096 probes and their shadowing from the same stream; a
-    # replicate whose tier 0 is empty gives nan and is dropped.
+    # Replicate i samples one network from default_rng([seed, i]); its
+    # users, associated with shadowing drawn from the same stream, give
+    # tier 0's share, and a replicate whose tier 0 is empty gives nan and
+    # is dropped.  About 180 users fill one block, so associating them
+    # draws the same shadowing as the user pass.
     sc = two_tier(powers=(1.0, 0.5), lam_u=20.0, shadowing=ShadowingSpec(0.5, 4.0))
     rho, side = [0.1, 1.0], 3.0
     config = SimConfig(window_side=side, replicates=6, seed=4)
@@ -305,8 +306,7 @@ def test_service_area_follows_replicate_stream():
         if real.tier_counts[0] == 0:
             vals.append(math.nan)
             continue
-        probes = Realization(real.bs_pos, rng.uniform(0, side, (4096, 2)), side)
-        tiers, _ = associate(probes, sc, rng, config)
+        tiers, _ = associate(real, sc, rng, config)
         vals.append(side * side * np.mean(tiers == 0) / int(real.tier_counts[0]))
     usable = [v for v in vals if not math.isnan(v)]
     assert 0 < len(usable) < config.replicates
@@ -315,13 +315,21 @@ def test_service_area_follows_replicate_stream():
     assert (est.samples, est.dropped) == (len(usable), len(vals) - len(usable))
 
 
-def test_probe_pass_without_any_bs_gives_nan():
-    sc = two_tier()
-    real = Realization(bs_pos=[np.empty((0, 2)), np.empty((0, 2))],
-                       users=np.empty((0, 2)), window_side=3.0)
-    config = SimConfig(window_side=3.0, replicates=1)
-    areas = _probe_pass(real, sc, config, np.random.default_rng(0), (0, 1))
-    assert set(areas) == {0, 1} and all(math.isnan(a) for a in areas.values())
+@pytest.mark.parametrize("config, oracle_config", [
+    (SimConfig(window_side=6.0, replicates=16, seed=71),
+     SimConfig(window_side=6.0, replicates=16, seed=72)),
+    (SimConfig(window_side=8.0, replicates=16, seed=73, boundary="guard",
+               guard_margin=1.0),
+     SimConfig(window_side=8.0, replicates=16, seed=74, boundary="guard",
+               guard_margin=1.0)),
+])
+def test_service_areas_agree_with_probe_oracle(config, oracle_config):
+    sc = two_tier(powers=(1.0, 0.5), lam_u=20.0, shadowing=ShadowingSpec(0.5, 4.0))
+    rho = [0.5, 1.0]
+    est = spatial_mc(sc, rho, config, area_tiers=(0, 1)).area
+    for k, (mean, hw) in probe_service_areas(sc, rho, oracle_config, (0, 1)).items():
+        assert est[k].dropped == 0
+        assert est[k].agrees_with(mean, hw), (k, est[k], mean, hw)
 
 
 def test_service_area_of_a_nearly_empty_tier_raises():
@@ -374,6 +382,7 @@ def test_all_empty_replicates_raise():
     config = SimConfig(window_side=1.0, replicates=4, seed=3)
     for estimate in (lambda: coverage_mc(sc, [1.0], config),
                      lambda: association_mc(sc, [1.0], config),
-                     lambda: rate_mc(sc, [1.0], 0.1, config)):
+                     lambda: rate_mc(sc, [1.0], 0.1, config),
+                     lambda: service_area_mc(sc, [1.0], 0, config)):
         with pytest.raises(ScenarioError, match="no usable replicate"):
             estimate()
