@@ -17,6 +17,7 @@ from harvnet.simulate import (
     _chunk_gains,
     _strongest,
     _thread_count,
+    _user_pass,
     associate,
     association_mc,
     coverage_mc,
@@ -313,6 +314,20 @@ def test_service_area_follows_replicate_stream():
     est = service_area_mc(sc, rho, 0, config)
     assert est.mean == np.mean(usable)
     assert (est.samples, est.dropped) == (len(usable), len(vals) - len(usable))
+
+
+def test_probe_pass_without_any_bs_gives_nan():
+    # The user pass now yields the service areas; a realization with
+    # users but no BS at all gives nan for every tier and statistic.
+    sc = two_tier()
+    real = Realization(bs_pos=[np.empty((0, 2)), np.empty((0, 2))],
+                       users=np.random.default_rng(0).uniform(0, 3.0, (5, 2)),
+                       window_side=3.0)
+    config = SimConfig(window_side=3.0, replicates=1)
+    cov, assoc, area, rate = _user_pass(real, sc, config,
+                                        np.random.default_rng(0), 0.1)
+    assert area.shape == (2,) and np.isnan(area).all()
+    assert np.isnan(assoc).all() and math.isnan(cov) and math.isnan(rate)
 
 
 @pytest.mark.parametrize("config, oracle_config", [
