@@ -61,6 +61,16 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _object(value, field: str) -> dict:
+    """A JSON object; an absent or null field reads as the empty object."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ScenarioError(
+            f"{field} must be a JSON object (got {type(value).__name__})")
+    return value
+
+
 def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
     """Parse a scenario JSON file; returns the scenario and the raw document.
 
@@ -69,11 +79,12 @@ def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
     `sir_target_db` is accepted in place of the linear `sir_target`.
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = _object(json.load(fh), "scenario")
     tiers = []
     for i, entry in enumerate(doc.get("tiers", [])):
+        entry = _object(entry, f"tiers[{i}]")
         try:
-            sh = entry.get("shadowing")
+            sh = _object(entry.get("shadowing"), f"tiers[{i}].shadowing")
             shadow = ShadowingSpec(mean_db=float(sh.get("mean_db", 0.0)),
                                    std_db=float(sh.get("std_db", 0.0))) \
                 if sh else NO_SHADOWING
@@ -160,7 +171,7 @@ def _resolve_rho(args, scenario: NetworkScenario) -> np.ndarray:
 
 def _sim_config(args, doc: dict, scenario: NetworkScenario,
                 rho: np.ndarray) -> simulate.SimConfig:
-    block = doc.get("sim", {})
+    block = _object(doc.get("sim"), "sim")
 
     def pick(flag, key, default):
         value = getattr(args, flag, None)
@@ -258,12 +269,18 @@ def cmd_rate(args) -> int:
                 out.writerow([_fmt(float(r1)), _fmt(float(r2)), _fmt(val)])
         return EXIT_OK
     rho = _resolve_rho(args, scenario)
-    sweep = doc.get("sweep", {})
+    sweep = _object(doc.get("sweep"), "sweep")
     if args.rate_target is not None:
         targets = [args.rate_target]
     elif sweep.get("variable") == "rate_target":
-        targets = np.linspace(float(sweep["start"]), float(sweep["stop"]),
-                              _integer(sweep["steps"], "sweep.steps")).tolist()
+        try:
+            start, stop = float(sweep["start"]), float(sweep["stop"])
+            steps = _integer(sweep["steps"], "sweep.steps")
+        except KeyError as exc:
+            raise ScenarioError(f"sweep: missing field {exc}") from None
+        if steps < 1:
+            raise ScenarioError(f"sweep.steps must be >= 1 (got {steps})")
+        targets = np.linspace(start, stop, steps).tolist()
     else:
         targets = np.linspace(0.0, 2.0, 41).tolist()
     out.writerow(["rate_target", "rate_ccdf"])

@@ -8,6 +8,8 @@ and reduces to sqrt(beta) arctan(sqrt(beta)) at alpha = 4; both evaluate
 over arrays of beta, so nothing is cached.  The rate CCDF combines per-tier
 association probabilities with a 3.5-law load model in which only covered
 users (effective density Pc*lambda_u) consume base-station resources.
+Only hyper_f at alpha != 4 needs scipy (for 2F1), and imports it there, so
+the alpha = 4 path never loads scipy.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, hyp2f1, xlogy
 
 from .model import NetworkScenario, ScenarioError, check_availability_vector
 
-# log(3.5^3.5 / Gamma(3.5)), the constant of the 3.5-law load pmf.
-_LOG_PMF_CONST = 3.5 * math.log(3.5) - math.lgamma(3.5)
-# Terms of the rate series evaluated per array pass.
+# 4.5 log 3.5 and log Gamma(4.5), constants of the 3.5-law load pmf.
+_LOG_PMF_CONST = 4.5 * math.log(3.5)
+_LGAMMA_4P5 = math.lgamma(4.5)
+# Terms of the rate series evaluated per array pass; also the block length
+# of the load pmf's log-gamma ratio.
 _BLOCK = 64
 # 2^1000 - 1 is the largest SIR threshold the series evaluates; beyond it
 # the coverage factor is taken as zero.
@@ -59,6 +62,7 @@ def hyper_f(beta, alpha: float):
         root = np.sqrt(b)
         f = root * np.arctan(root)
     else:
+        from scipy.special import hyp2f1
         f = 2.0 / (alpha - 2.0) * (
             b * hyp2f1(1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -b))
     return float(f) if f.ndim == 0 else f
@@ -85,21 +89,59 @@ def tier_association_prob(scenario: NetworkScenario, rho, k: int | None = None):
     return probs if k is None else float(probs[k])
 
 
+def _log_nb_block(first: int) -> np.ndarray:
+    """L(n) = log[Gamma(n+4.5) / (Gamma(4.5) n!)] for the _BLOCK n from first.
+
+    One lgamma pair at the aligned first n (none at 0) plus a running sum of
+    log((k+4.5)/(k+1)), so each value depends on n alone.
+    """
+    out = np.empty(_BLOCK)
+    out[0] = (math.lgamma(first + 4.5) - _LGAMMA_4P5 - math.lgamma(first + 1.0)
+              if first else 0.0)
+    np.cumsum(np.log1p(3.5 / np.arange(first + 1.0, first + _BLOCK)), out=out[1:])
+    out[1:] += out[0]
+    return out
+
+
+# L(n) for every n a default rate series (max_terms 2000) reaches, built once
+# from the same blocks, so each series block is a lookup, not a rebuild.
+_LOG_NB_TABLE = np.concatenate([_log_nb_block(a) for a in range(0, 2048, _BLOCK)])
+
+
+def _log_nb_coef(n: np.ndarray) -> np.ndarray:
+    """L(n) for an int64 array n >= 0: read from the table where it reaches,
+    else built from one block per distinct n // _BLOCK."""
+    if n.size and 0 <= n.min() and n.max() < _LOG_NB_TABLE.size:
+        return _LOG_NB_TABLE[n]
+    block, offset = np.divmod(n, _BLOCK)
+    anchors = sorted(set(block.ravel().tolist()))
+    if anchors and anchors[0] < 0:
+        raise ScenarioError(f"load count must be >= 0 (got {n})")
+    table = np.array([_log_nb_block(b * _BLOCK) for b in anchors]).reshape(-1, _BLOCK)
+    return table[np.searchsorted(anchors, block), offset]
+
+
 def load_pmf(x, n):
     """3.5-law pmf of the number of other users sharing the serving BS.
 
     P(Psi - 1 = n) = (3.5^3.5/n!) (Gamma(n+4.5)/Gamma(3.5)) x^n (3.5+x)^-(n+4.5)
-    with mean-load parameter x >= 0; broadcasts over x and n and returns a
-    float when both are scalars.  Computed in log space: Gamma(n+4.5)
-    overflows doubles near n = 170.  At x = 0 all mass sits on n = 0.
+    with mean-load parameter x >= 0 and n >= 0; broadcasts over x and n and
+    returns a float when both are scalars.  This is the negative binomial
+    NB(4.5, x/(3.5+x)), computed in log space because Gamma(n+4.5)
+    overflows doubles near n = 170:
+    log p = L(n) + n (log x - log(3.5+x)) + 4.5 log 3.5 - 4.5 log(3.5+x).
+    At x = 0 all mass sits on n = 0.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if (x < 0).any():
         raise ScenarioError(f"mean load parameter must be >= 0 (got {x})")
     n = np.asarray(n, dtype=np.int64)
-    logp = (_LOG_PMF_CONST - gammaln(n + 1.0) + gammaln(n + 4.5)
-            + xlogy(n, x) - (n + 4.5) * np.log(3.5 + x))
-    out = np.exp(logp)
+    positive = x > 0
+    log_s = np.log(3.5 + x)
+    log_q = np.log(np.where(positive, x, 1.0)) - log_s
+    out = np.exp(_log_nb_coef(n) + n * log_q + (_LOG_PMF_CONST - 4.5 * log_s))
+    if not positive.all():
+        out = np.where(positive, out, n == 0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -212,6 +212,14 @@ def mp_hyper_f(beta, alpha, dps=40):
         return 2 * b / (a - 2) * mp.hyp2f1(1, 1 - 2 / a, 2 - 2 / a, -b)
 
 
+def mp_load_pmf(x, n, dps=40):
+    """(3.5^3.5/n!) (Gamma(n+4.5)/Gamma(3.5)) x^n (3.5+x)^-(n+4.5), term by term."""
+    with mp.workdps(dps):
+        x, n, c = mp.mpf(x), mp.mpf(n), mp.mpf(3.5)
+        return (c ** c / mp.factorial(n) * mp.gamma(n + c + 1) / mp.gamma(c)
+                * x ** n * (c + x) ** -(n + c + 1))
+
+
 def mp_rate_ccdf(scenario, rho, rate_target, tol=1e-16, dps=30):
     """P(rate > T) for the 3.5-law load model, summed term by term in mpmath.
 

@@ -15,6 +15,7 @@ from harvnet.analytic import solve_availability
 from harvnet.cli import load_scenario, main
 from harvnet.coverage import coverage_prob
 from harvnet.model import ScenarioError
+from oracles import mp_hyper_f
 
 PC = 1 / (1 + math.pi / 4)
 
@@ -277,6 +278,52 @@ def test_rate_sweep_and_single_target(scenario_file, tmp_path, capsys):
     assert captured.err.startswith("error: sweep.steps must be an integer")
 
 
+def _sweep(**fields):
+    """A rate_target sweep; a field given as None is left out."""
+    sweep = {"variable": "rate_target", "start": 0.0, "stop": 1.0, "steps": 5,
+             **fields}
+    return {k: v for k, v in sweep.items() if v is not None}
+
+
+def _malformed(mutate):
+    doc = json.loads(json.dumps(BASE_DOC))
+    return mutate(doc) or doc
+
+
+@pytest.mark.parametrize("command, mutate, message", [
+    ("rate", lambda d: d.update(sweep=_sweep(start=None)),
+     "sweep: missing field 'start'"),
+    ("rate", lambda d: d.update(sweep=_sweep(stop=None)),
+     "sweep: missing field 'stop'"),
+    ("rate", lambda d: d.update(sweep="rate_target"), "sweep must be a JSON object"),
+    ("coverage", lambda d: [d], "scenario must be a JSON object"),
+    ("coverage", lambda d: d["tiers"].__setitem__(0, 1.0),
+     "tiers[0] must be a JSON object"),
+    ("coverage", lambda d: d["tiers"][1].update(shadowing=6.0),
+     "tiers[1].shadowing must be a JSON object"),
+    ("simulate", lambda d: d.update(sim=[6.0, 6, 7]), "sim must be a JSON object"),
+], ids=["sweep-no-start", "sweep-no-stop", "sweep-not-object", "doc-not-object",
+        "tier-not-object", "shadowing-not-object", "sim-not-object"])
+def test_malformed_scenarios_are_errors(tmp_path, capsys, command, mutate, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_malformed(mutate)))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_rate_sweep_needs_a_step(tmp_path, capsys, steps):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(
+        _malformed(lambda d: d.update(sweep=_sweep(steps=steps)))))
+    assert main(["rate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: sweep.steps must be >= 1")
+
+
 def test_rate_surface_runs_without_feasibility(infeasible_file, capsys):
     assert main(["rate", infeasible_file, "--surface", "--grid", "4"]) == 0
     table = rows(capsys)
@@ -461,3 +508,35 @@ def test_coverage_calls_leave_scipy_integrate_and_optimize_unloaded():
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_alpha4_commands_leave_scipy_unloaded():
+    # every bundled scenario has alpha = 4, where no calculation needs scipy;
+    # rate-surface.json is infeasible, so its plain `rate` call exits 1
+    paths = sorted(str(p) for p in SCENARIOS.glob("*.json"))
+    betas = [0.5, 1.0, 1e3]
+    code = (
+        "import contextlib, io, json, os, sys\n"
+        "import harvnet\n"
+        "loaded = ['scipy' in sys.modules]\n"
+        "from harvnet.cli import main\n"
+        "failed = []\n"
+        f"for path in {paths!r}:\n"
+        "    for argv in (['availability'], ['region'], ['coverage'], ['rate'],\n"
+        "                 ['rate', '--rho', '0.5,0.5'], ['rate', '--surface']):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            if main([argv[0], path, *argv[1:]]):\n"
+        "                failed.append([os.path.basename(path), ' '.join(argv)])\n"
+        "loaded.append('scipy' in sys.modules)\n"
+        f"f = harvnet.hyper_f({betas!r}, 3.5).tolist()\n"
+        "loaded.append('scipy' in sys.modules)\n"
+        "print(json.dumps([loaded, failed, f]))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    loaded, failed, f = json.loads(proc.stdout)
+    assert loaded == [False, False, True]
+    assert failed == [["rate-surface.json", "rate"]]
+    for beta, got in zip(betas, f):
+        assert got == pytest.approx(float(mp_hyper_f(beta, 3.5)), rel=1e-13)

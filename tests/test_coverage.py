@@ -17,7 +17,7 @@ from harvnet.coverage import (
     tier_association_prob,
 )
 from harvnet.model import NetworkScenario, ScenarioError, ShadowingSpec, TierParams
-from oracles import mp_hyper_f, mp_rate_ccdf
+from oracles import mp_hyper_f, mp_load_pmf, mp_rate_ccdf
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -174,6 +174,35 @@ def test_load_pmf_broadcasts_over_x_and_n():
         assert table[5, j] == load_pmf(float(x), 5)
     with pytest.raises(ScenarioError):
         load_pmf(np.array([1.0, -0.5]), 0)
+
+
+LOAD_XS = [1e-3, 0.1, 1.0, 10.0, 600.0, 1e4, 1e5]
+
+
+@pytest.mark.parametrize("ns, rel", [
+    ([0, 1, 2, 7, 63, 64, 65, 127, 128, 300, 1000, 1999, 2000], 1e-11),
+    ([2001, 4097, 10**4, 10**5 - 1, 10**5, 5 * 10**5, 10**6 - 1, 10**6], 1e-8),
+])
+def test_load_pmf_matches_mpmath(ns, rel):
+    # the 1e-8 bound is set by cancellation in the log space form at n near
+    # 1e6, where log Gamma(n+4.5) and n log(3.5+x) each exceed 1e7
+    for x in LOAD_XS:
+        for n, got in zip(ns, load_pmf(x, np.array(ns))):
+            want = float(mp_load_pmf(x, n))
+            if want < np.finfo(float).tiny:
+                assert got < 1e-300, (x, n)
+            else:
+                assert got == pytest.approx(want, rel=rel, abs=0), (x, n)
+
+
+def test_load_pmf_scattered_n_equals_scalar_calls():
+    ns = np.array([5, 3, 1000, 10**6])
+    for x in LOAD_XS:
+        got = load_pmf(x, ns)
+        assert got.tolist() == [load_pmf(x, int(n)) for n in ns]
+    assert load_pmf(1e5, 10**6) > 0.0
+    with pytest.raises(ScenarioError, match="load count"):
+        load_pmf(1.0, [3, -1])
 
 
 def test_rate_ccdf_matches_mpmath_series_on_rate_surface():
