@@ -27,6 +27,7 @@ _LGAMMA_4P5 = math.lgamma(4.5)
 # Terms of the rate series evaluated per array pass; also the block length
 # of the load pmf's log-gamma ratio.
 _BLOCK = 64
+_STEPS = np.arange(1.0, _BLOCK)
 # 2^1000 - 1 is the largest SIR threshold the series evaluates; beyond it
 # the coverage factor is taken as zero.
 _MAX_EXPO = 1000.0
@@ -98,27 +99,22 @@ def _log_nb_block(first: int) -> np.ndarray:
     out = np.empty(_BLOCK)
     out[0] = (math.lgamma(first + 4.5) - _LGAMMA_4P5 - math.lgamma(first + 1.0)
               if first else 0.0)
-    np.cumsum(np.log1p(3.5 / np.arange(first + 1.0, first + _BLOCK)), out=out[1:])
+    np.cumsum(np.log1p(3.5 / (first + _STEPS)), out=out[1:])
     out[1:] += out[0]
     return out
 
 
-# L(n) for every n a default rate series (max_terms 2000) reaches, built once
-# from the same blocks, so each series block is a lookup, not a rebuild.
-_LOG_NB_TABLE = np.concatenate([_log_nb_block(a) for a in range(0, 2048, _BLOCK)])
-
-
 def _log_nb_coef(n: np.ndarray) -> np.ndarray:
-    """L(n) for an int64 array n >= 0: read from the table where it reaches,
-    else built from one block per distinct n // _BLOCK."""
-    if n.size and 0 <= n.min() and n.max() < _LOG_NB_TABLE.size:
-        return _LOG_NB_TABLE[n]
+    """L(n) for an int64 array n >= 0, from one block per distinct n // _BLOCK
+    (a rate series block is a single one)."""
     block, offset = np.divmod(n, _BLOCK)
     anchors = sorted(set(block.ravel().tolist()))
     if anchors and anchors[0] < 0:
         raise ScenarioError(f"load count must be >= 0 (got {n})")
-    table = np.array([_log_nb_block(b * _BLOCK) for b in anchors]).reshape(-1, _BLOCK)
-    return table[np.searchsorted(anchors, block), offset]
+    if len(anchors) == 1:
+        return _log_nb_block(anchors[0] * _BLOCK)[offset]
+    table = np.ravel([_log_nb_block(b * _BLOCK) for b in anchors])
+    return table[np.searchsorted(anchors, block) * _BLOCK + offset]
 
 
 def load_pmf(x, n):
@@ -133,7 +129,7 @@ def load_pmf(x, n):
     At x = 0 all mass sits on n = 0.
     """
     x = np.asarray(x, dtype=float)
-    if (x < 0).any():
+    if not (x >= 0).all():
         raise ScenarioError(f"mean load parameter must be >= 0 (got {x})")
     n = np.asarray(n, dtype=np.int64)
     positive = x > 0

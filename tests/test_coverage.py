@@ -205,6 +205,13 @@ def test_load_pmf_scattered_n_equals_scalar_calls():
         load_pmf(1.0, [3, -1])
 
 
+def test_load_pmf_rejects_nan_mean_load():
+    # NaN fails x >= 0 and must not fall through to the x = 0 point mass
+    for x in (np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(ScenarioError, match="mean load"):
+            load_pmf(x, 0)
+
+
 def test_rate_ccdf_matches_mpmath_series_on_rate_surface():
     sc, _ = load_scenario(str(SCENARIOS / "rate-surface.json"))
     got = rate_ccdf(sc, [0.2, 0.1], RateQuery(rate_target=0.1))
