@@ -53,12 +53,19 @@ def _db_to_linear(db: float) -> float:
 
 
 def _integer(value, field: str) -> int:
-    """A JSON number that must be integral: 10 and 10.0 pass, 10.7 does not."""
+    """A JSON number that must be integral: 10 and 10.0 pass, 10.7 and true do not."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{field} must be an integer (got {value!r})")
     return value
+
+
+def _number(value, field: str) -> float:
+    """A JSON number as a float: a string, list, bool or null is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{field} must be a number (got {value!r})")
+    return float(value)
 
 
 def _object(value, field: str) -> dict:
@@ -80,35 +87,37 @@ def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
     """
     with open(path) as fh:
         doc = _object(json.load(fh), "scenario")
+    entries = doc.get("tiers", [])
+    if not isinstance(entries, list):
+        raise ScenarioError(f"tiers must be a JSON list (got {type(entries).__name__})")
     tiers = []
-    for i, entry in enumerate(doc.get("tiers", [])):
+    for i, entry in enumerate(entries):
         entry = _object(entry, f"tiers[{i}]")
         try:
             sh = _object(entry.get("shadowing"), f"tiers[{i}].shadowing")
-            shadow = ShadowingSpec(mean_db=float(sh.get("mean_db", 0.0)),
-                                   std_db=float(sh.get("std_db", 0.0))) \
-                if sh else NO_SHADOWING
+            shadow = ShadowingSpec(**{
+                key: _number(sh.get(key, 0.0), f"tiers[{i}].shadowing.{key}")
+                for key in ("mean_db", "std_db")}) if sh else NO_SHADOWING
             tiers.append(TierParams(
-                density=float(entry["density"]),
-                tx_power=float(entry["tx_power"]),
-                harvest_rate=float(entry["harvest_rate"]),
+                **{key: _number(entry[key], f"tiers[{i}].{key}")
+                   for key in ("density", "tx_power", "harvest_rate")},
                 battery=_integer(entry["battery"], f"tiers[{i}].battery"),
                 shadowing=shadow))
         except KeyError as exc:
             raise ScenarioError(f"tier {i}: missing field {exc}") from None
     if not tiers:
         raise ScenarioError("scenario must define at least one tier")
-    alpha = float(doc.get("path_loss_exp", 4.0))
+    alpha = _number(doc.get("path_loss_exp", 4.0), "path_loss_exp")
     if "sir_target" in doc:
-        beta = float(doc["sir_target"])
+        beta = _number(doc["sir_target"], "sir_target")
     elif "sir_target_db" in doc:
-        beta = _db_to_linear(float(doc["sir_target_db"]))
+        beta = _db_to_linear(_number(doc["sir_target_db"], "sir_target_db"))
     else:
         raise ScenarioError("scenario must set sir_target or sir_target_db")
     if "user_density" in doc:
-        lam_u = float(doc["user_density"])
+        lam_u = _number(doc["user_density"], "user_density")
     elif "over_provisioning" in doc:
-        gamma = float(doc["over_provisioning"])
+        gamma = _number(doc["over_provisioning"], "over_provisioning")
         if gamma <= 0:
             raise ScenarioError(f"over_provisioning must be > 0 (got {gamma})")
         # P_c needs a valid (beta, alpha): check them before using them
@@ -181,11 +190,11 @@ def _sim_config(args, doc: dict, scenario: NetworkScenario,
     if side is None:
         side = simulate.suggest_window_side(scenario, rho)
     return simulate.SimConfig(
-        window_side=float(side),
+        window_side=_number(side, "sim.window_side"),
         replicates=_integer(pick("replicates", "replicates", 20), "sim.replicates"),
         seed=_integer(pick("seed", "seed", 0), "sim.seed"),
         boundary=block.get("boundary", "toroidal"),
-        guard_margin=float(block.get("guard_margin", 0.0)))
+        guard_margin=_number(block.get("guard_margin", 0.0), "sim.guard_margin"))
 
 
 def _writer():
@@ -274,7 +283,7 @@ def cmd_rate(args) -> int:
         targets = [args.rate_target]
     elif sweep.get("variable") == "rate_target":
         try:
-            start, stop = float(sweep["start"]), float(sweep["stop"])
+            start, stop = (_number(sweep[k], f"sweep.{k}") for k in ("start", "stop"))
             steps = _integer(sweep["steps"], "sweep.steps")
         except KeyError as exc:
             raise ScenarioError(f"sweep: missing field {exc}") from None

@@ -194,33 +194,46 @@ def _bs_field(realization: Realization, scenario: NetworkScenario,
         period=config.window_side if config.boundary == "toroidal" else None)
 
 
-def _axis_sq(bs_coord, pts_coord, period):
-    """Squared (wrapped) coordinate differences, (n_bs, n_pts), in one block."""
-    d = np.subtract.outer(bs_coord, pts_coord)
+def _workspace(n_bs: int, n_pts: int) -> np.ndarray:
+    """Three flat buffers of n_bs x min(_USER_CHUNK, n_pts) doubles for one pass."""
+    return np.empty((3, n_bs * min(_USER_CHUNK, n_pts)))
+
+
+def _axis_sq(bs_coord, pts_coord, period, out, tmp):
+    """Squared (wrapped) coordinate differences, (n_bs, n_pts), into out via tmp."""
+    d = np.subtract.outer(bs_coord, pts_coord, out=out)
     np.abs(d, out=d)
     if period is not None:
-        np.minimum(d, period - d, out=d)
+        np.minimum(d, np.subtract(period, d, out=tmp), out=d)
     return np.multiply(d, d, out=d)
 
 
-def _chunk_gains(bs: _BSField, pts: np.ndarray, rng) -> np.ndarray:
+def _chunk_gains(bs: _BSField, pts: np.ndarray, rng, work=None) -> np.ndarray:
     """Average received power matrix W (n_bs, len(pts)) for one point block.
 
     W includes transmit power, per-link lognormal shadowing, and path
     loss; fading is deliberately excluded because cell selection averages
     over it.  Toroidal mode wraps coordinate differences at window scale.
-    Path loss is (d^2)^(-alpha/2) with d^2 summed from one contiguous block
-    per coordinate; the shadowing normals are drawn in (n_bs, len(pts))
-    order.
+    Path loss is P/(d^2)^2 at alpha = 4, else P (d^2)^(-alpha/2), with d^2
+    summed from one contiguous block per coordinate; the shadowing normals
+    are drawn in (n_bs, len(pts)) order.  W and two scratch blocks are views
+    of the rows of `work` (a `_workspace`; fresh buffers when None), in order.
     """
-    w = _axis_sq(bs.x, pts[:, 0], bs.period)
-    w += _axis_sq(bs.y, pts[:, 1], bs.period)
+    shape = (bs.x.size, pts.shape[0])
+    if work is None:
+        work = np.empty((3, shape[0] * shape[1]))
+    w, tmp, aux = (row[:shape[0] * shape[1]].reshape(shape) for row in work)
+    _axis_sq(bs.x, pts[:, 0], bs.period, w, tmp)
+    w += _axis_sq(bs.y, pts[:, 1], bs.period, aux, tmp)
     np.maximum(w, 1e-18, out=w)
-    np.power(w, -0.5 * bs.alpha, out=w)
-    w *= bs.power
+    if bs.alpha == 4.0:
+        np.divide(bs.power, np.multiply(w, w, out=w), out=w)
+    else:
+        np.power(w, -0.5 * bs.alpha, out=w)
+        w *= bs.power
     if bs.shadow is not None:
         mean_db, std_db = bs.shadow
-        db = rng.standard_normal(w.shape)
+        db = rng.standard_normal(out=aux)
         db *= std_db
         db += mean_db
         db /= 10.0
@@ -241,9 +254,10 @@ def _strongest(w: np.ndarray) -> np.ndarray:
 def _serving(bs: _BSField, pts: np.ndarray, rng) -> np.ndarray:
     """Flat index of the strongest-average BS for every point."""
     serving = np.empty(pts.shape[0], dtype=np.int64)
+    work = _workspace(bs.x.size, pts.shape[0])
     for lo in range(0, pts.shape[0], _USER_CHUNK):
         hi = min(lo + _USER_CHUNK, pts.shape[0])
-        serving[lo:hi] = _strongest(_chunk_gains(bs, pts[lo:hi], rng))
+        serving[lo:hi] = _strongest(_chunk_gains(bs, pts[lo:hi], rng, work))
     return serving
 
 
@@ -280,11 +294,12 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     bs = _bs_field(real, scenario, config)
     serving = np.empty(n_users, dtype=np.int64)
     sir = np.empty(n_users)
+    work = _workspace(bs.x.size, n_users)
     for lo in range(0, n_users, _USER_CHUNK):
         hi = min(lo + _USER_CHUNK, n_users)
-        w = _chunk_gains(bs, real.users[lo:hi], rng)
+        w = _chunk_gains(bs, real.users[lo:hi], rng, work)
         srv = _strongest(w)
-        w *= rng.exponential(1.0, w.shape)
+        w *= rng.standard_exponential(out=work[1, :w.size].reshape(w.shape))
         sig = w[srv, np.arange(hi - lo)]
         sir[lo:hi] = sig / np.maximum(w.sum(axis=0) - sig, 1e-300)
         serving[lo:hi] = srv

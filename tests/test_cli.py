@@ -302,8 +302,30 @@ def _malformed(mutate):
     ("coverage", lambda d: d["tiers"][1].update(shadowing=6.0),
      "tiers[1].shadowing must be a JSON object"),
     ("simulate", lambda d: d.update(sim=[6.0, 6, 7]), "sim must be a JSON object"),
+    ("coverage", lambda d: d["tiers"][0].update(density=[1.0]),
+     "tiers[0].density must be a number"),
+    ("coverage", lambda d: d["tiers"][1].update(tx_power=None),
+     "tiers[1].tx_power must be a number"),
+    ("coverage", lambda d: d["tiers"][0].update(harvest_rate=True),
+     "tiers[0].harvest_rate must be a number"),
+    ("coverage", lambda d: d["tiers"][1].update(shadowing={"std_db": "6"}),
+     "tiers[1].shadowing.std_db must be a number"),
+    ("coverage", lambda d: d.update(tiers=3), "tiers must be a JSON list"),
+    ("coverage", lambda d: d.update(path_loss_exp="4"), "path_loss_exp must be a number"),
+    ("coverage", lambda d: d.update(sir_target=[1.0]), "sir_target must be a number"),
+    ("coverage", lambda d: d.update(over_provisioning="1.1"),
+     "over_provisioning must be a number"),
+    ("simulate", lambda d: d["sim"].update(window_side=[12]),
+     "sim.window_side must be a number"),
+    ("simulate", lambda d: d["sim"].update(boundary="guard", guard_margin="1"),
+     "sim.guard_margin must be a number"),
+    ("rate", lambda d: d.update(sweep=_sweep(stop=None) | {"stop": "1"}),
+     "sweep.stop must be a number"),
 ], ids=["sweep-no-start", "sweep-no-stop", "sweep-not-object", "doc-not-object",
-        "tier-not-object", "shadowing-not-object", "sim-not-object"])
+        "tier-not-object", "shadowing-not-object", "sim-not-object",
+        "density-list", "tx-power-null", "harvest-rate-bool", "std-db-string",
+        "tiers-not-list", "alpha-string", "sir-target-list", "gamma-string",
+        "window-list", "guard-margin-string", "sweep-stop-string"])
 def test_malformed_scenarios_are_errors(tmp_path, capsys, command, mutate, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_malformed(mutate)))
@@ -398,6 +420,8 @@ def test_explicit_sim_flags_are_checked(scenario_file, capsys, command, flag,
     (("tiers", 1, "battery"), "5", "tiers[1].battery"),
     (("sim", "replicates"), 2.9, "sim.replicates"),
     (("sim", "seed"), 7.5, "sim.seed"),
+    (("tiers", 0, "battery"), True, "tiers[0].battery"),
+    (("sim", "replicates"), False, "sim.replicates"),
 ])
 def test_non_integral_json_values_are_rejected(tmp_path, capsys, path, value, field):
     doc = json.loads(json.dumps(BASE_DOC))

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from harvnet.simulate import (
     _strongest,
     _thread_count,
     _user_pass,
+    _workspace,
     associate,
     association_mc,
     coverage_mc,
@@ -263,6 +265,51 @@ def test_gain_kernel_matches_hypot_oracle(boundary, shadowing):
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("boundary", ["toroidal", "guard"])
+@pytest.mark.parametrize("shadowing", [None, ShadowingSpec(1.5, 6.0)])
+def test_gain_kernel_matches_hypot_oracle_off_alpha_4(boundary, shadowing):
+    # alpha = 4 squares d^2; any other exponent goes through np.power.
+    sc = replace(two_tier(powers=(4.0, 0.25), shadowing=shadowing), path_loss_exp=3.5)
+    side = 5.0
+    config = SimConfig(window_side=side, replicates=1, boundary=boundary,
+                       guard_margin=1.0 if boundary == "guard" else 0.0)
+    rng = np.random.default_rng(71)
+    real = Realization(bs_pos=[rng.uniform(0, side, (9, 2)),
+                               rng.uniform(0, side, (23, 2))],
+                       users=rng.uniform(0, side, (37, 2)), window_side=side)
+    real.users[5] = real.bs_pos[1][3]        # a link at the distance floor
+    got = _chunk_gains(_bs_field(real, sc, config), real.users,
+                       np.random.default_rng(72))
+    shadow_db = None
+    if shadowing is not None:
+        z = np.random.default_rng(72).standard_normal(got.shape)
+        shadow_db = shadowing.mean_db + shadowing.std_db * z
+    want = hypot_link_gains(np.vstack(real.bs_pos), np.repeat([0, 1], [9, 23]),
+                            real.users, [4.0, 0.25], 3.5,
+                            side if boundary == "toroidal" else None, shadow_db)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("alpha", [4.0, 3.5])
+def test_gain_kernel_ignores_what_a_workspace_held(alpha):
+    # A full block leaves every buffer dirty; the partial block after it
+    # reads only what it writes, so it matches a fresh workspace bit for bit.
+    sc = replace(two_tier(powers=(4.0, 0.25), shadowing=ShadowingSpec(1.5, 6.0)),
+                 path_loss_exp=alpha)
+    rng = np.random.default_rng(73)
+    real = Realization(bs_pos=[rng.uniform(0, 5.0, (9, 2)),
+                               rng.uniform(0, 5.0, (23, 2))],
+                       users=rng.uniform(0, 5.0, (512 + 37, 2)), window_side=5.0)
+    bs = _bs_field(real, sc, SimConfig(window_side=5.0, replicates=1))
+    work = _workspace(32, 512 + 37)
+    full = _chunk_gains(bs, real.users[:512], np.random.default_rng(74), work)
+    assert full.shape == (32, 512) and np.shares_memory(full, work)
+    part = _chunk_gains(bs, real.users[512:], np.random.default_rng(75), work)
+    assert np.shares_memory(part, work)
+    fresh = _chunk_gains(bs, real.users[512:], np.random.default_rng(75))
+    np.testing.assert_array_equal(part, fresh)
+
+
 @pytest.mark.parametrize("config", [
     SimConfig(window_side=3.0, replicates=6, seed=4),
     SimConfig(window_side=5.0, replicates=6, seed=0, boundary="guard",
@@ -373,6 +420,23 @@ def test_service_area_of_a_nearly_empty_tier_raises():
 def test_spatial_mc_ignores_thread_count(monkeypatch):
     sc = two_tier(shadowing=ShadowingSpec(0.0, 3.0))
     config = SimConfig(window_side=5.0, replicates=6, seed=52)
+    runs = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("HETNET_THREADS", threads)
+        runs.append(spatial_mc(sc, [0.8, 0.5], config, rate_target=0.2,
+                               area_tiers=(0, 1)))
+    assert runs[0] == runs[1]
+
+
+def test_spatial_mc_ignores_thread_count_across_blocks(monkeypatch):
+    # Each replicate has over 512 users, so its pass ends on a partial
+    # block in a workspace the full blocks before it have filled.
+    sc = two_tier(shadowing=ShadowingSpec(0.5, 4.0), lam_u=30.0)
+    config = SimConfig(window_side=6.0, replicates=5, seed=54)
+    for i in range(config.replicates):
+        real = sample_network(sc, [0.8, 0.5], config,
+                              np.random.default_rng([config.seed, i]))
+        assert real.users.shape[0] > 512 and real.users.shape[0] % 512
     runs = []
     for threads in ("1", "4"):
         monkeypatch.setenv("HETNET_THREADS", threads)
