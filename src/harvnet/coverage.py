@@ -24,9 +24,10 @@ from .model import NetworkScenario, ScenarioError, check_availability_vector
 # 4.5 log 3.5 and log Gamma(4.5), constants of the 3.5-law load pmf.
 _LOG_PMF_CONST = 4.5 * math.log(3.5)
 _LGAMMA_4P5 = math.lgamma(4.5)
-# Terms of the rate series evaluated per array pass; also the block length
-# of the load pmf's log-gamma ratio.
+# Terms of the rate series' first array pass; also the block length of the
+# load pmf's log-gamma ratio.  Later passes double, up to _MAX_BLOCK terms.
 _BLOCK = 64
+_MAX_BLOCK = 64 * _BLOCK
 _STEPS = np.arange(1.0, _BLOCK)
 # 2^1000 - 1 is the largest SIR threshold the series evaluates; beyond it
 # the coverage factor is taken as zero.
@@ -143,16 +144,21 @@ def load_pmf(x, n):
 
 @dataclass(frozen=True)
 class RateQuery:
-    """Target rate (bps/Hz) plus series controls for the rate CCDF."""
+    """Target rate (bps/Hz) plus series controls for the rate CCDF.
+
+    With `max_terms` None the series runs until it converges; a number caps
+    the terms summed.
+    """
 
     rate_target: float
     series_tolerance: float = 1e-10
-    max_terms: int = 2000
+    max_terms: int | None = None
 
     def __post_init__(self):
         if not self.rate_target >= 0:
             raise ScenarioError(f"rate_target must be >= 0 (got {self.rate_target})")
-        if self.series_tolerance <= 0 or self.max_terms < 1:
+        if self.series_tolerance <= 0 or (self.max_terms is not None
+                                          and self.max_terms < 1):
             raise ScenarioError("series_tolerance must be > 0 and max_terms >= 1")
 
 
@@ -164,7 +170,9 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery) -> float:
     load pmf.  Truncation uses the rigorous tail bound
     (1 - accumulated pmf mass) * current coverage factor, which dominates the
     remaining terms because the coverage factor decreases in n; this never
-    truncates before the raw term has itself fallen below tolerance.
+    truncates before the raw term has itself fallen below tolerance.  The
+    series always ends: once T(n+1) > _MAX_EXPO every coverage factor, and
+    so every term and the tail bound, is 0.
     """
     t_rate = query.rate_target
     if t_rate == 0.0:
@@ -179,12 +187,15 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery) -> float:
     pmf_x = pc * scenario.user_density * pmf_w / (
         rho[active] * scenario.densities()[active])
 
-    # Blocks of _BLOCK terms at a time.  The running sums are seeded with
-    # the previous block's totals and accumulate in term order, exactly as
-    # a term-by-term loop would.
+    # Blocks of _BLOCK terms, then twice as many per block up to _MAX_BLOCK,
+    # so a small T (about log2(1/tol)/T terms) takes few passes.  The
+    # running sums are seeded with the previous block's totals and
+    # accumulate in term order, exactly as a term-by-term loop would.
+    limit = math.inf if query.max_terms is None else query.max_terms
     total, cum_mass = 0.0, 0.0
-    for start in range(0, query.max_terms, _BLOCK):
-        n = np.arange(start, min(start + _BLOCK, query.max_terms))
+    start, size = 0, _BLOCK
+    while start < limit:
+        n = np.arange(start, min(start + size, limit))
         expo = t_rate * (n + 1)
         beta = np.exp2(np.minimum(expo, _MAX_EXPO)) - 1.0
         cov = np.where(expo > _MAX_EXPO, 0.0, 1.0 / (1.0 + hyper_f(beta, alpha)))
@@ -197,4 +208,5 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery) -> float:
         if done.any():
             return float(sums[np.argmax(done)])
         total, cum_mass = float(sums[-1]), float(masses[-1])
+        start, size = start + size, min(2 * size, _MAX_BLOCK)
     raise SeriesTruncationError(total, float(tail[-1]), query.max_terms)

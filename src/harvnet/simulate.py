@@ -2,15 +2,20 @@
 
 Everything here works directly on sampled Poisson point patterns: BSs are
 dropped per tier after availability thinning, users are dropped uniformly,
-per-link shadowing and fading are drawn explicitly, and the statistics of
-interest (service areas, association fractions, SIR coverage, per-user
-rate) are tallied from the realization.  None of the analytic formulas are
+per-link shadowing is drawn explicitly, and the statistics of interest
+(service areas, association fractions, SIR coverage, per-user rate) are
+tallied from the realization.  None of the analytic formulas are
 consulted on this path, so agreement between the two is real evidence.
 
 `spatial_mc` makes a single pass: each replicate draws one realization,
 and its user pass yields coverage, per-tier association, service areas
 and the rate tally together.  Users are uniform points, so a tier's share
-of them over its BS count measures its mean service area.
+of them over its BS count measures its mean service area.  A user's
+coverage is its conditional probability under Rayleigh fading given the
+link gains, prod_(j != s) 1/(1 + beta w_j/w_s), so no fading is drawn for
+it.  Only the rate tally, whose load counts the users each BS covers,
+draws per-link fading, from a stream spawned off the replicate's seed, so
+asking for a rate moves no other estimate.
 `coverage_mc`, `association_mc`, `rate_mc` and `service_area_mc` are
 views of this pass.
 
@@ -241,14 +246,25 @@ def _chunk_gains(bs: _BSField, pts: np.ndarray, rng, work=None) -> np.ndarray:
     return w
 
 
-def _strongest(w: np.ndarray) -> np.ndarray:
+def _strongest(w: np.ndarray, work=None) -> np.ndarray:
     """First row index of each column's maximum, as np.argmax(w, axis=0).
 
     np.argmax along axis 0 of a C-ordered block first copies it into
-    transposed order; comparing with the column maxima reads it in place.
-    The gains are never NaN, so both pick the same row.
+    transposed order.  Here each column's maximal rows are weighted by
+    descending row numbers (int16 while they fit) and the largest weight
+    taken, reading the block in row order; the gains are never NaN.  The
+    mask and weights are views of rows 1 and 2 of `work` (the `_workspace`
+    whose row 0 holds w; fresh buffers when None).
     """
-    return np.argmax(w == w.max(axis=0), axis=0)
+    rows = w.shape[0]
+    dtype = np.int16 if rows < 32767 else np.int64
+    if work is None:
+        work = np.empty((3, w.size))
+    mask, weighted = (row.view(t)[:w.size].reshape(w.shape)
+                      for row, t in ((work[1], np.bool_), (work[2], dtype)))
+    np.equal(w, w.max(axis=0), out=mask)
+    desc = np.arange(rows, 0, -1, dtype=dtype)[:, None]
+    return rows - np.multiply(mask, desc, out=weighted).max(axis=0).astype(np.int64)
 
 
 def _serving(bs: _BSField, pts: np.ndarray, rng) -> np.ndarray:
@@ -257,7 +273,8 @@ def _serving(bs: _BSField, pts: np.ndarray, rng) -> np.ndarray:
     work = _workspace(bs.x.size, pts.shape[0])
     for lo in range(0, pts.shape[0], _USER_CHUNK):
         hi = min(lo + _USER_CHUNK, pts.shape[0])
-        serving[lo:hi] = _strongest(_chunk_gains(bs, pts[lo:hi], rng, work))
+        w = _chunk_gains(bs, pts[lo:hi], rng, work)
+        serving[lo:hi] = _strongest(w, work)
     return serving
 
 
@@ -279,31 +296,43 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
                rng, rate_target: float | None):
     """Coverage, per-tier association and area, and rate tally of one realization.
 
-    Returns (coverage fraction, per-tier association fractions, per-tier
-    service areas, rate coverage fraction or nan), all nan when the
-    realization has no BS or no user.  Users are uniform on the square
-    they are dropped in, so tier k's service area is that square's area
-    times its association fraction over its BS count in the square; a tier
-    with no BS there gives nan.  Load for the rate statistic counts the
-    covered users on the serving BS plus the tagged user itself.
+    Returns (mean conditional coverage, per-tier association fractions,
+    per-tier service areas, rate coverage fraction or nan), all nan when
+    the realization has no BS or no user.  A user served by s is covered
+    with probability prod_(j != s) 1/(1 + beta w_j/w_s); a product that
+    overflows gives 0, its limit.  Tier k's service area is the user
+    square's area times its association fraction over its BS count in the
+    square (nan without one).  Only the rate tally draws fading, from a
+    child of `rng`'s seed sequence, so `rng` advances by the shadowing
+    alone; a user's load counts the users whose faded SIR exceeds beta on
+    its BS, plus itself.
     """
     n_users = real.users.shape[0]
     if not real.tier_counts.any() or n_users == 0:
         nan = np.full(scenario.k_tiers, math.nan)
         return math.nan, nan, nan, math.nan
     bs = _bs_field(real, scenario, config)
+    beta = scenario.sir_target
     serving = np.empty(n_users, dtype=np.int64)
+    cover = np.empty(n_users)
+    fading = None if rate_target is None else rng.spawn(1)[0]
     sir = np.empty(n_users)
     work = _workspace(bs.x.size, n_users)
     for lo in range(0, n_users, _USER_CHUNK):
         hi = min(lo + _USER_CHUNK, n_users)
         w = _chunk_gains(bs, real.users[lo:hi], rng, work)
-        srv = _strongest(w)
-        w *= rng.standard_exponential(out=work[1, :w.size].reshape(w.shape))
-        sig = w[srv, np.arange(hi - lo)]
-        sir[lo:hi] = sig / np.maximum(w.sum(axis=0) - sig, 1e-300)
-        serving[lo:hi] = srv
-    covered = sir > scenario.sir_target
+        srv = serving[lo:hi] = _strongest(w, work)
+        link = (srv, np.arange(hi - lo))
+        if fading is not None:
+            faded = fading.standard_exponential(out=work[1, :w.size].reshape(w.shape))
+            faded *= w
+            sig = faded[link]
+            sir[lo:hi] = sig / np.maximum(faded.sum(axis=0) - sig, 1e-300)
+        w *= beta / w[link]
+        w += 1.0
+        w[link] = 1.0
+        with np.errstate(over="ignore"):
+            cover[lo:hi] = 1.0 / w.prod(axis=0)
     assoc = np.bincount(bs.tier_of[serving], minlength=scenario.k_tiers) / n_users
     g = config.guard_margin if config.boundary == "guard" else 0.0
     top = config.window_side - g
@@ -312,11 +341,12 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     area = np.full(scenario.k_tiers, math.nan)
     np.divide((top - g) ** 2 * assoc, counts, out=area, where=counts > 0)
     if rate_target is None:
-        return float(covered.mean()), assoc, area, math.nan
+        return float(cover.mean()), assoc, area, math.nan
+    covered = sir > beta
     covered_load = np.bincount(serving[covered], minlength=bs.tier_of.size)
     others = covered_load[serving] - covered.astype(np.int64)
     rate = np.log2(1.0 + sir) / (others + 1)
-    return float(covered.mean()), assoc, area, float(np.mean(rate > rate_target))
+    return float(cover.mean()), assoc, area, float(np.mean(rate > rate_target))
 
 
 @dataclass(frozen=True)
@@ -338,12 +368,12 @@ def spatial_mc(scenario: NetworkScenario, rho, config: SimConfig,
                rate_target: float | None = None, area_tiers=()) -> SpatialEstimate:
     """Every spatial estimator from one realization per replicate.
 
-    The user pass gives SIR coverage, per-tier association and, given
-    `rate_target`, P(per-user rate > rate_target) under equal resource
-    sharing.  Each tier in `area_tiers` also gets its mean service area
-    from the same users.  A replicate with no BS of a requested tier is
-    dropped from that tier's area; tiers not requested are not reduced,
-    so a sparse one cannot fail the run.
+    The user pass gives SIR coverage (conditional on the link gains),
+    per-tier association and, given `rate_target`, P(per-user rate >
+    rate_target) under equal resource sharing.  Each tier in `area_tiers`
+    also gets its mean service area from the same users.  A replicate with
+    no BS of a requested tier is dropped from that tier's area; tiers not
+    requested are not reduced, so a sparse one cannot fail the run.
     """
     rho = check_availability_vector(rho, scenario.k_tiers)
     if rate_target is not None and rate_target < 0:
@@ -378,7 +408,7 @@ def service_area_mc(scenario: NetworkScenario, rho, k: int,
 
 
 def coverage_mc(scenario: NetworkScenario, rho, config: SimConfig) -> SimEstimate:
-    """Fraction of users whose serving-link SIR exceeds the target."""
+    """Mean over users of P(serving-link SIR > target | link gains)."""
     return spatial_mc(scenario, rho, config).coverage
 
 

@@ -11,7 +11,9 @@ coverage constant and the rate series in mpmath, straight from the model
 equations.  `jump_chain_on_times` steps the battery chain one transition at
 a time, as a trajectory oracle for the ON-period sampler.
 `probe_service_areas` estimates service areas from uniform probe points
-instead of the simulator's users.
+instead of the simulator's users, and `raw_fading_coverage` estimates SIR
+coverage from one Rayleigh fading draw per link instead of the simulator's
+conditional coverage.
 """
 
 import math
@@ -288,3 +290,40 @@ def probe_service_areas(scenario, rho, config, tiers):
     z99 = NormalDist().inv_cdf(0.995)
     return {k: (float(np.mean(v)), z99 * float(np.std(v, ddof=1)) / math.sqrt(len(v)))
             for k, v in vals.items()}
+
+
+def raw_fading_coverage(scenario, rho, config):
+    """Mean and 99% halfwidth of the share of users whose faded SIR > beta.
+
+    Replicate i samples a network from default_rng([seed, i]) with
+    `sample_network`.  Each link's average gain is P d^-alpha from np.hypot
+    of the (wrapped, in toroidal mode) coordinate differences, times
+    lognormal shadowing; each user is served by its strongest link.  Every
+    gain is then multiplied by an exponential fading draw, and the user is
+    covered when its serving power exceeds beta times the sum of the rest.
+    A replicate with no BS or no user is left out.
+    """
+    side, beta = config.window_side, scenario.sir_target
+    vals = []
+    for i in range(config.replicates):
+        rng = np.random.default_rng([config.seed, i])
+        real = sample_network(scenario, rho, config, rng)
+        bs = np.vstack(real.bs_pos)
+        if not len(bs) or not len(real.users):
+            continue
+        tier_of = np.repeat(np.arange(scenario.k_tiers), real.tier_counts)
+        d = np.abs(bs[:, None, :] - real.users[None, :, :])
+        if config.boundary == "toroidal":
+            d = np.minimum(d, side - d)
+        dist = np.maximum(np.hypot(d[..., 0], d[..., 1]), 1e-9)
+        power = np.array([t.tx_power for t in scenario.tiers])[tier_of]
+        mean_db = np.array([t.shadowing.mean_db for t in scenario.tiers])[tier_of]
+        std_db = np.array([t.shadowing.std_db for t in scenario.tiers])[tier_of]
+        shadow_db = mean_db[:, None] + std_db[:, None] * rng.standard_normal(dist.shape)
+        gain = power[:, None] * dist ** -scenario.path_loss_exp * 10.0 ** (shadow_db / 10.0)
+        serving = np.argmax(gain, axis=0)
+        faded = gain * rng.exponential(1.0, gain.shape)
+        signal = faded[serving, np.arange(faded.shape[1])]
+        vals.append(np.mean(signal > beta * (faded.sum(axis=0) - signal)))
+    z99 = NormalDist().inv_cdf(0.995)
+    return float(np.mean(vals)), z99 * float(np.std(vals, ddof=1)) / math.sqrt(len(vals))

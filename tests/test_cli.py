@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -388,15 +389,29 @@ def test_simulate_command(scenario_file, capsys):
     assert "no usable replicate" in capsys.readouterr().err
 
 
-def test_rate_series_truncation_is_an_error(tmp_path, capsys):
+def test_rate_series_truncation_is_an_error(tmp_path, capsys, monkeypatch):
+    # The default query runs until the series converges, so the CLI's
+    # handler is reached by capping the series at 2,000 terms.
     doc = json.loads((SCENARIOS / "rate-surface.json").read_text())
     doc["user_density"] = 1000.0
     path = tmp_path / "dense.json"
     path.write_text(json.dumps(doc))
+    monkeypatch.setattr(harvnet.coverage, "RateQuery",
+                        functools.partial(harvnet.coverage.RateQuery, max_terms=2000))
     assert main(["rate", str(path), "--rho", "1,1", "--rate-target", "0.01"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: rate series not converged")
+    assert err.startswith("error: rate series not converged after 2000 terms")
     assert "Traceback" not in err
+
+
+def test_rate_series_is_sized_from_the_query(tmp_path, capsys):
+    # About log2(1/tol)/T terms: more than the 2,000 the query once capped at.
+    doc = json.loads((SCENARIOS / "rate-surface.json").read_text())
+    doc["user_density"] = 1000.0
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(doc))
+    assert main(["rate", str(path), "--rho", "1,1", "--rate-target", "0.01"]) == 0
+    assert rows(capsys) == [["rate_target", "rate_ccdf"], ["0.01", "0.217561912161"]]
 
 
 @pytest.mark.parametrize("command, flag, value, field", [

@@ -265,6 +265,20 @@ def test_rate_ccdf_shadowing_invariance():
     assert abs(rate_ccdf(base, rho, q) - rate_ccdf(shadowed, rho, q)) < 1e-10
 
 
+@pytest.mark.parametrize("lam_u, t", [(1e3, 0.01), (1e3, 0.001),
+                                       (1e4, 0.01), (1e4, 0.001)])
+def test_default_rate_query_converges_where_2000_terms_did_not(lam_u, t):
+    # Each needs more than 2,000 terms.  The oracle stops at 1e-12, well
+    # inside the 1e-9 compared, to keep its term-by-term mpmath loop short.
+    sc, _ = load_scenario(str(SCENARIOS / "rate-surface.json"))
+    sc = NetworkScenario(sc.tiers, sc.path_loss_exp, sc.sir_target, lam_u)
+    with pytest.raises(SeriesTruncationError):
+        rate_ccdf(sc, [1.0, 1.0], RateQuery(rate_target=t, max_terms=2000))
+    want = mp_rate_ccdf(sc, [1.0, 1.0], t, tol=1e-12)
+    assert rate_ccdf(sc, [1.0, 1.0], RateQuery(rate_target=t)) == pytest.approx(
+        want, abs=1e-9)
+
+
 def test_rate_ccdf_truncation_error_reports_state():
     sc = scenario(lam_u=50.0)
     with pytest.raises(SeriesTruncationError) as err:

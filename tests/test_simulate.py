@@ -29,7 +29,7 @@ from harvnet.simulate import (
     spatial_mc,
     suggest_window_side,
 )
-from oracles import hypot_link_gains, probe_service_areas
+from oracles import hypot_link_gains, probe_service_areas, raw_fading_coverage
 
 PC = 1 / (1 + math.pi / 4)
 
@@ -106,9 +106,17 @@ def test_strongest_is_first_argmax():
     spiky = rng.random((40, 512))
     spiky[rng.random((40, 512)) < 0.05] = np.inf             # tied infinities
     spiky[:, :3] = np.inf
+    tall = []                          # past int16 row numbers, tied maxima
+    for rows in (32766, 32767, 33000):
+        w = rng.random((rows, 64))
+        w[rng.integers(0, rows, (2, 64)), np.arange(64)] = 2.0
+        w[rows - 1, ::3] = 2.0
+        tall.append(w)
     for w in (ties, spiky, rng.random((1, 512)), np.zeros((7, 512)),
-              rng.random((1237, 3))):
-        assert np.array_equal(_strongest(w), np.argmax(w, axis=0))
+              rng.random((1237, 3)), *tall):
+        want = np.argmax(w, axis=0)
+        for got in (_strongest(w), _strongest(w, rng.random((3, w.size + 5)))):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_association_is_nearest_bs_without_shadowing():
@@ -415,6 +423,70 @@ def test_service_area_of_a_nearly_empty_tier_raises():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(
         "no usable replicate for the tier-0 service area out of 2")
+
+
+@pytest.mark.parametrize("boundary", ["toroidal", "guard"])
+@pytest.mark.parametrize("shadowing", [None, ShadowingSpec(0.5, 4.0)])
+def test_coverage_agrees_with_raw_fading_oracle(boundary, shadowing):
+    # About 110 users per replicate, so one fading draw per link leaves
+    # much of the replicate spread that the conditional coverage removes.
+    sc = two_tier(powers=(1.0, 0.5), lam_u=3.0, shadowing=shadowing)
+    guard = {"boundary": "guard", "guard_margin": 1.0} if boundary == "guard" else {}
+    side = 8.0 if guard else 6.0
+    est = coverage_mc(sc, [0.5, 1.0],
+                      SimConfig(window_side=side, replicates=64, seed=81, **guard))
+    mean, hw = raw_fading_coverage(
+        sc, [0.5, 1.0], SimConfig(window_side=side, replicates=64, seed=82, **guard))
+    assert est.dropped == 0
+    assert est.agrees_with(mean, hw), (est, mean, hw)
+    assert est.ci_halfwidth_99 < hw
+
+
+def test_single_bs_covers_every_user():
+    real = Realization(bs_pos=[np.array([[2.0, 2.0]])],
+                       users=np.random.default_rng(1).uniform(0, 4, (30, 2)),
+                       window_side=4.0)
+    cov, _, _, _ = _user_pass(real, one_tier(), SimConfig(window_side=4.0, replicates=1),
+                              np.random.default_rng(2), None)
+    assert cov == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_sir_target_gives_coverage_near_zero():
+    # Most conditional-coverage products overflow to inf, which is coverage 0.
+    sc = replace(two_tier(shadowing=ShadowingSpec(0.0, 6.0)), sir_target=1e12)
+    est = coverage_mc(sc, [1.0, 1.0], SimConfig(window_side=5.0, replicates=4, seed=3))
+    assert math.isfinite(est.mean) and math.isfinite(est.ci_halfwidth_99)
+    assert 0.0 <= est.mean < 1e-4
+    assert est.dropped == 0
+
+
+@pytest.mark.parametrize("rate_target", [None, 0.1])
+def test_user_pass_draws_only_shadowing_from_the_replicate_generator(rate_target):
+    # Without shadowing it draws nothing; fading comes from a stream of its own.
+    sc = two_tier()
+    config = SimConfig(window_side=6.0, replicates=1, seed=9)
+    rng = np.random.default_rng([config.seed, 0])
+    real = sample_network(sc, [1.0, 1.0], config, rng)
+    assert real.users.shape[0] > 512
+    state = rng.bit_generator.state
+    _user_pass(real, sc, config, rng, rate_target)
+    assert rng.bit_generator.state == state
+
+
+def test_rate_target_moves_no_other_estimate():
+    # Shadowed, and over 512 users per replicate, so later blocks' shadowing
+    # would shift if fading came from the replicate generator.
+    sc = two_tier(shadowing=ShadowingSpec(0.5, 4.0), lam_u=30.0)
+    config = SimConfig(window_side=6.0, replicates=3, seed=55)
+    assert all(sample_network(sc, [0.8, 0.5], config,
+                              np.random.default_rng([config.seed, i])).users.shape[0] > 512
+               for i in range(config.replicates))
+    with_rate = spatial_mc(sc, [0.8, 0.5], config, rate_target=0.2, area_tiers=(0, 1))
+    without = spatial_mc(sc, [0.8, 0.5], config, area_tiers=(0, 1))
+    assert with_rate.association == without.association
+    assert with_rate.area == without.area
+    assert with_rate.coverage == without.coverage
 
 
 def test_spatial_mc_ignores_thread_count(monkeypatch):
