@@ -6,8 +6,9 @@ fixed-point system for the availability vector rho.  Every tier sees rho
 only through the weighted ON density D = sum_j rho_j lambda_j w_j, so the
 K-dimensional fixed point is the largest root of one scalar equation in D,
 which has a positive root whenever the energy-conservation condition
-gamma > 1 holds.  `_outer_root` finds such roots for many lanes at once;
-the region boundaries use it too.
+gamma > 1 holds.  `_outer_root` finds such roots for many lanes at once,
+bisecting with one vectorized call per several levels; the region
+boundaries use it too.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from .model import (
 # steps, then a geometric tail towards 0 for roots vanishing like gamma - 1.
 _SCAN = np.concatenate([np.linspace(1.0, 1.0 / 64, 64),
                         np.geomspace(1.0 / 64, 1e-300, 150)[1:]])
+# Bisection points per h call: each call takes as many levels as keep
+# lanes * (2^levels - 1) within this; six for one lane, one (plain
+# bisection) from 33 lanes on.
+_TREE_POINTS = 64
 
 
 class NonConvergenceError(RuntimeError):
@@ -47,7 +52,8 @@ class NonConvergenceError(RuntimeError):
 class FixedPointResult:
     """Availability fixed point plus solver diagnostics.
 
-    `iterations`: bisection steps after the scan; `residual`:
+    `iterations`: bisection steps after the scan; `evaluations`: calls of
+    the vectorized fixed-point map, the scan included; `residual`:
     max_k |a_k(s_k(D(rho))) - rho_k|; `bracket`: max_k |rho_k(D_hi) -
     rho_k(D_lo)| over the final bracket of the root, a bound on the error.
     """
@@ -57,6 +63,7 @@ class FixedPointResult:
     residual: float
     feasible: bool
     bracket: float = 0.0
+    evaluations: int = 0
 
 
 def mean_service_area(scenario: NetworkScenario, rho, k: int) -> float:
@@ -155,7 +162,12 @@ def _outer_root(h, top, tol: float, max_iter: int | None = None):
     root, < 0 above it; y (shape x.shape + (M,)) grows with x.  Lanes are
     bisected in lock step until max |y(hi) - y(lo)| <= tol or lo, hi are
     adjacent doubles; lo = hi = top if excess(top) >= 0, lo = hi = 0 if no
-    sign change.  Returns (lo, hi, bracket, steps, unfinished lanes).
+    sign change.  After the scan, each h call evaluates the tree of
+    midpoints of the next few levels (up to _TREE_POINTS points), each the
+    0.5 * (a + b) of its own parent bracket, and the lanes walk it; so lo,
+    hi and the step count equal one-midpoint bisection's bit for bit.  With
+    many lanes the tree is one level: plain bisection.  Returns (lo, hi,
+    bracket, steps, unfinished lanes, h calls).
     """
     top = np.asarray(top, dtype=float)
     lanes = np.arange(top.size)
@@ -167,21 +179,63 @@ def _outer_root(h, top, tol: float, max_iter: int | None = None):
     above = np.maximum(first - 1, 0)
     lo, hi = np.where(found, grid[np.stack([first, above]), lanes], 0.0)
     y_lo, y_hi = y[first, lanes], y[above, lanes]
-    steps = 0
+    depth = max(1, int(np.log2(_TREE_POINTS // top.size + 1)))
+    steps, calls = 0, 1
     while True:
-        bracket = np.max(np.abs(y_hi - y_lo), axis=-1)
+        bracket = np.abs(y_hi - y_lo).max(axis=-1)
         mid = 0.5 * (lo + hi)
         live = (bracket > tol) & (lo < mid) & (mid < hi)
         if steps == max_iter or not live.any():
-            return lo, hi, bracket, steps, live
-        excess, y_mid = h(mid)
-        up = live & (excess >= 0.0)
-        down = live & ~up
-        lo = np.where(up, mid, lo)
-        hi = np.where(down, mid, hi)
-        y_lo = np.where(up[:, None], y_mid, y_lo)
-        y_hi = np.where(down[:, None], y_mid, y_hi)
-        steps += 1
+            return lo, hi, bracket, steps, live, calls
+        calls += 1
+        levels = depth if max_iter is None else min(depth, max_iter - steps)
+        if levels == 1:
+            excess, y_mid = h(mid)
+            up = live & (excess >= 0.0)
+            down = live & ~up
+            lo = np.where(up, mid, lo)
+            hi = np.where(down, mid, hi)
+            y_lo = np.where(up[:, None], y_mid, y_lo)
+            y_hi = np.where(down[:, None], y_mid, y_hi)
+            steps += 1
+            continue
+        # Breakpoints x of `levels` nested bisections of [lo, hi], in order.
+        x = np.stack([lo, hi])
+        for _ in range(levels):
+            finer = np.empty((2 * len(x) - 1, top.size))
+            finer[::2], finer[1::2] = x, 0.5 * (x[:-1] + x[1:])
+            x = finer
+        excess, y_in = h(x[1:-1])
+        y = np.concatenate([y_lo[None], y_in, y_hi[None]])
+        # Tree node i spans [x[left[i]], x[right[i]]] with midpoint x[c[i]];
+        # its step goes to child 2i + 1 ([lo, mid]) or 2i + 2 ([mid, hi]).
+        left, right = _heap_spans(levels)
+        n = 2 ** levels - 1                        # nodes with a midpoint
+        a, b = left[:n], right[:n]
+        c = (a + b) // 2
+        node_live = ((np.abs(y[b] - y[a]).max(axis=-1) > tol)
+                     & (x[a] < x[c]) & (x[c] < x[b]))
+        i = np.arange(n)[:, None]
+        child = np.where(node_live, 2 * i + 1 + (excess[c - 1] >= 0.0), i)
+        node = np.zeros(top.size, dtype=np.intp)
+        for _ in range(levels):
+            node = child[node, lanes]
+        # A level is a step while any lane takes it: the deepest one reached.
+        steps += int(node.max() + 1).bit_length() - 1
+        lo, hi = x[left[node], lanes], x[right[node], lanes]
+        y_lo, y_hi = y[left[node], lanes], y[right[node], lanes]
+
+
+def _heap_spans(levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoint indices (left, right) of every node of a bisection tree.
+
+    Heap order, root first, over `levels` levels plus the leaves' children;
+    a node at level l spans 2^(levels - l) of the 2^levels finest intervals.
+    """
+    n = np.arange(1, 2 ** (levels + 1))
+    width = 2 ** (levels + 1) >> np.frexp(n)[1]
+    left = n * width - 2 ** levels
+    return left, left + width
 
 
 def solve_availability(scenario: NetworkScenario, policy=None,
@@ -195,7 +249,9 @@ def solve_availability(scenario: NetworkScenario, policy=None,
     availability under the tier's cutoff in `policy` (default S(1), g).
     D* is bisected until the rho at the bracket ends differ by at most
     `tolerance` or the ends are adjacent doubles; rho is taken at the
-    midpoint.  Infeasible scenarios (gamma <= 1) return all zeros.
+    midpoint.  Each evaluation of the tier availabilities covers the next
+    six bisection levels, so `evaluations` is the scan plus about a sixth
+    of `iterations`.  Infeasible scenarios (gamma <= 1) return all zeros.
     """
     if not tolerance > 0:
         raise ScenarioError(f"tolerance must be > 0 (got {tolerance})")
@@ -217,11 +273,12 @@ def solve_availability(scenario: NetworkScenario, policy=None,
         rho = availabilities(d)
         return rho @ on_weight - d, rho
 
-    lo, hi, bracket, steps, live = _outer_root(
+    lo, hi, bracket, steps, live, calls = _outer_root(
         h, [on_weight.sum()], tolerance, max_iter)
     rho = availabilities(0.5 * (lo[0] + hi[0]))
     residual = float(np.max(np.abs(availabilities(rho @ on_weight) - rho)))
     if live[0]:
         raise NonConvergenceError(rho, residual, steps)
     return FixedPointResult(rho=rho, iterations=steps, residual=residual,
-                            feasible=True, bracket=float(bracket[0]))
+                            feasible=True, bracket=float(bracket[0]),
+                            evaluations=calls)

@@ -48,6 +48,8 @@ def _boundaries(scenario: NetworkScenario, k: int, others: np.ndarray,
         return 0.5 * (lo + hi)
 
     # The root scan holds a full scan column per lane; blocks cap its memory.
+    # A sweep's many lanes bisect one level per call; a single `boundary`
+    # lane gets the next six levels from each call.
     return np.concatenate([block(d_others[i:i + _LANE_BLOCK])
                            for i in range(0, d_others.size, _LANE_BLOCK)])
 

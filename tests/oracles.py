@@ -10,6 +10,7 @@ a time in plain floats.  `mp_hyper_f` and `mp_rate_ccdf` evaluate the
 coverage constant and the rate series in mpmath, straight from the model
 equations.  `jump_chain_on_times` steps the battery chain one transition at
 a time, as a trajectory oracle for the ON-period sampler.
+`bisect_outer_root` is the root search as one h call per bisection step.
 `probe_service_areas` estimates service areas from uniform probe points
 instead of the simulator's users, and `raw_fading_coverage` estimates SIR
 coverage from one Rayleigh fading draw per link instead of the simulator's
@@ -22,6 +23,7 @@ from statistics import NormalDist
 import mpmath as mp
 import numpy as np
 
+from harvnet.analytic import _SCAN
 from harvnet.simulate import Realization, associate, sample_network
 
 
@@ -167,6 +169,38 @@ def mp_outer_root(excess, top, dps=60, steps=110):
         return (lo + hi) / 2
 
 
+def bisect_outer_root(h, top, tol, max_iter=None):
+    """analytic._outer_root as plain lock-step bisection, one h call per step.
+
+    Same scan and stop rule; returns (lo, hi, bracket, steps, live).
+    """
+    top = np.asarray(top, dtype=float)
+    lanes = np.arange(top.size)
+    grid = _SCAN[:, None] * top
+    excess, y = h(grid)
+    nonneg = excess >= 0.0
+    found = nonneg.any(axis=0)
+    first = np.argmax(nonneg, axis=0)      # 0 where nothing is found
+    above = np.maximum(first - 1, 0)
+    lo, hi = np.where(found, grid[np.stack([first, above]), lanes], 0.0)
+    y_lo, y_hi = y[first, lanes], y[above, lanes]
+    steps = 0
+    while True:
+        bracket = np.max(np.abs(y_hi - y_lo), axis=-1)
+        mid = 0.5 * (lo + hi)
+        live = (bracket > tol) & (lo < mid) & (mid < hi)
+        if steps == max_iter or not live.any():
+            return lo, hi, bracket, steps, live
+        excess, y_mid = h(mid)
+        up = live & (excess >= 0.0)
+        down = live & ~up
+        lo = np.where(up, mid, lo)
+        hi = np.where(down, mid, hi)
+        y_lo = np.where(up[:, None], y_mid, y_lo)
+        y_hi = np.where(down[:, None], y_mid, y_hi)
+        steps += 1
+
+
 def mp_tier_constants(scenario):
     """Per tier (lambda_j w_j, mu_j/(lambda_u P_c w_j)) in mpmath.
 
@@ -208,9 +242,15 @@ def hypot_link_gains(bs_xy, tier_of, pts, powers, alpha, period=None,
 
 
 def mp_hyper_f(beta, alpha, dps=40):
-    """F(beta, alpha) = (2 beta/(alpha-2)) 2F1(1, 1-2/alpha; 2-2/alpha; -beta)."""
+    """F(beta, alpha) = (2 beta/(alpha-2)) 2F1(1, 1-2/alpha; 2-2/alpha; -beta).
+
+    At alpha = 4 the 2F1 is atan(sqrt(beta))/sqrt(beta), so F is
+    sqrt(beta) atan(sqrt(beta)), which mpmath evaluates far faster.
+    """
     with mp.workdps(dps):
         b, a = mp.mpf(beta), mp.mpf(alpha)
+        if a == 4:
+            return mp.sqrt(b) * mp.atan(mp.sqrt(b))
         return 2 * b / (a - 2) * mp.hyp2f1(1, 1 - 2 / a, 2 - 2 / a, -b)
 
 

@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -76,6 +77,14 @@ def test_hyper_f_matches_mpmath_2f1(alpha):
     for beta in F_BETAS:
         want = float(mp_hyper_f(beta, alpha))
         assert hyper_f(float(beta), alpha) == pytest.approx(want, rel=1e-13), beta
+
+
+def test_mp_hyper_f_alpha4_closed_form_matches_2f1():
+    with mp.workdps(40):
+        for beta in (1e-6, 1.0, 1e3, 1e12):
+            b = mp.mpf(beta)
+            via_2f1 = b * mp.hyp2f1(1, mp.mpf(1) / 2, mp.mpf(3) / 2, -b)
+            assert abs(mp_hyper_f(beta, 4.0) / via_2f1 - 1) < mp.mpf(10) ** -25
 
 
 def test_hyper_f_alpha4_closed_form_is_exact():
