@@ -261,6 +261,9 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_rate(args) -> int:
+    if args.surface and args.rho:
+        raise _UsageError("--rho cannot be combined with --surface, "
+                          "which sweeps its own availabilities")
     scenario, doc = load_scenario(args.scenario)
     out = _writer()
     if args.surface:
@@ -271,11 +274,11 @@ def cmd_rate(args) -> int:
         target = args.rate_target if args.rate_target is not None else 0.1
         query = coverage.RateQuery(rate_target=target)
         grid = np.linspace(0.1, 1.0, args.grid)
+        rho = np.column_stack((np.repeat(grid, grid.size), np.tile(grid, grid.size)))
         out.writerow(["rho1", "rho2", "rate_ccdf"])
-        for r1 in grid:
-            for r2 in grid:
-                val = coverage.rate_ccdf(scenario, [r1, r2], query)
-                out.writerow([_fmt(float(r1)), _fmt(float(r2)), _fmt(val)])
+        values = coverage.rate_ccdf(scenario, rho, query)
+        for (r1, r2), val in zip(rho.tolist(), values.tolist()):
+            out.writerow([_fmt(r1), _fmt(r2), _fmt(val)])
         return EXIT_OK
     rho = _resolve_rho(args, scenario)
     sweep = _object(doc.get("sweep"), "sweep")

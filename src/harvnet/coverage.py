@@ -29,6 +29,8 @@ _LGAMMA_4P5 = math.lgamma(4.5)
 _BLOCK = 64
 _MAX_BLOCK = 64 * _BLOCK
 _STEPS = np.arange(1.0, _BLOCK)
+# Largest temporary, in doubles, of one chunk of rate series lanes.
+_LANE_BUDGET = 1 << 17
 # 2^1000 - 1 is the largest SIR threshold the series evaluates; beyond it
 # the coverage factor is taken as zero.
 _MAX_EXPO = 1000.0
@@ -58,7 +60,7 @@ def hyper_f(beta, alpha: float):
     if not alpha > 2:
         raise ScenarioError(f"path_loss_exp must exceed 2 (got {alpha})")
     b = np.asarray(beta, dtype=float)
-    if not np.all(np.isfinite(b) & (b >= 0)):
+    if not (np.isfinite(b) & (b >= 0)).all():
         raise ScenarioError(f"sir threshold must be finite and >= 0 (got {beta})")
     if alpha == 4.0:
         root = np.sqrt(b)
@@ -75,6 +77,33 @@ def coverage_prob(scenario: NetworkScenario) -> float:
     return 1.0 / (1.0 + hyper_f(scenario.sir_target, scenario.path_loss_exp))
 
 
+def _availability_lanes(rho, k_tiers: int) -> np.ndarray:
+    """rho as validated lanes, shape (L, k_tiers); a 1-D vector is one lane.
+
+    A lane outside [0, 1] raises check_availability_vector's error for the
+    first such lane.
+    """
+    arr = np.asarray(rho, dtype=float)
+    if arr.ndim != 2:
+        return check_availability_vector(arr, k_tiers)[None, :]
+    if arr.shape[1] != k_tiers:
+        raise ScenarioError(f"availability lanes must have shape (L, {k_tiers}) "
+                            f"(got shape {arr.shape})")
+    bad = ~((arr >= 0) & (arr <= 1)).all(axis=1)
+    if bad.any():
+        check_availability_vector(arr[np.argmax(bad)], k_tiers)
+    return arr
+
+
+def _association(scenario: NetworkScenario, rho: np.ndarray) -> np.ndarray:
+    """Association probabilities of validated lanes rho (L, K), row by row."""
+    w = rho * scenario.densities() * scenario.tier_weights()
+    total = w.sum(axis=1, keepdims=True)
+    if not (total > 0).all():
+        raise ScenarioError("no BS available: weighted ON density is zero")
+    return w / total
+
+
 def tier_association_prob(scenario: NetworkScenario, rho, k: int | None = None):
     """Probability the typical user is served by tier k, given availabilities.
 
@@ -83,39 +112,45 @@ def tier_association_prob(scenario: NetworkScenario, rho, k: int | None = None):
     sum to one.
     """
     rho = check_availability_vector(rho, scenario.k_tiers)
-    w = rho * scenario.densities() * scenario.tier_weights()
-    total = w.sum()
-    if total <= 0:
-        raise ScenarioError("no BS available: weighted ON density is zero")
-    probs = w / total
+    probs = _association(scenario, rho[None, :])[0]
     return probs if k is None else float(probs[k])
 
 
-def _log_nb_block(first: int) -> np.ndarray:
-    """L(n) = log[Gamma(n+4.5) / (Gamma(4.5) n!)] for the _BLOCK n from first.
+def _log_nb_table(first: np.ndarray) -> np.ndarray:
+    """L(n) = log[Gamma(n+4.5) / (Gamma(4.5) n!)] for n = first[i] + j, j < _BLOCK.
 
-    One lgamma pair at the aligned first n (none at 0) plus a running sum of
-    log((k+4.5)/(k+1)), so each value depends on n alone.
+    Row i holds the _BLOCK values from the aligned first[i]: one lgamma pair
+    at its start (none at 0) plus a running sum of log((k+4.5)/(k+1)), so
+    each value depends on n alone.
     """
-    out = np.empty(_BLOCK)
-    out[0] = (math.lgamma(first + 4.5) - _LGAMMA_4P5 - math.lgamma(first + 1.0)
-              if first else 0.0)
-    np.cumsum(np.log1p(3.5 / (first + _STEPS)), out=out[1:])
-    out[1:] += out[0]
+    out = np.empty((first.size, _BLOCK))
+    out[:, 0] = [math.lgamma(f + 4.5) - _LGAMMA_4P5 - math.lgamma(f + 1.0) if f else 0.0
+                 for f in first.tolist()]
+    np.cumsum(np.log1p(3.5 / (first[:, None] + _STEPS)), axis=1, out=out[:, 1:])
+    out[:, 1:] += out[:, :1]
     return out
 
 
 def _log_nb_coef(n: np.ndarray) -> np.ndarray:
-    """L(n) for an int64 array n >= 0, from one block per distinct n // _BLOCK
-    (a rate series block is a single one)."""
+    """L(n) for an int64 array n >= 0, from one table row per distinct n // _BLOCK."""
     block, offset = np.divmod(n, _BLOCK)
-    anchors = sorted(set(block.ravel().tolist()))
-    if anchors and anchors[0] < 0:
+    anchors = np.unique(block)
+    if anchors.size and anchors[0] < 0:
         raise ScenarioError(f"load count must be >= 0 (got {n})")
-    if len(anchors) == 1:
-        return _log_nb_block(anchors[0] * _BLOCK)[offset]
-    table = np.ravel([_log_nb_block(b * _BLOCK) for b in anchors])
+    table = _log_nb_table(anchors * _BLOCK).ravel()
     return table[np.searchsorted(anchors, block) * _BLOCK + offset]
+
+
+def _pmf_logs(x: np.ndarray):
+    """Per-x parts of the log load pmf: log q, the constant, and x > 0.
+
+    log q = log x - log(3.5+x) (0 at x = 0) and the constant is
+    4.5 log 3.5 - 4.5 log(3.5+x); see load_pmf.
+    """
+    positive = x > 0
+    log_s = np.log(3.5 + x)
+    log_q = np.log(np.where(positive, x, 1.0)) - log_s
+    return log_q, _LOG_PMF_CONST - 4.5 * log_s, positive
 
 
 def load_pmf(x, n):
@@ -133,10 +168,8 @@ def load_pmf(x, n):
     if not (x >= 0).all():
         raise ScenarioError(f"mean load parameter must be >= 0 (got {x})")
     n = np.asarray(n, dtype=np.int64)
-    positive = x > 0
-    log_s = np.log(3.5 + x)
-    log_q = np.log(np.where(positive, x, 1.0)) - log_s
-    out = np.exp(_log_nb_coef(n) + n * log_q + (_LOG_PMF_CONST - 4.5 * log_s))
+    log_q, const, positive = _pmf_logs(x)
+    out = np.exp(_log_nb_coef(n) + n * log_q + const)
     if not positive.all():
         out = np.where(positive, out, n == 0)
     return float(out) if out.ndim == 0 else out
@@ -162,7 +195,7 @@ class RateQuery:
             raise ScenarioError("series_tolerance must be > 0 and max_terms >= 1")
 
 
-def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery) -> float:
+def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):
     """P(R > T) where R = (1/Psi) log2(1 + SIR) with equal resource sharing.
 
     Series over the load n of the serving BS; the n-th term multiplies the
@@ -173,40 +206,84 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery) -> float:
     truncates before the raw term has itself fallen below tolerance.  The
     series always ends: once T(n+1) > _MAX_EXPO every coverage factor, and
     so every term and the tail bound, is 0.
+
+    `rho` is one availability vector (the result is a float) or a stack of
+    them, shape (L, K), one lane per row (the result is L values).  Each
+    lane equals the call on its row alone, bit for bit: a block's coverage
+    factors and L(n) serve every lane, each lane stops by its own rule, and
+    lanes run in chunks whose temporaries stay within _LANE_BUDGET doubles.
+    With `max_terms`, the first lane that has not converged raises its
+    SeriesTruncationError.
     """
+    rho = np.asarray(rho, dtype=float)
+    lanes = rho.ndim == 2
     t_rate = query.rate_target
     if t_rate == 0.0:
         # Every coverage factor is 1 and the load pmf sums to 1.
-        return 1.0
-    rho = check_availability_vector(rho, scenario.k_tiers)
-    assoc = tier_association_prob(scenario, rho)
+        return np.ones(len(rho)) if lanes else 1.0
+    rho = _availability_lanes(rho, scenario.k_tiers)
+    weight = _association(scenario, rho)
     alpha = scenario.path_loss_exp
     pc = coverage_prob(scenario)
-    active = assoc > 0
-    pmf_w = assoc[active]
-    pmf_x = pc * scenario.user_density * pmf_w / (
-        rho[active] * scenario.densities()[active])
+    # A tier a lane never associates with keeps weight 0 and a dummy load
+    # of 1, so it adds exact zeros to the lane's load pmf mixture.
+    load = np.ones_like(weight)
+    np.divide(pc * scenario.user_density * weight, rho * scenario.densities(),
+              out=load, where=weight > 0)
+    log_q, const, positive = _pmf_logs(load)
+    all_positive = positive.all()
 
     # Blocks of _BLOCK terms, then twice as many per block up to _MAX_BLOCK,
     # so a small T (about log2(1/tol)/T terms) takes few passes.  The
     # running sums are seeded with the previous block's totals and
     # accumulate in term order, exactly as a term-by-term loop would.
+    # Finished lanes leave the per-lane arrays; `lane` maps rows to lanes.
+    tol, k_tiers = query.series_tolerance, scenario.k_tiers
     limit = math.inf if query.max_terms is None else query.max_terms
-    total, cum_mass = 0.0, 0.0
+    value = np.empty(len(rho))
+    lane = np.arange(len(rho))
+    total, cum_mass = np.zeros((2, len(rho)))
     start, size = 0, _BLOCK
-    while start < limit:
+    while lane.size and start < limit:
         n = np.arange(start, min(start + size, limit))
         expo = t_rate * (n + 1)
         beta = np.exp2(np.minimum(expo, _MAX_EXPO)) - 1.0
         cov = np.where(expo > _MAX_EXPO, 0.0, 1.0 / (1.0 + hyper_f(beta, alpha)))
-        mass = (load_pmf(pmf_x, n[:, None]) * pmf_w).sum(axis=1)
-        term = cov * mass
-        sums = np.cumsum(np.concatenate(([total], term)))[1:]
-        masses = np.cumsum(np.concatenate(([cum_mass], mass)))[1:]
-        tail = (1.0 - masses) * cov
-        done = (tail < query.series_tolerance) & (term < query.series_tolerance)
-        if done.any():
-            return float(sums[np.argmax(done)])
-        total, cum_mass = float(sums[-1]), float(masses[-1])
+        coef = _log_nb_table(np.arange(start, n[-1] + 1, _BLOCK)).ravel()[:n.size, None]
+        finished = np.zeros(lane.size, dtype=bool)
+        step = max(1, _LANE_BUDGET // (n.size * k_tiers))
+        for lo in range(0, lane.size, step):
+            rows = slice(lo, lo + step)
+            # pmf[l, j, k] = exp(L(n_j) + n_j log q_lk + const_lk), tiers last
+            pmf = np.multiply(n[:, None], log_q[rows, None, :])
+            pmf += coef
+            pmf += const[rows, None, :]
+            np.exp(pmf, out=pmf)
+            if not all_positive:
+                pmf = np.where(positive[rows, None, :], pmf, (n == 0)[:, None])
+            pmf *= weight[rows, None, :]
+            mass = pmf.sum(axis=2)
+            term = cov * mass
+            sums = np.cumsum(np.concatenate((total[rows, None], term), axis=1),
+                             axis=1)[:, 1:]
+            masses = np.cumsum(np.concatenate((cum_mass[rows, None], mass), axis=1),
+                               axis=1)[:, 1:]
+            tail = (1.0 - masses) * cov
+            done = (tail < tol) & (term < tol)
+            if done.any():
+                # Lanes not yet done get a placeholder, overwritten later.
+                value[lane[rows]] = sums[np.arange(len(done)), done.argmax(axis=1)]
+                finished[rows] = done.any(axis=1)
+            total[rows], cum_mass[rows] = sums[:, -1], masses[:, -1]
+        if finished.any():
+            keep = ~finished
+            lane = lane[keep]
+            if lane.size:
+                total, cum_mass = total[keep], cum_mass[keep]
+                weight, log_q, const, positive = (
+                    weight[keep], log_q[keep], const[keep], positive[keep])
         start, size = start + size, min(2 * size, _MAX_BLOCK)
-    raise SeriesTruncationError(total, float(tail[-1]), query.max_terms)
+    if lane.size:
+        tail_bound = (1.0 - cum_mass[0]) * cov[-1]     # as the last block computed it
+        raise SeriesTruncationError(float(total[0]), float(tail_bound), query.max_terms)
+    return value if lanes else float(value[0])

@@ -208,10 +208,15 @@ def _on_times(spec: BirthDeathSpec, cutoff: int, cycles: int,
                 f"{spec} with cutoff {cutoff}: level {j} expects more than "
                 f"2^53 visits per ON period, too many to sample")
 
-    down = np.ones(cycles)
+    # Gamma and Poisson draws are taken only where the count is positive:
+    # a zero shape or mean gives 0 without consuming bits, so the values and
+    # the generator state are those of drawing every cycle.
+    down = np.ones(cycles, dtype=np.int64)
     below = np.zeros(cycles)
     for j in range(1, n):
-        up = rng.poisson(rng.gamma(down, r))
+        live = down > 0
+        up = np.zeros(cycles, dtype=np.int64)
+        up[live] = rng.poisson(rng.gamma(down[live], r))
         below += down
         below += up
         down = up + (j + 1 <= cutoff)

@@ -140,6 +140,34 @@ def validate(scenario: NetworkScenario) -> None:
 # z quantile for two-sided 99% confidence intervals.
 _Z99 = 2.5758293035489004
 
+# Two-sided 99% Student-t quantiles t(0.995, df) for df = 1..24.
+_T99 = (
+    63.656741162871526, 9.924843200918287, 5.840909309733355, 4.604094871349992,
+    4.032142983555228, 3.7074280213248065, 3.4994832973504924, 3.355387331333395,
+    3.249835541592126, 3.16927267261695, 3.1058065155392804, 3.0545395893929013,
+    3.012275838716578, 2.9768427343708344, 2.946712883475238, 2.9207816224251,
+    2.8982305196774183, 2.8784404727386077, 2.8609346064649794, 2.8453397097861077,
+    2.83135955802305, 2.8187560606001423, 2.807335683769999, 2.796939504774456,
+)
+
+
+def _t99(df: int) -> float:
+    """Two-sided 99% Student-t quantile for df >= 1 degrees of freedom.
+
+    From the table up to df = 24; beyond, the Cornish-Fisher expansion in
+    1/df about _Z99 (Abramowitz and Stegun 26.7.5), whose four terms are
+    within 4e-7 relative there and shrink like df^-5.
+    """
+    if df <= len(_T99):
+        return _T99[df - 1]
+    z, z2 = _Z99, _Z99 * _Z99
+    g1 = z * (z2 + 1.0) / 4.0
+    g2 = z * ((5.0 * z2 + 16.0) * z2 + 3.0) / 96.0
+    g3 = z * (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / 384.0
+    g4 = z * ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) / 92160.0
+    v = 1.0 / df
+    return z + v * (g1 + v * (g2 + v * (g3 + v * g4)))
+
 
 @dataclass(frozen=True)
 class SimEstimate:
@@ -161,11 +189,11 @@ class SimEstimate:
 
 
 def check_availability_vector(rho, k_tiers: int) -> np.ndarray:
-    """Coerce rho to a validated float array of length k_tiers in [0, 1]."""
+    """Coerce rho to a validated float array of length k_tiers in [0, 1] (no NaN)."""
     arr = np.asarray(rho, dtype=float)
     if arr.shape != (k_tiers,):
         raise ScenarioError(
             f"availability vector must have length {k_tiers} (got shape {arr.shape})")
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not ((arr >= 0) & (arr <= 1)).all():
         raise ScenarioError(f"availabilities must lie in [0, 1] (got {arr})")
     return arr

@@ -32,16 +32,15 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
-    _Z99,
     NetworkScenario,
     ScenarioError,
     SimEstimate,
+    _t99,
     check_availability_vector,
 )
 
@@ -117,12 +116,19 @@ def _run_replicates(fn, config: SimConfig):
     workers = _thread_count(config.replicates)
     if workers == 1:
         return [fn(i) for i in reps]
+    # Imported here, so that a one-shot CLI call does not load the pool's
+    # modules (concurrent.futures, logging, queue).
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, reps))
 
 
 def _combine(values, config: SimConfig, what: str) -> SimEstimate:
-    """Reduce per-replicate values in replicate order; nan marks a dropped one."""
+    """Reduce per-replicate values in replicate order; nan marks a dropped one.
+
+    The 99% half-width scales the standard error by the Student-t quantile
+    for samples - 1 degrees of freedom, as the replicates are few.
+    """
     vals = np.asarray(values, dtype=float)
     usable = vals[~np.isnan(vals)]
     if usable.size == 0:
@@ -130,7 +136,8 @@ def _combine(values, config: SimConfig, what: str) -> SimEstimate:
                             f"enlarge the window")
     mean = float(usable.mean())
     if usable.size > 1:
-        hw = _Z99 * float(usable.std(ddof=1)) / math.sqrt(usable.size)
+        hw = (_t99(usable.size - 1) * float(usable.std(ddof=1))
+              / math.sqrt(usable.size))
     else:
         hw = math.nan
     return SimEstimate(mean=mean, ci_halfwidth_99=hw, samples=int(usable.size),

@@ -10,6 +10,10 @@ a time in plain floats.  `mp_hyper_f` and `mp_rate_ccdf` evaluate the
 coverage constant and the rate series in mpmath, straight from the model
 equations.  `jump_chain_on_times` steps the battery chain one transition at
 a time, as a trajectory oracle for the ON-period sampler.
+`level_loop_on_times` is the ON-period sampler's level loop as it was
+before it skipped zero counts, drawing for every cycle at every level.
+`fsum_rate_ccdf` sums the rate series in float64 from scipy's negative
+binomial pmf and hyp2f1, with math.fsum.
 `bisect_outer_root` is the root search as one h call per bisection step.
 `probe_service_areas` estimates service areas from uniform probe points
 instead of the simulator's users, and `raw_fading_coverage` estimates SIR
@@ -22,6 +26,8 @@ from statistics import NormalDist
 
 import mpmath as mp
 import numpy as np
+from scipy.special import hyp2f1
+from scipy.stats import nbinom
 
 from harvnet.analytic import _SCAN
 from harvnet.simulate import Realization, associate, sample_network
@@ -102,6 +108,24 @@ def jump_chain_on_times(spec, cutoff, cycles, rng):
         level[idx] = lv + np.where(up, 1, -1)
         idx = idx[level[idx] > 0]
     return on
+
+
+def level_loop_on_times(spec, cutoff, cycles, rng):
+    """ON-period lengths, the level-by-level sampler drawing at every level.
+
+    Gamma-Poisson up-move counts for all cycles at each level below N, zero
+    counts included, then the two gamma holding-time sums.
+    """
+    mu, nu, n = spec.harvest_rate, spec.utilization_rate, spec.battery
+    r = spec.ratio
+    down = np.ones(cycles)
+    below = np.zeros(cycles)
+    for j in range(1, n):
+        up = rng.poisson(rng.gamma(down, r))
+        below += down
+        below += up
+        down = up + (j + 1 <= cutoff)
+    return rng.gamma(below, 1.0 / (mu + nu)) + rng.gamma(down, 1.0 / nu)
 
 
 def mp_on_fraction(s, battery, cutoff=1):
@@ -302,6 +326,46 @@ def mp_rate_ccdf(scenario, rho, rate_target, tol=1e-16, dps=30):
             for entry in tiers:
                 entry[1] *= (n + mp.mpf(4.5)) / (n + 1) * entry[2]
             n += 1
+
+
+def fsum_rate_ccdf(scenario, rho, rate_target):
+    """P(rate > T) in float64: scipy's NB(4.5, 3.5/(3.5+x)) pmf and hyp2f1.
+
+    Tier k serves with probability A_k proportional to rho_k lambda_k w_k,
+    w_k = E[X^(2/alpha)] P_k^(2/alpha), and has mean load parameter
+    x_k = P_c lambda_u A_k/(rho_k lambda_k).  Each tier's terms
+    A_k pmf_k(n)/(1 + F(2^(T(n+1)) - 1)), with F = (2 beta/(alpha-2))
+    2F1(1, 1-2/alpha; 2-2/alpha; -beta), are added by math.fsum until the
+    pmf's upper tail drops below 1e-17 or T(n+1) passes 30 alpha + 10.
+    Beyond that point F(beta) > beta^(2/alpha) > 2^60, so the coverage
+    factor, which decreases in n, bounds the rest below 1e-18.
+    """
+    if rate_target == 0.0:
+        return 1.0
+    alpha = scenario.path_loss_exp
+    a = 1.0 - 2.0 / alpha
+
+    def f(beta):
+        return 2.0 / (alpha - 2.0) * beta * hyp2f1(1.0, a, 1.0 + a, -beta)
+
+    pc = 1.0 / (1.0 + f(scenario.sir_target))
+    c = math.log(10.0) / 5.0
+    on = [r * t.density * math.exp(c * t.shadowing.mean_db / alpha
+                                   + (c * t.shadowing.std_db / alpha) ** 2 / 2)
+          * t.tx_power ** (2.0 / alpha)
+          for r, t in zip(rho, scenario.tiers)]
+    terms = []
+    for r, t, o in zip(rho, scenario.tiers, on):
+        if o == 0.0:
+            continue
+        a_k = o / math.fsum(on)
+        x = pc * scenario.user_density * a_k / (r * t.density)
+        p = 3.5 / (3.5 + x)
+        last = min(nbinom.isf(1e-17, 4.5, p), (30.0 * alpha + 10.0) / rate_target)
+        n = np.arange(int(last) + 1)
+        cov = 1.0 / (1.0 + f(np.exp2(rate_target * (n + 1.0)) - 1.0))
+        terms.append(a_k * nbinom.pmf(n, 4.5, p) * cov)
+    return math.fsum(np.concatenate(terms))
 
 
 def probe_service_areas(scenario, rho, config, tiers):

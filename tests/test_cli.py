@@ -14,7 +14,7 @@ import pytest
 import harvnet
 from harvnet.analytic import solve_availability
 from harvnet.cli import load_scenario, main
-from harvnet.coverage import coverage_prob
+from harvnet.coverage import RateQuery, coverage_prob, rate_ccdf
 from harvnet.model import ScenarioError
 from oracles import mp_hyper_f
 
@@ -367,6 +367,48 @@ def test_rate_requires_rho_when_infeasible(infeasible_file, capsys):
                  "--rho", "0.5,0.5"]) == 0
 
 
+def test_rate_surface_rejects_rho(scenario_file, capsys):
+    assert main(["rate", scenario_file, "--surface", "--rho", "0.5,0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --rho cannot be combined with --surface")
+
+
+def test_rate_surface_equals_scalar_calls(scenario_file, capsys):
+    scenario, _ = load_scenario(scenario_file)
+    assert main(["rate", scenario_file, "--surface", "--grid", "3",
+                 "--rate-target", "0.3"]) == 0
+    table = rows(capsys)
+    grid = np.linspace(0.1, 1.0, 3)
+    query = RateQuery(rate_target=0.3)
+    assert table[1:] == [[format(r1, ".12g"), format(r2, ".12g"),
+                          format(rate_ccdf(scenario, [r1, r2], query), ".12g")]
+                         for r1 in grid.tolist() for r2 in grid.tolist()]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--estimator", "coverage"],
+    ["simulate", "--estimator", "area"],
+    ["simulate", "--estimator", "rate", "--rate-target", "0.2"],
+    ["validate"],
+])
+def test_output_does_not_depend_on_thread_count(scenario_file, capsys, monkeypatch, argv):
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HETNET_THREADS", threads)
+        code = main([argv[0], scenario_file, *argv[1:], "--replicates", "4"])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
+def test_few_replicates_widen_the_validate_tolerance(capsys):
+    # Two replicates have one degree of freedom: t = 63.66, not z = 2.576.
+    path = str(SCENARIOS / "gamma-rich.json")
+    assert main(["validate", path, "--replicates", "2"]) == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+
+
 def test_simulate_command(scenario_file, capsys):
     assert main(["simulate", scenario_file, "--replicates", "4"]) == 0
     table = rows(capsys)
@@ -531,6 +573,17 @@ def test_import_leaves_scipy_optimize_unloaded():
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_thread_pool_logging_and_scipy_unloaded():
+    # a one-shot CLI call pays for every module `import harvnet.cli` loads
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, harvnet.cli; print(sorted(m for m in sys.modules if m.split('.')[0]"
+         " in ('concurrent', 'logging', 'scipy')))"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_coverage_calls_leave_scipy_integrate_and_optimize_unloaded():

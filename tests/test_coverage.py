@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -8,9 +10,11 @@ from scipy import integrate, special
 
 from harvnet.analytic import solve_availability
 from harvnet.cli import load_scenario
+from harvnet import coverage
 from harvnet.coverage import (
     RateQuery,
     SeriesTruncationError,
+    _log_nb_table,
     coverage_prob,
     hyper_f,
     load_pmf,
@@ -18,7 +22,7 @@ from harvnet.coverage import (
     tier_association_prob,
 )
 from harvnet.model import NetworkScenario, ScenarioError, ShadowingSpec, TierParams
-from oracles import mp_hyper_f, mp_load_pmf, mp_rate_ccdf
+from oracles import fsum_rate_ccdf, mp_hyper_f, mp_load_pmf, mp_rate_ccdf
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -316,3 +320,140 @@ def test_rate_ccdf_tail_bound_is_honest():
     coarse = rate_ccdf(sc, [1.0, 1.0], coarse_q)
     fine = rate_ccdf(sc, [1.0, 1.0], fine_q)
     assert abs(coarse - fine) < 2e-4
+
+
+def _three_tier():
+    return scenario(lams=(1.0, 5.0, 20.0), powers=(1.0, 0.1, 0.01), lam_u=30.0,
+                    mus=(2.0, 1.0, 0.5), batteries=(10, 8, 5),
+                    shadowing=ShadowingSpec(1.0, 4.0))
+
+
+def _lane_scenarios():
+    named = {name: load_scenario(str(SCENARIOS / f"{name}.json"))[0]
+             for name in ("two-tier-baseline", "battery-sweep", "gamma-rich",
+                          "rate-surface")}
+    return {**named, "three-tier": _three_tier()}
+
+
+def _stack(rng, k_tiers, rows=7):
+    rho = rng.uniform(0.0, 1.0, (rows, k_tiers))
+    rho[0, 0] = 0.0         # rows with a zero component
+    rho[1, -1] = 0.0
+    rho[2] = 1.0
+    return rho
+
+
+@pytest.mark.parametrize("name", ["two-tier-baseline", "battery-sweep", "gamma-rich",
+                                  "rate-surface", "three-tier"])
+def test_rate_lanes_equal_scalar_calls(name):
+    sc = _lane_scenarios()[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for t in (1e-3, 0.02, 0.3, 4.0):
+        for tol in (1e-6, 1e-10, 1e-13):
+            rho = _stack(rng, sc.k_tiers)
+            q = RateQuery(rate_target=t, series_tolerance=tol)
+            lanes = rate_ccdf(sc, rho, q)
+            assert isinstance(lanes, np.ndarray) and lanes.shape == (len(rho),)
+            assert lanes.tolist() == [rate_ccdf(sc, row, q) for row in rho], (t, tol)
+
+
+def test_rate_lanes_in_many_chunks_equal_scalar_calls(monkeypatch):
+    # A 256-double budget runs a 4,096-term block one lane at a time.
+    sc = _lane_scenarios()["rate-surface"]
+    rho = _stack(np.random.default_rng(4), 2, rows=40)
+    q = RateQuery(rate_target=0.005)
+    want = [rate_ccdf(sc, row, q) for row in rho]
+    monkeypatch.setattr(coverage, "_LANE_BUDGET", 256)
+    assert rate_ccdf(sc, rho, q).tolist() == want
+
+
+def test_rate_lanes_shapes_and_zero_target():
+    sc = scenario(lam_u=50.0)
+    q = RateQuery(rate_target=0.2)
+    assert isinstance(rate_ccdf(sc, [0.7, 0.4], q), float)
+    assert rate_ccdf(sc, [[0.7, 0.4]], q).tolist() == [rate_ccdf(sc, [0.7, 0.4], q)]
+    assert rate_ccdf(sc, np.empty((0, 2)), q).shape == (0,)
+    assert rate_ccdf(sc, [[0.7, 0.4], [0.1, 0.0]],
+                     RateQuery(rate_target=0.0)).tolist() == [1.0, 1.0]
+
+
+def test_rate_lanes_raise_the_first_failing_lanes_truncation_error():
+    sc = scenario(lam_u=50.0)
+    q = RateQuery(rate_target=0.05, max_terms=40)
+    # the first lane converges within 40 terms, the next two do not
+    rho = [[0.0, 1.0], [0.7, 0.4], [0.2, 0.1]]
+    assert rate_ccdf(sc, rho[0], q) > 0.0
+    with pytest.raises(SeriesTruncationError) as scalar:
+        rate_ccdf(sc, rho[1], q)
+    with pytest.raises(SeriesTruncationError) as lanes:
+        rate_ccdf(sc, rho, q)
+    got, want = lanes.value, scalar.value
+    assert (got.partial_sum, got.tail_bound, got.terms) == (
+        want.partial_sum, want.tail_bound, want.terms)
+    assert str(got) == str(want)
+
+
+def test_rate_lanes_reject_a_bad_row_as_its_scalar_call_does():
+    sc = scenario(lam_u=50.0)
+    q = RateQuery(rate_target=0.1)
+    for bad in ([0.0, 0.0], [0.5, 1.5], [math.nan, 0.5]):
+        with pytest.raises(ScenarioError) as scalar:
+            rate_ccdf(sc, bad, q)
+        with pytest.raises(ScenarioError) as lanes:
+            rate_ccdf(sc, [[0.7, 0.4], bad, [0.0, 0.0]], q)
+        assert str(lanes.value) == str(scalar.value)
+    with pytest.raises(ScenarioError, match="shape"):
+        rate_ccdf(sc, [[0.7, 0.4, 0.1]], q)
+
+
+def test_rate_lanes_memory_stays_bounded():
+    # 40,000 lanes: per-lane state is a few arrays of 40,000 x K doubles,
+    # and each block's temporaries stay within 2^17 doubles per chunk.
+    sc, _ = load_scenario(str(SCENARIOS / "two-tier-baseline.json"))
+    grid = np.linspace(0.1, 1.0, 200)
+    rho = np.column_stack((np.repeat(grid, grid.size), np.tile(grid, grid.size)))
+    tracemalloc.start()
+    try:
+        values = rate_ccdf(sc, rho, RateQuery(rate_target=0.001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert values[0] == rate_ccdf(sc, rho[0], RateQuery(rate_target=0.001))
+
+
+def test_log_nb_table_rows_equal_one_row_tables():
+    first = np.array([0, 64, 640, 4096, 65536])
+    table = _log_nb_table(first)
+    for row, f in zip(table, first):
+        assert row.tolist() == _log_nb_table(np.array([f]))[0].tolist()
+    n = np.array([0, 5, 63, 64, 700, 4100, 65600])
+    # An error e in L(n) is a relative error e in the load pmf.
+    want = [math.lgamma(k + 4.5) - math.lgamma(4.5) - math.lgamma(k + 1.0) for k in n]
+    assert coverage._log_nb_coef(n) == pytest.approx(want, rel=0, abs=1e-11)
+
+
+def test_fsum_rate_oracle_agrees_with_mpmath_series():
+    sc = _lane_scenarios()["two-tier-baseline"]
+    for s, rho, t in ((sc, [0.6, 0.8], 0.1), (replace(sc, user_density=10.0), [1.0, 0.3], 0.5),
+                      (replace(sc, path_loss_exp=3.5), [0.6, 0.8], 0.01),
+                      (_three_tier(), [0.2, 0.0, 0.9], 0.3)):
+        assert fsum_rate_ccdf(s, rho, t) == pytest.approx(
+            mp_rate_ccdf(s, rho, t), abs=1e-14)
+
+
+@pytest.mark.parametrize("name", ["two-tier-baseline", "rate-surface", "alpha-3.5"])
+def test_rate_ccdf_matches_fsum_oracle_over_wide_load_and_threshold(name):
+    if name == "alpha-3.5":
+        base = replace(_lane_scenarios()["two-tier-baseline"], path_loss_exp=3.5)
+    else:
+        base = _lane_scenarios()[name]
+    rho = np.array([[0.6, 0.8], [1.0, 0.3]])
+    for lam_u in (1.0, 1e2, 1e3, 1e4, 1e5):
+        sc = replace(base, user_density=lam_u)
+        for t in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 4.0):
+            want = [fsum_rate_ccdf(sc, row, t) for row in rho]
+            q = RateQuery(rate_target=t)
+            assert rate_ccdf(sc, rho, q) == pytest.approx(want, rel=0, abs=1e-9), (lam_u, t)
+            assert [rate_ccdf(sc, row, q) for row in rho] == pytest.approx(
+                want, rel=0, abs=1e-9), (lam_u, t)

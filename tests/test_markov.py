@@ -21,7 +21,12 @@ from harvnet.markov import (
     verify_s1_optimal,
 )
 from harvnet.model import ScenarioError
-from oracles import hp_mean_on_times, hp_neg_b_inverse, jump_chain_on_times
+from oracles import (
+    hp_mean_on_times,
+    hp_neg_b_inverse,
+    jump_chain_on_times,
+    level_loop_on_times,
+)
 
 
 def test_generator_smallest_chain():
@@ -253,6 +258,21 @@ def test_on_times_match_jump_chain_oracle():
         slow = jump_chain_on_times(spec, c, 4000, np.random.default_rng([8, i]))
         p = ks_2samp(fast, slow).pvalue
         assert p > 0.01 / len(ON_CASES), (n, c, r, p)
+
+
+@pytest.mark.parametrize("ratio", [0.3, 0.9, 1.0, 1.1, 2.5])
+def test_on_times_skip_zero_counts_bit_for_bit(ratio):
+    # Drawing only where a count is positive leaves every value and the
+    # generator state as drawing for all cycles at every level.
+    for battery in (1, 2, 7, 40):
+        for cutoff in {1, battery}:
+            spec = BirthDeathSpec(ratio, 1.0, battery)
+            seed = [battery, cutoff, int(10 * ratio)]
+            fast_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            fast = _on_times(spec, cutoff, 3000, fast_rng)
+            loop = level_loop_on_times(spec, cutoff, 3000, loop_rng)
+            assert fast.tolist() == loop.tolist(), (battery, cutoff)
+            assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def test_on_time_moments_match_inverse():

@@ -1,10 +1,14 @@
-"""Solver-backed CLI output pinned byte for byte on the bundled scenarios.
+"""Solver-backed CLI output and rate series values pinned on the bundled scenarios.
 
 `data/pinned_solver_output.json` holds the stdout and exit code of every
 command below, recorded before the root search was rewritten to evaluate
 several bisection levels per call.  Any change to the fixed point, its
-iteration count, its residual or a region boundary shows up here.  Rerun
-this file as a script to re-record, only when an output change is meant.
+iteration count, its residual or a region boundary shows up here.
+`data/pinned_rate_values.json` holds rate_ccdf values to the last bit over
+a grid of availabilities, thresholds and series tolerances, recorded with
+one scalar call per value before the series took lanes; the lane call and
+the scalar calls must both reproduce them.  Rerun this file as a script to
+re-record both, only when an output change is meant.
 """
 
 import contextlib
@@ -12,12 +16,15 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from harvnet.cli import main
+from harvnet.cli import load_scenario, main
+from harvnet.coverage import RateQuery, rate_ccdf
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = Path(__file__).resolve().parent / "data" / "pinned_solver_output.json"
+PINNED_RATE = PINNED.with_name("pinned_rate_values.json")
 SCENARIOS = ("two-tier-baseline", "battery-sweep", "gamma-rich", "rate-surface")
 COMMANDS = (
     ["availability"],
@@ -29,6 +36,10 @@ COMMANDS = (
 )
 CASES = [(cmd[0], f"scenarios/{name}.json", *cmd[1:])
          for name in SCENARIOS for cmd in COMMANDS]
+RATE_RHO = [[r1, r2] for r1 in (0.0, 0.3, 0.7, 1.0) for r2 in (0.0, 0.3, 0.7, 1.0)
+            if r1 or r2]
+RATE_CASES = [(name, t, tol) for name in SCENARIOS
+              for t in (0.001, 0.02, 0.1, 0.5, 2.0) for tol in (1e-10, 1e-13)]
 
 
 def run(argv):
@@ -52,6 +63,29 @@ def test_cli_output_matches_pinned(argv, pinned):
     assert stdout == want["stdout"]
 
 
+def rate_key(name, t, tol):
+    return f"{name} T={t!r} tol={tol!r}"
+
+
+def scalar_rates(name, t, tol):
+    scenario, _ = load_scenario(str(ROOT / "scenarios" / f"{name}.json"))
+    query = RateQuery(rate_target=t, series_tolerance=tol)
+    return scenario, query, [rate_ccdf(scenario, rho, query) for rho in RATE_RHO]
+
+
+@pytest.fixture(scope="module")
+def pinned_rate():
+    return json.loads(PINNED_RATE.read_text())
+
+
+@pytest.mark.parametrize("case", RATE_CASES, ids=lambda c: rate_key(*c))
+def test_rate_values_match_pinned(case, pinned_rate):
+    want = pinned_rate[rate_key(*case)]
+    scenario, query, scalar = scalar_rates(*case)
+    assert scalar == want
+    assert rate_ccdf(scenario, np.array(RATE_RHO), query).tolist() == want
+
+
 if __name__ == "__main__":
     record = {}
     for argv in CASES:
@@ -59,3 +93,5 @@ if __name__ == "__main__":
         record[" ".join(argv)] = {"exit": code, "stdout": stdout}
     PINNED.parent.mkdir(exist_ok=True)
     PINNED.write_text(json.dumps(record, indent=1) + "\n")
+    rates = {rate_key(*case): scalar_rates(*case)[2] for case in RATE_CASES}
+    PINNED_RATE.write_text(json.dumps(rates, indent=1) + "\n")

@@ -8,14 +8,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import t as student_t
 
 import harvnet
-from harvnet.model import NetworkScenario, ScenarioError, ShadowingSpec, TierParams
+from harvnet.model import (
+    NetworkScenario,
+    ScenarioError,
+    ShadowingSpec,
+    TierParams,
+    _t99,
+)
 from harvnet.simulate import (
     Realization,
     SimConfig,
     _bs_field,
     _chunk_gains,
+    _combine,
     _strongest,
     _thread_count,
     _user_pass,
@@ -537,3 +545,20 @@ def test_all_empty_replicates_raise():
                      lambda: service_area_mc(sc, [1.0], 0, config)):
         with pytest.raises(ScenarioError, match="no usable replicate"):
             estimate()
+
+
+def test_t99_matches_scipy_student_t():
+    df = np.arange(1, 10_001)
+    got = np.array([_t99(int(d)) for d in df])
+    assert got == pytest.approx(student_t.ppf(0.995, df), rel=1e-6, abs=0)
+
+
+def test_combine_scales_by_the_t_quantile_of_its_samples():
+    config = SimConfig(window_side=1.0, replicates=4, seed=5)
+    two = _combine([0.2, math.nan, 0.4, math.nan], config, "x")
+    assert (two.samples, two.dropped) == (2, 2)
+    assert two.ci_halfwidth_99 == pytest.approx(63.65674 * 0.1, rel=1e-6)
+    vals = np.random.default_rng(0).uniform(size=40)
+    est = _combine(vals, SimConfig(window_side=1.0, replicates=40), "x")
+    assert est.ci_halfwidth_99 == pytest.approx(
+        student_t.ppf(0.995, 39) * vals.std(ddof=1) / math.sqrt(40), rel=1e-6)
