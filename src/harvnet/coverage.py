@@ -215,14 +215,14 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):
     With `max_terms`, the first lane that has not converged raises its
     SeriesTruncationError.
     """
-    rho = np.asarray(rho, dtype=float)
-    lanes = rho.ndim == 2
+    lanes = np.ndim(rho) == 2
+    # rho and the association are checked before the T = 0 shortcut too.
+    rho = _availability_lanes(rho, scenario.k_tiers)
+    weight = _association(scenario, rho)
     t_rate = query.rate_target
     if t_rate == 0.0:
         # Every coverage factor is 1 and the load pmf sums to 1.
         return np.ones(len(rho)) if lanes else 1.0
-    rho = _availability_lanes(rho, scenario.k_tiers)
-    weight = _association(scenario, rho)
     alpha = scenario.path_loss_exp
     pc = coverage_prob(scenario)
     # A tier a lane never associates with keeps weight 0 and a dummy load

@@ -367,6 +367,20 @@ def test_rate_requires_rho_when_infeasible(infeasible_file, capsys):
                  "--rho", "0.5,0.5"]) == 0
 
 
+@pytest.mark.parametrize("rho, message", [
+    ("0,0", "no BS available"),
+    ("2,-1", "availabilities must lie in [0, 1]"),
+])
+@pytest.mark.parametrize("target", [[], ["--rate-target", "0"]], ids=["sweep", "zero"])
+def test_rate_rejects_a_bad_rho_at_a_zero_target(scenario_file, capsys, rho, message,
+                                                  target):
+    # the default sweep starts at T = 0, so its first row is already an error
+    assert main(["rate", scenario_file, "--rho", rho, *target]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "rate_target,rate_ccdf\n"
+    assert captured.err.startswith(f"error: {message}")
+
+
 def test_rate_surface_rejects_rho(scenario_file, capsys):
     assert main(["rate", scenario_file, "--surface", "--rho", "0.5,0.5"]) == 1
     captured = capsys.readouterr()
@@ -632,3 +646,117 @@ def test_alpha4_commands_leave_scipy_unloaded():
     assert failed == [["rate-surface.json", "rate"]]
     for beta, got in zip(betas, f):
         assert got == pytest.approx(float(mp_hyper_f(beta, 3.5)), rel=1e-13)
+
+
+LAYERS = ("model", "coverage", "markov", "analytic", "region", "simulate")
+# Child-side helper: which layers are in sys.modules and which have run.
+# It reads type() only, since reading any attribute of a lazy layer runs it.
+LAYER_STATE = (
+    "import json, sys, types\n"
+    "def layer_state():\n"
+    "    state = {}\n"
+    f"    for layer in {LAYERS!r}:\n"
+    "        mod = sys.modules.get('harvnet.' + layer)\n"
+    "        state[layer] = ('absent' if mod is None else\n"
+    "                        'ran' if type(mod) is types.ModuleType else 'lazy')\n"
+    "    return state\n")
+
+
+def _child_json(code, *argv, **env):
+    proc = subprocess.run([sys.executable, "-c", LAYER_STATE + code, *argv],
+                          capture_output=True, text=True, env={**_child_env(), **env})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_runs_no_layer():
+    state = _child_json("import harvnet\nprint(json.dumps(layer_state()))\n")
+    assert state == dict.fromkeys(LAYERS, "lazy")
+
+
+ANALYTIC_LAYERS = {"model", "coverage", "markov", "analytic"}
+
+
+# The cli benchmark's one-shot calls and the layers each one runs.
+ONE_SHOT = [
+    (["availability", "two-tier-baseline"], ANALYTIC_LAYERS),
+    (["availability", "battery-sweep", "--policy2", "k=1", "--policy2", "k=2"],
+     ANALYTIC_LAYERS),
+    (["region", "gamma-rich"], ANALYTIC_LAYERS | {"region"}),
+    (["region", "two-tier-baseline", "--constrain", "k=1"], ANALYTIC_LAYERS | {"region"}),
+    (["coverage", "rate-surface", "--sir-target-db", "3.0"], {"model", "coverage"}),
+    (["rate", "battery-sweep"], ANALYTIC_LAYERS),
+    (["rate", "gamma-rich", "--rho", "0.8,0.6"], {"model", "coverage"}),
+    (["rate", "rate-surface", "--surface", "--grid", "10", "--rate-target", "0.1"],
+     {"model", "coverage"}),
+]
+
+
+@pytest.mark.parametrize("argv, layers", ONE_SHOT, ids=[" ".join(a) for a, _ in ONE_SHOT])
+def test_one_shot_commands_run_only_their_layers(argv, layers):
+    # the analytic commands never run the simulator, and coverage and rate
+    # at a given rho run neither the fixed point nor the CTMC layer
+    argv = [argv[0], str(SCENARIOS / f"{argv[1]}.json"), *argv[2:]]
+    code = ("import contextlib, io\n"
+            "from harvnet.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(json.dumps([code, layer_state()]))\n")
+    exit_code, state = _child_json(code)
+    assert exit_code == 0
+    assert {layer for layer, s in state.items() if s == "ran"} == layers
+    assert state["simulate"] == "lazy"
+
+
+def test_cli_import_leaves_layers_visible_to_vars():
+    # a tracer that wraps module attributes reads vars() of every layer
+    code = ("import harvnet.cli\n"
+            "before = layer_state()\n"
+            "names = vars(sys.modules['harvnet.simulate'])\n"
+            "print(json.dumps([before, 'spatial_mc' in names, layer_state()]))\n")
+    before, found, after = _child_json(code)
+    assert before["simulate"] == "lazy"
+    assert found
+    assert after["simulate"] == "ran"
+
+
+def test_public_names_resolve_to_their_layers():
+    code = ("import harvnet\n"
+            "wrong = [name for name in harvnet.__all__\n"
+            "         if getattr(harvnet, name) is not getattr(\n"
+            "             sys.modules[getattr(harvnet, name).__module__], name)]\n"
+            "homes = sorted({getattr(harvnet, name).__module__ for name in harvnet.__all__})\n"
+            "copied = sorted(set(harvnet.__all__) & set(vars(harvnet)))\n"
+            "try:\n"
+            "    harvnet.no_such_name\n"
+            "    unknown = None\n"
+            "except AttributeError as exc:\n"
+            "    unknown = str(exc)\n"
+            "print(json.dumps([wrong, homes, copied, unknown]))\n")
+    wrong, homes, copied, unknown = _child_json(code)
+    assert wrong == []
+    assert homes == sorted(f"harvnet.{layer}" for layer in LAYERS)
+    # resolved names stay out of the package, so a swapped layer attribute shows
+    assert copied == []
+    assert unknown == "module 'harvnet' has no attribute 'no_such_name'"
+
+
+def test_first_spatial_call_loads_no_layer_on_a_worker_thread():
+    # LazyLoader does not lock a module's first load on every CPython, so
+    # the replicate threads must find every layer they use already run
+    code = ("import harvnet\n"
+            "from harvnet.cli import load_scenario\n"
+            "scenario, _ = load_scenario(sys.argv[1])\n"
+            "spatial_mc, config = harvnet.spatial_mc, harvnet.SimConfig(6.0, 4, 11)\n"
+            "before = layer_state()\n"
+            "est = spatial_mc(scenario, [0.8, 0.6], config, rate_target=0.1,\n"
+            "                 area_tiers=(0, 1))\n"
+            "values = [est.coverage.mean, est.rate.mean,\n"
+            "          *(e.mean for e in est.association), *(e.mean for e in est.area.values())]\n"
+            "print(json.dumps([before, layer_state(), values]))\n")
+    runs = [_child_json(code, str(SCENARIOS / "gamma-rich.json"), HETNET_THREADS=threads)
+            for threads in ("1", "2")]
+    for before, after, _ in runs:
+        assert before["simulate"] == "ran"
+        assert after == before
+    assert runs[0][2] == runs[1][2]

@@ -406,6 +406,19 @@ def test_rate_lanes_reject_a_bad_row_as_its_scalar_call_does():
         rate_ccdf(sc, [[0.7, 0.4, 0.1]], q)
 
 
+def test_zero_rate_target_checks_rho_as_a_positive_target_does():
+    # T = 0 returns 1 without summing, but only for availabilities the
+    # series itself would accept
+    sc = scenario(lam_u=50.0)
+    for bad in ([2.0, -1.0], [0.0, 0.0], [0.5, 0.5, 0.5],
+                [[0.7, 0.4], [0.0, 0.0]], [[0.7, 0.4], [0.5, 1.5]], [[0.7, 0.4, 0.1]]):
+        with pytest.raises(ScenarioError) as positive:
+            rate_ccdf(sc, bad, RateQuery(rate_target=0.1))
+        with pytest.raises(ScenarioError) as zero:
+            rate_ccdf(sc, bad, RateQuery(rate_target=0.0))
+        assert str(zero.value) == str(positive.value)
+
+
 def test_rate_lanes_memory_stays_bounded():
     # 40,000 lanes: per-lane state is a few arrays of 40,000 x K doubles,
     # and each block's temporaries stay within 2^17 doubles per chunk.

@@ -14,11 +14,16 @@ re-record both, only when an output change is meant.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import harvnet
 from harvnet.cli import load_scenario, main
 from harvnet.coverage import RateQuery, rate_ccdf
 
@@ -61,6 +66,31 @@ def test_cli_output_matches_pinned(argv, pinned):
     code, stdout = run(argv)
     assert code == want["exit"]
     assert stdout == want["stdout"]
+
+
+def run_fresh(argv):
+    """(exit code, stdout, stderr) of `python -m harvnet.cli` from the repo root."""
+    src_dir = str(Path(harvnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "harvnet.cli", *argv], cwd=ROOT,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_fresh_processes_match_pinned_and_in_process_output(pinned):
+    # a one-shot process loads each layer at its first use, not at import;
+    # two processes at a time keep this test near one second
+    path = "scenarios/two-tier-baseline.json"
+    pinned_cases = [[cmd[0], path, *cmd[1:]] for cmd in COMMANDS]
+    own_cases = [["coverage", path], ["rate", path, "--surface"]]
+    with ThreadPoolExecutor(2) as pool:
+        fresh = list(pool.map(run_fresh, pinned_cases + own_cases))
+    for argv, (code, stdout, stderr) in zip(pinned_cases, fresh):
+        want = pinned[" ".join(argv)]
+        assert (code, stdout, stderr) == (want["exit"], want["stdout"], "")
+    for argv, got in zip(own_cases, fresh[len(pinned_cases):]):
+        assert got == (*run(argv), "")
 
 
 def rate_key(name, t, tol):
