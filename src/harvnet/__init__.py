@@ -27,9 +27,9 @@ _PUBLIC = {
                  "g", "mean_service_area", "solve_availability"),
     "region": ("RegionBoundary", "boundary", "contains", "grid_coverage",
                "sweep_boundary"),
-    "simulate": ("SimConfig", "SpatialEstimate", "associate", "association_mc",
-                 "coverage_mc", "rate_mc", "sample_network", "service_area_mc",
-                 "spatial_mc", "suggest_window_side"),
+    "simulate": ("SimConfig", "SpatialEstimate", "association_mc", "coverage_mc",
+                 "rate_mc", "sample_network", "service_area_mc", "spatial_mc",
+                 "suggest_window_side"),
 }
 _HOME = {name: layer for layer, names in _PUBLIC.items() for name in names}
 __all__ = sorted(_HOME)

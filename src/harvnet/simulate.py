@@ -44,7 +44,10 @@ from .model import (
     check_availability_vector,
 )
 
-_USER_CHUNK = 512          # users per link-matrix block, keeps memory flat
+_USER_CHUNK = 512          # users per draw block, fixes the order of every draw
+# Links (doubles) in one user tile's gain block; the user pass runs each
+# draw block in tiles of about this size.
+_TILE_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -206,9 +209,26 @@ def _bs_field(realization: Realization, scenario: NetworkScenario,
         period=config.window_side if config.boundary == "toroidal" else None)
 
 
+def _tile_width(n_bs: int) -> int:
+    """Users per tile: _TILE_BUDGET links, at least 3 and at most _USER_CHUNK."""
+    return min(_USER_CHUNK, max(3, _TILE_BUDGET // n_bs))
+
+
+def _tiles(n: int, width: int):
+    """(start, stop) of tiles of at most `width` >= 3 columns over n columns.
+
+    No tile is one column wide unless n is 1: numpy sums a lone column
+    pairwise, not row by row, which would move the bits of its faded SIR.
+    """
+    edges = [*range(0, n, width), n]
+    if len(edges) > 2 and n - edges[-2] == 1:
+        edges[-2] -= 1
+    return zip(edges, edges[1:])
+
+
 def _workspace(n_bs: int, n_pts: int) -> np.ndarray:
-    """Three flat buffers of n_bs x min(_USER_CHUNK, n_pts) doubles for one pass."""
-    return np.empty((3, n_bs * min(_USER_CHUNK, n_pts)))
+    """Three flat buffers of n_bs x (one tile of at most n_pts users) doubles."""
+    return np.empty((3, n_bs * min(_tile_width(n_bs), n_pts)))
 
 
 def _axis_sq(bs_coord, pts_coord, period, out, tmp):
@@ -220,16 +240,36 @@ def _axis_sq(bs_coord, pts_coord, period, out, tmp):
     return np.multiply(d, d, out=d)
 
 
-def _chunk_gains(bs: _BSField, pts: np.ndarray, rng, work=None) -> np.ndarray:
-    """Average received power matrix W (n_bs, len(pts)) for one point block.
+def _shadow_factors(bs: _BSField, n_pts: int, rng, out=None):
+    """Lognormal shadowing factors 10^(Z/10), (n_bs, n_pts); None unshadowed.
 
-    W includes transmit power, per-link lognormal shadowing, and path
-    loss; fading is deliberately excluded because cell selection averages
-    over it.  Toroidal mode wraps coordinate differences at window scale.
-    Path loss is P/(d^2)^2 at alpha = 4, else P (d^2)^(-alpha/2), with d^2
-    summed from one contiguous block per coordinate; the shadowing normals
-    are drawn in (n_bs, len(pts)) order.  W and two scratch blocks are views
-    of the rows of `work` (a `_workspace`; fresh buffers when None), in order.
+    The normals Z are drawn from `rng` in (n_bs, n_pts) order, into the
+    first n_bs n_pts doubles of the flat buffer `out` when given.
+    """
+    if bs.shadow is None:
+        return None
+    shape = (bs.x.size, n_pts)
+    db = np.empty(shape) if out is None else out[:shape[0] * shape[1]].reshape(shape)
+    rng.standard_normal(out=db)
+    mean_db, std_db = bs.shadow
+    db *= std_db
+    db += mean_db
+    db /= 10.0
+    return np.power(10.0, db, out=db)
+
+
+def _chunk_gains(bs: _BSField, pts: np.ndarray, shadow=None, work=None) -> np.ndarray:
+    """Average received power matrix W (n_bs, len(pts)) for one point tile.
+
+    W includes transmit power, path loss and, given `shadow`, the links'
+    (n_bs, len(pts)) shadowing factors from `_shadow_factors` (a view of a
+    wider block works); fading is deliberately excluded because cell
+    selection averages over it.  Toroidal mode wraps coordinate differences
+    at window scale.  Path loss is P/(d^2)^2 at alpha = 4, else
+    P (d^2)^(-alpha/2), with d^2 summed from one contiguous block per
+    coordinate; the kernel makes about eleven passes over the tile.  W and
+    two scratch blocks are views of the rows of `work` (a `_workspace`;
+    fresh buffers when None), in order.
     """
     shape = (bs.x.size, pts.shape[0])
     if work is None:
@@ -243,13 +283,8 @@ def _chunk_gains(bs: _BSField, pts: np.ndarray, rng, work=None) -> np.ndarray:
     else:
         np.power(w, -0.5 * bs.alpha, out=w)
         w *= bs.power
-    if bs.shadow is not None:
-        mean_db, std_db = bs.shadow
-        db = rng.standard_normal(out=aux)
-        db *= std_db
-        db += mean_db
-        db /= 10.0
-        w *= np.power(10.0, db, out=db)
+    if shadow is not None:
+        w *= shadow
     return w
 
 
@@ -274,31 +309,6 @@ def _strongest(w: np.ndarray, work=None) -> np.ndarray:
     return rows - np.multiply(mask, desc, out=weighted).max(axis=0).astype(np.int64)
 
 
-def _serving(bs: _BSField, pts: np.ndarray, rng) -> np.ndarray:
-    """Flat index of the strongest-average BS for every point."""
-    serving = np.empty(pts.shape[0], dtype=np.int64)
-    work = _workspace(bs.x.size, pts.shape[0])
-    for lo in range(0, pts.shape[0], _USER_CHUNK):
-        hi = min(lo + _USER_CHUNK, pts.shape[0])
-        w = _chunk_gains(bs, pts[lo:hi], rng, work)
-        serving[lo:hi] = _strongest(w, work)
-    return serving
-
-
-def associate(realization: Realization, scenario: NetworkScenario,
-              rng: np.random.Generator, config: SimConfig | None = None):
-    """Serving (tier, within-tier index) per user: max average received power."""
-    if not realization.tier_counts.any():
-        raise ScenarioError("no BS available: realization has no ON BS")
-    if config is None:
-        config = SimConfig(window_side=realization.window_side, replicates=1)
-    bs = _bs_field(realization, scenario, config)
-    serving = _serving(bs, realization.users, rng)
-    tiers = bs.tier_of[serving]
-    offsets = np.concatenate([[0], np.cumsum(realization.tier_counts)])
-    return tiers, serving - offsets[tiers]
-
-
 def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
                rng, rate_target: float | None):
     """Coverage, per-tier association and area, and rate tally of one realization.
@@ -313,33 +323,53 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     child of `rng`'s seed sequence, so `rng` advances by the shadowing
     alone; a user's load counts the users whose faded SIR exceeds beta on
     its BS, plus itself.
+
+    Users go in draw blocks of _USER_CHUNK: each block's shadowing normals
+    and fading exponentials are drawn whole, in (n_bs, block) order, into
+    one block buffer each (only when shadowing is on or a rate asked for).
+    The gains, serving pick and products then run on tiles of the block
+    in a `_workspace`, so the rest of the pass holds about _TILE_BUDGET
+    doubles per buffer whatever n_bs.  A user's values come from its own
+    column alone, reduced over the BSs in row order, so they do not
+    depend on the tiling.
     """
     n_users = real.users.shape[0]
     if not real.tier_counts.any() or n_users == 0:
         nan = np.full(scenario.k_tiers, math.nan)
         return math.nan, nan, nan, math.nan
     bs = _bs_field(real, scenario, config)
-    beta = scenario.sir_target
+    n_bs, beta = bs.x.size, scenario.sir_target
     serving = np.empty(n_users, dtype=np.int64)
     cover = np.empty(n_users)
     fading = None if rate_target is None else rng.spawn(1)[0]
     sir = np.empty(n_users)
-    work = _workspace(bs.x.size, n_users)
+    width = _tile_width(n_bs)
+    work = _workspace(n_bs, n_users)
+    block = n_bs * min(_USER_CHUNK, n_users)
+    shadow_buf = None if bs.shadow is None else np.empty(block)
+    fade_buf = None if fading is None else np.empty(block)
     for lo in range(0, n_users, _USER_CHUNK):
-        hi = min(lo + _USER_CHUNK, n_users)
-        w = _chunk_gains(bs, real.users[lo:hi], rng, work)
-        srv = serving[lo:hi] = _strongest(w, work)
-        link = (srv, np.arange(hi - lo))
+        m = min(_USER_CHUNK, n_users - lo)
+        shadow = _shadow_factors(bs, m, rng, shadow_buf)
         if fading is not None:
-            faded = fading.standard_exponential(out=work[1, :w.size].reshape(w.shape))
-            faded *= w
-            sig = faded[link]
-            sir[lo:hi] = sig / np.maximum(faded.sum(axis=0) - sig, 1e-300)
-        w *= beta / w[link]
-        w += 1.0
-        w[link] = 1.0
-        with np.errstate(over="ignore"):
-            cover[lo:hi] = 1.0 / w.prod(axis=0)
+            fade = fading.standard_exponential(
+                out=fade_buf[:n_bs * m].reshape(n_bs, m))
+        for a, b in _tiles(m, width):
+            users = slice(lo + a, lo + b)
+            w = _chunk_gains(bs, real.users[users],
+                             None if shadow is None else shadow[:, a:b], work)
+            srv = serving[users] = _strongest(w, work)
+            link = (srv, np.arange(b - a))
+            if fading is not None:
+                faded = np.multiply(fade[:, a:b], w,
+                                    out=work[1, :w.size].reshape(w.shape))
+                sig = faded[link]
+                sir[users] = sig / np.maximum(faded.sum(axis=0) - sig, 1e-300)
+            w *= beta / w[link]
+            w += 1.0
+            w[link] = 1.0
+            with np.errstate(over="ignore"):
+                cover[users] = 1.0 / w.prod(axis=0)
     assoc = np.bincount(bs.tier_of[serving], minlength=scenario.k_tiers) / n_users
     g = config.guard_margin if config.boundary == "guard" else 0.0
     top = config.window_side - g

@@ -15,6 +15,8 @@ before it skipped zero counts, drawing for every cycle at every level.
 `fsum_rate_ccdf` sums the rate series in float64 from scipy's negative
 binomial pmf and hyp2f1, with math.fsum.
 `bisect_outer_root` is the root search as one h call per bisection step.
+`associate` gives each user its strongest-average BS one whole 512-user
+block at a time, drawing the block's shadowing as the user pass does.
 `probe_service_areas` estimates service areas from uniform probe points
 instead of the simulator's users, and `raw_fading_coverage` estimates SIR
 coverage from one Rayleigh fading draw per link instead of the simulator's
@@ -30,7 +32,16 @@ from scipy.special import hyp2f1
 from scipy.stats import nbinom
 
 from harvnet.analytic import _SCAN
-from harvnet.simulate import Realization, associate, sample_network
+from harvnet.model import ScenarioError
+from harvnet.simulate import (
+    _USER_CHUNK,
+    Realization,
+    SimConfig,
+    _bs_field,
+    _chunk_gains,
+    _shadow_factors,
+    sample_network,
+)
 
 
 def _factor(spec):
@@ -366,6 +377,28 @@ def fsum_rate_ccdf(scenario, rho, rate_target):
         cov = 1.0 / (1.0 + f(np.exp2(rate_target * (n + 1.0)) - 1.0))
         terms.append(a_k * nbinom.pmf(n, 4.5, p) * cov)
     return math.fsum(np.concatenate(terms))
+
+
+def associate(realization, scenario, rng, config=None):
+    """Serving (tier, within-tier index) per user: max average received power.
+
+    Each block of _USER_CHUNK users draws its shadowing from `rng` in the
+    user pass's order and takes, per user, the first BS of largest gain.
+    """
+    if not realization.tier_counts.any():
+        raise ScenarioError("no BS available: realization has no ON BS")
+    if config is None:
+        config = SimConfig(window_side=realization.window_side, replicates=1)
+    bs = _bs_field(realization, scenario, config)
+    users = realization.users
+    serving = np.empty(users.shape[0], dtype=np.int64)
+    for lo in range(0, users.shape[0], _USER_CHUNK):
+        pts = users[lo:lo + _USER_CHUNK]
+        gains = _chunk_gains(bs, pts, _shadow_factors(bs, pts.shape[0], rng))
+        serving[lo:lo + pts.shape[0]] = np.argmax(gains, axis=0)
+    tiers = bs.tier_of[serving]
+    offsets = np.concatenate([[0], np.cumsum(realization.tier_counts)])
+    return tiers, serving - offsets[tiers]
 
 
 def probe_service_areas(scenario, rho, config, tiers):

@@ -708,6 +708,21 @@ def test_one_shot_commands_run_only_their_layers(argv, layers):
     assert state["simulate"] == "lazy"
 
 
+def test_missing_file_exit_runs_no_analytic_layer():
+    # the error handler names the layer exceptions only after the common ones
+    code = ("import contextlib, io\n"
+            "from harvnet.cli import main\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            "    code = main(['coverage', sys.argv[1]])\n"
+            "print(json.dumps([code, err.getvalue(), layer_state()]))\n")
+    missing = str(SCENARIOS / "no-such-scenario.json")
+    exit_code, stderr, state = _child_json(code, missing)
+    assert exit_code == 1
+    assert stderr.startswith("error: ") and "no-such-scenario.json" in stderr
+    assert state["analytic"] != "ran" and state["coverage"] != "ran"
+
+
 def test_cli_import_leaves_layers_visible_to_vars():
     # a tracer that wraps module attributes reads vars() of every layer
     code = ("import harvnet.cli\n"

@@ -7,17 +7,24 @@ iteration count, its residual or a region boundary shows up here.
 `data/pinned_rate_values.json` holds rate_ccdf values to the last bit over
 a grid of availabilities, thresholds and series tolerances, recorded with
 one scalar call per value before the series took lanes; the lane call and
-the scalar calls must both reproduce them.  Rerun this file as a script to
-re-record both, only when an output change is meant.
+the scalar calls must both reproduce them.
+`data/pinned_spatial_output.json` holds the stdout, stderr and exit code
+of `validate` and of every `simulate` estimator on the bundled scenarios,
+and every `spatial_mc` field of a shadowed, alpha = 3.5, guard-window
+scenario with over 512 users per replicate, recorded before the user pass
+was split into tiles.  Rerun this file as a script to re-record all
+three, only when an output change is meant.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +33,13 @@ import pytest
 import harvnet
 from harvnet.cli import load_scenario, main
 from harvnet.coverage import RateQuery, rate_ccdf
+from harvnet.model import NetworkScenario, ShadowingSpec, TierParams
+from harvnet.simulate import SimConfig, sample_network, spatial_mc
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = Path(__file__).resolve().parent / "data" / "pinned_solver_output.json"
 PINNED_RATE = PINNED.with_name("pinned_rate_values.json")
+PINNED_SPATIAL = PINNED.with_name("pinned_spatial_output.json")
 SCENARIOS = ("two-tier-baseline", "battery-sweep", "gamma-rich", "rate-surface")
 COMMANDS = (
     ["availability"],
@@ -41,6 +51,25 @@ COMMANDS = (
 )
 CASES = [(cmd[0], f"scenarios/{name}.json", *cmd[1:])
          for name in SCENARIOS for cmd in COMMANDS]
+SPATIAL_COMMANDS = (
+    ["validate", "--replicates", "2"],
+    *(["simulate", "--estimator", kind, "--replicates", "2"]
+      for kind in ("coverage", "area", "rate", "association")),
+)
+# rate-surface is infeasible, so `simulate` there needs an explicit rho.
+SPATIAL_CASES = [(cmd[0], f"scenarios/{name}.json", *cmd[1:],
+                  *(["--rho", "1,1"] if name == "rate-surface" and cmd[0] == "simulate"
+                    else []))
+                 for name in SCENARIOS for cmd in SPATIAL_COMMANDS]
+# Shadowed, alpha = 3.5 and a guard window: about 500 BSs and 1,000 users
+# per replicate, so each pass has a full and a partial 512-user block.
+SHADOWED = NetworkScenario(
+    tiers=(TierParams(1.0, 4.0, 1.0, 5, ShadowingSpec(1.5, 6.0)),
+           TierParams(10.0, 0.25, 1.0, 5, ShadowingSpec(0.0, 4.0))),
+    path_loss_exp=3.5, sir_target=0.5, user_density=40.0)
+SHADOWED_RHO = (0.9, 0.7)
+SHADOWED_CONFIG = SimConfig(window_side=8.0, replicates=3, seed=61,
+                            boundary="guard", guard_margin=1.5)
 RATE_RHO = [[r1, r2] for r1 in (0.0, 0.3, 0.7, 1.0) for r2 in (0.0, 0.3, 0.7, 1.0)
             if r1 or r2]
 RATE_CASES = [(name, t, tol) for name in SCENARIOS
@@ -49,10 +78,15 @@ RATE_CASES = [(name, t, tol) for name in SCENARIOS
 
 def run(argv):
     """(exit code, stdout) of one in-process CLI call from the repo root."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    return run_with_stderr(argv)[:2]
+
+
+def run_with_stderr(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call from the repo root."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([argv[0], str(ROOT / argv[1]), *argv[2:]])
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +150,38 @@ def test_rate_values_match_pinned(case, pinned_rate):
     assert rate_ccdf(scenario, np.array(RATE_RHO), query).tolist() == want
 
 
+def shadowed_fields():
+    """Every field of the shadowed scenario's spatial pass, rate included."""
+    est = spatial_mc(SHADOWED, SHADOWED_RHO, SHADOWED_CONFIG, rate_target=0.3,
+                     area_tiers=(0, 1))
+    return {"coverage": asdict(est.coverage),
+            "association": [asdict(a) for a in est.association],
+            "rate": asdict(est.rate),
+            "area": [asdict(est.area[k]) for k in (0, 1)]}
+
+
+@pytest.fixture(scope="module")
+def pinned_spatial():
+    return json.loads(PINNED_SPATIAL.read_text())
+
+
+@pytest.mark.parametrize("argv", SPATIAL_CASES, ids=" ".join)
+def test_spatial_cli_output_matches_pinned(argv, pinned_spatial):
+    want = pinned_spatial["cli"][" ".join(argv)]
+    assert run_with_stderr(argv) == (want["exit"], want["stdout"], want["stderr"])
+
+
+def test_shadowed_spatial_fields_match_pinned(pinned_spatial):
+    for i in range(SHADOWED_CONFIG.replicates):
+        real = sample_network(SHADOWED, SHADOWED_RHO, SHADOWED_CONFIG,
+                              np.random.default_rng([SHADOWED_CONFIG.seed, i]))
+        assert real.users.shape[0] > 512 and real.users.shape[0] % 512
+    got = shadowed_fields()
+    assert all(math.isfinite(v) for v in (got["coverage"]["ci_halfwidth_99"],
+                                           got["rate"]["ci_halfwidth_99"]))
+    assert got == pinned_spatial["shadowed"]
+
+
 if __name__ == "__main__":
     record = {}
     for argv in CASES:
@@ -125,3 +191,9 @@ if __name__ == "__main__":
     PINNED.write_text(json.dumps(record, indent=1) + "\n")
     rates = {rate_key(*case): scalar_rates(*case)[2] for case in RATE_CASES}
     PINNED_RATE.write_text(json.dumps(rates, indent=1) + "\n")
+    spatial = {"cli": {}, "shadowed": shadowed_fields()}
+    for argv in SPATIAL_CASES:
+        code, stdout, stderr = run_with_stderr(argv)
+        spatial["cli"][" ".join(argv)] = {"exit": code, "stdout": stdout,
+                                          "stderr": stderr}
+    PINNED_SPATIAL.write_text(json.dumps(spatial, indent=1) + "\n")

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from scipy.stats import t as student_t
 
 import harvnet
+from harvnet import simulate
 from harvnet.model import (
     NetworkScenario,
     ScenarioError,
@@ -24,11 +26,12 @@ from harvnet.simulate import (
     _bs_field,
     _chunk_gains,
     _combine,
+    _shadow_factors,
     _strongest,
     _thread_count,
+    _tiles,
     _user_pass,
     _workspace,
-    associate,
     association_mc,
     coverage_mc,
     rate_mc,
@@ -37,7 +40,12 @@ from harvnet.simulate import (
     spatial_mc,
     suggest_window_side,
 )
-from oracles import hypot_link_gains, probe_service_areas, raw_fading_coverage
+from oracles import (
+    associate,
+    hypot_link_gains,
+    probe_service_areas,
+    raw_fading_coverage,
+)
 
 PC = 1 / (1 + math.pi / 4)
 
@@ -269,7 +277,8 @@ def test_gain_kernel_matches_hypot_oracle(boundary, shadowing):
                        users=rng.uniform(0, side, (37, 2)), window_side=side)
     real.users[5] = real.bs_pos[1][3]        # a link at the distance floor
     bs = _bs_field(real, sc, config)
-    got = _chunk_gains(bs, real.users, np.random.default_rng(62))
+    got = _chunk_gains(bs, real.users,
+                       _shadow_factors(bs, 37, np.random.default_rng(62)))
     tier_of = np.repeat([0, 1], [9, 23])
     shadow_db = None
     if shadowing is not None:
@@ -294,8 +303,9 @@ def test_gain_kernel_matches_hypot_oracle_off_alpha_4(boundary, shadowing):
                                rng.uniform(0, side, (23, 2))],
                        users=rng.uniform(0, side, (37, 2)), window_side=side)
     real.users[5] = real.bs_pos[1][3]        # a link at the distance floor
-    got = _chunk_gains(_bs_field(real, sc, config), real.users,
-                       np.random.default_rng(72))
+    bs = _bs_field(real, sc, config)
+    got = _chunk_gains(bs, real.users,
+                       _shadow_factors(bs, 37, np.random.default_rng(72)))
     shadow_db = None
     if shadowing is not None:
         z = np.random.default_rng(72).standard_normal(got.shape)
@@ -318,11 +328,14 @@ def test_gain_kernel_ignores_what_a_workspace_held(alpha):
                        users=rng.uniform(0, 5.0, (512 + 37, 2)), window_side=5.0)
     bs = _bs_field(real, sc, SimConfig(window_side=5.0, replicates=1))
     work = _workspace(32, 512 + 37)
-    full = _chunk_gains(bs, real.users[:512], np.random.default_rng(74), work)
+    full = _chunk_gains(bs, real.users[:512],
+                        _shadow_factors(bs, 512, np.random.default_rng(74)), work)
     assert full.shape == (32, 512) and np.shares_memory(full, work)
-    part = _chunk_gains(bs, real.users[512:], np.random.default_rng(75), work)
+    part = _chunk_gains(bs, real.users[512:],
+                        _shadow_factors(bs, 37, np.random.default_rng(75)), work)
     assert np.shares_memory(part, work)
-    fresh = _chunk_gains(bs, real.users[512:], np.random.default_rng(75))
+    fresh = _chunk_gains(bs, real.users[512:],
+                         _shadow_factors(bs, 37, np.random.default_rng(75)))
     np.testing.assert_array_equal(part, fresh)
 
 
@@ -523,6 +536,62 @@ def test_spatial_mc_ignores_thread_count_across_blocks(monkeypatch):
         runs.append(spatial_mc(sc, [0.8, 0.5], config, rate_target=0.2,
                                area_tiers=(0, 1)))
     assert runs[0] == runs[1]
+
+
+def test_tiles_cover_each_block_with_no_lone_column():
+    # numpy sums a lone column pairwise rather than row by row, so a tile
+    # one user wide would move that user's faded SIR
+    for width in (3, 4, 51, 218, 512):
+        for n in range(1, 520):
+            tiles = list(_tiles(n, width))
+            assert [a for a, _ in tiles] == [0] + [b for _, b in tiles[:-1]]
+            assert tiles[-1][1] == n
+            assert all(2 <= b - a <= width for a, b in tiles) or tiles == [(0, 1)]
+
+
+@pytest.mark.parametrize("width", [3, 7, 512])
+def test_tile_width_changes_no_estimate(monkeypatch, width):
+    # Tiles of 3 users, of 7 with a lone user left at the end of a full
+    # block (512 = 73 x 7 + 1), and one tile per 512-user draw block (the
+    # pass before tiles) give the same bits: the draws follow the blocks,
+    # and a user's values its own column.
+    sc = two_tier(shadowing=ShadowingSpec(0.5, 4.0), lam_u=30.0)
+    config = SimConfig(window_side=6.0, replicates=1, seed=54)
+    real = sample_network(sc, [0.8, 0.5], config, np.random.default_rng([54, 0]))
+    assert real.users.shape[0] > 1024
+    want = spatial_mc(sc, [0.8, 0.5], config, rate_target=0.2, area_tiers=(0, 1))
+    monkeypatch.setattr(simulate, "_TILE_BUDGET", width * real.tier_counts.sum())
+    assert simulate._tile_width(real.tier_counts.sum()) == width
+    got = spatial_mc(sc, [0.8, 0.5], config, rate_target=0.2, area_tiers=(0, 1))
+    assert got == want
+
+
+@pytest.mark.parametrize("shadowing", [None, ShadowingSpec(0.5, 4.0)])
+@pytest.mark.parametrize("rate_target", [None, 0.1])
+def test_user_pass_memory_is_a_tile_plus_its_draw_blocks(shadowing, rate_target):
+    # With 1,200 BSs one block of n_BS x 512 doubles is 4.9 MB.  The pass
+    # holds a workspace of three tiles, one block per quantity it draws
+    # (shadowing normals, fading exponentials), and a slack for the
+    # per-user arrays and numpy's iterator buffers.
+    sc = two_tier(shadowing=shadowing)
+    side = 10.0
+    rng = np.random.default_rng(81)
+    real = Realization(bs_pos=[rng.uniform(0, side, (100, 2)),
+                               rng.uniform(0, side, (1100, 2))],
+                       users=rng.uniform(0, side, (1100, 2)), window_side=side)
+    config = SimConfig(window_side=side, replicates=1)
+    block = 1200 * 512 * 8
+    tracemalloc.start()
+    try:
+        stats = _user_pass(real, sc, config, np.random.default_rng(82), rate_target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < stats[0] < 1
+    blocks = (shadowing is not None) + (rate_target is not None)
+    assert peak < blocks * block + _workspace(1200, 1100).nbytes + block // 8, peak
+    if not blocks:
+        assert peak < block // 2, peak
 
 
 def test_empty_replicates_are_counted():
