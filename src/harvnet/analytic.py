@@ -22,6 +22,7 @@ from .coverage import coverage_prob
 from .model import (
     NetworkScenario,
     ScenarioError,
+    _check_integer,
     check_availability_vector,
     validate,
 )
@@ -151,7 +152,7 @@ def _cutoffs(scenario: NetworkScenario, policy) -> list[int]:
         raise ScenarioError(
             f"policy list must have {scenario.k_tiers} entries (got {len(policy)})")
     for p, tier in zip(policy, scenario.tiers):
-        p.check(markov.BirthDeathSpec(tier.harvest_rate, 1.0, tier.battery))
+        _check_integer(p.cutoff, "cutoff", 1, tier.battery)
     return [p.cutoff for p in policy]
 
 
@@ -255,8 +256,7 @@ def solve_availability(scenario: NetworkScenario, policy=None,
     """
     if not tolerance > 0:
         raise ScenarioError(f"tolerance must be > 0 (got {tolerance})")
-    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
-        raise ScenarioError(f"max_iter must be an integer >= 1 (got {max_iter})")
+    _check_integer(max_iter, "max_iter", 1)
     feasible, _ = check_feasibility(scenario)
     cutoffs = _cutoffs(scenario, policy)
     if not feasible:

@@ -14,17 +14,17 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
 from . import analytic, coverage, markov, region, simulate
 from .model import (
-    NO_SHADOWING,
     NetworkScenario,
     ScenarioError,
     ShadowingSpec,
     TierParams,
+    _check_integer,
     validate,
 )
 
@@ -78,6 +78,26 @@ def _object(value, field: str) -> dict:
     return value
 
 
+# Readers by dataclass field annotation (a string, as the layers postpone
+# annotations); a field of any other type passes as it is.
+_READERS = {"float": _number, "int": _integer}
+
+
+def _read(cls, block: dict, where: str, **given):
+    """Build dataclass `cls` from a JSON object, field by field in field order.
+
+    A field in `given` is not read, one the block leaves out takes its
+    default, and a missing field without a default raises KeyError.
+    """
+    for f in fields(cls):
+        if f.name in given or (f.name not in block and f.default is not MISSING):
+            continue
+        read = _READERS.get(f.type)
+        value = block[f.name]
+        given[f.name] = read(value, f"{where}.{f.name}") if read else value
+    return cls(**given)
+
+
 def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
     """Parse a scenario JSON file; returns the scenario and the raw document.
 
@@ -92,17 +112,12 @@ def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
         raise ScenarioError(f"tiers must be a JSON list (got {type(entries).__name__})")
     tiers = []
     for i, entry in enumerate(entries):
-        entry = _object(entry, f"tiers[{i}]")
+        where = f"tiers[{i}]"
+        entry = _object(entry, where)
+        sh = f"{where}.shadowing"
+        shadowing = _read(ShadowingSpec, _object(entry.get("shadowing"), sh), sh)
         try:
-            sh = _object(entry.get("shadowing"), f"tiers[{i}].shadowing")
-            shadow = ShadowingSpec(**{
-                key: _number(sh.get(key, 0.0), f"tiers[{i}].shadowing.{key}")
-                for key in ("mean_db", "std_db")}) if sh else NO_SHADOWING
-            tiers.append(TierParams(
-                **{key: _number(entry[key], f"tiers[{i}].{key}")
-                   for key in ("density", "tx_power", "harvest_rate")},
-                battery=_integer(entry["battery"], f"tiers[{i}].battery"),
-                shadowing=shadow))
+            tiers.append(_read(TierParams, entry, where, shadowing=shadowing))
         except KeyError as exc:
             raise ScenarioError(f"tier {i}: missing field {exc}") from None
     if not tiers:
@@ -134,6 +149,13 @@ def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
     return scenario, doc
 
 
+def _tier_index(tier: int, scenario: NetworkScenario) -> int:
+    """0-based index of the 1-based `tier`; a usage error outside 1..K."""
+    if not 1 <= tier <= scenario.k_tiers:
+        raise _UsageError(f"tier index {tier} out of range 1..{scenario.k_tiers}")
+    return tier - 1
+
+
 def _parse_tier_cutoff(text: str, scenario: NetworkScenario) -> tuple[int, int]:
     """'k=2' pins tier 2 (1-based) to its full battery; 'k=2:5' to cutoff 5."""
     body = text[2:] if text.startswith("k=") else text
@@ -142,19 +164,15 @@ def _parse_tier_cutoff(text: str, scenario: NetworkScenario) -> tuple[int, int]:
         tier = int(tier_txt)
     except ValueError:
         raise _UsageError(f"cannot parse tier assignment {text!r}") from None
-    if not 1 <= tier <= scenario.k_tiers:
-        raise _UsageError(f"tier index {tier} out of range 1..{scenario.k_tiers}")
-    battery = scenario.tiers[tier - 1].battery
-    if cut_txt:
-        try:
-            cutoff = int(cut_txt)
-        except ValueError:
-            raise _UsageError(f"cannot parse cutoff in {text!r}") from None
-    else:
-        cutoff = battery
+    k = _tier_index(tier, scenario)
+    battery = scenario.tiers[k].battery
+    try:
+        cutoff = int(cut_txt) if cut_txt else battery
+    except ValueError:
+        raise _UsageError(f"cannot parse cutoff in {text!r}") from None
     if not 1 <= cutoff <= battery:
         raise _UsageError(f"cutoff {cutoff} outside [1, {battery}] for tier {tier}")
-    return tier - 1, cutoff
+    return k, cutoff
 
 
 def _parse_rho(text: str, scenario: NetworkScenario) -> np.ndarray:
@@ -180,31 +198,24 @@ def _resolve_rho(args, scenario: NetworkScenario) -> np.ndarray:
 
 def _sim_config(args, doc: dict, scenario: NetworkScenario,
                 rho: np.ndarray) -> simulate.SimConfig:
-    block = _object(doc.get("sim"), "sim")
-
-    def pick(flag, key, default):
-        value = getattr(args, flag, None)
-        return block.get(key, default) if value is None else value
-
-    side = pick("window", "window_side", None)
-    if side is None:
-        side = simulate.suggest_window_side(scenario, rho)
-    return simulate.SimConfig(
-        window_side=_number(side, "sim.window_side"),
-        replicates=_integer(pick("replicates", "replicates", 20), "sim.replicates"),
-        seed=_integer(pick("seed", "seed", 0), "sim.seed"),
-        boundary=block.get("boundary", "toroidal"),
-        guard_margin=_number(block.get("guard_margin", 0.0), "sim.guard_margin"))
+    """The `sim` block read through SimConfig's fields, under the given flags."""
+    block = dict(_object(doc.get("sim"), "sim"))
+    flags = {"window_side": getattr(args, "window", None),
+             "replicates": args.replicates, "seed": args.seed}
+    block.update((key, value) for key, value in flags.items() if value is not None)
+    if block.get("window_side") is None:
+        block["window_side"] = simulate.suggest_window_side(scenario, rho)
+    return _read(simulate.SimConfig, block, "sim")
 
 
-def _writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _emit(header: list[str], rows) -> None:
+    """Write one CSV table to stdout, formatting every row before writing any.
 
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
+    Floats print to 12 significant digits, anything else as str().
+    """
+    table = [header, *([format(x, ".12g") if isinstance(x, float) else str(x)
+                        for x in row] for row in rows)]
+    csv.writer(sys.stdout, lineterminator="\n").writerows(table)
 
 
 def cmd_availability(args) -> int:
@@ -217,13 +228,10 @@ def cmd_availability(args) -> int:
     result = analytic.solve_availability(scenario, policy=policy,
                                          tolerance=args.tol)
     _, gamma = analytic.check_feasibility(scenario)
-    out = _writer()
-    out.writerow(["tier", "policy", "rho", "gamma", "feasible",
-                  "iterations", "residual"])
-    for k in range(scenario.k_tiers):
-        out.writerow([k + 1, f"S({cutoffs[k]})", _fmt(float(result.rho[k])),
-                      _fmt(gamma), result.feasible, result.iterations,
-                      _fmt(result.residual)])
+    _emit(["tier", "policy", "rho", "gamma", "feasible", "iterations", "residual"],
+          ([k + 1, f"S({c})", rho, gamma, result.feasible, result.iterations,
+            result.residual]
+           for k, (c, rho) in enumerate(zip(cutoffs, result.rho.tolist()))))
     if args.strict and not result.feasible:
         print("scenario is infeasible (gamma <= 1)", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -238,12 +246,10 @@ def cmd_region(args) -> int:
     for text in args.constrain or []:
         tier, cutoff = _parse_tier_cutoff(text, scenario)
         constraints[tier] = markov.PolicySpec(cutoff)
-    b0 = region.sweep_boundary(scenario, 0, args.grid, constraints.get(0))
-    b1 = region.sweep_boundary(scenario, 1, args.grid, constraints.get(1))
-    out = _writer()
-    out.writerow(["grid", "rho1_star_given_rho2", "rho2_star_given_rho1"])
-    for t, v0, v1 in zip(b0.grid, b0.values, b1.values):
-        out.writerow([_fmt(float(t)), _fmt(float(v0)), _fmt(float(v1))])
+    b0, b1 = (region.sweep_boundary(scenario, k, args.grid, constraints.get(k))
+              for k in (0, 1))
+    _emit(["grid", "rho1_star_given_rho2", "rho2_star_given_rho1"],
+          zip(b0.grid.tolist(), b0.values.tolist(), b1.values.tolist()))
     return EXIT_OK
 
 
@@ -253,10 +259,9 @@ def cmd_coverage(args) -> int:
         scenario = replace(scenario,
                            sir_target=_db_to_linear(args.sir_target_db))
         validate(scenario)
-    out = _writer()
-    out.writerow(["sir_target", "path_loss_exp", "coverage"])
-    out.writerow([_fmt(scenario.sir_target), _fmt(scenario.path_loss_exp),
-                  _fmt(coverage.coverage_prob(scenario))])
+    _emit(["sir_target", "path_loss_exp", "coverage"],
+          [[scenario.sir_target, scenario.path_loss_exp,
+            coverage.coverage_prob(scenario)]])
     return EXIT_OK
 
 
@@ -265,7 +270,6 @@ def cmd_rate(args) -> int:
         raise _UsageError("--rho cannot be combined with --surface, "
                           "which sweeps its own availabilities")
     scenario, doc = load_scenario(args.scenario)
-    out = _writer()
     if args.surface:
         if scenario.k_tiers != 2:
             raise ScenarioError("rate surfaces require exactly 2 tiers")
@@ -275,10 +279,9 @@ def cmd_rate(args) -> int:
         query = coverage.RateQuery(rate_target=target)
         grid = np.linspace(0.1, 1.0, args.grid)
         rho = np.column_stack((np.repeat(grid, grid.size), np.tile(grid, grid.size)))
-        out.writerow(["rho1", "rho2", "rate_ccdf"])
         values = coverage.rate_ccdf(scenario, rho, query)
-        for (r1, r2), val in zip(rho.tolist(), values.tolist()):
-            out.writerow([_fmt(r1), _fmt(r2), _fmt(val)])
+        _emit(["rho1", "rho2", "rate_ccdf"],
+              ([r1, r2, val] for (r1, r2), val in zip(rho.tolist(), values.tolist())))
         return EXIT_OK
     rho = _resolve_rho(args, scenario)
     sweep = _object(doc.get("sweep"), "sweep")
@@ -295,10 +298,9 @@ def cmd_rate(args) -> int:
         targets = np.linspace(start, stop, steps).tolist()
     else:
         targets = np.linspace(0.0, 2.0, 41).tolist()
-    out.writerow(["rate_target", "rate_ccdf"])
-    for t in targets:
-        val = coverage.rate_ccdf(scenario, rho, coverage.RateQuery(rate_target=t))
-        out.writerow([_fmt(float(t)), _fmt(val)])
+    _emit(["rate_target", "rate_ccdf"],
+          ([t, coverage.rate_ccdf(scenario, rho, coverage.RateQuery(rate_target=t))]
+           for t in targets))
     return EXIT_OK
 
 
@@ -306,32 +308,23 @@ def cmd_simulate(args) -> int:
     scenario, doc = load_scenario(args.scenario)
     rho = _resolve_rho(args, scenario)
     config = _sim_config(args, doc, scenario, rho)
-    out = _writer()
-    out.writerow(["estimator", "tier", "rate_target", "mean",
-                  "ci_halfwidth_99", "samples", "seed"])
-
-    def row(name, tier, target, est):
-        out.writerow([name, tier, _fmt(target) if target is not None else "",
-                      _fmt(est.mean), _fmt(est.ci_halfwidth_99),
-                      est.samples, est.seed])
-
-    kind = args.estimator
-    if args.tier is not None and not 1 <= args.tier <= scenario.k_tiers:
-        raise _UsageError(f"tier index {args.tier} out of range "
-                          f"1..{scenario.k_tiers}")
+    tiers = (range(scenario.k_tiers) if args.tier is None
+             else [_tier_index(args.tier, scenario)])
+    kind, target = args.estimator, ""
     if kind == "coverage":
-        row("coverage", "", None, simulate.coverage_mc(scenario, rho, config))
+        estimates = {"": simulate.coverage_mc(scenario, rho, config)}
     elif kind == "association":
-        for k, est in enumerate(simulate.association_mc(scenario, rho, config)):
-            row("association", k + 1, None, est)
+        estimates = dict(enumerate(simulate.association_mc(scenario, rho, config), 1))
     elif kind == "area":
-        tiers = [args.tier - 1] if args.tier else range(scenario.k_tiers)
         areas = simulate.spatial_mc(scenario, rho, config, area_tiers=tiers).area
-        for k, est in areas.items():
-            row("area", k + 1, None, est)
+        estimates = {k + 1: est for k, est in areas.items()}
     else:
         target = args.rate_target if args.rate_target is not None else 0.1
-        row("rate", "", target, simulate.rate_mc(scenario, rho, target, config))
+        estimates = {"": simulate.rate_mc(scenario, rho, target, config)}
+    _emit(["estimator", "tier", "rate_target", "mean", "ci_halfwidth_99", "samples",
+           "seed"],
+          ([kind, tier, target, est.mean, est.ci_halfwidth_99, est.samples, est.seed]
+           for tier, est in estimates.items()))
     return EXIT_OK
 
 
@@ -363,6 +356,8 @@ def cmd_validate(args) -> int:
     result = analytic.solve_availability(scenario)
     rho = result.rho if result.feasible else np.ones(scenario.k_tiers)
     config = _sim_config(args, doc, scenario, rho)
+    # Two replicates at least, or no check has a confidence interval.
+    _check_integer(config.replicates, "replicates", 2)
     if result.feasible:
         for k in range(scenario.k_tiers):
             tier = scenario.tiers[k]

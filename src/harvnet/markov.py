@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _Z99, ScenarioError, SimEstimate
+from .model import _Z99, ScenarioError, SimEstimate, _check_integer
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,7 @@ class BirthDeathSpec:
         if not self.utilization_rate > 0:
             raise ScenarioError(
                 f"utilization_rate must be > 0 (got {self.utilization_rate})")
-        if not (isinstance(self.battery, (int, np.integer)) and self.battery >= 1):
-            raise ScenarioError(f"battery must be an integer >= 1 (got {self.battery})")
+        _check_integer(self.battery, "battery", 1)
 
     @property
     def ratio(self) -> float:
@@ -55,10 +54,7 @@ class PolicySpec:
     cutoff: int = 1
 
     def check(self, spec: BirthDeathSpec) -> None:
-        if not (isinstance(self.cutoff, (int, np.integer))
-                and 1 <= self.cutoff <= spec.battery):
-            raise ScenarioError(
-                f"cutoff must be an integer in [1, {spec.battery}] (got {self.cutoff})")
+        _check_integer(self.cutoff, "cutoff", 1, spec.battery)
 
 
 def generator(spec: BirthDeathSpec) -> np.ndarray:
@@ -134,10 +130,9 @@ def mean_on_time(spec: BirthDeathSpec, start_level: int) -> float:
     Policy-1 form (1/nu)(1-r^N)/(1-r); for start_level=N it matches the
     Policy-2 closed form.  Overflows to inf where the value exceeds doubles.
     """
-    n, i = spec.battery, start_level
-    if not (isinstance(i, (int, np.integer)) and 1 <= i <= n):
-        raise ScenarioError(f"start_level must be in [1, {n}] (got {i})")
-    return float(_passage_sum(spec.ratio, n, i) / spec.utilization_rate)
+    _check_integer(start_level, "start_level", 1, spec.battery)
+    return float(_passage_sum(spec.ratio, spec.battery, start_level)
+                 / spec.utilization_rate)
 
 
 def mean_off_time(spec: BirthDeathSpec, policy: PolicySpec) -> float:
@@ -154,10 +149,8 @@ def tier_availability(s, battery: int, cutoff: int = 1):
     x = mu E[J1(c)]/c; under S(1) this is the stationary ON probability
     g = s (1 - s^N)/(1 - s^(N+1)).
     """
-    if not (isinstance(battery, (int, np.integer))
-            and isinstance(cutoff, (int, np.integer)) and 1 <= cutoff <= battery):
-        raise ScenarioError(f"need integers 1 <= cutoff <= battery "
-                            f"(got cutoff={cutoff}, battery={battery})")
+    _check_integer(battery, "battery", 1)
+    _check_integer(cutoff, "cutoff", 1, battery)
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise ScenarioError(f"load ratio must be nonnegative (got {s})")
@@ -242,10 +235,8 @@ def simulate_on_off(spec: BirthDeathSpec, policy: PolicySpec, cycles: int,
     exceed 2^53.
     """
     policy.check(spec)
-    if not (isinstance(cycles, (int, np.integer)) and cycles >= 2):
-        raise ScenarioError(f"cycles must be an integer >= 2 (got {cycles!r})")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ScenarioError(f"seed must be an integer >= 0 (got {seed!r})")
+    _check_integer(cycles, "cycles", 2)
+    _check_integer(seed, "seed", 0)
     rng = np.random.default_rng([seed, 0x0E])
     on = _on_times(spec, policy.cutoff, cycles, rng)
     off = rng.gamma(policy.cutoff, 1.0 / spec.harvest_rate, cycles)

@@ -24,6 +24,17 @@ class ScenarioError(ValueError):
     """Raised when a scenario (or derived input) violates a model constraint."""
 
 
+def _check_integer(value, name: str, low: int, high: int | None = None) -> None:
+    """Raise ScenarioError naming `name` unless value is an integer in [low, high].
+
+    A bool is not an integer here, as in scenario files.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ScenarioError(f"{name} must be an integer {bound} (got {value!r})")
+
+
 @dataclass(frozen=True)
 class ShadowingSpec:
     """Lognormal shadowing: gain X = 10^(Z/10) with Z ~ Normal(mean_db, std_db^2).
@@ -104,6 +115,9 @@ def validate(scenario: NetworkScenario) -> None:
     if not scenario.path_loss_exp > 2:
         raise ScenarioError(
             f"path_loss_exp must exceed 2 (got {scenario.path_loss_exp})")
+    if not math.isfinite(scenario.path_loss_exp):
+        raise ScenarioError(
+            f"path_loss_exp must be finite (got {scenario.path_loss_exp})")
     if not (math.isfinite(scenario.sir_target) and scenario.sir_target > 0):
         raise ScenarioError(
             f"sir_target must be finite and > 0 (got {scenario.sir_target})")
@@ -116,9 +130,7 @@ def validate(scenario: NetworkScenario) -> None:
             if not (math.isfinite(value) and value > 0):
                 raise ScenarioError(
                     f"tiers[{i}].{name} must be finite and > 0 (got {value})")
-        if not (isinstance(t.battery, (int, np.integer)) and t.battery >= 1):
-            raise ScenarioError(
-                f"tiers[{i}].battery must be an integer >= 1 (got {t.battery})")
+        _check_integer(t.battery, f"tiers[{i}].battery", 1)
         sh = t.shadowing
         if not math.isfinite(sh.mean_db):
             raise ScenarioError(

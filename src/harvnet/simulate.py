@@ -40,6 +40,7 @@ from .model import (
     NetworkScenario,
     ScenarioError,
     SimEstimate,
+    _check_integer,
     _t99,
     check_availability_vector,
 )
@@ -63,11 +64,10 @@ class SimConfig:
     def __post_init__(self):
         if not self.window_side > 0:
             raise ScenarioError(f"window_side must be > 0 (got {self.window_side})")
-        if not (isinstance(self.replicates, (int, np.integer)) and self.replicates >= 1):
-            raise ScenarioError(f"replicates must be an integer >= 1 "
-                                f"(got {self.replicates})")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ScenarioError(f"seed must be an integer >= 0 (got {self.seed!r})")
+        if not math.isfinite(self.window_side):
+            raise ScenarioError(f"window_side must be finite (got {self.window_side})")
+        _check_integer(self.replicates, "replicates", 1)
+        _check_integer(self.seed, "seed", 0)
         if self.boundary not in ("toroidal", "guard"):
             raise ScenarioError(f"boundary must be 'toroidal' or 'guard' "
                                 f"(got {self.boundary!r})")
@@ -159,22 +159,19 @@ def sample_network(scenario: NetworkScenario, rho, config: SimConfig,
     the full window.  Users are Poisson(lambda_u) on the full window in
     toroidal mode, or on the inner square in guard mode (every statistic is
     sampled at the users, so shrinking their support just discards
-    edge-biased samples).
+    edge-biased samples).  An expected point count past the float range is
+    a ScenarioError naming the window side.
     """
     rho = check_availability_vector(rho, scenario.k_tiers)
     side = config.window_side
-    bs_pos = []
-    for k, tier in enumerate(scenario.tiers):
-        n = rng.poisson(rho[k] * tier.density * side * side)
-        bs_pos.append(rng.uniform(0.0, side, (n, 2)))
-    if config.boundary == "guard":
-        g = config.guard_margin
-        inner = side - 2.0 * g
-        n_u = rng.poisson(scenario.user_density * inner * inner)
-        users = rng.uniform(g, side - g, (n_u, 2))
-    else:
-        n_u = rng.poisson(scenario.user_density * side * side)
-        users = rng.uniform(0.0, side, (n_u, 2))
+    g = config.guard_margin  # 0 in toroidal mode
+    inner = side - 2.0 * g
+    means = [float(r) * t.density * side * side for r, t in zip(rho, scenario.tiers)]
+    means.append(scenario.user_density * inner * inner)
+    if not all(map(math.isfinite, means)):
+        raise ScenarioError(f"window_side {side} gives a non-finite expected point count")
+    bs_pos = [rng.uniform(0.0, side, (rng.poisson(m), 2)) for m in means[:-1]]
+    users = rng.uniform(g, side - g, (rng.poisson(means[-1]), 2))
     return Realization(bs_pos=bs_pos, users=users, window_side=side)
 
 
@@ -371,7 +368,7 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
             with np.errstate(over="ignore"):
                 cover[users] = 1.0 / w.prod(axis=0)
     assoc = np.bincount(bs.tier_of[serving], minlength=scenario.k_tiers) / n_users
-    g = config.guard_margin if config.boundary == "guard" else 0.0
+    g = config.guard_margin  # 0 in toroidal mode
     top = config.window_side - g
     inner = (bs.x >= g) & (bs.x <= top) & (bs.y >= g) & (bs.y <= top)
     counts = np.bincount(bs.tier_of[inner], minlength=scenario.k_tiers)

@@ -377,8 +377,72 @@ def test_rate_rejects_a_bad_rho_at_a_zero_target(scenario_file, capsys, rho, mes
     # the default sweep starts at T = 0, so its first row is already an error
     assert main(["rate", scenario_file, "--rho", rho, *target]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "rate_target,rate_ccdf\n"
+    assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+# Runs that once wrote the CSV header before they failed, with their stderr.
+HEADER_BEFORE_ERROR = [
+    (["simulate", "--tier", "3", "--estimator", "area"],
+     "usage error: tier index 3 out of range 1..2\n"),
+    (["simulate", "--rho", "0,0"],
+     "error: no usable replicate for coverage out of 16; enlarge the window\n"),
+    (["rate", "--rho", "1,nan"],
+     "error: availabilities must lie in [0, 1] (got [ 1. nan])\n"),
+    (["rate", "--rho", "0,0"], "error: no BS available: weighted ON density is zero\n"),
+    (["rate", "--rho", "2,-1", "--rate-target", "0"],
+     "error: availabilities must lie in [0, 1] (got [ 2. -1.])\n"),
+    (["rate", "--rate-target", "-1"], "error: rate_target must be >= 0 (got -1.0)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", HEADER_BEFORE_ERROR,
+                         ids=[" ".join(argv) for argv, _ in HEADER_BEFORE_ERROR])
+def test_a_failing_command_writes_no_csv(capsys, argv, err):
+    path = str(SCENARIOS / "two-tier-baseline.json")
+    assert main([argv[0], path, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+@pytest.mark.parametrize("command", ["availability", "coverage", "rate", "simulate"])
+def test_infinite_path_loss_exp_is_an_error(tmp_path, capsys, command):
+    doc = json.loads(json.dumps(BASE_DOC))
+    doc["path_loss_exp"] = math.inf
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: path_loss_exp must be finite (got inf)\n"
+
+
+@pytest.mark.parametrize("window, err", [
+    ("inf", "error: window_side must be finite (got inf)\n"),
+    ("1e300", "error: window_side 1e+300 gives a non-finite expected point count\n"),
+], ids=["inf", "1e300"])
+def test_simulate_rejects_an_unusable_window(scenario_file, capsys, window, err):
+    assert main(["simulate", scenario_file, "--window", window]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+@pytest.mark.parametrize("how", ["flag", "scenario"])
+def test_validate_needs_two_replicates(scenario_file, tmp_path, capsys, how):
+    if how == "flag":
+        argv = [scenario_file, "--replicates", "1"]
+    else:
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["sim"]["replicates"] = 1
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(path)]
+    assert main(["validate", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: replicates must be an integer >= 2 (got 1)\n"
 
 
 def test_rate_surface_rejects_rho(scenario_file, capsys):

@@ -1,8 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from harvnet.analytic import solve_availability
+from harvnet.markov import (
+    BirthDeathSpec,
+    PolicySpec,
+    mean_on_time,
+    simulate_on_off,
+    tier_availability,
+)
 from harvnet.model import (
     NO_SHADOWING,
     NetworkScenario,
@@ -13,6 +22,7 @@ from harvnet.model import (
     check_availability_vector,
     validate,
 )
+from harvnet.simulate import SimConfig
 
 
 def make_scenario(**overrides):
@@ -33,6 +43,44 @@ def test_validate_accepts_well_formed_scenario():
 def test_alpha_boundary_is_rejected_by_name():
     with pytest.raises(ScenarioError, match="path_loss_exp must exceed 2"):
         validate(make_scenario(path_loss_exp=2.0))
+
+
+def test_infinite_path_loss_exp_is_rejected_by_name():
+    with pytest.raises(ScenarioError, match="path_loss_exp must be finite"):
+        validate(make_scenario(path_loss_exp=math.inf))
+
+
+SPEC = BirthDeathSpec(2.0, 1.0, 5)
+# Every integer parameter: (its name in the error, its lower bound, a call
+# that passes it the value v).
+INTEGER_SITES = [
+    ("tiers[0].battery", 1,
+     lambda v: validate(make_scenario(tiers=(TierParams(1.0, 1.0, 2.0, v),)))),
+    ("max_iter", 1, lambda v: solve_availability(make_scenario(), max_iter=v)),
+    ("cutoff", 1, lambda v: solve_availability(
+        make_scenario(), policy=[PolicySpec(v), PolicySpec(1)])),
+    ("replicates", 1, lambda v: SimConfig(window_side=5.0, replicates=v)),
+    ("seed", 0, lambda v: SimConfig(window_side=5.0, seed=v)),
+    ("battery", 1, lambda v: BirthDeathSpec(2.0, 1.0, v)),
+    ("cutoff", 1, lambda v: PolicySpec(v).check(SPEC)),
+    ("start_level", 1, lambda v: mean_on_time(SPEC, v)),
+    ("battery", 1, lambda v: tier_availability(0.5, v)),
+    ("cutoff", 1, lambda v: tier_availability(0.5, 5, v)),
+    ("cycles", 2, lambda v: simulate_on_off(SPEC, PolicySpec(1), cycles=v)),
+    ("seed", 0, lambda v: simulate_on_off(SPEC, PolicySpec(1), cycles=100, seed=v)),
+]
+
+
+@pytest.mark.parametrize("kind", ["fraction", "below-bound", "bool"])
+@pytest.mark.parametrize("name, low, call", INTEGER_SITES, ids=[
+    "validate-battery", "solve-max_iter", "solve-cutoff", "simconfig-replicates",
+    "simconfig-seed", "birth-death-battery", "policy-cutoff", "mean-on-time-start",
+    "tier-availability-battery", "tier-availability-cutoff", "on-off-cycles",
+    "on-off-seed"])
+def test_integer_parameters_are_checked_by_name(name, low, call, kind):
+    value = {"fraction": 2.5, "below-bound": low - 1, "bool": True}[kind]
+    with pytest.raises(ScenarioError, match=re.escape(f"{name} must be an integer")):
+        call(value)
 
 
 def test_zero_battery_is_rejected_with_tier_index():

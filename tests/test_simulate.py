@@ -264,6 +264,19 @@ def test_sim_config_validation():
             SimConfig(window_side=5.0, seed=seed)
 
 
+@pytest.mark.filterwarnings("error")
+def test_unusable_windows_are_named():
+    # both fail before any draw: inf in SimConfig, 1e300 at its point counts
+    for side in (0.0, -1.0):
+        with pytest.raises(ScenarioError, match=re.escape("window_side must be > 0")):
+            SimConfig(window_side=side)
+    with pytest.raises(ScenarioError, match="window_side must be finite"):
+        SimConfig(window_side=math.inf)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ScenarioError, match="window_side 1e\\+300"):
+        sample_network(two_tier(), [0.5, 0.5], SimConfig(window_side=1e300), rng)
+
+
 @pytest.mark.parametrize("boundary", ["toroidal", "guard"])
 @pytest.mark.parametrize("shadowing", [None, ShadowingSpec(1.5, 6.0)])
 def test_gain_kernel_matches_hypot_oracle(boundary, shadowing):
