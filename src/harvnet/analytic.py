@@ -140,8 +140,8 @@ def equivalence_check(scenario: NetworkScenario, rho) -> bool:
     rho = check_availability_vector(rho, scenario.k_tiers)
     if np.any(rho <= 0.0):
         raise ScenarioError("equivalence check requires strictly positive rho")
-    return all(
-        load_ratio(scenario, rho, k) > rho[k] for k in range(scenario.k_tiers))
+    on_weight, slope = _tier_constants(scenario)
+    return bool(np.all(slope * (rho @ on_weight) > rho))
 
 
 def _cutoffs(scenario: NetworkScenario, policy) -> list[int]:

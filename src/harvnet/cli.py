@@ -83,12 +83,21 @@ def _object(value, field: str) -> dict:
 _READERS = {"float": _number, "int": _integer}
 
 
+def _known(block: dict, keys, where: str) -> None:
+    """A key of `block` outside `keys`, such as a misspelt field, is an error."""
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise ScenarioError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+
+
 def _read(cls, block: dict, where: str, **given):
     """Build dataclass `cls` from a JSON object, field by field in field order.
 
     A field in `given` is not read, one the block leaves out takes its
-    default, and a missing field without a default raises KeyError.
+    default, a missing field without a default raises KeyError, and a key
+    that is no field of `cls` is an error.
     """
+    _known(block, (f.name for f in fields(cls)), where)
     for f in fields(cls):
         if f.name in given or (f.name not in block and f.default is not MISSING):
             continue
@@ -96,6 +105,10 @@ def _read(cls, block: dict, where: str, **given):
         value = block[f.name]
         given[f.name] = read(value, f"{where}.{f.name}") if read else value
     return cls(**given)
+
+
+_SCENARIO_KEYS = ("tiers", "path_loss_exp", "sir_target", "sir_target_db",
+                  "user_density", "over_provisioning", "sim", "sweep")
 
 
 def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
@@ -107,6 +120,7 @@ def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
     """
     with open(path) as fh:
         doc = _object(json.load(fh), "scenario")
+    _known(doc, _SCENARIO_KEYS, "scenario")
     entries = doc.get("tiers", [])
     if not isinstance(entries, list):
         raise ScenarioError(f"tiers must be a JSON list (got {type(entries).__name__})")

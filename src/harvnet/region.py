@@ -3,9 +3,27 @@
 The region boundary for tier k given the other tiers' availabilities is
 the largest root of rho_k = a_k(s_k(D)), D = D_others + lambda_k w_k rho_k:
 the fixed-point solver's scalar equation with the other tiers held fixed.
-Membership compares each coordinate with its conditional boundary; a sweep
-solves all its grid points as lanes of one root search.  A tier can also
-be pinned to a recharge policy S(c), which shrinks the region.
+`boundary` and the sweeps find that root; a sweep solves all its grid
+points as lanes of one root search.  A tier can also be pinned to a
+recharge policy S(c), which shrinks the region.
+
+Membership needs no root.  With h_k(x) = a_k(s_k(D_others + lambda_k w_k x))
+- x, rho is inside iff h_k(rho_k) >= 0 for every k: one evaluation per
+tier.  a(s) is concave for every battery N and cutoff c, so h_k, a concave
+function of a load affine in x minus x, is concave with h_k(0) >= 0, and
+{x in [0, 1]: h_k(x) >= 0} = [0, boundary].  Why a(s) is concave:
+- under S(c), a(s) = 1 - 1/Q(s) with Q(s) = sum_(i=0..N) q_i s^i, q_0 = 1
+  and q_i = min(1, (N - i + 1)/c);
+- a'' = (Q Q'' - 2 Q'^2)/Q^3, and the s^(m-2) coefficient of
+  Q Q'' - 2 Q'^2 is half of sum_(i+j=m) q_i q_j (m^2 - m - 6ij);
+- q is log-concave, so q_i q_(m-i) falls away from the middle of the
+  range of i, while the weights m^2 - m - 6i(m-i) rise away from it; the
+  weights sum to 0 over i = 0..m, and to at most 0 over the range
+  m-N..N that m > N leaves, which drops the largest;
+- so by Chebyshev's sum inequality every coefficient is <= 0: a'' <= 0
+  on s >= 0.
+The slack `tol` of a membership test is taken in rho units: the test is
+h_k(max(rho_k - tol, 0)) >= 0, i.e. rho_k <= boundary + tol.
 """
 
 from __future__ import annotations
@@ -20,6 +38,7 @@ from .model import NetworkScenario, ScenarioError, check_availability_vector
 _TOL = 1e-10          # bisection width on rho_k
 _MEMBER_TOL = 1e-6    # slack for membership tests at the boundary itself
 _LANE_BLOCK = 2048    # grid lanes per root search
+_GRID_BLOCK = 1 << 16  # grid lanes per membership evaluation
 
 
 @dataclass(frozen=True)
@@ -69,9 +88,28 @@ def boundary(scenario: NetworkScenario, k: int, fixed_others,
     return float(_boundaries(scenario, k, others[None, :], constraint, tol)[0])
 
 
+def _inside(scenario: NetworkScenario, rho, constraints, tol: float) -> np.ndarray:
+    """Which lanes of rho (L, K) lie in the region, to slack tol in each rho_k."""
+    on_weight, slope = analytic._tier_constants(scenario)
+    x = np.maximum(rho - tol, 0.0)
+    # s_k with rho_k moved to x_k: slope_k (D_others + lambda_k w_k x_k)
+    s = slope * ((rho @ on_weight)[:, None] + on_weight * (x - rho))
+    return np.all([markov.tier_availability(s[:, k], n, getattr(constraints.get(k), "cutoff", 1))
+                   >= x[:, k] for k, n in enumerate(scenario.batteries())], axis=0)
+
+
+def _sweep_grid(scenario: NetworkScenario, resolution: int) -> np.ndarray:
+    """The K=2 sweep grid linspace(0, 1, resolution), after its checks."""
+    if scenario.k_tiers != 2:
+        raise ScenarioError(f"boundary sweeps require exactly 2 tiers (got {scenario.k_tiers})")
+    if resolution < 2:
+        raise ScenarioError(f"grid_resolution must be >= 2 (got {resolution})")
+    return np.linspace(0.0, 1.0, resolution)
+
+
 def contains(scenario: NetworkScenario, rho, constraints=None,
              tol: float = _MEMBER_TOL) -> bool:
-    """True iff every rho_k is at most its conditional boundary value.
+    """True iff every rho_k is at most its conditional boundary value + tol.
 
     The region lives inside the unit box, so any point with a component
     outside [0, 1] is reported as not contained rather than rejected; that
@@ -81,40 +119,26 @@ def contains(scenario: NetworkScenario, rho, constraints=None,
     """
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (scenario.k_tiers,):
-        raise ScenarioError(
-            f"expected {scenario.k_tiers} availabilities (got shape {rho.shape})")
-    if np.any(rho < 0.0) or np.any(rho > 1.0):
+        raise ScenarioError(f"expected {scenario.k_tiers} availabilities (got shape {rho.shape})")
+    if not ((rho >= 0.0) & (rho <= 1.0)).all():     # NaN too
         return False
-    constraints = constraints or {}
-    return all(rho[k] <= boundary(scenario, k, np.delete(rho, k),
-                                  constraints.get(k)) + tol
-               for k in range(scenario.k_tiers))
+    return bool(_inside(scenario, rho[None, :], constraints or {}, tol)[0])
 
 
 def sweep_boundary(scenario: NetworkScenario, k: int,
                    grid_resolution: int = 101,
                    constraint: markov.PolicySpec | None = None) -> RegionBoundary:
     """Boundary curve of tier k against the other tier's availability (K=2)."""
-    if scenario.k_tiers != 2:
-        raise ScenarioError(
-            f"boundary sweeps require exactly 2 tiers (got {scenario.k_tiers})")
-    if grid_resolution < 2:
-        raise ScenarioError(f"grid_resolution must be >= 2 (got {grid_resolution})")
-    grid = np.linspace(0.0, 1.0, grid_resolution)
-    values = _boundaries(scenario, k, grid[:, None], constraint, _TOL)
-    return RegionBoundary(tier=k, grid=grid, values=values,
-                          policy_constraint=constraint)
+    grid = _sweep_grid(scenario, grid_resolution)
+    return RegionBoundary(k, grid, _boundaries(scenario, k, grid[:, None], constraint, _TOL),
+                          constraint)
 
 
 def grid_coverage(scenario: NetworkScenario, resolution: int = 101,
                   constraints=None) -> float:
     """Fraction of the [0,1]^2 availability grid inside the region (K=2)."""
-    constraints = constraints or {}
-    b0 = sweep_boundary(scenario, 0, resolution, constraints.get(0))
-    b1 = sweep_boundary(scenario, 1, resolution, constraints.get(1))
-    t = b0.grid
-    # Point (t[i], t[j]) is inside iff t[i] clears the tier-0 boundary at
-    # rho_1 = t[j] and t[j] clears the tier-1 boundary at rho_0 = t[i].
-    in0 = t[:, None] <= b0.values[None, :] + _MEMBER_TOL
-    in1 = t[None, :] <= b1.values[:, None] + _MEMBER_TOL
-    return float((in0 & in1).mean())
+    t = _sweep_grid(scenario, resolution)
+    # Whole grid rows, at most about _GRID_BLOCK lanes per call, bound the memory.
+    rows = np.array_split(t, -(-t.size ** 2 // _GRID_BLOCK))
+    return sum(int(_inside(scenario, np.column_stack((np.repeat(r, t.size), np.tile(t, r.size))),
+                           constraints or {}, _MEMBER_TOL).sum()) for r in rows) / t.size ** 2

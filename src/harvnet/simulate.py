@@ -49,6 +49,9 @@ _USER_CHUNK = 512          # users per draw block, fixes the order of every draw
 # Links (doubles) in one user tile's gain block; the user pass runs each
 # draw block in tiles of about this size.
 _TILE_BUDGET = 1 << 16
+# Expected BSs plus users in one replicate's window: about 1,600 times the
+# largest bundled scenario, and far below what would exhaust memory.
+_MAX_POINTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -159,8 +162,8 @@ def sample_network(scenario: NetworkScenario, rho, config: SimConfig,
     the full window.  Users are Poisson(lambda_u) on the full window in
     toroidal mode, or on the inner square in guard mode (every statistic is
     sampled at the users, so shrinking their support just discards
-    edge-biased samples).  An expected point count past the float range is
-    a ScenarioError naming the window side.
+    edge-biased samples).  An expected point count past the float range or
+    past _MAX_POINTS is a ScenarioError naming the window side.
     """
     rho = check_availability_vector(rho, scenario.k_tiers)
     side = config.window_side
@@ -170,6 +173,9 @@ def sample_network(scenario: NetworkScenario, rho, config: SimConfig,
     means.append(scenario.user_density * inner * inner)
     if not all(map(math.isfinite, means)):
         raise ScenarioError(f"window_side {side} gives a non-finite expected point count")
+    if sum(means) > _MAX_POINTS:
+        raise ScenarioError(f"window_side {side} gives {sum(means):.3g} expected points "
+                            f"per replicate (at most {_MAX_POINTS})")
     bs_pos = [rng.uniform(0.0, side, (rng.poisson(m), 2)) for m in means[:-1]]
     users = rng.uniform(g, side - g, (rng.poisson(means[-1]), 2))
     return Realization(bs_pos=bs_pos, users=users, window_side=side)

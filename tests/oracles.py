@@ -15,6 +15,8 @@ before it skipped zero counts, drawing for every cycle at every level.
 `fsum_rate_ccdf` sums the rate series in float64 from scipy's negative
 binomial pmf and hyp2f1, with math.fsum.
 `bisect_outer_root` is the root search as one h call per bisection step.
+`root_search_contains` and `two_sweep_grid_coverage` decide region
+membership from the root-searched boundaries, rho_k <= boundary + tol.
 `associate` gives each user its strongest-average BS one whole 512-user
 block at a time, drawing the block's shadowing as the user pass does.
 `probe_service_areas` estimates service areas from uniform probe points
@@ -33,6 +35,7 @@ from scipy.stats import nbinom
 
 from harvnet.analytic import _SCAN
 from harvnet.model import ScenarioError
+from harvnet.region import boundary, sweep_boundary
 from harvnet.simulate import (
     _USER_CHUNK,
     Realization,
@@ -234,6 +237,34 @@ def bisect_outer_root(h, top, tol, max_iter=None):
         y_lo = np.where(up[:, None], y_mid, y_lo)
         y_hi = np.where(down[:, None], y_mid, y_hi)
         steps += 1
+
+
+def root_search_contains(scenario, rho, constraints=None, tol=1e-6):
+    """True iff rho is in the unit box and rho_k <= boundary_k + tol for every k.
+
+    Each boundary_k is one root search (`region.boundary`) at the other
+    tiers' rho; `constraints` maps tier index to a PolicySpec.
+    """
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho < 0.0) or np.any(rho > 1.0):
+        return False
+    constraints = constraints or {}
+    return all(rho[k] <= boundary(scenario, k, np.delete(rho, k), constraints.get(k)) + tol
+               for k in range(scenario.k_tiers))
+
+
+def two_sweep_grid_coverage(scenario, resolution, constraints=None, tol=1e-6):
+    """Share of the K=2 grid inside the region, from one boundary sweep per tier.
+
+    Point (t_i, t_j) is inside iff t_i <= boundary_0(t_j) + tol and
+    t_j <= boundary_1(t_i) + tol.
+    """
+    constraints = constraints or {}
+    b0, b1 = (sweep_boundary(scenario, k, resolution, constraints.get(k)) for k in (0, 1))
+    t = b0.grid
+    in0 = t[:, None] <= b0.values[None, :] + tol
+    in1 = t[None, :] <= b1.values[:, None] + tol
+    return float((in0 & in1).mean())
 
 
 def mp_tier_constants(scenario):

@@ -550,6 +550,34 @@ def test_explicit_sim_flags_are_checked(scenario_file, capsys, command, flag,
     assert captured.err.startswith(f"error: {field} must be")
 
 
+@pytest.mark.parametrize("command, mutate, message", [
+    ("coverage", lambda d: d["tiers"][0].update(shadowing={"std": 8.0}),
+     "unknown tiers[0].shadowing key(s): 'std'"),
+    ("simulate", lambda d: d["sim"].update(replicate=4), "unknown sim key(s): 'replicate'"),
+    ("coverage", lambda d: d.update(path_loss_expo=3.5),
+     "unknown scenario key(s): 'path_loss_expo'"),
+    ("availability", lambda d: d["tiers"][1].update(batery=5, harvest=1.0),
+     "unknown tiers[1] key(s): 'batery', 'harvest'"),
+], ids=["shadowing-std", "sim-replicate", "path-loss-expo", "tier-keys"])
+def test_misspelt_scenario_keys_are_named(tmp_path, capsys, command, mutate, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_malformed(mutate)))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_simulate_caps_the_expected_point_count(capsys):
+    # about 2.8e11 expected points: refused before any draw
+    argv = ["simulate", str(SCENARIOS / "two-tier-baseline.json"), "--window", "1e5"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: window_side 100000.0 gives 2.81e+11 expected points "
+                            "per replicate (at most 16777216)\n")
+
+
 @pytest.mark.parametrize("path, value, field", [
     (("tiers", 0, "battery"), 10.7, "tiers[0].battery"),
     (("tiers", 1, "battery"), "5", "tiers[1].battery"),

@@ -1,15 +1,25 @@
 import math
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from harvnet import analytic, region
 from harvnet.analytic import solve_availability
-from harvnet.markov import PolicySpec
+from harvnet.cli import load_scenario
+from harvnet.markov import PolicySpec, tier_availability
 from harvnet.model import NetworkScenario, ScenarioError, ShadowingSpec, TierParams
 from harvnet.region import boundary, contains, grid_coverage, sweep_boundary
-from oracles import mp_on_fraction_closed, mp_outer_root, mp_tier_constants
+from oracles import (
+    mp_on_fraction_closed,
+    mp_outer_root,
+    mp_tier_constants,
+    root_search_contains,
+    two_sweep_grid_coverage,
+)
 
 PC = 1 / (1 + math.pi / 4)
 
@@ -169,12 +179,17 @@ def test_fine_sweep_memory_stays_flat():
         assert sweep.values[i] == boundary(sc, 0, [sweep.grid[i]])
 
 
-def test_three_tier_boundary_matches_mpmath_root():
+def three_tier():
     tiers = tuple(TierParams(lam, p, mu, n) for lam, p, mu, n in
                   ((1.0, 1.0, 3.0, 6), (4.0, 0.25, 1.5, 4), (10.0, 0.01, 0.5, 3)))
     lam_u = sum(t.density * t.harvest_rate for t in tiers) / (1.2 * PC)
-    sc = NetworkScenario(tiers=tiers, path_loss_exp=4.0, sir_target=1.0,
-                         user_density=lam_u)
+    return NetworkScenario(tiers=tiers, path_loss_exp=4.0, sir_target=1.0,
+                           user_density=lam_u)
+
+
+def test_three_tier_boundary_matches_mpmath_root():
+    sc = three_tier()
+    tiers = sc.tiers
     for k, others, cutoff in ((1, [0.6, 0.3], 1), (2, [0.8, 0.5], 3),
                               (0, [0.2, 0.1], 4), (1, [1.0, 0.0], 2)):
         got = boundary(sc, k, others,
@@ -199,3 +214,116 @@ def test_boundary_rejects_nonpositive_tol():
     for tol in (0.0, -1e-3):
         with pytest.raises(ScenarioError, match="tol"):
             boundary(sc, 0, [0.5], tol=tol)
+
+
+SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+# Offsets from a boundary value: inside, on and just past the 1e-6 slack.
+OFFSETS = (0.0, -1e-9, 5e-7, 9.9e-7, 1.01e-6, 2e-6)
+
+
+def constraint_sets(sc):
+    """No constraint, tier 0 at S(N), and both tiers pinned (tier 1 at S(N/2))."""
+    n = [t.battery for t in sc.tiers]
+    return [None, {0: PolicySpec(n[0])},
+            {0: PolicySpec(n[0]), 1: PolicySpec(max(1, n[1] // 2))}]
+
+
+def probe_points(sc, constraints, rng, random=100, per_tier=9):
+    """Uniform points, and points at each boundary offset by OFFSETS.
+
+    The fixed point under `constraints` lies on every tier's boundary at
+    once, so it is offset too.  Half the uniform points fill the unit box
+    and half the box up to 1.5 times the fixed point, floored at 0.05, as
+    do the other tiers' rho at the boundary points: most of the region
+    lies there.
+    """
+    policy = [(constraints or {}).get(k, PolicySpec(1)) for k in range(sc.k_tiers)]
+    corner = solve_availability(sc, policy=policy).rho
+    high = np.clip(1.5 * corner, 0.05, 1.0)
+    points = [*rng.uniform(0.0, 1.0, (random // 2, sc.k_tiers)),
+              *rng.uniform(0.0, high, (random // 2, sc.k_tiers)),
+              *(corner + offset for offset in OFFSETS)]
+    for k in range(sc.k_tiers):
+        for others in rng.uniform(0.0, np.delete(high, k), (per_tier, sc.k_tiers - 1)):
+            b = boundary(sc, k, others, (constraints or {}).get(k))
+            points += [np.insert(others, k, b + offset) for offset in OFFSETS]
+    return points
+
+
+def test_policy_availability_is_one_minus_one_over_q():
+    # a(s) = 1 - 1/Q(s), Q(s) = sum_i q_i s^i, q_0 = 1, q_i = min(1, (N-i+1)/c)
+    s = np.concatenate([np.linspace(0.0, 3.0, 61), np.geomspace(1e-3, 1e3, 25)])
+    for n in (1, 2, 7, 40):
+        for c in range(1, n + 1):
+            q = [min(1.0, (n - i + 1) / c) for i in range(n + 1)]
+            want = 1.0 - 1.0 / np.polynomial.polynomial.polyval(s, q)
+            np.testing.assert_allclose(tier_availability(s, n, c), want, rtol=0, atol=1e-15)
+
+
+def test_availability_is_concave_for_every_cutoff_exactly():
+    # a'' <= 0 iff Q Q'' <= 2 Q'^2, which holds on s >= 0 when every
+    # coefficient sum_(i+j=m) q_i q_j (m^2 - m - 6ij) is <= 0.  With
+    # q_i = num_i / c exactly, a coefficient is Fraction(integer, c^2).
+    for n in range(1, 41):
+        for c in range(1, n + 1):
+            num = [min(c, n - i + 1) for i in range(n + 1)]
+            for m in range(2 * n + 1):
+                total = sum(num[i] * num[m - i] * (m * m - m - 6 * i * (m - i))
+                            for i in range(max(0, m - n), min(m, n) + 1))
+                assert Fraction(total, c * c) <= 0, (n, c, m)
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_contains_equals_root_search_membership(path):
+    sc, _ = load_scenario(str(path))
+    rng = np.random.default_rng(16)
+    for constraints in constraint_sets(sc):
+        points = probe_points(sc, constraints, rng)
+        got = [contains(sc, p, constraints) for p in points]
+        assert got == [root_search_contains(sc, p, constraints) for p in points]
+
+
+def test_three_tier_contains_equals_root_search_membership():
+    sc = three_tier()
+    rng = np.random.default_rng(3)
+    for constraints in (None, {1: PolicySpec(4), 2: PolicySpec(2)}):
+        points = probe_points(sc, constraints, rng, random=150, per_tier=6)
+        got = [contains(sc, p, constraints) for p in points]
+        assert got == [root_search_contains(sc, p, constraints) for p in points]
+        assert 0 < sum(got) < len(got), constraints
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_grid_coverage_equals_two_sweep_coverage(path):
+    sc, _ = load_scenario(str(path))
+    for constraints in constraint_sets(sc):
+        for resolution in (21, 101):
+            assert (grid_coverage(sc, resolution, constraints)
+                    == two_sweep_grid_coverage(sc, resolution, constraints))
+
+
+def test_membership_runs_no_root_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("membership reached a root search")
+
+    for name, owner in (("_outer_root", analytic), ("boundary", region),
+                        ("sweep_boundary", region), ("_boundaries", region)):
+        monkeypatch.setattr(owner, name, forbidden)
+    sc = two_tier()
+    assert contains(sc, [0.1, 0.1]) and not contains(sc, [0.9, 0.9])
+    assert 0.0 < grid_coverage(sc, 101) < 1.0
+    assert not contains(three_tier(), [0.9, 0.9, 0.9])
+
+
+def test_membership_blocks_match_one_evaluation():
+    # 301^2 grid lanes take two membership calls; blocks change no lane
+    sc = two_tier()
+    t = np.linspace(0.0, 1.0, 301)
+    lanes = np.column_stack((np.repeat(t, t.size), np.tile(t, t.size)))
+    assert grid_coverage(sc, 301) == region._inside(sc, lanes, {}, 1e-6).mean()
+
+
+def test_contains_reports_nan_as_outside():
+    sc = two_tier()
+    assert not contains(sc, [math.nan, 0.1])
+    assert not contains(sc, [0.1, math.nan])

@@ -277,6 +277,20 @@ def test_unusable_windows_are_named():
         sample_network(two_tier(), [0.5, 0.5], SimConfig(window_side=1e300), rng)
 
 
+def test_expected_point_count_is_capped_before_any_draw(monkeypatch):
+    # at rho = (0.5, 0.5) the window expects (0.5 + 5 + lambda_u) side^2 points
+    sc, rng = two_tier(), np.random.default_rng(0)
+    per_area = 0.5 * 1.0 + 0.5 * 10.0 + sc.user_density
+    with pytest.raises(ScenarioError, match=re.escape(
+            f"window_side 100000.0 gives {per_area * 1e10:.3g} expected points")):
+        sample_network(sc, [0.5, 0.5], SimConfig(window_side=1e5), rng)
+    # the cap bounds the sum over tiers and users, here 374 points
+    monkeypatch.setattr(simulate, "_MAX_POINTS", math.ceil(per_area * 16))
+    sample_network(sc, [0.5, 0.5], SimConfig(window_side=4.0), rng)
+    with pytest.raises(ScenarioError, match="at most 374"):
+        sample_network(sc, [0.5, 0.5], SimConfig(window_side=4.01), rng)
+
+
 @pytest.mark.parametrize("boundary", ["toroidal", "guard"])
 @pytest.mark.parametrize("shadowing", [None, ShadowingSpec(1.5, 6.0)])
 def test_gain_kernel_matches_hypot_oracle(boundary, shadowing):
