@@ -284,6 +284,11 @@ def cmd_rate(args) -> int:
         raise _UsageError("--rho cannot be combined with --surface, "
                           "which sweeps its own availabilities")
     scenario, doc = load_scenario(args.scenario)
+    sweep = _object(doc.get("sweep"), "sweep")
+    _known(sweep, ("variable", "start", "stop", "steps"), "sweep")
+    if sweep and sweep.get("variable") != "rate_target":
+        raise ScenarioError(f"sweep.variable must be 'rate_target' "
+                            f"(got {sweep.get('variable')!r})")
     if args.surface:
         if scenario.k_tiers != 2:
             raise ScenarioError("rate surfaces require exactly 2 tiers")
@@ -298,10 +303,9 @@ def cmd_rate(args) -> int:
               ([r1, r2, val] for (r1, r2), val in zip(rho.tolist(), values.tolist())))
         return EXIT_OK
     rho = _resolve_rho(args, scenario)
-    sweep = _object(doc.get("sweep"), "sweep")
     if args.rate_target is not None:
         targets = [args.rate_target]
-    elif sweep.get("variable") == "rate_target":
+    elif sweep:
         try:
             start, stop = (_number(sweep[k], f"sweep.{k}") for k in ("start", "stop"))
             steps = _integer(sweep["steps"], "sweep.steps")

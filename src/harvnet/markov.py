@@ -203,17 +203,24 @@ def _on_times(spec: BirthDeathSpec, cutoff: int, cycles: int,
 
     # Gamma and Poisson draws are taken only where the count is positive:
     # a zero shape or mean gives 0 without consuming bits, so the values and
-    # the generator state are those of drawing every cycle.
+    # the generator state are those of drawing every cycle.  Up to the
+    # cutoff every count is at least 1; above it a count of 0 stays 0, so
+    # from there `live` indexes the cycles still counting and `down` holds
+    # their counts.  `below` adds the two counts one at a time, as the
+    # bits of a sum past 2^53 depend on the order.
+    live = slice(None)
     down = np.ones(cycles, dtype=np.int64)
     below = np.zeros(cycles)
     for j in range(1, n):
-        live = down > 0
-        up = np.zeros(cycles, dtype=np.int64)
-        up[live] = rng.poisson(rng.gamma(down[live], r))
-        below += down
-        below += up
+        up = rng.poisson(rng.gamma(down, r))
+        below[live] = below[live] + down + up
         down = up + (j + 1 <= cutoff)
-    return rng.gamma(below, 1.0 / (mu + nu)) + rng.gamma(down, 1.0 / nu)
+        if j >= cutoff:
+            kept = np.flatnonzero(down)
+            live, down = (kept if j == cutoff else live[kept]), down[kept]
+    last = np.zeros(cycles, dtype=np.int64)
+    last[live] = down
+    return rng.gamma(below, 1.0 / (mu + nu)) + rng.gamma(last, 1.0 / nu)
 
 
 def simulate_on_off(spec: BirthDeathSpec, policy: PolicySpec, cycles: int,

@@ -188,7 +188,7 @@ class _BSField:
     x: np.ndarray                   # (n_bs,) contiguous coordinates
     y: np.ndarray
     tier_of: np.ndarray
-    power: np.ndarray               # (n_bs, 1) transmit power
+    slabs: tuple[tuple[slice, float], ...]   # each tier's rows and transmit power
     shadow: tuple[np.ndarray, np.ndarray] | None   # (n_bs, 1) dB mean, std
     alpha: float
     period: float | None            # wrap period in toroidal mode
@@ -203,10 +203,12 @@ def _bs_field(realization: Realization, scenario: NetworkScenario,
     means = np.array([t.shadowing.mean_db for t in scenario.tiers])
     stds = np.array([t.shadowing.std_db for t in scenario.tiers])
     shadowed = np.any(stds > 0) or np.any(means != 0)
+    edges = np.cumsum([0, *realization.tier_counts]).tolist()
     return _BSField(
         x=np.ascontiguousarray(xy[:, 0]), y=np.ascontiguousarray(xy[:, 1]),
         tier_of=tier_of,
-        power=np.array([t.tx_power for t in scenario.tiers])[col],
+        slabs=tuple((slice(a, b), t.tx_power)
+                    for a, b, t in zip(edges, edges[1:], scenario.tiers)),
         shadow=(means[col], stds[col]) if shadowed else None,
         alpha=scenario.path_loss_exp,
         period=config.window_side if config.boundary == "toroidal" else None)
@@ -270,22 +272,28 @@ def _chunk_gains(bs: _BSField, pts: np.ndarray, shadow=None, work=None) -> np.nd
     selection averages over it.  Toroidal mode wraps coordinate differences
     at window scale.  Path loss is P/(d^2)^2 at alpha = 4, else
     P (d^2)^(-alpha/2), with d^2 summed from one contiguous block per
-    coordinate; the kernel makes about eleven passes over the tile.  W and
-    two scratch blocks are views of the rows of `work` (a `_workspace`;
-    fresh buffers when None), in order.
+    coordinate, each taken against a contiguous copy of the tile's user x
+    or y.  The BSs are stacked tier by tier, so P is applied as one scalar
+    pass over each tier's contiguous rows.  W and two scratch blocks
+    are views of the rows of `work` (a `_workspace`; fresh buffers when
+    None), in order.
     """
     shape = (bs.x.size, pts.shape[0])
     if work is None:
         work = np.empty((3, shape[0] * shape[1]))
     w, tmp, aux = (row[:shape[0] * shape[1]].reshape(shape) for row in work)
-    _axis_sq(bs.x, pts[:, 0], bs.period, w, tmp)
-    w += _axis_sq(bs.y, pts[:, 1], bs.period, aux, tmp)
+    x, y = np.ascontiguousarray(pts.T)
+    _axis_sq(bs.x, x, bs.period, w, tmp)
+    w += _axis_sq(bs.y, y, bs.period, aux, tmp)
     np.maximum(w, 1e-18, out=w)
     if bs.alpha == 4.0:
-        np.divide(bs.power, np.multiply(w, w, out=w), out=w)
+        np.multiply(w, w, out=w)
+        for rows, power in bs.slabs:
+            np.divide(power, w[rows], out=w[rows])
     else:
         np.power(w, -0.5 * bs.alpha, out=w)
-        w *= bs.power
+        for rows, power in bs.slabs:
+            w[rows] *= power
     if shadow is not None:
         w *= shadow
     return w
@@ -294,22 +302,16 @@ def _chunk_gains(bs: _BSField, pts: np.ndarray, shadow=None, work=None) -> np.nd
 def _strongest(w: np.ndarray, work=None) -> np.ndarray:
     """First row index of each column's maximum, as np.argmax(w, axis=0).
 
-    np.argmax along axis 0 of a C-ordered block first copies it into
-    transposed order.  Here each column's maximal rows are weighted by
-    descending row numbers (int16 while they fit) and the largest weight
-    taken, reading the block in row order; the gains are never NaN.  The
-    mask and weights are views of rows 1 and 2 of `work` (the `_workspace`
-    whose row 0 holds w; fresh buffers when None).
+    np.argmax along axis 0 of a C-ordered block first copies it, transposed,
+    into a fresh array.  Here that copy goes into row 1 of `work` (the
+    `_workspace` whose row 0 holds w; a fresh buffer when None), and each
+    of its rows, one column of w, is searched in turn.
     """
-    rows = w.shape[0]
-    dtype = np.int16 if rows < 32767 else np.int64
     if work is None:
-        work = np.empty((3, w.size))
-    mask, weighted = (row.view(t)[:w.size].reshape(w.shape)
-                      for row, t in ((work[1], np.bool_), (work[2], dtype)))
-    np.equal(w, w.max(axis=0), out=mask)
-    desc = np.arange(rows, 0, -1, dtype=dtype)[:, None]
-    return rows - np.multiply(mask, desc, out=weighted).max(axis=0).astype(np.int64)
+        work = np.empty((2, w.size))
+    columns = work[1, :w.size].reshape(w.shape[::-1])
+    np.copyto(columns, w.T)
+    return columns.argmax(axis=1)
 
 
 def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
@@ -351,27 +353,27 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     block = n_bs * min(_USER_CHUNK, n_users)
     shadow_buf = None if bs.shadow is None else np.empty(block)
     fade_buf = None if fading is None else np.empty(block)
-    for lo in range(0, n_users, _USER_CHUNK):
-        m = min(_USER_CHUNK, n_users - lo)
-        shadow = _shadow_factors(bs, m, rng, shadow_buf)
-        if fading is not None:
-            fade = fading.standard_exponential(
-                out=fade_buf[:n_bs * m].reshape(n_bs, m))
-        for a, b in _tiles(m, width):
-            users = slice(lo + a, lo + b)
-            w = _chunk_gains(bs, real.users[users],
-                             None if shadow is None else shadow[:, a:b], work)
-            srv = serving[users] = _strongest(w, work)
-            link = (srv, np.arange(b - a))
+    with np.errstate(over="ignore"):
+        for lo in range(0, n_users, _USER_CHUNK):
+            m = min(_USER_CHUNK, n_users - lo)
+            shadow = _shadow_factors(bs, m, rng, shadow_buf)
             if fading is not None:
-                faded = np.multiply(fade[:, a:b], w,
-                                    out=work[1, :w.size].reshape(w.shape))
-                sig = faded[link]
-                sir[users] = sig / np.maximum(faded.sum(axis=0) - sig, 1e-300)
-            w *= beta / w[link]
-            w += 1.0
-            w[link] = 1.0
-            with np.errstate(over="ignore"):
+                fade = fading.standard_exponential(
+                    out=fade_buf[:n_bs * m].reshape(n_bs, m))
+            for a, b in _tiles(m, width):
+                users = slice(lo + a, lo + b)
+                w = _chunk_gains(bs, real.users[users],
+                                 None if shadow is None else shadow[:, a:b], work)
+                srv = serving[users] = _strongest(w, work)
+                link = (srv, np.arange(b - a))
+                if fading is not None:
+                    faded = np.multiply(fade[:, a:b], w,
+                                        out=work[1, :w.size].reshape(w.shape))
+                    sig = faded[link]
+                    sir[users] = sig / np.maximum(faded.sum(axis=0) - sig, 1e-300)
+                w *= beta / w[link]
+                w += 1.0
+                w[link] = 1.0
                 cover[users] = 1.0 / w.prod(axis=0)
     assoc = np.bincount(bs.tier_of[serving], minlength=scenario.k_tiers) / n_users
     g = config.guard_margin  # 0 in toroidal mode

@@ -15,6 +15,9 @@ before it skipped zero counts, drawing for every cycle at every level.
 `fsum_rate_ccdf` sums the rate series in float64 from scipy's negative
 binomial pmf and hyp2f1, with math.fsum.
 `bisect_outer_root` is the root search as one h call per bisection step.
+`row_weight_user_pass` is the spatial user pass with its gain kernel and
+serving pick as they were before the per-tier path loss and the argmax
+pick, for bit-for-bit comparison.
 `root_search_contains` and `two_sweep_grid_coverage` decide region
 membership from the root-searched boundaries, rho_k <= boundary + tol.
 `associate` gives each user its strongest-average BS one whole 512-user
@@ -43,6 +46,9 @@ from harvnet.simulate import (
     _bs_field,
     _chunk_gains,
     _shadow_factors,
+    _tile_width,
+    _tiles,
+    _workspace,
     sample_network,
 )
 
@@ -495,3 +501,101 @@ def raw_fading_coverage(scenario, rho, config):
         vals.append(np.mean(signal > beta * (faded.sum(axis=0) - signal)))
     z99 = NormalDist().inv_cdf(0.995)
     return float(np.mean(vals)), z99 * float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
+
+
+def _row_weight_axis_sq(bs_coord, pts_coord, period, out, tmp):
+    d = np.subtract.outer(bs_coord, pts_coord, out=out)
+    np.abs(d, out=d)
+    if period is not None:
+        np.minimum(d, np.subtract(period, d, out=tmp), out=d)
+    return np.multiply(d, d, out=d)
+
+
+def _row_weight_gains(bs, power, pts, shadow, work):
+    """Link gains with the power broadcast as an (n_bs, 1) column."""
+    shape = (bs.x.size, pts.shape[0])
+    w, tmp, aux = (row[:shape[0] * shape[1]].reshape(shape) for row in work)
+    _row_weight_axis_sq(bs.x, pts[:, 0], bs.period, w, tmp)
+    w += _row_weight_axis_sq(bs.y, pts[:, 1], bs.period, aux, tmp)
+    np.maximum(w, 1e-18, out=w)
+    if bs.alpha == 4.0:
+        np.divide(power, np.multiply(w, w, out=w), out=w)
+    else:
+        np.power(w, -0.5 * bs.alpha, out=w)
+        w *= power
+    if shadow is not None:
+        w *= shadow
+    return w
+
+
+def _row_weight_strongest(w, work):
+    """First maximal row per column: its rows weighted by descending row numbers."""
+    rows = w.shape[0]
+    dtype = np.int16 if rows < 32767 else np.int64
+    mask, weighted = (row.view(t)[:w.size].reshape(w.shape)
+                      for row, t in ((work[1], np.bool_), (work[2], dtype)))
+    np.equal(w, w.max(axis=0), out=mask)
+    desc = np.arange(rows, 0, -1, dtype=dtype)[:, None]
+    return rows - np.multiply(mask, desc, out=weighted).max(axis=0).astype(np.int64)
+
+
+def row_weight_user_pass(real, scenario, config, rng, rate_target):
+    """`simulate._user_pass` with the earlier gain kernel and serving pick.
+
+    Path loss is multiplied by an (n_bs, 1) power column in one broadcast,
+    each tile reads the strided columns of the user array, and the serving
+    BS is the largest descending row weight among each column's maxima.
+    The draws, tiles and reductions are the user pass's own.
+    """
+    n_users = real.users.shape[0]
+    if not real.tier_counts.any() or n_users == 0:
+        nan = np.full(scenario.k_tiers, math.nan)
+        return math.nan, nan, nan, math.nan
+    bs = _bs_field(real, scenario, config)
+    power = np.array([t.tx_power for t in scenario.tiers])[bs.tier_of[:, None]]
+    n_bs, beta = bs.x.size, scenario.sir_target
+    serving = np.empty(n_users, dtype=np.int64)
+    cover = np.empty(n_users)
+    fading = None if rate_target is None else rng.spawn(1)[0]
+    sir = np.empty(n_users)
+    width = _tile_width(n_bs)
+    work = _workspace(n_bs, n_users)
+    block = n_bs * min(_USER_CHUNK, n_users)
+    shadow_buf = None if bs.shadow is None else np.empty(block)
+    fade_buf = None if fading is None else np.empty(block)
+    for lo in range(0, n_users, _USER_CHUNK):
+        m = min(_USER_CHUNK, n_users - lo)
+        shadow = _shadow_factors(bs, m, rng, shadow_buf)
+        if fading is not None:
+            fade = fading.standard_exponential(
+                out=fade_buf[:n_bs * m].reshape(n_bs, m))
+        for a, b in _tiles(m, width):
+            users = slice(lo + a, lo + b)
+            w = _row_weight_gains(bs, power, real.users[users],
+                                  None if shadow is None else shadow[:, a:b], work)
+            srv = serving[users] = _row_weight_strongest(w, work)
+            link = (srv, np.arange(b - a))
+            if fading is not None:
+                faded = np.multiply(fade[:, a:b], w,
+                                    out=work[1, :w.size].reshape(w.shape))
+                sig = faded[link]
+                sir[users] = sig / np.maximum(faded.sum(axis=0) - sig, 1e-300)
+            w *= beta / w[link]
+            w += 1.0
+            w[link] = 1.0
+            with np.errstate(over="ignore"):
+                cover[users] = 1.0 / w.prod(axis=0)
+    assoc = np.bincount(bs.tier_of[serving], minlength=scenario.k_tiers) / n_users
+    g = config.guard_margin
+    top = config.window_side - g
+    inner = (bs.x >= g) & (bs.x <= top) & (bs.y >= g) & (bs.y <= top)
+    counts = np.bincount(bs.tier_of[inner], minlength=scenario.k_tiers)
+    area = np.full(scenario.k_tiers, math.nan)
+    np.divide((top - g) ** 2 * assoc, counts, out=area, where=counts > 0)
+    if rate_target is None:
+        return float(cover.mean()), assoc, area, math.nan
+    covered = sir > beta
+    covered_load = np.bincount(serving[covered], minlength=bs.tier_of.size)
+    others = covered_load[serving] - covered.astype(np.int64)
+    rate = np.log2(1.0 + sir) / (others + 1)
+    return float(cover.mean()), assoc, area, float(np.mean(rate > rate_target))

@@ -322,11 +322,16 @@ def _malformed(mutate):
      "sim.guard_margin must be a number"),
     ("rate", lambda d: d.update(sweep=_sweep(stop=None) | {"stop": "1"}),
      "sweep.stop must be a number"),
+    ("rate", lambda d: d.update(sweep=_sweep(variable=None) | {"variabel": "rate_target"}),
+     "unknown sweep key(s): 'variabel'"),
+    ("rate", lambda d: d.update(sweep=_sweep(variable="rho")),
+     "sweep.variable must be 'rate_target' (got 'rho')"),
 ], ids=["sweep-no-start", "sweep-no-stop", "sweep-not-object", "doc-not-object",
         "tier-not-object", "shadowing-not-object", "sim-not-object",
         "density-list", "tx-power-null", "harvest-rate-bool", "std-db-string",
         "tiers-not-list", "alpha-string", "sir-target-list", "gamma-string",
-        "window-list", "guard-margin-string", "sweep-stop-string"])
+        "window-list", "guard-margin-string", "sweep-stop-string",
+        "sweep-key-misspelt", "sweep-variable-rho"])
 def test_malformed_scenarios_are_errors(tmp_path, capsys, command, mutate, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_malformed(mutate)))
@@ -345,6 +350,17 @@ def test_rate_sweep_needs_a_step(tmp_path, capsys, steps):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: sweep.steps must be >= 1")
+
+
+def test_rate_surface_checks_the_sweep_block(tmp_path, capsys):
+    # The surface ignores the sweep, but a misspelt key is still an error.
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(
+        _malformed(lambda d: d.update(sweep={"variabel": "rate_target"}))))
+    assert main(["rate", str(path), "--surface", "--grid", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown sweep key(s): 'variabel'")
 
 
 def test_rate_surface_runs_without_feasibility(infeasible_file, capsys):

@@ -263,9 +263,12 @@ def test_on_times_match_jump_chain_oracle():
 @pytest.mark.parametrize("ratio", [0.3, 0.9, 1.0, 1.1, 2.5])
 def test_on_times_skip_zero_counts_bit_for_bit(ratio):
     # Drawing only where a count is positive leaves every value and the
-    # generator state as drawing for all cycles at every level.
+    # generator state as drawing for all cycles at every level.  The sampler
+    # drops the ended cycles only above the cutoff, so every cutoff from 1
+    # to N is a different split.
     for battery in (1, 2, 7, 40):
-        for cutoff in {1, battery}:
+        for cutoff in {c for c in (1, 2, battery // 2, battery - 1, battery)
+                       if 1 <= c <= battery}:
             spec = BirthDeathSpec(ratio, 1.0, battery)
             seed = [battery, cutoff, int(10 * ratio)]
             fast_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)

@@ -45,6 +45,7 @@ from oracles import (
     hypot_link_gains,
     probe_service_areas,
     raw_fading_coverage,
+    row_weight_user_pass,
 )
 
 PC = 1 / (1 + math.pi / 4)
@@ -364,6 +365,45 @@ def test_gain_kernel_ignores_what_a_workspace_held(alpha):
     fresh = _chunk_gains(bs, real.users[512:],
                          _shadow_factors(bs, 37, np.random.default_rng(75)))
     np.testing.assert_array_equal(part, fresh)
+
+
+def _assert_row_weight_bits(real, sc, config, rate_target):
+    got_rng, want_rng = np.random.default_rng(92), np.random.default_rng(92)
+    got = _user_pass(real, sc, config, got_rng, rate_target)
+    want = row_weight_user_pass(real, sc, config, want_rng, rate_target)
+    assert np.array_equal(np.hstack(got), np.hstack(want), equal_nan=True)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("rate_target", [None, 0.2])
+@pytest.mark.parametrize("boundary", ["toroidal", "guard"])
+@pytest.mark.parametrize("shadowing", [None, ShadowingSpec(1.5, 6.0)])
+@pytest.mark.parametrize("alpha", [4.0, 3.5])
+def test_user_pass_matches_row_weight_kernel_bit_for_bit(alpha, shadowing, boundary,
+                                                         rate_target):
+    # 320 BSs give tiles of 204 users; 513 users leave a one-user tail tile
+    # after the first draw block.
+    sc = replace(two_tier(powers=(4.0, 0.25), shadowing=shadowing), path_loss_exp=alpha)
+    side = 6.0
+    config = SimConfig(window_side=side, replicates=1, boundary=boundary,
+                       guard_margin=1.0 if boundary == "guard" else 0.0)
+    rng = np.random.default_rng(91)
+    real = Realization(bs_pos=[rng.uniform(0, side, (30, 2)),
+                               rng.uniform(0, side, (290, 2))],
+                       users=rng.uniform(0, side, (513, 2)), window_side=side)
+    _assert_row_weight_bits(real, sc, config, rate_target)
+
+
+@pytest.mark.parametrize("rate_target", [None, 0.2])
+def test_user_pass_matches_row_weight_kernel_past_int16_rows(rate_target):
+    # Past 32,767 BSs the earlier pick weighted the rows in int64.
+    sc = two_tier(powers=(4.0, 0.25), shadowing=ShadowingSpec(0.0, 4.0))
+    rng = np.random.default_rng(93)
+    real = Realization(bs_pos=[rng.uniform(0, 60.0, (3000, 2)),
+                               rng.uniform(0, 60.0, (30000, 2))],
+                       users=rng.uniform(0, 60.0, (8, 2)), window_side=60.0)
+    _assert_row_weight_bits(real, sc, SimConfig(window_side=60.0, replicates=1),
+                            rate_target)
 
 
 @pytest.mark.parametrize("config", [
