@@ -13,9 +13,10 @@ and the rate tally together.  Users are uniform points, so a tier's share
 of them over its BS count measures its mean service area.  A user's
 coverage is its conditional probability under Rayleigh fading given the
 link gains, prod_(j != s) 1/(1 + beta w_j/w_s), so no fading is drawn for
-it.  Only the rate tally, whose load counts the users each BS covers,
-draws per-link fading, from a stream spawned off the replicate's seed, so
-asking for a rate moves no other estimate.
+it.  The rate tally, whose load counts the users each BS covers, samples
+each user's SIR from that same conditional law with one uniform per user
+(see `_user_pass`), drawn from a stream spawned off the replicate's seed,
+so asking for a rate moves no other estimate.
 `coverage_mc`, `association_mc`, `rate_mc` and `service_area_mc` are
 views of this pass.
 
@@ -215,19 +216,13 @@ def _bs_field(realization: Realization, scenario: NetworkScenario,
 
 
 def _tile_width(n_bs: int) -> int:
-    """Users per tile: _TILE_BUDGET links, at least 3 and at most _USER_CHUNK."""
-    return min(_USER_CHUNK, max(3, _TILE_BUDGET // n_bs))
+    """Users per tile: _TILE_BUDGET links, at least 1 and at most _USER_CHUNK."""
+    return min(_USER_CHUNK, max(1, _TILE_BUDGET // n_bs))
 
 
 def _tiles(n: int, width: int):
-    """(start, stop) of tiles of at most `width` >= 3 columns over n columns.
-
-    No tile is one column wide unless n is 1: numpy sums a lone column
-    pairwise, not row by row, which would move the bits of its faded SIR.
-    """
+    """(start, stop) of consecutive tiles of at most `width` columns over n columns."""
     edges = [*range(0, n, width), n]
-    if len(edges) > 2 and n - edges[-2] == 1:
-        edges[-2] -= 1
     return zip(edges, edges[1:])
 
 
@@ -319,24 +314,41 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     """Coverage, per-tier association and area, and rate tally of one realization.
 
     Returns (mean conditional coverage, per-tier association fractions,
-    per-tier service areas, rate coverage fraction or nan), all nan when
+    per-tier service areas, each user's rate event or nan), all nan when
     the realization has no BS or no user.  A user served by s is covered
-    with probability prod_(j != s) 1/(1 + beta w_j/w_s); a product that
-    overflows gives 0, its limit.  Tier k's service area is the user
-    square's area times its association fraction over its BS count in the
-    square (nan without one).  Only the rate tally draws fading, from a
-    child of `rng`'s seed sequence, so `rng` advances by the shadowing
-    alone; a user's load counts the users whose faded SIR exceeds beta on
-    its BS, plus itself.
+    with probability p = C(beta), where C(theta) = prod_(j != s)
+    1/(1 + theta r_j), r_j = w_j/w_s, is the CCDF of its SIR under Rayleigh
+    fading given the link gains; a product that overflows gives 0, its
+    limit.  Tier k's service area is the user square's area times its
+    association fraction over its BS count in the square (nan without one).
+
+    Given the gains the users' SIRs are independent, so the rate tally
+    samples each user's SIR by inversion from one uniform U: the user is
+    covered when U < p, and its rate exceeds T when U < C(theta) with
+    theta = 2^(T (o + 1)) - 1, o being the covered other users on its BS.
+    That is the joint law of per-link fading, with one draw per user.  The
+    uniforms come from a child of `rng`'s seed sequence, so `rng` advances
+    by the shadowing alone.  C(theta) is bounded from sums the first pass
+    keeps, S = sum r_j and R = max r_j (as beta S and beta R): since
+    log(1 + x) <= x, C >= e^(-theta S); a single factor gives C <= 1/(1 +
+    theta R); and with t = theta/beta, log(1 + t x) >= t log(1 + x) for
+    t <= 1 and <= for t >= 1 (log(1 + x) is concave and 0 at 0), so C lies
+    between p and p^t.  A user with U below the largest lower bound, or at
+    or above the smallest upper bound, is decided; the band is widened by
+    a relative 1e-12 plus n_bs 2^-50 (1 + t (1 + beta S)), which covers the
+    rounding of the n_bs-term sums and products, that of p raised to t and
+    that of the exact product.  Only the undecided users have their gains
+    recomputed (with the same shadowing, replayed from `rng`'s state at
+    the start) and C(theta) formed exactly.  A user with no interferer has
+    C = 1, and a threshold that overflows to inf is never exceeded.
 
     Users go in draw blocks of _USER_CHUNK: each block's shadowing normals
-    and fading exponentials are drawn whole, in (n_bs, block) order, into
-    one block buffer each (only when shadowing is on or a rate asked for).
-    The gains, serving pick and products then run on tiles of the block
-    in a `_workspace`, so the rest of the pass holds about _TILE_BUDGET
-    doubles per buffer whatever n_bs.  A user's values come from its own
-    column alone, reduced over the BSs in row order, so they do not
-    depend on the tiling.
+    are drawn whole, in (n_bs, block) order, into one block buffer (only
+    when shadowing is on).  The gains, serving pick and products then run
+    on tiles of the block in a `_workspace`, so the rest of the pass holds
+    about _TILE_BUDGET doubles per buffer whatever n_bs.  A user's values
+    come from its own column alone, reduced over the BSs in row order, so
+    they do not depend on the tiling.
     """
     n_users = real.users.shape[0]
     if not real.tier_counts.any() or n_users == 0:
@@ -345,35 +357,26 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     bs = _bs_field(real, scenario, config)
     n_bs, beta = bs.x.size, scenario.sir_target
     serving = np.empty(n_users, dtype=np.int64)
-    cover = np.empty(n_users)
-    fading = None if rate_target is None else rng.spawn(1)[0]
-    sir = np.empty(n_users)
+    cover, beta_sum, beta_max = np.empty((3, n_users))
     width = _tile_width(n_bs)
     work = _workspace(n_bs, n_users)
-    block = n_bs * min(_USER_CHUNK, n_users)
-    shadow_buf = None if bs.shadow is None else np.empty(block)
-    fade_buf = None if fading is None else np.empty(block)
+    shadow_buf = None if bs.shadow is None else np.empty(n_bs * min(_USER_CHUNK, n_users))
+    start = rng.bit_generator.state
     with np.errstate(over="ignore"):
         for lo in range(0, n_users, _USER_CHUNK):
             m = min(_USER_CHUNK, n_users - lo)
             shadow = _shadow_factors(bs, m, rng, shadow_buf)
-            if fading is not None:
-                fade = fading.standard_exponential(
-                    out=fade_buf[:n_bs * m].reshape(n_bs, m))
             for a, b in _tiles(m, width):
                 users = slice(lo + a, lo + b)
                 w = _chunk_gains(bs, real.users[users],
                                  None if shadow is None else shadow[:, a:b], work)
                 srv = serving[users] = _strongest(w, work)
                 link = (srv, np.arange(b - a))
-                if fading is not None:
-                    faded = np.multiply(fade[:, a:b], w,
-                                        out=work[1, :w.size].reshape(w.shape))
-                    sig = faded[link]
-                    sir[users] = sig / np.maximum(faded.sum(axis=0) - sig, 1e-300)
                 w *= beta / w[link]
+                w[link] = 0.0
+                if rate_target is not None:
+                    beta_sum[users], beta_max[users] = w.sum(axis=0), w.max(axis=0)
                 w += 1.0
-                w[link] = 1.0
                 cover[users] = 1.0 / w.prod(axis=0)
     assoc = np.bincount(bs.tier_of[serving], minlength=scenario.k_tiers) / n_users
     g = config.guard_margin  # 0 in toroidal mode
@@ -384,11 +387,56 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     np.divide((top - g) ** 2 * assoc, counts, out=area, where=counts > 0)
     if rate_target is None:
         return float(cover.mean()), assoc, area, math.nan
-    covered = sir > beta
-    covered_load = np.bincount(serving[covered], minlength=bs.tier_of.size)
-    others = covered_load[serving] - covered.astype(np.int64)
-    rate = np.log2(1.0 + sir) / (others + 1)
-    return float(cover.mean()), assoc, area, float(np.mean(rate > rate_target))
+    u = rng.spawn(1)[0].random(n_users)
+    covered = u < cover
+    load = np.bincount(serving[covered], minlength=n_bs)
+    # Overflows give inf or nan bounds: a nan bound decides nothing, and a
+    # user whose theta is inf never exceeds it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = np.exp2(rate_target * (load[serving] - covered + 1.0)) - 1.0
+        t = theta / beta
+        cover_t = cover ** t
+        low = np.maximum(np.exp(-t * beta_sum), np.minimum(cover, cover_t))
+        high = np.minimum(1.0 / (1.0 + t * beta_max), np.maximum(cover, cover_t))
+        eps = 1e-12 + n_bs * 2.0 ** -50 * (1.0 + t * (1.0 + beta_sum))
+        hit = u < low * (1.0 - eps)
+        open_ = ~hit & ~(u >= high * (1.0 + eps)) & (theta < math.inf)
+    if open_.any():
+        end = rng.bit_generator.state
+        rng.bit_generator.state = start
+        hit[open_] = u[open_] < _exact_ccdf(real, bs, rng, shadow_buf, work,
+                                            serving, theta, open_)
+        rng.bit_generator.state = end
+    return float(cover.mean()), assoc, area, hit
+
+
+def _exact_ccdf(real: Realization, bs: _BSField, rng, shadow_buf, work,
+                serving, theta, pick) -> np.ndarray:
+    """C(theta_u) = prod_(j != s) 1/(1 + theta_u w_j/w_s) for the users in `pick`.
+
+    Returned in user order.  The blocks' shadowing is drawn again from
+    `rng`, in the user pass's order, up to the last block with a picked
+    user; the picked users' columns are taken into workspace tiles.
+    """
+    n_users = real.users.shape[0]
+    stop = np.flatnonzero(pick)[-1] + 1
+    ccdf = []
+    with np.errstate(over="ignore"):
+        for lo in range(0, stop, _USER_CHUNK):
+            shadow = _shadow_factors(bs, min(_USER_CHUNK, n_users - lo), rng, shadow_buf)
+            cols = np.flatnonzero(pick[lo:lo + _USER_CHUNK])
+            for a, b in _tiles(cols.size, _tile_width(bs.x.size)):
+                users = lo + cols[a:b]
+                w = _chunk_gains(bs, real.users[users], None, work)
+                if shadow is not None:
+                    w *= np.take(shadow, cols[a:b], axis=1, mode="clip",
+                                 out=work[1, :w.size].reshape(w.shape))
+                link = (serving[users], np.arange(b - a))
+                w *= theta[users] / w[link]
+                w[link] = 0.0
+                w += 1.0
+                ccdf.append(1.0 / w.prod(axis=0))
+    return np.concatenate(ccdf)
 
 
 @dataclass(frozen=True)
@@ -418,7 +466,7 @@ def spatial_mc(scenario: NetworkScenario, rho, config: SimConfig,
     requested are not reduced, so a sparse one cannot fail the run.
     """
     rho = check_availability_vector(rho, scenario.k_tiers)
-    if rate_target is not None and rate_target < 0:
+    if rate_target is not None and not rate_target >= 0:
         raise ScenarioError(f"rate_target must be >= 0 (got {rate_target})")
     area_tiers = tuple(area_tiers)
     for k in area_tiers:
@@ -439,7 +487,7 @@ def spatial_mc(scenario: NetworkScenario, rho, config: SimConfig,
         association=tuple(_combine([s[1][k] for s in stats], config, "association")
                           for k in range(scenario.k_tiers)),
         rate=None if rate_target is None else
-        _combine([s[3] for s in stats], config, "the rate tally"),
+        _combine([np.mean(s[3]) for s in stats], config, "the rate tally"),
         area=area)
 
 

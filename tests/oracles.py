@@ -17,7 +17,9 @@ binomial pmf and hyp2f1, with math.fsum.
 `bisect_outer_root` is the root search as one h call per bisection step.
 `row_weight_user_pass` is the spatial user pass with its gain kernel and
 serving pick as they were before the per-tier path loss and the argmax
-pick, for bit-for-bit comparison.
+pick, for bit-for-bit comparison; its rate tally still draws one Rayleigh
+fade per link.  `full_matrix_rate_events` decides each user's rate event
+from the whole gain matrix and a direct product of its SIR CCDF.
 `root_search_contains` and `two_sweep_grid_coverage` decide region
 membership from the root-searched boundaries, rho_k <= boundary + tol.
 `associate` gives each user its strongest-average BS one whole 512-user
@@ -599,3 +601,33 @@ def row_weight_user_pass(real, scenario, config, rng, rate_target):
     others = covered_load[serving] - covered.astype(np.int64)
     rate = np.log2(1.0 + sir) / (others + 1)
     return float(cover.mean()), assoc, area, float(np.mean(rate > rate_target))
+
+
+def full_matrix_rate_events(real, scenario, config, rng, rate_target):
+    """Each user's rate event U < C(theta_u), from the whole gain matrix at once.
+
+    Every user's gains come from one `_chunk_gains` call, with the
+    shadowing of each 512-user block drawn from `rng` in the user pass's
+    order; the uniforms U come from rng's first spawned child.  The serving
+    BS is np.argmax of the user's column, C(theta) = prod_(j != s)
+    1/(1 + theta w_j/w_s) is a product of reciprocals over that column,
+    a user is covered when U < C(beta), and theta_u = 2^(T (o + 1)) - 1
+    with o the covered other users on its BS.  No bound is used.
+    """
+    bs = _bs_field(real, scenario, config)
+    n = real.users.shape[0]
+    blocks = [_shadow_factors(bs, min(_USER_CHUNK, n - lo), rng)
+              for lo in range(0, n, _USER_CHUNK)]
+    w = _chunk_gains(bs, real.users, None if bs.shadow is None else np.hstack(blocks))
+    cols = np.arange(n)
+    serving = np.argmax(w, axis=0)
+    ratio = w / w[serving, cols]
+    ratio[serving, cols] = 0.0
+
+    def ccdf(theta):
+        return np.prod(1.0 / (1.0 + theta * ratio), axis=0)
+
+    u = rng.spawn(1)[0].random(n)
+    covered = u < ccdf(scenario.sir_target)
+    load = np.bincount(serving[covered], minlength=w.shape[0])
+    return u < ccdf(np.exp2(rate_target * (load[serving] - covered + 1.0)) - 1.0)

@@ -422,6 +422,20 @@ def test_a_failing_command_writes_no_csv(capsys, argv, err):
     assert captured.err == err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--estimator", "rate", "--replicates", "2"],
+    ["validate", "--replicates", "2"],
+    ["rate", "--rho", "0.5,0.5"],
+], ids=" ".join)
+def test_nan_rate_target_is_an_error(capsys, argv):
+    # simulate once printed `rate,,nan,0,0,2,23` and exited 0
+    path = str(SCENARIOS / "gamma-rich.json")
+    assert main([argv[0], path, *argv[1:], "--rate-target", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rate_target must be >= 0 (got nan)\n"
+
+
 @pytest.mark.parametrize("command", ["availability", "coverage", "rate", "simulate"])
 def test_infinite_path_loss_exp_is_an_error(tmp_path, capsys, command):
     doc = json.loads(json.dumps(BASE_DOC))

@@ -12,7 +12,8 @@ import pytest
 from scipy.stats import t as student_t
 
 import harvnet
-from harvnet import simulate
+from harvnet import analytic, simulate
+from harvnet.cli import load_scenario
 from harvnet.model import (
     NetworkScenario,
     ScenarioError,
@@ -26,6 +27,7 @@ from harvnet.simulate import (
     _bs_field,
     _chunk_gains,
     _combine,
+    _exact_ccdf,
     _shadow_factors,
     _strongest,
     _thread_count,
@@ -42,6 +44,7 @@ from harvnet.simulate import (
 )
 from oracles import (
     associate,
+    full_matrix_rate_events,
     hypot_link_gains,
     probe_service_areas,
     raw_fading_coverage,
@@ -215,6 +218,117 @@ def test_rate_mc_basics():
         rate_mc(sc, [1.0, 1.0], -0.5, config)
 
 
+def test_nan_rate_target_is_an_error():
+    config = SimConfig(window_side=6.0, replicates=2, seed=29)
+    with pytest.raises(ScenarioError, match=r"^rate_target must be >= 0 \(got nan\)$"):
+        spatial_mc(two_tier(), [1.0, 1.0], config, rate_target=math.nan)
+
+
+def test_rate_edge_cases():
+    # A lone BS has no interferer, so every user's SIR is infinite; T = 0
+    # is exceeded by any SIR, and T = inf by none.  No warning is raised.
+    lone = Realization(bs_pos=[np.array([[2.0, 2.0]])],
+                       users=np.random.default_rng(1).uniform(0, 4, (30, 2)),
+                       window_side=4.0)
+    config = SimConfig(window_side=4.0, replicates=1)
+    for t in (0.1, 1.0, 10.0):
+        events = _user_pass(lone, one_tier(), config, np.random.default_rng(2), t)[3]
+        assert events.all()
+    sc = two_tier(shadowing=ShadowingSpec(0.5, 4.0), lam_u=30.0)
+    config = SimConfig(window_side=6.0, replicates=3, seed=5)
+    assert rate_mc(sc, [1.0, 1.0], 0.0, config).mean == 1.0
+    assert rate_mc(sc, [1.0, 1.0], math.inf, config).mean == 0.0
+    assert rate_mc(one_tier(), [1.0], math.inf, SimConfig(window_side=4.0,
+                                                          replicates=2)).mean == 0.0
+
+
+def test_rate_bounds_hold_where_coverage_rounds_to_one():
+    # Users 1e-5 to 1e-4 from their BS have interference ratios of 1e-22 to
+    # 1e-18, so their coverage rounds to 1, while theta near 1e20 gives C
+    # anywhere in (0, 1): p^t = 1 there is no lower bound unless the band
+    # widens with t.
+    rng = np.random.default_rng(3)
+    d = 10.0 ** rng.uniform(-5, -4, 200)
+    phi = rng.uniform(0, 2 * math.pi, 200)
+    real = Realization(bs_pos=[np.array([[1.0, 1.0], [3.0, 3.0]])],
+                       users=1.0 + d[:, None] * np.column_stack((np.cos(phi), np.sin(phi))),
+                       window_side=4.0)
+    config = SimConfig(window_side=4.0, replicates=1)
+    events = _user_pass(real, one_tier(), config, np.random.default_rng(4), 0.332)[3]
+    want = full_matrix_rate_events(real, one_tier(), config, np.random.default_rng(4), 0.332)
+    assert 0.2 < want.mean() < 0.8
+    assert np.array_equal(events, want)
+
+
+# Shadowed, alpha = 3.5 and a guard window, with over 1,024 users per
+# layout, so undecided users fall in several draw blocks of the replay.
+SHADOWED = replace(two_tier(powers=(4.0, 0.25), lam_u=50.0,
+                            shadowing=ShadowingSpec(1.5, 6.0)), path_loss_exp=3.5)
+SHADOWED_CONFIG = SimConfig(window_side=8.0, replicates=1, boundary="guard",
+                            guard_margin=1.5)
+BUNDLED = ("two-tier-baseline", "battery-sweep", "gamma-rich", "rate-surface")
+
+
+def _bundled(name):
+    """A bundled scenario at the availabilities `validate` simulates."""
+    sc, _ = load_scenario(str(Path(__file__).resolve().parents[1]
+                              / "scenarios" / f"{name}.json"))
+    result = analytic.solve_availability(sc)
+    return sc, result.rho if result.feasible else np.ones(sc.k_tiers)
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "shadowed"])
+def test_rate_events_match_full_matrix_oracle(name, monkeypatch):
+    # 20 layouts per scenario, at T = 0.1 and 1 in turn.  The bounds decide
+    # most users and the exact product the rest; every user's event must
+    # be U < C(theta) as the whole-matrix product gives it.
+    if name == "shadowed":
+        sc, rho, config = SHADOWED, (0.9, 0.7), SHADOWED_CONFIG
+    else:
+        (sc, rho), config = _bundled(name), SimConfig(window_side=6.0, replicates=1)
+    exact = []
+    monkeypatch.setattr(simulate, "_exact_ccdf", lambda *args: exact.append(
+        args[-1].copy()) or _exact_ccdf(*args))
+    for i in range(20):
+        rng = np.random.default_rng([71, i])
+        real = sample_network(sc, rho, config, rng)
+        state = rng.bit_generator.state
+        events = _user_pass(real, sc, config, rng, (0.1, 1.0)[i % 2])[3]
+        replay = np.random.default_rng([71, i])
+        replay.bit_generator.state = state
+        want = full_matrix_rate_events(real, sc, config, replay, (0.1, 1.0)[i % 2])
+        assert np.array_equal(events, want), (i, np.flatnonzero(events != want))
+        assert rng.bit_generator.state == replay.bit_generator.state
+    if name == "shadowed":
+        assert real.users.shape[0] > 1024
+        assert any(np.flatnonzero(pick)[-1] >= 1024 for pick in exact)
+    # the exact product settles a few users, never most of them
+    picked = np.mean(np.concatenate(exact))
+    assert 0 < picked < 0.2, picked
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "shadowed"])
+def test_rate_tally_agrees_with_sampled_fading(name):
+    # The same law as one Rayleigh fade per link, which the row-weight
+    # oracle still draws: 64 replicates each, within the combined 99% CIs.
+    if name == "shadowed":
+        sc, rho = SHADOWED, (0.9, 0.7)
+        config = replace(SHADOWED_CONFIG, replicates=64, seed=17)
+    else:
+        (sc, rho), config = _bundled(name), SimConfig(window_side=8.0, replicates=64,
+                                                      seed=17)
+    est = rate_mc(sc, rho, 0.1, config)
+
+    def fading(i):
+        rng = np.random.default_rng([config.seed + 1, i])
+        real = sample_network(sc, rho, config, rng)
+        return row_weight_user_pass(real, sc, config, rng, 0.1)[3]
+
+    want = simulate._combine(simulate._run_replicates(fading, config), config, "fading")
+    assert est.dropped == want.dropped == 0
+    assert est.agrees_with(want.mean, want.ci_halfwidth_99), (est, want)
+
+
 def test_suggest_window_side():
     sc = two_tier()
     side = suggest_window_side(sc, [1.0, 1.0])
@@ -368,10 +482,12 @@ def test_gain_kernel_ignores_what_a_workspace_held(alpha):
 
 
 def _assert_row_weight_bits(real, sc, config, rate_target):
+    # The rate tallies differ by design; they are compared in law by
+    # test_rate_tally_agrees_with_sampled_fading.
     got_rng, want_rng = np.random.default_rng(92), np.random.default_rng(92)
     got = _user_pass(real, sc, config, got_rng, rate_target)
     want = row_weight_user_pass(real, sc, config, want_rng, rate_target)
-    assert np.array_equal(np.hstack(got), np.hstack(want), equal_nan=True)
+    assert np.array_equal(np.hstack(got[:3]), np.hstack(want[:3]), equal_nan=True)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -551,7 +667,8 @@ def test_huge_sir_target_gives_coverage_near_zero():
 
 @pytest.mark.parametrize("rate_target", [None, 0.1])
 def test_user_pass_draws_only_shadowing_from_the_replicate_generator(rate_target):
-    # Without shadowing it draws nothing; fading comes from a stream of its own.
+    # Without shadowing it draws nothing; the rate tally's uniforms come
+    # from a stream of their own.
     sc = two_tier()
     config = SimConfig(window_side=6.0, replicates=1, seed=9)
     rng = np.random.default_rng([config.seed, 0])
@@ -564,7 +681,7 @@ def test_user_pass_draws_only_shadowing_from_the_replicate_generator(rate_target
 
 def test_rate_target_moves_no_other_estimate():
     # Shadowed, and over 512 users per replicate, so later blocks' shadowing
-    # would shift if fading came from the replicate generator.
+    # would shift if the rate tally drew from the replicate generator.
     sc = two_tier(shadowing=ShadowingSpec(0.5, 4.0), lam_u=30.0)
     config = SimConfig(window_side=6.0, replicates=3, seed=55)
     assert all(sample_network(sc, [0.8, 0.5], config,
@@ -605,23 +722,24 @@ def test_spatial_mc_ignores_thread_count_across_blocks(monkeypatch):
     assert runs[0] == runs[1]
 
 
-def test_tiles_cover_each_block_with_no_lone_column():
-    # numpy sums a lone column pairwise rather than row by row, so a tile
-    # one user wide would move that user's faded SIR
-    for width in (3, 4, 51, 218, 512):
+def test_tiles_cover_each_block_in_order():
+    for width in (1, 3, 4, 51, 218, 512):
         for n in range(1, 520):
             tiles = list(_tiles(n, width))
             assert [a for a, _ in tiles] == [0] + [b for _, b in tiles[:-1]]
             assert tiles[-1][1] == n
-            assert all(2 <= b - a <= width for a, b in tiles) or tiles == [(0, 1)]
+            assert all(1 <= b - a <= width for a, b in tiles)
+            assert all(b - a == width for a, b in tiles[:-1])
+    assert list(_tiles(0, 3)) == []
 
 
-@pytest.mark.parametrize("width", [3, 7, 512])
+@pytest.mark.parametrize("width", [1, 3, 7, 512])
 def test_tile_width_changes_no_estimate(monkeypatch, width):
-    # Tiles of 3 users, of 7 with a lone user left at the end of a full
-    # block (512 = 73 x 7 + 1), and one tile per 512-user draw block (the
-    # pass before tiles) give the same bits: the draws follow the blocks,
-    # and a user's values its own column.
+    # Tiles of 1 user, of 3, of 7 with a lone user left at the end of a
+    # full block (512 = 73 x 7 + 1), and one tile per 512-user draw block
+    # (the pass before tiles) give the same bits: the draws follow the
+    # blocks, a user's values its own column, and numpy takes the product
+    # of a lone column row by row, as of a wider one.
     sc = two_tier(shadowing=ShadowingSpec(0.5, 4.0), lam_u=30.0)
     config = SimConfig(window_side=6.0, replicates=1, seed=54)
     real = sample_network(sc, [0.8, 0.5], config, np.random.default_rng([54, 0]))
@@ -637,9 +755,9 @@ def test_tile_width_changes_no_estimate(monkeypatch, width):
 @pytest.mark.parametrize("rate_target", [None, 0.1])
 def test_user_pass_memory_is_a_tile_plus_its_draw_blocks(shadowing, rate_target):
     # With 1,200 BSs one block of n_BS x 512 doubles is 4.9 MB.  The pass
-    # holds a workspace of three tiles, one block per quantity it draws
-    # (shadowing normals, fading exponentials), and a slack for the
-    # per-user arrays and numpy's iterator buffers.
+    # holds a workspace of three tiles, one block for the shadowing normals
+    # when shadowed (the rate tally's replay reuses it), and a slack for
+    # the per-user arrays and numpy's iterator buffers.
     sc = two_tier(shadowing=shadowing)
     side = 10.0
     rng = np.random.default_rng(81)
@@ -655,7 +773,7 @@ def test_user_pass_memory_is_a_tile_plus_its_draw_blocks(shadowing, rate_target)
     finally:
         tracemalloc.stop()
     assert 0 < stats[0] < 1
-    blocks = (shadowing is not None) + (rate_target is not None)
+    blocks = int(shadowing is not None)
     assert peak < blocks * block + _workspace(1200, 1100).nbytes + block // 8, peak
     if not blocks:
         assert peak < block // 2, peak
