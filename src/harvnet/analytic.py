@@ -73,6 +73,7 @@ def mean_service_area(scenario: NetworkScenario, rho, k: int) -> float:
     w_k / sum_j rho_j lambda_j w_j with w the shadowing-power weights; the
     areas weighted by rho_k lambda_k sum to one over tiers.
     """
+    _check_integer(k, "tier", 0, scenario.k_tiers - 1)
     rho = check_availability_vector(rho, scenario.k_tiers)
     denom = rho @ (scenario.densities() * scenario.tier_weights())
     if denom <= 0.0:
@@ -86,16 +87,31 @@ def energy_utilization(scenario: NetworkScenario, rho, k: int) -> float:
     return pc * scenario.user_density * mean_service_area(scenario, rho, k)
 
 
+def _demand(scenario: NetworkScenario) -> tuple[float, np.ndarray]:
+    """(lambda_u P_c, mu_j/(lambda_u P_c w_j)): effective demand and load slopes.
+
+    A demand that rounds to 0 or a slope past the float range is a
+    ScenarioError naming the fields that set them.
+    """
+    demand = scenario.user_density * coverage_prob(scenario)
+    with np.errstate(divide="ignore", over="ignore"):
+        slope = scenario.harvest_rates() / (demand * scenario.tier_weights())
+    if demand == 0.0 or not np.isfinite(slope).all():
+        raise ScenarioError(
+            f"effective demand lambda_u P_c = {demand:.3g} leaves the float range "
+            f"of the load (user_density={scenario.user_density}, "
+            f"sir_target={scenario.sir_target}, path_loss_exp={scenario.path_loss_exp})")
+    return demand, slope
+
+
 def _tier_constants(scenario: NetworkScenario) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_j w_j, mu_j/(lambda_u P_c w_j)): D = rho @ first, s_j = second_j D."""
-    w = scenario.tier_weights()
-    slope = scenario.harvest_rates() / (
-        scenario.user_density * coverage_prob(scenario) * w)
-    return scenario.densities() * w, slope
+    return scenario.densities() * scenario.tier_weights(), _demand(scenario)[1]
 
 
 def load_ratio(scenario: NetworkScenario, rho, k: int) -> float:
     """s_k = mu_k / nu_k(rho), the birth-death ratio of tier k at load rho."""
+    _check_integer(k, "tier", 0, scenario.k_tiers - 1)
     rho = check_availability_vector(rho, scenario.k_tiers)
     on_weight, slope = _tier_constants(scenario)
     return float(slope[k] * (rho @ on_weight))
@@ -121,7 +137,7 @@ def check_feasibility(scenario: NetworkScenario) -> tuple[bool, float]:
     """
     validate(scenario)
     harvested = float(np.sum(scenario.densities() * scenario.harvest_rates()))
-    gamma = harvested / (scenario.user_density * coverage_prob(scenario))
+    gamma = harvested / _demand(scenario)[0]
     return gamma > 1.0, gamma
 
 

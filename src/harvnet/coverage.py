@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkScenario, ScenarioError, check_availability_vector
+from .model import NetworkScenario, ScenarioError, _check_integer, check_availability_vector
 
 # 4.5 log 3.5 and log Gamma(4.5), constants of the 3.5-law load pmf.
 _LOG_PMF_CONST = 4.5 * math.log(3.5)
@@ -55,7 +55,8 @@ def hyper_f(beta, alpha: float):
     same shape (a float for a scalar).  At alpha = 4 the exact form
     sqrt(beta) arctan(sqrt(beta)) is used, which keeps F(1, 4) = pi/4 to
     the last bit; elsewhere scipy's hyp2f1, multiplied by beta before the
-    constant 2/(alpha-2), so that 2 beta never forms and overflows.
+    constant 2/(alpha-2), so that 2 beta never forms and overflows.  An F
+    past the float range is inf, which makes the coverage probability 0.
     """
     if not alpha > 2:
         raise ScenarioError(f"path_loss_exp must exceed 2 (got {alpha})")
@@ -67,8 +68,9 @@ def hyper_f(beta, alpha: float):
         f = root * np.arctan(root)
     else:
         from scipy.special import hyp2f1
-        f = 2.0 / (alpha - 2.0) * (
-            b * hyp2f1(1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -b))
+        with np.errstate(over="ignore"):
+            f = 2.0 / (alpha - 2.0) * (
+                b * hyp2f1(1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -b))
     return float(f) if f.ndim == 0 else f
 
 
@@ -111,6 +113,8 @@ def tier_association_prob(scenario: NetworkScenario, rho, k: int | None = None):
     proportional to rho_k lambda_k times the shadowing-power weight and
     sum to one.
     """
+    if k is not None:
+        _check_integer(k, "tier", 0, scenario.k_tiers - 1)
     rho = check_availability_vector(rho, scenario.k_tiers)
     probs = _association(scenario, rho[None, :])[0]
     return probs if k is None else float(probs[k])

@@ -31,11 +31,14 @@ class BirthDeathSpec:
     battery: int
 
     def __post_init__(self):
-        if not self.harvest_rate > 0:
-            raise ScenarioError(f"harvest_rate must be > 0 (got {self.harvest_rate})")
-        if not self.utilization_rate > 0:
+        for name in ("harvest_rate", "utilization_rate"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ScenarioError(f"{name} must be finite and > 0 (got {value})")
+        if not 0 < self.ratio < math.inf:
             raise ScenarioError(
-                f"utilization_rate must be > 0 (got {self.utilization_rate})")
+                f"harvest_rate/utilization_rate must be finite and > 0 "
+                f"(got {self.harvest_rate}/{self.utilization_rate})")
         _check_integer(self.battery, "battery", 1)
 
     @property
@@ -152,8 +155,8 @@ def tier_availability(s, battery: int, cutoff: int = 1):
     _check_integer(battery, "battery", 1)
     _check_integer(cutoff, "cutoff", 1, battery)
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise ScenarioError(f"load ratio must be nonnegative (got {s})")
+    if not np.all((s >= 0.0) & (s < math.inf)):
+        raise ScenarioError(f"load ratio must be finite and >= 0 (got {s})")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = s * _passage_sum(s, battery, cutoff) / cutoff
         return np.where(x > 1.0, 1.0 / (1.0 + 1.0 / x), x / (1.0 + x))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, markov
-from .model import NetworkScenario, ScenarioError, check_availability_vector
+from .model import NetworkScenario, ScenarioError, _check_integer, check_availability_vector
 
 _TOL = 1e-10          # bisection width on rho_k
 _MEMBER_TOL = 1e-6    # slack for membership tests at the boundary itself
@@ -54,6 +54,7 @@ class RegionBoundary:
 def _boundaries(scenario: NetworkScenario, k: int, others: np.ndarray,
                 constraint: markov.PolicySpec | None, tol: float) -> np.ndarray:
     """Tier-k boundary for each row of `others`, the other tiers' rho."""
+    _check_integer(k, "tier", 0, scenario.k_tiers - 1)
     on_weight, slope = analytic._tier_constants(scenario)
     d_others = others @ np.delete(on_weight, k)
     battery, cutoff = scenario.tiers[k].battery, getattr(constraint, "cutoff", 1)

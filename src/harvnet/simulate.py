@@ -16,9 +16,13 @@ link gains, prod_(j != s) 1/(1 + beta w_j/w_s), so no fading is drawn for
 it.  The rate tally, whose load counts the users each BS covers, samples
 each user's SIR from that same conditional law with one uniform per user
 (see `_user_pass`), drawn from a stream spawned off the replicate's seed,
-so asking for a rate moves no other estimate.
-`coverage_mc`, `association_mc`, `rate_mc` and `service_area_mc` are
-views of this pass.
+so asking for a rate moves no other estimate.  Every gain the pass uses
+comes from one walk over the users, `_gain_tiles`: draw blocks of 512
+users, whose shadowing comes whole from the replicate generator, each
+cut into tiles of about 2^16 links.  The few users whose rate event the
+bounds leave undecided are walked again, alone, with the shadowing
+replayed.  `coverage_mc`, `association_mc`, `rate_mc` and
+`service_area_mc` are views of this pass.
 
 Replicates are embarrassingly parallel: replicate i derives its own
 generator from (seed, i), runs independently (optionally on a thread pool
@@ -240,38 +244,27 @@ def _axis_sq(bs_coord, pts_coord, period, out, tmp):
     return np.multiply(d, d, out=d)
 
 
-def _shadow_factors(bs: _BSField, n_pts: int, rng, out=None):
-    """Lognormal shadowing factors 10^(Z/10), (n_bs, n_pts); None unshadowed.
-
-    The normals Z are drawn from `rng` in (n_bs, n_pts) order, into the
-    first n_bs n_pts doubles of the flat buffer `out` when given.
-    """
-    if bs.shadow is None:
-        return None
-    shape = (bs.x.size, n_pts)
-    db = np.empty(shape) if out is None else out[:shape[0] * shape[1]].reshape(shape)
-    rng.standard_normal(out=db)
+def _shadow_factors(bs: _BSField, z: np.ndarray) -> np.ndarray:
+    """Lognormal shadowing factors 10^(Z/10) from normals z (n_bs, n), in place."""
     mean_db, std_db = bs.shadow
-    db *= std_db
-    db += mean_db
-    db /= 10.0
-    return np.power(10.0, db, out=db)
+    z *= std_db
+    z += mean_db
+    z /= 10.0
+    return np.power(10.0, z, out=z)
 
 
-def _chunk_gains(bs: _BSField, pts: np.ndarray, shadow=None, work=None) -> np.ndarray:
+def _chunk_gains(bs: _BSField, pts: np.ndarray, work=None) -> np.ndarray:
     """Average received power matrix W (n_bs, len(pts)) for one point tile.
 
-    W includes transmit power, path loss and, given `shadow`, the links'
-    (n_bs, len(pts)) shadowing factors from `_shadow_factors` (a view of a
-    wider block works); fading is deliberately excluded because cell
-    selection averages over it.  Toroidal mode wraps coordinate differences
-    at window scale.  Path loss is P/(d^2)^2 at alpha = 4, else
-    P (d^2)^(-alpha/2), with d^2 summed from one contiguous block per
-    coordinate, each taken against a contiguous copy of the tile's user x
-    or y.  The BSs are stacked tier by tier, so P is applied as one scalar
-    pass over each tier's contiguous rows.  W and two scratch blocks
-    are views of the rows of `work` (a `_workspace`; fresh buffers when
-    None), in order.
+    W includes transmit power and path loss, not shadowing (see
+    `_gain_tiles`); fading is deliberately excluded because cell selection
+    averages over it.  Toroidal mode wraps coordinate differences at window
+    scale.  Path loss is P/(d^2)^2 at alpha = 4, else P (d^2)^(-alpha/2),
+    with d^2 summed from one contiguous block per coordinate, each taken
+    against a contiguous copy of the tile's user x or y.  The BSs are
+    stacked tier by tier, so P is applied as one scalar pass over each
+    tier's contiguous rows.  W and two scratch blocks are views of the rows
+    of `work` (a `_workspace`; fresh buffers when None), in order.
     """
     shape = (bs.x.size, pts.shape[0])
     if work is None:
@@ -289,9 +282,42 @@ def _chunk_gains(bs: _BSField, pts: np.ndarray, shadow=None, work=None) -> np.nd
         np.power(w, -0.5 * bs.alpha, out=w)
         for rows, power in bs.slabs:
             w[rows] *= power
-    if shadow is not None:
-        w *= shadow
     return w
+
+
+def _gain_tiles(real: Realization, bs: _BSField, rng, work, pick=None):
+    """Yield (users, W) for each user tile: its user indices and gain block.
+
+    Users go in draw blocks of _USER_CHUNK.  When shadowing is on, each
+    block's normals are drawn whole from `rng`, in (n_bs, block) order,
+    into one block buffer, so `rng` advances by whole blocks whatever is
+    tiled.  A block's users go in tiles of `_tile_width` users, and each
+    tile's W, shadowing multiplied in, is row 0 of `work` (a `_workspace`),
+    valid until the next tile; `users` is a slice.  With `pick`, a boolean
+    mask over the users, only the picked users are tiled, `users` is an
+    index array, and the walk ends with the last block holding one; only
+    their factors are formed, in row 1 of `work`.  A user's gains come
+    from its own column alone, so they depend neither on the tiling nor
+    on `pick`.
+    """
+    n_users, n_bs = real.users.shape[0], bs.x.size
+    width = _tile_width(n_bs)
+    stop = n_users if pick is None else np.flatnonzero(pick)[-1] + 1
+    block = None if bs.shadow is None else np.empty(n_bs * min(_USER_CHUNK, n_users))
+    for lo in range(0, stop, _USER_CHUNK):
+        m = min(_USER_CHUNK, n_users - lo)
+        cols = None if pick is None else np.flatnonzero(pick[lo:lo + m])
+        if block is not None:
+            z = rng.standard_normal(out=block[:n_bs * m].reshape(n_bs, m))
+            if cols is None:
+                _shadow_factors(bs, z)
+        for a, b in _tiles(m if cols is None else cols.size, width):
+            users = slice(lo + a, lo + b) if cols is None else lo + cols[a:b]
+            w = _chunk_gains(bs, real.users[users], work)
+            if block is not None:
+                w *= z[:, a:b] if cols is None else _shadow_factors(bs, np.take(
+                    z, cols[a:b], axis=1, mode="clip", out=work[1, :w.size].reshape(w.shape)))
+            yield users, w
 
 
 def _strongest(w: np.ndarray, work=None) -> np.ndarray:
@@ -309,6 +335,24 @@ def _strongest(w: np.ndarray, work=None) -> np.ndarray:
     return columns.argmax(axis=1)
 
 
+def _ccdf(w: np.ndarray, srv: np.ndarray, scale, sums=None) -> np.ndarray:
+    """prod_(j != s) 1/(1 + scale w_j/w_s) over each column of w, s from `srv`.
+
+    `scale` is a scalar or one value per column; w is overwritten.  Given
+    `sums`, a pair of arrays, each column's sum and maximum of
+    scale w_j/w_s over j != s are written into them.  A product that
+    overflows gives 0, its limit.
+    """
+    link = (srv, np.arange(srv.size))
+    w *= scale / w[link]
+    w[link] = 0.0
+    if sums is not None:
+        w.sum(axis=0, out=sums[0])
+        w.max(axis=0, out=sums[1])
+    w += 1.0
+    return 1.0 / w.prod(axis=0)
+
+
 def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
                rng, rate_target: float | None):
     """Coverage, per-tier association and area, and rate tally of one realization.
@@ -318,9 +362,9 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     the realization has no BS or no user.  A user served by s is covered
     with probability p = C(beta), where C(theta) = prod_(j != s)
     1/(1 + theta r_j), r_j = w_j/w_s, is the CCDF of its SIR under Rayleigh
-    fading given the link gains; a product that overflows gives 0, its
-    limit.  Tier k's service area is the user square's area times its
-    association fraction over its BS count in the square (nan without one).
+    fading given the link gains.  Tier k's service area is the user
+    square's area times its association fraction over its BS count in the
+    square (nan without one).  Every gain comes from `_gain_tiles`.
 
     Given the gains the users' SIRs are independent, so the rate tally
     samples each user's SIR by inversion from one uniform U: the user is
@@ -337,18 +381,10 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     or above the smallest upper bound, is decided; the band is widened by
     a relative 1e-12 plus n_bs 2^-50 (1 + t (1 + beta S)), which covers the
     rounding of the n_bs-term sums and products, that of p raised to t and
-    that of the exact product.  Only the undecided users have their gains
-    recomputed (with the same shadowing, replayed from `rng`'s state at
-    the start) and C(theta) formed exactly.  A user with no interferer has
-    C = 1, and a threshold that overflows to inf is never exceeded.
-
-    Users go in draw blocks of _USER_CHUNK: each block's shadowing normals
-    are drawn whole, in (n_bs, block) order, into one block buffer (only
-    when shadowing is on).  The gains, serving pick and products then run
-    on tiles of the block in a `_workspace`, so the rest of the pass holds
-    about _TILE_BUDGET doubles per buffer whatever n_bs.  A user's values
-    come from its own column alone, reduced over the BSs in row order, so
-    they do not depend on the tiling.
+    that of the exact product.  The undecided users alone are walked
+    again, with the shadowing replayed from `rng`'s state at the start,
+    and get C(theta) exactly.  A user with no interferer has C = 1, and a
+    threshold that overflows to inf is never exceeded.
     """
     n_users = real.users.shape[0]
     if not real.tier_counts.any() or n_users == 0:
@@ -358,26 +394,13 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     n_bs, beta = bs.x.size, scenario.sir_target
     serving = np.empty(n_users, dtype=np.int64)
     cover, beta_sum, beta_max = np.empty((3, n_users))
-    width = _tile_width(n_bs)
     work = _workspace(n_bs, n_users)
-    shadow_buf = None if bs.shadow is None else np.empty(n_bs * min(_USER_CHUNK, n_users))
     start = rng.bit_generator.state
     with np.errstate(over="ignore"):
-        for lo in range(0, n_users, _USER_CHUNK):
-            m = min(_USER_CHUNK, n_users - lo)
-            shadow = _shadow_factors(bs, m, rng, shadow_buf)
-            for a, b in _tiles(m, width):
-                users = slice(lo + a, lo + b)
-                w = _chunk_gains(bs, real.users[users],
-                                 None if shadow is None else shadow[:, a:b], work)
-                srv = serving[users] = _strongest(w, work)
-                link = (srv, np.arange(b - a))
-                w *= beta / w[link]
-                w[link] = 0.0
-                if rate_target is not None:
-                    beta_sum[users], beta_max[users] = w.sum(axis=0), w.max(axis=0)
-                w += 1.0
-                cover[users] = 1.0 / w.prod(axis=0)
+        for users, w in _gain_tiles(real, bs, rng, work):
+            srv = serving[users] = _strongest(w, work)
+            cover[users] = _ccdf(w, srv, beta, None if rate_target is None
+                                 else (beta_sum[users], beta_max[users]))
     assoc = np.bincount(bs.tier_of[serving], minlength=scenario.k_tiers) / n_users
     g = config.guard_margin  # 0 in toroidal mode
     top = config.window_side - g
@@ -404,39 +427,11 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     if open_.any():
         end = rng.bit_generator.state
         rng.bit_generator.state = start
-        hit[open_] = u[open_] < _exact_ccdf(real, bs, rng, shadow_buf, work,
-                                            serving, theta, open_)
+        with np.errstate(over="ignore"):
+            for users, w in _gain_tiles(real, bs, rng, work, open_):
+                hit[users] = u[users] < _ccdf(w, serving[users], theta[users])
         rng.bit_generator.state = end
     return float(cover.mean()), assoc, area, hit
-
-
-def _exact_ccdf(real: Realization, bs: _BSField, rng, shadow_buf, work,
-                serving, theta, pick) -> np.ndarray:
-    """C(theta_u) = prod_(j != s) 1/(1 + theta_u w_j/w_s) for the users in `pick`.
-
-    Returned in user order.  The blocks' shadowing is drawn again from
-    `rng`, in the user pass's order, up to the last block with a picked
-    user; the picked users' columns are taken into workspace tiles.
-    """
-    n_users = real.users.shape[0]
-    stop = np.flatnonzero(pick)[-1] + 1
-    ccdf = []
-    with np.errstate(over="ignore"):
-        for lo in range(0, stop, _USER_CHUNK):
-            shadow = _shadow_factors(bs, min(_USER_CHUNK, n_users - lo), rng, shadow_buf)
-            cols = np.flatnonzero(pick[lo:lo + _USER_CHUNK])
-            for a, b in _tiles(cols.size, _tile_width(bs.x.size)):
-                users = lo + cols[a:b]
-                w = _chunk_gains(bs, real.users[users], None, work)
-                if shadow is not None:
-                    w *= np.take(shadow, cols[a:b], axis=1, mode="clip",
-                                 out=work[1, :w.size].reshape(w.shape))
-                link = (serving[users], np.arange(b - a))
-                w *= theta[users] / w[link]
-                w[link] = 0.0
-                w += 1.0
-                ccdf.append(1.0 / w.prod(axis=0))
-    return np.concatenate(ccdf)
 
 
 @dataclass(frozen=True)
@@ -470,6 +465,7 @@ def spatial_mc(scenario: NetworkScenario, rho, config: SimConfig,
         raise ScenarioError(f"rate_target must be >= 0 (got {rate_target})")
     area_tiers = tuple(area_tiers)
     for k in area_tiers:
+        _check_integer(k, "tier", 0, scenario.k_tiers - 1)
         if rho[k] * scenario.tiers[k].density <= 0:
             raise ScenarioError(f"tier {k} has zero ON density; its area is undefined")
 

@@ -47,7 +47,6 @@ from harvnet.simulate import (
     SimConfig,
     _bs_field,
     _chunk_gains,
-    _shadow_factors,
     _tile_width,
     _tiles,
     _workspace,
@@ -418,6 +417,30 @@ def fsum_rate_ccdf(scenario, rho, rate_target):
     return math.fsum(np.concatenate(terms))
 
 
+def _shadow_block(bs, n_pts, rng):
+    """Lognormal factors 10^(Z/10), (n_bs, n_pts), or None unshadowed.
+
+    The normals Z are drawn from `rng` in (n_bs, n_pts) order and turned
+    into factors in the user pass's operation order: times the dB std,
+    plus the dB mean, over 10, then 10 to that power.
+    """
+    if bs.shadow is None:
+        return None
+    mean_db, std_db = bs.shadow
+    db = rng.standard_normal((bs.x.size, n_pts))
+    db *= std_db
+    db += mean_db
+    db /= 10.0
+    return np.power(10.0, db, out=db)
+
+
+def _shadowed(gains, factors):
+    """The gain block times its shadowing factors, in place; as is without."""
+    if factors is not None:
+        gains *= factors
+    return gains
+
+
 def associate(realization, scenario, rng, config=None):
     """Serving (tier, within-tier index) per user: max average received power.
 
@@ -433,7 +456,7 @@ def associate(realization, scenario, rng, config=None):
     serving = np.empty(users.shape[0], dtype=np.int64)
     for lo in range(0, users.shape[0], _USER_CHUNK):
         pts = users[lo:lo + _USER_CHUNK]
-        gains = _chunk_gains(bs, pts, _shadow_factors(bs, pts.shape[0], rng))
+        gains = _shadowed(_chunk_gains(bs, pts), _shadow_block(bs, pts.shape[0], rng))
         serving[lo:lo + pts.shape[0]] = np.argmax(gains, axis=0)
     tiers = bs.tier_of[serving]
     offsets = np.concatenate([[0], np.cumsum(realization.tier_counts)])
@@ -562,12 +585,10 @@ def row_weight_user_pass(real, scenario, config, rng, rate_target):
     sir = np.empty(n_users)
     width = _tile_width(n_bs)
     work = _workspace(n_bs, n_users)
-    block = n_bs * min(_USER_CHUNK, n_users)
-    shadow_buf = None if bs.shadow is None else np.empty(block)
-    fade_buf = None if fading is None else np.empty(block)
+    fade_buf = None if fading is None else np.empty(n_bs * min(_USER_CHUNK, n_users))
     for lo in range(0, n_users, _USER_CHUNK):
         m = min(_USER_CHUNK, n_users - lo)
-        shadow = _shadow_factors(bs, m, rng, shadow_buf)
+        shadow = _shadow_block(bs, m, rng)
         if fading is not None:
             fade = fading.standard_exponential(
                 out=fade_buf[:n_bs * m].reshape(n_bs, m))
@@ -616,9 +637,10 @@ def full_matrix_rate_events(real, scenario, config, rng, rate_target):
     """
     bs = _bs_field(real, scenario, config)
     n = real.users.shape[0]
-    blocks = [_shadow_factors(bs, min(_USER_CHUNK, n - lo), rng)
-              for lo in range(0, n, _USER_CHUNK)]
-    w = _chunk_gains(bs, real.users, None if bs.shadow is None else np.hstack(blocks))
+    w = _chunk_gains(bs, real.users)
+    if bs.shadow is not None:
+        w *= np.hstack([_shadow_block(bs, min(_USER_CHUNK, n - lo), rng)
+                        for lo in range(0, n, _USER_CHUNK)])
     cols = np.arange(n)
     serving = np.argmax(w, axis=0)
     ratio = w / w[serving, cols]

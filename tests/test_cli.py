@@ -448,6 +448,28 @@ def test_infinite_path_loss_exp_is_an_error(tmp_path, capsys, command):
     assert captured.err == "error: path_loss_exp must be finite (got inf)\n"
 
 
+@pytest.mark.parametrize("command", ["availability", "region", "rate"])
+@pytest.mark.parametrize("fields", [
+    {"user_density": 1e-308},                       # mu/(lambda_u P_c w) overflows
+    {"user_density": 1e-200, "sir_target": 1e300},  # lambda_u P_c underflows to 0
+    {"user_density": 1.0, "sir_target": 1e308, "path_loss_exp": 2.0001},  # P_c is 0
+], ids=["slope-overflow", "demand-underflow", "zero-coverage"])
+def test_effective_demand_out_of_range_is_an_error(tmp_path, capsys, command, fields):
+    # once printed rho nan and feasible True, all-zero boundaries, or a
+    # ZeroDivisionError traceback
+    doc = json.loads(json.dumps(BASE_DOC))
+    doc.pop("over_provisioning")
+    doc.update(fields)
+    path = tmp_path / "demand.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: effective demand"), err
+    assert all(name in err[0] for name in ("user_density", "sir_target", "path_loss_exp"))
+
+
 @pytest.mark.parametrize("window, err", [
     ("inf", "error: window_side must be finite (got inf)\n"),
     ("1e300", "error: window_side 1e+300 gives a non-finite expected point count\n"),

@@ -18,6 +18,7 @@ from harvnet.markov import (
     policy_availability,
     simulate_on_off,
     stationary,
+    tier_availability,
     verify_s1_optimal,
 )
 from harvnet.model import ScenarioError
@@ -235,6 +236,21 @@ def test_spec_validation():
         BirthDeathSpec(1.0, 1.0, 0)
     with pytest.raises(ScenarioError):
         simulate_on_off(BirthDeathSpec(1.0, 1.0, 5), PolicySpec(1), cycles=1)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: BirthDeathSpec(math.inf, 1.0, 5), "harvest_rate"),
+    (lambda: BirthDeathSpec(1.0, math.nan, 5), "utilization_rate"),
+    (lambda: BirthDeathSpec(1.0, 1e-320, 5), "harvest_rate/utilization_rate"),   # ratio inf
+    (lambda: BirthDeathSpec(1e-320, 1e10, 5), "harvest_rate/utilization_rate"),  # ratio 0
+    (lambda: tier_availability(math.nan, 5), "load ratio"),
+    (lambda: tier_availability(np.array([0.5, math.inf]), 5), "load ratio"),
+], ids=["inf-harvest", "nan-use", "ratio-inf", "ratio-zero", "s-nan", "s-inf"])
+def test_non_finite_chain_rates_are_errors(make, field):
+    # once nan from policy_availability and mean_on_time, a RuntimeWarning
+    # from stationary, or a bare "math domain error"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(field)} must be finite"):
+        make()
 
 
 def test_mean_on_time_overflow_saturates_availability():

@@ -4,7 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from harvnet.analytic import solve_availability
+from harvnet.analytic import (
+    energy_utilization,
+    g,
+    load_ratio,
+    mean_service_area,
+    solve_availability,
+)
+from harvnet.coverage import tier_association_prob
 from harvnet.markov import (
     BirthDeathSpec,
     PolicySpec,
@@ -22,7 +29,8 @@ from harvnet.model import (
     check_availability_vector,
     validate,
 )
-from harvnet.simulate import SimConfig
+from harvnet.region import boundary, sweep_boundary
+from harvnet.simulate import SimConfig, service_area_mc, spatial_mc
 
 
 def make_scenario(**overrides):
@@ -81,6 +89,31 @@ def test_integer_parameters_are_checked_by_name(name, low, call, kind):
     value = {"fraction": 2.5, "below-bound": low - 1, "bool": True}[kind]
     with pytest.raises(ScenarioError, match=re.escape(f"{name} must be an integer")):
         call(value)
+
+
+RHO = [0.5, 0.5]
+SIM = SimConfig(window_side=5.0, replicates=1)
+# Every call that takes a tier index k, each on the two-tier make_scenario().
+TIER_SITES = {
+    "g": lambda k: g(make_scenario(), RHO, k),
+    "load-ratio": lambda k: load_ratio(make_scenario(), RHO, k),
+    "energy-utilization": lambda k: energy_utilization(make_scenario(), RHO, k),
+    "mean-service-area": lambda k: mean_service_area(make_scenario(), RHO, k),
+    "association": lambda k: tier_association_prob(make_scenario(), RHO, k),
+    "boundary": lambda k: boundary(make_scenario(), k, [0.5]),
+    "sweep-boundary": lambda k: sweep_boundary(make_scenario(), k, 11),
+    "spatial-mc-area": lambda k: spatial_mc(make_scenario(), RHO, SIM, area_tiers=(k,)),
+    "service-area-mc": lambda k: service_area_mc(make_scenario(), RHO, k, SIM),
+}
+
+
+@pytest.mark.parametrize("k", [-1, 2, True], ids=["negative", "K", "bool"])
+@pytest.mark.parametrize("call", TIER_SITES.values(), ids=TIER_SITES.keys())
+def test_tier_indices_are_checked_by_name(call, k):
+    # -1 once wrapped to the last tier, K raised a bare IndexError
+    with pytest.raises(ScenarioError, match=re.escape(
+            f"tier must be an integer in [0, 1] (got {k!r})")):
+        call(k)
 
 
 def test_zero_battery_is_rejected_with_tier_index():

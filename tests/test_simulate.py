@@ -27,8 +27,7 @@ from harvnet.simulate import (
     _bs_field,
     _chunk_gains,
     _combine,
-    _exact_ccdf,
-    _shadow_factors,
+    _gain_tiles,
     _strongest,
     _thread_count,
     _tiles,
@@ -287,8 +286,13 @@ def test_rate_events_match_full_matrix_oracle(name, monkeypatch):
     else:
         (sc, rho), config = _bundled(name), SimConfig(window_side=6.0, replicates=1)
     exact = []
-    monkeypatch.setattr(simulate, "_exact_ccdf", lambda *args: exact.append(
-        args[-1].copy()) or _exact_ccdf(*args))
+
+    def spy(real, bs, rng, work, pick=None):
+        if pick is not None:
+            exact.append(pick.copy())
+        return _gain_tiles(real, bs, rng, work, pick)
+
+    monkeypatch.setattr(simulate, "_gain_tiles", spy)
     for i in range(20):
         rng = np.random.default_rng([71, i])
         real = sample_network(sc, rho, config, rng)
@@ -419,8 +423,7 @@ def test_gain_kernel_matches_hypot_oracle(boundary, shadowing):
                        users=rng.uniform(0, side, (37, 2)), window_side=side)
     real.users[5] = real.bs_pos[1][3]        # a link at the distance floor
     bs = _bs_field(real, sc, config)
-    got = _chunk_gains(bs, real.users,
-                       _shadow_factors(bs, 37, np.random.default_rng(62)))
+    [(_, got)] = _gain_tiles(real, bs, np.random.default_rng(62), _workspace(32, 37))
     tier_of = np.repeat([0, 1], [9, 23])
     shadow_db = None
     if shadowing is not None:
@@ -446,8 +449,7 @@ def test_gain_kernel_matches_hypot_oracle_off_alpha_4(boundary, shadowing):
                        users=rng.uniform(0, side, (37, 2)), window_side=side)
     real.users[5] = real.bs_pos[1][3]        # a link at the distance floor
     bs = _bs_field(real, sc, config)
-    got = _chunk_gains(bs, real.users,
-                       _shadow_factors(bs, 37, np.random.default_rng(72)))
+    [(_, got)] = _gain_tiles(real, bs, np.random.default_rng(72), _workspace(32, 37))
     shadow_db = None
     if shadowing is not None:
         z = np.random.default_rng(72).standard_normal(got.shape)
@@ -470,15 +472,40 @@ def test_gain_kernel_ignores_what_a_workspace_held(alpha):
                        users=rng.uniform(0, 5.0, (512 + 37, 2)), window_side=5.0)
     bs = _bs_field(real, sc, SimConfig(window_side=5.0, replicates=1))
     work = _workspace(32, 512 + 37)
-    full = _chunk_gains(bs, real.users[:512],
-                        _shadow_factors(bs, 512, np.random.default_rng(74)), work)
+    full = _chunk_gains(bs, real.users[:512], work)
     assert full.shape == (32, 512) and np.shares_memory(full, work)
-    part = _chunk_gains(bs, real.users[512:],
-                        _shadow_factors(bs, 37, np.random.default_rng(75)), work)
+    part = _chunk_gains(bs, real.users[512:], work)
     assert np.shares_memory(part, work)
-    fresh = _chunk_gains(bs, real.users[512:],
-                         _shadow_factors(bs, 37, np.random.default_rng(75)))
+    fresh = _chunk_gains(bs, real.users[512:])
     np.testing.assert_array_equal(part, fresh)
+
+
+def test_picked_tiles_are_the_picked_columns_of_the_full_walk():
+    # Shadowed, alpha = 3.5, 1,300 users in three draw blocks, and 320 BSs
+    # give tiles of 204 users.  A walk over picked users yields their
+    # columns of the full walk bit for bit, in one workspace the full walk
+    # left dirty, and draws the shadowing of the blocks up to its last pick.
+    sc = replace(two_tier(powers=(4.0, 0.25), shadowing=ShadowingSpec(1.5, 6.0)),
+                 path_loss_exp=3.5)
+    rng = np.random.default_rng(95)
+    real = Realization(bs_pos=[rng.uniform(0, 6.0, (30, 2)),
+                               rng.uniform(0, 6.0, (290, 2))],
+                       users=rng.uniform(0, 6.0, (1300, 2)), window_side=6.0)
+    bs = _bs_field(real, sc, SimConfig(window_side=6.0, replicates=1))
+    work = _workspace(320, 1300)
+    full = np.hstack([w.copy() for _, w in
+                      _gain_tiles(real, bs, np.random.default_rng(96), work)])
+    assert full.shape == (320, 1300)
+    index = np.arange(1300)
+    for pick in (rng.random(1300) < 0.1, index % 211 == 7, index == 700, index == 1299):
+        picked = np.random.default_rng(96)
+        users, tiles = zip(*[(u, w.copy()) for u, w in
+                             _gain_tiles(real, bs, picked, work, pick)])
+        assert np.array_equal(np.concatenate(users), np.flatnonzero(pick))
+        assert np.array_equal(np.hstack(tiles), full[:, pick])
+        drawn = np.random.default_rng(96)
+        drawn.standard_normal(320 * min(1300, (index[pick][-1] // 512 + 1) * 512))
+        assert picked.bit_generator.state == drawn.bit_generator.state
 
 
 def _assert_row_weight_bits(real, sc, config, rate_target):
