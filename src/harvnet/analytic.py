@@ -4,11 +4,13 @@ Ties together the geometric side (mean service areas, energy utilization
 rates) and the temporal side (per-BS birth-death chains) into the coupled
 fixed-point system for the availability vector rho.  Every tier sees rho
 only through the weighted ON density D = sum_j rho_j lambda_j w_j, so the
-K-dimensional fixed point is the largest root of one scalar equation in D,
-which has a positive root whenever the energy-conservation condition
-gamma > 1 holds.  `_outer_root` finds such roots for many lanes at once,
-bisecting with one vectorized call per several levels; the region
-boundaries use it too.
+K-dimensional fixed point is the root of one scalar equation in D, which
+has a positive root iff the energy-conservation condition gamma > 1
+holds.  `_load_root` finds that root, and the region boundaries, for many
+lanes at once.  It tests the load balance in a form where no two terms
+cancel, with gamma - 1 formed exactly, so each sign is right even with
+gamma a few ulps above 1; the tested side is monotone in D, so the root
+is unique and plain multisection of [0, top] brackets it, with no scan.
 """
 
 from __future__ import annotations
@@ -27,14 +29,8 @@ from .model import (
     validate,
 )
 
-# Descending scan for the outermost root, as fractions of the range: linear
-# steps, then a geometric tail towards 0 for roots vanishing like gamma - 1.
-_SCAN = np.concatenate([np.linspace(1.0, 1.0 / 64, 64),
-                        np.geomspace(1.0 / 64, 1e-300, 150)[1:]])
-# Bisection points per h call: each call takes as many levels as keep
-# lanes * (2^levels - 1) within this; six for one lane, one (plain
-# bisection) from 33 lanes on.
-_TREE_POINTS = 64
+# Bisection levels per evaluation of the load test: 2^6 = 64 cells per lane.
+_LEVELS = 6
 
 
 class NonConvergenceError(RuntimeError):
@@ -53,10 +49,14 @@ class NonConvergenceError(RuntimeError):
 class FixedPointResult:
     """Availability fixed point plus solver diagnostics.
 
-    `iterations`: bisection steps after the scan; `evaluations`: calls of
-    the vectorized fixed-point map, the scan included; `residual`:
-    max_k |a_k(s_k(D(rho))) - rho_k|; `bracket`: max_k |rho_k(D_hi) -
-    rho_k(D_lo)| over the final bracket of the root, a bound on the error.
+    `iterations`: bisection levels taken, where one evaluation that splits
+    the bracket of D into 2^l cells counts l; `evaluations`: calls of the
+    vectorized tier availabilities, one per split plus one at the final
+    midpoint; `residual`: max_k |a_k(s_k(D(rho))) - rho_k|; `bracket`:
+    max_k |rho_k(D_hi) - rho_k(D_lo)| over the final bracket [D_lo, D_hi]
+    of the root.  The bracket holds the root, as the sign test that
+    narrows it has no cancellation, and rho_k is monotone in D, so
+    `bracket` bounds the error of every rho_k, up to the rounding of a_k.
     """
 
     rho: np.ndarray
@@ -133,18 +133,22 @@ def check_feasibility(scenario: NetworkScenario) -> tuple[bool, float]:
 
     gamma is the over-provisioning factor, total harvested energy per unit
     area and time over effective demand.  A positive availability fixed
-    point exists iff gamma exceeds one.
+    point exists iff gamma exceeds one.  That is decided from gamma - 1 =
+    sum_k c_k s_k - 1 taken exactly (`_load_excess`), as the solver does.
     """
     validate(scenario)
-    harvested = float(np.sum(scenario.densities() * scenario.harvest_rates()))
-    gamma = harvested / _demand(scenario)[0]
-    return gamma > 1.0, gamma
+    demand, slope = _demand(scenario)
+    gamma = float(np.sum(scenario.densities() * scenario.harvest_rates())) / demand
+    return _load_excess(scenario.densities() * scenario.tier_weights(), slope) > 0.0, gamma
 
 
 def energy_outage_bound(scenario: NetworkScenario) -> float:
-    """Lower bound on the fraction of users that must be dropped: max(0, 1-gamma)."""
-    _, gamma = check_feasibility(scenario)
-    return max(0.0, 1.0 - gamma)
+    """Lower bound on the fraction of users that must be dropped: max(0, 1-gamma).
+
+    0 for every scenario `check_feasibility` finds feasible.
+    """
+    feasible, gamma = check_feasibility(scenario)
+    return 0.0 if feasible else max(0.0, 1.0 - gamma)
 
 
 def equivalence_check(scenario: NetworkScenario, rho) -> bool:
@@ -172,87 +176,63 @@ def _cutoffs(scenario: NetworkScenario, policy) -> list[int]:
     return [p.cutoff for p in policy]
 
 
-def _outer_root(h, top, tol: float, max_iter: int | None = None):
-    """Outermost root of h below `top` in every lane: scan, then bisection.
+def _load_excess(c: np.ndarray, s: np.ndarray) -> float:
+    """sum_k c_k s_k - 1 for the floats c_k, s_k, rounded once.
 
-    h maps points x to (excess, y): excess >= 0 just below the outermost
-    root, < 0 above it; y (shape x.shape + (M,)) grows with x.  Lanes are
-    bisected in lock step until max |y(hi) - y(lo)| <= tol or lo, hi are
-    adjacent doubles; lo = hi = top if excess(top) >= 0, lo = hi = 0 if no
-    sign change.  After the scan, each h call evaluates the tree of
-    midpoints of the next few levels (up to _TREE_POINTS points), each the
-    0.5 * (a + b) of its own parent bracket, and the lanes walk it; so lo,
-    hi and the step count equal one-midpoint bisection's bit for bit.  With
-    many lanes the tree is one level: plain bisection.  Returns (lo, hi,
-    bracket, steps, unfinished lanes, h calls).
+    The products and the sum are taken exactly, as integer ratios, so the
+    sign is right and the digits survive however close gamma is to 1.
     """
-    top = np.asarray(top, dtype=float)
-    lanes = np.arange(top.size)
-    grid = _SCAN[:, None] * top
-    excess, y = h(grid)
-    nonneg = excess >= 0.0
-    found = nonneg.any(axis=0)
-    first = np.argmax(nonneg, axis=0)      # 0 where nothing is found
-    above = np.maximum(first - 1, 0)
-    lo, hi = np.where(found, grid[np.stack([first, above]), lanes], 0.0)
-    y_lo, y_hi = y[first, lanes], y[above, lanes]
-    depth = max(1, int(np.log2(_TREE_POINTS // top.size + 1)))
-    steps, calls = 0, 1
+    num, den = -1, 1
+    for (p, q), (r, t) in zip(map(float.as_integer_ratio, c), map(float.as_integer_ratio, s)):
+        num, den = num * q * t + p * r * den, den * q * t
+    return num / den if num < den << 1023 else np.inf   # int / int rounds once
+
+
+def _load_root(excess: float, d: np.ndarray, lo, hi, tiers, tol: float,
+               max_iter: int | None = None):
+    """Largest load D in [lo, hi] inside the balance of the free tiers, per lane.
+
+    `tiers` holds (c_k, s_k, N_k, cutoff_k) of the free tiers, d the fixed
+    density of each lane, excess = sum_k c_k s_k - 1 (`_load_excess`).  D
+    is inside iff E(D) = d + sum_k c_k a_k(s_k D) - D >= 0, tested as
+    E/D = excess + d/D - sum_k c_k s_k b_k(s_k D) >= 0 with b = 1 - a/s
+    (markov._on_fractions): no term cancels.  b does not decrease, as a is
+    concave (region.py), so E/D falls with D: the root is unique.  lo is
+    inside; so is hi where every a_k rounds to 1; a lane with d = 0 and
+    excess <= 0 has its root at lo.  Each evaluation splits each live
+    lane's bracket into 2^_LEVELS cells, or fewer where max_iter runs out,
+    and keeps the one cell where the test turns: 2^l cells are l bisection
+    steps.  A lane stops once its a_k at the bracket ends differ by at
+    most tol, or its ends are adjacent doubles.  Returns (a_k at the
+    bracket midpoints, bracket, steps, unfinished, evaluations).
+    """
+    def evaluate(x, d):
+        pairs = [markov._on_fractions(s * x, n, cutoff) for _, s, n, cutoff in tiers]
+        a = np.stack([a_k for a_k, _ in pairs], axis=-1)
+        loss = sum(c * s * b_k for (c, s, *_), (_, b_k) in zip(tiers, pairs))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return a, (excess + d / x >= loss) | (a == 1.0).all(axis=-1)
+
+    lo, hi = (np.broadcast_to(v, d.shape).astype(float) for v in (lo, hi))
+    hi = np.where((d == 0.0) & (excess <= 0.0), lo, hi)
+    bracket = np.where(lo < hi, np.inf, 0.0)
+    steps = calls = 0
     while True:
-        bracket = np.abs(y_hi - y_lo).max(axis=-1)
         mid = 0.5 * (lo + hi)
-        live = (bracket > tol) & (lo < mid) & (mid < hi)
-        if steps == max_iter or not live.any():
-            return lo, hi, bracket, steps, live, calls
-        calls += 1
-        levels = depth if max_iter is None else min(depth, max_iter - steps)
-        if levels == 1:
-            excess, y_mid = h(mid)
-            up = live & (excess >= 0.0)
-            down = live & ~up
-            lo = np.where(up, mid, lo)
-            hi = np.where(down, mid, hi)
-            y_lo = np.where(up[:, None], y_mid, y_lo)
-            y_hi = np.where(down[:, None], y_mid, y_hi)
-            steps += 1
-            continue
-        # Breakpoints x of `levels` nested bisections of [lo, hi], in order.
-        x = np.stack([lo, hi])
-        for _ in range(levels):
-            finer = np.empty((2 * len(x) - 1, top.size))
-            finer[::2], finer[1::2] = x, 0.5 * (x[:-1] + x[1:])
-            x = finer
-        excess, y_in = h(x[1:-1])
-        y = np.concatenate([y_lo[None], y_in, y_hi[None]])
-        # Tree node i spans [x[left[i]], x[right[i]]] with midpoint x[c[i]];
-        # its step goes to child 2i + 1 ([lo, mid]) or 2i + 2 ([mid, hi]).
-        left, right = _heap_spans(levels)
-        n = 2 ** levels - 1                        # nodes with a midpoint
-        a, b = left[:n], right[:n]
-        c = (a + b) // 2
-        node_live = ((np.abs(y[b] - y[a]).max(axis=-1) > tol)
-                     & (x[a] < x[c]) & (x[c] < x[b]))
-        i = np.arange(n)[:, None]
-        child = np.where(node_live, 2 * i + 1 + (excess[c - 1] >= 0.0), i)
-        node = np.zeros(top.size, dtype=np.intp)
-        for _ in range(levels):
-            node = child[node, lanes]
-        # A level is a step while any lane takes it: the deepest one reached.
-        steps += int(node.max() + 1).bit_length() - 1
-        lo, hi = x[left[node], lanes], x[right[node], lanes]
-        y_lo, y_hi = y[left[node], lanes], y[right[node], lanes]
-
-
-def _heap_spans(levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoint indices (left, right) of every node of a bisection tree.
-
-    Heap order, root first, over `levels` levels plus the leaves' children;
-    a node at level l spans 2^(levels - l) of the 2^levels finest intervals.
-    """
-    n = np.arange(1, 2 ** (levels + 1))
-    width = 2 ** (levels + 1) >> np.frexp(n)[1]
-    left = n * width - 2 ** levels
-    return left, left + width
+        live = np.flatnonzero((bracket > tol) & (lo < mid) & (mid < hi))
+        if steps == max_iter or not live.size:
+            return evaluate(mid, d)[0], bracket, steps, live.size > 0, calls + 1
+        levels = _LEVELS if max_iter is None else min(_LEVELS, max_iter - steps)
+        cells = np.arange(2 ** levels + 1)[:, None] / 2 ** levels
+        x = lo[live] + (hi[live] - lo[live]) * cells
+        a, inside = evaluate(x, d[live])
+        inside[0] = True
+        # The last point inside and the next: lo stays inside, hi outside.
+        end = len(x) - 1 - np.argmax(inside[::-1], axis=0)
+        nxt, cols = np.minimum(end + 1, len(x) - 1), np.arange(live.size)
+        lo[live], hi[live] = x[end, cols], x[nxt, cols]
+        bracket[live] = np.abs(a[nxt, cols] - a[end, cols]).max(axis=-1)
+        steps, calls = steps + levels, calls + 1
 
 
 def solve_availability(scenario: NetworkScenario, policy=None,
@@ -262,38 +242,30 @@ def solve_availability(scenario: NetworkScenario, policy=None,
 
     Tier k sees rho only through D = sum_j rho_j lambda_j w_j, at load
     ratio s_k = mu_k D/(lambda_u P_c w_k), so rho_k = a_k(s_k(D*)) at the
-    largest root D* of sum_j lambda_j w_j a_j(s_j(D)) = D.  a_k is the
-    availability under the tier's cutoff in `policy` (default S(1), g).
-    D* is bisected until the rho at the bracket ends differ by at most
-    `tolerance` or the ends are adjacent doubles; rho is taken at the
-    midpoint.  Each evaluation of the tier availabilities covers the next
-    six bisection levels, so `evaluations` is the scan plus about a sixth
-    of `iterations`.  Infeasible scenarios (gamma <= 1) return all zeros.
+    positive root D* of sum_j lambda_j w_j a_j(s_j(D)) = D, which exists
+    and is unique iff gamma > 1.  a_k is the availability under the tier's
+    cutoff in `policy` (default S(1), g).  `_load_root` narrows a bracket
+    of D* from [0, sum_j lambda_j w_j] until the rho at its ends differ by
+    at most `tolerance` or the ends are adjacent doubles, six bisection
+    levels per evaluation; rho is taken at the midpoint.  Infeasible
+    scenarios (gamma <= 1) return all zeros.
     """
     if not tolerance > 0:
         raise ScenarioError(f"tolerance must be > 0 (got {tolerance})")
     _check_integer(max_iter, "max_iter", 1)
-    feasible, _ = check_feasibility(scenario)
+    validate(scenario)
+    on_weight, slope = _tier_constants(scenario)
     cutoffs = _cutoffs(scenario, policy)
-    if not feasible:
+    excess = _load_excess(on_weight, slope)
+    if not excess > 0.0:
         return FixedPointResult(rho=np.zeros(scenario.k_tiers), iterations=0,
                                 residual=0.0, feasible=False)
-    on_weight, slope = _tier_constants(scenario)
-    tiers = list(zip(slope, scenario.batteries(), cutoffs))
-
-    def availabilities(d):
-        return np.stack([markov.tier_availability(s * d, n, c)
-                         for s, n, c in tiers], axis=-1)
-
-    def h(d):
-        rho = availabilities(d)
-        return rho @ on_weight - d, rho
-
-    lo, hi, bracket, steps, live, calls = _outer_root(
-        h, [on_weight.sum()], tolerance, max_iter)
-    rho = availabilities(0.5 * (lo[0] + hi[0]))
-    residual = float(np.max(np.abs(availabilities(rho @ on_weight) - rho)))
-    if live[0]:
+    tiers = list(zip(on_weight, slope, scenario.batteries(), cutoffs))
+    (rho,), bracket, steps, unfinished, calls = _load_root(
+        excess, np.zeros(1), 0.0, on_weight.sum(), tiers, tolerance, max_iter)
+    residual = float(np.max(np.abs([markov.tier_availability(s * (rho @ on_weight), n, c) - r
+                                    for (_, s, n, c), r in zip(tiers, rho)])))
+    if unfinished:
         raise NonConvergenceError(rho, residual, steps)
     return FixedPointResult(rho=rho, iterations=steps, residual=residual,
                             feasible=True, bracket=float(bracket[0]),

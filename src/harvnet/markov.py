@@ -157,9 +157,26 @@ def tier_availability(s, battery: int, cutoff: int = 1):
     s = np.asarray(s, dtype=float)
     if not np.all((s >= 0.0) & (s < math.inf)):
         raise ScenarioError(f"load ratio must be finite and >= 0 (got {s})")
+    return _on_fractions(s, battery, cutoff, with_b=False)
+
+
+def _on_fractions(s: np.ndarray, battery: int, cutoff: int, with_b: bool = True):
+    """(a, b): the ON fraction a of tier_availability and b = 1 - a/s.
+
+    From a = x/(1 + x), b = s^(N-c+1) S_c/(c (1 + x)) with S_c = 1 + s +
+    ... + s^(c-1): positive terms only, so b keeps its relative precision
+    where a/s is close to 1.  Where x or that numerator overflows, a
+    rounds to 1 and b = 1 - 1/s.  Without `with_b`, a alone.
+    """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = s * _passage_sum(s, battery, cutoff) / cutoff
-        return np.where(x > 1.0, 1.0 / (1.0 + 1.0 / x), x / (1.0 + x))
+        a = np.where(x > 1.0, 1.0 / (1.0 + 1.0 / x), x / (1.0 + x))
+        if not with_b:
+            return a
+        s_c = _passage_sum(s, cutoff, 1) if cutoff > 1 else 1.0
+        top = s ** (battery - cutoff + 1) * s_c / cutoff
+        b = np.where((x < math.inf) & (top < math.inf), top / (1.0 + x), 1.0 - 1.0 / s)
+    return a, b
 
 
 def policy_availability(spec: BirthDeathSpec, policy: PolicySpec) -> float:

@@ -1,11 +1,13 @@
 """Availability region: which availability vectors are jointly achievable.
 
 The region boundary for tier k given the other tiers' availabilities is
-the largest root of rho_k = a_k(s_k(D)), D = D_others + lambda_k w_k rho_k:
-the fixed-point solver's scalar equation with the other tiers held fixed.
-`boundary` and the sweeps find that root; a sweep solves all its grid
-points as lanes of one root search.  A tier can also be pinned to a
-recharge policy S(c), which shrinks the region.
+the root of rho_k = a_k(s_k(D)), D = D_others + lambda_k w_k rho_k: the
+fixed-point solver's scalar equation with the other tiers held fixed.
+`boundary` and the sweeps find it with the solver's own root search,
+`analytic._load_root`, tier k free and D_others fixed; a sweep solves all
+its grid points as lanes of one search.  With D_others = 0 the boundary
+is exactly 0 unless slope_k lambda_k w_k > 1, taken exactly.  A tier can
+also be pinned to a recharge policy S(c), which shrinks the region.
 
 Membership needs no root.  With h_k(x) = a_k(s_k(D_others + lambda_k w_k x))
 - x, rho is inside iff h_k(rho_k) >= 0 for every k: one evaluation per
@@ -22,6 +24,8 @@ function of a load affine in x minus x, is concave with h_k(0) >= 0, and
   m-N..N that m > N leaves, which drops the largest;
 - so by Chebyshev's sum inequality every coefficient is <= 0: a'' <= 0
   on s >= 0.
+As a(0) = 0, concavity also makes a(s)/s non-increasing, so the b(s) =
+1 - a(s)/s of the root search's sign test does not decrease.
 The slack `tol` of a membership test is taken in rho units: the test is
 h_k(max(rho_k - tol, 0)) >= 0, i.e. rho_k <= boundary + tol.
 """
@@ -35,7 +39,7 @@ import numpy as np
 from . import analytic, markov
 from .model import NetworkScenario, ScenarioError, _check_integer, check_availability_vector
 
-_TOL = 1e-10          # bisection width on rho_k
+_TOL = 1e-10          # bracket width on rho_k
 _MEMBER_TOL = 1e-6    # slack for membership tests at the boundary itself
 _LANE_BLOCK = 2048    # grid lanes per root search
 _GRID_BLOCK = 1 << 16  # grid lanes per membership evaluation
@@ -57,21 +61,13 @@ def _boundaries(scenario: NetworkScenario, k: int, others: np.ndarray,
     _check_integer(k, "tier", 0, scenario.k_tiers - 1)
     on_weight, slope = analytic._tier_constants(scenario)
     d_others = others @ np.delete(on_weight, k)
-    battery, cutoff = scenario.tiers[k].battery, getattr(constraint, "cutoff", 1)
-
-    def block(d):
-        def h(x):
-            s = slope[k] * (d + on_weight[k] * x)
-            return markov.tier_availability(s, battery, cutoff) - x, x[..., None]
-
-        lo, hi, *_ = analytic._outer_root(h, np.ones(d.size), tol)
-        return 0.5 * (lo + hi)
-
-    # The root scan holds a full scan column per lane; blocks cap its memory.
-    # A sweep's many lanes bisect one level per call; a single `boundary`
-    # lane gets the next six levels from each call.
-    return np.concatenate([block(d_others[i:i + _LANE_BLOCK])
-                           for i in range(0, d_others.size, _LANE_BLOCK)])
+    excess = analytic._load_excess(on_weight[k:k + 1], slope[k:k + 1])
+    tier = [(on_weight[k], slope[k], scenario.tiers[k].battery,
+             getattr(constraint, "cutoff", 1))]
+    # A search holds 2^6 + 1 loads of every live lane; blocks cap its memory.
+    return np.concatenate([
+        analytic._load_root(excess, d, d, d + on_weight[k], tier, tol)[0][:, 0]
+        for d in np.split(d_others, range(_LANE_BLOCK, d_others.size, _LANE_BLOCK))])
 
 
 def boundary(scenario: NetworkScenario, k: int, fixed_others,

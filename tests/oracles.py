@@ -14,7 +14,8 @@ a time, as a trajectory oracle for the ON-period sampler.
 before it skipped zero counts, drawing for every cycle at every level.
 `fsum_rate_ccdf` sums the rate series in float64 from scipy's negative
 binomial pmf and hyp2f1, with math.fsum.
-`bisect_outer_root` is the root search as one h call per bisection step.
+`mp_fixed_point` is the availability fixed point of given float tier
+constants, in mpmath.
 `row_weight_user_pass` is the spatial user pass with its gain kernel and
 serving pick as they were before the per-tier path loss and the argmax
 pick, for bit-for-bit comparison; its rate tally still draws one Rayleigh
@@ -38,7 +39,6 @@ import numpy as np
 from scipy.special import hyp2f1
 from scipy.stats import nbinom
 
-from harvnet.analytic import _SCAN
 from harvnet.model import ScenarioError
 from harvnet.region import boundary, sweep_boundary
 from harvnet.simulate import (
@@ -214,36 +214,25 @@ def mp_outer_root(excess, top, dps=60, steps=110):
         return (lo + hi) / 2
 
 
-def bisect_outer_root(h, top, tol, max_iter=None):
-    """analytic._outer_root as plain lock-step bisection, one h call per step.
+def mp_fixed_point(c, s, batteries, cutoffs, dps=60):
+    """rho at the positive root of sum_k c_k a_k(s_k D) = D, in mpmath.
 
-    Same scan and stop rule; returns (lo, hi, bracket, steps, live).
+    c_k = lambda_k w_k and s_k = mu_k/(lambda_u P_c w_k) are taken as given,
+    floats included, so this is the root of the caller's own inputs; a_k is
+    mp_on_fraction_closed.  Returns float zeros when no positive root exists.
     """
-    top = np.asarray(top, dtype=float)
-    lanes = np.arange(top.size)
-    grid = _SCAN[:, None] * top
-    excess, y = h(grid)
-    nonneg = excess >= 0.0
-    found = nonneg.any(axis=0)
-    first = np.argmax(nonneg, axis=0)      # 0 where nothing is found
-    above = np.maximum(first - 1, 0)
-    lo, hi = np.where(found, grid[np.stack([first, above]), lanes], 0.0)
-    y_lo, y_hi = y[first, lanes], y[above, lanes]
-    steps = 0
-    while True:
-        bracket = np.max(np.abs(y_hi - y_lo), axis=-1)
-        mid = 0.5 * (lo + hi)
-        live = (bracket > tol) & (lo < mid) & (mid < hi)
-        if steps == max_iter or not live.any():
-            return lo, hi, bracket, steps, live
-        excess, y_mid = h(mid)
-        up = live & (excess >= 0.0)
-        down = live & ~up
-        lo = np.where(up, mid, lo)
-        hi = np.where(down, mid, hi)
-        y_lo = np.where(up[:, None], y_mid, y_lo)
-        y_hi = np.where(down[:, None], y_mid, y_hi)
-        steps += 1
+    with mp.workdps(dps):
+        tiers = [(mp.mpf(ck), mp.mpf(sk), n, cut)
+                 for ck, sk, n, cut in zip(c, s, batteries, cutoffs)]
+
+        def avail(d):
+            return [mp_on_fraction_closed(sk * d, n, cut) for _, sk, n, cut in tiers]
+
+        def excess(d):
+            return mp.fsum(ck * a for (ck, *_), a in zip(tiers, avail(d))) - d
+
+        d_star = mp_outer_root(excess, mp.fsum(t[0] for t in tiers), dps)
+        return np.array([float(a) for a in avail(d_star)])
 
 
 def root_search_contains(scenario, rho, constraints=None, tol=1e-6):

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from harvnet import analytic
 from harvnet.analytic import (
     NonConvergenceError,
     check_feasibility,
@@ -24,9 +25,9 @@ from harvnet.markov import (
 )
 from harvnet.model import NetworkScenario, ScenarioError, ShadowingSpec, TierParams
 from oracles import (
+    mp_fixed_point,
     mp_on_fraction,
     mp_on_fraction_closed,
-    mp_outer_root,
     mp_tier_constants,
 )
 
@@ -327,21 +328,13 @@ def test_tier_availability_rejects_bad_inputs():
         tier_availability(0.5, 0)
 
 
-def mp_fixed_point(sc, cutoffs):
-    """rho at the largest root of sum_j lambda_j w_j a_j(s_j(D)) = D, in mpmath."""
-    with mp.workdps(60):
-        tiers = [(on, slope, t.battery, c) for (on, slope), t, c in
-                 zip(mp_tier_constants(sc), sc.tiers, cutoffs)]
-
-        def avail(d):
-            return [mp_on_fraction_closed(slope * d, n, c)
-                    for _, slope, n, c in tiers]
-
-        def excess(d):
-            return mp.fsum(t[0] * a for t, a in zip(tiers, avail(d))) - d
-
-        d_star = mp_outer_root(excess, mp.fsum(t[0] for t in tiers))
-        return np.array([float(a) for a in avail(d_star)])
+def fixed_point_oracle(sc, cutoffs):
+    """mp_fixed_point of the solver's float tier constants, checked in mpmath."""
+    c, s = analytic._tier_constants(sc)
+    with mp.workdps(30):
+        for (on, slope), c_k, s_k in zip(mp_tier_constants(sc), c, s):
+            assert abs(c_k / on - 1) < 1e-15 and abs(s_k / slope - 1) < 1e-15
+    return mp_fixed_point(c, s, sc.batteries(), cutoffs)
 
 
 @pytest.mark.parametrize("batteries", [(1, 1), (10, 8), (1000, 500)])
@@ -351,7 +344,7 @@ def test_fixed_point_matches_mpmath_scalar_root(batteries, full_battery):
     for gamma in (1 + 1e-7, 1 + 1e-5, 1.001, 1.1, 3.0):
         sc = two_tier(gamma=gamma, batteries=batteries)
         res = solve_availability(sc, policy=[PolicySpec(c) for c in cutoffs])
-        want = mp_fixed_point(sc, cutoffs)
+        want = fixed_point_oracle(sc, cutoffs)
         assert res.feasible and np.all(res.rho > 0.0)
         assert np.max(np.abs(res.rho - want)) <= 1e-9, (gamma, res.rho, want)
         assert res.bracket <= 1e-10 and res.residual <= 1e-10

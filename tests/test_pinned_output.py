@@ -1,9 +1,10 @@
 """Solver-backed CLI output and rate series values pinned on the bundled scenarios.
 
 `data/pinned_solver_output.json` holds the stdout and exit code of every
-command below, recorded before the root search was rewritten to evaluate
-several bisection levels per call.  Any change to the fixed point, its
-iteration count, its residual or a region boundary shows up here.
+command below.  Values moved by the cancellation-free root search (the
+last digits of rho, residuals and boundaries, and the iteration counts)
+were re-recorded with it.  Any change to the fixed point, its iteration
+count, its residual or a region boundary shows up here.
 `data/pinned_rate_values.json` holds rate_ccdf values to the last bit over
 a grid of availabilities, thresholds and series tolerances, recorded with
 one scalar call per value before the series took lanes; the lane call and
@@ -12,7 +13,8 @@ the scalar calls must both reproduce them.
 of `validate` and of every `simulate` estimator on the bundled scenarios,
 and every `spatial_mc` field of a shadowed, alpha = 3.5, guard-window
 scenario with over 512 users per replicate, recorded before the user pass
-was split into tiles.  Rerun this file as a script to re-record all
+was split into tiles; the `validate` lines that print the distance of the
+solved rho from the CTMC estimate were re-recorded with the new root search.  Rerun this file as a script to re-record all
 three, only when an output change is meant.
 """
 

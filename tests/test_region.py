@@ -165,8 +165,9 @@ def test_sweep_equals_pointwise_boundary():
 
 
 def test_fine_sweep_memory_stays_flat():
-    # One scan column per grid lane for 20,001 lanes at once would take
-    # about 200 MB; the sweep must work in bounded blocks of lanes.
+    # The root search holds 65 loads per grid lane in each of several
+    # arrays, over 10 MB an array for 20,001 lanes at once; the sweep must
+    # work in bounded blocks of lanes.
     sc = two_tier()
     tracemalloc.start()
     try:
@@ -306,7 +307,7 @@ def test_membership_runs_no_root_search(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("membership reached a root search")
 
-    for name, owner in (("_outer_root", analytic), ("boundary", region),
+    for name, owner in (("_load_root", analytic), ("boundary", region),
                         ("sweep_boundary", region), ("_boundaries", region)):
         monkeypatch.setattr(owner, name, forbidden)
     sc = two_tier()

@@ -1,150 +1,145 @@
-"""The root search against plain lock-step bisection, bit for bit.
+"""The fixed point and the region boundaries against mpmath roots, near gamma = 1.
 
-`analytic._outer_root` evaluates several bisection levels per h call;
-`oracles.bisect_outer_root` makes one h call per step.  Both must return
-the same lo, hi, bracket, steps and unfinished lanes for every input.
+Both are roots of one load equation, found by `analytic._load_root`.  The
+oracles take the solver's own float tier constants, so they give the root
+of the very same inputs to 60 digits: any cancellation left in the solver
+shows as lost digits once gamma - 1 nears the float resolution.
 """
 
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from harvnet import analytic, region
-from harvnet.analytic import solve_availability
+from harvnet import analytic
+from harvnet.analytic import (
+    NonConvergenceError,
+    check_feasibility,
+    energy_outage_bound,
+    solve_availability,
+)
 from harvnet.cli import load_scenario
-from harvnet.markov import PolicySpec, tier_availability
-from harvnet.model import NetworkScenario, TierParams
-from oracles import bisect_outer_root
+from harvnet.coverage import coverage_prob
+from harvnet.markov import PolicySpec
+from harvnet.region import boundary
+from oracles import mp_fixed_point, mp_on_fraction_closed, mp_outer_root
 
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
-# Every budget where several levels share one h call; many-lane searches
-# step one level per call, and a scan of 2,048 lanes is costly.
-BUDGETS = {1: [None, *range(1, 41)], 7: [None, *range(1, 41)],
-           101: [None, 1, 2, 3, 5, 8, 13, 21, 27, 34, 40],
-           2048: [None, 1, 2, 7, 19, 33, 40]}
+BASELINE = SCENARIOS[[p.stem for p in SCENARIOS].index("two-tier-baseline")]
 
 
-def lane_mix(n, start=0):
-    """Per-lane (root, y scale): lane i is of kind KINDS[(start + i) % 6].
-
-    Kinds: 0, a root inside (0, 1); 1, excess(top) >= 0; 2, no sign
-    change; 3, a root deep in the scan's geometric tail.  Scales span six
-    decades, so lanes meet the tolerance at different steps.
-    """
-    rng = np.random.default_rng(n + 17 * start)
-    kind = np.array([0, 1, 0, 2, 0, 3])[(start + np.arange(n)) % 6]
-    root = np.choose(kind, [rng.uniform(0.01, 0.99, n), np.full(n, 1.5),
-                            np.full(n, -1.0), 10.0 ** rng.uniform(-250, -20, n)])
-    return root, 10.0 ** rng.uniform(-3, 3, n)
+def scaled(sc, factor, tiers=None):
+    """sc with the harvest rate of `tiers` (default all) times factor."""
+    return replace(sc, tiers=tuple(
+        replace(t, harvest_rate=t.harvest_rate * factor) if tiers is None or k in tiers else t
+        for k, t in enumerate(sc.tiers)))
 
 
-def monotone(n, start):
-    root, scale = lane_mix(n, start)
-
-    def h(x):
-        return root - x, np.stack([scale * x, 1.0 + x], axis=-1)
-
-    return h
+def near_one(path, excess):
+    """The bundled scenario with every mu scaled so that gamma = 1 + excess."""
+    sc, _ = load_scenario(str(path))
+    return scaled(sc, (1.0 + excess) / check_feasibility(sc)[1])
 
 
-def non_monotone(n, start):
-    """Excess (x - r1)(x - r2)(r3 - x), three roots within one scan cell."""
-    root, scale = lane_mix(n, start)
-    rng = np.random.default_rng(n + 17 * start + 1)
-    r1 = root - rng.uniform(0, 0.01, n)
-    r2 = (r1 + root) / 2
-
-    def h(x):
-        return (x - r1) * (x - r2) * (root - x), (scale * x)[..., None]
-
-    return h
+def exact_excess(sc, tiers=None):
+    """sum_k c_k s_k - 1 over the solver's float tier constants, as a Fraction."""
+    c, s = analytic._tier_constants(sc)
+    return sum(Fraction(c[k]) * Fraction(s[k]) for k in tiers or range(sc.k_tiers)) - 1
 
 
-def availability(n, start):
-    """The region sweep's h: the S(c) ON fraction at load d + w x, minus x."""
-    rng = np.random.default_rng(n + 17 * start + 2)
-    d, slope = rng.uniform(0, 2, n), 10.0 ** rng.uniform(-1, 1, n)
-    scale, cutoff = 10.0 ** rng.uniform(-3, 3, n), 1 + start % 3
-
-    def h(x):
-        return (tier_availability(slope * (d + x), 6, cutoff) - x,
-                (scale * x)[..., None])
-
-    return h
+def fixed_point_oracle(sc, cutoffs):
+    c, s = analytic._tier_constants(sc)
+    return mp_fixed_point(c, s, sc.batteries(), cutoffs)
 
 
-def assert_same(got, want):
-    assert len(got) == 6
-    for g, w in zip(got[:5], want, strict=True):
-        assert np.array_equal(g, w)
+def boundary_oracle(sc, k, cutoff):
+    """Tier k's boundary with every other tier at 0, in mpmath."""
+    c, s = (mp.mpf(float(v[k])) for v in analytic._tier_constants(sc))
+    with mp.workdps(60):
+        return float(mp_outer_root(
+            lambda x: mp_on_fraction_closed(s * c * x, sc.tiers[k].battery, cutoff) - x, 1))
 
 
-@pytest.mark.parametrize("family", [monotone, non_monotone, availability])
-@pytest.mark.parametrize("lanes,starts", [(1, range(6)), (7, range(2)),
-                                          (101, [0]), (2048, [0])])
-def test_outer_root_equals_lockstep_bisection(family, lanes, starts):
-    for start in starts:
-        h = family(lanes, start)
-        top = np.ones(lanes)
-        # 2^-20: dyadic scan points make some brackets equal it exactly
-        for tol in (1e-10, 2.0 ** -20, 1e-300):
-            live = []
-            for budget in BUDGETS[lanes]:
-                want = bisect_outer_root(h, top, tol, budget)
-                assert_same(analytic._outer_root(h, top, tol, budget), want)
-                live.append(want[4])
-            if tol == 1e-10 and lanes >= 7:
-                # lanes leave the search at many different steps
-                assert np.unique(np.sum(live[1:], axis=0)).size >= 3
-        # with tol = 1e-300, lanes still bracketing a root stop on adjacent doubles
-        lo, hi, *_ = analytic._outer_root(h, top, 1e-300)
-        assert np.all(np.nextafter(lo, 2.0)[lo < hi] == hi[lo < hi])
-
-
-def lockstep(h, top, tol, max_iter=None):
-    return (*bisect_outer_root(h, top, tol, max_iter), 0)
-
-
-def three_tier(gamma):
-    tiers = (TierParams(1.0, 40.0, 3.0, 12), TierParams(4.0, 2.0, 1.0, 6),
-             TierParams(12.0, 0.5, 0.4, 3))
-    harvested = sum(t.density * t.harvest_rate for t in tiers)
-    return NetworkScenario(tiers=tiers, path_loss_exp=4.0, sir_target=1.0,
-                           user_density=harvested / (gamma / (1 + np.pi / 4)))
-
-
-def solver_cases():
-    for path in SCENARIOS:
-        scenario, _ = load_scenario(str(path))
-        yield scenario, None
-        yield scenario, [PolicySpec(int(n)) for n in scenario.batteries()]
-    for gamma in (1 + 1e-6, 1.05, 4.0):
-        yield three_tier(gamma), None
-        yield three_tier(gamma), [PolicySpec(2), PolicySpec(6), PolicySpec(3)]
-
-
-def test_solver_and_boundaries_equal_lockstep_bisection(monkeypatch):
-    def results():
-        for scenario, policy in solver_cases():
-            for tol in (1e-10, 1e-13):
-                r = solve_availability(scenario, policy, tolerance=tol)
-                yield r.rho, r.iterations, r.residual, r.bracket
-            if scenario.k_tiers == 2:
-                for k in (0, 1):
-                    yield region.sweep_boundary(scenario, k, 41).values,
-                    yield region.boundary(scenario, k, [0.37], PolicySpec(2)),
-
-    fast = list(results())
-    monkeypatch.setattr(analytic, "_outer_root", lockstep)
-    for got, want in zip(fast, results(), strict=True):
-        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+@pytest.mark.parametrize("excess", [1e-3, 1e-9, 1e-13, 1e-15])
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_fixed_point_near_gamma_one_matches_mpmath(path, excess):
+    sc = near_one(path, excess)
+    n = sc.batteries()
+    for cutoffs in ([1] * len(n), [max(1, x // 2) for x in n], list(n)):
+        policy = [PolicySpec(c) for c in cutoffs]
+        want = fixed_point_oracle(sc, cutoffs)
+        assert np.all(want > 0.0)
+        # run to adjacent doubles, the solver holds every digit of rho
+        full = solve_availability(sc, policy, tolerance=1e-300)
+        assert full.feasible
+        assert np.all(np.abs(full.rho / want - 1.0) <= 1e-12), (cutoffs, full.rho, want)
+        # at the default tolerance, the reported bracket bounds the error
+        res = solve_availability(sc, policy)
+        assert res.bracket <= 1e-10
+        assert np.all(np.abs(res.rho - want) <= res.bracket), (cutoffs, res.rho, want)
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
-def test_single_lane_solve_makes_a_third_of_the_lockstep_calls(path):
-    scenario, _ = load_scenario(str(path))
-    result = solve_availability(scenario)
-    # lock-step bisection calls h once for the scan and once per step
-    assert result.evaluations < (result.iterations + 1) / 3
-    assert result.evaluations >= (result.iterations > 0) + result.feasible
+def test_feasibility_within_ulps_of_gamma_one(path):
+    base = near_one(path, 0.0)
+    signs = set()
+    for ulps in range(-4, 5):
+        sc = scaled(base, 1.0 + ulps * 2.0 ** -52)
+        feasible = exact_excess(sc) > 0
+        signs.add(feasible)
+        assert check_feasibility(sc)[0] == feasible
+        res = solve_availability(sc)
+        assert res.feasible == feasible
+        if feasible:
+            assert np.all(res.rho > 0.0) and energy_outage_bound(sc) == 0.0
+        else:
+            assert res.rho.tolist() == [0.0] * sc.k_tiers
+    assert signs == {False, True}
+
+
+@pytest.mark.parametrize("cutoff", [1, 8])
+@pytest.mark.parametrize("k", [0, 1])
+def test_lone_tier_boundary_matches_mpmath(k, cutoff):
+    # with every other tier at 0, tier k's own c_k s_k - 1 decides the root
+    sc, _ = load_scenario(str(BASELINE))
+    t = sc.tiers[k]
+    unit = sc.user_density * coverage_prob(sc) / (t.density * t.harvest_rate)
+    constraint = PolicySpec(cutoff) if cutoff > 1 else None
+    for excess in (1e-6, 1e-9, 1e-12):
+        lone = scaled(sc, unit * (1.0 + excess), [k])
+        got, want = boundary(lone, k, [0.0], constraint), boundary_oracle(lone, k, cutoff)
+        assert 0.0 < want < 1.0
+        assert abs(got - want) <= 1e-10, (excess, got, want)
+    signs = set()
+    for ulps in range(-4, 5):
+        lone = scaled(sc, unit * (1.0 + ulps * 2.0 ** -52), [k])
+        got, positive = boundary(lone, k, [0.0], constraint), exact_excess(lone, [k]) > 0
+        signs.add(positive)
+        if positive:
+            assert 0.0 < got and abs(got - boundary_oracle(lone, k, cutoff)) <= 1e-10
+        else:
+            assert got == 0.0
+    assert signs == {False, True}
+    assert boundary(scaled(sc, 0.5 * unit, [k]), k, [0.0], constraint) == 0.0
+    # where a_k rounds to 1, the boundary is exactly 1
+    rich = scaled(sc, 1e5 * unit, [k])
+    assert boundary(rich, k, [0.0], constraint) == boundary(rich, k, [0.5], constraint) == 1.0
+
+
+def test_max_iter_counts_bisection_levels():
+    sc, _ = load_scenario(str(BASELINE))
+    full = solve_availability(sc)
+    # six bisection levels per evaluation, plus one at the midpoint
+    assert full.iterations % 6 == 0 and full.evaluations == full.iterations // 6 + 1
+    same = solve_availability(sc, max_iter=full.iterations)
+    assert same.rho.tolist() == full.rho.tolist() and same.iterations == full.iterations
+    for budget in range(1, full.iterations):
+        try:
+            res = solve_availability(sc, max_iter=budget)
+        except NonConvergenceError as err:
+            assert err.iterations == budget
+        else:
+            assert res.iterations == budget and res.bracket <= 1e-10
