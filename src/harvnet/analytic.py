@@ -21,13 +21,7 @@ import numpy as np
 
 from . import markov
 from .coverage import coverage_prob
-from .model import (
-    NetworkScenario,
-    ScenarioError,
-    _check_integer,
-    check_availability_vector,
-    validate,
-)
+from .model import NetworkScenario, ScenarioError, _check_integer, check_availability_vector
 
 # Bisection levels per evaluation of the load test: 2^6 = 64 cells per lane.
 _LEVELS = 6
@@ -87,26 +81,25 @@ def energy_utilization(scenario: NetworkScenario, rho, k: int) -> float:
     return pc * scenario.user_density * mean_service_area(scenario, rho, k)
 
 
-def _demand(scenario: NetworkScenario) -> tuple[float, np.ndarray]:
-    """(lambda_u P_c, mu_j/(lambda_u P_c w_j)): effective demand and load slopes.
+def _tier_constants(scenario: NetworkScenario) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_j w_j, mu_j/(lambda_u P_c w_j)): D = rho @ first, s_j = second_j D.
 
-    A demand that rounds to 0 or a slope past the float range is a
-    ScenarioError naming the fields that set them.
+    A load past the float range, where the load ratios at rho = 1 sum to
+    more than a double holds (or lambda_u P_c rounds to 0), is a
+    ScenarioError naming the fields that set it.
     """
     demand = scenario.user_density * coverage_prob(scenario)
+    on_weight = scenario.densities() * scenario.tier_weights()
     with np.errstate(divide="ignore", over="ignore"):
         slope = scenario.harvest_rates() / (demand * scenario.tier_weights())
-    if demand == 0.0 or not np.isfinite(slope).all():
+        top = slope.sum() * on_weight.sum()
+    if not np.isfinite(top):
         raise ScenarioError(
             f"effective demand lambda_u P_c = {demand:.3g} leaves the float range "
-            f"of the load (user_density={scenario.user_density}, "
-            f"sir_target={scenario.sir_target}, path_loss_exp={scenario.path_loss_exp})")
-    return demand, slope
-
-
-def _tier_constants(scenario: NetworkScenario) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_j w_j, mu_j/(lambda_u P_c w_j)): D = rho @ first, s_j = second_j D."""
-    return scenario.densities() * scenario.tier_weights(), _demand(scenario)[1]
+            f"of the load on the tiers' density and harvest_rate (user_density="
+            f"{scenario.user_density}, sir_target={scenario.sir_target}, "
+            f"path_loss_exp={scenario.path_loss_exp})")
+    return on_weight, slope
 
 
 def load_ratio(scenario: NetworkScenario, rho, k: int) -> float:
@@ -132,14 +125,14 @@ def check_feasibility(scenario: NetworkScenario) -> tuple[bool, float]:
     """(gamma > 1, gamma): gamma = sum lambda_k mu_k / (lambda_u P_c).
 
     gamma is the over-provisioning factor, total harvested energy per unit
-    area and time over effective demand.  A positive availability fixed
-    point exists iff gamma exceeds one.  That is decided from gamma - 1 =
-    sum_k c_k s_k - 1 taken exactly (`_load_excess`), as the solver does.
+    area and time over effective demand, formed as sum_k c_k s_k from the
+    tier constants so that it is finite wherever the loads are.  A positive
+    availability fixed point exists iff gamma exceeds one.  That is decided
+    from gamma - 1 = sum_k c_k s_k - 1 taken exactly (`_load_excess`), as
+    the solver does.
     """
-    validate(scenario)
-    demand, slope = _demand(scenario)
-    gamma = float(np.sum(scenario.densities() * scenario.harvest_rates())) / demand
-    return _load_excess(scenario.densities() * scenario.tier_weights(), slope) > 0.0, gamma
+    on_weight, slope = _tier_constants(scenario)
+    return _load_excess(on_weight, slope) > 0.0, float(on_weight @ slope)
 
 
 def energy_outage_bound(scenario: NetworkScenario) -> float:
@@ -165,15 +158,17 @@ def equivalence_check(scenario: NetworkScenario, rho) -> bool:
 
 
 def _cutoffs(scenario: NetworkScenario, policy) -> list[int]:
-    """Per-tier cutoffs from None (S(1) everywhere) or one PolicySpec per tier."""
-    if policy is None:
-        return [1] * scenario.k_tiers
-    if len(policy) != scenario.k_tiers:
-        raise ScenarioError(
-            f"policy list must have {scenario.k_tiers} entries (got {len(policy)})")
-    for p, tier in zip(policy, scenario.tiers):
-        _check_integer(p.cutoff, "cutoff", 1, tier.battery)
-    return [p.cutoff for p in policy]
+    """Per-tier cutoffs from a {tier: PolicySpec} map; an unlisted tier, or None, is S(1).
+
+    A key outside 0..K-1 or a cutoff outside [1, N_k] is a ScenarioError.
+    """
+    cutoffs = [1] * scenario.k_tiers
+    for k, p in (policy or {}).items():
+        _check_integer(k, "tier", 0, scenario.k_tiers - 1)
+        if p is not None:
+            _check_integer(p.cutoff, "cutoff", 1, scenario.tiers[k].battery)
+            cutoffs[k] = p.cutoff
+    return cutoffs
 
 
 def _load_excess(c: np.ndarray, s: np.ndarray) -> float:
@@ -253,9 +248,11 @@ def solve_availability(scenario: NetworkScenario, policy=None,
     if not tolerance > 0:
         raise ScenarioError(f"tolerance must be > 0 (got {tolerance})")
     _check_integer(max_iter, "max_iter", 1)
-    validate(scenario)
+    if policy is not None and len(policy) != scenario.k_tiers:
+        raise ScenarioError(
+            f"policy list must have {scenario.k_tiers} entries (got {len(policy)})")
+    cutoffs = _cutoffs(scenario, dict(enumerate(policy or ())))
     on_weight, slope = _tier_constants(scenario)
-    cutoffs = _cutoffs(scenario, policy)
     excess = _load_excess(on_weight, slope)
     if not excess > 0.0:
         return FixedPointResult(rho=np.zeros(scenario.k_tiers), iterations=0,

@@ -19,14 +19,7 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 
 from . import analytic, coverage, markov, region, simulate
-from .model import (
-    NetworkScenario,
-    ScenarioError,
-    ShadowingSpec,
-    TierParams,
-    _check_integer,
-    validate,
-)
+from .model import NetworkScenario, ScenarioError, ShadowingSpec, TierParams, _check_integer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -149,18 +142,14 @@ def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
         gamma = _number(doc["over_provisioning"], "over_provisioning")
         if gamma <= 0:
             raise ScenarioError(f"over_provisioning must be > 0 (got {gamma})")
-        # P_c needs a valid (beta, alpha): check them before using them
-        probe = NetworkScenario(tuple(tiers), alpha, beta, user_density=1.0)
-        validate(probe)
-        pc = coverage.coverage_prob(probe)
+        # P_c needs a valid (beta, alpha): the probe scenario checks them
+        pc = coverage.coverage_prob(NetworkScenario(tuple(tiers), alpha, beta, 1.0))
         harvested = sum(t.density * t.harvest_rate for t in tiers)
         lam_u = harvested / (gamma * pc)
     else:
         raise ScenarioError("scenario must set user_density or over_provisioning")
-    scenario = NetworkScenario(tiers=tuple(tiers), path_loss_exp=alpha,
-                               sir_target=beta, user_density=lam_u)
-    validate(scenario)
-    return scenario, doc
+    return NetworkScenario(tiers=tuple(tiers), path_loss_exp=alpha,
+                           sir_target=beta, user_density=lam_u), doc
 
 
 def _tier_index(tier: int, scenario: NetworkScenario) -> int:
@@ -272,7 +261,6 @@ def cmd_coverage(args) -> int:
     if args.sir_target_db is not None:
         scenario = replace(scenario,
                            sir_target=_db_to_linear(args.sir_target_db))
-        validate(scenario)
     _emit(["sir_target", "path_loss_exp", "coverage"],
           [[scenario.sir_target, scenario.path_loss_exp,
             coverage.coverage_prob(scenario)]])
@@ -483,26 +471,19 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:      # --help and friends
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     # A clause of its own, as naming these loads the two layers.
     except (analytic.NonConvergenceError, coverage.SeriesTruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

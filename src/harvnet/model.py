@@ -80,7 +80,12 @@ class TierParams:
 
 @dataclass(frozen=True)
 class NetworkScenario:
-    """Full scenario: K tiers plus global propagation and load parameters."""
+    """Full scenario: K tiers plus global propagation and load parameters.
+
+    Building one, or deriving one with dataclasses.replace, runs `validate`,
+    so every scenario that exists satisfies the model's constraints and no
+    later call checks its fields again.
+    """
 
     tiers: tuple[TierParams, ...]
     path_loss_exp: float      # alpha > 2
@@ -89,6 +94,7 @@ class NetworkScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "tiers", tuple(self.tiers))
+        validate(self)
 
     @property
     def k_tiers(self) -> int:
@@ -109,7 +115,12 @@ class NetworkScenario:
 
 
 def validate(scenario: NetworkScenario) -> None:
-    """Check every model constraint, raising ScenarioError naming the field."""
+    """Check every model constraint, raising ScenarioError naming the field.
+
+    NetworkScenario runs it when it is built; calling it again is harmless.
+    A recharge policy's cutoff and a tier index are checked by the calls
+    that take them, against this scenario's K and batteries.
+    """
     if scenario.k_tiers < 1:
         raise ScenarioError("tiers must contain at least one tier")
     if not scenario.path_loss_exp > 2:

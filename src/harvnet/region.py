@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, markov
-from .model import NetworkScenario, ScenarioError, _check_integer, check_availability_vector
+from .model import NetworkScenario, ScenarioError, check_availability_vector
 
 _TOL = 1e-10          # bracket width on rho_k
 _MEMBER_TOL = 1e-6    # slack for membership tests at the boundary itself
@@ -58,12 +58,11 @@ class RegionBoundary:
 def _boundaries(scenario: NetworkScenario, k: int, others: np.ndarray,
                 constraint: markov.PolicySpec | None, tol: float) -> np.ndarray:
     """Tier-k boundary for each row of `others`, the other tiers' rho."""
-    _check_integer(k, "tier", 0, scenario.k_tiers - 1)
+    cutoff = analytic._cutoffs(scenario, {k: constraint})[k]
     on_weight, slope = analytic._tier_constants(scenario)
     d_others = others @ np.delete(on_weight, k)
     excess = analytic._load_excess(on_weight[k:k + 1], slope[k:k + 1])
-    tier = [(on_weight[k], slope[k], scenario.tiers[k].battery,
-             getattr(constraint, "cutoff", 1))]
+    tier = [(on_weight[k], slope[k], scenario.tiers[k].battery, cutoff)]
     # A search holds 2^6 + 1 loads of every live lane; blocks cap its memory.
     return np.concatenate([
         analytic._load_root(excess, d, d, d + on_weight[k], tier, tol)[0][:, 0]
@@ -77,7 +76,8 @@ def boundary(scenario: NetworkScenario, k: int, fixed_others,
 
     Returns 0.0 when no positive root exists (the tier cannot be ON at all
     given the conditioning load) and 1.0 when g_k rounds to 1 there.  With
-    `constraint`, the S(cutoff) availability formula replaces g_k.
+    `constraint`, the S(cutoff) availability formula replaces g_k; a tier
+    k outside 0..K-1 or a cutoff outside [1, N_k] is a ScenarioError.
     """
     if not tol > 0:
         raise ScenarioError(f"tol must be > 0 (got {tol})")
@@ -87,12 +87,13 @@ def boundary(scenario: NetworkScenario, k: int, fixed_others,
 
 def _inside(scenario: NetworkScenario, rho, constraints, tol: float) -> np.ndarray:
     """Which lanes of rho (L, K) lie in the region, to slack tol in each rho_k."""
+    cutoffs = analytic._cutoffs(scenario, constraints)
     on_weight, slope = analytic._tier_constants(scenario)
     x = np.maximum(rho - tol, 0.0)
     # s_k with rho_k moved to x_k: slope_k (D_others + lambda_k w_k x_k)
     s = slope * ((rho @ on_weight)[:, None] + on_weight * (x - rho))
-    return np.all([markov.tier_availability(s[:, k], n, getattr(constraints.get(k), "cutoff", 1))
-                   >= x[:, k] for k, n in enumerate(scenario.batteries())], axis=0)
+    return np.all([markov.tier_availability(s[:, k], n, c) >= x[:, k]
+                   for k, (n, c) in enumerate(zip(scenario.batteries(), cutoffs))], axis=0)
 
 
 def _sweep_grid(scenario: NetworkScenario, resolution: int) -> np.ndarray:
@@ -112,20 +113,26 @@ def contains(scenario: NetworkScenario, rho, constraints=None,
     outside [0, 1] is reported as not contained rather than rejected; that
     keeps perturbation probes just past a boundary at 1 well defined.
     `constraints` maps tier index to a PolicySpec for tiers pinned to a
-    recharge policy; unlisted tiers use the unconstrained boundary.
+    recharge policy; unlisted tiers use the unconstrained boundary.  A key
+    outside 0..K-1 or a cutoff outside [1, N_k] is a ScenarioError, once
+    rho lies in the box.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (scenario.k_tiers,):
         raise ScenarioError(f"expected {scenario.k_tiers} availabilities (got shape {rho.shape})")
     if not ((rho >= 0.0) & (rho <= 1.0)).all():     # NaN too
         return False
-    return bool(_inside(scenario, rho[None, :], constraints or {}, tol)[0])
+    return bool(_inside(scenario, rho[None, :], constraints, tol)[0])
 
 
 def sweep_boundary(scenario: NetworkScenario, k: int,
                    grid_resolution: int = 101,
                    constraint: markov.PolicySpec | None = None) -> RegionBoundary:
-    """Boundary curve of tier k against the other tier's availability (K=2)."""
+    """Boundary curve of tier k against the other tier's availability (K=2).
+
+    A tier k outside {0, 1} or a `constraint` cutoff outside [1, N_k] is a
+    ScenarioError, as in `boundary`.
+    """
     grid = _sweep_grid(scenario, grid_resolution)
     return RegionBoundary(k, grid, _boundaries(scenario, k, grid[:, None], constraint, _TOL),
                           constraint)
@@ -133,9 +140,13 @@ def sweep_boundary(scenario: NetworkScenario, k: int,
 
 def grid_coverage(scenario: NetworkScenario, resolution: int = 101,
                   constraints=None) -> float:
-    """Fraction of the [0,1]^2 availability grid inside the region (K=2)."""
+    """Fraction of the [0,1]^2 availability grid inside the region (K=2).
+
+    `constraints` is checked as in `contains`: a key outside {0, 1} or a
+    cutoff outside [1, N_k] is a ScenarioError.
+    """
     t = _sweep_grid(scenario, resolution)
     # Whole grid rows, at most about _GRID_BLOCK lanes per call, bound the memory.
     rows = np.array_split(t, -(-t.size ** 2 // _GRID_BLOCK))
     return sum(int(_inside(scenario, np.column_stack((np.repeat(r, t.size), np.tile(t, r.size))),
-                           constraints or {}, _MEMBER_TOL).sum()) for r in rows) / t.size ** 2
+                           constraints, _MEMBER_TOL).sum()) for r in rows) / t.size ** 2

@@ -210,6 +210,33 @@ def test_feasibility_single_strong_tier():
     assert feasible and gamma == pytest.approx(1.3, rel=1e-12)
 
 
+def _huge_tiers(density, harvest_rate, user_density):
+    tier = TierParams(density, 1.0, harvest_rate, 10)
+    return NetworkScenario((tier, tier), path_loss_exp=4.0, sir_target=1.0,
+                           user_density=user_density)
+
+
+def test_load_past_the_float_range_is_an_error_naming_its_fields():
+    # gamma once read inf, after an overflow warning, and the solver failed
+    # with "load ratio must be finite ... (got nan)"
+    sc = _huge_tiers(1e200, 1e200, 1.0)
+    for call in (check_feasibility, solve_availability, energy_outage_bound):
+        with pytest.raises(ScenarioError) as err:
+            call(sc)
+        assert all(name in str(err.value)
+                   for name in ("density", "harvest_rate", "user_density")), err.value
+
+
+def test_overflowing_lambda_mu_with_finite_loads_solves():
+    # lambda_k mu_k = 1e320 overflows, but gamma and every load ratio do not
+    sc = _huge_tiers(1e160, 1e160, 1e100)
+    feasible, gamma = check_feasibility(sc)
+    assert feasible and gamma == pytest.approx(2e220 / PC_BETA1_ALPHA4, rel=1e-12)
+    res = solve_availability(sc)
+    assert res.feasible and np.all(res.rho == 1.0)
+    assert energy_outage_bound(sc) == 0.0
+
+
 def test_availability_increases_with_battery():
     values = [solve_availability(one_tier(1.1, battery=n)).rho[0]
               for n in (1, 2, 5, 10, 20, 50)]

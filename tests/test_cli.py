@@ -448,12 +448,15 @@ def test_infinite_path_loss_exp_is_an_error(tmp_path, capsys, command):
     assert captured.err == "error: path_loss_exp must be finite (got inf)\n"
 
 
-@pytest.mark.parametrize("command", ["availability", "region", "rate"])
+@pytest.mark.parametrize("command", ["availability", "region", "rate", "validate"])
 @pytest.mark.parametrize("fields", [
     {"user_density": 1e-308},                       # mu/(lambda_u P_c w) overflows
     {"user_density": 1e-200, "sir_target": 1e300},  # lambda_u P_c underflows to 0
     {"user_density": 1.0, "sir_target": 1e308, "path_loss_exp": 2.0001},  # P_c is 0
-], ids=["slope-overflow", "demand-underflow", "zero-coverage"])
+    # lambda_k mu_k/(lambda_u P_c) overflows: region once printed nan columns
+    {"user_density": 1.0, "tiers": [{**t, "density": 1e200, "harvest_rate": 1e200}
+                                    for t in BASE_DOC["tiers"]]},
+], ids=["slope-overflow", "demand-underflow", "zero-coverage", "load-overflow"])
 def test_effective_demand_out_of_range_is_an_error(tmp_path, capsys, command, fields):
     # once printed rho nan and feasible True, all-zero boundaries, or a
     # ZeroDivisionError traceback

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from harvnet.model import (
     check_availability_vector,
     validate,
 )
-from harvnet.region import boundary, sweep_boundary
+from harvnet.region import boundary, contains, grid_coverage, sweep_boundary
 from harvnet.simulate import SimConfig, service_area_mc, spatial_mc
 
 
@@ -122,6 +123,78 @@ def test_zero_battery_is_rejected_with_tier_index():
         validate(make_scenario(tiers=bad))
 
 
+BAD = (0.0, -1.0, math.nan, math.inf)
+# Every scenario field: (its name in the error, the bad values it refuses).
+FIELD_VIOLATIONS = {
+    "path_loss_exp": BAD, "sir_target": BAD, "user_density": BAD,
+    "density": BAD, "tx_power": BAD, "harvest_rate": BAD,
+    "battery": (*BAD, 1.5, True),
+    "shadowing.mean_db": (math.nan, math.inf, -math.inf),
+    "shadowing.std_db": (-1.0, math.nan, math.inf),
+}
+
+
+def _tier_with(field, value):
+    t = make_scenario().tiers[1]
+    if field.startswith("shadowing."):
+        return replace(t, shadowing=replace(t.shadowing, **{field[10:]: value}))
+    return replace(t, **{field: value})
+
+
+@pytest.mark.parametrize("how", ["construct", "replace"])
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field, values in FIELD_VIOLATIONS.items() for value in values])
+def test_every_field_is_checked_when_the_scenario_is_built(field, value, how):
+    # These once built, and later calls returned nan, complex numbers or
+    # numbers for a scenario with no meaning.
+    sc = make_scenario()
+    if field in ("path_loss_exp", "sir_target", "user_density"):
+        name, build = field, {
+            "construct": lambda: make_scenario(**{field: value}),
+            "replace": lambda: replace(sc, **{field: value})}[how]
+    else:
+        tiers = (sc.tiers[0], _tier_with(field, value))
+        name, build = f"tiers[1].{field}", {
+            "construct": lambda: make_scenario(tiers=tiers),
+            "replace": lambda: replace(sc, tiers=tiers)}[how]
+    with pytest.raises(ScenarioError, match=re.escape(name)):
+        build()
+
+
+def test_a_scenario_needs_a_tier():
+    with pytest.raises(ScenarioError, match="tiers must contain at least one tier"):
+        make_scenario(tiers=())
+
+
+# Every call that takes a recharge policy for tier 1 (battery 8) of make_scenario().
+CUTOFF_SITES = {
+    "solve": lambda p: solve_availability(make_scenario(), policy=[PolicySpec(1), p]),
+    "boundary": lambda p: boundary(make_scenario(), 1, [0.5], constraint=p),
+    "sweep-boundary": lambda p: sweep_boundary(make_scenario(), 1, 11, constraint=p),
+    "contains": lambda p: contains(make_scenario(), RHO, {1: p}),
+    "grid-coverage": lambda p: grid_coverage(make_scenario(), 11, {1: p}),
+}
+
+
+@pytest.mark.parametrize("cutoff", [0, 9, 99, -3, 1.5, True])
+@pytest.mark.parametrize("call", CUTOFF_SITES.values(), ids=CUTOFF_SITES.keys())
+def test_every_policy_cutoff_is_checked_against_its_battery(call, cutoff):
+    # boundary and sweep_boundary once returned nan, 0 or 1 for these
+    with pytest.raises(ScenarioError, match=re.escape(
+            f"cutoff must be an integer in [1, 8] (got {cutoff!r})")):
+        call(PolicySpec(cutoff))
+
+
+@pytest.mark.parametrize("key", [2, -1, "x", True])
+@pytest.mark.parametrize("call", [contains, grid_coverage], ids=["contains", "grid-coverage"])
+def test_constraint_keys_outside_the_tiers_are_errors(call, key):
+    # once ignored: the point or grid was tested unconstrained
+    args = (RHO,) if call is contains else (11,)
+    with pytest.raises(ScenarioError, match=re.escape(
+            f"tier must be an integer in [0, 1] (got {key!r})")):
+        call(make_scenario(), *args, {key: PolicySpec(1)})
+
+
 def test_injected_violations_are_always_caught_with_field_name():
     # One random violation per round; the error must name the broken field.
     rng = np.random.default_rng(1234)
@@ -163,9 +236,8 @@ def test_injected_violations_are_always_caught_with_field_name():
                                       vals["harvest_rate"], t.battery,
                                       t.shadowing)
             expected = f"tiers[{i}].{field}"
-        scenario = NetworkScenario(tiers=tuple(tiers), **scenario_kwargs)
         with pytest.raises(ScenarioError) as err:
-            validate(scenario)
+            NetworkScenario(tiers=tuple(tiers), **scenario_kwargs)
         assert expected in str(err.value), (field, str(err.value))
 
 
