@@ -7,10 +7,11 @@ only through the weighted ON density D = sum_j rho_j lambda_j w_j, so the
 K-dimensional fixed point is the root of one scalar equation in D, which
 has a positive root iff the energy-conservation condition gamma > 1
 holds.  `_load_root` finds that root, and the region boundaries, for many
-lanes at once.  It tests the load balance in a form where no two terms
-cancel, with gamma - 1 formed exactly, so each sign is right even with
-gamma a few ulps above 1; the tested side is monotone in D, so the root
-is unique and plain multisection of [0, top] brackets it, with no scan.
+lanes at once.  It tests the load balance in a form where no two large
+terms cancel, with gamma - 1 formed exactly, so each sign is right even
+with gamma a few ulps above 1 or one tier's load far above the rest; the
+tested side is monotone in D, so the root is unique and plain
+multisection of [0, top] brackets it, with no scan.
 """
 
 from __future__ import annotations
@@ -160,12 +161,16 @@ def equivalence_check(scenario: NetworkScenario, rho) -> bool:
 def _cutoffs(scenario: NetworkScenario, policy) -> list[int]:
     """Per-tier cutoffs from a {tier: PolicySpec} map; an unlisted tier, or None, is S(1).
 
-    A key outside 0..K-1 or a cutoff outside [1, N_k] is a ScenarioError.
+    A key outside 0..K-1, a value that is not a PolicySpec or a cutoff
+    outside [1, N_k] is a ScenarioError.  This is the one check of a
+    policy argument, for the solver, the region and the command line.
     """
     cutoffs = [1] * scenario.k_tiers
     for k, p in (policy or {}).items():
         _check_integer(k, "tier", 0, scenario.k_tiers - 1)
         if p is not None:
+            if not isinstance(p, markov.PolicySpec):
+                raise ScenarioError(f"tier {k} policy must be a PolicySpec (got {p!r})")
             _check_integer(p.cutoff, "cutoff", 1, scenario.tiers[k].battery)
             cutoffs[k] = p.cutoff
     return cutoffs
@@ -183,33 +188,42 @@ def _load_excess(c: np.ndarray, s: np.ndarray) -> float:
     return num / den if num < den << 1023 else np.inf   # int / int rounds once
 
 
-def _load_root(excess: float, d: np.ndarray, lo, hi, tiers, tol: float,
-               max_iter: int | None = None):
+def _load_root(d: np.ndarray, lo, hi, tiers, tol: float, max_iter: int | None = None):
     """Largest load D in [lo, hi] inside the balance of the free tiers, per lane.
 
     `tiers` holds (c_k, s_k, N_k, cutoff_k) of the free tiers, d the fixed
-    density of each lane, excess = sum_k c_k s_k - 1 (`_load_excess`).  D
-    is inside iff E(D) = d + sum_k c_k a_k(s_k D) - D >= 0, tested as
-    E/D = excess + d/D - sum_k c_k s_k b_k(s_k D) >= 0 with b = 1 - a/s
-    (markov._on_fractions): no term cancels.  b does not decrease, as a is
+    density of each lane.  D is inside iff E(D) = d + sum_k c_k a_k(s_k D)
+    - D >= 0.  With b = 1 - a/s (markov._on_fractions), c_k a_k/D =
+    c_k s_k (1 - b_k), and the sign is tested as
+        E/D = excess + (d + sum_big c_k a_k)/D - sum_small c_k s_k b_k >= 0,
+    with excess = sum_small c_k s_k - 1 formed exactly (`_load_excess`).
+    A tier is big where c_k s_k > 2.  At any root sum_k c_k a_k <= D, so a
+    big tier's b_k exceeds 1/2 there, and its c_k s_k b_k would cancel
+    against the excess far below their rounding; each term of a small tier
+    is at most 2, so no large term cancels.  b does not decrease, as a is
     concave (region.py), so E/D falls with D: the root is unique.  lo is
     inside; so is hi where every a_k rounds to 1; a lane with d = 0 and
-    excess <= 0 has its root at lo.  Each evaluation splits each live
+    gamma <= 1 has its root at lo.  Each evaluation splits each live
     lane's bracket into 2^_LEVELS cells, or fewer where max_iter runs out,
     and keeps the one cell where the test turns: 2^l cells are l bisection
     steps.  A lane stops once its a_k at the bracket ends differ by at
     most tol, or its ends are adjacent doubles.  Returns (a_k at the
     bracket midpoints, bracket, steps, unfinished, evaluations).
     """
+    big = [c * s > 2.0 for c, s, *_ in tiers]
+    small = [(c, s) for (c, s, *_), g in zip(tiers, big) if not g]
+    excess = _load_excess([c for c, _ in small], [s for _, s in small])
+
     def evaluate(x, d):
         pairs = [markov._on_fractions(s * x, n, cutoff) for _, s, n, cutoff in tiers]
         a = np.stack([a_k for a_k, _ in pairs], axis=-1)
-        loss = sum(c * s * b_k for (c, s, *_), (_, b_k) in zip(tiers, pairs))
+        gain = sum(c * a_k for (c, *_), (a_k, _), g in zip(tiers, pairs, big) if g)
+        loss = sum(c * s * b_k for (c, s, *_), (_, b_k), g in zip(tiers, pairs, big) if not g)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return a, (excess + d / x >= loss) | (a == 1.0).all(axis=-1)
+            return a, (excess + (d + gain) / x >= loss) | (a == 1.0).all(axis=-1)
 
     lo, hi = (np.broadcast_to(v, d.shape).astype(float) for v in (lo, hi))
-    hi = np.where((d == 0.0) & (excess <= 0.0), lo, hi)
+    hi = np.where((d == 0.0) & (excess <= 0.0) & (not any(big)), lo, hi)
     bracket = np.where(lo < hi, np.inf, 0.0)
     steps = calls = 0
     while True:
@@ -259,7 +273,7 @@ def solve_availability(scenario: NetworkScenario, policy=None,
                                 residual=0.0, feasible=False)
     tiers = list(zip(on_weight, slope, scenario.batteries(), cutoffs))
     (rho,), bracket, steps, unfinished, calls = _load_root(
-        excess, np.zeros(1), 0.0, on_weight.sum(), tiers, tolerance, max_iter)
+        np.zeros(1), 0.0, on_weight.sum(), tiers, tolerance, max_iter)
     residual = float(np.max(np.abs([markov.tier_availability(s * (rho @ on_weight), n, c) - r
                                     for (_, s, n, c), r in zip(tiers, rho)])))
     if unfinished:

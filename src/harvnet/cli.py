@@ -83,19 +83,26 @@ def _known(block: dict, keys, where: str) -> None:
         raise ScenarioError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
 
 
+def _field(block: dict, name: str, where: str):
+    """block[name]; a missing field is an error naming it."""
+    if name not in block:
+        raise ScenarioError(f"{where}: missing field {name!r}")
+    return block[name]
+
+
 def _read(cls, block: dict, where: str, **given):
     """Build dataclass `cls` from a JSON object, field by field in field order.
 
     A field in `given` is not read, one the block leaves out takes its
-    default, a missing field without a default raises KeyError, and a key
-    that is no field of `cls` is an error.
+    default, and a missing field without a default or a key that is no
+    field of `cls` is an error.
     """
     _known(block, (f.name for f in fields(cls)), where)
     for f in fields(cls):
         if f.name in given or (f.name not in block and f.default is not MISSING):
             continue
         read = _READERS.get(f.type)
-        value = block[f.name]
+        value = _field(block, f.name, where)
         given[f.name] = read(value, f"{where}.{f.name}") if read else value
     return cls(**given)
 
@@ -123,10 +130,7 @@ def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
         entry = _object(entry, where)
         sh = f"{where}.shadowing"
         shadowing = _read(ShadowingSpec, _object(entry.get("shadowing"), sh), sh)
-        try:
-            tiers.append(_read(TierParams, entry, where, shadowing=shadowing))
-        except KeyError as exc:
-            raise ScenarioError(f"tier {i}: missing field {exc}") from None
+        tiers.append(_read(TierParams, entry, where, shadowing=shadowing))
     if not tiers:
         raise ScenarioError("scenario must define at least one tier")
     alpha = _number(doc.get("path_loss_exp", 4.0), "path_loss_exp")
@@ -159,39 +163,40 @@ def _tier_index(tier: int, scenario: NetworkScenario) -> int:
     return tier - 1
 
 
-def _parse_tier_cutoff(text: str, scenario: NetworkScenario) -> tuple[int, int]:
-    """'k=2' pins tier 2 (1-based) to its full battery; 'k=2:5' to cutoff 5."""
-    body = text[2:] if text.startswith("k=") else text
-    tier_txt, _, cut_txt = body.partition(":")
-    try:
-        tier = int(tier_txt)
-    except ValueError:
-        raise _UsageError(f"cannot parse tier assignment {text!r}") from None
-    k = _tier_index(tier, scenario)
-    battery = scenario.tiers[k].battery
-    try:
-        cutoff = int(cut_txt) if cut_txt else battery
-    except ValueError:
-        raise _UsageError(f"cannot parse cutoff in {text!r}") from None
-    if not 1 <= cutoff <= battery:
-        raise _UsageError(f"cutoff {cutoff} outside [1, {battery}] for tier {tier}")
-    return k, cutoff
+def _parse_policies(texts, scenario: NetworkScenario) -> dict[int, markov.PolicySpec]:
+    """{0-based tier: PolicySpec} from 'k=TIER[:CUTOFF]' texts, TIER 1-based.
+
+    'k=2' pins tier 2 to its full battery, 'k=2:5' to cutoff 5.  The
+    cutoff's range is checked by the library call that takes the map.
+    """
+    policies = {}
+    for text in texts or []:
+        body = text[2:] if text.startswith("k=") else text
+        tier_txt, _, cut_txt = body.partition(":")
+        try:
+            tier = int(tier_txt)
+        except ValueError:
+            raise _UsageError(f"cannot parse tier assignment {text!r}") from None
+        k = _tier_index(tier, scenario)
+        try:
+            cutoff = int(cut_txt) if cut_txt else scenario.tiers[k].battery
+        except ValueError:
+            raise _UsageError(f"cannot parse cutoff in {text!r}") from None
+        policies[k] = markov.PolicySpec(cutoff)
+    return policies
 
 
-def _parse_rho(text: str, scenario: NetworkScenario) -> np.ndarray:
+def _parse_rho(text: str) -> np.ndarray:
+    """Comma-separated floats; their count and range are checked by the library."""
     try:
-        rho = np.array([float(x) for x in text.split(",")])
+        return np.array([float(x) for x in text.split(",")])
     except ValueError:
         raise _UsageError(f"cannot parse availability vector {text!r}") from None
-    if rho.shape != (scenario.k_tiers,):
-        raise _UsageError(
-            f"availability vector needs {scenario.k_tiers} components")
-    return rho
 
 
 def _resolve_rho(args, scenario: NetworkScenario) -> np.ndarray:
     if getattr(args, "rho", None):
-        return _parse_rho(args.rho, scenario)
+        return _parse_rho(args.rho)
     result = analytic.solve_availability(scenario)
     if not result.feasible:
         raise ScenarioError(
@@ -223,18 +228,15 @@ def _emit(header: list[str], rows) -> None:
 
 def cmd_availability(args) -> int:
     scenario, _ = load_scenario(args.scenario)
-    cutoffs = [1] * scenario.k_tiers
-    for text in args.policy2 or []:
-        tier, cutoff = _parse_tier_cutoff(text, scenario)
-        cutoffs[tier] = cutoff
-    policy = [markov.PolicySpec(c) for c in cutoffs]
+    pinned = _parse_policies(args.policy2, scenario)
+    policy = [pinned.get(k, markov.PolicySpec(1)) for k in range(scenario.k_tiers)]
     result = analytic.solve_availability(scenario, policy=policy,
                                          tolerance=args.tol)
     _, gamma = analytic.check_feasibility(scenario)
     _emit(["tier", "policy", "rho", "gamma", "feasible", "iterations", "residual"],
-          ([k + 1, f"S({c})", rho, gamma, result.feasible, result.iterations,
+          ([k + 1, f"S({p.cutoff})", rho, gamma, result.feasible, result.iterations,
             result.residual]
-           for k, (c, rho) in enumerate(zip(cutoffs, result.rho.tolist()))))
+           for k, (p, rho) in enumerate(zip(policy, result.rho.tolist()))))
     if args.strict and not result.feasible:
         print("scenario is infeasible (gamma <= 1)", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -243,12 +245,7 @@ def cmd_availability(args) -> int:
 
 def cmd_region(args) -> int:
     scenario, _ = load_scenario(args.scenario)
-    if scenario.k_tiers != 2:
-        raise ScenarioError("region sweeps require exactly 2 tiers")
-    constraints: dict[int, markov.PolicySpec] = {}
-    for text in args.constrain or []:
-        tier, cutoff = _parse_tier_cutoff(text, scenario)
-        constraints[tier] = markov.PolicySpec(cutoff)
+    constraints = _parse_policies(args.constrain, scenario)
     b0, b1 = (region.sweep_boundary(scenario, k, args.grid, constraints.get(k))
               for k in (0, 1))
     _emit(["grid", "rho1_star_given_rho2", "rho2_star_given_rho1"],
@@ -282,8 +279,7 @@ def cmd_rate(args) -> int:
             raise ScenarioError("rate surfaces require exactly 2 tiers")
         if args.grid < 2:
             raise ScenarioError(f"grid_resolution must be >= 2 (got {args.grid})")
-        target = args.rate_target if args.rate_target is not None else 0.1
-        query = coverage.RateQuery(rate_target=target)
+        query = coverage.RateQuery(0.1 if args.rate_target is None else args.rate_target)
         grid = np.linspace(0.1, 1.0, args.grid)
         rho = np.column_stack((np.repeat(grid, grid.size), np.tile(grid, grid.size)))
         values = coverage.rate_ccdf(scenario, rho, query)
@@ -294,11 +290,9 @@ def cmd_rate(args) -> int:
     if args.rate_target is not None:
         targets = [args.rate_target]
     elif sweep:
-        try:
-            start, stop = (_number(sweep[k], f"sweep.{k}") for k in ("start", "stop"))
-            steps = _integer(sweep["steps"], "sweep.steps")
-        except KeyError as exc:
-            raise ScenarioError(f"sweep: missing field {exc}") from None
+        start, stop = (_number(_field(sweep, k, "sweep"), f"sweep.{k}")
+                       for k in ("start", "stop"))
+        steps = _integer(_field(sweep, "steps", "sweep"), "sweep.steps")
         if steps < 1:
             raise ScenarioError(f"sweep.steps must be >= 1 (got {steps})")
         targets = np.linspace(start, stop, steps).tolist()
@@ -316,21 +310,16 @@ def cmd_simulate(args) -> int:
     config = _sim_config(args, doc, scenario, rho)
     tiers = (range(scenario.k_tiers) if args.tier is None
              else [_tier_index(args.tier, scenario)])
-    kind, target = args.estimator, ""
-    if kind == "coverage":
-        estimates = {"": simulate.coverage_mc(scenario, rho, config)}
-    elif kind == "association":
-        estimates = dict(enumerate(simulate.association_mc(scenario, rho, config), 1))
-    elif kind == "area":
-        areas = simulate.spatial_mc(scenario, rho, config, area_tiers=tiers).area
-        estimates = {k + 1: est for k, est in areas.items()}
-    else:
-        target = args.rate_target if args.rate_target is not None else 0.1
-        estimates = {"": simulate.rate_mc(scenario, rho, target, config)}
-    _emit(["estimator", "tier", "rate_target", "mean", "ci_halfwidth_99", "samples",
-           "seed"],
-          ([kind, tier, target, est.mean, est.ci_halfwidth_99, est.samples, est.seed]
-           for tier, est in estimates.items()))
+    kind = args.estimator
+    target = args.rate_target if kind == "rate" else None
+    sim = simulate.spatial_mc(scenario, rho, config, rate_target=target,
+                              area_tiers=tiers if kind == "area" else ())
+    estimates = {"coverage": {"": sim.coverage}, "rate": {"": sim.rate},
+                 "association": dict(enumerate(sim.association, 1)),
+                 "area": {k + 1: est for k, est in sim.area.items()}}[kind]
+    _emit(["estimator", "tier", "rate_target", "mean", "ci_halfwidth_99", "samples", "seed"],
+          ([kind, tier, "" if target is None else target, est.mean, est.ci_halfwidth_99,
+            est.samples, est.seed] for tier, est in estimates.items()))
     return EXIT_OK
 
 
@@ -383,8 +372,7 @@ def cmd_validate(args) -> int:
         lines.append("SKIP availability-ctmc: scenario infeasible, "
                      "using rho=1 for the spatial checks")
 
-    target = args.rate_target if args.rate_target is not None else 0.1
-    sim = simulate.spatial_mc(scenario, rho, config, rate_target=target,
+    sim = simulate.spatial_mc(scenario, rho, config, rate_target=args.rate_target,
                               area_tiers=range(scenario.k_tiers))
     pc = coverage.coverage_prob(scenario)
     ok &= _check(lines, "coverage-mc", pc, sim.coverage.mean,
@@ -402,7 +390,7 @@ def cmd_validate(args) -> int:
                      est.ci_halfwidth_99 + 0.01, est.seed)
 
     series = coverage.rate_ccdf(scenario, rho,
-                                coverage.RateQuery(rate_target=target))
+                                coverage.RateQuery(rate_target=args.rate_target))
     ok &= _check(lines, "rate-mc", series, sim.rate.mean, 0.03, sim.rate.seed)
 
     print("\n".join(lines))
@@ -455,7 +443,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rho", help="comma-separated availabilities")
     p.add_argument("--tier", type=int, default=None,
                    help="tier (1-based) for --estimator area")
-    p.add_argument("--rate-target", type=float, default=None)
+    p.add_argument("--rate-target", type=float, default=0.1)
     p.add_argument("--replicates", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--window", type=float, default=None,
@@ -465,7 +453,7 @@ def _build_parser() -> _Parser:
             "run every analytic-vs-oracle cross check")
     p.add_argument("--replicates", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--rate-target", type=float, default=None)
+    p.add_argument("--rate-target", type=float, default=0.1)
 
     return parser
 

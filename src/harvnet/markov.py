@@ -181,7 +181,6 @@ def _on_fractions(s: np.ndarray, battery: int, cutoff: int, with_b: bool = True)
 
 def policy_availability(spec: BirthDeathSpec, policy: PolicySpec) -> float:
     """Long-run ON fraction under S(cutoff): 1/(1 + cutoff/(mu E[J1(cutoff)]))."""
-    policy.check(spec)
     return float(tier_availability(spec.ratio, spec.battery, policy.cutoff))
 
 

@@ -61,11 +61,10 @@ def _boundaries(scenario: NetworkScenario, k: int, others: np.ndarray,
     cutoff = analytic._cutoffs(scenario, {k: constraint})[k]
     on_weight, slope = analytic._tier_constants(scenario)
     d_others = others @ np.delete(on_weight, k)
-    excess = analytic._load_excess(on_weight[k:k + 1], slope[k:k + 1])
     tier = [(on_weight[k], slope[k], scenario.tiers[k].battery, cutoff)]
     # A search holds 2^6 + 1 loads of every live lane; blocks cap its memory.
     return np.concatenate([
-        analytic._load_root(excess, d, d, d + on_weight[k], tier, tol)[0][:, 0]
+        analytic._load_root(d, d, d + on_weight[k], tier, tol)[0][:, 0]
         for d in np.split(d_others, range(_LANE_BLOCK, d_others.size, _LANE_BLOCK))])
 
 
@@ -77,7 +76,8 @@ def boundary(scenario: NetworkScenario, k: int, fixed_others,
     Returns 0.0 when no positive root exists (the tier cannot be ON at all
     given the conditioning load) and 1.0 when g_k rounds to 1 there.  With
     `constraint`, the S(cutoff) availability formula replaces g_k; a tier
-    k outside 0..K-1 or a cutoff outside [1, N_k] is a ScenarioError.
+    k outside 0..K-1, a constraint that is not a PolicySpec or a cutoff
+    outside [1, N_k] is a ScenarioError.
     """
     if not tol > 0:
         raise ScenarioError(f"tol must be > 0 (got {tol})")
@@ -114,12 +114,13 @@ def contains(scenario: NetworkScenario, rho, constraints=None,
     keeps perturbation probes just past a boundary at 1 well defined.
     `constraints` maps tier index to a PolicySpec for tiers pinned to a
     recharge policy; unlisted tiers use the unconstrained boundary.  A key
-    outside 0..K-1 or a cutoff outside [1, N_k] is a ScenarioError, once
-    rho lies in the box.
+    outside 0..K-1, a value that is not a PolicySpec or a cutoff outside
+    [1, N_k] is a ScenarioError, inside the box or out.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (scenario.k_tiers,):
         raise ScenarioError(f"expected {scenario.k_tiers} availabilities (got shape {rho.shape})")
+    analytic._cutoffs(scenario, constraints)      # checked outside the box too
     if not ((rho >= 0.0) & (rho <= 1.0)).all():     # NaN too
         return False
     return bool(_inside(scenario, rho[None, :], constraints, tol)[0])
@@ -142,8 +143,9 @@ def grid_coverage(scenario: NetworkScenario, resolution: int = 101,
                   constraints=None) -> float:
     """Fraction of the [0,1]^2 availability grid inside the region (K=2).
 
-    `constraints` is checked as in `contains`: a key outside {0, 1} or a
-    cutoff outside [1, N_k] is a ScenarioError.
+    `constraints` is checked as in `contains`: a key outside {0, 1}, a
+    value that is not a PolicySpec or a cutoff outside [1, N_k] is a
+    ScenarioError.
     """
     t = _sweep_grid(scenario, resolution)
     # Whole grid rows, at most about _GRID_BLOCK lanes per call, bound the memory.

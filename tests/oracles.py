@@ -31,6 +31,7 @@ coverage from one Rayleigh fading draw per link instead of the simulator's
 conditional coverage.
 """
 
+import itertools
 import math
 from statistics import NormalDist
 
@@ -185,17 +186,17 @@ def mp_on_fraction_closed(s, battery, cutoff=1):
     return x / (1 + x)
 
 
-def mp_outer_root(excess, top, dps=60, steps=110):
+def mp_outer_root(excess, top, dps=60, steps=110, decades=59):
     """Largest x in (0, top] with excess(x) >= 0, in mpmath.
 
-    Scans down from top (64 linear steps, then decades down to 1e-60 of
-    top) for the first nonnegative excess and bisects the sign change.
-    Returns 0 when the excess stays negative.
+    Scans down from top (64 linear steps, then `decades` decades, down to
+    1e-60 of top by default) for the first nonnegative excess and bisects
+    the sign change.  Returns 0 when the excess stays negative.
     """
     with mp.workdps(dps):
         top = mp.mpf(top)
-        grid = [top * (64 - i) / 64 for i in range(64)]
-        grid += [top / 64 / mp.mpf(10) ** j for j in range(1, 60)]
+        grid = itertools.chain((top * (64 - i) / 64 for i in range(64)),
+                               (top / 64 / mp.mpf(10) ** j for j in range(1, decades + 1)))
         hi = None
         for lo in grid:
             if excess(lo) >= 0:
@@ -214,12 +215,14 @@ def mp_outer_root(excess, top, dps=60, steps=110):
         return (lo + hi) / 2
 
 
-def mp_fixed_point(c, s, batteries, cutoffs, dps=60):
+def mp_fixed_point(c, s, batteries, cutoffs, dps=60, decades=59):
     """rho at the positive root of sum_k c_k a_k(s_k D) = D, in mpmath.
 
     c_k = lambda_k w_k and s_k = mu_k/(lambda_u P_c w_k) are taken as given,
     floats included, so this is the root of the caller's own inputs; a_k is
-    mp_on_fraction_closed.  Returns float zeros when no positive root exists.
+    mp_on_fraction_closed.  The root is searched for down to 1e-(decades+1)
+    of sum_k c_k (`mp_outer_root`).  Returns float zeros when no positive
+    root exists there.
     """
     with mp.workdps(dps):
         tiers = [(mp.mpf(ck), mp.mpf(sk), n, cut)
@@ -231,7 +234,7 @@ def mp_fixed_point(c, s, batteries, cutoffs, dps=60):
         def excess(d):
             return mp.fsum(ck * a for (ck, *_), a in zip(tiers, avail(d))) - d
 
-        d_star = mp_outer_root(excess, mp.fsum(t[0] for t in tiers), dps)
+        d_star = mp_outer_root(excess, mp.fsum(t[0] for t in tiers), dps, decades=decades)
         return np.array([float(a) for a in avail(d_star)])
 
 

@@ -623,6 +623,39 @@ def test_misspelt_scenario_keys_are_named(tmp_path, capsys, command, mutate, mes
     assert captured.err == f"error: {message}\n"
 
 
+# A rule the library checks, reached from the command line: the message is
+# the library's own.  `mutate` edits BASE_DOC into a file of the test's own;
+# None runs two-tier-baseline (batteries 10 and 8).
+LIBRARY_RULES = [
+    (["availability", "--policy2", "k=1:99"], None,
+     "cutoff must be an integer in [1, 10] (got 99)"),
+    (["region", "--constrain", "k=2:0"], None, "cutoff must be an integer in [1, 8] (got 0)"),
+    (["rate", "--rho", "0.5,0.5,0.5"], None,
+     "availability vector must have length 2 (got shape (3,))"),
+    (["simulate", "--rho", "0.5"], None,
+     "availability vector must have length 2 (got shape (1,))"),
+    (["region"], lambda d: d["tiers"].append(d["tiers"][1]),
+     "boundary sweeps require exactly 2 tiers (got 3)"),
+    (["coverage"], lambda d: d["tiers"][0].__delitem__("harvest_rate"),
+     "tiers[0]: missing field 'harvest_rate'"),
+]
+
+
+@pytest.mark.parametrize("argv, mutate, message", LIBRARY_RULES,
+                         ids=["cutoff-policy2", "cutoff-constrain", "rho-rate",
+                              "rho-simulate", "region-three-tiers", "tier-missing-field"])
+def test_library_rules_reach_the_command_line_with_their_messages(tmp_path, capsys, argv,
+                                                                   mutate, message):
+    path = SCENARIOS / "two-tier-baseline.json"
+    if mutate is not None:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_malformed(mutate)))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_simulate_caps_the_expected_point_count(capsys):
     # about 2.8e11 expected points: refused before any draw
     argv = ["simulate", str(SCENARIOS / "two-tier-baseline.json"), "--window", "1e5"]

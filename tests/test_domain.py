@@ -6,13 +6,17 @@ log-uniform over 1e+-150 (tx_power over 1e+-100), shadowing means within
 SIR targets from 1e-6 to 1e12, one to three tiers and batteries up to 3000.
 On each, every public closed form returns a finite value in its range or
 raises ScenarioError; a warning is an error in this suite, so an overflow
-on the way fails the draw too.
+on the way fails the draw too.  A second sweep checks the availability
+fixed point itself against mpmath on feasible draws, as drawn and with
+gamma moved to just above 1.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from harvnet import analytic
 from harvnet.analytic import (
     check_feasibility,
     energy_outage_bound,
@@ -24,8 +28,10 @@ from harvnet.analytic import (
 from harvnet.coverage import RateQuery, coverage_prob, rate_ccdf, tier_association_prob
 from harvnet.model import NetworkScenario, ScenarioError, ShadowingSpec, TierParams
 from harvnet.region import boundary, contains, grid_coverage, sweep_boundary
+from oracles import mp_fixed_point
 
 DRAWS = 300
+FIXED_POINT_DRAWS = 40
 
 
 def _log_uniform(rng, exponent):
@@ -95,3 +101,44 @@ def test_every_closed_form_is_in_range_or_an_error_over_the_domain():
             if not in_range(value):
                 failures.append((draw, name, value))
     assert not failures, f"{len(failures)} failures, first: {failures[:5]}"
+
+
+def _with_gamma(sc: NetworkScenario, gamma: float, target: float) -> NetworkScenario:
+    """`sc` with every harvest rate scaled by target/gamma, so gamma becomes about target."""
+    return replace(sc, tiers=tuple(replace(t, harvest_rate=t.harvest_rate * (target / gamma))
+                                   for t in sc.tiers))
+
+
+def test_fixed_point_matches_mpmath_over_the_domain_and_just_above_gamma_one():
+    # Each feasible draw runs as drawn and with gamma - 1 moved to 1e-3, 1e-9
+    # and 1e-15.  The oracle solves from the solver's own float tier
+    # constants, so both see the same inputs.  Its scan reaches 1e-1001 of
+    # the top load, not 1e-60: a tier far heavier than the rest can put the
+    # root near 1e-137 of it.
+    rng = np.random.default_rng(20261020)
+    failures, compared, drawn = [], 0, 0
+    while drawn < FIXED_POINT_DRAWS:
+        sc = _draw(rng)
+        try:
+            feasible, gamma = check_feasibility(sc)
+        except ScenarioError:
+            continue
+        if not feasible:
+            continue
+        drawn += 1
+        for excess in (None, 1e-3, 1e-9, 1e-15):
+            try:
+                v = sc if excess is None else _with_gamma(sc, gamma, 1.0 + excess)
+            except ScenarioError:       # a harvest rate rounds to 0
+                continue
+            if not check_feasibility(v)[0]:
+                continue                # rounding leaves gamma <= 1
+            res = solve_availability(v)
+            c, s = analytic._tier_constants(v)
+            want = mp_fixed_point(c, s, v.batteries(), [1] * v.k_tiers, decades=1000)
+            err = float(np.max(np.abs(res.rho - want)))
+            compared += 1
+            if not err <= res.bracket + 1e-12:
+                failures.append((drawn, excess, err, res.bracket))
+    assert not failures, f"{len(failures)} of {compared} solves off, first: {failures[:5]}"
+    assert compared >= 3 * FIXED_POINT_DRAWS

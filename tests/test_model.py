@@ -185,6 +185,30 @@ def test_every_policy_cutoff_is_checked_against_its_battery(call, cutoff):
         call(PolicySpec(cutoff))
 
 
+# Policy arguments that once passed silently or raised a bare AttributeError,
+# with the ScenarioError each raises now.
+BAD_POLICIES = {
+    "contains-key-outside-the-box": (
+        lambda sc: contains(sc, [1.5, 0.5], {7: PolicySpec(99)}),
+        "tier must be an integer in [0, 1] (got 7)"),
+    "contains-cutoff-outside-the-box": (
+        lambda sc: contains(sc, [1.5, 0.5], {1: PolicySpec(99)}),
+        "cutoff must be an integer in [1, 8] (got 99)"),
+    "grid-coverage-int": (lambda sc: grid_coverage(sc, 11, {0: 1}),
+                          "tier 0 policy must be a PolicySpec (got 1)"),
+    "solve-int-list": (lambda sc: solve_availability(sc, policy=[1, 1]),
+                       "tier 0 policy must be a PolicySpec (got 1)"),
+    "boundary-int": (lambda sc: boundary(sc, 0, [0.5], constraint=3),
+                     "tier 0 policy must be a PolicySpec (got 3)"),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_POLICIES.values(), ids=BAD_POLICIES.keys())
+def test_every_bad_policy_argument_is_a_scenario_error(call, message):
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        call(make_scenario())
+
+
 @pytest.mark.parametrize("key", [2, -1, "x", True])
 @pytest.mark.parametrize("call", [contains, grid_coverage], ids=["contains", "grid-coverage"])
 def test_constraint_keys_outside_the_tiers_are_errors(call, key):

@@ -82,6 +82,20 @@ def test_fixed_point_near_gamma_one_matches_mpmath(path, excess):
         assert np.all(np.abs(res.rho - want) <= res.bracket), (cutoffs, res.rho, want)
 
 
+@pytest.mark.parametrize("factor", [1e20, 1e250])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_fixed_point_with_one_tier_far_heavier_than_the_rest(path, k, factor):
+    # the heavy tier's c_k s_k b_k, with b_k rounding to 1, once swamped the
+    # rest of the sign test: rho_2 of two-tier-baseline read 0.8925 for 0.7604
+    sc, _ = load_scenario(str(path))
+    heavy = scaled(sc, factor, [k])
+    res = solve_availability(heavy)
+    want = fixed_point_oracle(heavy, [1] * sc.k_tiers)
+    assert res.bracket <= 1e-10
+    assert np.all(np.abs(res.rho - want) <= res.bracket), (res.rho, want)
+
+
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
 def test_feasibility_within_ulps_of_gamma_one(path):
     base = near_one(path, 0.0)
