@@ -1,9 +1,10 @@
-"""Count the code lines of the harvnet package, per module and in total.
+"""Count the code lines and the physical lines of the harvnet package,
+per module and in total.
 
 A code line is a line that holds at least one token of Python code: blank
 lines, comment-only lines and the lines of docstrings (the string literal
-that opens a module, class or function body) do not count.  Run from the
-repository root:
+that opens a module, class or function body) do not count.  A physical
+line is any line of the file.  Run from the repository root:
 
     python scripts/code_lines.py [DIR]
 
@@ -43,12 +44,12 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[1] if len(argv) > 1 else "src/harvnet")
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        n = code_lines(path.read_text())
-        total += n
-        print(f"{path.name:16s} {n:5d}")
-    print(f"{'total':16s} {total:5d}")
+    rows = [(path.name, code_lines(text), len(text.splitlines()))
+            for path in sorted(root.glob("*.py")) for text in [path.read_text()]]
+    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    print(f"{'module':16s} {'code':>5s} {'lines':>6s}")
+    for name, code, physical in rows:
+        print(f"{name:16s} {code:5d} {physical:6d}")
     return 0
 
 

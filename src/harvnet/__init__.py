@@ -16,15 +16,15 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "model": ("NO_SHADOWING", "NetworkScenario", "ScenarioError", "ShadowingSpec",
               "SimEstimate", "TierParams", "validate"),
-    "coverage": ("RateQuery", "SeriesTruncationError", "coverage_prob", "hyper_f",
-                 "rate_ccdf", "tier_association_prob"),
+    "coverage": ("RateQuery", "coverage_prob", "hyper_f", "rate_ccdf",
+                 "tier_association_prob"),
     "markov": ("BirthDeathSpec", "PolicySpec", "generator", "mean_off_time",
                "mean_on_time", "neg_b_inverse", "policy_availability",
                "simulate_on_off", "stationary", "tier_availability",
                "verify_s1_optimal"),
-    "analytic": ("FixedPointResult", "NonConvergenceError", "check_feasibility",
-                 "energy_outage_bound", "energy_utilization", "equivalence_check",
-                 "g", "mean_service_area", "solve_availability"),
+    "analytic": ("FixedPointResult", "check_feasibility", "energy_outage_bound",
+                 "energy_utilization", "equivalence_check", "g", "mean_service_area",
+                 "solve_availability"),
     "region": ("RegionBoundary", "boundary", "contains", "grid_coverage",
                "sweep_boundary"),
     "simulate": ("SimConfig", "SpatialEstimate", "association_mc", "coverage_mc",

@@ -26,18 +26,7 @@ from .model import NetworkScenario, ScenarioError, _check_integer, check_availab
 
 # Bisection levels per evaluation of the load test: 2^6 = 64 cells per lane.
 _LEVELS = 6
-
-
-class NonConvergenceError(RuntimeError):
-    """The fixed-point bisection ran out of steps; carries the last state."""
-
-    def __init__(self, rho: np.ndarray, residual: float, iterations: int):
-        self.rho = rho
-        self.residual = residual
-        self.iterations = iterations
-        super().__init__(
-            f"no fixed point within {iterations} iterations "
-            f"(residual {residual:.3e})")
+_CELLS = np.arange(2 ** _LEVELS + 1)[:, None] / 2 ** _LEVELS
 
 
 @dataclass(frozen=True)
@@ -188,7 +177,7 @@ def _load_excess(c: np.ndarray, s: np.ndarray) -> float:
     return num / den if num < den << 1023 else np.inf   # int / int rounds once
 
 
-def _load_root(d: np.ndarray, lo, hi, tiers, tol: float, max_iter: int | None = None):
+def _load_root(d: np.ndarray, lo, hi, tiers, tol: float):
     """Largest load D in [lo, hi] inside the balance of the free tiers, per lane.
 
     `tiers` holds (c_k, s_k, N_k, cutoff_k) of the free tiers, d the fixed
@@ -204,11 +193,18 @@ def _load_root(d: np.ndarray, lo, hi, tiers, tol: float, max_iter: int | None = 
     concave (region.py), so E/D falls with D: the root is unique.  lo is
     inside; so is hi where every a_k rounds to 1; a lane with d = 0 and
     gamma <= 1 has its root at lo.  Each evaluation splits each live
-    lane's bracket into 2^_LEVELS cells, or fewer where max_iter runs out,
-    and keeps the one cell where the test turns: 2^l cells are l bisection
-    steps.  A lane stops once its a_k at the bracket ends differ by at
-    most tol, or its ends are adjacent doubles.  Returns (a_k at the
-    bracket midpoints, bracket, steps, unfinished, evaluations).
+    lane's bracket into 2^_LEVELS = 64 cells and keeps the one cell where
+    the test turns: 2^l cells are l bisection steps.  A lane stops once
+    its a_k at the bracket ends differ by at most tol, or its ends are
+    adjacent doubles.  It always stops: the cell ends are rounded from a
+    grid of step w/64 on a bracket of width w, so each evaluation leaves
+    at most w/64 plus an ulp, and once w is under 64 ulps the grid meets
+    every double in the bracket.  A lane whose root D* lies in a first
+    bracket of width w_0 thus takes at most ceil((53 + log2(w_0/D*))/6) + 1
+    splits, and no lane more than 351, as no bracket is wider than 2^1024
+    and no two doubles are closer than 2^-1074.
+    Returns (a_k at the bracket midpoints, bracket, steps, evaluations),
+    the final midpoint counted as one evaluation.
     """
     big = [c * s > 2.0 for c, s, *_ in tiers]
     small = [(c, s) for (c, s, *_), g in zip(tiers, big) if not g]
@@ -229,11 +225,9 @@ def _load_root(d: np.ndarray, lo, hi, tiers, tol: float, max_iter: int | None = 
     while True:
         mid = 0.5 * (lo + hi)
         live = np.flatnonzero((bracket > tol) & (lo < mid) & (mid < hi))
-        if steps == max_iter or not live.size:
-            return evaluate(mid, d)[0], bracket, steps, live.size > 0, calls + 1
-        levels = _LEVELS if max_iter is None else min(_LEVELS, max_iter - steps)
-        cells = np.arange(2 ** levels + 1)[:, None] / 2 ** levels
-        x = lo[live] + (hi[live] - lo[live]) * cells
+        if not live.size:
+            return evaluate(mid, d)[0], bracket, steps, calls + 1
+        x = lo[live] + (hi[live] - lo[live]) * _CELLS
         a, inside = evaluate(x, d[live])
         inside[0] = True
         # The last point inside and the next: lo stays inside, hi outside.
@@ -241,12 +235,11 @@ def _load_root(d: np.ndarray, lo, hi, tiers, tol: float, max_iter: int | None = 
         nxt, cols = np.minimum(end + 1, len(x) - 1), np.arange(live.size)
         lo[live], hi[live] = x[end, cols], x[nxt, cols]
         bracket[live] = np.abs(a[nxt, cols] - a[end, cols]).max(axis=-1)
-        steps, calls = steps + levels, calls + 1
+        steps, calls = steps + _LEVELS, calls + 1
 
 
 def solve_availability(scenario: NetworkScenario, policy=None,
-                       tolerance: float = 1e-10,
-                       max_iter: int = 100_000) -> FixedPointResult:
+                       tolerance: float = 1e-10) -> FixedPointResult:
     """Largest solution of rho_k = a_k(s_k(rho)) for all tiers, as a scalar root.
 
     Tier k sees rho only through D = sum_j rho_j lambda_j w_j, at load
@@ -261,7 +254,6 @@ def solve_availability(scenario: NetworkScenario, policy=None,
     """
     if not tolerance > 0:
         raise ScenarioError(f"tolerance must be > 0 (got {tolerance})")
-    _check_integer(max_iter, "max_iter", 1)
     if policy is not None and len(policy) != scenario.k_tiers:
         raise ScenarioError(
             f"policy list must have {scenario.k_tiers} entries (got {len(policy)})")
@@ -272,12 +264,10 @@ def solve_availability(scenario: NetworkScenario, policy=None,
         return FixedPointResult(rho=np.zeros(scenario.k_tiers), iterations=0,
                                 residual=0.0, feasible=False)
     tiers = list(zip(on_weight, slope, scenario.batteries(), cutoffs))
-    (rho,), bracket, steps, unfinished, calls = _load_root(
-        np.zeros(1), 0.0, on_weight.sum(), tiers, tolerance, max_iter)
+    (rho,), bracket, steps, calls = _load_root(
+        np.zeros(1), 0.0, on_weight.sum(), tiers, tolerance)
     residual = float(np.max(np.abs([markov.tier_availability(s * (rho @ on_weight), n, c) - r
                                     for (_, s, n, c), r in zip(tiers, rho)])))
-    if unfinished:
-        raise NonConvergenceError(rho, residual, steps)
     return FixedPointResult(rho=rho, iterations=steps, residual=residual,
                             feasible=True, bracket=float(bracket[0]),
                             evaluations=calls)

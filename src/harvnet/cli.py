@@ -246,6 +246,9 @@ def cmd_availability(args) -> int:
 def cmd_region(args) -> int:
     scenario, _ = load_scenario(args.scenario)
     constraints = _parse_policies(args.constrain, scenario)
+    # Every rule a sweep checks, in the sweeps' order, before the first sweep runs.
+    region._sweep_grid(scenario, args.grid)
+    analytic._cutoffs(scenario, constraints)
     b0, b1 = (region.sweep_boundary(scenario, k, args.grid, constraints.get(k))
               for k in (0, 1))
     _emit(["grid", "rho1_star_given_rho2", "rho2_star_given_rho1"],
@@ -467,9 +470,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
     except (ScenarioError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    # A clause of its own, as naming these loads the two layers.
-    except (analytic.NonConvergenceError, coverage.SeriesTruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return EXIT_USAGE
 

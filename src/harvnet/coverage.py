@@ -36,18 +36,6 @@ _LANE_BUDGET = 1 << 17
 _MAX_EXPO = 1000.0
 
 
-class SeriesTruncationError(RuntimeError):
-    """Rate series hit max_terms before the tail bound fell below tolerance."""
-
-    def __init__(self, partial_sum: float, tail_bound: float, terms: int):
-        self.partial_sum = partial_sum
-        self.tail_bound = tail_bound
-        self.terms = terms
-        super().__init__(
-            f"rate series not converged after {terms} terms: "
-            f"partial_sum={partial_sum!r}, tail_bound={tail_bound!r}")
-
-
 def hyper_f(beta, alpha: float):
     """F(beta, alpha) = (2 beta/(alpha-2)) 2F1[1, 1-2/a; 2-2/a; -beta].
 
@@ -181,22 +169,20 @@ def load_pmf(x, n):
 
 @dataclass(frozen=True)
 class RateQuery:
-    """Target rate (bps/Hz) plus series controls for the rate CCDF.
+    """Target rate (bps/Hz) plus the series tolerance for the rate CCDF.
 
-    With `max_terms` None the series runs until it converges; a number caps
-    the terms summed.
+    The series runs until its tail bound and its last term fall below
+    `series_tolerance`; see rate_ccdf.
     """
 
     rate_target: float
     series_tolerance: float = 1e-10
-    max_terms: int | None = None
 
     def __post_init__(self):
         if not self.rate_target >= 0:
             raise ScenarioError(f"rate_target must be >= 0 (got {self.rate_target})")
-        if self.series_tolerance <= 0 or (self.max_terms is not None
-                                          and self.max_terms < 1):
-            raise ScenarioError("series_tolerance must be > 0 and max_terms >= 1")
+        if self.series_tolerance <= 0:
+            raise ScenarioError("series_tolerance must be > 0")
 
 
 def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):
@@ -216,8 +202,6 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):
     lane equals the call on its row alone, bit for bit: a block's coverage
     factors and L(n) serve every lane, each lane stops by its own rule, and
     lanes run in chunks whose temporaries stay within _LANE_BUDGET doubles.
-    With `max_terms`, the first lane that has not converged raises its
-    SeriesTruncationError.
     """
     lanes = np.ndim(rho) == 2
     # rho and the association are checked before the T = 0 shortcut too.
@@ -243,17 +227,16 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):
     # accumulate in term order, exactly as a term-by-term loop would.
     # Finished lanes leave the per-lane arrays; `lane` maps rows to lanes.
     tol, k_tiers = query.series_tolerance, scenario.k_tiers
-    limit = math.inf if query.max_terms is None else query.max_terms
     value = np.empty(len(rho))
     lane = np.arange(len(rho))
     total, cum_mass = np.zeros((2, len(rho)))
     start, size = 0, _BLOCK
-    while lane.size and start < limit:
-        n = np.arange(start, min(start + size, limit))
+    while lane.size:
+        n = np.arange(start, start + size)
         expo = t_rate * (n + 1)
         beta = np.exp2(np.minimum(expo, _MAX_EXPO)) - 1.0
         cov = np.where(expo > _MAX_EXPO, 0.0, 1.0 / (1.0 + hyper_f(beta, alpha)))
-        coef = _log_nb_table(np.arange(start, n[-1] + 1, _BLOCK)).ravel()[:n.size, None]
+        coef = _log_nb_table(np.arange(start, start + size, _BLOCK)).ravel()[:, None]
         finished = np.zeros(lane.size, dtype=bool)
         step = max(1, _LANE_BUDGET // (n.size * k_tiers))
         for lo in range(0, lane.size, step):
@@ -287,7 +270,4 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):
                 weight, log_q, const, positive = (
                     weight[keep], log_q[keep], const[keep], positive[keep])
         start, size = start + size, min(2 * size, _MAX_BLOCK)
-    if lane.size:
-        tail_bound = (1.0 - cum_mass[0]) * cov[-1]     # as the last block computed it
-        raise SeriesTruncationError(float(total[0]), float(tail_bound), query.max_terms)
     return value if lanes else float(value[0])

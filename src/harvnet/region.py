@@ -26,8 +26,8 @@ function of a load affine in x minus x, is concave with h_k(0) >= 0, and
   on s >= 0.
 As a(0) = 0, concavity also makes a(s)/s non-increasing, so the b(s) =
 1 - a(s)/s of the root search's sign test does not decrease.
-The slack `tol` of a membership test is taken in rho units: the test is
-h_k(max(rho_k - tol, 0)) >= 0, i.e. rho_k <= boundary + tol.
+A membership test has a slack of _MEMBER_TOL in rho units: it tests
+h_k(max(rho_k - _MEMBER_TOL, 0)) >= 0, i.e. rho_k <= boundary + _MEMBER_TOL.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class RegionBoundary:
 
 
 def _boundaries(scenario: NetworkScenario, k: int, others: np.ndarray,
-                constraint: markov.PolicySpec | None, tol: float) -> np.ndarray:
+                constraint: markov.PolicySpec | None) -> np.ndarray:
     """Tier-k boundary for each row of `others`, the other tiers' rho."""
     cutoff = analytic._cutoffs(scenario, {k: constraint})[k]
     on_weight, slope = analytic._tier_constants(scenario)
@@ -64,13 +64,12 @@ def _boundaries(scenario: NetworkScenario, k: int, others: np.ndarray,
     tier = [(on_weight[k], slope[k], scenario.tiers[k].battery, cutoff)]
     # A search holds 2^6 + 1 loads of every live lane; blocks cap its memory.
     return np.concatenate([
-        analytic._load_root(d, d, d + on_weight[k], tier, tol)[0][:, 0]
+        analytic._load_root(d, d, d + on_weight[k], tier, _TOL)[0][:, 0]
         for d in np.split(d_others, range(_LANE_BLOCK, d_others.size, _LANE_BLOCK))])
 
 
 def boundary(scenario: NetworkScenario, k: int, fixed_others,
-             constraint: markov.PolicySpec | None = None,
-             tol: float = _TOL) -> float:
+             constraint: markov.PolicySpec | None = None) -> float:
     """Largest rho_k in [0, 1] with rho_k = g_k(rho), others held fixed.
 
     Returns 0.0 when no positive root exists (the tier cannot be ON at all
@@ -79,10 +78,8 @@ def boundary(scenario: NetworkScenario, k: int, fixed_others,
     k outside 0..K-1, a constraint that is not a PolicySpec or a cutoff
     outside [1, N_k] is a ScenarioError.
     """
-    if not tol > 0:
-        raise ScenarioError(f"tol must be > 0 (got {tol})")
     others = check_availability_vector(fixed_others, scenario.k_tiers - 1)
-    return float(_boundaries(scenario, k, others[None, :], constraint, tol)[0])
+    return float(_boundaries(scenario, k, others[None, :], constraint)[0])
 
 
 def _inside(scenario: NetworkScenario, rho, constraints, tol: float) -> np.ndarray:
@@ -105,9 +102,8 @@ def _sweep_grid(scenario: NetworkScenario, resolution: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, resolution)
 
 
-def contains(scenario: NetworkScenario, rho, constraints=None,
-             tol: float = _MEMBER_TOL) -> bool:
-    """True iff every rho_k is at most its conditional boundary value + tol.
+def contains(scenario: NetworkScenario, rho, constraints=None) -> bool:
+    """True iff every rho_k is at most its conditional boundary value + _MEMBER_TOL.
 
     The region lives inside the unit box, so any point with a component
     outside [0, 1] is reported as not contained rather than rejected; that
@@ -123,7 +119,7 @@ def contains(scenario: NetworkScenario, rho, constraints=None,
     analytic._cutoffs(scenario, constraints)      # checked outside the box too
     if not ((rho >= 0.0) & (rho <= 1.0)).all():     # NaN too
         return False
-    return bool(_inside(scenario, rho[None, :], constraints, tol)[0])
+    return bool(_inside(scenario, rho[None, :], constraints, _MEMBER_TOL)[0])
 
 
 def sweep_boundary(scenario: NetworkScenario, k: int,
@@ -135,7 +131,7 @@ def sweep_boundary(scenario: NetworkScenario, k: int,
     ScenarioError, as in `boundary`.
     """
     grid = _sweep_grid(scenario, grid_resolution)
-    return RegionBoundary(k, grid, _boundaries(scenario, k, grid[:, None], constraint, _TOL),
+    return RegionBoundary(k, grid, _boundaries(scenario, k, grid[:, None], constraint),
                           constraint)
 
 

@@ -102,15 +102,14 @@ class Realization:
         return np.array([p.shape[0] for p in self.bs_pos])
 
 
-def suggest_window_side(scenario: NetworkScenario, rho,
-                        min_expected: float = 100.0) -> float:
-    """Side length putting >= min_expected ON BSs in the sparsest active tier."""
+def suggest_window_side(scenario: NetworkScenario, rho) -> float:
+    """Side length putting >= 100 expected ON BSs in the sparsest active tier."""
     rho = check_availability_vector(rho, scenario.k_tiers)
     on_density = rho * scenario.densities()
     active = on_density[on_density > 0]
     if active.size == 0:
         raise ScenarioError("no BS available: all tiers have zero ON density")
-    return math.sqrt(min_expected / active.min())
+    return math.sqrt(100.0 / active.min())
 
 
 def _thread_count(tasks: int) -> int:

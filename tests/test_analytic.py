@@ -6,7 +6,6 @@ import pytest
 
 from harvnet import analytic
 from harvnet.analytic import (
-    NonConvergenceError,
     check_feasibility,
     energy_outage_bound,
     energy_utilization,
@@ -295,15 +294,6 @@ def test_energy_outage_bound_values():
     assert energy_outage_bound(one_tier(0.5)) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_non_convergence_carries_state():
-    sc = two_tier()
-    with pytest.raises(NonConvergenceError) as err:
-        solve_availability(sc, tolerance=1e-10, max_iter=3)
-    assert err.value.rho.shape == (2,)
-    assert err.value.residual > 0
-    assert err.value.iterations == 3
-
-
 def test_cross_tier_coupling_increases_g():
     sc = two_tier()
     lo = g(sc, [0.5, 0.2], 0)
@@ -377,11 +367,8 @@ def test_fixed_point_matches_mpmath_scalar_root(batteries, full_battery):
         assert res.bracket <= 1e-10 and res.residual <= 1e-10
 
 
-def test_solver_rejects_bad_tolerance_and_budget():
+def test_solver_rejects_bad_tolerance():
     sc = two_tier()
     for tol in (0.0, -1.0, float("nan")):
         with pytest.raises(ScenarioError, match="tolerance"):
             solve_availability(sc, tolerance=tol)
-    for budget in (0, -5, 2.5):
-        with pytest.raises(ScenarioError, match="max_iter"):
-            solve_availability(sc, max_iter=budget)

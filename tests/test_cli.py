@@ -1,5 +1,4 @@
 import csv
-import functools
 import io
 import json
 import math
@@ -564,21 +563,6 @@ def test_simulate_command(scenario_file, capsys):
     assert "no usable replicate" in capsys.readouterr().err
 
 
-def test_rate_series_truncation_is_an_error(tmp_path, capsys, monkeypatch):
-    # The default query runs until the series converges, so the CLI's
-    # handler is reached by capping the series at 2,000 terms.
-    doc = json.loads((SCENARIOS / "rate-surface.json").read_text())
-    doc["user_density"] = 1000.0
-    path = tmp_path / "dense.json"
-    path.write_text(json.dumps(doc))
-    monkeypatch.setattr(harvnet.coverage, "RateQuery",
-                        functools.partial(harvnet.coverage.RateQuery, max_terms=2000))
-    assert main(["rate", str(path), "--rho", "1,1", "--rate-target", "0.01"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: rate series not converged after 2000 terms")
-    assert "Traceback" not in err
-
-
 def test_rate_series_is_sized_from_the_query(tmp_path, capsys):
     # About log2(1/tol)/T terms: more than the 2,000 the query once capped at.
     doc = json.loads((SCENARIOS / "rate-surface.json").read_text())
@@ -654,6 +638,20 @@ def test_library_rules_reach_the_command_line_with_their_messages(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_region_checks_every_constraint_before_any_sweep(capsys, monkeypatch):
+    # a bad cutoff for tier 2 fails before tier 1's boundary is swept
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep_boundary called before the constraints were checked")
+
+    monkeypatch.setattr(harvnet.region, "sweep_boundary", no_sweep)
+    argv = ["region", str(SCENARIOS / "two-tier-baseline.json"), "--grid", "100001",
+            "--constrain", "k=2:0"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cutoff must be an integer in [1, 8] (got 0)\n"
 
 
 def test_simulate_caps_the_expected_point_count(capsys):
@@ -889,7 +887,8 @@ def test_one_shot_commands_run_only_their_layers(argv, layers):
 
 
 def test_missing_file_exit_runs_no_analytic_layer():
-    # the error handler names the layer exceptions only after the common ones
+    # an error exit, here a missing file, prints its message without running
+    # the layers the command would have called
     code = ("import contextlib, io\n"
             "from harvnet.cli import main\n"
             "err = io.StringIO()\n"

@@ -13,7 +13,6 @@ from harvnet.cli import load_scenario
 from harvnet import coverage
 from harvnet.coverage import (
     RateQuery,
-    SeriesTruncationError,
     _log_nb_table,
     coverage_prob,
     hyper_f,
@@ -285,21 +284,9 @@ def test_default_rate_query_converges_where_2000_terms_did_not(lam_u, t):
     # inside the 1e-9 compared, to keep its term-by-term mpmath loop short.
     sc, _ = load_scenario(str(SCENARIOS / "rate-surface.json"))
     sc = NetworkScenario(sc.tiers, sc.path_loss_exp, sc.sir_target, lam_u)
-    with pytest.raises(SeriesTruncationError):
-        rate_ccdf(sc, [1.0, 1.0], RateQuery(rate_target=t, max_terms=2000))
     want = mp_rate_ccdf(sc, [1.0, 1.0], t, tol=1e-12)
     assert rate_ccdf(sc, [1.0, 1.0], RateQuery(rate_target=t)) == pytest.approx(
         want, abs=1e-9)
-
-
-def test_rate_ccdf_truncation_error_reports_state():
-    sc = scenario(lam_u=50.0)
-    with pytest.raises(SeriesTruncationError) as err:
-        rate_ccdf(sc, [0.7, 0.4], RateQuery(rate_target=0.05, max_terms=3))
-    exc = err.value
-    assert exc.terms == 3
-    assert 0.0 < exc.partial_sum < 1.0
-    assert exc.tail_bound > 0.0
 
 
 def test_rate_query_validation():
@@ -307,8 +294,6 @@ def test_rate_query_validation():
         RateQuery(rate_target=-0.1)
     with pytest.raises(ScenarioError):
         RateQuery(rate_target=0.1, series_tolerance=0.0)
-    with pytest.raises(ScenarioError):
-        RateQuery(rate_target=0.1, max_terms=0)
 
 
 def test_rate_ccdf_tail_bound_is_honest():
@@ -316,7 +301,7 @@ def test_rate_ccdf_tail_bound_is_honest():
     # precise evaluation of the same series
     sc = scenario(lams=(1.0, 2.0), powers=(1.0, 0.01), lam_u=100.0)
     coarse_q = RateQuery(rate_target=0.1, series_tolerance=1e-4)
-    fine_q = RateQuery(rate_target=0.1, series_tolerance=1e-12, max_terms=5000)
+    fine_q = RateQuery(rate_target=0.1, series_tolerance=1e-12)
     coarse = rate_ccdf(sc, [1.0, 1.0], coarse_q)
     fine = rate_ccdf(sc, [1.0, 1.0], fine_q)
     assert abs(coarse - fine) < 2e-4
@@ -377,20 +362,6 @@ def test_rate_lanes_shapes_and_zero_target():
                      RateQuery(rate_target=0.0)).tolist() == [1.0, 1.0]
 
 
-def test_rate_lanes_raise_the_first_failing_lanes_truncation_error():
-    sc = scenario(lam_u=50.0)
-    q = RateQuery(rate_target=0.05, max_terms=40)
-    # the first lane converges within 40 terms, the next two do not
-    rho = [[0.0, 1.0], [0.7, 0.4], [0.2, 0.1]]
-    assert rate_ccdf(sc, rho[0], q) > 0.0
-    with pytest.raises(SeriesTruncationError) as scalar:
-        rate_ccdf(sc, rho[1], q)
-    with pytest.raises(SeriesTruncationError) as lanes:
-        rate_ccdf(sc, rho, q)
-    got, want = lanes.value, scalar.value
-    assert (got.partial_sum, got.tail_bound, got.terms) == (
-        want.partial_sum, want.tail_bound, want.terms)
-    assert str(got) == str(want)
 
 
 def test_rate_lanes_reject_a_bad_row_as_its_scalar_call_does():

@@ -65,7 +65,6 @@ SPEC = BirthDeathSpec(2.0, 1.0, 5)
 INTEGER_SITES = [
     ("tiers[0].battery", 1,
      lambda v: validate(make_scenario(tiers=(TierParams(1.0, 1.0, 2.0, v),)))),
-    ("max_iter", 1, lambda v: solve_availability(make_scenario(), max_iter=v)),
     ("cutoff", 1, lambda v: solve_availability(
         make_scenario(), policy=[PolicySpec(v), PolicySpec(1)])),
     ("replicates", 1, lambda v: SimConfig(window_side=5.0, replicates=v)),
@@ -82,7 +81,7 @@ INTEGER_SITES = [
 
 @pytest.mark.parametrize("kind", ["fraction", "below-bound", "bool"])
 @pytest.mark.parametrize("name, low, call", INTEGER_SITES, ids=[
-    "validate-battery", "solve-max_iter", "solve-cutoff", "simconfig-replicates",
+    "validate-battery", "solve-cutoff", "simconfig-replicates",
     "simconfig-seed", "birth-death-battery", "policy-cutoff", "mean-on-time-start",
     "tier-availability-battery", "tier-availability-cutoff", "on-off-cycles",
     "on-off-seed"])

@@ -210,13 +210,6 @@ def test_three_tier_boundary_matches_mpmath_root():
         assert abs(got - want) <= 1e-10, (k, others, got, want)
 
 
-def test_boundary_rejects_nonpositive_tol():
-    sc = two_tier()
-    for tol in (0.0, -1e-3):
-        with pytest.raises(ScenarioError, match="tol"):
-            boundary(sc, 0, [0.5], tol=tol)
-
-
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
 # Offsets from a boundary value: inside, on and just past the 1e-6 slack.
 OFFSETS = (0.0, -1e-9, 5e-7, 9.9e-7, 1.01e-6, 2e-6)

@@ -6,6 +6,7 @@ of the very same inputs to 60 digits: any cancellation left in the solver
 shows as lost digits once gamma - 1 nears the float resolution.
 """
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,6 @@ import pytest
 
 from harvnet import analytic
 from harvnet.analytic import (
-    NonConvergenceError,
     check_feasibility,
     energy_outage_bound,
     solve_availability,
@@ -143,17 +143,17 @@ def test_lone_tier_boundary_matches_mpmath(k, cutoff):
     assert boundary(rich, k, [0.0], constraint) == boundary(rich, k, [0.5], constraint) == 1.0
 
 
-def test_max_iter_counts_bisection_levels():
-    sc, _ = load_scenario(str(BASELINE))
-    full = solve_availability(sc)
-    # six bisection levels per evaluation, plus one at the midpoint
-    assert full.iterations % 6 == 0 and full.evaluations == full.iterations // 6 + 1
-    same = solve_availability(sc, max_iter=full.iterations)
-    assert same.rho.tolist() == full.rho.tolist() and same.iterations == full.iterations
-    for budget in range(1, full.iterations):
-        try:
-            res = solve_availability(sc, max_iter=budget)
-        except NonConvergenceError as err:
-            assert err.iterations == budget
-        else:
-            assert res.iterations == budget and res.bracket <= 1e-10
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_root_search_ends_within_its_evaluation_bound(path):
+    # At tolerance 1e-300 a lane runs to adjacent doubles, its longest path;
+    # `_load_root` bounds its splits by ceil((53 + log2(w_0/D*))/6) + 1.
+    sc, _ = load_scenario(str(path))
+    cases = [near_one(path, excess) for excess in (1e-3, 1e-15)]
+    cases += [scaled(sc, factor, [k]) for factor in (1e20, 1e250) for k in (0, 1)]
+    for case in cases:
+        res = solve_availability(case, tolerance=1e-300)
+        c, _ = analytic._tier_constants(case)
+        splits = math.ceil((53 + math.log2(c.sum() / (res.rho @ c))) / 6) + 1
+        # six bisection levels per split, plus one evaluation at the midpoint
+        assert res.iterations % 6 == 0 and res.evaluations == res.iterations // 6 + 1
+        assert res.evaluations <= splits + 1, (res.evaluations, splits)
