@@ -181,8 +181,8 @@ class RateQuery:
     def __post_init__(self):
         if not self.rate_target >= 0:
             raise ScenarioError(f"rate_target must be >= 0 (got {self.rate_target})")
-        if self.series_tolerance <= 0:
-            raise ScenarioError("series_tolerance must be > 0")
+        if not self.series_tolerance > 0:
+            raise ScenarioError(f"series_tolerance must be > 0 (got {self.series_tolerance})")
 
 
 def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):

@@ -296,6 +296,13 @@ def test_rate_query_validation():
         RateQuery(rate_target=0.1, series_tolerance=0.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan], ids=["zero", "negative", "nan"])
+def test_rate_query_rejects_a_tolerance_no_series_can_meet(tol):
+    # no term or tail bound is ever below a NaN: the series would not end
+    with pytest.raises(ScenarioError, match="series_tolerance must be > 0"):
+        RateQuery(rate_target=0.1, series_tolerance=tol)
+
+
 def test_rate_ccdf_tail_bound_is_honest():
     # truncated value plus rigorous tail bound must bracket a much more
     # precise evaluation of the same series
@@ -362,6 +369,26 @@ def test_rate_lanes_shapes_and_zero_target():
                      RateQuery(rate_target=0.0)).tolist() == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("rho", [[0.7, 0.4], [[0.0, 1.0], [0.7, 0.4], [0.2, 0.1]]],
+                         ids=["scalar", "lanes"])
+def test_rate_series_opens_no_block_past_the_zero_coverage_cut(rho, monkeypatch):
+    # At the least positive tolerance a lane may end only where its terms
+    # and tail bound are exactly 0, as they are once T(n + 1) > _MAX_EXPO:
+    # no block of terms starts past that cut.
+    sc = scenario(lam_u=50.0)
+    t = 0.05
+    starts = []
+    table = coverage._log_nb_table
+
+    def spy(first):
+        starts.append(int(first[0]))
+        return table(first)
+
+    monkeypatch.setattr(coverage, "_log_nb_table", spy)
+    tiny = rate_ccdf(sc, rho, RateQuery(rate_target=t, series_tolerance=5e-324))
+    assert starts and t * max(starts) <= coverage._MAX_EXPO
+    monkeypatch.undo()
+    assert np.allclose(tiny, rate_ccdf(sc, rho, RateQuery(rate_target=t)), rtol=0, atol=1e-9)
 
 
 def test_rate_lanes_reject_a_bad_row_as_its_scalar_call_does():
