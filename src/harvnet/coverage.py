@@ -5,15 +5,18 @@ interference-limited K-tier network collapses to Pc = 1/(1 + F(beta, alpha)),
 independent of the tier densities, powers, shadowing and availabilities.
 F has the closed form (2 beta/(alpha-2)) 2F1(1, 1-2/alpha; 2-2/alpha; -beta)
 and reduces to sqrt(beta) arctan(sqrt(beta)) at alpha = 4; both evaluate
-over arrays of beta, so nothing is cached.  The rate CCDF combines per-tier
-association probabilities with a 3.5-law load model in which only covered
-users (effective density Pc*lambda_u) consume base-station resources.
+over arrays of beta, and hyper_f caches nothing.  The rate CCDF combines
+per-tier association probabilities with a 3.5-law load model in which only
+covered users (effective density Pc*lambda_u) consume base-station
+resources.  The one cache is _series_block's memo of the rate series'
+rho-independent blocks; see there.
 Only hyper_f at alpha != 4 needs scipy (for 2F1), and imports it there, so
 the alpha = 4 path never loads scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -149,7 +152,7 @@ def load_pmf(x, n):
     """3.5-law pmf of the number of other users sharing the serving BS.
 
     P(Psi - 1 = n) = (3.5^3.5/n!) (Gamma(n+4.5)/Gamma(3.5)) x^n (3.5+x)^-(n+4.5)
-    with mean-load parameter x >= 0 and n >= 0; broadcasts over x and n and
+    with finite mean-load parameter x >= 0 and n >= 0; broadcasts over x and n and
     returns a float when both are scalars.  This is the negative binomial
     NB(4.5, x/(3.5+x)), computed in log space because Gamma(n+4.5)
     overflows doubles near n = 170:
@@ -157,14 +160,33 @@ def load_pmf(x, n):
     At x = 0 all mass sits on n = 0.
     """
     x = np.asarray(x, dtype=float)
-    if not (x >= 0).all():
-        raise ScenarioError(f"mean load parameter must be >= 0 (got {x})")
+    if not (np.isfinite(x) & (x >= 0)).all():
+        raise ScenarioError(f"mean load parameter must be finite and >= 0 (got {x})")
     n = np.asarray(n, dtype=np.int64)
     log_q, const, positive = _pmf_logs(x)
     out = np.exp(_log_nb_coef(n) + n * log_q + const)
     if not positive.all():
         out = np.where(positive, out, n == 0)
     return float(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=32)
+def _series_block(t_rate: float, alpha: float, start: int, size: int):
+    """The rho-independent parts of rate series terms n = start .. start+size-1.
+
+    Returns (cov, coef), read-only: cov[j] = 1/(1 + F(2^(T(n+1)) - 1, alpha)),
+    0 once T(n+1) > _MAX_EXPO, and coef[j, 0] = L(n), for n = start + j.
+    Calls with the same (T, alpha) share them through this memo, keyed by
+    (t_rate, alpha, start, size).  It keeps the last 32 blocks, each at most
+    2 x _MAX_BLOCK doubles (64 KiB), so at most 2 MiB; a block is the same
+    array whether computed or recalled, so no result depends on the memo.
+    """
+    expo = t_rate * np.arange(start + 1, start + size + 1)
+    beta = np.exp2(np.minimum(expo, _MAX_EXPO)) - 1.0
+    cov = np.where(expo > _MAX_EXPO, 0.0, 1.0 / (1.0 + hyper_f(beta, alpha)))
+    coef = _log_nb_table(np.arange(start, start + size, _BLOCK)).ravel()[:, None]
+    cov.flags.writeable = coef.flags.writeable = False
+    return cov, coef
 
 
 @dataclass(frozen=True)
@@ -202,6 +224,9 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):
     lane equals the call on its row alone, bit for bit: a block's coverage
     factors and L(n) serve every lane, each lane stops by its own rule, and
     lanes run in chunks whose temporaries stay within _LANE_BUDGET doubles.
+    Calls with the same T and alpha share those blocks too (_series_block).
+    A mean load P_c lambda_u p_k/(rho_k lambda_k) past the float range is a
+    ScenarioError naming user_density and density.
     """
     lanes = np.ndim(rho) == 2
     # rho and the association are checked before the T = 0 shortcut too.
@@ -216,8 +241,12 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):
     # A tier a lane never associates with keeps weight 0 and a dummy load
     # of 1, so it adds exact zeros to the lane's load pmf mixture.
     load = np.ones_like(weight)
-    np.divide(pc * scenario.user_density * weight, rho * scenario.densities(),
-              out=load, where=weight > 0)
+    with np.errstate(over="ignore"):
+        np.divide(pc * scenario.user_density * weight, rho * scenario.densities(),
+                  out=load, where=weight > 0)
+    if not np.isfinite(load).all():
+        raise ScenarioError(f"mean load leaves the float range (user_density="
+                            f"{scenario.user_density}, density={scenario.densities().tolist()})")
     log_q, const, positive = _pmf_logs(load)
     all_positive = positive.all()
 
@@ -233,10 +262,7 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):
     start, size = 0, _BLOCK
     while lane.size:
         n = np.arange(start, start + size)
-        expo = t_rate * (n + 1)
-        beta = np.exp2(np.minimum(expo, _MAX_EXPO)) - 1.0
-        cov = np.where(expo > _MAX_EXPO, 0.0, 1.0 / (1.0 + hyper_f(beta, alpha)))
-        coef = _log_nb_table(np.arange(start, start + size, _BLOCK)).ravel()[:, None]
+        cov, coef = _series_block(t_rate, alpha, start, size)
         finished = np.zeros(lane.size, dtype=bool)
         step = max(1, _LANE_BUDGET // (n.size * k_tiers))
         for lo in range(0, lane.size, step):

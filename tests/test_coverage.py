@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -186,6 +187,15 @@ def test_load_pmf_broadcasts_over_x_and_n():
         assert table[5, j] == load_pmf(float(x), 5)
     with pytest.raises(ScenarioError):
         load_pmf(np.array([1.0, -0.5]), 0)
+
+
+@pytest.mark.parametrize("x", [math.inf, [1.0, math.inf], [math.nan, 2.0]],
+                         ids=["scalar", "array-inf", "array-nan"])
+def test_load_pmf_rejects_a_non_finite_mean_load(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match="must be finite and >= 0"):
+            load_pmf(x, 0)
 
 
 LOAD_XS = [1e-3, 0.1, 1.0, 10.0, 600.0, 1e4, 1e5]
@@ -378,17 +388,89 @@ def test_rate_series_opens_no_block_past_the_zero_coverage_cut(rho, monkeypatch)
     sc = scenario(lam_u=50.0)
     t = 0.05
     starts = []
-    table = coverage._log_nb_table
+    block = coverage._series_block
 
-    def spy(first):
-        starts.append(int(first[0]))
-        return table(first)
+    def spy(t_rate, alpha, start, size):
+        starts.append(start)
+        return block(t_rate, alpha, start, size)
 
-    monkeypatch.setattr(coverage, "_log_nb_table", spy)
+    # The spy sits outside the memo, so it sees the blocks a warm memo serves.
+    monkeypatch.setattr(coverage, "_series_block", spy)
     tiny = rate_ccdf(sc, rho, RateQuery(rate_target=t, series_tolerance=5e-324))
     assert starts and t * max(starts) <= coverage._MAX_EXPO
     monkeypatch.undo()
     assert np.allclose(tiny, rate_ccdf(sc, rho, RateQuery(rate_target=t)), rtol=0, atol=1e-9)
+
+
+def _surface_at_alpha_398():
+    sc = replace(_lane_scenarios()["rate-surface"], path_loss_exp=3.98)
+    grid = np.linspace(0.1, 1.0, 10)
+    rho = np.column_stack((np.repeat(grid, grid.size), np.tile(grid, grid.size)))
+    return sc, rho, RateQuery(rate_target=0.1)
+
+
+def test_scalar_surface_equals_lane_call_with_the_block_memo_cold_and_warm():
+    sc, rho, q = _surface_at_alpha_398()
+    coverage._series_block.cache_clear()
+    lanes = rate_ccdf(sc, rho, q).tolist()
+    cold = []
+    for row in rho:
+        coverage._series_block.cache_clear()
+        cold.append(rate_ccdf(sc, row, q))
+    coverage._series_block.cache_clear()
+    warm = [rate_ccdf(sc, row, q) for row in rho]
+    assert coverage._series_block.cache_info().hits > 0
+    assert cold == lanes and warm == lanes
+
+
+def test_scalar_surface_calls_hyper_f_once_per_block_and_once_per_call(monkeypatch):
+    sc, rho, q = _surface_at_alpha_398()
+    calls = []
+    real = coverage.hyper_f
+
+    def spy(beta, alpha):
+        calls.append(np.ndim(beta))
+        return real(beta, alpha)
+
+    monkeypatch.setattr(coverage, "hyper_f", spy)
+    # The lane call opens every block the longest lane needs, once each.
+    coverage._series_block.cache_clear()
+    rate_ccdf(sc, rho, q)
+    blocks = calls.count(1)
+    assert blocks >= 3 and calls.count(0) == 1
+    coverage._series_block.cache_clear()
+    calls.clear()
+    for row in rho:
+        rate_ccdf(sc, row, q)
+    assert calls.count(1) == blocks and calls.count(0) == len(rho)
+
+
+def test_series_block_memo_is_read_only_and_bounded_as_documented():
+    info = coverage._series_block.cache_info()
+    assert f"last {info.maxsize} blocks" in coverage._series_block.__doc__
+    # The first block of full length: 64 + 128 + ... + 2,048 terms precede it.
+    cov, coef = coverage._series_block(1e-3, 3.98, coverage._MAX_BLOCK - coverage._BLOCK,
+                                       coverage._MAX_BLOCK)
+    assert cov.nbytes + coef.nbytes == 2 * 8 * coverage._MAX_BLOCK
+    assert info.maxsize * (cov.nbytes + coef.nbytes) <= 2 * 2**20
+    for arr in (cov, coef):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("rho", [[0.5], [[0.5], [1.0]]], ids=["scalar", "lanes"])
+def test_rate_ccdf_rejects_a_load_past_the_float_range_before_summing(rho, monkeypatch):
+    # P_c lambda_u / (rho lambda) = 1e400 overflows: its NaN terms would
+    # never fall below the tolerance, so the series would not end.
+    sc = NetworkScenario(tiers=(TierParams(1e-200, 1.0, 1.0, 5, ShadowingSpec(0.0, 0.0)),),
+                         path_loss_exp=4.0, sir_target=1.0, user_density=1e200)
+    opened = []
+    monkeypatch.setattr(coverage, "_series_block", lambda *key: opened.append(key))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match=r"user_density=1e\+200, density=\[1e-200\]"):
+            rate_ccdf(sc, rho, RateQuery(0.5))
+    assert opened == []
 
 
 def test_rate_lanes_reject_a_bad_row_as_its_scalar_call_does():
