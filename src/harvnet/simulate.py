@@ -19,10 +19,10 @@ each user's SIR from that same conditional law with one uniform per user
 so asking for a rate moves no other estimate.  Every gain the pass uses
 comes from one walk over the users, `_gain_tiles`: draw blocks of 512
 users, whose shadowing comes whole from the replicate generator, each
-cut into tiles of about 2^16 links.  The few users whose rate event the
-bounds leave undecided are walked again, alone, with the shadowing
-replayed.  `coverage_mc`, `association_mc`, `rate_mc` and
-`service_area_mc` are views of this pass.
+cut into tiles of about 2^16 links that hold one row of BS gains per
+user.  The few users whose rate event the bounds leave undecided are
+walked again, alone, with the shadowing replayed.  `coverage_mc`,
+`association_mc`, `rate_mc` and `service_area_mc` are views of this pass.
 
 Replicates are embarrassingly parallel: replicate i derives its own
 generator from (seed, i), runs independently (optionally on a thread pool
@@ -187,12 +187,12 @@ def sample_network(scenario: NetworkScenario, rho, config: SimConfig,
 
 @dataclass(frozen=True)
 class _BSField:
-    """One realization's BSs, flattened, with what the gain kernel needs per BS."""
+    """One realization's BSs, stacked tier by tier, with what the gain kernel needs."""
 
     x: np.ndarray                   # (n_bs,) contiguous coordinates
     y: np.ndarray
     tier_of: np.ndarray
-    slabs: tuple[tuple[slice, float], ...]   # each tier's rows and transmit power
+    power: np.ndarray               # (n_bs,) transmit power per BS
     shadow: tuple[np.ndarray, np.ndarray] | None   # (n_bs, 1) dB mean, std
     alpha: float
     period: float | None            # wrap period in toroidal mode
@@ -207,12 +207,10 @@ def _bs_field(realization: Realization, scenario: NetworkScenario,
     means = np.array([t.shadowing.mean_db for t in scenario.tiers])
     stds = np.array([t.shadowing.std_db for t in scenario.tiers])
     shadowed = np.any(stds > 0) or np.any(means != 0)
-    edges = np.cumsum([0, *realization.tier_counts]).tolist()
     return _BSField(
         x=np.ascontiguousarray(xy[:, 0]), y=np.ascontiguousarray(xy[:, 1]),
         tier_of=tier_of,
-        slabs=tuple((slice(a, b), t.tx_power)
-                    for a, b, t in zip(edges, edges[1:], scenario.tiers)),
+        power=np.array([t.tx_power for t in scenario.tiers], dtype=float)[tier_of],
         shadow=(means[col], stds[col]) if shadowed else None,
         alpha=scenario.path_loss_exp,
         period=config.window_side if config.boundary == "toroidal" else None)
@@ -224,19 +222,20 @@ def _tile_width(n_bs: int) -> int:
 
 
 def _tiles(n: int, width: int):
-    """(start, stop) of consecutive tiles of at most `width` columns over n columns."""
+    """(start, stop) of consecutive tiles of at most `width` users over n users."""
     edges = [*range(0, n, width), n]
     return zip(edges, edges[1:])
 
 
 def _workspace(n_bs: int, n_pts: int) -> np.ndarray:
-    """Three flat buffers of n_bs x (one tile of at most n_pts users) doubles."""
+    """Three flat buffers of (one tile of at most n_pts users) x n_bs doubles."""
     return np.empty((3, n_bs * min(_tile_width(n_bs), n_pts)))
 
 
 def _axis_sq(bs_coord, pts_coord, period, out, tmp):
-    """Squared (wrapped) coordinate differences, (n_bs, n_pts), into out via tmp."""
-    d = np.subtract.outer(bs_coord, pts_coord, out=out)
+    """Squared (wrapped) coordinate differences, (n_pts, n_bs), into out via tmp."""
+    out[:] = bs_coord
+    d = np.subtract(out, pts_coord[:, None], out=out)
     np.abs(d, out=d)
     if period is not None:
         np.minimum(d, np.subtract(period, d, out=tmp), out=d)
@@ -253,34 +252,30 @@ def _shadow_factors(bs: _BSField, z: np.ndarray) -> np.ndarray:
 
 
 def _chunk_gains(bs: _BSField, pts: np.ndarray, work=None) -> np.ndarray:
-    """Average received power matrix W (n_bs, len(pts)) for one point tile.
+    """Average received power matrix W (len(pts), n_bs) for one point tile.
 
-    W includes transmit power and path loss, not shadowing (see
+    One row per user, its BSs along the row, stacked tier by tier.  W
+    includes transmit power and path loss, not shadowing (see
     `_gain_tiles`); fading is deliberately excluded because cell selection
     averages over it.  Toroidal mode wraps coordinate differences at window
     scale.  Path loss is P/(d^2)^2 at alpha = 4, else P (d^2)^(-alpha/2),
-    with d^2 summed from one contiguous block per coordinate, each taken
-    against a contiguous copy of the tile's user x or y.  The BSs are
-    stacked tier by tier, so P is applied as one scalar pass over each
-    tier's contiguous rows.  W and two scratch blocks are views of the rows
-    of `work` (a `_workspace`; fresh buffers when None), in order.
+    with d^2 summed from one block per coordinate, each a copy of the BS
+    coordinate row per user less that user's coordinate, and P the power
+    row of `bs`.  W and two scratch blocks are views of the rows of `work`
+    (a `_workspace`; fresh buffers when None), in order.
     """
-    shape = (bs.x.size, pts.shape[0])
+    shape = (pts.shape[0], bs.x.size)
     if work is None:
         work = np.empty((3, shape[0] * shape[1]))
     w, tmp, aux = (row[:shape[0] * shape[1]].reshape(shape) for row in work)
-    x, y = np.ascontiguousarray(pts.T)
-    _axis_sq(bs.x, x, bs.period, w, tmp)
-    w += _axis_sq(bs.y, y, bs.period, aux, tmp)
+    _axis_sq(bs.x, pts[:, 0], bs.period, w, tmp)
+    w += _axis_sq(bs.y, pts[:, 1], bs.period, aux, tmp)
     np.maximum(w, 1e-18, out=w)
     if bs.alpha == 4.0:
-        np.multiply(w, w, out=w)
-        for rows, power in bs.slabs:
-            np.divide(power, w[rows], out=w[rows])
+        np.divide(bs.power, np.multiply(w, w, out=w), out=w)
     else:
         np.power(w, -0.5 * bs.alpha, out=w)
-        for rows, power in bs.slabs:
-            w[rows] *= power
+        w *= bs.power
     return w
 
 
@@ -291,13 +286,13 @@ def _gain_tiles(real: Realization, bs: _BSField, rng, work, pick=None):
     block's normals are drawn whole from `rng`, in (n_bs, block) order,
     into one block buffer, so `rng` advances by whole blocks whatever is
     tiled.  A block's users go in tiles of `_tile_width` users, and each
-    tile's W, shadowing multiplied in, is row 0 of `work` (a `_workspace`),
-    valid until the next tile; `users` is a slice.  With `pick`, a boolean
-    mask over the users, only the picked users are tiled, `users` is an
-    index array, and the walk ends with the last block holding one; only
-    their factors are formed, in row 1 of `work`.  A user's gains come
-    from its own column alone, so they depend neither on the tiling nor
-    on `pick`.
+    tile's W (users, n_bs), shadowing multiplied in from the transposed
+    columns of the block, is row 0 of `work` (a `_workspace`), valid until
+    the next tile; `users` is a slice.  With `pick`, a boolean mask over
+    the users, only the picked users are tiled, `users` is an index array,
+    and the walk ends with the last block holding one; only their factors
+    are formed, in row 1 of `work`.  A user's gains come from its own row
+    alone, so they depend neither on the tiling nor on `pick`.
     """
     n_users, n_bs = real.users.shape[0], bs.x.size
     width = _tile_width(n_bs)
@@ -314,42 +309,34 @@ def _gain_tiles(real: Realization, bs: _BSField, rng, work, pick=None):
             users = slice(lo + a, lo + b) if cols is None else lo + cols[a:b]
             w = _chunk_gains(bs, real.users[users], work)
             if block is not None:
-                w *= z[:, a:b] if cols is None else _shadow_factors(bs, np.take(
-                    z, cols[a:b], axis=1, mode="clip", out=work[1, :w.size].reshape(w.shape)))
+                w *= (z[:, a:b] if cols is None else _shadow_factors(bs, np.take(
+                    z, cols[a:b], axis=1, mode="clip",
+                    out=work[1, :w.size].reshape(w.shape[::-1])))).T
             yield users, w
 
 
-def _strongest(w: np.ndarray, work=None) -> np.ndarray:
-    """First row index of each column's maximum, as np.argmax(w, axis=0).
+def _ccdf(w: np.ndarray, srv: np.ndarray, scale, sums=None, work=None) -> np.ndarray:
+    """prod_(j != s) 1/(1 + scale w_j/w_s) over each row of w, s from `srv`.
 
-    np.argmax along axis 0 of a C-ordered block first copies it, transposed,
-    into a fresh array.  Here that copy goes into row 1 of `work` (the
-    `_workspace` whose row 0 holds w; a fresh buffer when None), and each
-    of its rows, one column of w, is searched in turn.
+    `scale` is a scalar or one value per row; w is overwritten.  Given
+    `sums`, a pair of arrays, each row's sum and maximum of
+    scale w_j/w_s over j != s are written into them.  The product runs
+    over the BSs in order: given `work` (the `_workspace` whose row 0
+    holds w), on a transposed copy in its row 1, one BS row at a time;
+    else along each row.  A product that overflows gives 0, its limit.
     """
-    if work is None:
-        work = np.empty((2, w.size))
-    columns = work[1, :w.size].reshape(w.shape[::-1])
-    np.copyto(columns, w.T)
-    return columns.argmax(axis=1)
-
-
-def _ccdf(w: np.ndarray, srv: np.ndarray, scale, sums=None) -> np.ndarray:
-    """prod_(j != s) 1/(1 + scale w_j/w_s) over each column of w, s from `srv`.
-
-    `scale` is a scalar or one value per column; w is overwritten.  Given
-    `sums`, a pair of arrays, each column's sum and maximum of
-    scale w_j/w_s over j != s are written into them.  A product that
-    overflows gives 0, its limit.
-    """
-    link = (srv, np.arange(srv.size))
-    w *= scale / w[link]
+    link = (np.arange(srv.size), srv)
+    w *= (scale / w[link])[:, None]
     w[link] = 0.0
     if sums is not None:
-        w.sum(axis=0, out=sums[0])
-        w.max(axis=0, out=sums[1])
+        w.sum(axis=1, out=sums[0])
+        w.max(axis=1, out=sums[1])
     w += 1.0
-    return 1.0 / w.prod(axis=0)
+    if work is None:
+        return 1.0 / w.prod(axis=1)
+    bs_major = work[1, :w.size].reshape(w.shape[::-1])
+    np.copyto(bs_major, w.T)
+    return 1.0 / bs_major.prod(axis=0)
 
 
 def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
@@ -379,11 +366,12 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     between p and p^t.  A user with U below the largest lower bound, or at
     or above the smallest upper bound, is decided; the band is widened by
     a relative 1e-12 plus n_bs 2^-50 (1 + t (1 + beta S)), which covers the
-    rounding of the n_bs-term sums and products, that of p raised to t and
-    that of the exact product.  The undecided users alone are walked
-    again, with the shadowing replayed from `rng`'s state at the start,
-    and get C(theta) exactly.  A user with no interferer has C = 1, and a
-    threshold that overflows to inf is never exceeded.
+    rounding of the n_bs-term sums, in whatever order numpy adds them, and
+    of the products, that of p raised to t and that of the exact product.
+    The undecided users alone are walked again, with the shadowing
+    replayed from `rng`'s state at the start, and get C(theta) exactly.  A
+    user with no interferer has C = 1, and a threshold that overflows to
+    inf is never exceeded.
     """
     n_users = real.users.shape[0]
     if not real.tier_counts.any() or n_users == 0:
@@ -397,9 +385,9 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     start = rng.bit_generator.state
     with np.errstate(over="ignore"):
         for users, w in _gain_tiles(real, bs, rng, work):
-            srv = serving[users] = _strongest(w, work)
+            srv = serving[users] = w.argmax(axis=1)
             cover[users] = _ccdf(w, srv, beta, None if rate_target is None
-                                 else (beta_sum[users], beta_max[users]))
+                                 else (beta_sum[users], beta_max[users]), work)
     assoc = np.bincount(bs.tier_of[serving], minlength=scenario.k_tiers) / n_users
     g = config.guard_margin  # 0 in toroidal mode
     top = config.window_side - g

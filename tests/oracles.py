@@ -18,9 +18,10 @@ binomial pmf and hyp2f1, with math.fsum.
 constants, in mpmath.
 `row_weight_user_pass` is the spatial user pass with its gain kernel and
 serving pick as they were before the per-tier path loss and the argmax
-pick, for bit-for-bit comparison; its rate tally still draws one Rayleigh
-fade per link.  `full_matrix_rate_events` decides each user's rate event
-from the whole gain matrix and a direct product of its SIR CCDF.
+pick, on tiles of one row per BS, for bit-for-bit comparison; its rate
+tally still draws one Rayleigh fade per link.  `full_matrix_rate_events`
+decides each user's rate event from the whole gain matrix and a direct
+product of its SIR CCDF.
 `root_search_contains` and `two_sweep_grid_coverage` decide region
 membership from the root-searched boundaries, rho_k <= boundary + tol.
 `associate` gives each user its strongest-average BS one whole 512-user
@@ -448,7 +449,7 @@ def associate(realization, scenario, rng, config=None):
     serving = np.empty(users.shape[0], dtype=np.int64)
     for lo in range(0, users.shape[0], _USER_CHUNK):
         pts = users[lo:lo + _USER_CHUNK]
-        gains = _shadowed(_chunk_gains(bs, pts), _shadow_block(bs, pts.shape[0], rng))
+        gains = _shadowed(_chunk_gains(bs, pts).T, _shadow_block(bs, pts.shape[0], rng))
         serving[lo:lo + pts.shape[0]] = np.argmax(gains, axis=0)
     tiers = bs.tier_of[serving]
     offsets = np.concatenate([[0], np.cumsum(realization.tier_counts)])
@@ -629,7 +630,7 @@ def full_matrix_rate_events(real, scenario, config, rng, rate_target):
     """
     bs = _bs_field(real, scenario, config)
     n = real.users.shape[0]
-    w = _chunk_gains(bs, real.users)
+    w = _chunk_gains(bs, real.users).T
     if bs.shadow is not None:
         w *= np.hstack([_shadow_block(bs, min(_USER_CHUNK, n - lo), rng)
                         for lo in range(0, n, _USER_CHUNK)])

@@ -25,10 +25,10 @@ from harvnet.simulate import (
     Realization,
     SimConfig,
     _bs_field,
+    _ccdf,
     _chunk_gains,
     _combine,
     _gain_tiles,
-    _strongest,
     _thread_count,
     _tiles,
     _user_pass,
@@ -119,7 +119,10 @@ def test_single_bs_takes_every_user():
     assert np.all(idx == 0)
 
 
-def test_strongest_is_first_argmax():
+def test_serving_bs_is_first_argmax(monkeypatch):
+    # Each case is a BS-major block, handed to the pass as its one
+    # user-major tile; the pass must serve each user from the first BS of
+    # largest gain.
     rng = np.random.default_rng(4)
     ties = rng.integers(0, 3, (40, 512)).astype(float)     # many tied maxima
     spiky = rng.random((40, 512))
@@ -131,11 +134,20 @@ def test_strongest_is_first_argmax():
         w[rng.integers(0, rows, (2, 64)), np.arange(64)] = 2.0
         w[rows - 1, ::3] = 2.0
         tall.append(w)
+    picks = []
+    monkeypatch.setattr(simulate, "_ccdf",
+                        lambda w, srv, *_: picks.append(srv) or np.zeros(srv.size))
     for w in (ties, spiky, rng.random((1, 512)), np.zeros((7, 512)),
               rng.random((1237, 3)), *tall):
         want = np.argmax(w, axis=0)
-        for got in (_strongest(w), _strongest(w, rng.random((3, w.size + 5)))):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        tile = np.ascontiguousarray(w.T)
+        monkeypatch.setattr(simulate, "_gain_tiles",
+                            lambda *_: iter([(slice(0, tile.shape[0]), tile)]))
+        real = Realization(bs_pos=[np.zeros((w.shape[0], 2))],
+                           users=np.zeros((w.shape[1], 2)), window_side=1.0)
+        _user_pass(real, one_tier(), SimConfig(window_side=1.0), rng, None)
+        got = picks.pop()
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_association_is_nearest_bs_without_shadowing():
@@ -423,7 +435,8 @@ def test_gain_kernel_matches_hypot_oracle(boundary, shadowing):
                        users=rng.uniform(0, side, (37, 2)), window_side=side)
     real.users[5] = real.bs_pos[1][3]        # a link at the distance floor
     bs = _bs_field(real, sc, config)
-    [(_, got)] = _gain_tiles(real, bs, np.random.default_rng(62), _workspace(32, 37))
+    [got] = [w.T for _, w in _gain_tiles(real, bs, np.random.default_rng(62),
+                                         _workspace(32, 37))]
     tier_of = np.repeat([0, 1], [9, 23])
     shadow_db = None
     if shadowing is not None:
@@ -449,7 +462,8 @@ def test_gain_kernel_matches_hypot_oracle_off_alpha_4(boundary, shadowing):
                        users=rng.uniform(0, side, (37, 2)), window_side=side)
     real.users[5] = real.bs_pos[1][3]        # a link at the distance floor
     bs = _bs_field(real, sc, config)
-    [(_, got)] = _gain_tiles(real, bs, np.random.default_rng(72), _workspace(32, 37))
+    [got] = [w.T for _, w in _gain_tiles(real, bs, np.random.default_rng(72),
+                                         _workspace(32, 37))]
     shadow_db = None
     if shadowing is not None:
         z = np.random.default_rng(72).standard_normal(got.shape)
@@ -472,12 +486,55 @@ def test_gain_kernel_ignores_what_a_workspace_held(alpha):
                        users=rng.uniform(0, 5.0, (512 + 37, 2)), window_side=5.0)
     bs = _bs_field(real, sc, SimConfig(window_side=5.0, replicates=1))
     work = _workspace(32, 512 + 37)
-    full = _chunk_gains(bs, real.users[:512], work)
+    full = _chunk_gains(bs, real.users[:512], work).T
     assert full.shape == (32, 512) and np.shares_memory(full, work)
-    part = _chunk_gains(bs, real.users[512:], work)
+    part = _chunk_gains(bs, real.users[512:], work).T
     assert np.shares_memory(part, work)
-    fresh = _chunk_gains(bs, real.users[512:])
+    fresh = _chunk_gains(bs, real.users[512:]).T
     np.testing.assert_array_equal(part, fresh)
+
+
+def _factors(row, s, scale):
+    """1 + row_j (scale/row_s) for each BS j, 1 for the serving BS s."""
+    ratio = scale / row[s]
+    return [1.0 if j == s else 1.0 + x * ratio for j, x in enumerate(row)]
+
+
+def _pairwise_product(xs):
+    while len(xs) > 1:
+        xs = [a * b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) - len(xs) % 2:]
+    return xs[0]
+
+
+@pytest.mark.parametrize("per_user", [False, True])
+def test_coverage_product_keeps_bs_order(per_user):
+    # The product is the one reduction whose bits depend on its order.
+    # These factors give other bits multiplied pairwise, so each user's
+    # value must be the left-to-right product over its BSs, bit for bit,
+    # on the workspace's transposed copy and along the row alike.
+    rng = np.random.default_rng(98)
+    n_bs, m = 300, 40
+    gains = rng.uniform(0.01, 10.0, (m, n_bs))
+    srv = gains.argmax(axis=1)
+    scale = rng.uniform(0.5, 2.0, m) if per_user else 1.3
+    factors = [_factors(row, s, c) for row, s, c in
+               zip(gains.tolist(), srv, np.broadcast_to(scale, m))]
+    want = [1.0 / math.prod(f) for f in factors]
+    pairwise = [1.0 / _pairwise_product(f) for f in factors]
+    assert pairwise != want
+    work = _workspace(n_bs, m)
+    tile = work[0, :gains.size].reshape(gains.shape)
+    tile[...] = gains
+    assert _ccdf(tile, srv, scale, None, work).tolist() == want
+    assert _ccdf(gains.copy(), srv, scale).tolist() == want
+    # a user with no interferer is covered for sure
+    lone = rng.uniform(0.01, 10.0, (m, 1))
+    work = _workspace(1, m)
+    work[0, :m] = lone[:, 0]
+    for got in (_ccdf(work[0, :m].reshape(m, 1), np.zeros(m, dtype=np.int64), scale,
+                      None, work),
+                _ccdf(lone, np.zeros(m, dtype=np.int64), scale)):
+        assert got.tolist() == [1.0] * m
 
 
 def test_picked_tiles_are_the_picked_columns_of_the_full_walk():
@@ -493,13 +550,13 @@ def test_picked_tiles_are_the_picked_columns_of_the_full_walk():
                        users=rng.uniform(0, 6.0, (1300, 2)), window_side=6.0)
     bs = _bs_field(real, sc, SimConfig(window_side=6.0, replicates=1))
     work = _workspace(320, 1300)
-    full = np.hstack([w.copy() for _, w in
+    full = np.hstack([w.T.copy() for _, w in
                       _gain_tiles(real, bs, np.random.default_rng(96), work)])
     assert full.shape == (320, 1300)
     index = np.arange(1300)
     for pick in (rng.random(1300) < 0.1, index % 211 == 7, index == 700, index == 1299):
         picked = np.random.default_rng(96)
-        users, tiles = zip(*[(u, w.copy()) for u, w in
+        users, tiles = zip(*[(u, w.T.copy()) for u, w in
                              _gain_tiles(real, bs, picked, work, pick)])
         assert np.array_equal(np.concatenate(users), np.flatnonzero(pick))
         assert np.array_equal(np.hstack(tiles), full[:, pick])
@@ -765,8 +822,9 @@ def test_tile_width_changes_no_estimate(monkeypatch, width):
     # Tiles of 1 user, of 3, of 7 with a lone user left at the end of a
     # full block (512 = 73 x 7 + 1), and one tile per 512-user draw block
     # (the pass before tiles) give the same bits: the draws follow the
-    # blocks, a user's values its own column, and numpy takes the product
-    # of a lone column row by row, as of a wider one.
+    # blocks, a user's values come from its own row, and numpy takes the
+    # product over a lone user's BSs one at a time in order, as over a
+    # wider tile's.
     sc = two_tier(shadowing=ShadowingSpec(0.5, 4.0), lam_u=30.0)
     config = SimConfig(window_side=6.0, replicates=1, seed=54)
     real = sample_network(sc, [0.8, 0.5], config, np.random.default_rng([54, 0]))
