@@ -315,15 +315,15 @@ def _gain_tiles(real: Realization, bs: _BSField, rng, work, pick=None):
             yield users, w
 
 
-def _ccdf(w: np.ndarray, srv: np.ndarray, scale, sums=None, work=None) -> np.ndarray:
+def _ccdf(w: np.ndarray, srv: np.ndarray, scale, sums, work) -> np.ndarray:
     """prod_(j != s) 1/(1 + scale w_j/w_s) over each row of w, s from `srv`.
 
-    `scale` is a scalar or one value per row; w is overwritten.  Given
-    `sums`, a pair of arrays, each row's sum and maximum of
-    scale w_j/w_s over j != s are written into them.  The product runs
-    over the BSs in order: given `work` (the `_workspace` whose row 0
-    holds w), on a transposed copy in its row 1, one BS row at a time;
-    else along each row.  A product that overflows gives 0, its limit.
+    `scale` is a scalar or one value per row; w, row 0 of `work` (a
+    `_workspace`), is overwritten.  Given `sums`, a pair of arrays, each
+    row's sum and maximum of scale w_j/w_s over j != s are written into
+    them; None skips them.  The product runs over the BSs in order, on a
+    transposed copy in row 1 of `work`, one BS row at a time.  A product
+    that overflows gives 0, its limit.
     """
     link = (np.arange(srv.size), srv)
     w *= (scale / w[link])[:, None]
@@ -332,8 +332,6 @@ def _ccdf(w: np.ndarray, srv: np.ndarray, scale, sums=None, work=None) -> np.nda
         w.sum(axis=1, out=sums[0])
         w.max(axis=1, out=sums[1])
     w += 1.0
-    if work is None:
-        return 1.0 / w.prod(axis=1)
     bs_major = work[1, :w.size].reshape(w.shape[::-1])
     np.copyto(bs_major, w.T)
     return 1.0 / bs_major.prod(axis=0)
@@ -416,7 +414,7 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
         rng.bit_generator.state = start
         with np.errstate(over="ignore"):
             for users, w in _gain_tiles(real, bs, rng, work, open_):
-                hit[users] = u[users] < _ccdf(w, serving[users], theta[users])
+                hit[users] = u[users] < _ccdf(w, serving[users], theta[users], None, work)
         rng.bit_generator.state = end
     return float(cover.mean()), assoc, area, hit
 
