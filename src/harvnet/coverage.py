@@ -5,11 +5,11 @@ interference-limited K-tier network collapses to Pc = 1/(1 + F(beta, alpha)),
 independent of the tier densities, powers, shadowing and availabilities.
 F has the closed form (2 beta/(alpha-2)) 2F1(1, 1-2/alpha; 2-2/alpha; -beta)
 and reduces to sqrt(beta) arctan(sqrt(beta)) at alpha = 4; both evaluate
-over arrays of beta, and hyper_f caches nothing.  The rate CCDF combines
-per-tier association probabilities with a 3.5-law load model in which only
-covered users (effective density Pc*lambda_u) consume base-station
-resources.  The one cache is _series_block's memo of the rate series'
-rho-independent blocks; see there.
+over arrays of beta, and hyper_f caches nothing.  The rate CCDF is
+P(R > T) = sum_k A_k G_T(x_k): tier association probabilities A_k mix one
+series G_T per tier load x_k of a 3.5-law load model in which only covered
+users (effective density Pc*lambda_u) consume base-station resources.  The
+one cache is _series_block's memo of the series' rho-independent blocks.
 Only hyper_f at alpha != 4 needs scipy (for 2F1), and imports it there, so
 the alpha = 4 path never loads scipy.
 """
@@ -32,7 +32,7 @@ _LGAMMA_4P5 = math.lgamma(4.5)
 _BLOCK = 64
 _MAX_BLOCK = 64 * _BLOCK
 _STEPS = np.arange(1.0, _BLOCK)
-# Largest temporary, in doubles, of one chunk of rate series lanes.
+# Largest temporary, in doubles, of one chunk of rate series loads.
 _LANE_BUDGET = 1 << 17
 # 2^1000 - 1 is the largest SIR threshold the series evaluates; beyond it
 # the coverage factor is taken as zero.
@@ -88,13 +88,16 @@ def _availability_lanes(rho, k_tiers: int) -> np.ndarray:
     return arr
 
 
-def _association(scenario: NetworkScenario, rho: np.ndarray) -> np.ndarray:
-    """Association probabilities of validated lanes rho (L, K), row by row."""
+def _association(scenario: NetworkScenario, rho: np.ndarray):
+    """Association probabilities of validated lanes rho (L, K), row by row.
+
+    Also returns each row's D = sum_k rho_k lambda_k w_k, shape (L, 1).
+    """
     w = rho * scenario.densities() * scenario.tier_weights()
     total = w.sum(axis=1, keepdims=True)
     if not (total > 0).all():
         raise ScenarioError("no BS available: weighted ON density is zero")
-    return w / total
+    return w / total, total
 
 
 def tier_association_prob(scenario: NetworkScenario, rho, k: int | None = None):
@@ -107,7 +110,7 @@ def tier_association_prob(scenario: NetworkScenario, rho, k: int | None = None):
     if k is not None:
         _check_integer(k, "tier", 0, scenario.k_tiers - 1)
     rho = check_availability_vector(rho, scenario.k_tiers)
-    probs = _association(scenario, rho[None, :])[0]
+    probs = _association(scenario, rho[None, :])[0][0]
     return probs if k is None else float(probs[k])
 
 
@@ -130,30 +133,26 @@ def _log_nb_coef(n: np.ndarray) -> np.ndarray:
     """L(n) for an int64 array n >= 0, from one table row per distinct n // _BLOCK."""
     block, offset = np.divmod(n, _BLOCK)
     anchors = np.unique(block)
-    if anchors.size and anchors[0] < 0:
-        raise ScenarioError(f"load count must be >= 0 (got {n})")
     table = _log_nb_table(anchors * _BLOCK).ravel()
     return table[np.searchsorted(anchors, block) * _BLOCK + offset]
 
 
 def _pmf_logs(x: np.ndarray):
-    """Per-x parts of the log load pmf: log q, the constant, and x > 0.
+    """Per-x parts of the log load pmf: log q and the constant.
 
-    log q = log x - log(3.5+x) (0 at x = 0) and the constant is
-    4.5 log 3.5 - 4.5 log(3.5+x); see load_pmf.
+    log q = log x - log(3.5+x), with log x read as 0 at x = 0, and the
+    constant is 4.5 log 3.5 - 4.5 log(3.5+x); see load_pmf.
     """
-    positive = x > 0
     log_s = np.log(3.5 + x)
-    log_q = np.log(np.where(positive, x, 1.0)) - log_s
-    return log_q, _LOG_PMF_CONST - 4.5 * log_s, positive
+    return np.log(np.where(x > 0, x, 1.0)) - log_s, _LOG_PMF_CONST - 4.5 * log_s
 
 
 def load_pmf(x, n):
     """3.5-law pmf of the number of other users sharing the serving BS.
 
     P(Psi - 1 = n) = (3.5^3.5/n!) (Gamma(n+4.5)/Gamma(3.5)) x^n (3.5+x)^-(n+4.5)
-    with finite mean-load parameter x >= 0 and n >= 0; broadcasts over x and n and
-    returns a float when both are scalars.  This is the negative binomial
+    with finite mean-load parameter x >= 0 and integer n >= 0; broadcasts over x
+    and n and returns a float when both are scalars.  This is the negative binomial
     NB(4.5, x/(3.5+x)), computed in log space because Gamma(n+4.5)
     overflows doubles near n = 170:
     log p = L(n) + n (log x - log(3.5+x)) + 4.5 log 3.5 - 4.5 log(3.5+x).
@@ -162,20 +161,23 @@ def load_pmf(x, n):
     x = np.asarray(x, dtype=float)
     if not (np.isfinite(x) & (x >= 0)).all():
         raise ScenarioError(f"mean load parameter must be finite and >= 0 (got {x})")
-    n = np.asarray(n, dtype=np.int64)
-    log_q, const, positive = _pmf_logs(x)
-    out = np.exp(_log_nb_coef(n) + n * log_q + const)
-    if not positive.all():
-        out = np.where(positive, out, n == 0)
+    count = np.asarray(n)
+    # An integer dtype only: a float, bool or Python int past int64 is refused.
+    if count.dtype.kind not in "iu" or (count.astype(np.int64) < 0).any():
+        raise ScenarioError(f"load count must be an integer in [0, 2**63) (got {n!r})")
+    n = count.astype(np.int64)
+    log_q, const = _pmf_logs(x)
+    out = np.where(x > 0, np.exp(_log_nb_coef(n) + n * log_q + const), n == 0)
     return float(out) if out.ndim == 0 else out
 
 
 @functools.lru_cache(maxsize=32)
 def _series_block(t_rate: float, alpha: float, start: int, size: int):
-    """The rho-independent parts of rate series terms n = start .. start+size-1.
+    """The load-independent parts of G_T's terms n = start .. start+size-1.
 
-    Returns (cov, coef), read-only: cov[j] = 1/(1 + F(2^(T(n+1)) - 1, alpha)),
-    0 once T(n+1) > _MAX_EXPO, and coef[j, 0] = L(n), for n = start + j.
+    Returns two read-only 1-D arrays (cov, coef), shared by every load:
+    cov[j] = c_T(n) = 1/(1 + F(2^(T(n+1)) - 1, alpha)), 0 once T(n+1) >
+    _MAX_EXPO, and coef[j] = L(n) (see _log_nb_table), for n = start + j.
     Calls with the same (T, alpha) share them through this memo, keyed by
     (t_rate, alpha, start, size).  It keeps the last 32 blocks, each at most
     2 x _MAX_BLOCK doubles (64 KiB), so at most 2 MiB; a block is the same
@@ -184,9 +186,60 @@ def _series_block(t_rate: float, alpha: float, start: int, size: int):
     expo = t_rate * np.arange(start + 1, start + size + 1)
     beta = np.exp2(np.minimum(expo, _MAX_EXPO)) - 1.0
     cov = np.where(expo > _MAX_EXPO, 0.0, 1.0 / (1.0 + hyper_f(beta, alpha)))
-    coef = _log_nb_table(np.arange(start, start + size, _BLOCK)).ravel()[:, None]
+    coef = _log_nb_table(np.arange(start, start + size, _BLOCK)).ravel()
     cov.flags.writeable = coef.flags.writeable = False
     return cov, coef
+
+
+def _g_series(t_rate: float, alpha: float, x: np.ndarray, tol: float) -> np.ndarray:
+    """G_T(x) = sum_n c_T(n) NB(n; 4.5, x/(3.5+x)) for each load of the flat array x.
+
+    c_T(n) is _series_block's coverage factor and NB the load pmf
+    (load_pmf).  Each load ends at its first term n where the term and the
+    tail bound (1 - pmf mass up to n) c_T(n) are both below tol; the bound
+    dominates the remaining terms because c_T decreases in n, so each value
+    is within tol of G_T(x).  The series always ends: once T(n+1) >
+    _MAX_EXPO every coverage factor, and so every term and the bound, is 0.
+    A zero load puts all its mass on n = 0 and gives exactly c_T(0).
+
+    Blocks of _BLOCK terms, then twice as many per block up to _MAX_BLOCK,
+    keep a small T (about log2(1/tol)/T terms) to few passes.  Running sums
+    are seeded with the previous block's totals and accumulate in term
+    order, so each value depends on its own load alone, bit for bit.  Loads
+    run in chunks whose temporaries stay within _LANE_BUDGET doubles.
+    """
+    value = np.empty(x.size)
+    value[x == 0] = _series_block(t_rate, alpha, 0, _BLOCK)[0][0]
+    live = np.flatnonzero(x)
+    log_q, const = _pmf_logs(x[live])
+    total, cum_mass = np.zeros((2, live.size))
+    start, size = 0, _BLOCK
+    while live.size:
+        n = np.arange(start, start + size)
+        cov, coef = _series_block(t_rate, alpha, start, size)
+        keep = np.ones(live.size, dtype=bool)
+        step = max(1, _LANE_BUDGET // n.size)
+        for lo in range(0, live.size, step):
+            rows = slice(lo, lo + step)
+            # pmf[i, j] = exp(L(n_j) + n_j log q_i + const_i)
+            pmf = np.multiply(log_q[rows, None], n)
+            pmf += coef
+            pmf += const[rows, None]
+            np.exp(pmf, out=pmf)
+            term = cov * pmf
+            sums = np.cumsum(np.concatenate((total[rows, None], term), axis=1),
+                             axis=1)[:, 1:]
+            masses = np.cumsum(np.concatenate((cum_mass[rows, None], pmf), axis=1),
+                               axis=1)[:, 1:]
+            done = ((1.0 - masses) * cov < tol) & (term < tol)
+            # Loads not yet done get a placeholder, overwritten by a later block.
+            value[live[rows]] = sums[np.arange(len(done)), done.argmax(axis=1)]
+            keep[rows] = ~done.any(axis=1)
+            total[rows], cum_mass[rows] = sums[:, -1], masses[:, -1]
+        live, log_q, const, total, cum_mass = (
+            live[keep], log_q[keep], const[keep], total[keep], cum_mass[keep])
+        start, size = start + size, min(2 * size, _MAX_BLOCK)
+    return value
 
 
 @dataclass(frozen=True)
@@ -210,90 +263,35 @@ class RateQuery:
 def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):
     """P(R > T) where R = (1/Psi) log2(1 + SIR) with equal resource sharing.
 
-    Series over the load n of the serving BS; the n-th term multiplies the
-    coverage factor 1/(1 + F(2^(T(n+1)) - 1, alpha)) by the association-mixed
-    load pmf.  Truncation uses the rigorous tail bound
-    (1 - accumulated pmf mass) * current coverage factor, which dominates the
-    remaining terms because the coverage factor decreases in n; this never
-    truncates before the raw term has itself fallen below tolerance.  The
-    series always ends: once T(n+1) > _MAX_EXPO every coverage factor, and
-    so every term and the tail bound, is 0.
+    P(R > T) = sum_k A_k G_T(x_k): A_k is the tier-k association
+    probability and x_k = P_c lambda_u w_k / D, D = sum_j rho_j lambda_j w_j,
+    the mean load on a serving tier-k BS, which is also its energy
+    utilization nu_k.  G_T is summed once per load by _g_series to within
+    `series_tolerance`; the A_k sum to 1, so the mixture is too.
 
     `rho` is one availability vector (the result is a float) or a stack of
     them, shape (L, K), one lane per row (the result is L values).  Each
-    lane equals the call on its row alone, bit for bit: a block's coverage
-    factors and L(n) serve every lane, each lane stops by its own rule, and
-    lanes run in chunks whose temporaries stay within _LANE_BUDGET doubles.
-    Calls with the same T and alpha share those blocks too (_series_block).
-    A mean load P_c lambda_u p_k/(rho_k lambda_k) past the float range is a
-    ScenarioError naming user_density and density.
+    lane equals the call on its row alone, bit for bit: every load is
+    summed on its own, and the series' blocks are shared by every load and
+    by calls with the same T and alpha (_series_block).  A mean load past
+    the float range is a ScenarioError naming user_density and density.
     """
     lanes = np.ndim(rho) == 2
     # rho and the association are checked before the T = 0 shortcut too.
     rho = _availability_lanes(rho, scenario.k_tiers)
-    weight = _association(scenario, rho)
-    t_rate = query.rate_target
-    if t_rate == 0.0:
+    weight, total = _association(scenario, rho)
+    if query.rate_target == 0.0:
         # Every coverage factor is 1 and the load pmf sums to 1.
         return np.ones(len(rho)) if lanes else 1.0
-    alpha = scenario.path_loss_exp
-    pc = coverage_prob(scenario)
-    # A tier a lane never associates with keeps weight 0 and a dummy load
-    # of 1, so it adds exact zeros to the lane's load pmf mixture.
-    load = np.ones_like(weight)
     with np.errstate(over="ignore"):
-        np.divide(pc * scenario.user_density * weight, rho * scenario.densities(),
-                  out=load, where=weight > 0)
+        load = coverage_prob(scenario) * scenario.user_density * scenario.tier_weights() / total
+    # A tier with A_k = 0 adds 0 whatever its load, which may even overflow;
+    # a zero load costs no series terms.
+    load[weight == 0] = 0.0
     if not np.isfinite(load).all():
         raise ScenarioError(f"mean load leaves the float range (user_density="
                             f"{scenario.user_density}, density={scenario.densities().tolist()})")
-    log_q, const, positive = _pmf_logs(load)
-    all_positive = positive.all()
-
-    # Blocks of _BLOCK terms, then twice as many per block up to _MAX_BLOCK,
-    # so a small T (about log2(1/tol)/T terms) takes few passes.  The
-    # running sums are seeded with the previous block's totals and
-    # accumulate in term order, exactly as a term-by-term loop would.
-    # Finished lanes leave the per-lane arrays; `lane` maps rows to lanes.
-    tol, k_tiers = query.series_tolerance, scenario.k_tiers
-    value = np.empty(len(rho))
-    lane = np.arange(len(rho))
-    total, cum_mass = np.zeros((2, len(rho)))
-    start, size = 0, _BLOCK
-    while lane.size:
-        n = np.arange(start, start + size)
-        cov, coef = _series_block(t_rate, alpha, start, size)
-        finished = np.zeros(lane.size, dtype=bool)
-        step = max(1, _LANE_BUDGET // (n.size * k_tiers))
-        for lo in range(0, lane.size, step):
-            rows = slice(lo, lo + step)
-            # pmf[l, j, k] = exp(L(n_j) + n_j log q_lk + const_lk), tiers last
-            pmf = np.multiply(n[:, None], log_q[rows, None, :])
-            pmf += coef
-            pmf += const[rows, None, :]
-            np.exp(pmf, out=pmf)
-            if not all_positive:
-                pmf = np.where(positive[rows, None, :], pmf, (n == 0)[:, None])
-            pmf *= weight[rows, None, :]
-            mass = pmf.sum(axis=2)
-            term = cov * mass
-            sums = np.cumsum(np.concatenate((total[rows, None], term), axis=1),
-                             axis=1)[:, 1:]
-            masses = np.cumsum(np.concatenate((cum_mass[rows, None], mass), axis=1),
-                               axis=1)[:, 1:]
-            tail = (1.0 - masses) * cov
-            done = (tail < tol) & (term < tol)
-            if done.any():
-                # Lanes not yet done get a placeholder, overwritten later.
-                value[lane[rows]] = sums[np.arange(len(done)), done.argmax(axis=1)]
-                finished[rows] = done.any(axis=1)
-            total[rows], cum_mass[rows] = sums[:, -1], masses[:, -1]
-        if finished.any():
-            keep = ~finished
-            lane = lane[keep]
-            if lane.size:
-                total, cum_mass = total[keep], cum_mass[keep]
-                weight, log_q, const, positive = (
-                    weight[keep], log_q[keep], const[keep], positive[keep])
-        start, size = start + size, min(2 * size, _MAX_BLOCK)
+    g = _g_series(query.rate_target, scenario.path_loss_exp, load.ravel(),
+                  query.series_tolerance)
+    value = (weight * g.reshape(load.shape)).sum(axis=1)
     return value if lanes else float(value[0])

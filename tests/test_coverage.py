@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -232,6 +233,18 @@ def test_load_pmf_rejects_nan_mean_load():
     for x in (np.nan, np.array([1.0, np.nan])):
         with pytest.raises(ScenarioError, match="mean load"):
             load_pmf(x, 0)
+
+
+@pytest.mark.parametrize("n", [2.7, 3.0, True, 1e30, math.nan, 10**30, 2**63, [1, 2.5],
+                               [3, -1]])
+def test_load_pmf_refuses_a_count_that_is_not_an_int64_at_least_0(n):
+    # A float or bool count was truncated (2.7 gave pmf(2), True pmf(1)),
+    # and 1e30 or NaN escaped as numpy's OverflowError or ValueError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"load count must be an integer in [0, 2**63) (got {n!r})")):
+            load_pmf(1.0, n)
 
 
 def test_rate_ccdf_matches_mpmath_series_on_rate_surface():
@@ -550,3 +563,66 @@ def test_rate_ccdf_matches_fsum_oracle_over_wide_load_and_threshold(name):
             assert rate_ccdf(sc, rho, q) == pytest.approx(want, rel=0, abs=1e-9), (lam_u, t)
             assert [rate_ccdf(sc, row, q) for row in rho] == pytest.approx(
                 want, rel=0, abs=1e-9), (lam_u, t)
+
+
+@pytest.mark.parametrize("alpha", [4.0, 3.5])
+@pytest.mark.parametrize("t", [0.001, 0.1, 2.0])
+def test_g_series_is_non_increasing_in_the_load_and_exact_at_zero(t, alpha):
+    # G_T decreases in x: c_T(n) decreases in n and NB(4.5, x/(3.5+x)) is
+    # stochastically increasing in x.  Each value is within tol of G_T.
+    tol = 1e-10
+    x = np.concatenate(([0.0], np.logspace(-6, 4, 121), [0.0]))
+    g = coverage._g_series(t, alpha, x, tol)
+    assert np.diff(g[:-1]).max() <= 2 * tol
+    c0 = coverage._series_block(t, alpha, 0, coverage._BLOCK)[0][0]
+    assert g[0] == g[-1] == c0
+    assert c0 == pytest.approx(1.0 / (1.0 + hyper_f(2.0**t - 1.0, alpha)), rel=1e-15)
+
+
+def test_rate_ccdf_of_an_underflowing_load_is_the_first_coverage_factor():
+    # P_c lambda_u = 0.2 x 5e-324 rounds to 0: every load is 0, all the
+    # load mass sits on n = 0, and one tier has A = 1 exactly.
+    sc = scenario(beta=10.0, lams=(1.0,), powers=(1.0,), lam_u=5e-324, mus=(2.0,),
+                  batteries=(10,))
+    assert coverage_prob(sc) * sc.user_density == 0.0
+    for t in (0.001, 0.1, 2.0):
+        c0 = coverage._series_block(t, 4.0, 0, coverage._BLOCK)[0][0]
+        assert rate_ccdf(sc, [0.5], RateQuery(rate_target=t)) == c0
+
+
+def test_rate_ccdf_ignores_the_load_of_a_tier_no_user_associates_with():
+    # At rho = (0, 1), tier 0's load P_c lambda_u w_0 / D is past the float
+    # range, but A_0 = 0: the rate is the one-tier rate of tier 1.
+    small = TierParams(1e-10, 1e-300, 1.0, 5, ShadowingSpec(0.0, 0.0))
+    one = NetworkScenario(tiers=(small,), path_loss_exp=4.0, sir_target=1.0,
+                          user_density=100.0)
+    two = replace(one, tiers=(TierParams(1.0, 1e300, 1.0, 5, ShadowingSpec(0.0, 0.0)), small))
+    for t in (0.001, 0.1, 2.0):
+        q = RateQuery(rate_target=t)
+        assert rate_ccdf(two, [0.0, 1.0], q) == rate_ccdf(one, [1.0], q) > 0.0, t
+
+
+def test_equal_weights_give_the_rate_of_d_alone():
+    # two-tier-baseline has w = (1, 1), so every tier's load is
+    # P_c lambda_u / D and P(R > T) = G_T(x(D)); these rows all have D = 3.5.
+    sc = _lane_scenarios()["two-tier-baseline"]
+    rho = np.array([[1.0, 0.25], [0.375, 0.3125], [0.0625, 0.34375]])
+    assert ((rho * sc.densities()).sum(axis=1) == 3.5).all()
+    for t in (0.001, 0.1, 2.0):
+        got = rate_ccdf(sc, rho, RateQuery(rate_target=t))
+        assert np.ptp(got) <= 1e-15, t
+
+
+@pytest.mark.parametrize("name, rho", [("battery-sweep", [1e-6, 1.0]),
+                                       ("battery-sweep", [1.0, 1e-6]),
+                                       ("rate-surface", [1e-6, 1.0])])
+def test_rate_ccdf_with_a_lightly_used_tier_matches_fsum_oracle(name, rho):
+    # A tier with A_k near 0 stops on its own load's tail bound, where a
+    # mixture of the tiers' pmfs would stop on the mixture's.
+    sc = _lane_scenarios()[name]
+    for t in (0.001, 0.02, 0.1, 0.5, 2.0):
+        q = RateQuery(rate_target=t)
+        got = rate_ccdf(sc, rho, q)
+        assert got == pytest.approx(fsum_rate_ccdf(sc, rho, t), rel=0, abs=1e-9), t
+        other = rate_ccdf(sc, [0.5, 0.5], q)
+        assert rate_ccdf(sc, [rho, [0.5, 0.5], rho], q).tolist() == [got, other, got], t

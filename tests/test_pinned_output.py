@@ -7,8 +7,12 @@ were re-recorded with it.  Any change to the fixed point, its iteration
 count, its residual or a region boundary shows up here.
 `data/pinned_rate_values.json` holds rate_ccdf values to the last bit over
 a grid of availabilities, thresholds and series tolerances, recorded with
-one scalar call per value before the series took lanes; the lane call and
-the scalar calls must both reproduce them.
+one scalar call per value; the lane call and the scalar calls must both
+reproduce them.  They were re-recorded when the series came to be summed
+once per tier load and mixed after the sum, which moved 307 of the 600
+values by at most 4.1e-11 (tolerance 1e-10) and 4.0e-14 (1e-13).  Each
+value must also lie within its series tolerance of the float oracle
+`oracles.fsum_rate_ccdf`.
 `data/pinned_spatial_output.json` holds the stdout, stderr and exit code
 of `validate` and of every `simulate` estimator on the bundled scenarios,
 and every `spatial_mc` field of a shadowed, alpha = 3.5, guard-window
@@ -37,6 +41,7 @@ from harvnet.cli import load_scenario, main
 from harvnet.coverage import RateQuery, rate_ccdf
 from harvnet.model import NetworkScenario, ShadowingSpec, TierParams
 from harvnet.simulate import SimConfig, sample_network, spatial_mc
+from oracles import fsum_rate_ccdf
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = Path(__file__).resolve().parent / "data" / "pinned_solver_output.json"
@@ -150,6 +155,18 @@ def test_rate_values_match_pinned(case, pinned_rate):
     scenario, query, scalar = scalar_rates(*case)
     assert scalar == want
     assert rate_ccdf(scenario, np.array(RATE_RHO), query).tolist() == want
+
+
+def test_pinned_rate_values_agree_with_the_float_oracle(pinned_rate):
+    # Within the series tolerance, plus 1e-12 for summation rounding, so
+    # no re-recording can pin a wrong value.
+    oracle = {}
+    for name, t, tol in RATE_CASES:
+        if (name, t) not in oracle:
+            scenario, _ = load_scenario(str(ROOT / "scenarios" / f"{name}.json"))
+            oracle[name, t] = [fsum_rate_ccdf(scenario, rho, t) for rho in RATE_RHO]
+        got = pinned_rate[rate_key(name, t, tol)]
+        assert got == pytest.approx(oracle[name, t], rel=0, abs=tol + 1e-12), (name, t, tol)
 
 
 def shadowed_fields():
