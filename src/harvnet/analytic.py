@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import markov
-from .coverage import coverage_prob
+from .coverage import _association, _on_density, _tier_loads, coverage_prob
 from .model import NetworkScenario, ScenarioError, _check_integer, check_availability_vector
 
 # Bisection levels per evaluation of the load test: 2^6 = 64 cells per lane.
@@ -54,25 +54,33 @@ class FixedPointResult:
 def mean_service_area(scenario: NetworkScenario, rho, k: int) -> float:
     """Mean service-region area of an ON tier-k BS.
 
-    w_k / sum_j rho_j lambda_j w_j with w the shadowing-power weights; the
-    areas weighted by rho_k lambda_k sum to one over tiers.
+    w_k / D, D = sum_j rho_j lambda_j w_j (coverage._on_density), with w
+    the shadowing-power weights; the areas weighted by rho_k lambda_k sum
+    to one over tiers.
     """
-    _check_integer(k, "tier", 0, scenario.k_tiers - 1)
-    rho = check_availability_vector(rho, scenario.k_tiers)
-    denom = rho @ (scenario.densities() * scenario.tier_weights())
-    if denom <= 0.0:
-        raise ScenarioError("no BS available: weighted ON density is zero")
-    return float(scenario.tier_weights()[k] / denom)
+    return float((scenario.tier_weights() / _checked_density(scenario, rho, k))[0, k])
 
 
 def energy_utilization(scenario: NetworkScenario, rho, k: int) -> float:
-    """nu_k: mean energy units consumed per second by an ON tier-k BS."""
-    pc = coverage_prob(scenario)
-    return pc * scenario.user_density * mean_service_area(scenario, rho, k)
+    """nu_k: mean energy units consumed per second by an ON tier-k BS.
+
+    nu_k = P_c lambda_u w_k / D, the mean load x_k that coverage.rate_ccdf
+    sums for tier k, bit for bit (coverage._tier_loads).
+    """
+    return float(_tier_loads(scenario, _checked_density(scenario, rho, k))[0, k])
+
+
+def _checked_density(scenario: NetworkScenario, rho, k: int) -> np.ndarray:
+    """D of one availability vector, shape (1, 1), after the tier and rho checks."""
+    _check_integer(k, "tier", 0, scenario.k_tiers - 1)
+    rho = check_availability_vector(rho, scenario.k_tiers)
+    return _association(scenario, rho[None, :])[1]
 
 
 def _tier_constants(scenario: NetworkScenario) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_j w_j, mu_j/(lambda_u P_c w_j)): D = rho @ first, s_j = second_j D.
+    """(c_j, slope_j) = (lambda_j w_j, mu_j/(lambda_u P_c w_j)): s_j = slope_j D.
+
+    D = sum_j rho_j c_j is formed by coverage._on_density alone.
 
     A load past the float range, where the load ratios at rho = 1 sum to
     more than a double holds (or lambda_u P_c rounds to 0), is a
@@ -96,8 +104,7 @@ def load_ratio(scenario: NetworkScenario, rho, k: int) -> float:
     """s_k = mu_k / nu_k(rho), the birth-death ratio of tier k at load rho."""
     _check_integer(k, "tier", 0, scenario.k_tiers - 1)
     rho = check_availability_vector(rho, scenario.k_tiers)
-    on_weight, slope = _tier_constants(scenario)
-    return float(slope[k] * (rho @ on_weight))
+    return float(_tier_constants(scenario)[1][k] * _on_density(scenario, rho))
 
 
 def g(scenario: NetworkScenario, rho, k: int) -> float:
@@ -143,8 +150,7 @@ def equivalence_check(scenario: NetworkScenario, rho) -> bool:
     rho = check_availability_vector(rho, scenario.k_tiers)
     if np.any(rho <= 0.0):
         raise ScenarioError("equivalence check requires strictly positive rho")
-    on_weight, slope = _tier_constants(scenario)
-    return bool(np.all(slope * (rho @ on_weight) > rho))
+    return bool(np.all(_tier_constants(scenario)[1] * _on_density(scenario, rho) > rho))
 
 
 def _cutoffs(scenario: NetworkScenario, policy) -> list[int]:
@@ -266,7 +272,8 @@ def solve_availability(scenario: NetworkScenario, policy=None,
     tiers = list(zip(on_weight, slope, scenario.batteries(), cutoffs))
     (rho,), bracket, steps, calls = _load_root(
         np.zeros(1), 0.0, on_weight.sum(), tiers, tolerance)
-    residual = float(np.max(np.abs([markov.tier_availability(s * (rho @ on_weight), n, c) - r
+    d = _on_density(scenario, rho)
+    residual = float(np.max(np.abs([markov.tier_availability(s * d, n, c) - r
                                     for (_, s, n, c), r in zip(tiers, rho)])))
     return FixedPointResult(rho=rho, iterations=steps, residual=residual,
                             feasible=True, bracket=float(bracket[0]),

@@ -195,7 +195,7 @@ def _parse_rho(text: str) -> np.ndarray:
 
 
 def _resolve_rho(args, scenario: NetworkScenario) -> np.ndarray:
-    if getattr(args, "rho", None):
+    if args.rho is not None:
         return _parse_rho(args.rho)
     result = analytic.solve_availability(scenario)
     if not result.feasible:
@@ -268,7 +268,7 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    if args.surface and args.rho:
+    if args.surface and args.rho is not None:
         raise _UsageError("--rho cannot be combined with --surface, "
                           "which sweeps its own availabilities")
     scenario, doc = load_scenario(args.scenario)

@@ -5,8 +5,12 @@ interference-limited K-tier network collapses to Pc = 1/(1 + F(beta, alpha)),
 independent of the tier densities, powers, shadowing and availabilities.
 F has the closed form (2 beta/(alpha-2)) 2F1(1, 1-2/alpha; 2-2/alpha; -beta)
 and reduces to sqrt(beta) arctan(sqrt(beta)) at alpha = 4; both evaluate
-over arrays of beta, and hyper_f caches nothing.  The rate CCDF is
-P(R > T) = sum_k A_k G_T(x_k): tier association probabilities A_k mix one
+over arrays of beta, and hyper_f caches nothing.  Every rho-dependent
+quantity sees rho only through D = sum_k rho_k lambda_k w_k, which
+_on_density alone forms, for this module and for analytic and region; the
+association A_k = rho_k lambda_k w_k / D and the tier loads x_k = Pc
+lambda_u w_k / D (_tier_loads, also the energy utilization nu_k) are formed
+here too.  The rate CCDF is P(R > T) = sum_k A_k G_T(x_k): the A_k mix one
 series G_T per tier load x_k of a 3.5-law load model in which only covered
 users (effective density Pc*lambda_u) consume base-station resources.  The
 one cache is _series_block's memo of the series' rho-independent blocks.
@@ -88,16 +92,34 @@ def _availability_lanes(rho, k_tiers: int) -> np.ndarray:
     return arr
 
 
+def _on_density(scenario: NetworkScenario, rho: np.ndarray) -> np.ndarray:
+    """D = sum_k rho_k lambda_k w_k along the last axis of rho.
+
+    The one place D is formed.  Products and a plain sum, no matmul, so a
+    lane's D has the same bits inside any stack as alone.
+    """
+    return (rho * scenario.densities() * scenario.tier_weights()).sum(axis=-1)
+
+
 def _association(scenario: NetworkScenario, rho: np.ndarray):
     """Association probabilities of validated lanes rho (L, K), row by row.
 
-    Also returns each row's D = sum_k rho_k lambda_k w_k, shape (L, 1).
+    Returns (A, D): A_k = rho_k lambda_k w_k / D and each row's D from
+    _on_density, shape (L, 1).
     """
-    w = rho * scenario.densities() * scenario.tier_weights()
-    total = w.sum(axis=1, keepdims=True)
+    total = _on_density(scenario, rho)[:, None]
     if not (total > 0).all():
         raise ScenarioError("no BS available: weighted ON density is zero")
-    return w / total, total
+    return rho * scenario.densities() * scenario.tier_weights() / total, total
+
+
+def _tier_loads(scenario: NetworkScenario, total: np.ndarray) -> np.ndarray:
+    """x_k = P_c lambda_u w_k / D for each D of `total` (L, 1), shape (L, K).
+
+    The mean load on a serving tier-k BS, which is also its energy
+    utilization nu_k; a load past the float range is inf.
+    """
+    return coverage_prob(scenario) * scenario.user_density * scenario.tier_weights() / total
 
 
 def tier_association_prob(scenario: NetworkScenario, rho, k: int | None = None):
@@ -284,7 +306,7 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):
         # Every coverage factor is 1 and the load pmf sums to 1.
         return np.ones(len(rho)) if lanes else 1.0
     with np.errstate(over="ignore"):
-        load = coverage_prob(scenario) * scenario.user_density * scenario.tier_weights() / total
+        load = _tier_loads(scenario, total)
     # A tier with A_k = 0 adds 0 whatever its load, which may even overflow;
     # a zero load costs no series terms.
     load[weight == 0] = 0.0

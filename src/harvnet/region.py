@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, markov
+from .coverage import _on_density
 from .model import NetworkScenario, ScenarioError, check_availability_vector
 
 _TOL = 1e-10          # bracket width on rho_k
@@ -60,7 +61,8 @@ def _boundaries(scenario: NetworkScenario, k: int, others: np.ndarray,
     """Tier-k boundary for each row of `others`, the other tiers' rho."""
     cutoff = analytic._cutoffs(scenario, {k: constraint})[k]
     on_weight, slope = analytic._tier_constants(scenario)
-    d_others = others @ np.delete(on_weight, k)
+    # D with rho_k = 0 put in: adding its +0.0 term changes no bit.
+    d_others = _on_density(scenario, np.insert(others, k, 0.0, axis=1))
     tier = [(on_weight[k], slope[k], scenario.tiers[k].battery, cutoff)]
     # A search holds 2^6 + 1 loads of every live lane; blocks cap its memory.
     return np.concatenate([
@@ -88,7 +90,7 @@ def _inside(scenario: NetworkScenario, rho, constraints, tol: float) -> np.ndarr
     on_weight, slope = analytic._tier_constants(scenario)
     x = np.maximum(rho - tol, 0.0)
     # s_k with rho_k moved to x_k: slope_k (D_others + lambda_k w_k x_k)
-    s = slope * ((rho @ on_weight)[:, None] + on_weight * (x - rho))
+    s = slope * (_on_density(scenario, rho)[:, None] + on_weight * (x - rho))
     return np.all([markov.tier_availability(s[:, k], n, c) >= x[:, k]
                    for k, (n, c) in enumerate(zip(scenario.batteries(), cutoffs))], axis=0)
 

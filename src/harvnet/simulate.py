@@ -251,7 +251,7 @@ def _shadow_factors(bs: _BSField, z: np.ndarray) -> np.ndarray:
     return np.power(10.0, z, out=z)
 
 
-def _chunk_gains(bs: _BSField, pts: np.ndarray, work=None) -> np.ndarray:
+def _chunk_gains(bs: _BSField, pts: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Average received power matrix W (len(pts), n_bs) for one point tile.
 
     One row per user, its BSs along the row, stacked tier by tier.  W
@@ -261,12 +261,11 @@ def _chunk_gains(bs: _BSField, pts: np.ndarray, work=None) -> np.ndarray:
     scale.  Path loss is P/(d^2)^2 at alpha = 4, else P (d^2)^(-alpha/2),
     with d^2 summed from one block per coordinate, each a copy of the BS
     coordinate row per user less that user's coordinate, and P the power
-    row of `bs`.  W and two scratch blocks are views of the rows of `work`
-    (a `_workspace`; fresh buffers when None), in order.
+    row of `bs`.  W and two scratch blocks are views of the rows of `work`,
+    three flat buffers of at least len(pts) * n_bs doubles (a `_workspace`),
+    in order.
     """
     shape = (pts.shape[0], bs.x.size)
-    if work is None:
-        work = np.empty((3, shape[0] * shape[1]))
     w, tmp, aux = (row[:shape[0] * shape[1]].reshape(shape) for row in work)
     _axis_sq(bs.x, pts[:, 0], bs.period, w, tmp)
     w += _axis_sq(bs.y, pts[:, 1], bs.period, aux, tmp)

@@ -449,7 +449,8 @@ def associate(realization, scenario, rng, config=None):
     serving = np.empty(users.shape[0], dtype=np.int64)
     for lo in range(0, users.shape[0], _USER_CHUNK):
         pts = users[lo:lo + _USER_CHUNK]
-        gains = _shadowed(_chunk_gains(bs, pts).T, _shadow_block(bs, pts.shape[0], rng))
+        work = np.empty((3, pts.shape[0] * bs.x.size))
+        gains = _shadowed(_chunk_gains(bs, pts, work).T, _shadow_block(bs, pts.shape[0], rng))
         serving[lo:lo + pts.shape[0]] = np.argmax(gains, axis=0)
     tiers = bs.tier_of[serving]
     offsets = np.concatenate([[0], np.cumsum(realization.tier_counts)])
@@ -630,7 +631,7 @@ def full_matrix_rate_events(real, scenario, config, rng, rate_target):
     """
     bs = _bs_field(real, scenario, config)
     n = real.users.shape[0]
-    w = _chunk_gains(bs, real.users).T
+    w = _chunk_gains(bs, real.users, np.empty((3, n * bs.x.size))).T
     if bs.shadow is not None:
         w *= np.hstack([_shadow_block(bs, min(_USER_CHUNK, n - lo), rng)
                         for lo in range(0, n, _USER_CHUNK)])

@@ -506,6 +506,31 @@ def test_rate_surface_rejects_rho(scenario_file, capsys):
     assert captured.err.startswith("usage error: --rho cannot be combined with --surface")
 
 
+# An empty --rho was once read as no --rho: rate and simulate ran at the
+# fixed point, and --surface printed its surface.
+EMPTY_RHO = [
+    ("two-tier-baseline", ["rate", "--rho", "", "--rate-target", "0.1"],
+     "usage error: cannot parse availability vector ''\n"),
+    ("two-tier-baseline", ["simulate", "--rho", ""],
+     "usage error: cannot parse availability vector ''\n"),
+    ("two-tier-baseline", ["rate", "--surface", "--rho", "", "--grid", "2"],
+     "usage error: --rho cannot be combined with --surface, "
+     "which sweeps its own availabilities\n"),
+    ("rate-surface", ["rate", "--rho", ""],
+     "usage error: cannot parse availability vector ''\n"),
+]
+
+
+@pytest.mark.parametrize("name, argv, err", EMPTY_RHO,
+                         ids=[f"{name} {' '.join(a or repr(a) for a in argv)}"
+                              for name, argv, _ in EMPTY_RHO])
+def test_an_empty_rho_is_parsed_not_dropped(capsys, name, argv, err):
+    assert main([argv[0], str(SCENARIOS / f"{name}.json"), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_rate_surface_equals_scalar_calls(scenario_file, capsys):
     scenario, _ = load_scenario(scenario_file)
     assert main(["rate", scenario_file, "--surface", "--grid", "3",
@@ -792,6 +817,22 @@ def test_coverage_calls_leave_scipy_integrate_and_optimize_unloaded():
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_association_and_service_area_leave_scipy_unloaded_at_alpha_35():
+    # Neither reads P_c, the one quantity that needs scipy at alpha != 4.
+    code = (
+        "import sys, harvnet as hn\n"
+        "sc = hn.NetworkScenario((hn.TierParams(1.0, 1.0, 2.0, 6),\n"
+        "                         hn.TierParams(10.0, 1.0, 1.0, 5)),\n"
+        "                        3.5, 1.0, 5.0)\n"
+        "hn.tier_association_prob(sc, [0.5, 0.5])\n"
+        "hn.mean_service_area(sc, [0.5, 0.5], 1)\n"
+        "print('scipy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_alpha4_commands_leave_scipy_unloaded():

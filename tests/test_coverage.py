@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from harvnet import analytic, coverage, markov, region
 from harvnet.analytic import solve_availability
 from harvnet.cli import load_scenario
-from harvnet import coverage
 from harvnet.coverage import (
     RateQuery,
     _log_nb_table,
@@ -626,3 +626,68 @@ def test_rate_ccdf_with_a_lightly_used_tier_matches_fsum_oracle(name, rho):
         assert got == pytest.approx(fsum_rate_ccdf(sc, rho, t), rel=0, abs=1e-9), t
         other = rate_ccdf(sc, [0.5, 0.5], q)
         assert rate_ccdf(sc, [rho, [0.5, 0.5], rho], q).tolist() == [got, other, got], t
+
+
+# D = sum_k rho_k lambda_k w_k is formed by coverage._on_density alone; every
+# layer that reads rho through D reads the same bits.
+
+def _seeded_rho(name, k_tiers, rows=200):
+    return _stack(np.random.default_rng(sum(map(ord, name)) + 1), k_tiers, rows=rows)
+
+
+@pytest.mark.parametrize("name", ["two-tier-baseline", "battery-sweep", "gamma-rich",
+                                  "rate-surface", "three-tier"])
+def test_energy_utilization_is_the_load_rate_ccdf_sums(name, monkeypatch):
+    sc = _lane_scenarios()[name]
+    rho = _seeded_rho(name, sc.k_tiers)
+    loads = []
+    series = coverage._g_series
+
+    def spy(t_rate, alpha, x, tol):
+        loads.append(x.copy())
+        return series(t_rate, alpha, x, tol)
+
+    monkeypatch.setattr(coverage, "_g_series", spy)
+    for row in rho:
+        rate_ccdf(sc, row, RateQuery(rate_target=0.1))
+    monkeypatch.undo()
+    # A tier with rho_k = 0 has A_k = 0, and its load is handed over as 0.
+    for row, x in zip(rho, loads):
+        for k in np.flatnonzero(row):
+            assert analytic.energy_utilization(sc, row, k) == x[k], (row, k)
+
+
+@pytest.mark.parametrize("name", ["two-tier-baseline", "battery-sweep", "gamma-rich",
+                                  "rate-surface", "three-tier"])
+def test_service_area_and_load_ratio_read_d_from_the_one_map(name):
+    sc = _lane_scenarios()[name]
+    _, slope = analytic._tier_constants(sc)
+    for row in _seeded_rho(name, sc.k_tiers):
+        d = coverage._on_density(sc, row)
+        for k in range(sc.k_tiers):
+            assert analytic.mean_service_area(sc, row, k) == sc.tier_weights()[k] / d
+            assert analytic.load_ratio(sc, row, k) == slope[k] * d
+
+
+@pytest.mark.parametrize("name", ["battery-sweep", "three-tier"])
+def test_a_lanes_d_and_region_verdict_do_not_depend_on_its_stack(name, monkeypatch):
+    sc = _lane_scenarios()[name]
+    rho = _seeded_rho(name, sc.k_tiers, rows=1000)
+    ratios = []
+    availability = markov.tier_availability
+
+    def spy(s, n, cutoff=1):
+        ratios.append(np.array(s, dtype=float))
+        return availability(s, n, cutoff)
+
+    # The load ratios that region._inside tests, in the stack and lane by lane.
+    monkeypatch.setattr(markov, "tier_availability", spy)
+    stacked = region._inside(sc, rho, None, 1e-6)
+    stacked_s, ratios[:] = np.column_stack(ratios), []
+    alone = [bool(region._inside(sc, row[None, :], None, 1e-6)[0]) for row in rho]
+    monkeypatch.undo()
+    alone_s = np.array(ratios).reshape(len(rho), sc.k_tiers)
+    assert stacked.tolist() == alone
+    assert stacked_s.tolist() == alone_s.tolist()
+    d = coverage._on_density(sc, rho)
+    assert d.tolist() == [coverage._on_density(sc, row) for row in rho]

@@ -490,7 +490,7 @@ def test_gain_kernel_ignores_what_a_workspace_held(alpha):
     assert full.shape == (32, 512) and np.shares_memory(full, work)
     part = _chunk_gains(bs, real.users[512:], work).T
     assert np.shares_memory(part, work)
-    fresh = _chunk_gains(bs, real.users[512:]).T
+    fresh = _chunk_gains(bs, real.users[512:], np.empty((3, 37 * 32))).T
     np.testing.assert_array_equal(part, fresh)
 
 
