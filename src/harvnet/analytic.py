@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import markov
-from .coverage import _association, _on_density, _tier_loads, coverage_prob
+from .coverage import _association, _float_range_error, _on_density, _tier_loads, coverage_prob
 from .model import NetworkScenario, ScenarioError, _check_integer, check_availability_vector
 
 # Bisection levels per evaluation of the load test: 2^6 = 64 cells per lane.
@@ -56,25 +56,34 @@ def mean_service_area(scenario: NetworkScenario, rho, k: int) -> float:
 
     w_k / D, D = sum_j rho_j lambda_j w_j (coverage._on_density), with w
     the shadowing-power weights; the areas weighted by rho_k lambda_k sum
-    to one over tiers.
+    to one over tiers.  A value past the float range is a ScenarioError
+    naming user_density and density.
     """
-    return float((scenario.tier_weights() / _checked_density(scenario, rho, k))[0, k])
+    return _at_density(scenario, rho, k, lambda d: scenario.tier_weights() / d, "mean service area")
 
 
 def energy_utilization(scenario: NetworkScenario, rho, k: int) -> float:
     """nu_k: mean energy units consumed per second by an ON tier-k BS.
 
     nu_k = P_c lambda_u w_k / D, the mean load x_k that coverage.rate_ccdf
-    sums for tier k, bit for bit (coverage._tier_loads).
+    sums for tier k, bit for bit (coverage._tier_loads).  A value past the
+    float range is a ScenarioError naming user_density and density.
     """
-    return float(_tier_loads(scenario, _checked_density(scenario, rho, k))[0, k])
+    return _at_density(scenario, rho, k, lambda d: _tier_loads(scenario, d), "energy utilization")
 
 
-def _checked_density(scenario: NetworkScenario, rho, k: int) -> np.ndarray:
-    """D of one availability vector, shape (1, 1), after the tier and rho checks."""
+def _at_density(scenario: NetworkScenario, rho, k: int, form, what: str) -> float:
+    """form(D)[0, k], D of one availability vector (1, 1), after the tier and rho checks.
+
+    A value past the float range is a ScenarioError naming `what`.
+    """
     _check_integer(k, "tier", 0, scenario.k_tiers - 1)
     rho = check_availability_vector(rho, scenario.k_tiers)
-    return _association(scenario, rho[None, :])[1]
+    with np.errstate(over="ignore"):
+        value = form(_association(scenario, rho[None, :])[1])[0, k]
+    if not np.isfinite(value):
+        raise _float_range_error(scenario, what)
+    return float(value)
 
 
 def _tier_constants(scenario: NetworkScenario) -> tuple[np.ndarray, np.ndarray]:
@@ -183,13 +192,15 @@ def _load_excess(c: np.ndarray, s: np.ndarray) -> float:
     return num / den if num < den << 1023 else np.inf   # int / int rounds once
 
 
-def _load_root(d: np.ndarray, lo, hi, tiers, tol: float):
+def _load_root(d: np.ndarray, lo, hi, c: np.ndarray, slope: np.ndarray, plan, tol: float):
     """Largest load D in [lo, hi] inside the balance of the free tiers, per lane.
 
-    `tiers` holds (c_k, s_k, N_k, cutoff_k) of the free tiers, d the fixed
-    density of each lane.  D is inside iff E(D) = d + sum_k c_k a_k(s_k D)
-    - D >= 0.  With b = 1 - a/s (markov._on_fractions), c_k a_k/D =
-    c_k s_k (1 - b_k), and the sign is tested as
+    `c` and `slope` hold c_k and s_k of the free tiers, `plan` their
+    markov._plan, d the fixed density of each lane.  D is inside iff
+    E(D) = d + sum_k c_k a_k(s_k D) - D >= 0.  One markov._on_fractions
+    call gives a_k and b_k = 1 - a_k/s_k of every tier at every load of an
+    evaluation; with them c_k a_k/D = c_k s_k (1 - b_k), and the sign is
+    tested as
         E/D = excess + (d + sum_big c_k a_k)/D - sum_small c_k s_k b_k >= 0,
     with excess = sum_small c_k s_k - 1 formed exactly (`_load_excess`).
     A tier is big where c_k s_k > 2.  At any root sum_k c_k a_k <= D, so a
@@ -212,27 +223,27 @@ def _load_root(d: np.ndarray, lo, hi, tiers, tol: float):
     Returns (a_k at the bracket midpoints, bracket, steps, evaluations),
     the final midpoint counted as one evaluation.
     """
-    big = [c * s > 2.0 for c, s, *_ in tiers]
-    small = [(c, s) for (c, s, *_), g in zip(tiers, big) if not g]
-    excess = _load_excess([c for c, _ in small], [s for _, s in small])
+    big = c * slope > 2.0
+    excess = _load_excess(c[~big], slope[~big])
+    big_k, small_k = np.flatnonzero(big).tolist(), np.flatnonzero(~big).tolist()
 
     def evaluate(x, d):
-        pairs = [markov._on_fractions(s * x, n, cutoff) for _, s, n, cutoff in tiers]
-        a = np.stack([a_k for a_k, _ in pairs], axis=-1)
-        gain = sum(c * a_k for (c, *_), (a_k, _), g in zip(tiers, pairs, big) if g)
-        loss = sum(c * s * b_k for (c, s, *_), (_, b_k), g in zip(tiers, pairs, big) if not g)
+        a, b = markov._on_fractions(np.multiply.outer(slope, x), plan)
+        # Tier by tier in order, as the terms were summed one tier at a time.
+        gain = sum((c[k] * a[k] for k in big_k), 0)
+        loss = sum((c[k] * slope[k] * b[k] for k in small_k), 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return a, (excess + (d + gain) / x >= loss) | (a == 1.0).all(axis=-1)
+            return a, (excess + (d + gain) / x >= loss) | (a == 1.0).all(axis=0)
 
     lo, hi = (np.broadcast_to(v, d.shape).astype(float) for v in (lo, hi))
-    hi = np.where((d == 0.0) & (excess <= 0.0) & (not any(big)), lo, hi)
+    hi = np.where((d == 0.0) & (excess <= 0.0) & (not big.any()), lo, hi)
     bracket = np.where(lo < hi, np.inf, 0.0)
     steps = calls = 0
     while True:
         mid = 0.5 * (lo + hi)
         live = np.flatnonzero((bracket > tol) & (lo < mid) & (mid < hi))
         if not live.size:
-            return evaluate(mid, d)[0], bracket, steps, calls + 1
+            return evaluate(mid, d)[0].T, bracket, steps, calls + 1
         x = lo[live] + (hi[live] - lo[live]) * _CELLS
         a, inside = evaluate(x, d[live])
         inside[0] = True
@@ -240,7 +251,7 @@ def _load_root(d: np.ndarray, lo, hi, tiers, tol: float):
         end = len(x) - 1 - np.argmax(inside[::-1], axis=0)
         nxt, cols = np.minimum(end + 1, len(x) - 1), np.arange(live.size)
         lo[live], hi[live] = x[end, cols], x[nxt, cols]
-        bracket[live] = np.abs(a[nxt, cols] - a[end, cols]).max(axis=-1)
+        bracket[live] = np.abs(a[:, nxt, cols] - a[:, end, cols]).max(axis=0)
         steps, calls = steps + _LEVELS, calls + 1
 
 
@@ -269,12 +280,9 @@ def solve_availability(scenario: NetworkScenario, policy=None,
     if not excess > 0.0:
         return FixedPointResult(rho=np.zeros(scenario.k_tiers), iterations=0,
                                 residual=0.0, feasible=False)
-    tiers = list(zip(on_weight, slope, scenario.batteries(), cutoffs))
+    plan = markov._plan(tuple(scenario.batteries()), tuple(cutoffs))
     (rho,), bracket, steps, calls = _load_root(
-        np.zeros(1), 0.0, on_weight.sum(), tiers, tolerance)
-    d = _on_density(scenario, rho)
-    residual = float(np.max(np.abs([markov.tier_availability(s * d, n, c) - r
-                                    for (_, s, n, c), r in zip(tiers, rho)])))
-    return FixedPointResult(rho=rho, iterations=steps, residual=residual,
-                            feasible=True, bracket=float(bracket[0]),
-                            evaluations=calls)
+        np.zeros(1), 0.0, on_weight.sum(), on_weight, slope, plan, tolerance)
+    a = markov._on_fractions(slope * _on_density(scenario, rho), plan, with_b=False)
+    return FixedPointResult(rho=rho, iterations=steps, residual=float(np.max(np.abs(a - rho))),
+                            feasible=True, bracket=float(bracket[0]), evaluations=calls)

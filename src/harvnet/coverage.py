@@ -122,6 +122,12 @@ def _tier_loads(scenario: NetworkScenario, total: np.ndarray) -> np.ndarray:
     return coverage_prob(scenario) * scenario.user_density * scenario.tier_weights() / total
 
 
+def _float_range_error(scenario: NetworkScenario, what: str) -> ScenarioError:
+    """The error for a value past the float range, naming the fields that set it."""
+    return ScenarioError(f"{what} leaves the float range (user_density="
+                         f"{scenario.user_density}, density={scenario.densities().tolist()})")
+
+
 def tier_association_prob(scenario: NetworkScenario, rho, k: int | None = None):
     """Probability the typical user is served by tier k, given availabilities.
 
@@ -311,8 +317,7 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):
     # a zero load costs no series terms.
     load[weight == 0] = 0.0
     if not np.isfinite(load).all():
-        raise ScenarioError(f"mean load leaves the float range (user_density="
-                            f"{scenario.user_density}, density={scenario.densities().tolist()})")
+        raise _float_range_error(scenario, "mean load")
     g = _g_series(query.rate_target, scenario.path_loss_exp, load.ravel(),
                   query.series_tolerance)
     value = (weight * g.reshape(load.shape)).sum(axis=1)

@@ -14,6 +14,7 @@ cost does not grow with the length of a period.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,31 +99,65 @@ def neg_b_inverse(spec: BirthDeathSpec) -> np.ndarray:
     return mat
 
 
-def _passage_sum(s, battery: int, cutoff: int) -> np.ndarray:
-    """sum_(n=N-c+1..N) S_n, S_n = 1 + s + ... + s^(n-1), vectorized over s.
+class _Plan:
+    """What the ON-fraction kernel does for tiers with batteries N_k and cutoffs c_k.
 
-    S_m = expm1(m log s)/expm1(log s) is exact near s = 0 and s = 1; the
-    partial sums F_m of the first m terms double as F_2m = (1 + s^m) F_m +
-    m S_m, positive terms only, in O(log c) steps.  Overflows to inf.
+    Tier k sums S_n over n = f_k..N_k, f_k = N_k - c_k + 1, in one step
+    per bit of c_k after the leading one (_passage_sums).  `exponents`
+    (P, K, 1) holds every m whose S_m an evaluation reads: f_k, per step m
+    and, if a tier adds S_(f+2m), f + 2m, and c_k if any c_k > 1.  Each
+    step holds the column of m, the m of every tier, which tiers take it
+    (None: all) and which add S_(f+2m) from the next column (None: none).
+    A tier whose expansion is shorter keeps its sum on the steps it does
+    not take.  `cutoffs` is None where every c_k is 1 and nothing divides;
+    `square` marks the tiers with f_k = 2 (None: none).  Per-tier values
+    are (K, 1) columns, so they broadcast along a tier's loads.
     """
-    s = np.asarray(s, dtype=float)
-    first = battery - cutoff + 1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_s, unit = np.log(s), s == 1.0
-        em = np.expm1(log_s)
 
-        def geo(m):
-            return np.where(unit, float(m), np.expm1(m * log_s) / em)
+    def __init__(self, batteries: tuple, cutoffs: tuple):
+        first = [n - c + 1 for n, c in zip(batteries, cutoffs)]
+        bits = [bin(c)[3:] for c in cutoffs]
+        cols, self.steps, m = [first], [], [1] * len(first)
+        for j in range(max(map(len, bits))):
+            take, add = [j < len(b) for b in bits], [b[j:j + 1] == "1" for b in bits]
+            self.steps.append((len(cols), np.array(m, dtype=float)[:, None],
+                               None if all(take) else np.array(take)[:, None],
+                               np.array(add)[:, None] if any(add) else None))
+            cols += [m] + [[f + 2 * i if a else 1 for f, i, a in zip(first, m, add)]] * any(add)
+            m = [2 * i + a if t else i for i, a, t in zip(m, add, take)]
+        self.cutoffs = np.array(cutoffs, dtype=float)[:, None] if max(cutoffs) > 1 else None
+        self.exponents = np.array(cols + [cutoffs] * (self.cutoffs is not None), float)[:, :, None]
+        self.square = self.exponents[0] == 2.0 if 2 in first else None
 
-        m, total = 1, geo(first)
-        for bit in bin(cutoff)[3:]:
-            s_m = geo(m)            # 1 + s^m = 2 + (s - 1) S_m
-            total = (2.0 + em * s_m) * total + m * s_m
-            m *= 2
-            if bit == "1":
-                total = total + geo(first + m)
-                m += 1
-    return total
+
+# One plan per (batteries, cutoffs), made on first use.
+_plan = functools.lru_cache(maxsize=64)(_Plan)
+
+
+def _passage_sums(s: np.ndarray, plan: _Plan):
+    """sum_(n=N-c+1..N) S_n, S_n = 1 + s + ... + s^(n-1), for every tier row of s (K, L).
+
+    S_m = expm1(m log s)/expm1(log s), and m at s = 1, is exact near s = 0
+    and s = 1; the partial sums F_m of the first m terms double as F_2m =
+    (1 + s^m) F_m + m S_m, positive terms only, in O(log c) steps.  Every
+    S_m of the plan is taken in one pass, in place, as a new array of a
+    wide evaluation costs more than the arithmetic on it.  Returns the
+    sums, which overflow to inf, and that table of S_m, shape (P, K, L);
+    the caller ignores the floating-point errors.
+    """
+    log_s = np.log(s)
+    em = np.expm1(log_s)
+    geo = plan.exponents * log_s
+    np.divide(np.expm1(geo, out=geo), em, out=geo)
+    np.copyto(geo, plan.exponents, where=s == 1.0)
+    total = geo[0]
+    for col, m, take, add in plan.steps:
+        s_m = geo[col]       # 1 + s^m = 2 + (s - 1) S_m
+        new = (2.0 + em * s_m) * total + m * s_m
+        if add is not None:
+            new += np.where(add, geo[col + 1], 0.0)
+        total = new if take is None else np.where(take, new, total)
+    return total, geo
 
 
 def mean_on_time(spec: BirthDeathSpec, start_level: int) -> float:
@@ -134,8 +169,9 @@ def mean_on_time(spec: BirthDeathSpec, start_level: int) -> float:
     Policy-2 closed form.  Overflows to inf where the value exceeds doubles.
     """
     _check_integer(start_level, "start_level", 1, spec.battery)
-    return float(_passage_sum(spec.ratio, spec.battery, start_level)
-                 / spec.utilization_rate)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        total, _ = _passage_sums(np.array([[spec.ratio]]), _plan((spec.battery,), (start_level,)))
+    return float(total[0, 0] / spec.utilization_rate)
 
 
 def mean_off_time(spec: BirthDeathSpec, policy: PolicySpec) -> float:
@@ -157,26 +193,35 @@ def tier_availability(s, battery: int, cutoff: int = 1):
     s = np.asarray(s, dtype=float)
     if not np.all((s >= 0.0) & (s < math.inf)):
         raise ScenarioError(f"load ratio must be finite and >= 0 (got {s})")
-    return _on_fractions(s, battery, cutoff, with_b=False)
+    return _on_fractions(s[None], _plan((battery,), (cutoff,)), with_b=False)[0, ...]
 
 
-def _on_fractions(s: np.ndarray, battery: int, cutoff: int, with_b: bool = True):
-    """(a, b): the ON fraction a of tier_availability and b = 1 - a/s.
+def _on_fractions(s: np.ndarray, plan: _Plan, with_b: bool = True):
+    """(a, b) for every tier of s (K, ...): the ON fraction a of tier_availability, b = 1 - a/s.
 
     From a = x/(1 + x), b = s^(N-c+1) S_c/(c (1 + x)) with S_c = 1 + s +
     ... + s^(c-1): positive terms only, so b keeps its relative precision
     where a/s is close to 1.  Where x or that numerator overflows, a
-    rounds to 1 and b = 1 - 1/s.  Without `with_b`, a alone.
+    rounds to 1 and b = 1 - 1/s.  Without `with_b`, a alone.  Row k of s
+    holds tier k's loads, so every per-tier value broadcasts along a row;
+    each value has the bits of its tier's call alone, wherever it sits.
     """
+    # C order, so that a tier's loads are the inner loop of every ufunc.
+    shape, s = s.shape, np.ascontiguousarray(s.reshape(plan.exponents.shape[1], -1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = s * _passage_sum(s, battery, cutoff) / cutoff
-        a = np.where(x > 1.0, 1.0 / (1.0 + 1.0 / x), x / (1.0 + x))
+        total, geo = _passage_sums(s, plan)
+        x = s * total if plan.cutoffs is None else s * total / plan.cutoffs
+        one_x = 1.0 + x
+        a = np.where(x > 1.0, 1.0 / (1.0 + 1.0 / x), x / one_x).reshape(shape)
         if not with_b:
             return a
-        s_c = _passage_sum(s, cutoff, 1) if cutoff > 1 else 1.0
-        top = s ** (battery - cutoff + 1) * s_c / cutoff
-        b = np.where((x < math.inf) & (top < math.inf), top / (1.0 + x), 1.0 - 1.0 / s)
-    return a, b
+        top = np.power(s, plan.exponents[0])
+        if plan.square is not None:   # s ** 2 is s * s; pow may differ in the last bit
+            np.copyto(top, s * s, where=plan.square)
+        if plan.cutoffs is not None:
+            top = top * np.where(plan.cutoffs > 1.0, geo[-1], 1.0) / plan.cutoffs
+        b = np.where(np.maximum(x, top) < math.inf, top / one_x, 1.0 - 1.0 / s)
+    return a, b.reshape(shape)
 
 
 def policy_availability(spec: BirthDeathSpec, policy: PolicySpec) -> float:

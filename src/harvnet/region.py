@@ -10,8 +10,8 @@ is exactly 0 unless slope_k lambda_k w_k > 1, taken exactly.  A tier can
 also be pinned to a recharge policy S(c), which shrinks the region.
 
 Membership needs no root.  With h_k(x) = a_k(s_k(D_others + lambda_k w_k x))
-- x, rho is inside iff h_k(rho_k) >= 0 for every k: one evaluation per
-tier.  a(s) is concave for every battery N and cutoff c, so h_k, a concave
+- x, rho is inside iff h_k(rho_k) >= 0 for every k: one evaluation of
+markov._on_fractions covers every tier.  a(s) is concave for every battery N and cutoff c, so h_k, a concave
 function of a load affine in x minus x, is concave with h_k(0) >= 0, and
 {x in [0, 1]: h_k(x) >= 0} = [0, boundary].  Why a(s) is concave:
 - under S(c), a(s) = 1 - 1/Q(s) with Q(s) = sum_(i=0..N) q_i s^i, q_0 = 1
@@ -63,10 +63,10 @@ def _boundaries(scenario: NetworkScenario, k: int, others: np.ndarray,
     on_weight, slope = analytic._tier_constants(scenario)
     # D with rho_k = 0 put in: adding its +0.0 term changes no bit.
     d_others = _on_density(scenario, np.insert(others, k, 0.0, axis=1))
-    tier = [(on_weight[k], slope[k], scenario.tiers[k].battery, cutoff)]
+    plan = markov._plan((scenario.tiers[k].battery,), (cutoff,))
     # A search holds 2^6 + 1 loads of every live lane; blocks cap its memory.
     return np.concatenate([
-        analytic._load_root(d, d, d + on_weight[k], tier, _TOL)[0][:, 0]
+        analytic._load_root(d, d, d + on_weight[k], on_weight[[k]], slope[[k]], plan, _TOL)[0][:, 0]
         for d in np.split(d_others, range(_LANE_BLOCK, d_others.size, _LANE_BLOCK))])
 
 
@@ -88,11 +88,14 @@ def _inside(scenario: NetworkScenario, rho, constraints, tol: float) -> np.ndarr
     """Which lanes of rho (L, K) lie in the region, to slack tol in each rho_k."""
     cutoffs = analytic._cutoffs(scenario, constraints)
     on_weight, slope = analytic._tier_constants(scenario)
-    x = np.maximum(rho - tol, 0.0)
+    # Tier-major (K, L), the layout of markov._on_fractions.
+    tiers = np.ascontiguousarray(rho.T)
+    x = np.maximum(tiers - tol, 0.0)
     # s_k with rho_k moved to x_k: slope_k (D_others + lambda_k w_k x_k)
-    s = slope * (_on_density(scenario, rho)[:, None] + on_weight * (x - rho))
-    return np.all([markov.tier_availability(s[:, k], n, c) >= x[:, k]
-                   for k, (n, c) in enumerate(zip(scenario.batteries(), cutoffs))], axis=0)
+    s = slope[:, None] * (_on_density(scenario, rho) + on_weight[:, None] * (x - tiers))
+    plan = markov._plan(tuple(scenario.batteries()), tuple(cutoffs))
+    # A load that rounds below 0 where D_others is 0 is 0.
+    return (markov._on_fractions(np.maximum(s, 0.0), plan, with_b=False) >= x).all(axis=0)
 
 
 def _sweep_grid(scenario: NetworkScenario, resolution: int) -> np.ndarray:

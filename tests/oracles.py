@@ -16,6 +16,10 @@ before it skipped zero counts, drawing for every cycle at every level.
 binomial pmf and hyp2f1, with math.fsum.
 `mp_fixed_point` is the availability fixed point of given float tier
 constants, in mpmath.
+`per_tier_on_fractions` is the float ON fraction and b = 1 - a/s of one
+tier as it was computed before the tiers were stacked into one array
+pass: its own binary expansion, Python-int exponents and cutoff, for
+bit-for-bit comparison.
 `row_weight_user_pass` is the spatial user pass with its gain kernel and
 serving pick as they were before the per-tier path loss and the argmax
 pick, on tiles of one row per BS, for bit-for-bit comparison; its rate
@@ -185,6 +189,37 @@ def mp_on_fraction_closed(s, battery, cutoff=1):
         total = (s ** (n - c + 1) * (s ** c - 1) / (s - 1) - c) / (s - 1)
     x = s * total / c
     return x / (1 + x)
+
+
+def _per_tier_passage_sum(s, battery, cutoff):
+    first = battery - cutoff + 1
+    log_s, unit = np.log(s), s == 1.0
+    em = np.expm1(log_s)
+
+    def geo(m):
+        return np.where(unit, float(m), np.expm1(m * log_s) / em)
+
+    m, total = 1, geo(first)
+    for bit in bin(cutoff)[3:]:
+        s_m = geo(m)
+        total = (2.0 + em * s_m) * total + m * s_m
+        m *= 2
+        if bit == "1":
+            total = total + geo(first + m)
+            m += 1
+    return total
+
+
+def per_tier_on_fractions(s, battery, cutoff):
+    """(a, b) of one tier at load ratios s, one tier at a time (see above)."""
+    s = np.asarray(s, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = s * _per_tier_passage_sum(s, battery, cutoff) / cutoff
+        a = np.where(x > 1.0, 1.0 / (1.0 + 1.0 / x), x / (1.0 + x))
+        s_c = _per_tier_passage_sum(s, cutoff, 1) if cutoff > 1 else 1.0
+        top = s ** (battery - cutoff + 1) * s_c / cutoff
+        b = np.where((x < math.inf) & (top < math.inf), top / (1.0 + x), 1.0 - 1.0 / s)
+    return a, b
 
 
 def mp_outer_root(excess, top, dps=60, steps=110, decades=59):

@@ -94,6 +94,17 @@ def test_all_off_raises():
         mean_service_area(sc, [0.0, 0.0], 0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("quantity", [energy_utilization, mean_service_area])
+def test_service_area_and_utilization_past_the_float_range_are_errors(quantity):
+    # w_0 = 1e150 over D = 1e-10 * 1e-150: both w_0/D and P_c lambda_u w_0/D overflow
+    sc = NetworkScenario(tiers=(TierParams(1.0, 1e300, 1.0, 5), TierParams(1e-10, 1e-300, 1.0, 5)),
+                         path_loss_exp=4.0, sir_target=1.0, user_density=100.0)
+    with pytest.raises(ScenarioError, match=r"float range \(user_density=100.0, density="):
+        quantity(sc, [0.0, 1.0], 0)
+    assert math.isfinite(quantity(sc, [0.0, 1.0], 1))
+
+
 def test_energy_utilization_scales_with_user_density():
     sc = two_tier()
     doubled = NetworkScenario(tiers=sc.tiers, path_loss_exp=4.0, sir_target=1.0,

@@ -674,19 +674,19 @@ def test_a_lanes_d_and_region_verdict_do_not_depend_on_its_stack(name, monkeypat
     sc = _lane_scenarios()[name]
     rho = _seeded_rho(name, sc.k_tiers, rows=1000)
     ratios = []
-    availability = markov.tier_availability
+    fractions = markov._on_fractions
 
-    def spy(s, n, cutoff=1):
-        ratios.append(np.array(s, dtype=float))
-        return availability(s, n, cutoff)
+    def spy(s, plan, with_b=True):
+        ratios.append(np.array(s, dtype=float).T)      # tier-major, one row per lane
+        return fractions(s, plan, with_b)
 
     # The load ratios that region._inside tests, in the stack and lane by lane.
-    monkeypatch.setattr(markov, "tier_availability", spy)
+    monkeypatch.setattr(markov, "_on_fractions", spy)
     stacked = region._inside(sc, rho, None, 1e-6)
-    stacked_s, ratios[:] = np.column_stack(ratios), []
+    stacked_s, ratios[:] = np.concatenate(ratios), []
     alone = [bool(region._inside(sc, row[None, :], None, 1e-6)[0]) for row in rho]
     monkeypatch.undo()
-    alone_s = np.array(ratios).reshape(len(rho), sc.k_tiers)
+    alone_s = np.concatenate(ratios)
     assert stacked.tolist() == alone
     assert stacked_s.tolist() == alone_s.tolist()
     d = coverage._on_density(sc, rho)

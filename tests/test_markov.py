@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from harvnet import markov
 from harvnet.markov import (
     BirthDeathSpec,
     PolicySpec,
@@ -27,6 +28,7 @@ from oracles import (
     hp_neg_b_inverse,
     jump_chain_on_times,
     level_loop_on_times,
+    per_tier_on_fractions,
 )
 
 
@@ -329,3 +331,56 @@ def test_simulate_on_off_rejects_unsampleable_input():
         with pytest.raises(ScenarioError, match="seed"):
             simulate_on_off(BirthDeathSpec(1.0, 1.0, 5), PolicySpec(1), cycles=100,
                             seed=seed)
+
+
+# Every battery up to 64 with every cutoff, so N - c + 1 = 2 and expansions
+# of every length; loads at 0, at 1 and 1 ulp either side, at 1e+-300, near
+# 1 and log-uniform over the whole range.
+KERNEL_PAIRS = [(n, c) for n in range(1, 65) for c in range(1, n + 1)]
+
+
+def kernel_loads():
+    rng = np.random.default_rng(2029)
+    special = [0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1e-300, 1e300,
+               5e-324, 0.5, 2.0]
+    return np.concatenate([special, 1.0 + rng.uniform(-1e-6, 1e-6, 8),
+                           np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 40))])
+
+
+def bits(v):
+    return np.asarray(v, dtype=float).view(np.uint64).tolist()
+
+
+def test_stacked_on_fractions_equal_single_tier_calls_bit_for_bit():
+    # One K = 2080 stack, each tier's loads in its own order, against one
+    # call per tier and against the per-tier formula the stack replaced.
+    s = kernel_loads()
+    rng = np.random.default_rng(7)
+    rows = np.array([rng.permutation(s) for _ in KERNEL_PAIRS])
+    n, c = zip(*KERNEL_PAIRS)
+    a, b = markov._on_fractions(rows, markov._plan(n, c))
+    assert np.all((a >= 0.0) & (a <= 1.0))
+    for k, (n, c) in enumerate(KERNEL_PAIRS):
+        a1, b1 = markov._on_fractions(rows[k][None], markov._plan((n,), (c,)))
+        ref_a, ref_b = per_tier_on_fractions(rows[k], n, c)
+        assert bits(a[k]) == bits(a1[0]) == bits(ref_a), (n, c)
+        assert bits(b[k]) == bits(b1[0]) == bits(ref_b), (n, c)
+        assert bits(tier_availability(rows[k], n, c)) == bits(ref_a), (n, c)
+
+
+@pytest.mark.parametrize("battery", [1, 2, 3, 7, 10, 33, 64])
+def test_on_fraction_bits_do_not_depend_on_position_or_size(battery):
+    s = kernel_loads()
+    for cutoff in range(1, battery + 1):
+        plan = markov._plan((battery,), (cutoff,))
+        a, b = markov._on_fractions(s[None], plan)
+        # reversed, inside a wider 3-d block, and every load alone
+        ra, rb = markov._on_fractions(s[None, ::-1], plan)
+        assert bits(ra[0, ::-1]) == bits(a[0]) and bits(rb[0, ::-1]) == bits(b[0])
+        wide = np.stack([np.roll(s, 3), s, s[::-1]])[None]
+        wa, wb = markov._on_fractions(wide, plan)
+        assert bits(wa[0, 1]) == bits(a[0]) and bits(wb[0, 1]) == bits(b[0])
+        alone = [markov._on_fractions(np.array([[v]]), plan) for v in s]
+        assert bits([x[0, 0] for x, _ in alone]) == bits(a[0])
+        assert bits([y[0, 0] for _, y in alone]) == bits(b[0])
+        assert bits([tier_availability(v, battery, cutoff) for v in s]) == bits(a[0])

@@ -317,6 +317,17 @@ def test_membership_blocks_match_one_evaluation():
     assert grid_coverage(sc, 301) == region._inside(sc, lanes, {}, 1e-6).mean()
 
 
+def test_contains_takes_a_load_rounded_below_zero_as_zero():
+    # With the other tier at 0 and rho_k within the slack, D_others =
+    # rho_k lambda_k w_k - lambda_k w_k rho_k can round to about -1e-22;
+    # those loads were once rejected as negative load ratios.
+    sc, _ = load_scenario(str(SCENARIOS[[p.stem for p in SCENARIOS].index("battery-sweep")]))
+    rng = np.random.default_rng(11)
+    for tiny in rng.uniform(0.0, 3e-6, 60):
+        for rho in ([tiny, 0.0], [0.0, tiny]):
+            assert contains(sc, rho) == root_search_contains(sc, rho), rho
+
+
 def test_contains_reports_nan_as_outside():
     sc = two_tier()
     assert not contains(sc, [math.nan, 0.1])
