@@ -95,7 +95,7 @@ def _inside(scenario: NetworkScenario, rho, constraints, tol: float) -> np.ndarr
     s = slope[:, None] * (_on_density(scenario, rho) + on_weight[:, None] * (x - tiers))
     plan = markov._plan(tuple(scenario.batteries()), tuple(cutoffs))
     # A load that rounds below 0 where D_others is 0 is 0.
-    return (markov._on_fractions(np.maximum(s, 0.0), plan, with_b=False) >= x).all(axis=0)
+    return (markov._on_fractions(np.maximum(s, 0.0, out=s), plan, with_b=False) >= x).all(axis=0)
 
 
 def _sweep_grid(scenario: NetworkScenario, resolution: int) -> np.ndarray:
