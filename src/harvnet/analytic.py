@@ -229,7 +229,8 @@ def _load_root(d: np.ndarray, lo, hi, c: np.ndarray, slope: np.ndarray, plan, to
 
     def evaluate(x, d):
         a, b = markov._on_fractions(np.multiply.outer(slope, x), plan)
-        # Tier by tier in order, as the terms were summed one tier at a time.
+        # Term by term in tier order: a reduction over the tier axis would
+        # associate three or more terms differently.
         gain = sum((c[k] * a[k] for k in big_k), 0)
         loss = sum((c[k] * slope[k] * b[k] for k in small_k), 0)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -216,7 +216,7 @@ def _on_fractions(s: np.ndarray, plan: _Plan, with_b: bool = True):
         if not with_b:
             return a
         top = np.power(s, plan.exponents[0])
-        if plan.square is not None:   # s ** 2 is s * s; pow may differ in the last bit
+        if plan.square is not None:   # pow may differ from s * s in the last bit
             np.copyto(top, s * s, where=plan.square)
         if plan.cutoffs is not None:
             top = top * np.where(plan.cutoffs > 1.0, geo[-1], 1.0) / plan.cutoffs
