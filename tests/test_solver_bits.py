@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PINNED = Path(__file__).resolve().parent / "data" / "pinned_solver_bits.json"
 BUNDLED = ("two-tier-baseline", "battery-sweep", "gamma-rich", "rate-surface")
 # Batteries 1 and 2 and a cutoff of N - 1 give N - c + 1 in {1, 2}; four
-# tiers sum their terms in more than one way if the order is not kept.
+# tiers take the stacked kernel and the tier-ordered sums past K = 2.
 FOUR_TIER = NetworkScenario(
     tiers=(TierParams(1.0, 1.0, 2.0, 1), TierParams(4.0, 0.2, 1.0, 2),
            TierParams(9.0, 0.05, 0.7, 7), TierParams(0.3, 3.0, 5.0, 64)),
@@ -68,8 +68,14 @@ def solve_record(sc, policy):
             "evaluations": res.evaluations, "feasible": res.feasible}
 
 
-def sweep_record(sc, k, constraint):
+def sweep_record(sc, k, con):
+    constraint = PolicySpec(sc.tiers[k].battery) if con == "SN" else None
     return [float(v).hex() for v in sweep_boundary(sc, k, SWEEP_GRID, constraint).values]
+
+
+def coverage_record(sc, con):
+    constraints = {0: PolicySpec(sc.tiers[0].battery)} if con == "SN" else None
+    return grid_coverage(sc, COVERAGE_GRID, constraints).hex()
 
 
 SOLVE_CASES = [(name, gamma, pol) for name in (*BUNDLED, "four-tier")
@@ -103,16 +109,13 @@ def test_solve_availability_matches_pinned_bits(name, gamma, pol, pinned, named)
 @pytest.mark.parametrize("name,gamma,k,con", SWEEP_CASES, ids=lambda v: str(v))
 def test_sweep_boundary_matches_pinned_bits(name, gamma, k, con, pinned, named):
     sc = at_gamma(named[name], gamma)
-    constraint = PolicySpec(sc.tiers[k].battery) if con == "SN" else None
-    assert sweep_record(sc, k, constraint) == pinned["sweep"][key(name, gamma, k, con)]
+    assert sweep_record(sc, k, con) == pinned["sweep"][key(name, gamma, k, con)]
 
 
 @pytest.mark.parametrize("name,gamma,con", COVERAGE_CASES, ids=lambda v: str(v))
 def test_grid_coverage_matches_pinned_bits(name, gamma, con, pinned, named):
     sc = at_gamma(named[name], gamma)
-    constraints = {0: PolicySpec(sc.tiers[0].battery)} if con == "SN" else None
-    got = grid_coverage(sc, COVERAGE_GRID, constraints).hex()
-    assert got == pinned["coverage"][key(name, gamma, con)]
+    assert coverage_record(sc, con) == pinned["coverage"][key(name, gamma, con)]
 
 
 if __name__ == "__main__":
@@ -122,12 +125,7 @@ if __name__ == "__main__":
         sc = at_gamma(named[name], gamma)
         record["solve"][key(name, gamma, pol)] = solve_record(sc, policies(sc)[pol])
     for name, gamma, k, con in SWEEP_CASES:
-        sc = at_gamma(named[name], gamma)
-        constraint = PolicySpec(sc.tiers[k].battery) if con == "SN" else None
-        record["sweep"][key(name, gamma, k, con)] = sweep_record(sc, k, constraint)
+        record["sweep"][key(name, gamma, k, con)] = sweep_record(at_gamma(named[name], gamma), k, con)
     for name, gamma, con in COVERAGE_CASES:
-        sc = at_gamma(named[name], gamma)
-        constraints = {0: PolicySpec(sc.tiers[0].battery)} if con == "SN" else None
-        record["coverage"][key(name, gamma, con)] = grid_coverage(
-            sc, COVERAGE_GRID, constraints).hex()
+        record["coverage"][key(name, gamma, con)] = coverage_record(at_gamma(named[name], gamma), con)
     PINNED.write_text(json.dumps(record, indent=1) + "\n")
