@@ -54,12 +54,12 @@ class FixedPointResult:
 def mean_service_area(scenario: NetworkScenario, rho, k: int) -> float:
     """Mean service-region area of an ON tier-k BS.
 
-    w_k / D, D = sum_j rho_j lambda_j w_j (coverage._on_density), with w
+    w_k / D, D = sum_j rho_j lambda_j w_j (coverage._on_terms), with w
     the shadowing-power weights; the areas weighted by rho_k lambda_k sum
     to one over tiers.  A value past the float range is a ScenarioError
     naming user_density and density.
     """
-    return _at_density(scenario, rho, k, lambda d: scenario.tier_weights() / d, "mean service area")
+    return _at_density(scenario, rho, k, lambda _, d, w: w / d, "mean service area")
 
 
 def energy_utilization(scenario: NetworkScenario, rho, k: int) -> float:
@@ -69,18 +69,19 @@ def energy_utilization(scenario: NetworkScenario, rho, k: int) -> float:
     sums for tier k, bit for bit (coverage._tier_loads).  A value past the
     float range is a ScenarioError naming user_density and density.
     """
-    return _at_density(scenario, rho, k, lambda d: _tier_loads(scenario, d), "energy utilization")
+    return _at_density(scenario, rho, k, _tier_loads, "energy utilization")
 
 
 def _at_density(scenario: NetworkScenario, rho, k: int, form, what: str) -> float:
-    """form(D)[0, k], D of one availability vector (1, 1), after the tier and rho checks.
+    """form(scenario, D, w)[0, k], D of one availability vector (1, 1), after the checks.
 
-    A value past the float range is a ScenarioError naming `what`.
+    The tier k and rho are checked, and w holds the tier weights w_k.  A
+    value past the float range is a ScenarioError naming `what`.
     """
     _check_integer(k, "tier", 0, scenario.k_tiers - 1)
     rho = check_availability_vector(rho, scenario.k_tiers)
     with np.errstate(over="ignore"):
-        value = form(_association(scenario, rho[None, :])[1])[0, k]
+        value = form(scenario, *_association(scenario, rho[None, :])[1:])[0, k]
     if not np.isfinite(value):
         raise _float_range_error(scenario, what)
     return float(value)
@@ -89,7 +90,7 @@ def _at_density(scenario: NetworkScenario, rho, k: int, form, what: str) -> floa
 def _tier_constants(scenario: NetworkScenario) -> tuple[np.ndarray, np.ndarray]:
     """(c_j, slope_j) = (lambda_j w_j, mu_j/(lambda_u P_c w_j)): s_j = slope_j D.
 
-    D = sum_j rho_j c_j is formed by coverage._on_density alone.
+    D = sum_j rho_j c_j is formed by coverage._on_terms alone.
 
     A load past the float range, where the load ratios at rho = 1 sum to
     more than a double holds (or lambda_u P_c rounds to 0), is a
@@ -223,37 +224,39 @@ def _load_root(d: np.ndarray, lo, hi, c: np.ndarray, slope: np.ndarray, plan, to
     Returns (a_k at the bracket midpoints, bracket, steps, evaluations),
     the final midpoint counted as one evaluation.
     """
-    big = c * slope > 2.0
+    cs = c * slope
+    big = cs > 2.0
     excess = _load_excess(c[~big], slope[~big])
     big_k, small_k = np.flatnonzero(big).tolist(), np.flatnonzero(~big).tolist()
 
-    def evaluate(x, d):
-        a, b = markov._on_fractions(np.multiply.outer(slope, x), plan)
+    def tier_sum(ks, f, v):
         # Term by term in tier order: a reduction over the tier axis would
         # associate three or more terms differently.
-        gain = sum((c[k] * a[k] for k in big_k), 0)
-        loss = sum((c[k] * slope[k] * b[k] for k in small_k), 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return a, (excess + (d + gain) / x >= loss) | (a == 1.0).all(axis=0)
+        parts = [f[k] * v[k] for k in ks]
+        return sum(parts[1:], parts[0]) if parts else 0.0
 
-    lo, hi = (np.broadcast_to(v, d.shape).astype(float) for v in (lo, hi))
+    lo, hi = (np.full(d.shape, v, dtype=float) for v in (lo, hi))
     hi = np.where((d == 0.0) & (excess <= 0.0) & (not big.any()), lo, hi)
     bracket = np.where(lo < hi, np.inf, 0.0)
     steps = calls = 0
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = np.flatnonzero((bracket > tol) & (lo < mid) & (mid < hi))
-        if not live.size:
-            return evaluate(mid, d)[0].T, bracket, steps, calls + 1
-        x = lo[live] + (hi[live] - lo[live]) * _CELLS
-        a, inside = evaluate(x, d[live])
-        inside[0] = True
-        # The last point inside and the next: lo stays inside, hi outside.
-        end = len(x) - 1 - np.argmax(inside[::-1], axis=0)
-        nxt, cols = np.minimum(end + 1, len(x) - 1), np.arange(live.size)
-        lo[live], hi[live] = x[end, cols], x[nxt, cols]
-        bracket[live] = np.abs(a[:, nxt, cols] - a[:, end, cols]).max(axis=0)
-        steps, calls = steps + _LEVELS, calls + 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            mid = 0.5 * (lo + hi)
+            live = np.flatnonzero((bracket > tol) & (lo < mid) & (mid < hi))
+            if not live.size:
+                a = markov._on_fractions(np.multiply.outer(slope, mid), plan, with_b=False)
+                return a.T, bracket, steps, calls + 1
+            x = lo[live] + (hi[live] - lo[live]) * _CELLS
+            a, b = markov._on_fractions(np.multiply.outer(slope, x), plan)
+            inside = excess + (d[live] + tier_sum(big_k, c, a)) / x >= tier_sum(small_k, cs, b)
+            inside |= (a == 1.0).all(axis=0)
+            inside[0] = True
+            # The last point inside and the next: lo stays inside, hi outside.
+            end = len(x) - 1 - np.argmax(inside[::-1], axis=0)
+            nxt, cols = np.minimum(end + 1, len(x) - 1), np.arange(live.size)
+            lo[live], hi[live] = x[end, cols], x[nxt, cols]
+            bracket[live] = np.abs(a[:, nxt, cols] - a[:, end, cols]).max(axis=0)
+            steps, calls = steps + _LEVELS, calls + 1
 
 
 def solve_availability(scenario: NetworkScenario, policy=None,
@@ -272,6 +275,8 @@ def solve_availability(scenario: NetworkScenario, policy=None,
     """
     if not tolerance > 0:
         raise ScenarioError(f"tolerance must be > 0 (got {tolerance})")
+    if tolerance == np.inf:
+        raise ScenarioError(f"tolerance must be finite (got {tolerance})")
     if policy is not None and len(policy) != scenario.k_tiers:
         raise ScenarioError(
             f"policy list must have {scenario.k_tiers} entries (got {len(policy)})")

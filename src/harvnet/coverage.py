@@ -5,15 +5,19 @@ interference-limited K-tier network collapses to Pc = 1/(1 + F(beta, alpha)),
 independent of the tier densities, powers, shadowing and availabilities.
 F has the closed form (2 beta/(alpha-2)) 2F1(1, 1-2/alpha; 2-2/alpha; -beta)
 and reduces to sqrt(beta) arctan(sqrt(beta)) at alpha = 4; both evaluate
-over arrays of beta, and hyper_f caches nothing.  Every rho-dependent
-quantity sees rho only through D = sum_k rho_k lambda_k w_k, which
-_on_density alone forms, for this module and for analytic and region; the
+over arrays of beta, and hyper_f caches nothing; coverage_prob keeps P_c
+per (beta, alpha) in a memo (_coverage).  Every rho-dependent quantity
+sees rho only through D = sum_k rho_k lambda_k w_k, which _on_terms alone
+forms, for this module and for analytic and region; the
 association A_k = rho_k lambda_k w_k / D and the tier loads x_k = Pc
 lambda_u w_k / D (_tier_loads, also the energy utilization nu_k) are formed
 here too.  The rate CCDF is P(R > T) = sum_k A_k G_T(x_k): the A_k mix one
 series G_T per tier load x_k of a 3.5-law load model in which only covered
-users (effective density Pc*lambda_u) consume base-station resources.  The
-one cache is _series_block's memo of the series' rho-independent blocks.
+users (effective density Pc*lambda_u) consume base-station resources.
+The series' rho-independent blocks sit in two more memos: _series_block's
+coverage factors per (T, alpha) and _log_nb_block's load-pmf coefficients.
+Each memo keeps a bounded number of entries, stated in its docstring (at
+most 3 MiB in all), and returns the same value computed or recalled.
 Only hyper_f at alpha != 4 needs scipy (for 2F1), and imports it there, so
 the alpha = 4 path never loads scipy.
 """
@@ -38,6 +42,11 @@ _MAX_BLOCK = 64 * _BLOCK
 _STEPS = np.arange(1.0, _BLOCK)
 # Largest temporary, in doubles, of one chunk of rate series loads.
 _LANE_BUDGET = 1 << 17
+# Every block end within _LANE_BUDGET terms: where a first pass may end.
+_ENDS = np.cumsum([min(_BLOCK << i, _MAX_BLOCK) for i in range(64)])
+_ENDS = _ENDS[_ENDS <= _LANE_BUDGET]
+# The fixed cost of one pass of the rate series, in terms of one load.
+_PASS_TERMS = 2048
 # 2^1000 - 1 is the largest SIR threshold the series evaluates; beyond it
 # the coverage factor is taken as zero.
 _MAX_EXPO = 1000.0
@@ -71,7 +80,18 @@ def hyper_f(beta, alpha: float):
 
 def coverage_prob(scenario: NetworkScenario) -> float:
     """P(SIR > beta) for the typical user; independent of the availabilities."""
-    return 1.0 / (1.0 + hyper_f(scenario.sir_target, scenario.path_loss_exp))
+    return _coverage(scenario.sir_target, scenario.path_loss_exp)
+
+
+@functools.lru_cache(maxsize=256)
+def _coverage(beta: float, alpha: float) -> float:
+    """1/(1 + F(beta, alpha)), the memo behind coverage_prob.
+
+    It keeps the last 256 (beta, alpha) pairs, one float each, so a few
+    tens of KiB with their keys; a value is the same float whether
+    computed or recalled.
+    """
+    return 1.0 / (1.0 + hyper_f(beta, alpha))
 
 
 def _availability_lanes(rho, k_tiers: int) -> np.ndarray:
@@ -92,34 +112,42 @@ def _availability_lanes(rho, k_tiers: int) -> np.ndarray:
     return arr
 
 
-def _on_density(scenario: NetworkScenario, rho: np.ndarray) -> np.ndarray:
-    """D = sum_k rho_k lambda_k w_k along the last axis of rho.
+def _on_terms(scenario: NetworkScenario, rho: np.ndarray):
+    """(rho_k lambda_k w_k, D, w) along the last axis of rho: D sums the terms, w the weights.
 
     The one place D is formed.  Products and a plain sum, no matmul, so a
     lane's D has the same bits inside any stack as alone.
     """
-    return (rho * scenario.densities() * scenario.tier_weights()).sum(axis=-1)
+    weights = scenario.tier_weights()
+    terms = rho * scenario.densities() * weights
+    return terms, terms.sum(axis=-1), weights
+
+
+def _on_density(scenario: NetworkScenario, rho: np.ndarray) -> np.ndarray:
+    """D = sum_k rho_k lambda_k w_k along the last axis of rho (_on_terms)."""
+    return _on_terms(scenario, rho)[1]
 
 
 def _association(scenario: NetworkScenario, rho: np.ndarray):
     """Association probabilities of validated lanes rho (L, K), row by row.
 
-    Returns (A, D): A_k = rho_k lambda_k w_k / D and each row's D from
-    _on_density, shape (L, 1).
+    Returns (A, D, w): A_k = rho_k lambda_k w_k / D, each row's D from
+    _on_terms, shape (L, 1), and the tier weights w.
     """
-    total = _on_density(scenario, rho)[:, None]
+    terms, total, weights = _on_terms(scenario, rho)
     if not (total > 0).all():
         raise ScenarioError("no BS available: weighted ON density is zero")
-    return rho * scenario.densities() * scenario.tier_weights() / total, total
+    return terms / total[:, None], total[:, None], weights
 
 
-def _tier_loads(scenario: NetworkScenario, total: np.ndarray) -> np.ndarray:
+def _tier_loads(scenario: NetworkScenario, total: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """x_k = P_c lambda_u w_k / D for each D of `total` (L, 1), shape (L, K).
 
     The mean load on a serving tier-k BS, which is also its energy
-    utilization nu_k; a load past the float range is inf.
+    utilization nu_k; a load past the float range is inf.  `weights`
+    holds the w_k.
     """
-    return coverage_prob(scenario) * scenario.user_density * scenario.tier_weights() / total
+    return coverage_prob(scenario) * scenario.user_density * weights / total
 
 
 def _float_range_error(scenario: NetworkScenario, what: str) -> ScenarioError:
@@ -205,18 +233,53 @@ def _series_block(t_rate: float, alpha: float, start: int, size: int):
 
     Returns two read-only 1-D arrays (cov, coef), shared by every load:
     cov[j] = c_T(n) = 1/(1 + F(2^(T(n+1)) - 1, alpha)), 0 once T(n+1) >
-    _MAX_EXPO, and coef[j] = L(n) (see _log_nb_table), for n = start + j.
-    Calls with the same (T, alpha) share them through this memo, keyed by
-    (t_rate, alpha, start, size).  It keeps the last 32 blocks, each at most
-    2 x _MAX_BLOCK doubles (64 KiB), so at most 2 MiB; a block is the same
+    _MAX_EXPO, and coef[j] = L(n) (_log_nb_block), for n = start + j.
+    Calls with the same (T, alpha) share cov through this memo, keyed by
+    (t_rate, alpha, start, size).  It keeps the last 32 blocks, each at
+    most _MAX_BLOCK doubles (32 KiB) of its own plus a coef that may
+    outlive _log_nb_block's memo, so at most 2 MiB; a block is the same
     array whether computed or recalled, so no result depends on the memo.
     """
     expo = t_rate * np.arange(start + 1, start + size + 1)
     beta = np.exp2(np.minimum(expo, _MAX_EXPO)) - 1.0
     cov = np.where(expo > _MAX_EXPO, 0.0, 1.0 / (1.0 + hyper_f(beta, alpha)))
+    cov.flags.writeable = False
+    return cov, _log_nb_block(start, size)
+
+
+@functools.lru_cache(maxsize=32)
+def _log_nb_block(start: int, size: int) -> np.ndarray:
+    """L(n) for n = start .. start+size-1 (_log_nb_table), read-only.
+
+    Independent of T and alpha, so every _series_block of the same
+    (start, size) shares it.  It keeps the last 32 blocks, each at most
+    _MAX_BLOCK doubles (32 KiB), so at most 1 MiB.
+    """
     coef = _log_nb_table(np.arange(start, start + size, _BLOCK)).ravel()
-    cov.flags.writeable = coef.flags.writeable = False
-    return cov, coef
+    coef.flags.writeable = False
+    return coef
+
+
+def _first_pass_end(t_rate: float, alpha: float, x, log_q, tol: float) -> int:
+    """The term where _g_series's first pass over the loads x ends, a block end.
+
+    Past the mean 4.5 x/3.5 of the load law, a term shrinks by about q =
+    x/(3.5+x) per step and the coverage factor by about 2^(-2T/alpha), so
+    a load stops near n = 4.5 x/3.5 + log(1/tol)/(-log q + 2T log 2/alpha),
+    and by n = (alpha/2) log2(1/tol)/T, where c_T(n) < tol, at the latest;
+    on loads 0.05 to 1,000, T 1e-3 to 5, alpha 2.5 to 6 and tol 1e-6 to
+    1e-13 that estimate is 0.7 to 1.5 times the stop (plus one).  The pass
+    covers every load's estimate if the terms it sums past the estimates
+    cost no more than the passes it saves, _PASS_TERMS terms each, else it
+    is one block.  It opens no block past the zero-coverage cut and spans
+    at most _LANE_BUDGET terms.
+    """
+    rate = 2.0 * math.log(2.0) * t_rate / alpha
+    cap = min(-alpha / 2.0 * math.log2(tol) / t_rate, _MAX_EXPO / t_rate - 1.0, _ENDS[-1] - 1)
+    stop = np.minimum(x * (4.5 / 3.5) - math.log(tol) / (rate - log_q), cap)
+    saved = int(np.searchsorted(_ENDS, stop.max(), side="right"))   # passes the pass saves
+    end = int(_ENDS[saved])
+    return end if saved and end * x.size - stop.sum() <= saved * _PASS_TERMS else _BLOCK
 
 
 def _g_series(t_rate: float, alpha: float, x: np.ndarray, tol: float) -> np.ndarray:
@@ -230,11 +293,14 @@ def _g_series(t_rate: float, alpha: float, x: np.ndarray, tol: float) -> np.ndar
     _MAX_EXPO every coverage factor, and so every term and the bound, is 0.
     A zero load puts all its mass on n = 0 and gives exactly c_T(0).
 
-    Blocks of _BLOCK terms, then twice as many per block up to _MAX_BLOCK,
-    keep a small T (about log2(1/tol)/T terms) to few passes.  Running sums
-    are seeded with the previous block's totals and accumulate in term
-    order, so each value depends on its own load alone, bit for bit.  Loads
-    run in chunks whose temporaries stay within _LANE_BUDGET doubles.
+    The terms come in blocks of _BLOCK, then twice as many per block up to
+    _MAX_BLOCK.  The first pass spans the blocks up to _first_pass_end's
+    estimate of where the loads stop, later passes one block each, so a
+    small T (about log2(1/tol)/T terms) takes few passes.  Running sums are
+    seeded with the previous pass's totals and accumulate in term order,
+    so each value depends on its own load alone, bit for bit, however the
+    passes fall.  Loads run in chunks whose temporaries stay within
+    _LANE_BUDGET doubles.
     """
     value = np.empty(x.size)
     value[x == 0] = _series_block(t_rate, alpha, 0, _BLOCK)[0][0]
@@ -242,9 +308,15 @@ def _g_series(t_rate: float, alpha: float, x: np.ndarray, tol: float) -> np.ndar
     log_q, const = _pmf_logs(x[live])
     total, cum_mass = np.zeros((2, live.size))
     start, size = 0, _BLOCK
+    end = _first_pass_end(t_rate, alpha, x[live], log_q, tol) if live.size else 0
     while live.size:
-        n = np.arange(start, start + size)
-        cov, coef = _series_block(t_rate, alpha, start, size)
+        first, blocks = start, []
+        while start < end:
+            blocks.append(_series_block(t_rate, alpha, start, size))
+            start, size = start + size, min(2 * size, _MAX_BLOCK)
+        end = start + size
+        cov, coef = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+        n = np.arange(first, start)
         keep = np.ones(live.size, dtype=bool)
         step = max(1, _LANE_BUDGET // n.size)
         for lo in range(0, live.size, step):
@@ -255,18 +327,21 @@ def _g_series(t_rate: float, alpha: float, x: np.ndarray, tol: float) -> np.ndar
             pmf += const[rows, None]
             np.exp(pmf, out=pmf)
             term = cov * pmf
-            sums = np.cumsum(np.concatenate((total[rows, None], term), axis=1),
-                             axis=1)[:, 1:]
-            masses = np.cumsum(np.concatenate((cum_mass[rows, None], pmf), axis=1),
-                               axis=1)[:, 1:]
-            done = ((1.0 - masses) * cov < tol) & (term < tol)
-            # Loads not yet done get a placeholder, overwritten by a later block.
+            done = term < tol
+            # Running sums seeded with the previous pass's totals: total + t_0
+            # is the first sum, then the terms in order.
+            term[:, 0] += total[rows]
+            pmf[:, 0] += cum_mass[rows]
+            sums, masses = np.cumsum(term, axis=1, out=term), np.cumsum(pmf, axis=1, out=pmf)
+            done &= (1.0 - masses) * cov < tol
+            # Loads not yet done get a placeholder, overwritten by a later pass.
             value[live[rows]] = sums[np.arange(len(done)), done.argmax(axis=1)]
             keep[rows] = ~done.any(axis=1)
             total[rows], cum_mass[rows] = sums[:, -1], masses[:, -1]
+        if not keep.any():
+            break
         live, log_q, const, total, cum_mass = (
             live[keep], log_q[keep], const[keep], total[keep], cum_mass[keep])
-        start, size = start + size, min(2 * size, _MAX_BLOCK)
     return value
 
 
@@ -286,6 +361,8 @@ class RateQuery:
             raise ScenarioError(f"rate_target must be >= 0 (got {self.rate_target})")
         if not self.series_tolerance > 0:
             raise ScenarioError(f"series_tolerance must be > 0 (got {self.series_tolerance})")
+        if self.series_tolerance == math.inf:
+            raise ScenarioError(f"series_tolerance must be finite (got {self.series_tolerance})")
 
 
 def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):
@@ -307,12 +384,12 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):
     lanes = np.ndim(rho) == 2
     # rho and the association are checked before the T = 0 shortcut too.
     rho = _availability_lanes(rho, scenario.k_tiers)
-    weight, total = _association(scenario, rho)
+    weight, total, tier_weights = _association(scenario, rho)
     if query.rate_target == 0.0:
         # Every coverage factor is 1 and the load pmf sums to 1.
         return np.ones(len(rho)) if lanes else 1.0
     with np.errstate(over="ignore"):
-        load = _tier_loads(scenario, total)
+        load = _tier_loads(scenario, total, tier_weights)
     # A tier with A_k = 0 adds 0 whatever its load, which may even overflow;
     # a zero load costs no series terms.
     load[weight == 0] = 0.0

@@ -383,3 +383,9 @@ def test_solver_rejects_bad_tolerance():
     for tol in (0.0, -1.0, float("nan")):
         with pytest.raises(ScenarioError, match="tolerance"):
             solve_availability(sc, tolerance=tol)
+
+
+def test_solver_refuses_an_infinite_tolerance():
+    # It would stop before its first split and report bracket=inf.
+    with pytest.raises(ScenarioError, match=r"tolerance must be finite \(got inf\)"):
+        solve_availability(two_tier(), tolerance=float("inf"))

@@ -739,6 +739,13 @@ def test_availability_rejects_nonpositive_tol(scenario_file, capsys):
         assert "tolerance must be > 0" in err
 
 
+def test_availability_refuses_an_infinite_tol(scenario_file, capsys):
+    for tol in ("inf", "Infinity"):
+        assert main(["availability", scenario_file, "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert "tolerance must be finite (got inf)" in captured.err and captured.out == ""
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "availability" in capsys.readouterr().out

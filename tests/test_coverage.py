@@ -123,6 +123,17 @@ def test_coverage_constant_beta1_alpha4():
     assert coverage_prob(sc) == pytest.approx(1 / (1 + math.pi / 4), abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [4.0, 3.98])
+def test_coverage_prob_has_the_same_bits_cold_and_warm(alpha):
+    sc = scenario(beta=1.7, alpha=alpha)
+    want = 1.0 / (1.0 + hyper_f(1.7, alpha))
+    coverage._coverage.cache_clear()
+    cold = coverage_prob(sc)
+    warm = coverage_prob(replace(sc, user_density=9.0))
+    assert coverage._coverage.cache_info().hits == 1
+    assert cold.hex() == warm.hex() == want.hex()
+
+
 def test_coverage_is_parameter_invariant():
     # 20 random perturbations of everything except (beta, alpha)
     rng = np.random.default_rng(6)
@@ -326,6 +337,13 @@ def test_rate_query_rejects_a_tolerance_no_series_can_meet(tol):
         RateQuery(rate_target=0.1, series_tolerance=tol)
 
 
+def test_rate_query_refuses_an_infinite_tolerance():
+    # Every term and tail bound is below inf, so the series would stop at
+    # its first term: 0.3041 for 0.8648 on rate-surface at rho = (1, 1).
+    with pytest.raises(ScenarioError, match=r"series_tolerance must be finite \(got inf\)"):
+        RateQuery(rate_target=0.1, series_tolerance=math.inf)
+
+
 def test_rate_ccdf_tail_bound_is_honest():
     # truncated value plus rigorous tail bound must bracket a much more
     # precise evaluation of the same series
@@ -436,26 +454,35 @@ def test_scalar_surface_equals_lane_call_with_the_block_memo_cold_and_warm():
     assert cold == lanes and warm == lanes
 
 
-def test_scalar_surface_calls_hyper_f_once_per_block_and_once_per_call(monkeypatch):
+def test_scalar_surface_calls_hyper_f_once_per_block_and_once_per_coverage(monkeypatch):
     sc, rho, q = _surface_at_alpha_398()
-    calls = []
+    blocks, scalars = [], []
     real = coverage.hyper_f
 
     def spy(beta, alpha):
-        calls.append(np.ndim(beta))
+        if np.ndim(beta):
+            blocks.append((beta[0], beta.size, alpha))
+        else:
+            scalars.append((beta, alpha))
         return real(beta, alpha)
 
     monkeypatch.setattr(coverage, "hyper_f", spy)
     # The lane call opens every block the longest lane needs, once each.
     coverage._series_block.cache_clear()
+    coverage._coverage.cache_clear()
     rate_ccdf(sc, rho, q)
-    blocks = calls.count(1)
-    assert blocks >= 3 and calls.count(0) == 1
+    lane_blocks = set(blocks)
+    assert len(lane_blocks) == len(blocks) >= 3 and scalars == [(sc.sir_target, 3.98)]
+    # 100 scalar calls with both memos cold: P_c once for its (beta, alpha),
+    # and each block the calls need once, however their first passes fall.
     coverage._series_block.cache_clear()
-    calls.clear()
+    coverage._coverage.cache_clear()
+    blocks.clear()
+    scalars.clear()
     for row in rho:
         rate_ccdf(sc, row, q)
-    assert calls.count(1) == blocks and calls.count(0) == len(rho)
+    assert len(set(blocks)) == len(blocks) and set(blocks) >= lane_blocks
+    assert scalars == [(sc.sir_target, 3.98)]
 
 
 def test_series_block_memo_is_read_only_and_bounded_as_documented():
@@ -469,6 +496,89 @@ def test_series_block_memo_is_read_only_and_bounded_as_documented():
     for arr in (cov, coef):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
+
+
+def test_coverage_and_log_nb_memos_are_bounded_as_documented():
+    info = coverage._coverage.cache_info()
+    assert f"last {info.maxsize} (beta, alpha) pairs" in coverage._coverage.__doc__
+    info = coverage._log_nb_block.cache_info()
+    assert f"last {info.maxsize} blocks" in coverage._log_nb_block.__doc__
+    coef = coverage._log_nb_block(coverage._MAX_BLOCK - coverage._BLOCK, coverage._MAX_BLOCK)
+    assert coef.nbytes == 8 * coverage._MAX_BLOCK and info.maxsize * coef.nbytes <= 2**20
+    with pytest.raises(ValueError, match="read-only"):
+        coef[0] = 0.0
+    # The L(n) block is shared by every (T, alpha) of the same (start, size).
+    assert coverage._series_block(0.3, 4.0, 64, 128)[1] is coverage._series_block(2.0, 3.5, 64, 128)[1]
+
+
+def _first_ends(monkeypatch):
+    """Record the end of every first pass of the rate series."""
+    ends = []
+    first_pass_end = coverage._first_pass_end
+
+    def spy(*args):
+        ends.append(first_pass_end(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(coverage, "_first_pass_end", spy)
+    return ends
+
+
+@pytest.mark.parametrize("t", [0.001, 0.1, 2.0])
+def test_scalar_calls_equal_a_lane_call_over_loads_from_half_to_330(t, monkeypatch):
+    # One tier, x = 0.5/rho: loads 0.5 to 330 stop after 11 (x = 0.5, T = 2)
+    # to 2,966 (x = 330, T = 0.001) terms.  The stack's first pass is one
+    # block, while the scalar calls' first passes span up to many blocks.
+    sc = NetworkScenario(tiers=(TierParams(1.0, 1.0, 1.0, 5),), path_loss_exp=3.98,
+                         sir_target=1.0, user_density=1.0)
+    sc = replace(sc, user_density=0.5 / coverage_prob(sc))
+    rho = np.geomspace(1.0, 0.5 / 330.0, 25)[:, None]
+    q = RateQuery(rate_target=t)
+    ends = _first_ends(monkeypatch)
+    lanes = rate_ccdf(sc, rho, q).tolist()
+    assert ends == [coverage._BLOCK]
+    scalar = [rate_ccdf(sc, row, q) for row in rho]
+    assert [v.hex() for v in scalar] == [v.hex() for v in lanes]
+    if t < 1.0:
+        assert max(ends) > 4 * coverage._BLOCK
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.05, 0.5, 10.0])
+def test_first_pass_ends_at_a_block_end_before_the_zero_coverage_cut(t):
+    # However large the loads or small the tolerance, the first pass ends
+    # at a block end within _LANE_BUDGET terms, and its last block starts
+    # where T(n + 1) <= _MAX_EXPO, as the one-block passes do.
+    x = np.geomspace(1e-3, 1e6, 40)
+    log_q = coverage._pmf_logs(x)[0]
+    ends = [0, *coverage._ENDS.tolist()]
+    for tol in (5e-324, 1e-13, 1e-6, 0.5):
+        for top in (1, 20, 40):
+            end = coverage._first_pass_end(t, 3.98, x[-top:], log_q[-top:], tol)
+            assert end in ends[1:] and end <= coverage._LANE_BUDGET
+            assert t * ends[ends.index(end) - 1] <= coverage._MAX_EXPO, (tol, top, end)
+
+
+def test_scalar_rate_surface_calls_take_one_pass(monkeypatch):
+    # A scalar call opens no block past its first pass, on every point of
+    # the rate-surface grid of `harvnet rate --surface` at T = 0.1; the
+    # 100-lane call starts with one block, so that no lane pays for the
+    # largest load's terms.
+    sc = _lane_scenarios()["rate-surface"]
+    grid = np.linspace(0.1, 1.0, 10)
+    rho = np.column_stack((np.repeat(grid, grid.size), np.tile(grid, grid.size)))
+    q = RateQuery(rate_target=0.1)
+    ends = _first_ends(monkeypatch)
+    rate_ccdf(sc, rho, q)
+    assert ends == [coverage._BLOCK]
+    block = coverage._series_block
+    opened = []
+    monkeypatch.setattr(coverage, "_series_block",
+                        lambda *key: opened.append(key) or block(*key))
+    for row in rho:
+        ends.clear()
+        opened.clear()
+        rate_ccdf(sc, row, q)
+        assert max(start + size for _, _, start, size in opened) == ends[0] > coverage._BLOCK
 
 
 @pytest.mark.parametrize("rho", [[0.5], [[0.5], [1.0]]], ids=["scalar", "lanes"])
