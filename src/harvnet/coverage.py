@@ -277,7 +277,7 @@ def _first_pass_end(t_rate: float, alpha: float, x, log_q, tol: float) -> int:
     rate = 2.0 * math.log(2.0) * t_rate / alpha
     cap = min(-alpha / 2.0 * math.log2(tol) / t_rate, _MAX_EXPO / t_rate - 1.0, _ENDS[-1] - 1)
     stop = np.minimum(x * (4.5 / 3.5) - math.log(tol) / (rate - log_q), cap)
-    saved = int(np.searchsorted(_ENDS, stop.max(), side="right"))   # passes the pass saves
+    saved = int(np.searchsorted(_ENDS, stop.max(), side="right"))   # passes saved
     end = int(_ENDS[saved])
     return end if saved and end * x.size - stop.sum() <= saved * _PASS_TERMS else _BLOCK
 

@@ -508,7 +508,8 @@ def test_coverage_and_log_nb_memos_are_bounded_as_documented():
     with pytest.raises(ValueError, match="read-only"):
         coef[0] = 0.0
     # The L(n) block is shared by every (T, alpha) of the same (start, size).
-    assert coverage._series_block(0.3, 4.0, 64, 128)[1] is coverage._series_block(2.0, 3.5, 64, 128)[1]
+    block = coverage._series_block
+    assert block(0.3, 4.0, 64, 128)[1] is block(2.0, 3.5, 64, 128)[1]
 
 
 def _first_ends(monkeypatch):
