@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import markov
-from .coverage import _association, _float_range_error, _on_density, _tier_loads, coverage_prob
-from .model import NetworkScenario, ScenarioError, _check_integer, check_availability_vector
+from .coverage import _association, _float_range_error, _on_terms, _tier_loads, coverage_prob
+from .model import (NetworkScenario, ScenarioError, _check_integer, _check_positive,
+                    check_availability_vector)
 
 # Bisection levels per evaluation of the load test: 2^6 = 64 cells per lane.
 _LEVELS = 6
@@ -114,7 +115,7 @@ def load_ratio(scenario: NetworkScenario, rho, k: int) -> float:
     """s_k = mu_k / nu_k(rho), the birth-death ratio of tier k at load rho."""
     _check_integer(k, "tier", 0, scenario.k_tiers - 1)
     rho = check_availability_vector(rho, scenario.k_tiers)
-    return float(_tier_constants(scenario)[1][k] * _on_density(scenario, rho))
+    return float(_tier_constants(scenario)[1][k] * _on_terms(scenario, rho)[1])
 
 
 def g(scenario: NetworkScenario, rho, k: int) -> float:
@@ -160,7 +161,7 @@ def equivalence_check(scenario: NetworkScenario, rho) -> bool:
     rho = check_availability_vector(rho, scenario.k_tiers)
     if np.any(rho <= 0.0):
         raise ScenarioError("equivalence check requires strictly positive rho")
-    return bool(np.all(_tier_constants(scenario)[1] * _on_density(scenario, rho) > rho))
+    return bool(np.all(_tier_constants(scenario)[1] * _on_terms(scenario, rho)[1] > rho))
 
 
 def _cutoffs(scenario: NetworkScenario, policy) -> list[int]:
@@ -273,10 +274,7 @@ def solve_availability(scenario: NetworkScenario, policy=None,
     levels per evaluation; rho is taken at the midpoint.  Infeasible
     scenarios (gamma <= 1) return all zeros.
     """
-    if not tolerance > 0:
-        raise ScenarioError(f"tolerance must be > 0 (got {tolerance})")
-    if tolerance == np.inf:
-        raise ScenarioError(f"tolerance must be finite (got {tolerance})")
+    _check_positive(tolerance, "tolerance")
     if policy is not None and len(policy) != scenario.k_tiers:
         raise ScenarioError(
             f"policy list must have {scenario.k_tiers} entries (got {len(policy)})")
@@ -289,6 +287,6 @@ def solve_availability(scenario: NetworkScenario, policy=None,
     plan = markov._plan(tuple(scenario.batteries()), tuple(cutoffs))
     (rho,), bracket, steps, calls = _load_root(
         np.zeros(1), 0.0, on_weight.sum(), on_weight, slope, plan, tolerance)
-    a = markov._on_fractions(slope * _on_density(scenario, rho), plan, with_b=False)
+    a = markov._on_fractions(slope * _on_terms(scenario, rho)[1], plan, with_b=False)
     return FixedPointResult(rho=rho, iterations=steps, residual=float(np.max(np.abs(a - rho))),
                             feasible=True, bracket=float(bracket[0]), evaluations=calls)

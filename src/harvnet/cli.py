@@ -114,9 +114,10 @@ _SCENARIO_KEYS = ("tiers", "path_loss_exp", "sir_target", "sir_target_db",
 def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
     """Parse a scenario JSON file; returns the scenario and the raw document.
 
-    The document may give `user_density` directly or an `over_provisioning`
-    factor gamma, in which case lambda_u = sum(lambda_k mu_k)/(gamma P_c);
-    `sir_target_db` is accepted in place of the linear `sir_target`.
+    The document gives exactly one of `user_density` and an
+    `over_provisioning` factor gamma, in which case lambda_u =
+    sum(lambda_k mu_k)/(gamma P_c), and exactly one of the linear
+    `sir_target` and `sir_target_db`.
     """
     with open(path) as fh:
         doc = _object(json.load(fh), "scenario")
@@ -134,6 +135,9 @@ def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
     if not tiers:
         raise ScenarioError("scenario must define at least one tier")
     alpha = _number(doc.get("path_loss_exp", 4.0), "path_loss_exp")
+    for pair in (("sir_target", "sir_target_db"), ("user_density", "over_provisioning")):
+        if all(key in doc for key in pair):
+            raise ScenarioError(f"scenario must set exactly one of {' and '.join(pair)}")
     if "sir_target" in doc:
         beta = _number(doc["sir_target"], "sir_target")
     elif "sir_target_db" in doc:

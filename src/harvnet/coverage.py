@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkScenario, ScenarioError, _check_integer, check_availability_vector
+from .model import (NetworkScenario, ScenarioError, _check_integer, _check_path_loss_exp,
+                    _check_positive, check_availability_vector)
 
 # 4.5 log 3.5 and log Gamma(4.5), constants of the 3.5-law load pmf.
 _LOG_PMF_CONST = 4.5 * math.log(3.5)
@@ -62,8 +63,7 @@ def hyper_f(beta, alpha: float):
     constant 2/(alpha-2), so that 2 beta never forms and overflows.  An F
     past the float range is inf, which makes the coverage probability 0.
     """
-    if not alpha > 2:
-        raise ScenarioError(f"path_loss_exp must exceed 2 (got {alpha})")
+    _check_path_loss_exp(alpha)
     b = np.asarray(beta, dtype=float)
     if not (np.isfinite(b) & (b >= 0)).all():
         raise ScenarioError(f"sir threshold must be finite and >= 0 (got {beta})")
@@ -121,11 +121,6 @@ def _on_terms(scenario: NetworkScenario, rho: np.ndarray):
     weights = scenario.tier_weights()
     terms = rho * scenario.densities() * weights
     return terms, terms.sum(axis=-1), weights
-
-
-def _on_density(scenario: NetworkScenario, rho: np.ndarray) -> np.ndarray:
-    """D = sum_k rho_k lambda_k w_k along the last axis of rho (_on_terms)."""
-    return _on_terms(scenario, rho)[1]
 
 
 def _association(scenario: NetworkScenario, rho: np.ndarray):
@@ -359,10 +354,7 @@ class RateQuery:
     def __post_init__(self):
         if not self.rate_target >= 0:
             raise ScenarioError(f"rate_target must be >= 0 (got {self.rate_target})")
-        if not self.series_tolerance > 0:
-            raise ScenarioError(f"series_tolerance must be > 0 (got {self.series_tolerance})")
-        if self.series_tolerance == math.inf:
-            raise ScenarioError(f"series_tolerance must be finite (got {self.series_tolerance})")
+        _check_positive(self.series_tolerance, "series_tolerance")
 
 
 def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):

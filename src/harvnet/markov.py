@@ -57,9 +57,6 @@ class PolicySpec:
 
     cutoff: int = 1
 
-    def check(self, spec: BirthDeathSpec) -> None:
-        _check_integer(self.cutoff, "cutoff", 1, spec.battery)
-
 
 def generator(spec: BirthDeathSpec) -> np.ndarray:
     """(N+1)x(N+1) CTMC generator, states ordered by energy level 0..N."""
@@ -176,7 +173,7 @@ def mean_on_time(spec: BirthDeathSpec, start_level: int) -> float:
 
 def mean_off_time(spec: BirthDeathSpec, policy: PolicySpec) -> float:
     """E[J2]: mean OFF time, i.e. time to harvest `cutoff` units from empty."""
-    policy.check(spec)
+    _check_integer(policy.cutoff, "cutoff", 1, spec.battery)
     return policy.cutoff / spec.harvest_rate
 
 
@@ -305,7 +302,7 @@ def simulate_on_off(spec: BirthDeathSpec, policy: PolicySpec, cycles: int,
     non-integer `seed`, and for chains whose expected visits to a level
     exceed 2^53.
     """
-    policy.check(spec)
+    _check_integer(policy.cutoff, "cutoff", 1, spec.battery)
     _check_integer(cycles, "cycles", 2)
     _check_integer(seed, "seed", 0)
     rng = np.random.default_rng([seed, 0x0E])

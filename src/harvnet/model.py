@@ -35,6 +35,20 @@ def _check_integer(value, name: str, low: int, high: int | None = None) -> None:
         raise ScenarioError(f"{name} must be an integer {bound} (got {value!r})")
 
 
+def _check_positive(value, name: str) -> None:
+    """Raise ScenarioError naming `name` unless value is finite and > 0."""
+    if not value > 0:
+        raise ScenarioError(f"{name} must be > 0 (got {value})")
+    if value == math.inf:
+        raise ScenarioError(f"{name} must be finite (got {value})")
+
+
+def _check_path_loss_exp(alpha) -> None:
+    """Raise ScenarioError unless alpha > 2 (so NaN is refused too)."""
+    if not alpha > 2:
+        raise ScenarioError(f"path_loss_exp must exceed 2 (got {alpha})")
+
+
 @dataclass(frozen=True)
 class ShadowingSpec:
     """Lognormal shadowing: gain X = 10^(Z/10) with Z ~ Normal(mean_db, std_db^2).
@@ -53,8 +67,7 @@ class ShadowingSpec:
         c = ln(10)/5, so the moment is exp(c*m/alpha + (c*sigma/alpha)^2/2).
         Equals 1.0 for the degenerate (0, 0) spec.
         """
-        if alpha <= 2:
-            raise ScenarioError(f"path_loss_exp must exceed 2 (got {alpha})")
+        _check_path_loss_exp(alpha)
         mu = _LN10_OVER_5 * self.mean_db / alpha
         sd = _LN10_OVER_5 * self.std_db / alpha
         return math.exp(mu + 0.5 * sd * sd)
@@ -123,9 +136,7 @@ def validate(scenario: NetworkScenario) -> None:
     """
     if scenario.k_tiers < 1:
         raise ScenarioError("tiers must contain at least one tier")
-    if not scenario.path_loss_exp > 2:
-        raise ScenarioError(
-            f"path_loss_exp must exceed 2 (got {scenario.path_loss_exp})")
+    _check_path_loss_exp(scenario.path_loss_exp)
     if not math.isfinite(scenario.path_loss_exp):
         raise ScenarioError(
             f"path_loss_exp must be finite (got {scenario.path_loss_exp})")

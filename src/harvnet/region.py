@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, markov
-from .coverage import _on_density
+from .coverage import _on_terms
 from .model import NetworkScenario, ScenarioError, check_availability_vector
 
 _TOL = 1e-10          # bracket width on rho_k
@@ -62,7 +62,7 @@ def _boundaries(scenario: NetworkScenario, k: int, others: np.ndarray,
     cutoff = analytic._cutoffs(scenario, {k: constraint})[k]
     on_weight, slope = analytic._tier_constants(scenario)
     # D with rho_k = 0 put in: adding its +0.0 term changes no bit.
-    d_others = _on_density(scenario, np.insert(others, k, 0.0, axis=1))
+    d_others = _on_terms(scenario, np.insert(others, k, 0.0, axis=1))[1]
     plan = markov._plan((scenario.tiers[k].battery,), (cutoff,))
     # A search holds 2^6 + 1 loads of every live lane; blocks cap its memory.
     return np.concatenate([
@@ -92,7 +92,7 @@ def _inside(scenario: NetworkScenario, rho, constraints, tol: float) -> np.ndarr
     tiers = np.ascontiguousarray(rho.T)
     x = np.maximum(tiers - tol, 0.0)
     # s_k with rho_k moved to x_k: slope_k (D_others + lambda_k w_k x_k)
-    s = slope[:, None] * (_on_density(scenario, rho) + on_weight[:, None] * (x - tiers))
+    s = slope[:, None] * (_on_terms(scenario, rho)[1] + on_weight[:, None] * (x - tiers))
     plan = markov._plan(tuple(scenario.batteries()), tuple(cutoffs))
     # A load that rounds below 0 where D_others is 0 is 0.
     return (markov._on_fractions(np.maximum(s, 0.0, out=s), plan, with_b=False) >= x).all(axis=0)

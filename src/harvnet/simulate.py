@@ -46,6 +46,7 @@ from .model import (
     ScenarioError,
     SimEstimate,
     _check_integer,
+    _check_positive,
     _t99,
     check_availability_vector,
 )
@@ -61,32 +62,25 @@ _MAX_POINTS = 1 << 24
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Window geometry, replication, and seeding for one experiment."""
+    """Window geometry, replication, and seeding for one experiment.
+
+    `guard_margin` sets the edge model: 0 is a toroidal window, whose
+    distances wrap at the window side, and a margin g > 0 is a guard band,
+    with users only in the inner square [g, side - g]^2 and no wrap.
+    """
 
     window_side: float
     replicates: int = 20
     seed: int = 0
-    boundary: str = "toroidal"      # "toroidal" or "guard"
     guard_margin: float = 0.0
 
     def __post_init__(self):
-        if not self.window_side > 0:
-            raise ScenarioError(f"window_side must be > 0 (got {self.window_side})")
-        if not math.isfinite(self.window_side):
-            raise ScenarioError(f"window_side must be finite (got {self.window_side})")
+        _check_positive(self.window_side, "window_side")
         _check_integer(self.replicates, "replicates", 1)
         _check_integer(self.seed, "seed", 0)
-        if self.boundary not in ("toroidal", "guard"):
-            raise ScenarioError(f"boundary must be 'toroidal' or 'guard' "
-                                f"(got {self.boundary!r})")
-        if self.boundary == "guard":
-            if not 0.0 < self.guard_margin < self.window_side / 2:
-                raise ScenarioError(
-                    f"guard_margin must lie in (0, window_side/2) "
-                    f"(got {self.guard_margin})")
-        elif self.guard_margin != 0.0:
-            raise ScenarioError(f"guard_margin needs boundary 'guard' "
-                                f"(got {self.guard_margin} with 'toroidal')")
+        if not 0.0 <= self.guard_margin < self.window_side / 2:
+            raise ScenarioError(f"guard_margin must lie in [0, window_side/2) "
+                                f"(got {self.guard_margin})")
 
 
 @dataclass
@@ -213,7 +207,7 @@ def _bs_field(realization: Realization, scenario: NetworkScenario,
         power=np.array([t.tx_power for t in scenario.tiers], dtype=float)[tier_of],
         shadow=(means[col], stds[col]) if shadowed else None,
         alpha=scenario.path_loss_exp,
-        period=config.window_side if config.boundary == "toroidal" else None)
+        period=None if config.guard_margin else config.window_side)
 
 
 def _tile_width(n_bs: int) -> int:
@@ -451,7 +445,7 @@ def spatial_mc(scenario: NetworkScenario, rho, config: SimConfig,
     for k in area_tiers:
         _check_integer(k, "tier", 0, scenario.k_tiers - 1)
         if rho[k] * scenario.tiers[k].density <= 0:
-            raise ScenarioError(f"tier {k} has zero ON density; its area is undefined")
+            raise ScenarioError(f"tiers[{k}] has zero ON density; its area is undefined")
 
     def one(replicate: int):
         rng = _replicate_rng(config, replicate)
@@ -461,7 +455,7 @@ def spatial_mc(scenario: NetworkScenario, rho, config: SimConfig,
     stats = _run_replicates(one, config)
     # Areas first: when no replicate has a BS or a user, the error names them.
     area = {k: _combine([s[2][k] for s in stats], config,
-                        f"the tier-{k} service area") for k in area_tiers}
+                        f"the tiers[{k}] service area") for k in area_tiers}
     return SpatialEstimate(
         coverage=_combine([s[0] for s in stats], config, "coverage"),
         association=tuple(_combine([s[1][k] for s in stats], config, "association")

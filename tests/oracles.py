@@ -501,7 +501,7 @@ def probe_service_areas(scenario, rho, config, tiers):
     k's area is the square's area times its probe share over its BS count
     in the square; a replicate without such a BS is left out.
     """
-    g = config.guard_margin if config.boundary == "guard" else 0.0
+    g = config.guard_margin
     lo, hi = g, config.window_side - g
     vals = {k: [] for k in tiers}
     for i in range(config.replicates):
@@ -541,7 +541,7 @@ def raw_fading_coverage(scenario, rho, config):
             continue
         tier_of = np.repeat(np.arange(scenario.k_tiers), real.tier_counts)
         d = np.abs(bs[:, None, :] - real.users[None, :, :])
-        if config.boundary == "toroidal":
+        if not config.guard_margin:
             d = np.minimum(d, side - d)
         dist = np.maximum(np.hypot(d[..., 0], d[..., 1]), 1e-9)
         power = np.array([t.tx_power for t in scenario.tiers])[tier_of]

@@ -86,6 +86,34 @@ def test_load_scenario_db_and_errors(tmp_path):
         load_scenario(str(p4))
 
 
+@pytest.mark.parametrize("extra, pair", [
+    ({"sir_target_db": 3.0}, "sir_target and sir_target_db"),
+    ({"user_density": 5.0}, "user_density and over_provisioning"),
+], ids=["sir-target", "user-density"])
+def test_both_spellings_of_one_value_are_refused(tmp_path, capsys, extra, pair):
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps({**BASE_DOC, **extra}))
+    message = f"scenario must set exactly one of {pair}"
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(str(path))
+    assert main(["availability", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_readme_scenario_example_loads(tmp_path, capsys):
+    # README's "Scenario files" example, every block of it read by a command
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("### Scenario files", 1)[1].split("```json\n", 1)[1]
+    path = tmp_path / "readme.json"
+    path.write_text(example.split("```", 1)[0])
+    scenario, doc = load_scenario(str(path))
+    assert scenario.k_tiers == 2 and set(doc) >= {"sim", "sweep"}
+    assert main(["simulate", str(path), "--replicates", "2"]) == 0
+    assert main(["rate", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_load_scenario_shadowing_block(tmp_path):
     doc = json.loads(json.dumps(BASE_DOC))
     doc["tiers"][0]["shadowing"] = {"mean_db": -1.0, "std_db": 6.0}
@@ -227,21 +255,22 @@ def test_non_finite_scenario_fields_are_rejected(tmp_path, capsys, field, value)
     assert field in captured.err and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("sim, code", [
-    ({"guard_margin": 2}, 1),
-    ({"boundary": "toroidal", "guard_margin": 0.0}, 0),
-])
-def test_guard_margin_needs_guard_boundary(tmp_path, capsys, sim, code):
+@pytest.mark.parametrize("sim, error", [
+    ({"guard_margin": 0.0}, ""),
+    ({"guard_margin": 2}, ""),
+    ({"guard_margin": 3}, "error: guard_margin must lie in [0, window_side/2) (got 3.0)\n"),
+    ({"guard_margin": -1}, "error: guard_margin must lie in [0, window_side/2) (got -1.0)\n"),
+    ({"boundary": "toroidal", "guard_margin": 0.0}, "error: unknown sim key(s): 'boundary'\n"),
+    ({"boundary": "guard", "guard_margin": 2}, "error: unknown sim key(s): 'boundary'\n"),
+], ids=["toroidal", "guard", "margin-half-side", "margin-negative", "boundary-toroidal",
+        "boundary-guard"])
+def test_guard_margin_alone_sets_the_edge_model(tmp_path, capsys, sim, error):
     doc = json.loads(json.dumps(BASE_DOC))
     doc["sim"].update(sim)
     path = tmp_path / "sim.json"
     path.write_text(json.dumps(doc))
-    assert main(["simulate", str(path), "--replicates", "2"]) == code
-    err = capsys.readouterr().err
-    if code:
-        assert err.startswith("error: guard_margin needs boundary 'guard'")
-    else:
-        assert err == ""
+    assert main(["simulate", str(path), "--replicates", "2"]) == (1 if error else 0)
+    assert capsys.readouterr().err == error
 
 
 def test_sir_target_overflow_exits_without_traceback(scenario_file):
@@ -317,7 +346,7 @@ def _malformed(mutate):
      "over_provisioning must be a number"),
     ("simulate", lambda d: d["sim"].update(window_side=[12]),
      "sim.window_side must be a number"),
-    ("simulate", lambda d: d["sim"].update(boundary="guard", guard_margin="1"),
+    ("simulate", lambda d: d["sim"].update(guard_margin="1"),
      "sim.guard_margin must be a number"),
     ("rate", lambda d: d.update(sweep=_sweep(stop=None) | {"stop": "1"}),
      "sweep.stop must be a number"),
@@ -632,9 +661,10 @@ def test_misspelt_scenario_keys_are_named(tmp_path, capsys, command, mutate, mes
     assert captured.err == f"error: {message}\n"
 
 
-# A rule the library checks, reached from the command line: the message is
-# the library's own.  `mutate` edits BASE_DOC into a file of the test's own;
-# None runs two-tier-baseline (batteries 10 and 8).
+# A rule the library (or, for a rate surface, the command) checks, reached
+# from the command line: the message is the rule's own.  `mutate` edits
+# BASE_DOC into a file of the test's own; None runs two-tier-baseline
+# (batteries 10 and 8).
 LIBRARY_RULES = [
     (["availability", "--policy2", "k=1:99"], None,
      "cutoff must be an integer in [1, 10] (got 99)"),
@@ -645,6 +675,11 @@ LIBRARY_RULES = [
      "availability vector must have length 2 (got shape (1,))"),
     (["region"], lambda d: d["tiers"].append(d["tiers"][1]),
      "boundary sweeps require exactly 2 tiers (got 3)"),
+    (["rate", "--surface"], lambda d: d["tiers"].append(d["tiers"][1]),
+     "rate surfaces require exactly 2 tiers"),
+    # tiers are named as in the scenario file, though --tier counts from 1
+    (["simulate", "--estimator", "area", "--tier", "2", "--rho", "1,0"], None,
+     "tiers[1] has zero ON density; its area is undefined"),
     (["coverage"], lambda d: d["tiers"][0].__delitem__("harvest_rate"),
      "tiers[0]: missing field 'harvest_rate'"),
 ]
@@ -652,7 +687,8 @@ LIBRARY_RULES = [
 
 @pytest.mark.parametrize("argv, mutate, message", LIBRARY_RULES,
                          ids=["cutoff-policy2", "cutoff-constrain", "rho-rate",
-                              "rho-simulate", "region-three-tiers", "tier-missing-field"])
+                              "rho-simulate", "region-three-tiers", "rate-surface-three-tiers",
+                              "area-zero-on-density", "tier-missing-field"])
 def test_library_rules_reach_the_command_line_with_their_messages(tmp_path, capsys, argv,
                                                                    mutate, message):
     path = SCENARIOS / "two-tier-baseline.json"
@@ -730,6 +766,8 @@ def test_usage_errors(scenario_file, capsys):
     assert main(["rate", scenario_file, "--rho", "0.5"]) == 1
     assert main(["rate", scenario_file, "--rho", "a,b"]) == 1
     capsys.readouterr()
+    assert main(["availability", scenario_file, "--policy2", "k=2:x"]) == 1
+    assert capsys.readouterr().err == "usage error: cannot parse cutoff in 'k=2:x'\n"
 
 
 def test_availability_rejects_nonpositive_tol(scenario_file, capsys):
@@ -749,6 +787,21 @@ def test_availability_refuses_an_infinite_tol(scenario_file, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "availability" in capsys.readouterr().out
+
+
+def test_validate_skips_a_ctmc_check_the_sampler_refuses(tmp_path, capsys):
+    # A battery of 100 puts more than 2^53 expected visits on a level of
+    # tier 1's chain; that check is skipped and the others still run.
+    doc = json.loads((SCENARIOS / "two-tier-baseline.json").read_text())
+    doc["tiers"][0]["battery"] = 100
+    path = tmp_path / "big-battery.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    skip = [line for line in lines if line.startswith("SKIP availability-ctmc-tier1: ")]
+    assert len(skip) == 1 and "expects more than 2^53 visits" in skip[0]
+    assert any(line.startswith("PASS availability-ctmc-tier2") for line in lines)
+    assert lines[-1] == "all checks passed"
 
 
 def test_validate_passes_on_fast_scenario(scenario_file, capsys):
@@ -969,17 +1022,19 @@ def test_public_names_resolve_to_their_layers():
             "             sys.modules[getattr(harvnet, name).__module__], name)]\n"
             "homes = sorted({getattr(harvnet, name).__module__ for name in harvnet.__all__})\n"
             "copied = sorted(set(harvnet.__all__) & set(vars(harvnet)))\n"
+            "unlisted = sorted(set(harvnet.__all__) - set(dir(harvnet)))\n"
             "try:\n"
             "    harvnet.no_such_name\n"
             "    unknown = None\n"
             "except AttributeError as exc:\n"
             "    unknown = str(exc)\n"
-            "print(json.dumps([wrong, homes, copied, unknown]))\n")
-    wrong, homes, copied, unknown = _child_json(code)
+            "print(json.dumps([wrong, homes, copied, unlisted, unknown]))\n")
+    wrong, homes, copied, unlisted, unknown = _child_json(code)
     assert wrong == []
     assert homes == sorted(f"harvnet.{layer}" for layer in LAYERS)
     # resolved names stay out of the package, so a swapped layer attribute shows
     assert copied == []
+    assert unlisted == []
     assert unknown == "module 'harvnet' has no attribute 'no_such_name'"
 
 

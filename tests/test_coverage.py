@@ -739,7 +739,7 @@ def test_rate_ccdf_with_a_lightly_used_tier_matches_fsum_oracle(name, rho):
         assert rate_ccdf(sc, [rho, [0.5, 0.5], rho], q).tolist() == [got, other, got], t
 
 
-# D = sum_k rho_k lambda_k w_k is formed by coverage._on_density alone; every
+# D = sum_k rho_k lambda_k w_k is formed by coverage._on_terms alone; every
 # layer that reads rho through D reads the same bits.
 
 def _seeded_rho(name, k_tiers, rows=200):
@@ -774,7 +774,7 @@ def test_service_area_and_load_ratio_read_d_from_the_one_map(name):
     sc = _lane_scenarios()[name]
     _, slope = analytic._tier_constants(sc)
     for row in _seeded_rho(name, sc.k_tiers):
-        d = coverage._on_density(sc, row)
+        d = coverage._on_terms(sc, row)[1]
         for k in range(sc.k_tiers):
             assert analytic.mean_service_area(sc, row, k) == sc.tier_weights()[k] / d
             assert analytic.load_ratio(sc, row, k) == slope[k] * d
@@ -800,5 +800,5 @@ def test_a_lanes_d_and_region_verdict_do_not_depend_on_its_stack(name, monkeypat
     alone_s = np.concatenate(ratios)
     assert stacked.tolist() == alone
     assert stacked_s.tolist() == alone_s.tolist()
-    d = coverage._on_density(sc, rho)
-    assert d.tolist() == [coverage._on_density(sc, row) for row in rho]
+    d = coverage._on_terms(sc, rho)[1]
+    assert d.tolist() == [coverage._on_terms(sc, row)[1] for row in rho]

@@ -12,10 +12,11 @@ from harvnet.analytic import (
     mean_service_area,
     solve_availability,
 )
-from harvnet.coverage import tier_association_prob
+from harvnet.coverage import hyper_f, tier_association_prob
 from harvnet.markov import (
     BirthDeathSpec,
     PolicySpec,
+    mean_off_time,
     mean_on_time,
     simulate_on_off,
     tier_availability,
@@ -70,7 +71,7 @@ INTEGER_SITES = [
     ("replicates", 1, lambda v: SimConfig(window_side=5.0, replicates=v)),
     ("seed", 0, lambda v: SimConfig(window_side=5.0, seed=v)),
     ("battery", 1, lambda v: BirthDeathSpec(2.0, 1.0, v)),
-    ("cutoff", 1, lambda v: PolicySpec(v).check(SPEC)),
+    ("cutoff", 1, lambda v: mean_off_time(SPEC, PolicySpec(v))),
     ("start_level", 1, lambda v: mean_on_time(SPEC, v)),
     ("battery", 1, lambda v: tier_availability(0.5, v)),
     ("cutoff", 1, lambda v: tier_availability(0.5, 5, v)),
@@ -197,6 +198,10 @@ BAD_POLICIES = {
                           "tier 0 policy must be a PolicySpec (got 1)"),
     "solve-int-list": (lambda sc: solve_availability(sc, policy=[1, 1]),
                        "tier 0 policy must be a PolicySpec (got 1)"),
+    "solve-short-list": (lambda sc: solve_availability(sc, policy=[PolicySpec(1)]),
+                         "policy list must have 2 entries (got 1)"),
+    "solve-long-list": (lambda sc: solve_availability(sc, policy=[PolicySpec(1)] * 3),
+                        "policy list must have 2 entries (got 3)"),
     "boundary-int": (lambda sc: boundary(sc, 0, [0.5], constraint=3),
                      "tier 0 policy must be a PolicySpec (got 3)"),
 }
@@ -283,6 +288,17 @@ def test_frac_moment_known_values():
 def test_frac_moment_rejects_alpha_at_or_below_two():
     with pytest.raises(ScenarioError):
         ShadowingSpec(0.0, 8.0).frac_moment(2.0)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5, -math.inf, math.nan])
+def test_every_path_loss_exp_check_refuses_alike(alpha):
+    # The scenario, the shadowing moment and F(beta, alpha) share one rule.
+    message = re.escape(f"path_loss_exp must exceed 2 (got {alpha})")
+    for call in (lambda: validate(make_scenario(path_loss_exp=alpha)),
+                 lambda: ShadowingSpec(0.0, 8.0).frac_moment(alpha),
+                 lambda: hyper_f(1.0, alpha)):
+        with pytest.raises(ScenarioError, match=message):
+            call()
 
 
 def test_frac_moment_matches_lognormal_sampling():

@@ -76,7 +76,7 @@ SHADOWED = NetworkScenario(
     path_loss_exp=3.5, sir_target=0.5, user_density=40.0)
 SHADOWED_RHO = (0.9, 0.7)
 SHADOWED_CONFIG = SimConfig(window_side=8.0, replicates=3, seed=61,
-                            boundary="guard", guard_margin=1.5)
+                            guard_margin=1.5)
 RATE_RHO = [[r1, r2] for r1 in (0.0, 0.3, 0.7, 1.0) for r2 in (0.0, 0.3, 0.7, 1.0)
             if r1 or r2]
 RATE_CASES = [(name, t, tol) for name in SCENARIOS

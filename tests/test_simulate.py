@@ -158,7 +158,7 @@ def test_association_is_nearest_bs_without_shadowing():
                                rng.uniform(0, side, (7, 2))],
                        users=rng.uniform(0, side, (40, 2)),
                        window_side=side)
-    config = SimConfig(window_side=side, replicates=1, boundary="toroidal")
+    config = SimConfig(window_side=side, replicates=1)
     tiers, idx = associate(real, sc, np.random.default_rng(9), config)
     all_bs = np.vstack(real.bs_pos)
     tier_of = np.repeat([0, 1], [4, 7])
@@ -204,7 +204,7 @@ def test_guard_window_agrees_with_toroidal():
                       SimConfig(window_side=7.0, replicates=8, seed=33))
     gua = coverage_mc(sc, [1.0, 1.0],
                       SimConfig(window_side=9.0, replicates=8, seed=33,
-                                boundary="guard", guard_margin=1.5))
+                                guard_margin=1.5))
     assert abs(tor.mean - gua.mean) < \
         tor.ci_halfwidth_99 + gua.ci_halfwidth_99 + 0.01
 
@@ -275,8 +275,7 @@ def test_rate_bounds_hold_where_coverage_rounds_to_one():
 # layout, so undecided users fall in several draw blocks of the replay.
 SHADOWED = replace(two_tier(powers=(4.0, 0.25), lam_u=50.0,
                             shadowing=ShadowingSpec(1.5, 6.0)), path_loss_exp=3.5)
-SHADOWED_CONFIG = SimConfig(window_side=8.0, replicates=1, boundary="guard",
-                            guard_margin=1.5)
+SHADOWED_CONFIG = SimConfig(window_side=8.0, replicates=1, guard_margin=1.5)
 BUNDLED = ("two-tier-baseline", "battery-sweep", "gamma-rich", "rate-surface")
 
 
@@ -381,15 +380,15 @@ def test_sim_config_validation():
         SimConfig(window_side=0.0)
     with pytest.raises(ScenarioError):
         SimConfig(window_side=5.0, replicates=0)
-    with pytest.raises(ScenarioError):
-        SimConfig(window_side=5.0, boundary="mirror")
-    with pytest.raises(ScenarioError):
-        SimConfig(window_side=5.0, boundary="guard", guard_margin=0.0)
-    with pytest.raises(ScenarioError):
-        SimConfig(window_side=5.0, boundary="guard", guard_margin=2.5)
-    with pytest.raises(ScenarioError, match="guard_margin needs boundary 'guard'"):
-        SimConfig(window_side=5.0, guard_margin=1.0)
-    SimConfig(window_side=5.0, boundary="toroidal", guard_margin=0.0)
+    # guard_margin alone sets the edge model: 0 is toroidal, (0, side/2) a guard band.
+    for margin in (-0.5, 2.5, 3.0, math.nan, math.inf):
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"guard_margin must lie in [0, window_side/2) (got {margin})")):
+            SimConfig(window_side=5.0, guard_margin=margin)
+    for margin in (0.0, 1e-9, 2.4):
+        SimConfig(window_side=5.0, guard_margin=margin)
+    with pytest.raises(TypeError):
+        SimConfig(window_side=5.0, boundary="guard")
     for seed in (-1, 1.5, "3"):
         with pytest.raises(ScenarioError, match="seed"):
             SimConfig(window_side=5.0, seed=seed)
@@ -427,7 +426,7 @@ def test_expected_point_count_is_capped_before_any_draw(monkeypatch):
 def test_gain_kernel_matches_hypot_oracle(boundary, shadowing):
     sc = two_tier(powers=(4.0, 0.25), shadowing=shadowing)
     side = 5.0
-    config = SimConfig(window_side=side, replicates=1, boundary=boundary,
+    config = SimConfig(window_side=side, replicates=1,
                        guard_margin=1.0 if boundary == "guard" else 0.0)
     rng = np.random.default_rng(61)
     real = Realization(bs_pos=[rng.uniform(0, side, (9, 2)),
@@ -454,7 +453,7 @@ def test_gain_kernel_matches_hypot_oracle_off_alpha_4(boundary, shadowing):
     # alpha = 4 squares d^2; any other exponent goes through np.power.
     sc = replace(two_tier(powers=(4.0, 0.25), shadowing=shadowing), path_loss_exp=3.5)
     side = 5.0
-    config = SimConfig(window_side=side, replicates=1, boundary=boundary,
+    config = SimConfig(window_side=side, replicates=1,
                        guard_margin=1.0 if boundary == "guard" else 0.0)
     rng = np.random.default_rng(71)
     real = Realization(bs_pos=[rng.uniform(0, side, (9, 2)),
@@ -580,7 +579,7 @@ def test_user_pass_matches_row_weight_kernel_bit_for_bit(alpha, shadowing, bound
     # after the first draw block.
     sc = replace(two_tier(powers=(4.0, 0.25), shadowing=shadowing), path_loss_exp=alpha)
     side = 6.0
-    config = SimConfig(window_side=side, replicates=1, boundary=boundary,
+    config = SimConfig(window_side=side, replicates=1,
                        guard_margin=1.0 if boundary == "guard" else 0.0)
     rng = np.random.default_rng(91)
     real = Realization(bs_pos=[rng.uniform(0, side, (30, 2)),
@@ -603,8 +602,7 @@ def test_user_pass_matches_row_weight_kernel_past_int16_rows(rate_target):
 
 @pytest.mark.parametrize("config", [
     SimConfig(window_side=3.0, replicates=6, seed=4),
-    SimConfig(window_side=5.0, replicates=6, seed=0, boundary="guard",
-              guard_margin=1.0),
+    SimConfig(window_side=5.0, replicates=6, seed=0, guard_margin=1.0),
 ])
 def test_spatial_mc_equals_wrappers(config):
     # Tier 0 comes up empty in some replicates, which drops them from its
@@ -612,7 +610,7 @@ def test_spatial_mc_equals_wrappers(config):
     sc = two_tier(powers=(1.0, 0.5), lam_u=20.0, shadowing=ShadowingSpec(0.5, 4.0))
     rho = [0.1, 1.0]
     lo, hi = 0.0, config.window_side
-    if config.boundary == "guard":
+    if config.guard_margin:
         lo, hi = config.guard_margin, config.window_side - config.guard_margin
     empty = 0
     for i in range(config.replicates):
@@ -671,10 +669,8 @@ def test_probe_pass_without_any_bs_gives_nan():
 @pytest.mark.parametrize("config, oracle_config", [
     (SimConfig(window_side=6.0, replicates=16, seed=71),
      SimConfig(window_side=6.0, replicates=16, seed=72)),
-    (SimConfig(window_side=8.0, replicates=16, seed=73, boundary="guard",
-               guard_margin=1.0),
-     SimConfig(window_side=8.0, replicates=16, seed=74, boundary="guard",
-               guard_margin=1.0)),
+    (SimConfig(window_side=8.0, replicates=16, seed=73, guard_margin=1.0),
+     SimConfig(window_side=8.0, replicates=16, seed=74, guard_margin=1.0)),
 ])
 def test_service_areas_agree_with_probe_oracle(config, oracle_config):
     sc = two_tier(powers=(1.0, 0.5), lam_u=20.0, shadowing=ShadowingSpec(0.5, 4.0))
@@ -705,7 +701,7 @@ def test_service_area_of_a_nearly_empty_tier_raises():
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(
-        "no usable replicate for the tier-0 service area out of 2")
+        "no usable replicate for the tiers[0] service area out of 2")
 
 
 @pytest.mark.parametrize("boundary", ["toroidal", "guard"])
@@ -714,7 +710,7 @@ def test_coverage_agrees_with_raw_fading_oracle(boundary, shadowing):
     # About 110 users per replicate, so one fading draw per link leaves
     # much of the replicate spread that the conditional coverage removes.
     sc = two_tier(powers=(1.0, 0.5), lam_u=3.0, shadowing=shadowing)
-    guard = {"boundary": "guard", "guard_margin": 1.0} if boundary == "guard" else {}
+    guard = {"guard_margin": 1.0} if boundary == "guard" else {}
     side = 8.0 if guard else 6.0
     est = coverage_mc(sc, [0.5, 1.0],
                       SimConfig(window_side=side, replicates=64, seed=81, **guard))
