@@ -10,7 +10,9 @@ microseconds, on the bundled scenarios:
   10 x 10 (rho1, rho2) surface of `harvnet rate --surface` (the time of
   one call, averaged over the surface), and the one 100-lane call;
 - coverage_prob at alpha = 3.98, at one threshold beta and at a new beta
-  each call.
+  each call;
+- simulate_on_off at 10^5 cycles on tier 1 of two-tier-baseline at its
+  fixed point, the CTMC call `harvnet validate` makes.
 
 The minimum rejects most of the host's noise; compare runs made on the
 same host.  Usage:
@@ -47,6 +49,8 @@ def cases(repeat):
     rows = [list(r) for r in rho.tolist()]
     alpha = replace(base, path_loss_exp=3.98)
     fresh = iter([replace(alpha, sir_target=1.0 + 1e-9 * i) for i in range(repeat + 1)])
+    nu = hn.energy_utilization(base, hn.solve_availability(base).rho, 0)
+    chain = hn.BirthDeathSpec(base.tiers[0].harvest_rate, nu, base.tiers[0].battery)
     out = [
         ("solve_availability S(1), two-tier-baseline", 1,
          lambda: hn.solve_availability(base)),
@@ -69,6 +73,8 @@ def cases(repeat):
         ("coverage_prob alpha=3.98, same beta", 1, lambda: hn.coverage_prob(alpha)),
         ("coverage_prob alpha=3.98, new beta each call", 1,
          lambda: hn.coverage_prob(next(fresh))),
+        ("simulate_on_off 1e5 cycles, two-tier-baseline tier 1", 1,
+         lambda: hn.simulate_on_off(chain, hn.PolicySpec(1), 100_000, seed=7)),
     ]
     return out
 

@@ -9,7 +9,10 @@ in closed form through the ratio r = mu/nu.
 
 The Monte Carlo check of those forms, simulate_on_off, samples each ON
 period level by level, from the number of visits to every level, so its
-cost does not grow with the length of a period.
+cost does not grow with the length of a period.  It draws its cycles in
+blocks of _BLOCK, each block's ON periods and then its OFF periods, and
+keeps only running sums, so its memory does not grow with the number of
+cycles either.
 """
 
 from __future__ import annotations
@@ -284,6 +287,10 @@ def _on_times(spec: BirthDeathSpec, cutoff: int, cycles: int,
     return rng.gamma(below, 1.0 / (mu + nu)) + rng.gamma(last, 1.0 / nu)
 
 
+# Cycles per block of simulate_on_off: O(_BLOCK) memory whatever the run.
+_BLOCK = 2 ** 14
+
+
 def simulate_on_off(spec: BirthDeathSpec, policy: PolicySpec, cycles: int,
                     seed: int = 0) -> SimEstimate:
     """Estimate availability from `cycles` regenerative ON/OFF cycles.
@@ -297,7 +304,12 @@ def simulate_on_off(spec: BirthDeathSpec, policy: PolicySpec, cycles: int,
     and visits at N Exp(nu), so the period is two gamma draws over the
     visit counts: N-1 count draws per cycle, whatever the period's length.
     OFF periods are birth-only, so their duration is Erlang(cutoff, mu).
-    The estimate is sum(ON)/(sum(ON)+sum(OFF)) with a delta-method 99% CI.
+    Cycles stream in blocks of _BLOCK, the last one shorter: a block's ON
+    periods, then its OFF periods.  Each block is merged into running
+    means and sums of squared deviations and of cross products (Chan,
+    Golub and LeVeque's pairwise update), so memory stays O(_BLOCK) and
+    no difference of large sums cancels.  The estimate is
+    mean(ON)/(mean(ON)+mean(OFF)) with a delta-method 99% CI.
     Raises ScenarioError for a non-integer `cycles`, a negative or
     non-integer `seed`, and for chains whose expected visits to a level
     exceed 2^53.
@@ -306,14 +318,24 @@ def simulate_on_off(spec: BirthDeathSpec, policy: PolicySpec, cycles: int,
     _check_integer(cycles, "cycles", 2)
     _check_integer(seed, "seed", 0)
     rng = np.random.default_rng([seed, 0x0E])
-    on = _on_times(spec, policy.cutoff, cycles, rng)
-    off = rng.gamma(policy.cutoff, 1.0 / spec.harvest_rate, cycles)
+    n, x, y, sxx, syy, sxy = 0, 0.0, 0.0, 0.0, 0.0, 0.0
+    for done in range(0, cycles, _BLOCK):
+        m = min(_BLOCK, cycles - done)
+        on = _on_times(spec, policy.cutoff, m, rng)
+        off = rng.gamma(policy.cutoff, 1.0 / spec.harvest_rate, m)
+        bx, by = on.mean(), off.mean()
+        on -= bx
+        off -= by
+        ex, ey, w = bx - x, by - y, n * m / (n + m)
+        sxx += (on * on).sum() + w * ex * ex
+        syy += (off * off).sum() + w * ey * ey
+        sxy += (on * off).sum() + w * ex * ey
+        n += m
+        x += ex * m / n
+        y += ey * m / n
 
-    x, y = on.mean(), off.mean()
     rho = x / (x + y)
-    vx = on.var(ddof=1) / cycles
-    vy = off.var(ddof=1) / cycles
-    cxy = float(np.cov(on, off, ddof=1)[0, 1]) / cycles
+    vx, vy, cxy = (v / (cycles - 1) / cycles for v in (sxx, syy, sxy))
     var = (y * y * vx + x * x * vy - 2 * x * y * cxy) / (x + y) ** 4
     return SimEstimate(mean=float(rho), ci_halfwidth_99=float(_Z99 * math.sqrt(max(var, 0.0))),
                        samples=int(cycles), seed=int(seed))

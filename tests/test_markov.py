@@ -1,5 +1,7 @@
 import math
 import re
+import tracemalloc
+from pathlib import Path
 from statistics import NormalDist
 
 import mpmath as mp
@@ -7,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from harvnet import markov
+from harvnet import analytic, markov
+from harvnet.cli import load_scenario
 from harvnet.markov import (
     BirthDeathSpec,
     PolicySpec,
@@ -22,7 +25,7 @@ from harvnet.markov import (
     tier_availability,
     verify_s1_optimal,
 )
-from harvnet.model import ScenarioError
+from harvnet.model import _Z99, ScenarioError
 from oracles import (
     hp_mean_on_times,
     hp_neg_b_inverse,
@@ -228,6 +231,54 @@ def test_gillespie_is_reproducible_and_seed_sensitive():
     assert a == b
     assert a.mean != c.mean
 
+
+def validate_chain(name, k):
+    """The battery chain `validate` samples for tier k + 1 of a bundled scenario."""
+    path = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json"
+    scenario, _ = load_scenario(str(path))
+    rho = analytic.solve_availability(scenario).rho
+    return BirthDeathSpec(scenario.tiers[k].harvest_rate,
+                          analytic.energy_utilization(scenario, rho, k),
+                          scenario.tiers[k].battery)
+
+
+def test_simulate_on_off_memory_does_not_grow_with_cycles():
+    # Cycles stream in fixed blocks, so the peak stays flat; holding all
+    # 4e5 cycles of this chain at once needs about 20 MiB.
+    spec = validate_chain("two-tier-baseline", 0)
+    simulate_on_off(spec, PolicySpec(1), cycles=2)
+    for cycles in (40_000, 400_000):
+        tracemalloc.start()
+        try:
+            simulate_on_off(spec, PolicySpec(1), cycles=cycles, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, (cycles, peak)
+
+
+@pytest.mark.parametrize("name", ["two-tier-baseline", "gamma-rich"])
+def test_streamed_estimate_equals_two_pass_estimate(name):
+    # Tier 2 has rho near 0.76 on two-tier-baseline, and 1 - rho near 4e-10
+    # on gamma-rich, whose CI half-width is about 5e-12.
+    spec = validate_chain(name, 1)
+    block = markov._BLOCK
+    for cycles in (2, block - 1, block, block + 1, 3 * block + 5):
+        est = simulate_on_off(spec, PolicySpec(1), cycles=cycles, seed=5)
+        rng = np.random.default_rng([5, 0x0E])
+        on, off = [], []
+        for done in range(0, cycles, block):
+            m = min(block, cycles - done)
+            on.append(_on_times(spec, 1, m, rng))
+            off.append(rng.gamma(1, 1.0 / spec.harvest_rate, m))
+        on, off = np.concatenate(on), np.concatenate(off)
+        x, y = np.mean(on), np.mean(off)
+        vx, vy = np.var(on, ddof=1) / cycles, np.var(off, ddof=1) / cycles
+        cxy = np.cov(on, off, ddof=1)[0, 1] / cycles
+        var = (y * y * vx + x * x * vy - 2 * x * y * cxy) / (x + y) ** 4
+        assert est.mean == pytest.approx(x / (x + y), rel=1e-9), cycles
+        assert est.ci_halfwidth_99 == pytest.approx(_Z99 * math.sqrt(var), rel=1e-9), cycles
+        assert est.samples == cycles
 
 def test_spec_validation():
     with pytest.raises(ScenarioError):

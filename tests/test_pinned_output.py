@@ -18,7 +18,11 @@ of `validate` and of every `simulate` estimator on the bundled scenarios,
 and every `spatial_mc` field of a shadowed, alpha = 3.5, guard-window
 scenario with over 512 users per replicate, recorded before the user pass
 was split into tiles; the `validate` lines that print the distance of the
-solved rho from the CTMC estimate were re-recorded with the new root search.  Rerun this file as a script to re-record all
+solved rho from the CTMC estimate were re-recorded with the new root search.
+The `availability-ctmc-*` lines of `validate` were re-recorded again when
+the cycle sampler came to stream its cycles in fixed blocks (each block's
+ON periods, then its OFF periods), which reorders its draws; every other
+line kept its bytes.  Rerun this file as a script to re-record all
 three, only when an output change is meant.
 """
 
