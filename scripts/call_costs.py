@@ -12,7 +12,9 @@ microseconds, on the bundled scenarios:
 - coverage_prob at alpha = 3.98, at one threshold beta and at a new beta
   each call;
 - simulate_on_off at 10^5 cycles on tier 1 of two-tier-baseline at its
-  fixed point, the CTMC call `harvnet validate` makes.
+  fixed point, the CTMC call `harvnet validate` makes;
+- load_scenario of two-tier-baseline: read, parse and check one scenario
+  file, as every subcommand does first.
 
 The minimum rejects most of the host's noise; compare runs made on the
 same host.  Usage:
@@ -35,8 +37,12 @@ import harvnet as hn  # noqa: E402
 from harvnet.cli import load_scenario  # noqa: E402
 
 
+def _path(name):
+    return str(ROOT / "scenarios" / f"{name}.json")
+
+
 def _scenario(name):
-    return load_scenario(str(ROOT / "scenarios" / f"{name}.json"))[0]
+    return load_scenario(_path(name))[0]
 
 
 def cases(repeat):
@@ -75,6 +81,8 @@ def cases(repeat):
          lambda: hn.coverage_prob(next(fresh))),
         ("simulate_on_off 1e5 cycles, two-tier-baseline tier 1", 1,
          lambda: hn.simulate_on_off(chain, hn.PolicySpec(1), 100_000, seed=7)),
+        ("load_scenario, two-tier-baseline", 1,
+         lambda: load_scenario(_path("two-tier-baseline"))),
     ]
     return out
 

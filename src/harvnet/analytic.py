@@ -81,7 +81,7 @@ def _at_density(scenario: NetworkScenario, rho, k: int, form, what: str) -> floa
     """
     _check_integer(k, "tier", 0, scenario.k_tiers - 1)
     rho = check_availability_vector(rho, scenario.k_tiers)
-    with np.errstate(over="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         value = form(scenario, *_association(scenario, rho[None, :])[1:])[0, k]
     if not np.isfinite(value):
         raise _float_range_error(scenario, what)

@@ -19,7 +19,8 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 
 from . import analytic, coverage, markov, region, simulate
-from .model import NetworkScenario, ScenarioError, ShadowingSpec, TierParams, _check_integer
+from .model import (NetworkScenario, ScenarioError, ShadowingSpec, TierParams, _check_integer,
+                    _check_positive, _two_tier_grid)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -148,12 +149,12 @@ def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
         lam_u = _number(doc["user_density"], "user_density")
     elif "over_provisioning" in doc:
         gamma = _number(doc["over_provisioning"], "over_provisioning")
-        if gamma <= 0:
-            raise ScenarioError(f"over_provisioning must be > 0 (got {gamma})")
+        _check_positive(gamma, "over_provisioning")
         # P_c needs a valid (beta, alpha): the probe scenario checks them
         pc = coverage.coverage_prob(NetworkScenario(tuple(tiers), alpha, beta, 1.0))
         harvested = sum(t.density * t.harvest_rate for t in tiers)
         lam_u = harvested / (gamma * pc)
+        _check_positive(lam_u, f"user_density from over_provisioning={gamma}")
     else:
         raise ScenarioError("scenario must set user_density or over_provisioning")
     return NetworkScenario(tiers=tuple(tiers), path_loss_exp=alpha,
@@ -251,7 +252,7 @@ def cmd_region(args) -> int:
     scenario, _ = load_scenario(args.scenario)
     constraints = _parse_policies(args.constrain, scenario)
     # Every rule a sweep checks, in the sweeps' order, before the first sweep runs.
-    region._sweep_grid(scenario, args.grid)
+    _two_tier_grid(scenario, args.grid)
     analytic._cutoffs(scenario, constraints)
     b0, b1 = (region.sweep_boundary(scenario, k, args.grid, constraints.get(k))
               for k in (0, 1))
@@ -282,12 +283,8 @@ def cmd_rate(args) -> int:
         raise ScenarioError(f"sweep.variable must be 'rate_target' "
                             f"(got {sweep.get('variable')!r})")
     if args.surface:
-        if scenario.k_tiers != 2:
-            raise ScenarioError("rate surfaces require exactly 2 tiers")
-        if args.grid < 2:
-            raise ScenarioError(f"grid_resolution must be >= 2 (got {args.grid})")
+        grid = _two_tier_grid(scenario, args.grid, 0.1)
         query = coverage.RateQuery(0.1 if args.rate_target is None else args.rate_target)
-        grid = np.linspace(0.1, 1.0, args.grid)
         rho = np.column_stack((np.repeat(grid, grid.size), np.tile(grid, grid.size)))
         values = coverage.rate_ccdf(scenario, rho, query)
         _emit(["rho1", "rho2", "rate_ccdf"],
@@ -300,8 +297,7 @@ def cmd_rate(args) -> int:
         start, stop = (_number(_field(sweep, k, "sweep"), f"sweep.{k}")
                        for k in ("start", "stop"))
         steps = _integer(_field(sweep, "steps", "sweep"), "sweep.steps")
-        if steps < 1:
-            raise ScenarioError(f"sweep.steps must be >= 1 (got {steps})")
+        _check_integer(steps, "sweep.steps", 1)
         targets = np.linspace(start, stop, steps).tolist()
     else:
         targets = np.linspace(0.0, 2.0, 41).tolist()

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (NetworkScenario, ScenarioError, _check_integer, _check_path_loss_exp,
-                    _check_positive, check_availability_vector)
+from .model import (NetworkScenario, ScenarioError, _check_integer, _check_nonnegative,
+                    _check_path_loss_exp, _check_positive, check_availability_vector)
 
 # 4.5 log 3.5 and log Gamma(4.5), constants of the 3.5-law load pmf.
 _LOG_PMF_CONST = 4.5 * math.log(3.5)
@@ -48,6 +48,8 @@ _ENDS = np.cumsum([min(_BLOCK << i, _MAX_BLOCK) for i in range(64)])
 _ENDS = _ENDS[_ENDS <= _LANE_BUDGET]
 # The fixed cost of one pass of the rate series, in terms of one load.
 _PASS_TERMS = 2048
+# The least normal double: a sum of ON terms below it has lost digits.
+_TINY = np.finfo(float).tiny
 # 2^1000 - 1 is the largest SIR threshold the series evaluates; beyond it
 # the coverage factor is taken as zero.
 _MAX_EXPO = 1000.0
@@ -64,9 +66,7 @@ def hyper_f(beta, alpha: float):
     past the float range is inf, which makes the coverage probability 0.
     """
     _check_path_loss_exp(alpha)
-    b = np.asarray(beta, dtype=float)
-    if not (np.isfinite(b) & (b >= 0)).all():
-        raise ScenarioError(f"sir threshold must be finite and >= 0 (got {beta})")
+    b = _check_nonnegative(beta, "sir threshold")
     if alpha == 4.0:
         root = np.sqrt(b)
         f = root * np.arctan(root)
@@ -94,24 +94,6 @@ def _coverage(beta: float, alpha: float) -> float:
     return 1.0 / (1.0 + hyper_f(beta, alpha))
 
 
-def _availability_lanes(rho, k_tiers: int) -> np.ndarray:
-    """rho as validated lanes, shape (L, k_tiers); a 1-D vector is one lane.
-
-    A lane outside [0, 1] raises check_availability_vector's error for the
-    first such lane.
-    """
-    arr = np.asarray(rho, dtype=float)
-    if arr.ndim != 2:
-        return check_availability_vector(arr, k_tiers)[None, :]
-    if arr.shape[1] != k_tiers:
-        raise ScenarioError(f"availability lanes must have shape (L, {k_tiers}) "
-                            f"(got shape {arr.shape})")
-    bad = ~((arr >= 0) & (arr <= 1)).all(axis=1)
-    if bad.any():
-        check_availability_vector(arr[np.argmax(bad)], k_tiers)
-    return arr
-
-
 def _on_terms(scenario: NetworkScenario, rho: np.ndarray):
     """(rho_k lambda_k w_k, D, w) along the last axis of rho: D sums the terms, w the weights.
 
@@ -127,12 +109,25 @@ def _association(scenario: NetworkScenario, rho: np.ndarray):
     """Association probabilities of validated lanes rho (L, K), row by row.
 
     Returns (A, D, w): A_k = rho_k lambda_k w_k / D, each row's D from
-    _on_terms, shape (L, 1), and the tier weights w.
+    _on_terms, shape (L, 1), and the tier weights w.  A row whose D is not
+    a normal positive double has terms that under- or overflowed: its A_k
+    are the ratios of the terms scaled by a power of two from the factors'
+    exponents, which is exact, and its D stays as formed.
     """
     terms, total, weights = _on_terms(scenario, rho)
-    if not (total > 0).all():
-        raise ScenarioError("no BS available: weighted ON density is zero")
-    return terms / total[:, None], total[:, None], weights
+    share = total
+    # Each row's D, if any, is a normal positive double: the plain ratios stand.
+    if not _TINY <= total.min(initial=_TINY) <= total.max(initial=_TINY) < math.inf:
+        lost = ~((total >= _TINY) & (total < math.inf))
+        (m_r, e_r), (m_d, e_d), (m_w, e_w) = map(np.frexp, (rho[lost], scenario.densities(),
+                                                            weights))
+        # A tier with rho_k = 0 takes no part in the row's largest exponent.
+        expo = np.where(m_r > 0, e_r + e_d + e_w, np.iinfo(np.int32).min // 2)
+        terms[lost] = np.ldexp(m_r * m_d * m_w, expo - expo.max(axis=1, keepdims=True))
+        share = terms.sum(axis=1)     # the other rows sum as in _on_terms
+        if not (share > 0).all():
+            raise ScenarioError("no BS available: weighted ON density is zero")
+    return terms / share[:, None], total[:, None], weights
 
 
 def _tier_loads(scenario: NetworkScenario, total: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -209,9 +204,7 @@ def load_pmf(x, n):
     log p = L(n) + n (log x - log(3.5+x)) + 4.5 log 3.5 - 4.5 log(3.5+x).
     At x = 0 all mass sits on n = 0.
     """
-    x = np.asarray(x, dtype=float)
-    if not (np.isfinite(x) & (x >= 0)).all():
-        raise ScenarioError(f"mean load parameter must be finite and >= 0 (got {x})")
+    x = _check_nonnegative(x, "mean load parameter")
     count = np.asarray(n)
     # An integer dtype only: a float, bool or Python int past int64 is refused.
     if count.dtype.kind not in "iu" or (count.astype(np.int64) < 0).any():
@@ -373,14 +366,14 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):
     by calls with the same T and alpha (_series_block).  A mean load past
     the float range is a ScenarioError naming user_density and density.
     """
-    lanes = np.ndim(rho) == 2
+    rho = check_availability_vector(rho, scenario.k_tiers, lanes=True)
+    lanes = rho.ndim == 2
     # rho and the association are checked before the T = 0 shortcut too.
-    rho = _availability_lanes(rho, scenario.k_tiers)
-    weight, total, tier_weights = _association(scenario, rho)
+    weight, total, tier_weights = _association(scenario, rho.reshape(-1, scenario.k_tiers))
     if query.rate_target == 0.0:
         # Every coverage factor is 1 and the load pmf sums to 1.
         return np.ones(len(rho)) if lanes else 1.0
-    with np.errstate(over="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         load = _tier_loads(scenario, total, tier_weights)
     # A tier with A_k = 0 adds 0 whatever its load, which may even overflow;
     # a zero load costs no series terms.

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _Z99, ScenarioError, SimEstimate, _check_integer
+from .model import (_Z99, ScenarioError, SimEstimate, _check_integer, _check_nonnegative,
+                    _check_positive)
 
 
 @dataclass(frozen=True)
@@ -36,9 +37,7 @@ class BirthDeathSpec:
 
     def __post_init__(self):
         for name in ("harvest_rate", "utilization_rate"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ScenarioError(f"{name} must be finite and > 0 (got {value})")
+            _check_positive(getattr(self, name), name)
         if not 0 < self.ratio < math.inf:
             raise ScenarioError(
                 f"harvest_rate/utilization_rate must be finite and > 0 "
@@ -190,9 +189,7 @@ def tier_availability(s, battery: int, cutoff: int = 1):
     """
     _check_integer(battery, "battery", 1)
     _check_integer(cutoff, "cutoff", 1, battery)
-    s = np.asarray(s, dtype=float)
-    if not np.all((s >= 0.0) & (s < math.inf)):
-        raise ScenarioError(f"load ratio must be finite and >= 0 (got {s})")
+    s = _check_nonnegative(s, "load ratio")
     return _on_fractions(s[None], _plan((battery,), (cutoff,)), with_b=False)[0, ...]
 
 

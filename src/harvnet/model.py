@@ -36,17 +36,23 @@ def _check_integer(value, name: str, low: int, high: int | None = None) -> None:
 
 
 def _check_positive(value, name: str) -> None:
-    """Raise ScenarioError naming `name` unless value is finite and > 0."""
-    if not value > 0:
-        raise ScenarioError(f"{name} must be > 0 (got {value})")
-    if value == math.inf:
-        raise ScenarioError(f"{name} must be finite (got {value})")
+    """Raise ScenarioError naming `name` unless 0 < value < inf (so NaN is refused too)."""
+    if not 0 < value < math.inf:
+        raise ScenarioError(f"{name} must be finite and > 0 (got {value})")
+
+
+def _check_nonnegative(value, name: str) -> np.ndarray:
+    """value as a float array; ScenarioError naming `name` unless each entry is finite and >= 0."""
+    arr = np.asarray(value, dtype=float)
+    if not 0 <= arr.min(initial=0.0) <= arr.max(initial=0.0) < math.inf:     # NaN too
+        raise ScenarioError(f"{name} must be finite and >= 0 (got {arr})")
+    return arr
 
 
 def _check_path_loss_exp(alpha) -> None:
-    """Raise ScenarioError unless alpha > 2 (so NaN is refused too)."""
-    if not alpha > 2:
-        raise ScenarioError(f"path_loss_exp must exceed 2 (got {alpha})")
+    """Raise ScenarioError unless 2 < alpha < inf (so NaN is refused too)."""
+    if not 2 < alpha < math.inf:
+        raise ScenarioError(f"path_loss_exp must be finite and > 2 (got {alpha})")
 
 
 @dataclass(frozen=True)
@@ -137,29 +143,17 @@ def validate(scenario: NetworkScenario) -> None:
     if scenario.k_tiers < 1:
         raise ScenarioError("tiers must contain at least one tier")
     _check_path_loss_exp(scenario.path_loss_exp)
-    if not math.isfinite(scenario.path_loss_exp):
-        raise ScenarioError(
-            f"path_loss_exp must be finite (got {scenario.path_loss_exp})")
-    if not (math.isfinite(scenario.sir_target) and scenario.sir_target > 0):
-        raise ScenarioError(
-            f"sir_target must be finite and > 0 (got {scenario.sir_target})")
-    if not (math.isfinite(scenario.user_density) and scenario.user_density > 0):
-        raise ScenarioError(f"user_density must be finite and > 0 "
-                            f"(got {scenario.user_density})")
+    _check_positive(scenario.sir_target, "sir_target")
+    _check_positive(scenario.user_density, "user_density")
     for i, t in enumerate(scenario.tiers):
         for name in ("density", "tx_power", "harvest_rate"):
-            value = getattr(t, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ScenarioError(
-                    f"tiers[{i}].{name} must be finite and > 0 (got {value})")
+            _check_positive(getattr(t, name), f"tiers[{i}].{name}")
         _check_integer(t.battery, f"tiers[{i}].battery", 1)
         sh = t.shadowing
         if not math.isfinite(sh.mean_db):
             raise ScenarioError(
                 f"tiers[{i}].shadowing.mean_db must be finite (got {sh.mean_db})")
-        if not (math.isfinite(sh.std_db) and sh.std_db >= 0):
-            raise ScenarioError(
-                f"tiers[{i}].shadowing.std_db must be finite and >= 0 (got {sh.std_db})")
+        _check_nonnegative(sh.std_db, f"tiers[{i}].shadowing.std_db")
         try:
             weight = t.weight(scenario.path_loss_exp)
         except OverflowError:
@@ -222,12 +216,31 @@ class SimEstimate:
         return abs(self.mean - value) <= self.ci_halfwidth_99 + other_halfwidth
 
 
-def check_availability_vector(rho, k_tiers: int) -> np.ndarray:
-    """Coerce rho to a validated float array of length k_tiers in [0, 1] (no NaN)."""
+def check_availability_vector(rho, k_tiers: int, *, lanes: bool = False) -> np.ndarray:
+    """Coerce rho to a validated float array of length k_tiers in [0, 1] (no NaN).
+
+    With `lanes`, a stack of such vectors, shape (L, k_tiers), one per row,
+    passes too.  A value outside [0, 1] is reported with the first vector
+    that holds one.
+    """
     arr = np.asarray(rho, dtype=float)
-    if arr.shape != (k_tiers,):
+    if arr.ndim not in ((1, 2) if lanes else (1,)) or arr.shape[-1] != k_tiers:
         raise ScenarioError(
             f"availability vector must have length {k_tiers} (got shape {arr.shape})")
     if not ((arr >= 0) & (arr <= 1)).all():
-        raise ScenarioError(f"availabilities must lie in [0, 1] (got {arr})")
+        rows = arr.reshape(-1, k_tiers)
+        first = rows[np.argmax(~((rows >= 0) & (rows <= 1)).all(axis=1))]
+        raise ScenarioError(f"availabilities must lie in [0, 1] (got {first})")
     return arr
+
+
+def _two_tier_grid(scenario: NetworkScenario, resolution: int, low: float = 0.0) -> np.ndarray:
+    """linspace(low, 1, resolution), the availability axis of a two-tier grid, after its checks.
+
+    The one check of the region sweeps and of the rate surface: exactly 2
+    tiers and an integer resolution of at least 2.
+    """
+    if scenario.k_tiers != 2:
+        raise ScenarioError(f"availability grids require exactly 2 tiers (got {scenario.k_tiers})")
+    _check_integer(resolution, "grid_resolution", 2)
+    return np.linspace(low, 1.0, resolution)

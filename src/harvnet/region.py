@@ -38,7 +38,7 @@ import numpy as np
 
 from . import analytic, markov
 from .coverage import _on_terms
-from .model import NetworkScenario, ScenarioError, check_availability_vector
+from .model import NetworkScenario, _two_tier_grid, check_availability_vector
 
 _TOL = 1e-10          # bracket width on rho_k
 _MEMBER_TOL = 1e-6    # slack for membership tests at the boundary itself
@@ -98,15 +98,6 @@ def _inside(scenario: NetworkScenario, rho, constraints, tol: float) -> np.ndarr
     return (markov._on_fractions(np.maximum(s, 0.0, out=s), plan, with_b=False) >= x).all(axis=0)
 
 
-def _sweep_grid(scenario: NetworkScenario, resolution: int) -> np.ndarray:
-    """The K=2 sweep grid linspace(0, 1, resolution), after its checks."""
-    if scenario.k_tiers != 2:
-        raise ScenarioError(f"boundary sweeps require exactly 2 tiers (got {scenario.k_tiers})")
-    if resolution < 2:
-        raise ScenarioError(f"grid_resolution must be >= 2 (got {resolution})")
-    return np.linspace(0.0, 1.0, resolution)
-
-
 def contains(scenario: NetworkScenario, rho, constraints=None) -> bool:
     """True iff every rho_k is at most its conditional boundary value + _MEMBER_TOL.
 
@@ -119,10 +110,11 @@ def contains(scenario: NetworkScenario, rho, constraints=None) -> bool:
     [1, N_k] is a ScenarioError, inside the box or out.
     """
     rho = np.asarray(rho, dtype=float)
-    if rho.shape != (scenario.k_tiers,):
-        raise ScenarioError(f"expected {scenario.k_tiers} availabilities (got shape {rho.shape})")
-    analytic._cutoffs(scenario, constraints)      # checked outside the box too
-    if not ((rho >= 0.0) & (rho <= 1.0)).all():     # NaN too
+    box = (rho >= 0.0) & (rho <= 1.0)     # NaN is outside
+    # The shape rule, and the constraints, are checked outside the box too.
+    check_availability_vector(np.where(box, rho, 0.0), scenario.k_tiers)
+    analytic._cutoffs(scenario, constraints)
+    if not box.all():
         return False
     return bool(_inside(scenario, rho[None, :], constraints, _MEMBER_TOL)[0])
 
@@ -135,7 +127,7 @@ def sweep_boundary(scenario: NetworkScenario, k: int,
     A tier k outside {0, 1} or a `constraint` cutoff outside [1, N_k] is a
     ScenarioError, as in `boundary`.
     """
-    grid = _sweep_grid(scenario, grid_resolution)
+    grid = _two_tier_grid(scenario, grid_resolution)
     return RegionBoundary(k, grid, _boundaries(scenario, k, grid[:, None], constraint),
                           constraint)
 
@@ -148,7 +140,7 @@ def grid_coverage(scenario: NetworkScenario, resolution: int = 101,
     value that is not a PolicySpec or a cutoff outside [1, N_k] is a
     ScenarioError.
     """
-    t = _sweep_grid(scenario, resolution)
+    t = _two_tier_grid(scenario, resolution)
     # Whole grid rows, at most about _GRID_BLOCK lanes per call, bound the memory.
     rows = np.array_split(t, -(-t.size ** 2 // _GRID_BLOCK))
     return sum(int(_inside(scenario, np.column_stack((np.repeat(r, t.size), np.tile(t, r.size))),

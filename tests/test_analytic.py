@@ -387,5 +387,5 @@ def test_solver_rejects_bad_tolerance():
 
 def test_solver_refuses_an_infinite_tolerance():
     # It would stop before its first split and report bracket=inf.
-    with pytest.raises(ScenarioError, match=r"tolerance must be finite \(got inf\)"):
+    with pytest.raises(ScenarioError, match=r"^tolerance must be finite and > 0 \(got inf\)$"):
         solve_availability(two_tier(), tolerance=float("inf"))

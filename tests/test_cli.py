@@ -86,6 +86,21 @@ def test_load_scenario_db_and_errors(tmp_path):
         load_scenario(str(p4))
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("1e999", "over_provisioning must be finite and > 0 (got inf)"),
+    # lambda_u = 12/(1e-320 P_c) overflows to inf
+    ("1e-320", "user_density from over_provisioning=1e-320 must be finite and > 0 (got inf)"),
+], ids=["overflows", "user-density-overflows"])
+def test_over_provisioning_out_of_range_is_named(tmp_path, capsys, literal, message):
+    # both once blamed user_density, a key the file does not set
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps({**BASE_DOC, "over_provisioning": "X"}).replace('"X"', literal))
+    assert main(["availability", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("extra, pair", [
     ({"sir_target_db": 3.0}, "sir_target and sir_target_db"),
     ({"user_density": 5.0}, "user_density and over_provisioning"),
@@ -377,7 +392,7 @@ def test_rate_sweep_needs_a_step(tmp_path, capsys, steps):
     assert main(["rate", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: sweep.steps must be >= 1")
+    assert captured.err == f"error: sweep.steps must be an integer >= 1 (got {steps})\n"
 
 
 def test_rate_surface_checks_the_sweep_block(tmp_path, capsys):
@@ -401,7 +416,7 @@ def test_rate_surface_runs_without_feasibility(infeasible_file, capsys):
         assert main(["rate", infeasible_file, "--surface", "--grid", grid]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: grid_resolution must be >= 2")
+        assert captured.err == f"error: grid_resolution must be an integer >= 2 (got {grid})\n"
 
 
 def test_rate_requires_rho_when_infeasible(infeasible_file, capsys):
@@ -473,7 +488,7 @@ def test_infinite_path_loss_exp_is_an_error(tmp_path, capsys, command):
     assert main([command, str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: path_loss_exp must be finite (got inf)\n"
+    assert captured.err == "error: path_loss_exp must be finite and > 2 (got inf)\n"
 
 
 @pytest.mark.parametrize("command", ["availability", "region", "rate", "validate"])
@@ -502,7 +517,7 @@ def test_effective_demand_out_of_range_is_an_error(tmp_path, capsys, command, fi
 
 
 @pytest.mark.parametrize("window, err", [
-    ("inf", "error: window_side must be finite (got inf)\n"),
+    ("inf", "error: window_side must be finite and > 0 (got inf)\n"),
     ("1e300", "error: window_side 1e+300 gives a non-finite expected point count\n"),
 ], ids=["inf", "1e300"])
 def test_simulate_rejects_an_unusable_window(scenario_file, capsys, window, err):
@@ -674,9 +689,9 @@ LIBRARY_RULES = [
     (["simulate", "--rho", "0.5"], None,
      "availability vector must have length 2 (got shape (1,))"),
     (["region"], lambda d: d["tiers"].append(d["tiers"][1]),
-     "boundary sweeps require exactly 2 tiers (got 3)"),
+     "availability grids require exactly 2 tiers (got 3)"),
     (["rate", "--surface"], lambda d: d["tiers"].append(d["tiers"][1]),
-     "rate surfaces require exactly 2 tiers"),
+     "availability grids require exactly 2 tiers (got 3)"),
     # tiers are named as in the scenario file, though --tier counts from 1
     (["simulate", "--estimator", "area", "--tier", "2", "--rho", "1,0"], None,
      "tiers[1] has zero ON density; its area is undefined"),
@@ -774,14 +789,14 @@ def test_availability_rejects_nonpositive_tol(scenario_file, capsys):
     for tol in ("-1", "0"):
         assert main(["availability", scenario_file, "--tol", tol]) == 1
         err = capsys.readouterr().err
-        assert "tolerance must be > 0" in err
+        assert f"tolerance must be finite and > 0 (got {float(tol)})" in err
 
 
 def test_availability_refuses_an_infinite_tol(scenario_file, capsys):
     for tol in ("inf", "Infinity"):
         assert main(["availability", scenario_file, "--tol", tol]) == 1
         captured = capsys.readouterr()
-        assert "tolerance must be finite (got inf)" in captured.err and captured.out == ""
+        assert "tolerance must be finite and > 0 (got inf)" in captured.err and captured.out == ""
 
 
 def test_help_exits_zero(capsys):

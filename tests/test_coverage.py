@@ -168,6 +168,30 @@ def test_association_probabilities():
     assert tier_association_prob(sc, np.ones(2)).sum() == pytest.approx(1.0)
 
 
+def test_association_survives_on_terms_that_underflow():
+    # lambda w = 1e-150 * (1e-100)^(1/2) = 1e-200, so rho lambda w at rho = 1e-200
+    # rounds to 0; the terms are rescaled by a power of two, and A = 1
+    one = NetworkScenario((TierParams(1e-150, 1e-100, 1.0, 3),), 4.0, 1.0, 1.0)
+    assert tier_association_prob(one, [1e-200]).tolist() == [1.0]
+    # two tiers: the rescale is exact, so A has the bits of the same network
+    # with every density 2^600 times larger, whose terms are normal
+    tiers = (TierParams(1e-150, 1e-100, 1.0, 3), TierParams(3e-150, 4e-100, 1.0, 3))
+    two = NetworkScenario(tiers, 4.0, 1.0, 1.0)
+    big = NetworkScenario(tuple(replace(t, density=t.density * 2.0 ** 600) for t in tiers),
+                          4.0, 1.0, 1.0)
+    for rho in ([1e-200, 5e-201], [0.0, 1e-250], [1e-200, 1e-250]):
+        probs = tier_association_prob(two, rho)
+        assert probs.tolist() == tier_association_prob(big, rho).tolist()
+        assert probs.sum() == pytest.approx(1.0, abs=1e-15)
+    assert tier_association_prob(two, [1e-200, 5e-201]) == pytest.approx([0.25, 0.75],
+                                                                          rel=1e-15)
+    with pytest.raises(ScenarioError, match="no BS available"):
+        tier_association_prob(two, [0.0, 0.0])
+    # D itself is 0 there, so the mean load leaves the float range
+    with pytest.raises(ScenarioError, match="mean load leaves the float range"):
+        rate_ccdf(two, [1e-200, 5e-201], RateQuery(0.1))
+
+
 def test_load_pmf_normalizes():
     rng = np.random.default_rng(15)
     ns = np.arange(0, 800)
@@ -333,14 +357,14 @@ def test_rate_query_validation():
 @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan], ids=["zero", "negative", "nan"])
 def test_rate_query_rejects_a_tolerance_no_series_can_meet(tol):
     # no term or tail bound is ever below a NaN: the series would not end
-    with pytest.raises(ScenarioError, match="series_tolerance must be > 0"):
+    with pytest.raises(ScenarioError, match=re.escape(f"series_tolerance must be finite and > 0 (got {tol})")):
         RateQuery(rate_target=0.1, series_tolerance=tol)
 
 
 def test_rate_query_refuses_an_infinite_tolerance():
     # Every term and tail bound is below inf, so the series would stop at
     # its first term: 0.3041 for 0.8648 on rate-surface at rho = (1, 1).
-    with pytest.raises(ScenarioError, match=r"series_tolerance must be finite \(got inf\)"):
+    with pytest.raises(ScenarioError, match=r"series_tolerance must be finite and > 0 \(got inf\)"):
         RateQuery(rate_target=0.1, series_tolerance=math.inf)
 
 

@@ -51,12 +51,12 @@ def test_validate_accepts_well_formed_scenario():
 
 
 def test_alpha_boundary_is_rejected_by_name():
-    with pytest.raises(ScenarioError, match="path_loss_exp must exceed 2"):
+    with pytest.raises(ScenarioError, match=r"path_loss_exp must be finite and > 2 \(got 2.0\)"):
         validate(make_scenario(path_loss_exp=2.0))
 
 
 def test_infinite_path_loss_exp_is_rejected_by_name():
-    with pytest.raises(ScenarioError, match="path_loss_exp must be finite"):
+    with pytest.raises(ScenarioError, match=r"path_loss_exp must be finite and > 2 \(got inf\)"):
         validate(make_scenario(path_loss_exp=math.inf))
 
 
@@ -290,10 +290,10 @@ def test_frac_moment_rejects_alpha_at_or_below_two():
         ShadowingSpec(0.0, 8.0).frac_moment(2.0)
 
 
-@pytest.mark.parametrize("alpha", [2.0, 1.5, -math.inf, math.nan])
+@pytest.mark.parametrize("alpha", [2.0, 1.5, -math.inf, math.nan, math.inf])
 def test_every_path_loss_exp_check_refuses_alike(alpha):
     # The scenario, the shadowing moment and F(beta, alpha) share one rule.
-    message = re.escape(f"path_loss_exp must exceed 2 (got {alpha})")
+    message = re.escape(f"path_loss_exp must be finite and > 2 (got {alpha})")
     for call in (lambda: validate(make_scenario(path_loss_exp=alpha)),
                  lambda: ShadowingSpec(0.0, 8.0).frac_moment(alpha),
                  lambda: hyper_f(1.0, alpha)):

@@ -398,9 +398,10 @@ def test_sim_config_validation():
 def test_unusable_windows_are_named():
     # both fail before any draw: inf in SimConfig, 1e300 at its point counts
     for side in (0.0, -1.0):
-        with pytest.raises(ScenarioError, match=re.escape("window_side must be > 0")):
+        with pytest.raises(ScenarioError,
+                           match=re.escape(f"window_side must be finite and > 0 (got {side})")):
             SimConfig(window_side=side)
-    with pytest.raises(ScenarioError, match="window_side must be finite"):
+    with pytest.raises(ScenarioError, match=r"window_side must be finite and > 0 \(got inf\)"):
         SimConfig(window_side=math.inf)
     rng = np.random.default_rng(0)
     with pytest.raises(ScenarioError, match="window_side 1e\\+300"):
