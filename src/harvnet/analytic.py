@@ -77,13 +77,15 @@ def _at_density(scenario: NetworkScenario, rho, k: int, form, what: str) -> floa
     """form(scenario, D, w)[0, k], D of one availability vector (1, 1), after the checks.
 
     The tier k and rho are checked, and w holds the tier weights w_k.  A
-    value past the float range is a ScenarioError naming `what`.
+    value past the float range, or a D past it, is a ScenarioError naming
+    `what`.
     """
     _check_integer(k, "tier", 0, scenario.k_tiers - 1)
     rho = check_availability_vector(rho, scenario.k_tiers)
     with np.errstate(divide="ignore", over="ignore"):
-        value = form(scenario, *_association(scenario, rho[None, :])[1:])[0, k]
-    if not np.isfinite(value):
+        _, d, w = _association(scenario, rho[None, :])
+        value = form(scenario, d, w)[0, k]
+    if not (np.isfinite(value) and np.isfinite(d[0, 0])):
         raise _float_range_error(scenario, what)
     return float(value)
 
@@ -98,8 +100,8 @@ def _tier_constants(scenario: NetworkScenario) -> tuple[np.ndarray, np.ndarray]:
     ScenarioError naming the fields that set it.
     """
     demand = scenario.user_density * coverage_prob(scenario)
-    on_weight = scenario.densities() * scenario.tier_weights()
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        on_weight = scenario.densities() * scenario.tier_weights()
         slope = scenario.harvest_rates() / (demand * scenario.tier_weights())
         top = slope.sum() * on_weight.sum()
     if not np.isfinite(top):
@@ -182,6 +184,20 @@ def _cutoffs(scenario: NetworkScenario, policy) -> list[int]:
     return cutoffs
 
 
+def _load_inputs(scenario: NetworkScenario, policy, free=None):
+    """(c_k, slope_k, plan) of the tiers `free` (default all): what _load_root takes.
+
+    `policy` is a {tier: PolicySpec} map, checked by `_cutoffs`; plan is
+    the markov._plan of those tiers' batteries and cutoffs.  The one setup
+    of the fixed point, the region boundary and region membership.
+    """
+    cutoffs = np.array(_cutoffs(scenario, policy))
+    c, slope = _tier_constants(scenario)
+    free = slice(None) if free is None else free
+    plan = markov._plan(tuple(scenario.batteries()[free].tolist()), tuple(cutoffs[free].tolist()))
+    return c[free], slope[free], plan
+
+
 def _load_excess(c: np.ndarray, s: np.ndarray) -> float:
     """sum_k c_k s_k - 1 for the floats c_k, s_k, rounded once.
 
@@ -194,8 +210,8 @@ def _load_excess(c: np.ndarray, s: np.ndarray) -> float:
     return num / den if num < den << 1023 else np.inf   # int / int rounds once
 
 
-def _load_root(d: np.ndarray, lo, hi, c: np.ndarray, slope: np.ndarray, plan, tol: float):
-    """Largest load D in [lo, hi] inside the balance of the free tiers, per lane.
+def _load_root(d: np.ndarray, c: np.ndarray, slope: np.ndarray, plan, tol: float):
+    """Largest load D in [d, d + sum_k c_k] inside the balance of the free tiers, per lane.
 
     `c` and `slope` hold c_k and s_k of the free tiers, `plan` their
     markov._plan, d the fixed density of each lane.  D is inside iff
@@ -209,9 +225,9 @@ def _load_root(d: np.ndarray, lo, hi, c: np.ndarray, slope: np.ndarray, plan, to
     big tier's b_k exceeds 1/2 there, and its c_k s_k b_k would cancel
     against the excess far below their rounding; each term of a small tier
     is at most 2, so no large term cancels.  b does not decrease, as a is
-    concave (region.py), so E/D falls with D: the root is unique.  lo is
-    inside; so is hi where every a_k rounds to 1; a lane with d = 0 and
-    gamma <= 1 has its root at lo.  Each evaluation splits each live
+    concave (region.py), so E/D falls with D: the root is unique.  d is
+    inside; so is d + sum_k c_k where every a_k rounds to 1; a lane with
+    d = 0 and gamma <= 1 has its root at d.  Each evaluation splits each live
     lane's bracket into 2^_LEVELS = 64 cells and keeps the one cell where
     the test turns: 2^l cells are l bisection steps.  A lane stops once
     its a_k at the bracket ends differ by at most tol, or its ends are
@@ -236,7 +252,7 @@ def _load_root(d: np.ndarray, lo, hi, c: np.ndarray, slope: np.ndarray, plan, to
         parts = [f[k] * v[k] for k in ks]
         return sum(parts[1:], parts[0]) if parts else 0.0
 
-    lo, hi = (np.full(d.shape, v, dtype=float) for v in (lo, hi))
+    lo, hi = d.copy(), d + c.sum()
     hi = np.where((d == 0.0) & (excess <= 0.0) & (not big.any()), lo, hi)
     bracket = np.where(lo < hi, np.inf, 0.0)
     steps = calls = 0
@@ -278,15 +294,11 @@ def solve_availability(scenario: NetworkScenario, policy=None,
     if policy is not None and len(policy) != scenario.k_tiers:
         raise ScenarioError(
             f"policy list must have {scenario.k_tiers} entries (got {len(policy)})")
-    cutoffs = _cutoffs(scenario, dict(enumerate(policy or ())))
-    on_weight, slope = _tier_constants(scenario)
-    excess = _load_excess(on_weight, slope)
-    if not excess > 0.0:
+    on_weight, slope, plan = _load_inputs(scenario, dict(enumerate(policy or ())))
+    if not _load_excess(on_weight, slope) > 0.0:
         return FixedPointResult(rho=np.zeros(scenario.k_tiers), iterations=0,
                                 residual=0.0, feasible=False)
-    plan = markov._plan(tuple(scenario.batteries()), tuple(cutoffs))
-    (rho,), bracket, steps, calls = _load_root(
-        np.zeros(1), 0.0, on_weight.sum(), on_weight, slope, plan, tolerance)
+    (rho,), bracket, steps, calls = _load_root(np.zeros(1), on_weight, slope, plan, tolerance)
     a = markov._on_fractions(slope * _on_terms(scenario, rho)[1], plan, with_b=False)
     return FixedPointResult(rho=rho, iterations=steps, residual=float(np.max(np.abs(a - rho))),
                             feasible=True, bracket=float(bracket[0]), evaluations=calls)

@@ -137,17 +137,15 @@ def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
         raise ScenarioError("scenario must define at least one tier")
     alpha = _number(doc.get("path_loss_exp", 4.0), "path_loss_exp")
     for pair in (("sir_target", "sir_target_db"), ("user_density", "over_provisioning")):
-        if all(key in doc for key in pair):
+        if sum(key in doc for key in pair) != 1:
             raise ScenarioError(f"scenario must set exactly one of {' and '.join(pair)}")
     if "sir_target" in doc:
         beta = _number(doc["sir_target"], "sir_target")
-    elif "sir_target_db" in doc:
-        beta = _db_to_linear(_number(doc["sir_target_db"], "sir_target_db"))
     else:
-        raise ScenarioError("scenario must set sir_target or sir_target_db")
+        beta = _db_to_linear(_number(doc["sir_target_db"], "sir_target_db"))
     if "user_density" in doc:
         lam_u = _number(doc["user_density"], "user_density")
-    elif "over_provisioning" in doc:
+    else:
         gamma = _number(doc["over_provisioning"], "over_provisioning")
         _check_positive(gamma, "over_provisioning")
         # P_c needs a valid (beta, alpha): the probe scenario checks them
@@ -155,8 +153,6 @@ def load_scenario(path: str) -> tuple[NetworkScenario, dict]:
         harvested = sum(t.density * t.harvest_rate for t in tiers)
         lam_u = harvested / (gamma * pc)
         _check_positive(lam_u, f"user_density from over_provisioning={gamma}")
-    else:
-        raise ScenarioError("scenario must set user_density or over_provisioning")
     return NetworkScenario(tiers=tuple(tiers), path_loss_exp=alpha,
                            sir_target=beta, user_density=lam_u), doc
 

@@ -156,7 +156,9 @@ def tier_association_prob(scenario: NetworkScenario, rho, k: int | None = None):
     if k is not None:
         _check_integer(k, "tier", 0, scenario.k_tiers - 1)
     rho = check_availability_vector(rho, scenario.k_tiers)
-    probs = _association(scenario, rho[None, :])[0][0]
+    # ON terms that overflow are rescaled by _association.
+    with np.errstate(over="ignore"):
+        probs = _association(scenario, rho[None, :])[0][0]
     return probs if k is None else float(probs[k])
 
 
@@ -368,12 +370,12 @@ def rate_ccdf(scenario: NetworkScenario, rho, query: RateQuery):
     """
     rho = check_availability_vector(rho, scenario.k_tiers, lanes=True)
     lanes = rho.ndim == 2
-    # rho and the association are checked before the T = 0 shortcut too.
-    weight, total, tier_weights = _association(scenario, rho.reshape(-1, scenario.k_tiers))
-    if query.rate_target == 0.0:
-        # Every coverage factor is 1 and the load pmf sums to 1.
-        return np.ones(len(rho)) if lanes else 1.0
     with np.errstate(divide="ignore", over="ignore"):
+        # rho and the association are checked before the T = 0 shortcut too.
+        weight, total, tier_weights = _association(scenario, rho.reshape(-1, scenario.k_tiers))
+        if query.rate_target == 0.0:
+            # Every coverage factor is 1 and the load pmf sums to 1.
+            return np.ones(len(rho)) if lanes else 1.0
         load = _tier_loads(scenario, total, tier_weights)
     # A tier with A_k = 0 adds 0 whatever its load, which may even overflow;
     # a zero load costs no series terms.

@@ -59,14 +59,12 @@ class RegionBoundary:
 def _boundaries(scenario: NetworkScenario, k: int, others: np.ndarray,
                 constraint: markov.PolicySpec | None) -> np.ndarray:
     """Tier-k boundary for each row of `others`, the other tiers' rho."""
-    cutoff = analytic._cutoffs(scenario, {k: constraint})[k]
-    on_weight, slope = analytic._tier_constants(scenario)
+    c, slope, plan = analytic._load_inputs(scenario, {k: constraint}, [k])
     # D with rho_k = 0 put in: adding its +0.0 term changes no bit.
     d_others = _on_terms(scenario, np.insert(others, k, 0.0, axis=1))[1]
-    plan = markov._plan((scenario.tiers[k].battery,), (cutoff,))
     # A search holds 2^6 + 1 loads of every live lane; blocks cap its memory.
     return np.concatenate([
-        analytic._load_root(d, d, d + on_weight[k], on_weight[[k]], slope[[k]], plan, _TOL)[0][:, 0]
+        analytic._load_root(d, c, slope, plan, _TOL)[0][:, 0]
         for d in np.split(d_others, range(_LANE_BLOCK, d_others.size, _LANE_BLOCK))])
 
 
@@ -84,16 +82,14 @@ def boundary(scenario: NetworkScenario, k: int, fixed_others,
     return float(_boundaries(scenario, k, others[None, :], constraint)[0])
 
 
-def _inside(scenario: NetworkScenario, rho, constraints, tol: float) -> np.ndarray:
-    """Which lanes of rho (L, K) lie in the region, to slack tol in each rho_k."""
-    cutoffs = analytic._cutoffs(scenario, constraints)
-    on_weight, slope = analytic._tier_constants(scenario)
+def _inside(scenario: NetworkScenario, rho, constraints) -> np.ndarray:
+    """Which lanes of rho (L, K) lie in the region, to slack _MEMBER_TOL in each rho_k."""
+    on_weight, slope, plan = analytic._load_inputs(scenario, constraints)
     # Tier-major (K, L), the layout of markov._on_fractions.
     tiers = np.ascontiguousarray(rho.T)
-    x = np.maximum(tiers - tol, 0.0)
+    x = np.maximum(tiers - _MEMBER_TOL, 0.0)
     # s_k with rho_k moved to x_k: slope_k (D_others + lambda_k w_k x_k)
     s = slope[:, None] * (_on_terms(scenario, rho)[1] + on_weight[:, None] * (x - tiers))
-    plan = markov._plan(tuple(scenario.batteries()), tuple(cutoffs))
     # A load that rounds below 0 where D_others is 0 is 0.
     return (markov._on_fractions(np.maximum(s, 0.0, out=s), plan, with_b=False) >= x).all(axis=0)
 
@@ -116,7 +112,7 @@ def contains(scenario: NetworkScenario, rho, constraints=None) -> bool:
     analytic._cutoffs(scenario, constraints)
     if not box.all():
         return False
-    return bool(_inside(scenario, rho[None, :], constraints, _MEMBER_TOL)[0])
+    return bool(_inside(scenario, rho[None, :], constraints)[0])
 
 
 def sweep_boundary(scenario: NetworkScenario, k: int,
@@ -144,4 +140,4 @@ def grid_coverage(scenario: NetworkScenario, resolution: int = 101,
     # Whole grid rows, at most about _GRID_BLOCK lanes per call, bound the memory.
     rows = np.array_split(t, -(-t.size ** 2 // _GRID_BLOCK))
     return sum(int(_inside(scenario, np.column_stack((np.repeat(r, t.size), np.tile(t, r.size))),
-                           constraints, _MEMBER_TOL).sum()) for r in rows) / t.size ** 2
+                           constraints).sum()) for r in rows) / t.size ** 2

@@ -97,13 +97,20 @@ class Realization:
 
 
 def suggest_window_side(scenario: NetworkScenario, rho) -> float:
-    """Side length putting >= 100 expected ON BSs in the sparsest active tier."""
+    """Side length putting >= 100 expected ON BSs in the sparsest active tier.
+
+    A tier is active where rho_k > 0.  A side past the float range is a
+    ScenarioError naming the ON density rho_k lambda_k it comes from.
+    """
     rho = check_availability_vector(rho, scenario.k_tiers)
-    on_density = rho * scenario.densities()
-    active = on_density[on_density > 0]
-    if active.size == 0:
-        raise ScenarioError("no BS available: all tiers have zero ON density")
-    return math.sqrt(100.0 / active.min())
+    if not (rho > 0).any():
+        raise ScenarioError("no BS available: weighted ON density is zero")
+    sparsest = float((rho * scenario.densities())[rho > 0].min())
+    side = math.sqrt(100.0 / sparsest) if sparsest > 0 else math.inf
+    if side == math.inf:
+        raise ScenarioError(f"window side for the sparsest ON density rho_k lambda_k = "
+                            f"{sparsest:.3g} leaves the float range")
+    return side
 
 
 def _thread_count(tasks: int) -> int:

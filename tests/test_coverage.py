@@ -192,6 +192,28 @@ def test_association_survives_on_terms_that_underflow():
         rate_ccdf(two, [1e-200, 5e-201], RateQuery(0.1))
 
 
+def test_association_survives_on_terms_that_overflow():
+    # lambda w = 1e200 * (1e300)^(2/2.5) = 1e440 per tier: the ON terms and D
+    # overflow, though each A_k and w_k/D ~ 6.7e-201 are normal doubles.  A
+    # warning is an error in this suite, so each call must also stay silent.
+    tier = TierParams(1e200, 1e300, 1.0, 5)
+    sc = NetworkScenario((tier, tier), 2.5, 1.0, 1.0)
+    assert tier_association_prob(sc, [1.0, 0.5]) == pytest.approx([2 / 3, 1 / 3], rel=1e-15)
+    assert tier_association_prob(sc, [1.0, 0.5], 1) == pytest.approx(1 / 3, rel=1e-15)
+    # every load x_k ~ 1e-441 reads as 0: G_T(0) is the coverage at 2^T - 1
+    assert rate_ccdf(sc, [1.0, 0.5], RateQuery(0.1)) == pytest.approx(
+        1.0 / (1.0 + hyper_f(2.0 ** 0.1 - 1.0, 2.5)), rel=1e-15)
+    assert rate_ccdf(sc, [1.0, 0.5], RateQuery(0.0)) == 1.0
+    # a value read from D = inf would be 0.0; the float-range error says so
+    for call, what in ((analytic.mean_service_area, "mean service area"),
+                       (analytic.energy_utilization, "energy utilization")):
+        with pytest.raises(ScenarioError, match=f"^{what} leaves the float range"):
+            call(sc, [1.0, 0.5], 0)
+    # the tier constants overflow too: a load error, not a warning
+    with pytest.raises(ScenarioError, match="leaves the float range of the load"):
+        solve_availability(sc)
+
+
 def test_load_pmf_normalizes():
     rng = np.random.default_rng(15)
     ns = np.arange(0, 800)
@@ -817,9 +839,9 @@ def test_a_lanes_d_and_region_verdict_do_not_depend_on_its_stack(name, monkeypat
 
     # The load ratios that region._inside tests, in the stack and lane by lane.
     monkeypatch.setattr(markov, "_on_fractions", spy)
-    stacked = region._inside(sc, rho, None, 1e-6)
+    stacked = region._inside(sc, rho, None)
     stacked_s, ratios[:] = np.concatenate(ratios), []
-    alone = [bool(region._inside(sc, row[None, :], None, 1e-6)[0]) for row in rho]
+    alone = [bool(region._inside(sc, row[None, :], None)[0]) for row in rho]
     monkeypatch.undo()
     alone_s = np.concatenate(ratios)
     assert stacked.tolist() == alone

@@ -6,7 +6,9 @@ log-uniform over 1e+-150 (tx_power over 1e+-100), shadowing means within
 SIR targets from 1e-6 to 1e12, one to three tiers and batteries up to 3000.
 On each, every public closed form returns a finite value in its range or
 raises ScenarioError; a warning is an error in this suite, so an overflow
-on the way fails the draw too.  A second sweep checks the availability
+on the way fails the draw too.  On the same draws the coverage probability
+matches mpmath's 2F1, and region membership at the draw's rho matches one
+root search per tier.  A second sweep checks the availability
 fixed point itself against mpmath on feasible draws, as drawn and with
 gamma moved to just above 1.
 """
@@ -28,7 +30,7 @@ from harvnet.analytic import (
 from harvnet.coverage import RateQuery, coverage_prob, rate_ccdf, tier_association_prob
 from harvnet.model import NetworkScenario, ScenarioError, ShadowingSpec, TierParams
 from harvnet.region import boundary, contains, grid_coverage, sweep_boundary
-from oracles import mp_fixed_point
+from oracles import mp_fixed_point, mp_hyper_f, root_search_contains
 
 DRAWS = 300
 FIXED_POINT_DRAWS = 40
@@ -83,6 +85,11 @@ def test_every_closed_form_is_in_range_or_an_error_over_the_domain():
              lambda v: 0.0 <= v < math.inf),
             ("g", lambda: g(sc, rho, 0), _unit),
             ("coverage_prob", lambda: coverage_prob(sc), _unit),
+            ("coverage_prob vs mpmath 2F1",
+             lambda: (coverage_prob(sc), 1 / (1 + mp_hyper_f(sc.sir_target, sc.path_loss_exp))),
+             lambda v: abs(v[0] - v[1]) <= 1e-13 * v[1]),
+            ("contains vs root search", lambda: (contains(sc, rho), root_search_contains(sc, rho)),
+             lambda v: v[0] == v[1]),
             ("rate_ccdf", lambda: rate_ccdf(sc, rho, RateQuery(rate_target=0.5)), _unit),
         ]
         if k_tiers == 2:

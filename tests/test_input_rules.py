@@ -16,7 +16,7 @@ from harvnet import (BirthDeathSpec, NetworkScenario, RateQuery, ScenarioError, 
                      TierParams, boundary, contains, grid_coverage, hyper_f, mean_service_area,
                      rate_ccdf, solve_availability, sweep_boundary, tier_association_prob,
                      tier_availability)
-from harvnet.cli import main
+from harvnet.cli import load_scenario, main
 from harvnet.coverage import load_pmf
 from harvnet.simulate import SimConfig
 
@@ -172,3 +172,24 @@ def test_command_line_entry_points_print_the_rule_message(tmp_path, capsys, rule
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+EITHER_OR = "scenario must set exactly one of {} and {}"
+
+# (scenario document, message): a file sets one key of each either/or pair
+SCENARIO_PAIRS = [
+    (edited(sir_target=None), EITHER_OR.format("sir_target", "sir_target_db")),
+    (edited(user_density=None), EITHER_OR.format("user_density", "over_provisioning")),
+]
+
+
+@pytest.mark.parametrize("doc, message", SCENARIO_PAIRS, ids=["sir-target", "user-density"])
+def test_a_scenario_with_neither_key_of_a_pair_gets_the_pair_message(tmp_path, capsys, doc,
+                                                                      message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(str(path))
+    assert str(info.value) == message
+    assert main(["coverage", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -314,7 +314,7 @@ def test_membership_blocks_match_one_evaluation():
     sc = two_tier()
     t = np.linspace(0.0, 1.0, 301)
     lanes = np.column_stack((np.repeat(t, t.size), np.tile(t, t.size)))
-    assert grid_coverage(sc, 301) == region._inside(sc, lanes, {}, 1e-6).mean()
+    assert grid_coverage(sc, 301) == region._inside(sc, lanes, {}).mean()
 
 
 def test_contains_takes_a_load_rounded_below_zero_as_zero():

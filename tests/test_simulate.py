@@ -355,6 +355,24 @@ def test_suggest_window_side():
         suggest_window_side(sc, [0.0, 0.0])
 
 
+def test_suggest_window_side_reads_active_tiers_by_rho():
+    # rho lambda = 1e-350 rounds to 0, yet the tier is ON, as the association
+    # finds; a side past the float range names the ON density it comes from
+    one = NetworkScenario((TierParams(1e-150, 1.0, 1.0, 5),), 4.0, 1.0, 1.0)
+    assert harvnet.tier_association_prob(one, [1e-200]).tolist() == [1.0]
+    for rho, shown in (([1e-200], "0"), ([1e-160], "1e-310")):
+        with pytest.raises(ScenarioError) as info:
+            suggest_window_side(one, rho)
+        assert str(info.value) == (f"window side for the sparsest ON density rho_k lambda_k "
+                                   f"= {shown} leaves the float range")
+    assert suggest_window_side(one, [1e-140]) == math.sqrt(100.0 / (1e-140 * 1e-150))
+    # the one "no BS is ON" message, as the association gives it
+    for call in (suggest_window_side, harvnet.tier_association_prob):
+        with pytest.raises(ScenarioError) as info:
+            call(one, [0.0])
+        assert str(info.value) == "no BS available: weighted ON density is zero"
+
+
 def test_thread_count_does_not_change_results(monkeypatch):
     sc = two_tier()
     config = SimConfig(window_side=6.0, replicates=6, seed=51)
