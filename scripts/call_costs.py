@@ -12,7 +12,9 @@ microseconds, on the bundled scenarios:
 - coverage_prob at alpha = 3.98, at one threshold beta and at a new beta
   each call;
 - simulate_on_off at 10^5 cycles on tier 1 of two-tier-baseline at its
-  fixed point, the CTMC call `harvnet validate` makes;
+  fixed point, the CTMC call `harvnet validate` makes, and on a chain with
+  N = 2,000 at r = 1, where some batch keeps a positive count up to the
+  full level, so the sampler's level loop runs its whole O(N x batches);
 - load_scenario of two-tier-baseline: read, parse and check one scenario
   file, as every subcommand does first.
 
@@ -57,6 +59,7 @@ def cases(repeat):
     fresh = iter([replace(alpha, sir_target=1.0 + 1e-9 * i) for i in range(repeat + 1)])
     nu = hn.energy_utilization(base, hn.solve_availability(base).rho, 0)
     chain = hn.BirthDeathSpec(base.tiers[0].harvest_rate, nu, base.tiers[0].battery)
+    long_chain = hn.BirthDeathSpec(1.0, 1.0, 2000)
     out = [
         ("solve_availability S(1), two-tier-baseline", 1,
          lambda: hn.solve_availability(base)),
@@ -81,6 +84,8 @@ def cases(repeat):
          lambda: hn.coverage_prob(next(fresh))),
         ("simulate_on_off 1e5 cycles, two-tier-baseline tier 1", 1,
          lambda: hn.simulate_on_off(chain, hn.PolicySpec(1), 100_000, seed=7)),
+        ("simulate_on_off 1e5 cycles, N=2000, r=1", 1,
+         lambda: hn.simulate_on_off(long_chain, hn.PolicySpec(1), 100_000, seed=7)),
         ("load_scenario, two-tier-baseline", 1,
          lambda: load_scenario(_path("two-tier-baseline"))),
     ]

@@ -95,15 +95,21 @@ def _tier_constants(scenario: NetworkScenario) -> tuple[np.ndarray, np.ndarray]:
 
     D = sum_j rho_j c_j is formed by coverage._on_terms alone.
 
-    A load past the float range, where the load ratios at rho = 1 sum to
-    more than a double holds (or lambda_u P_c rounds to 0), is a
-    ScenarioError naming the fields that set it.
+    A load past the float range, where some lambda_j w_j or the load
+    ratios at rho = 1 sum to more than a double holds (or lambda_u P_c
+    rounds to 0), is a ScenarioError naming the fields that set it.
     """
     demand = scenario.user_density * coverage_prob(scenario)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         on_weight = scenario.densities() * scenario.tier_weights()
         slope = scenario.harvest_rates() / (demand * scenario.tier_weights())
         top = slope.sum() * on_weight.sum()
+    if not np.isfinite(on_weight).all():
+        k = int(np.argmin(np.isfinite(on_weight)))
+        tier = scenario.tiers[k]
+        raise ScenarioError(
+            f"tiers[{k}] density times association weight leaves the float range of "
+            f"the load (density={tier.density}, tx_power={tier.tx_power})")
     if not np.isfinite(top):
         raise ScenarioError(
             f"effective demand lambda_u P_c = {demand:.3g} leaves the float range "

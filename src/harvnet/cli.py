@@ -357,8 +357,8 @@ def cmd_validate(args) -> int:
             tier = scenario.tiers[k]
             nu = analytic.energy_utilization(scenario, rho, k)
             bd = markov.BirthDeathSpec(tier.harvest_rate, nu, tier.battery)
-            # The level-by-level sampler costs O(N) per cycle whatever the
-            # ON time; it refuses only chains whose visit counts overflow.
+            # The sampler costs O(N) per batch of cycles, whatever the ON
+            # time; it refuses only chains whose visit counts overflow.
             try:
                 sim = markov.simulate_on_off(bd, markov.PolicySpec(1),
                                              cycles=100_000, seed=config.seed + k)

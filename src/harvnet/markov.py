@@ -7,12 +7,11 @@ recharge policies, the S(1) optimality check) reduces to the stationary
 distribution of this chain and the mean time to hit level 0, both available
 in closed form through the ratio r = mu/nu.
 
-The Monte Carlo check of those forms, simulate_on_off, samples each ON
-period level by level, from the number of visits to every level, so its
-cost does not grow with the length of a period.  It draws its cycles in
-blocks of _BLOCK, each block's ON periods and then its OFF periods, and
-keeps only running sums, so its memory does not grow with the number of
-cycles either.
+The Monte Carlo check of those forms, simulate_on_off, samples the ON
+time of a whole batch of cycles level by level, from the batch's total
+number of visits to every level, so its cost grows neither with the
+length of a period nor with the number of cycles in a batch: it is
+O(N) draws per batch, over a fixed number of batches.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (_Z99, ScenarioError, SimEstimate, _check_integer, _check_nonnegative,
-                    _check_positive)
+from .model import (ScenarioError, SimEstimate, _check_integer, _check_nonnegative,
+                    _check_positive, _t99)
 
 
 @dataclass(frozen=True)
@@ -247,45 +246,27 @@ def verify_s1_optimal(spec: BirthDeathSpec) -> int:
     return int(np.argmax(log_ratio >= best - 1e-10)) + 1
 
 
-def _on_times(spec: BirthDeathSpec, cutoff: int, cycles: int,
-              rng: np.random.Generator) -> np.ndarray:
-    """`cycles` ON-period lengths from level `cutoff` to 0 (see simulate_on_off)."""
+def _on_totals(spec: BirthDeathSpec, cutoff: int, sizes: np.ndarray,
+               rng: np.random.Generator) -> np.ndarray:
+    """Total ON time of each batch of sizes[i] cycles from `cutoff` to 0 (see simulate_on_off)."""
     mu, nu, n = spec.harvest_rate, spec.utilization_rate, spec.battery
-    r = spec.ratio
-    # Counts travel as floats, so the expected visits at each level, d_j
-    # (1 + r) below N and d_N at N, must stay exactly representable.
-    down = 0.0
-    for j in range(1, n + 1):
-        down = r * down + (j <= cutoff)
-        if not down * (1.0 + r if j < n else 1.0) <= 2.0 ** 53:
-            raise ScenarioError(
-                f"{spec} with cutoff {cutoff}: level {j} expects more than "
-                f"2^53 visits per ON period, too many to sample")
-
-    # Gamma and Poisson draws are taken only where the count is positive:
-    # a zero shape or mean gives 0 without consuming bits, so the values and
-    # the generator state are those of drawing every cycle.  Up to the
-    # cutoff every count is at least 1; above it a count of 0 stays 0, so
-    # from there `live` indexes the cycles still counting and `down` holds
-    # their counts.  `below` adds the two counts one at a time, as the
-    # bits of a sum past 2^53 depend on the order.
-    live = slice(None)
-    down = np.ones(cycles, dtype=np.int64)
-    below = np.zeros(cycles)
+    # A zero gamma shape or Poisson mean gives 0 without consuming bits, so
+    # the loop may stop once every count above the cutoff is 0 (below it,
+    # each count is at least the batch size).  `below` adds the two counts
+    # one at a time, as the bits of a sum past 2^53 depend on the order.
+    down = sizes
+    below = np.zeros(sizes.size)
     for j in range(1, n):
-        up = rng.poisson(rng.gamma(down, r))
-        below[live] = below[live] + down + up
-        down = up + (j + 1 <= cutoff)
-        if j >= cutoff:
-            kept = np.flatnonzero(down)
-            live, down = (kept if j == cutoff else live[kept]), down[kept]
-    last = np.zeros(cycles, dtype=np.int64)
-    last[live] = down
-    return rng.gamma(below, 1.0 / (mu + nu)) + rng.gamma(last, 1.0 / nu)
+        up = rng.poisson(rng.gamma(down, spec.ratio))
+        below = below + down + up
+        down = up + sizes * (j + 1 <= cutoff)
+        if not down.any():
+            break
+    return rng.gamma(below, 1.0 / (mu + nu)) + rng.gamma(down, 1.0 / nu)
 
 
-# Cycles per block of simulate_on_off: O(_BLOCK) memory whatever the run.
-_BLOCK = 2 ** 14
+# Batches of simulate_on_off, the units of its confidence interval.
+_BATCHES = 1024
 
 
 def simulate_on_off(spec: BirthDeathSpec, policy: PolicySpec, cycles: int,
@@ -299,40 +280,53 @@ def simulate_on_off(spec: BirthDeathSpec, policy: PolicySpec, cycles: int,
     d_j = 0 works, and d_(j+1) = u_j + [j+1 <= cutoff].  Level N is left
     only downward, so it has d_N visits.  Visits below N hold Exp(mu+nu)
     and visits at N Exp(nu), so the period is two gamma draws over the
-    visit counts: N-1 count draws per cycle, whatever the period's length.
-    OFF periods are birth-only, so their duration is Erlang(cutoff, mu).
-    Cycles stream in blocks of _BLOCK, the last one shorter: a block's ON
-    periods, then its OFF periods.  Each block is merged into running
-    means and sums of squared deviations and of cross products (Chan,
-    Golub and LeVeque's pairwise update), so memory stays O(_BLOCK) and
-    no difference of large sums cancels.  The estimate is
-    mean(ON)/(mean(ON)+mean(OFF)) with a delta-method 99% CI.
-    Raises ScenarioError for a non-integer `cycles`, a negative or
-    non-integer `seed`, and for chains whose expected visits to a level
-    exceed 2^53.
+    visit counts.  Negative binomials with one p add, so the cycles of a
+    batch of m have level totals D_j that follow the same chain from
+    D_1 = m, adding m at each level up to the cutoff, and the batch's ON
+    time is the same two gamma draws over the totals: N-1 count draws per
+    batch, whatever its size.  OFF periods are birth-only, so a batch's
+    OFF time is Gamma(cutoff m, 1/mu).  The cycles split into
+    min(cycles, _BATCHES) batches whose sizes differ by at most 1, more
+    where a batch would expect over 2^53 visits to a level; all the ON
+    totals are drawn, then all the OFF totals.  The estimate is
+    sum(ON)/sum(ON + OFF), with a 99% Student-t CI from the batches as
+    units of a ratio estimator.  Raises ScenarioError for a non-integer
+    `cycles`, a negative or non-integer `seed`, for chains whose expected
+    visits to a level in one ON period exceed 2^53, and where the summed
+    time of the cycles passes the float range.
     """
     _check_integer(policy.cutoff, "cutoff", 1, spec.battery)
     _check_integer(cycles, "cycles", 2)
     _check_integer(seed, "seed", 0)
-    rng = np.random.default_rng([seed, 0x0E])
-    n, x, y, sxx, syy, sxy = 0, 0.0, 0.0, 0.0, 0.0, 0.0
-    for done in range(0, cycles, _BLOCK):
-        m = min(_BLOCK, cycles - done)
-        on = _on_times(spec, policy.cutoff, m, rng)
-        off = rng.gamma(policy.cutoff, 1.0 / spec.harvest_rate, m)
-        bx, by = on.mean(), off.mean()
-        on -= bx
-        off -= by
-        ex, ey, w = bx - x, by - y, n * m / (n + m)
-        sxx += (on * on).sum() + w * ex * ex
-        syy += (off * off).sum() + w * ey * ey
-        sxy += (on * off).sum() + w * ex * ey
-        n += m
-        x += ex * m / n
-        y += ey * m / n
+    r = spec.ratio
+    # Counts travel as floats, so the expected visits at each level, d_j
+    # (1 + r) below N and d_N at N, must stay exactly representable, for a
+    # batch as for one period.
+    down, most = 0.0, 1.0
+    for j in range(1, spec.battery + 1):
+        down = r * down + (j <= policy.cutoff)
+        visits = down * (1.0 + r if j < spec.battery else 1.0)
+        if not visits <= 2.0 ** 53:
+            raise ScenarioError(
+                f"{spec} with cutoff {policy.cutoff}: level {j} expects more than "
+                f"2^53 visits per ON period, too many to sample")
+        most = max(most, visits)
+    batches = max(min(cycles, _BATCHES), -(-cycles // int(2.0 ** 53 // most)))
+    sizes = cycles // batches + (np.arange(batches) < cycles % batches)
 
-    rho = x / (x + y)
-    vx, vy, cxy = (v / (cycles - 1) / cycles for v in (sxx, syy, sxy))
-    var = (y * y * vx + x * x * vy - 2 * x * y * cxy) / (x + y) ** 4
-    return SimEstimate(mean=float(rho), ci_halfwidth_99=float(_Z99 * math.sqrt(max(var, 0.0))),
+    rng = np.random.default_rng([seed, 0x0E])
+    on = _on_totals(spec, policy.cutoff, sizes, rng)
+    off = rng.gamma(policy.cutoff * sizes, 1.0 / spec.harvest_rate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = on.sum() + off.sum()
+    if not total < math.inf:
+        raise ScenarioError(f"{spec}: the time of {cycles} cycles leaves the float range")
+    rho, off_share = on.sum() / total, off.sum() / total
+    # Residuals on_i - rho (on_i + off_i) over the total: a form that does
+    # not cancel where rho is near 1, with no product of two totals that
+    # could leave the float range.
+    resid = (off_share * on - rho * off) / total
+    var = (resid @ resid) * batches / (batches - 1)
+    return SimEstimate(mean=float(rho),
+                       ci_halfwidth_99=float(_t99(batches - 1) * math.sqrt(var)),
                        samples=int(cycles), seed=int(seed))

@@ -10,8 +10,9 @@ a time in plain floats.  `mp_hyper_f` and `mp_rate_ccdf` evaluate the
 coverage constant and the rate series in mpmath, straight from the model
 equations.  `jump_chain_on_times` steps the battery chain one transition at
 a time, as a trajectory oracle for the ON-period sampler.
-`level_loop_on_times` is the ON-period sampler's level loop as it was
-before it skipped zero counts, drawing for every cycle at every level.
+`level_loop_on_times` is the ON-period sampler's level loop for batches
+of one cycle as it was before it stopped at zero counts, drawing for
+every cycle at every level.
 `fsum_rate_ccdf` sums the rate series in float64 from scipy's negative
 binomial pmf and hyp2f1, with math.fsum.
 `mp_fixed_point` is the availability fixed point of given float tier

@@ -16,7 +16,7 @@ def test_prints_a_positive_time_for_every_call(capsys):
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["call", "us/call"]
     labels = [label for label, _, _ in call_costs.cases(1)]
-    assert [row.rsplit(None, 1)[0] for row in rows] == labels and len(labels) == 12
+    assert [row.rsplit(None, 1)[0] for row in rows] == labels and len(labels) == 13
     assert all(float(row.rsplit(None, 1)[1]) > 0 for row in rows)
 
 

@@ -16,6 +16,7 @@ from harvnet import (BirthDeathSpec, NetworkScenario, RateQuery, ScenarioError, 
                      TierParams, boundary, contains, grid_coverage, hyper_f, mean_service_area,
                      rate_ccdf, solve_availability, sweep_boundary, tier_association_prob,
                      tier_availability)
+from harvnet.analytic import load_ratio
 from harvnet.cli import load_scenario, main
 from harvnet.coverage import load_pmf
 from harvnet.simulate import SimConfig
@@ -61,6 +62,11 @@ SHAPE = "availability vector must have length {} (got shape {})"
 BOX = "availabilities must lie in [0, 1] (got {})"
 INTEGER = "{} must be an integer >= {} (got {})"
 TWO_TIERS = "availability grids require exactly 2 tiers (got 3)"
+# lambda w = 1e200 (1e300)^(2/2.5) = 1e440 on both tiers, though lambda_u P_c
+# is ordinary: the message names the product, not the demand.
+HUGE = TierParams(1e200, 1e300, 1.0, 5)
+ON_WEIGHT = ("tiers[0] density times association weight leaves the float range of the load "
+             "(density=1e+200, tx_power=1e+300)")
 
 # (rule, library call, message)
 LIBRARY = [
@@ -116,6 +122,10 @@ LIBRARY = [
      INTEGER.format("grid_resolution", 2, 1)),
     ("grid", lambda: grid_coverage(scenario(), 1.5), "grid_resolution must be an integer "
                                                      ">= 2 (got 1.5)"),
+    ("on-weight", lambda: solve_availability(scenario((HUGE, HUGE), 2.5, lam_u=1.0)), ON_WEIGHT),
+    ("on-weight", lambda: sweep_boundary(scenario((HUGE, HUGE), 2.5, lam_u=1.0), 0), ON_WEIGHT),
+    ("on-weight", lambda: load_ratio(scenario((HUGE, TIER), 2.5, lam_u=1.0), [1.0, 0.5], 1),
+     ON_WEIGHT),
 ]
 
 THREE_TIERS = edited(tiers=DOC["tiers"] + DOC["tiers"][1:])
@@ -151,6 +161,8 @@ COMMAND_LINE = [
     ("grid", THREE_TIERS, ["rate", "--surface"], TWO_TIERS),
     ("grid", DOC, ["region", "--grid", "1"], INTEGER.format("grid_resolution", 2, 1)),
     ("grid", DOC, ["rate", "--surface", "--grid", "1"], INTEGER.format("grid_resolution", 2, 1)),
+    ("on-weight", edited_tier(density=1e200, tx_power=1e300) | {"path_loss_exp": 2.5},
+     ["availability"], ON_WEIGHT),
 ]
 
 

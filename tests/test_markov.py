@@ -7,14 +7,14 @@ from statistics import NormalDist
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import binom, ks_2samp
 
 from harvnet import analytic, markov
 from harvnet.cli import load_scenario
 from harvnet.markov import (
     BirthDeathSpec,
     PolicySpec,
-    _on_times,
+    _on_totals,
     generator,
     mean_off_time,
     mean_on_time,
@@ -25,7 +25,7 @@ from harvnet.markov import (
     tier_availability,
     verify_s1_optimal,
 )
-from harvnet.model import _Z99, ScenarioError
+from harvnet.model import ScenarioError, _t99
 from oracles import (
     hp_mean_on_times,
     hp_neg_b_inverse,
@@ -208,19 +208,33 @@ def test_mean_off_time_is_erlang_mean():
     assert mean_off_time(spec, PolicySpec(3)) == pytest.approx(0.75)
 
 
+GILLESPIE_CASES = [
+    (BirthDeathSpec(2.0, 1.0, 10), PolicySpec(1)),
+    (BirthDeathSpec(1.0, 1.3, 8), PolicySpec(1)),
+    (BirthDeathSpec(2.0, 1.5, 6), PolicySpec(6)),
+    (BirthDeathSpec(1.5, 1.5, 5), PolicySpec(3)),
+]
+
+
 def test_gillespie_matches_analytic_availability():
-    cases = [
-        (BirthDeathSpec(2.0, 1.0, 10), PolicySpec(1)),
-        (BirthDeathSpec(1.0, 1.3, 8), PolicySpec(1)),
-        (BirthDeathSpec(2.0, 1.5, 6), PolicySpec(6)),
-        (BirthDeathSpec(1.5, 1.5, 5), PolicySpec(3)),
-    ]
-    for i, (spec, pol) in enumerate(cases):
+    for i, (spec, pol) in enumerate(GILLESPIE_CASES):
         est = simulate_on_off(spec, pol, cycles=60_000, seed=100 + i)
         want = policy_availability(spec, pol)
         assert est.agrees_with(want), (spec, pol, est, want)
         assert est.samples == 60_000 and est.seed == 100 + i
         assert est.ci_halfwidth_99 < 0.01
+
+
+def test_confidence_intervals_miss_about_one_percent_of_the_time():
+    # 400 seeds per case: the 1,600 CIs must miss the closed form as often
+    # as a 99% interval may, within the binomial 99% band around 16.
+    misses = 0
+    for i, (spec, pol) in enumerate(GILLESPIE_CASES):
+        want = policy_availability(spec, pol)
+        misses += sum(not simulate_on_off(spec, pol, cycles=10_000, seed=400 * i + s)
+                      .agrees_with(want) for s in range(400))
+    low, high = binom.interval(0.99, 4 * 400, 0.01)
+    assert low <= misses <= high, misses
 
 
 def test_gillespie_is_reproducible_and_seed_sensitive():
@@ -243,8 +257,8 @@ def validate_chain(name, k):
 
 
 def test_simulate_on_off_memory_does_not_grow_with_cycles():
-    # Cycles stream in fixed blocks, so the peak stays flat; holding all
-    # 4e5 cycles of this chain at once needs about 20 MiB.
+    # The batch count is fixed, so the peak stays flat; holding all 4e5
+    # cycles of this chain at once needs about 20 MiB.
     spec = validate_chain("two-tier-baseline", 0)
     simulate_on_off(spec, PolicySpec(1), cycles=2)
     for cycles in (40_000, 400_000):
@@ -258,27 +272,49 @@ def test_simulate_on_off_memory_does_not_grow_with_cycles():
 
 
 @pytest.mark.parametrize("name", ["two-tier-baseline", "gamma-rich"])
-def test_streamed_estimate_equals_two_pass_estimate(name):
+def test_batched_estimate_equals_plain_numpy_estimate(name):
     # Tier 2 has rho near 0.76 on two-tier-baseline, and 1 - rho near 4e-10
     # on gamma-rich, whose CI half-width is about 5e-12.
     spec = validate_chain(name, 1)
-    block = markov._BLOCK
-    for cycles in (2, block - 1, block, block + 1, 3 * block + 5):
+    for cycles in (2, 1023, 1024, 1025, 3 * 1024 + 5, 100_000):
         est = simulate_on_off(spec, PolicySpec(1), cycles=cycles, seed=5)
+        batches = min(cycles, 1024)
+        sizes = np.array([len(b) for b in np.array_split(np.arange(cycles), batches)])
         rng = np.random.default_rng([5, 0x0E])
-        on, off = [], []
-        for done in range(0, cycles, block):
-            m = min(block, cycles - done)
-            on.append(_on_times(spec, 1, m, rng))
-            off.append(rng.gamma(1, 1.0 / spec.harvest_rate, m))
-        on, off = np.concatenate(on), np.concatenate(off)
-        x, y = np.mean(on), np.mean(off)
-        vx, vy = np.var(on, ddof=1) / cycles, np.var(off, ddof=1) / cycles
-        cxy = np.cov(on, off, ddof=1)[0, 1] / cycles
-        var = (y * y * vx + x * x * vy - 2 * x * y * cxy) / (x + y) ** 4
-        assert est.mean == pytest.approx(x / (x + y), rel=1e-9), cycles
-        assert est.ci_halfwidth_99 == pytest.approx(_Z99 * math.sqrt(var), rel=1e-9), cycles
+        on = _on_totals(spec, 1, sizes, rng)
+        off = rng.gamma(sizes, 1.0 / spec.harvest_rate)
+        total = on.sum() + off.sum()
+        q = off.sum() / total
+        # on_i - rho (on_i + off_i), with 1 - rho = q kept to full precision
+        resid = q * on - (1.0 - q) * off
+        var = np.var(resid, ddof=1) * batches / total ** 2
+        assert est.mean == pytest.approx(1.0 - q, rel=1e-9), cycles
+        assert est.ci_halfwidth_99 == pytest.approx(_t99(batches - 1) * math.sqrt(var),
+                                                    rel=1e-9), cycles
         assert est.samples == cycles
+
+
+def test_batches_keep_the_expected_visits_exact(monkeypatch):
+    # r = 2 from level 1 with N = 52: level 51 expects 3 2^50 visits per ON
+    # period, so a batch may hold 2 cycles and 5,000 cycles need 2,500
+    # batches.  Elsewhere the cycles split into min(cycles, 1024) batches.
+    seen = []
+
+    def spy(spec, cutoff, sizes, rng):
+        seen.append(sizes)
+        return _on_totals(spec, cutoff, sizes, rng)
+
+    monkeypatch.setattr(markov, "_on_totals", spy)
+    for spec, cycles, batches in [(BirthDeathSpec(2.0, 1.0, 52), 5000, 2500),
+                                  (BirthDeathSpec(2.0, 1.0, 52), 1000, 1000),
+                                  (BirthDeathSpec(0.5, 1.0, 8), 100_003, 1024),
+                                  (BirthDeathSpec(0.5, 1.0, 8), 2, 2)]:
+        est = simulate_on_off(spec, PolicySpec(1), cycles=cycles)
+        sizes = seen.pop()
+        assert sizes.size == batches and sizes.sum() == cycles == est.samples
+        assert sizes.max() - sizes.min() <= 1
+    assert sizes.tolist() == [1, 1]
+
 
 def test_spec_validation():
     with pytest.raises(ScenarioError):
@@ -319,29 +355,46 @@ ON_CASES = [(n, c, r) for n, c in [(1, 1), (5, 1), (6, 6), (5, 3), (12, 4)]
             for r in (0.6, 1.0, 1.4)]
 
 
+def on_times(spec, cutoff, cycles, rng):
+    """`cycles` ON-period lengths: the batch totals of batches of one cycle."""
+    return _on_totals(spec, cutoff, np.ones(cycles, dtype=np.int64), rng)
+
+
 def test_on_times_match_jump_chain_oracle():
     # two-sample KS per case, 1% family-wise over all cases
     for i, (n, c, r) in enumerate(ON_CASES):
         spec = BirthDeathSpec(r, 1.0, n)
-        fast = _on_times(spec, c, 4000, np.random.default_rng([7, i]))
+        fast = on_times(spec, c, 4000, np.random.default_rng([7, i]))
         slow = jump_chain_on_times(spec, c, 4000, np.random.default_rng([8, i]))
         p = ks_2samp(fast, slow).pvalue
         assert p > 0.01 / len(ON_CASES), (n, c, r, p)
 
 
+def test_batch_totals_match_sums_of_jump_chain_periods():
+    # two-sample KS per case and batch size, 1% family-wise over all of them
+    sizes = (7, 64)
+    for i, (n, c, r) in enumerate(ON_CASES):
+        spec = BirthDeathSpec(r, 1.0, n)
+        for m in sizes:
+            fast = _on_totals(spec, c, np.full(1000, m), np.random.default_rng([10, i, m]))
+            slow = jump_chain_on_times(spec, c, 1000 * m, np.random.default_rng([11, i, m]))
+            p = ks_2samp(fast, slow.reshape(1000, m).sum(axis=1)).pvalue
+            assert p > 0.01 / (len(ON_CASES) * len(sizes)), (n, c, r, m, p)
+
+
 @pytest.mark.parametrize("ratio", [0.3, 0.9, 1.0, 1.1, 2.5])
 def test_on_times_skip_zero_counts_bit_for_bit(ratio):
-    # Drawing only where a count is positive leaves every value and the
-    # generator state as drawing for all cycles at every level.  The sampler
-    # drops the ended cycles only above the cutoff, so every cutoff from 1
-    # to N is a different split.
+    # Stopping the level loop once every count is 0 leaves every value and
+    # the generator state as drawing for all cycles at every level.  Every
+    # cutoff from 1 to N ends the counts that stay positive at a different
+    # level.
     for battery in (1, 2, 7, 40):
         for cutoff in {c for c in (1, 2, battery // 2, battery - 1, battery)
                        if 1 <= c <= battery}:
             spec = BirthDeathSpec(ratio, 1.0, battery)
             seed = [battery, cutoff, int(10 * ratio)]
             fast_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            fast = _on_times(spec, cutoff, 3000, fast_rng)
+            fast = on_times(spec, cutoff, 3000, fast_rng)
             loop = level_loop_on_times(spec, cutoff, 3000, loop_rng)
             assert fast.tolist() == loop.tolist(), (battery, cutoff)
             assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
@@ -360,7 +413,7 @@ def test_on_time_moments_match_inverse():
         for k in range(1, 5):
             m.append(k * inv @ m[-1])
         m1, m2, m4 = m[1][c - 1], m[2][c - 1], m[4][c - 1]
-        t = _on_times(spec, c, size, np.random.default_rng([9, i]))
+        t = on_times(spec, c, size, np.random.default_rng([9, i]))
         assert abs(t.mean() - m1) <= z * math.sqrt((m2 - m1 ** 2) / size), (n, c, r)
         assert abs(np.mean(t * t) - m2) <= z * math.sqrt((m4 - m2 ** 2) / size), (n, c, r)
 
@@ -382,6 +435,21 @@ def test_simulate_on_off_rejects_unsampleable_input():
         with pytest.raises(ScenarioError, match="seed"):
             simulate_on_off(BirthDeathSpec(1.0, 1.0, 5), PolicySpec(1), cycles=100,
                             seed=seed)
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_on_off_does_not_depend_on_the_time_unit():
+    # Scaling both rates scales every draw, so the estimate and its CI stay
+    # put until the summed time of the cycles passes the float range; the
+    # CI once read nan from rates of 1e-80 down, after overflow warnings.
+    unit = simulate_on_off(BirthDeathSpec(2.0, 1.0, 5), PolicySpec(2), cycles=100_000, seed=3)
+    for rate in (1e-300, 1e-160, 1e160, 1e300):
+        est = simulate_on_off(BirthDeathSpec(2.0 * rate, rate, 5), PolicySpec(2),
+                              cycles=100_000, seed=3)
+        assert est.mean == pytest.approx(unit.mean, rel=1e-14), rate
+        assert est.ci_halfwidth_99 == pytest.approx(unit.ci_halfwidth_99, rel=1e-12), rate
+    with pytest.raises(ScenarioError, match="100000 cycles leaves the float range"):
+        simulate_on_off(BirthDeathSpec(2e-306, 1e-306, 5), PolicySpec(2), cycles=100_000)
 
 
 # Every battery up to 64 with every cutoff, so N - c + 1 = 2 and expansions

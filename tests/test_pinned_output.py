@@ -20,9 +20,9 @@ scenario with over 512 users per replicate, recorded before the user pass
 was split into tiles; the `validate` lines that print the distance of the
 solved rho from the CTMC estimate were re-recorded with the new root search.
 The `availability-ctmc-*` lines of `validate` were re-recorded again when
-the cycle sampler came to stream its cycles in fixed blocks (each block's
-ON periods, then its OFF periods), which reorders its draws; every other
-line kept its bytes.  Rerun this file as a script to re-record all
+the cycle sampler came to draw the ON and OFF totals of 1,024 batches of
+cycles in place of every cycle's periods, which changes its draws and
+its CI; every other line kept its bytes.  Rerun this file as a script to re-record all
 three, only when an output change is meant.
 """
 
