@@ -12,17 +12,29 @@ and its user pass yields coverage, per-tier association, service areas
 and the rate tally together.  Users are uniform points, so a tier's share
 of them over its BS count measures its mean service area.  A user's
 coverage is its conditional probability under Rayleigh fading given the
-link gains, prod_(j != s) 1/(1 + beta w_j/w_s), so no fading is drawn for
-it.  The rate tally, whose load counts the users each BS covers, samples
-each user's SIR from that same conditional law with one uniform per user
-(see `_user_pass`), drawn from a stream spawned off the replicate's seed,
-so asking for a rate moves no other estimate.  Every gain the pass uses
-comes from one walk over the users, `_gain_tiles`: draw blocks of 512
-users, whose shadowing comes whole from the replicate generator, each
-cut into tiles of about 2^16 links that hold one row of BS gains per
-user.  The few users whose rate event the bounds leave undecided are
-walked again, alone, with the shadowing replayed.  `coverage_mc`,
-`association_mc`, `rate_mc` and `service_area_mc` are views of this pass.
+link gains, C = prod_(j != s) 1/(1 + beta w_j/w_s), so no fading is drawn
+for it.  The rate tally, whose load counts the users each BS covers,
+samples each user's SIR from that same conditional law with one uniform
+per user (see `_user_pass`), drawn from a stream spawned off the
+replicate's seed, so asking for a rate moves no other estimate.
+
+A shadowed pass is dense: every gain comes from one walk over the users,
+`_gain_tiles`, in draw blocks of 512 users, whose shadowing comes whole
+from the replicate generator, each cut into tiles of about 2^16 links
+that hold one row of BS gains per user.  An unshadowed pass on a window
+of enough cells splits each user's coverage C = C_near F at the edge of
+its near field: square cells
+tile the window, users go in blocks of cells, and each block's users get
+one gain tile against the BSs of the cells around it (`_split`,
+`_near_pass`).  F, over the far BSs, is decided against a second
+uniform U' per user, the tally being C_near 1{U' < F}, which is
+unbiased for C, from bounds on the far field's power that cell sums give
+without any far link (`_far_sums`).  The few users whose U' or serving BS
+the bounds leave undecided, and those whose rate event they leave
+undecided, are walked again, alone and against every BS, so association,
+areas and rate events are the dense pass's, bit for bit.
+`coverage_mc`, `association_mc`, `rate_mc` and `service_area_mc` are
+views of this pass.
 
 Replicates are embarrassingly parallel: replicate i derives its own
 generator from (seed, i), runs independently (optionally on a thread pool
@@ -37,7 +49,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,6 +70,12 @@ _TILE_BUDGET = 1 << 16
 # Expected BSs plus users in one replicate's window: about 1,600 times the
 # largest bundled scenario, and far below what would exhaust memory.
 _MAX_POINTS = 1 << 24
+# The near/far split of an unshadowed user pass (see `_split`): square
+# cells of about _CELL_BS ON BSs each, user blocks of _BLOCK x _BLOCK
+# cells, and near fields reaching _MARGIN cells past each block.
+_CELL_BS = 4.0
+_BLOCK = 3
+_MARGIN = 3
 
 
 @dataclass(frozen=True)
@@ -337,39 +355,248 @@ def _ccdf(w: np.ndarray, srv: np.ndarray, scale, sums, work) -> np.ndarray:
     return 1.0 / bs_major.prod(axis=0)
 
 
+def _cells(x: np.ndarray, h: float, n: int) -> np.ndarray:
+    """Index along one axis of the cell of side h holding each coordinate."""
+    return np.minimum(x / h, n - 1).astype(np.int64)
+
+
+@dataclass(frozen=True)
+class _Split:
+    """One realization's near/far split (see `_split`).
+
+    User block i holds users order[users[i]:users[i + 1]], and its near
+    field the BSs near[fields[i]:fields[i + 1]], ascending.  Per user,
+    `far` holds (S_lo, S_hi, Q), bounds on the sums of w_j and of w_j^2
+    over the BSs outside its near field, and `gap` is the user's distance
+    to the edge of that field.
+    """
+
+    order: np.ndarray
+    users: np.ndarray
+    near: np.ndarray
+    fields: np.ndarray
+    far: np.ndarray                 # (3, n_users)
+    gap: np.ndarray
+
+
+def _far_sums(bs: _BSField, cell: np.ndarray, n: int, h: float) -> np.ndarray:
+    """(S_lo, S_hi, Q) per cell, (3, n, n), over the BSs outside its near field.
+
+    A far cell's BSs lie between its nearest and its farthest distance
+    from the user's cell, so they add at least P d_max^-alpha and at most
+    P d_min^-alpha to the sum of w_j, and at most P2 d_min^-2alpha to that
+    of w_j^2, P and P2 being the cell's sums of P_j and P_j^2.  Each sum is
+    a correlation of a power grid with a kernel over cell offsets that is
+    zero on the near field, one kernel per position of a cell in its
+    block, taken by FFT: circular on the torus, zero-padded to twice the
+    grid in guard mode.  The FFT's rounding, within a small multiple of
+    2^-52 log2(cells) ||grid||_2 ||kernel||_2, is covered by widening each
+    sum by 2^-30 ||grid||_2 ||kernel||_2.
+    """
+    from numpy import fft  # loaded at the first split pass, not at import
+
+    b, m = _BLOCK, _MARGIN
+    torus = bs.period is not None
+    size = n if torus else 2 * n
+    off = np.arange(size)
+    if torus:
+        gap = np.minimum(off, size - off)
+        hi = np.minimum(gap + 1, n / 2) * h
+    else:
+        off[n:] -= size
+        gap = np.abs(off)
+        hi = (gap + 1) * h
+    lo = np.maximum(gap - 1, 0) * h
+    d2_lo, d2_hi = np.add.outer(lo * lo, lo * lo), np.add.outer(hi * hi, hi * hi)
+    k_near = np.divide(1.0, d2_lo ** (0.5 * bs.alpha), out=np.zeros_like(d2_lo),
+                       where=d2_lo > 0)
+    kernels = np.stack([d2_hi ** (-0.5 * bs.alpha), k_near, k_near * k_near])
+    grids = np.zeros((3, size, size))
+    for grid, weights in zip(grids[1:], (bs.power, bs.power ** 2)):
+        grid[:n, :n] = np.bincount(cell, weights, n * n).reshape(n, n)
+    grids[0] = grids[1]
+    spectra = fft.rfft2(grids)
+    slack = np.array([-1.0, 1.0, 1.0]) * 2.0 ** -30 * np.sqrt((grids * grids).sum(axis=(1, 2)))
+    shift = off + m + np.arange(b)[:, None]
+    if torus:
+        shift %= n
+    near = (shift >= 0) & (shift < b + 2 * m)           # (position, offset)
+    out = np.empty((3, n, n))
+    for px in range(b):
+        for py in range(b):
+            kern = kernels * ~(near[px][:, None] & near[py])
+            sums = fft.irfft2(spectra * np.conj(fft.rfft2(kern)), s=(size, size))
+            sums += (slack * np.sqrt((kern * kern).sum(axis=(1, 2))))[:, None, None]
+            out[:, px::b, py::b] = sums[:, px:n:b, py:n:b]
+    np.maximum(out[0], 0.0, out=out[0])
+    return out
+
+
+def _split(real: Realization, bs: _BSField, config: SimConfig) -> _Split | None:
+    """Cells, user blocks and far sums of the near/far split, or None.
+
+    Square cells tile the window, n per side, n a multiple of _BLOCK,
+    with about _CELL_BS BSs each.  Users go in blocks of _BLOCK x _BLOCK
+    cells, and a block's near field is the cells within _MARGIN cells of
+    it (clipped at the window in guard mode).  None when the near fields
+    hold at least half of the dense pass's links, so the split saves
+    little.
+    """
+    n_bs, n_users = bs.x.size, real.users.shape[0]
+    b, m = _BLOCK, _MARGIN
+    n = b * max(1, round(math.sqrt(n_bs / _CELL_BS) / b))
+    if bs.period is not None and n <= b + 2 * m:
+        return None
+    h, nb = config.window_side / n, n // b
+    bs_cell = _cells(bs.x, h, n) * n + _cells(bs.y, h, n)
+    first = np.concatenate(([0], np.cumsum(np.bincount(bs_cell, minlength=n * n))))
+    ux, uy = (_cells(real.users[:, i], h, n) for i in (0, 1))
+    block = ux // b * nb + uy // b
+    order = np.argsort(block, kind="stable")
+    edges = np.concatenate(([0], np.cumsum(np.bincount(block, minlength=nb * nb))))
+    listed = np.flatnonzero(np.diff(edges))
+    # Each listed block's near cells, row by row, and their BSs.
+    xs, ys = (b * i[:, None] + np.arange(-m, b + m) for i in np.divmod(listed, nb))
+    if bs.period is not None:
+        xs, ys = xs % n, ys % n
+    inside = ((xs >= 0) & (xs < n))[:, :, None] & ((ys >= 0) & (ys < n))[:, None, :]
+    cells = (np.clip(xs, 0, n - 1)[:, :, None] * n + np.clip(ys, 0, n - 1)[:, None, :])
+    count = np.where(inside, first[cells + 1] - first[cells], 0).ravel()
+    ends = np.cumsum(count)
+    per_block = count.reshape(listed.size, -1).sum(axis=1)
+    fields = np.concatenate(([0], np.cumsum(per_block)))
+    near = np.argsort(bs_cell, kind="stable")[
+        np.repeat(first[cells.ravel()] - ends + count, count) + np.arange(fields[-1])]
+    # Ascending within each block, as in the dense pass.
+    key = np.repeat(np.arange(listed.size) * n_bs, per_block)
+    near = np.sort(key + near) - key
+    users = np.concatenate(([0], edges[listed + 1]))
+    if 2 * int(np.diff(users) @ per_block) >= n_users * n_bs:
+        return None
+
+    def edge_gap(c, x):
+        lo = c // b * b - m
+        below, above = x - lo * h, (lo + b + 2 * m) * h - x
+        if bs.period is None:
+            below[lo <= 0] = math.inf
+            above[lo + b + 2 * m >= n] = math.inf
+        return np.minimum(below, above)
+
+    far = _far_sums(bs, bs_cell, n, h).reshape(3, -1)[:, ux * n + uy]
+    gap = np.minimum(edge_gap(ux, real.users[:, 0]), edge_gap(uy, real.users[:, 1]))
+    return _Split(order=order, users=users, near=near, fields=fields, far=far, gap=gap)
+
+
+def _near_pass(real: Realization, bs: _BSField, split: _Split, beta: float,
+               sums: bool):
+    """Serving BS, and its gain, C(beta), beta S and beta R over the near field.
+
+    Each user block runs as the dense pass does, in tiles of its users
+    against its near field's BSs, kept in their order, so the serving BS
+    is the first of largest gain there.  A user with no near BS gets gain
+    0, which no bound certifies.  The sums are left 0 unless `sums`.
+    Returns the serving BSs and a (4, n_users) array, in user order.
+    """
+    serving = np.zeros(real.users.shape[0], dtype=np.int64)
+    vals = np.zeros((4, serving.size))      # gain, cover, beta S, beta R
+    pts = real.users[split.order]
+    sizes, counts = np.diff(split.fields).tolist(), np.diff(split.users).tolist()
+    work = np.empty((3, max((k * min(_tile_width(k), u)
+                             for k, u in zip(sizes, counts) if k), default=0)))
+    for i, k in enumerate(sizes):
+        if not k:
+            continue
+        near = split.near[split.fields[i]:split.fields[i + 1]]
+        field = replace(bs, x=bs.x[near], y=bs.y[near], power=bs.power[near])
+        for a, c in _tiles(counts[i], _tile_width(k)):
+            users = slice(split.users[i] + a, split.users[i] + c)
+            w = _chunk_gains(field, pts[users], work)
+            srv = w.argmax(axis=1)
+            vals[0, users] = w[np.arange(c - a), srv]
+            serving[users] = near[srv]
+            vals[1, users] = _ccdf(w, srv, beta, vals[2:, users] if sums else None, work)
+    out = np.empty_like(vals)
+    out[:, split.order] = vals
+    serving[split.order] = serving.copy()
+    return serving, out
+
+
+def _band(t, cover, sums, far, n_bs: int):
+    """Lower and upper bounds on C(theta), t = theta/beta, widened for rounding.
+
+    `cover` is C(beta) over the BSs whose (beta S, beta R) are `sums`;
+    `far` is None when those are all the BSs, else the rest's (beta S_lo,
+    beta S_hi, beta^2 Q) over the serving gain (see `_user_pass`).
+    """
+    beta_sum, beta_max = sums
+    cover_t = cover ** t
+    low = np.maximum(np.exp(-t * beta_sum), np.minimum(cover, cover_t))
+    high = np.minimum(1.0 / (1.0 + t * beta_max), np.maximum(cover, cover_t))
+    scale = 1.0 + t * (1.0 + beta_sum)
+    if far is not None:
+        f_lo, f_hi, q = far
+        low = low * np.exp(-t * f_hi)
+        high = high * np.minimum(1.0, np.exp(t * (0.5 * t * q - f_lo)))
+        scale = scale + t * (f_hi + t * q)
+    eps = 1e-12 + n_bs * 2.0 ** -50 * scale
+    return low * (1.0 - eps), high * (1.0 + eps)
+
+
 def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
                rng, rate_target: float | None):
     """Coverage, per-tier association and area, and rate tally of one realization.
 
-    Returns (mean conditional coverage, per-tier association fractions,
-    per-tier service areas, each user's rate event or nan), all nan when
-    the realization has no BS or no user.  A user served by s is covered
-    with probability p = C(beta), where C(theta) = prod_(j != s)
+    Returns (mean coverage tally, per-tier association fractions, per-tier
+    service areas, each user's rate event or nan), all nan when the
+    realization has no BS or no user.  A user served by s is covered
+    with probability C(beta), where C(theta) = prod_(j != s)
     1/(1 + theta r_j), r_j = w_j/w_s, is the CCDF of its SIR under Rayleigh
     fading given the link gains.  Tier k's service area is the user
     square's area times its association fraction over its BS count in the
-    square (nan without one).  Every gain comes from `_gain_tiles`.
+    square (nan without one).
+
+    Shadowed, or where `_split` finds little to save, the pass is dense:
+    every gain comes from `_gain_tiles`, and a user's coverage tally is
+    C(beta).  Per-link shadowing factors have no far-field bound, so
+    shadowed passes stay dense.  Otherwise the pass splits C = C_near F,
+    C_near over the BSs of the user's near field (`_near_pass`) and F
+    over the rest, and tallies C_near 1{U' < F} with one uniform U' per
+    user, which is unbiased for C.  With r_j = w_j/w_s, F lies between
+    e^(-beta S_hi/w_s), as log(1 + x) <= x, and e^(-beta S_lo/w_s +
+    beta^2 Q/(2 w_s^2)), as log(1 + x) >= x - x^2/2, S_lo, S_hi and Q
+    coming from the cell sums of `_far_sums`.  No far BS can serve a user
+    whose near gain w_s beats P_max gap^-alpha.  Users whose U' falls
+    between the bounds, widened for rounding, and users whose serving BS
+    is not so certified are walked again (`_gain_tiles` with `pick`): the
+    first then tally C_near 1{U' C_near < C}, the second C.  So
+    association and areas keep the dense pass's bits.
 
     Given the gains the users' SIRs are independent, so the rate tally
     samples each user's SIR by inversion from one uniform U: the user is
-    covered when U < p, and its rate exceeds T when U < C(theta) with
+    covered when U < C(beta), and its rate exceeds T when U < C(theta) with
     theta = 2^(T (o + 1)) - 1, o being the covered other users on its BS.
-    That is the joint law of per-link fading, with one draw per user.  The
-    uniforms come from a child of `rng`'s seed sequence, so `rng` advances
-    by the shadowing alone.  C(theta) is bounded from sums the first pass
-    keeps, S = sum r_j and R = max r_j (as beta S and beta R): since
+    That is the joint law of per-link fading, with one draw per user.  U
+    comes from the first child of `rng`'s seed sequence and U' from the
+    second, so `rng` advances by the shadowing alone, and asking for a
+    rate moves no other estimate.  `_band` bounds C(theta) from sums the
+    pass keeps, S = sum r_j and R = max r_j (as beta S and beta R): since
     log(1 + x) <= x, C >= e^(-theta S); a single factor gives C <= 1/(1 +
     theta R); and with t = theta/beta, log(1 + t x) >= t log(1 + x) for
     t <= 1 and <= for t >= 1 (log(1 + x) is concave and 0 at 0), so C lies
-    between p and p^t.  A user with U below the largest lower bound, or at
-    or above the smallest upper bound, is decided; the band is widened by
-    a relative 1e-12 plus n_bs 2^-50 (1 + t (1 + beta S)), which covers the
-    rounding of the n_bs-term sums, in whatever order numpy adds them, and
-    of the products, that of p raised to t and that of the exact product.
-    The undecided users alone are walked again, with the shadowing
-    replayed from `rng`'s state at the start, and get C(theta) exactly.  A
-    user with no interferer has C = 1, and a threshold that overflows to
-    inf is never exceeded.
+    between p and p^t, p = C(beta).  In the split pass these bound C_near,
+    and the bounds on F at theta multiply in.  A user with U below the
+    largest lower bound, or at or above the smallest upper bound, is
+    decided; the band is widened by a relative 1e-12 plus n_bs 2^-50
+    (1 + t (1 + beta S + beta S_hi/w_s + t beta^2 Q/w_s^2)), which covers
+    the rounding of the n_bs-term sums, in whatever order numpy adds them,
+    and of the products, that of p raised to t and that of the exact
+    product.  In the split pass, users whose event U < C(beta) is
+    undecided join the second walk above, before the loads are counted.
+    Users whose rate event is undecided are walked last, with the
+    shadowing replayed from `rng`'s state at the start, and get C(theta)
+    exactly.  So every rate event is the dense pass's.  A user with no
+    interferer has C = 1, and a threshold that overflows to inf is never
+    exceeded.
     """
     n_users = real.users.shape[0]
     if not real.tier_counts.any() or n_users == 0:
@@ -377,15 +604,63 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
         return math.nan, nan, nan, math.nan
     bs = _bs_field(real, scenario, config)
     n_bs, beta = bs.x.size, scenario.sir_target
-    serving = np.empty(n_users, dtype=np.int64)
-    cover, beta_sum, beta_max = np.empty((3, n_users))
-    work = _workspace(n_bs, n_users)
+    split = None if bs.shadow is not None else _split(real, bs, config)
     start = rng.bit_generator.state
-    with np.errstate(over="ignore"):
-        for users, w in _gain_tiles(real, bs, rng, work):
-            srv = serving[users] = w.argmax(axis=1)
-            cover[users] = _ccdf(w, srv, beta, None if rate_target is None
-                                 else (beta_sum[users], beta_max[users]), work)
+    far = None
+    if split is None:
+        serving = np.empty(n_users, dtype=np.int64)
+        cover, beta_sum, beta_max = np.empty((3, n_users))
+        work = _workspace(n_bs, n_users)
+        with np.errstate(over="ignore"):
+            for users, w in _gain_tiles(real, bs, rng, work):
+                srv = serving[users] = w.argmax(axis=1)
+                cover[users] = _ccdf(w, srv, beta, None if rate_target is None
+                                     else (beta_sum[users], beta_max[users]), work)
+        tally = cover
+        if rate_target is not None:
+            u = rng.spawn(1)[0].random(n_users)
+            covered = u < cover
+    else:
+        with np.errstate(over="ignore"):
+            serving, (gain, cover, beta_sum, beta_max) = _near_pass(
+                real, bs, split, beta, rate_target is not None)
+        rate_stream, far_stream = rng.spawn(2)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            per_gain = beta / gain
+            far = split.far * per_gain
+            far[2] *= per_gain
+            certified = gain > bs.power.max() * split.gap ** -bs.alpha * (1.0 + 1e-9)
+            f_low, f_high = _band(1.0, 1.0, (0.0, 0.0), far, n_bs)
+        u_far = far_stream.random(n_users)
+        tally = np.where(u_far < f_low, cover, 0.0)
+        band = ~((u_far < f_low) | (u_far >= f_high))
+        again = band | ~certified
+        if rate_target is not None:
+            u = rate_stream.random(n_users)
+            with np.errstate(over="ignore", invalid="ignore"):
+                low, high = _band(1.0, cover, (beta_sum, beta_max), far, n_bs)
+            covered = u < low
+            again |= ~covered & ~(u >= high)
+        if again.any():
+            picked = np.flatnonzero(again)
+            exact, exact_sum, exact_max = np.empty((3, picked.size))
+            work = _workspace(n_bs, picked.size)
+            done = 0
+            with np.errstate(over="ignore"):
+                for users, w in _gain_tiles(real, bs, rng, work, again):
+                    k = slice(done, done + users.size)
+                    done += users.size
+                    srv = serving[users] = w.argmax(axis=1)
+                    exact[k] = _ccdf(w, srv, beta, (exact_sum[k], exact_max[k]), work)
+            del work, w  # w is a view of work
+            near_cover = cover[picked]
+            kept = np.where(band[picked], near_cover * (u_far[picked] * near_cover < exact),
+                            tally[picked])
+            tally[picked] = np.where(certified[picked], kept, exact)
+            cover[picked], beta_sum[picked], beta_max[picked] = exact, exact_sum, exact_max
+            far[:, picked] = 0.0
+            if rate_target is not None:
+                covered[picked] = u[picked] < exact
     assoc = np.bincount(bs.tier_of[serving], minlength=scenario.k_tiers) / n_users
     g = config.guard_margin  # 0 in toroidal mode
     top = config.window_side - g
@@ -394,29 +669,25 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     area = np.full(scenario.k_tiers, math.nan)
     np.divide((top - g) ** 2 * assoc, counts, out=area, where=counts > 0)
     if rate_target is None:
-        return float(cover.mean()), assoc, area, math.nan
-    u = rng.spawn(1)[0].random(n_users)
-    covered = u < cover
+        return float(tally.mean()), assoc, area, math.nan
     load = np.bincount(serving[covered], minlength=n_bs)
     # Overflows give inf or nan bounds: a nan bound decides nothing, and a
     # user whose theta is inf never exceeds it.
     with np.errstate(over="ignore", invalid="ignore"):
         theta = np.exp2(rate_target * (load[serving] - covered + 1.0)) - 1.0
-        t = theta / beta
-        cover_t = cover ** t
-        low = np.maximum(np.exp(-t * beta_sum), np.minimum(cover, cover_t))
-        high = np.minimum(1.0 / (1.0 + t * beta_max), np.maximum(cover, cover_t))
-        eps = 1e-12 + n_bs * 2.0 ** -50 * (1.0 + t * (1.0 + beta_sum))
-        hit = u < low * (1.0 - eps)
-        open_ = ~hit & ~(u >= high * (1.0 + eps)) & (theta < math.inf)
+        low, high = _band(theta / beta, cover, (beta_sum, beta_max), far, n_bs)
+        hit = u < low
+        open_ = ~hit & ~(u >= high) & (theta < math.inf)
     if open_.any():
+        if far is not None:  # a split pass sizes each walk's tiles to its users
+            work = _workspace(n_bs, int(open_.sum()))
         end = rng.bit_generator.state
         rng.bit_generator.state = start
         with np.errstate(over="ignore"):
             for users, w in _gain_tiles(real, bs, rng, work, open_):
                 hit[users] = u[users] < _ccdf(w, serving[users], theta[users], None, work)
         rng.bit_generator.state = end
-    return float(cover.mean()), assoc, area, hit
+    return float(tally.mean()), assoc, area, hit
 
 
 @dataclass(frozen=True)

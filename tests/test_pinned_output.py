@@ -22,8 +22,14 @@ solved rho from the CTMC estimate were re-recorded with the new root search.
 The `availability-ctmc-*` lines of `validate` were re-recorded again when
 the cycle sampler came to draw the ON and OFF totals of 1,024 batches of
 cycles in place of every cycle's periods, which changes its draws and
-its CI; every other line kept its bytes.  Rerun this file as a script to re-record all
-three, only when an output change is meant.
+its CI; every other line kept its bytes.  The coverage lines (`coverage-mc` of
+`validate` and the `simulate --estimator coverage` rows) of two-tier-baseline
+and battery-sweep were re-recorded again when the unshadowed user pass came
+to tally each user's near-field coverage times a draw against its far
+factor; their windows are large enough for that split, the other two
+scenarios' are not, and every other line, the shadowed record included,
+kept its bytes.  Rerun this file as a script to re-record all three, only
+when an output change is meant.
 """
 
 import contextlib

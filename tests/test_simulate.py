@@ -619,6 +619,107 @@ def test_user_pass_matches_row_weight_kernel_past_int16_rows(rate_target):
                             rate_target)
 
 
+def _split_layouts(name, count, seed):
+    """`count` layouts on which the user pass splits, with their configs.
+
+    Layout i is torus or guard and alpha = 4 or 3.5 in turn, on a window
+    of about 1,000 ON BSs, keeping 500 of its users to bound the cost of
+    the dense oracles; the kept users are still uniform on the window.
+    """
+    if name == "shadowed":
+        sc, rho = SHADOWED, np.array([0.9, 0.7])
+    else:
+        sc, rho = _bundled(name)
+    side = math.sqrt(1000.0 / float(rho @ sc.densities()))
+    for i in range(count):
+        case = replace(sc, path_loss_exp=(4.0, 3.5)[i // 2 % 2])
+        config = SimConfig(window_side=side, replicates=1,
+                           guard_margin=(0.0, side / 10)[i % 2])
+        rng = np.random.default_rng([seed, i])
+        real = sample_network(case, rho, config, rng)
+        real = Realization(real.bs_pos, real.users[:500], side)
+        if name != "shadowed":
+            assert simulate._split(real, _bs_field(real, case, config), config)
+        yield case, config, real, rng.bit_generator.state
+
+
+def _replay(seed, i, state):
+    rng = np.random.default_rng([seed, i])
+    rng.bit_generator.state = state
+    return rng
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "shadowed"])
+def test_split_pass_keeps_association_areas_and_rate_events_bit_for_bit(name):
+    # Association and areas come from the serving BS, which the split
+    # certifies or walks again, and every rate event is decided exactly;
+    # shadowed passes stay dense, so their coverage keeps its bits too.
+    for i, (sc, config, real, state) in enumerate(_split_layouts(name, 8, 37)):
+        rng = _replay(37, i, state)
+        got = _user_pass(real, sc, config, rng, 0.1)
+        want_rng = _replay(37, i, state)
+        want = row_weight_user_pass(real, sc, config, want_rng, None)
+        first = 0 if name == "shadowed" else 1
+        assert np.array_equal(np.hstack(got[first:3]), np.hstack(want[first:3]),
+                              equal_nan=True), i
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        events = full_matrix_rate_events(real, sc, config, _replay(37, i, state), 0.1)
+        assert np.array_equal(got[3], events), (i, np.flatnonzero(got[3] != events))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_split_coverage_tally_is_unbiased_for_the_dense_coverage(name):
+    # Over 20 layouts (torus and guard, alpha = 4 and 3.5), the tally
+    # C_near 1{U' < F} less the dense C averages to 0 within its 99% CI,
+    # and its spread adds under 5% to the between-layout variance of C.
+    diffs, dense = [], []
+    for i, (sc, config, real, state) in enumerate(_split_layouts(name, 20, 41)):
+        got = _user_pass(real, sc, config, _replay(41, i, state), None)[0]
+        want = row_weight_user_pass(real, sc, config, _replay(41, i, state), None)[0]
+        diffs.append(got - want)
+        dense.append(want)
+    diffs = np.array(diffs)
+    assert np.any(diffs != 0)
+    hw = _t99(diffs.size - 1) * diffs.std(ddof=1) / math.sqrt(diffs.size)
+    assert abs(diffs.mean()) <= hw, (diffs.mean(), hw)
+    # Layouts of one window mode and alpha share a mean coverage.
+    dense = np.array(dense).reshape(-1, 4)
+    spread = ((dense - dense.mean(axis=0)) ** 2).sum()
+    assert (diffs ** 2).sum() < 0.05 * spread, ((diffs ** 2).sum(), spread)
+
+
+@pytest.mark.parametrize("boundary", ["toroidal", "guard"])
+@pytest.mark.parametrize("alpha", [4.0, 3.5])
+def test_far_sums_bound_each_users_far_field(boundary, alpha):
+    # Against link gains from the hypot oracle: every user's far BSs (all
+    # but its block's near field) sum to within [S_lo, S_hi], their
+    # squares to at most Q, and none beats P_max gap^-alpha.
+    sc = replace(two_tier(powers=(4.0, 0.25)), path_loss_exp=alpha)
+    side = 9.0
+    config = SimConfig(window_side=side, replicates=1,
+                       guard_margin=1.0 if boundary == "guard" else 0.0)
+    rng = np.random.default_rng(43)
+    real = Realization(bs_pos=[rng.uniform(0, side, (90, 2)),
+                               rng.uniform(0, side, (910, 2))],
+                       users=rng.uniform(1.0, side - 1.0, (60, 2)), window_side=side)
+    bs = _bs_field(real, sc, config)
+    split = simulate._split(real, bs, config)
+    assert split is not None
+    gains = hypot_link_gains(np.vstack(real.bs_pos), bs.tier_of, real.users, [4.0, 0.25],
+                             alpha, side if boundary == "toroidal" else None)
+    far = np.ones(gains.shape, dtype=bool)
+    for i in range(split.users.size - 1):
+        users = split.order[split.users[i]:split.users[i + 1]]
+        far[np.ix_(split.near[split.fields[i]:split.fields[i + 1]], users)] = False
+    assert 0 < far.mean() < 1
+    s_lo, s_hi, q = split.far
+    total = np.where(far, gains, 0.0)
+    assert np.all(s_lo <= total.sum(axis=0) * (1 + 1e-12))
+    assert np.all(total.sum(axis=0) <= s_hi * (1 + 1e-12))
+    assert np.all((total ** 2).sum(axis=0) <= q * (1 + 1e-12))
+    assert np.all(total.max(axis=0) <= 4.0 * split.gap ** -alpha * (1 + 1e-12))
+
+
 @pytest.mark.parametrize("config", [
     SimConfig(window_side=3.0, replicates=6, seed=4),
     SimConfig(window_side=5.0, replicates=6, seed=0, guard_margin=1.0),
