@@ -438,14 +438,16 @@ def _split(real: Realization, bs: _BSField, config: SimConfig) -> _Split | None:
     Square cells tile the window, n per side, n a multiple of _BLOCK,
     with about _CELL_BS BSs each.  Users go in blocks of _BLOCK x _BLOCK
     cells, and a block's near field is the cells within _MARGIN cells of
-    it (clipped at the window in guard mode).  None when the near fields
-    hold at least half of the dense pass's links, so the split saves
-    little.
+    it (clipped at the window in guard mode).  None on a grid of at most
+    _BLOCK + 2 _MARGIN cells a side: there a block's near field would
+    wrap onto itself on the torus, and in guard mode it leaves at most a
+    thin ring of far cells, where the split measured slower than the
+    dense pass.
     """
-    n_bs, n_users = bs.x.size, real.users.shape[0]
+    n_bs = bs.x.size
     b, m = _BLOCK, _MARGIN
     n = b * max(1, round(math.sqrt(n_bs / _CELL_BS) / b))
-    if bs.period is not None and n <= b + 2 * m:
+    if n <= b + 2 * m:
         return None
     h, nb = config.window_side / n, n // b
     bs_cell = _cells(bs.x, h, n) * n + _cells(bs.y, h, n)
@@ -471,8 +473,6 @@ def _split(real: Realization, bs: _BSField, config: SimConfig) -> _Split | None:
     key = np.repeat(np.arange(listed.size) * n_bs, per_block)
     near = np.sort(key + near) - key
     users = np.concatenate(([0], edges[listed + 1]))
-    if 2 * int(np.diff(users) @ per_block) >= n_users * n_bs:
-        return None
 
     def edge_gap(c, x):
         lo = c // b * b - m
@@ -555,7 +555,7 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     square's area times its association fraction over its BS count in the
     square (nan without one).
 
-    Shadowed, or where `_split` finds little to save, the pass is dense:
+    Shadowed, or on a window too small for `_split`, the pass is dense:
     every gain comes from `_gain_tiles`, and a user's coverage tally is
     C(beta).  Per-link shadowing factors have no far-field bound, so
     shadowed passes stay dense.  Otherwise the pass splits C = C_near F,

@@ -135,6 +135,8 @@ def test_serving_bs_is_first_argmax(monkeypatch):
         w[rows - 1, ::3] = 2.0
         tall.append(w)
     picks = []
+    # The tiles stand in for `_gain_tiles`, which only the dense pass walks.
+    monkeypatch.setattr(simulate, "_split", lambda *_: None)
     monkeypatch.setattr(simulate, "_ccdf",
                         lambda w, srv, *_: picks.append(srv) or np.zeros(srv.size))
     for w in (ties, spiky, rng.random((1, 512)), np.zeros((7, 512)),
