@@ -18,23 +18,23 @@ samples each user's SIR from that same conditional law with one uniform
 per user (see `_user_pass`), drawn from a stream spawned off the
 replicate's seed, so asking for a rate moves no other estimate.
 
-A shadowed pass is dense: every gain comes from one walk over the users,
-`_gain_tiles`, in draw blocks of 512 users, whose shadowing comes whole
-from the replicate generator, each cut into tiles of about 2^16 links
-that hold one row of BS gains per user.  An unshadowed pass on a window
-of enough cells splits each user's coverage C = C_near F at the edge of
-its near field: square cells
-tile the window, users go in blocks of cells, and each block's users get
-one gain tile against the BSs of the cells around it (`_split`,
-`_near_pass`).  F, over the far BSs, is decided against a second
-uniform U' per user, the tally being C_near 1{U' < F}, which is
-unbiased for C, from bounds on the far field's power that cell sums give
-without any far link (`_far_sums`).  The few users whose U' or serving BS
-the bounds leave undecided, and those whose rate event they leave
-undecided, are walked again, alone and against every BS, so association,
-areas and rate events are the dense pass's, bit for bit.
-`coverage_mc`, `association_mc`, `rate_mc` and `service_area_mc` are
-views of this pass.
+Every gain comes from one walk, `_gain_tiles`, over some users against
+some BSs, in draw blocks of 512 users, whose shadowing comes whole from
+the replicate generator, each cut into tiles of about 2^16 links that
+hold one row of BS gains per user.  The pass splits each user's coverage
+C = C_near F at the edge of its near field: square cells tile the
+window, users go in blocks of cells, and each block's users are walked
+against the BSs of the cells around it (`_split`, `_near_pass`).  F,
+over the far BSs, is decided against a second uniform U' per user, the
+tally being C_near 1{U' < F}, which is unbiased for C, from bounds on
+the far field's power that cell sums give without any far link
+(`_far_sums`).  The few users whose U' or serving BS the bounds leave
+undecided, and those whose rate event they leave undecided, are walked
+again against every BS (`_full_walk`), so association, areas and rate
+events are those of every BS, bit for bit.  A shadowed pass, or one on
+a window of few cells, is one block with every BS near: nothing is far,
+F = 1, and the tally is C.  `coverage_mc`, `association_mc`, `rate_mc`
+and `service_area_mc` are views of this pass.
 
 Replicates are embarrassingly parallel: replicate i derives its own
 generator from (seed, i), runs independently (optionally on a thread pool
@@ -42,7 +42,8 @@ capped by HETNET_THREADS), and results are reduced in replicate order, so
 the thread count never changes the output.  A replicate whose realization
 has no BS or no user, or no BS of a tier whose service area is asked
 for, is dropped from that statistic and counted in `SimEstimate.dropped`;
-a run with no usable replicate is an error.
+a run with no usable replicate is an error, and so is a realization whose
+link gains leave the float range (see `_user_pass`).
 """
 
 from __future__ import annotations
@@ -297,8 +298,8 @@ def _chunk_gains(bs: _BSField, pts: np.ndarray, work: np.ndarray) -> np.ndarray:
     return w
 
 
-def _gain_tiles(real: Realization, bs: _BSField, rng, work, pick=None):
-    """Yield (users, W) for each user tile: its user indices and gain block.
+def _gain_tiles(pts: np.ndarray, bs: _BSField, rng, work, pick=None):
+    """Yield (users, W) for each tile of the users at `pts`: indices and gains.
 
     Users go in draw blocks of _USER_CHUNK.  When shadowing is on, each
     block's normals are drawn whole from `rng`, in (n_bs, block) order,
@@ -312,7 +313,7 @@ def _gain_tiles(real: Realization, bs: _BSField, rng, work, pick=None):
     are formed, in row 1 of `work`.  A user's gains come from its own row
     alone, so they depend neither on the tiling nor on `pick`.
     """
-    n_users, n_bs = real.users.shape[0], bs.x.size
+    n_users, n_bs = pts.shape[0], bs.x.size
     width = _tile_width(n_bs)
     stop = n_users if pick is None else np.flatnonzero(pick)[-1] + 1
     block = None if bs.shadow is None else np.empty(n_bs * min(_USER_CHUNK, n_users))
@@ -325,7 +326,7 @@ def _gain_tiles(real: Realization, bs: _BSField, rng, work, pick=None):
                 _shadow_factors(bs, z)
         for a, b in _tiles(m if cols is None else cols.size, width):
             users = slice(lo + a, lo + b) if cols is None else lo + cols[a:b]
-            w = _chunk_gains(bs, real.users[users], work)
+            w = _chunk_gains(bs, pts[users], work)
             if block is not None:
                 w *= (z[:, a:b] if cols is None else _shadow_factors(bs, np.take(
                     z, cols[a:b], axis=1, mode="clip",
@@ -362,13 +363,14 @@ def _cells(x: np.ndarray, h: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Split:
-    """One realization's near/far split (see `_split`).
+    """One realization's user blocks and their near fields (see `_split`).
 
     User block i holds users order[users[i]:users[i + 1]], and its near
     field the BSs near[fields[i]:fields[i + 1]], ascending.  Per user,
     `far` holds (S_lo, S_hi, Q), bounds on the sums of w_j and of w_j^2
     over the BSs outside its near field, and `gap` is the user's distance
-    to the edge of that field.
+    to the edge of that field.  Where nothing is far, `far` is 0 and `gap`
+    inf.
     """
 
     order: np.ndarray
@@ -432,23 +434,27 @@ def _far_sums(bs: _BSField, cell: np.ndarray, n: int, h: float) -> np.ndarray:
     return out
 
 
-def _split(real: Realization, bs: _BSField, config: SimConfig) -> _Split | None:
-    """Cells, user blocks and far sums of the near/far split, or None.
+def _split(real: Realization, bs: _BSField, config: SimConfig) -> _Split:
+    """User blocks, their near fields and far sums for the user pass.
 
     Square cells tile the window, n per side, n a multiple of _BLOCK,
     with about _CELL_BS BSs each.  Users go in blocks of _BLOCK x _BLOCK
     cells, and a block's near field is the cells within _MARGIN cells of
-    it (clipped at the window in guard mode).  None on a grid of at most
-    _BLOCK + 2 _MARGIN cells a side: there a block's near field would
-    wrap onto itself on the torus, and in guard mode it leaves at most a
-    thin ring of far cells, where the split measured slower than the
-    dense pass.
+    it (clipped at the window in guard mode).  A shadowed field, or a
+    grid of at most _BLOCK + 2 _MARGIN cells a side, is one block: every
+    user, every BS near and nothing far.  Per-link shadowing factors have
+    no far-field bound; on such a grid a block's near field would wrap
+    onto itself on the torus, and in guard mode it leaves at most a thin
+    ring of far cells, where many blocks measured slower than one.
     """
-    n_bs = bs.x.size
+    n_bs, n_users = bs.x.size, real.users.shape[0]
     b, m = _BLOCK, _MARGIN
     n = b * max(1, round(math.sqrt(n_bs / _CELL_BS) / b))
-    if n <= b + 2 * m:
-        return None
+    if bs.shadow is not None or n <= b + 2 * m:
+        return _Split(order=np.arange(n_users), users=np.array([0, n_users]),
+                      near=np.arange(n_bs), fields=np.array([0, n_bs]),
+                      far=np.broadcast_to(0.0, (3, n_users)),
+                      gap=np.broadcast_to(math.inf, n_users))
     h, nb = config.window_side / n, n // b
     bs_cell = _cells(bs.x, h, n) * n + _cells(bs.y, h, n)
     first = np.concatenate(([0], np.cumsum(np.bincount(bs_cell, minlength=n * n))))
@@ -469,7 +475,7 @@ def _split(real: Realization, bs: _BSField, config: SimConfig) -> _Split | None:
     fields = np.concatenate(([0], np.cumsum(per_block)))
     near = np.argsort(bs_cell, kind="stable")[
         np.repeat(first[cells.ravel()] - ends + count, count) + np.arange(fields[-1])]
-    # Ascending within each block, as in the dense pass.
+    # Ascending within each block, as over every BS.
     key = np.repeat(np.arange(listed.size) * n_bs, per_block)
     near = np.sort(key + near) - key
     users = np.concatenate(([0], edges[listed + 1]))
@@ -487,32 +493,33 @@ def _split(real: Realization, bs: _BSField, config: SimConfig) -> _Split | None:
     return _Split(order=order, users=users, near=near, fields=fields, far=far, gap=gap)
 
 
-def _near_pass(real: Realization, bs: _BSField, split: _Split, beta: float,
+def _near_pass(real: Realization, bs: _BSField, split: _Split, rng, beta: float,
                sums: bool):
     """Serving BS, and its gain, C(beta), beta S and beta R over the near field.
 
-    Each user block runs as the dense pass does, in tiles of its users
-    against its near field's BSs, kept in their order, so the serving BS
-    is the first of largest gain there.  A user with no near BS gets gain
-    0, which no bound certifies.  The sums are left 0 unless `sums`.
-    Returns the serving BSs and a (4, n_users) array, in user order.
+    Each user block is walked with `_gain_tiles` against its near field's
+    BSs, kept in their order, so the serving BS is the first of largest
+    gain there.  Only a one-block split, whose near field is every BS, is
+    shadowed, and its walk draws the shadowing from `rng`.  A user with no
+    near BS gets gain 0, which no bound certifies.  The sums are left 0
+    unless `sums`.  Returns the serving BSs and a (4, n_users) array, in
+    user order.
     """
     serving = np.zeros(real.users.shape[0], dtype=np.int64)
     vals = np.zeros((4, serving.size))      # gain, cover, beta S, beta R
     pts = real.users[split.order]
-    sizes, counts = np.diff(split.fields).tolist(), np.diff(split.users).tolist()
-    work = np.empty((3, max((k * min(_tile_width(k), u)
-                             for k, u in zip(sizes, counts) if k), default=0)))
-    for i, k in enumerate(sizes):
+    sizes, edges = np.diff(split.fields).tolist(), split.users.tolist()
+    work = np.empty((3, max((k * min(_tile_width(k), hi - lo)
+                             for k, lo, hi in zip(sizes, edges, edges[1:]) if k), default=0)))
+    for i, (k, lo, hi) in enumerate(zip(sizes, edges, edges[1:])):
         if not k:
             continue
         near = split.near[split.fields[i]:split.fields[i + 1]]
         field = replace(bs, x=bs.x[near], y=bs.y[near], power=bs.power[near])
-        for a, c in _tiles(counts[i], _tile_width(k)):
-            users = slice(split.users[i] + a, split.users[i] + c)
-            w = _chunk_gains(field, pts[users], work)
+        for users, w in _gain_tiles(pts[lo:hi], field, rng, work):
+            users = slice(lo + users.start, lo + users.stop)
             srv = w.argmax(axis=1)
-            vals[0, users] = w[np.arange(c - a), srv]
+            vals[0, users] = w[np.arange(srv.size), srv]
             serving[users] = near[srv]
             vals[1, users] = _ccdf(w, srv, beta, vals[2:, users] if sums else None, work)
     out = np.empty_like(vals)
@@ -521,27 +528,47 @@ def _near_pass(real: Realization, bs: _BSField, split: _Split, beta: float,
     return serving, out
 
 
+def _full_walk(real: Realization, bs: _BSField, rng, start, pick, scale, sums):
+    """Serving BS and C(scale) over every BS, for each user in `pick`.
+
+    The picked users are walked with `_gain_tiles`, their shadowing
+    replayed from `start`, `rng`'s state when the pass began, and `rng` is
+    left as it was.  `scale` is a scalar or one value per user; `sums`,
+    None or a (2, picked users) array, gets each picked user's beta S and
+    beta R (see `_ccdf`).  Returns the picked users' serving BSs and C.
+    """
+    scale = np.broadcast_to(scale, pick.shape)
+    serving = np.empty(np.count_nonzero(pick), dtype=np.int64)
+    cover = np.empty(serving.size)
+    work, done, end = _workspace(bs.x.size, serving.size), 0, rng.bit_generator.state
+    rng.bit_generator.state = start
+    for users, w in _gain_tiles(real.users, bs, rng, work, pick):
+        k = slice(done, done + users.size)
+        done = k.stop
+        srv = serving[k] = w.argmax(axis=1)
+        cover[k] = _ccdf(w, srv, scale[users], None if sums is None else sums[:, k], work)
+    rng.bit_generator.state = end
+    return serving, cover
+
+
 def _band(t, cover, sums, far, n_bs: int):
     """Lower and upper bounds on C(theta), t = theta/beta, widened for rounding.
 
-    `cover` is C(beta) over the BSs whose (beta S, beta R) are `sums`;
-    `far` is None when those are all the BSs, else the rest's (beta S_lo,
-    beta S_hi, beta^2 Q) over the serving gain (see `_user_pass`).
+    `cover` is C(beta) over the near BSs, whose (beta S, beta R) are
+    `sums`, and `far` the far BSs' (beta S_lo, beta S_hi, beta^2 Q) over
+    the serving gain (see `_user_pass`), 0 where nothing is far.
     """
     beta_sum, beta_max = sums
+    f_lo, f_hi, q = far
     cover_t = cover ** t
-    low = np.maximum(np.exp(-t * beta_sum), np.minimum(cover, cover_t))
-    high = np.minimum(1.0 / (1.0 + t * beta_max), np.maximum(cover, cover_t))
-    scale = 1.0 + t * (1.0 + beta_sum)
-    if far is not None:
-        f_lo, f_hi, q = far
-        low = low * np.exp(-t * f_hi)
-        high = high * np.minimum(1.0, np.exp(t * (0.5 * t * q - f_lo)))
-        scale = scale + t * (f_hi + t * q)
-    eps = 1e-12 + n_bs * 2.0 ** -50 * scale
+    low = np.maximum(np.exp(-t * beta_sum), np.minimum(cover, cover_t)) * np.exp(-t * f_hi)
+    high = (np.minimum(1.0 / (1.0 + t * beta_max), np.maximum(cover, cover_t))
+            * np.minimum(1.0, np.exp(t * (0.5 * t * q - f_lo))))
+    eps = 1e-12 + n_bs * 2.0 ** -50 * (1.0 + t * (1.0 + beta_sum) + t * (f_hi + t * q))
     return low * (1.0 - eps), high * (1.0 + eps)
 
 
+@np.errstate(all="ignore")
 def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
                rng, rate_target: float | None):
     """Coverage, per-tier association and area, and rate tally of one realization.
@@ -555,21 +582,19 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     square's area times its association fraction over its BS count in the
     square (nan without one).
 
-    Shadowed, or on a window too small for `_split`, the pass is dense:
-    every gain comes from `_gain_tiles`, and a user's coverage tally is
-    C(beta).  Per-link shadowing factors have no far-field bound, so
-    shadowed passes stay dense.  Otherwise the pass splits C = C_near F,
-    C_near over the BSs of the user's near field (`_near_pass`) and F
-    over the rest, and tallies C_near 1{U' < F} with one uniform U' per
-    user, which is unbiased for C.  With r_j = w_j/w_s, F lies between
-    e^(-beta S_hi/w_s), as log(1 + x) <= x, and e^(-beta S_lo/w_s +
-    beta^2 Q/(2 w_s^2)), as log(1 + x) >= x - x^2/2, S_lo, S_hi and Q
-    coming from the cell sums of `_far_sums`.  No far BS can serve a user
-    whose near gain w_s beats P_max gap^-alpha.  Users whose U' falls
-    between the bounds, widened for rounding, and users whose serving BS
-    is not so certified are walked again (`_gain_tiles` with `pick`): the
-    first then tally C_near 1{U' C_near < C}, the second C.  So
-    association and areas keep the dense pass's bits.
+    The pass splits C = C_near F, C_near over the BSs of the user's near
+    field (`_split`, `_near_pass`) and F over the rest, and tallies
+    C_near 1{U' < F} with one uniform U' per user, which is unbiased for
+    C.  With r_j = w_j/w_s, F lies between e^(-beta S_hi/w_s), as
+    log(1 + x) <= x, and e^(-beta S_lo/w_s + beta^2 Q/(2 w_s^2)), as
+    log(1 + x) >= x - x^2/2, S_lo, S_hi and Q coming from the cell sums of
+    `_far_sums`.  No far BS can serve a user whose near gain w_s beats
+    P_max gap^-alpha.  Users whose U' falls between the bounds, widened
+    for rounding, and users whose serving BS is not so certified are
+    walked again against every BS (`_full_walk`): the first then tally
+    C_near 1{U' C_near < C}, the second C.  So association and areas are
+    those of the first BS of largest gain over all BSs.  Where `_split`
+    gives one block nothing is far, F = 1, and the tally is C itself.
 
     Given the gains the users' SIRs are independent, so the rate tally
     samples each user's SIR by inversion from one uniform U: the user is
@@ -583,20 +608,20 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     log(1 + x) <= x, C >= e^(-theta S); a single factor gives C <= 1/(1 +
     theta R); and with t = theta/beta, log(1 + t x) >= t log(1 + x) for
     t <= 1 and <= for t >= 1 (log(1 + x) is concave and 0 at 0), so C lies
-    between p and p^t, p = C(beta).  In the split pass these bound C_near,
-    and the bounds on F at theta multiply in.  A user with U below the
-    largest lower bound, or at or above the smallest upper bound, is
-    decided; the band is widened by a relative 1e-12 plus n_bs 2^-50
-    (1 + t (1 + beta S + beta S_hi/w_s + t beta^2 Q/w_s^2)), which covers
-    the rounding of the n_bs-term sums, in whatever order numpy adds them,
-    and of the products, that of p raised to t and that of the exact
-    product.  In the split pass, users whose event U < C(beta) is
-    undecided join the second walk above, before the loads are counted.
-    Users whose rate event is undecided are walked last, with the
-    shadowing replayed from `rng`'s state at the start, and get C(theta)
-    exactly.  So every rate event is the dense pass's.  A user with no
-    interferer has C = 1, and a threshold that overflows to inf is never
-    exceeded.
+    between p and p^t, p = C(beta).  These bound C_near, and the bounds
+    on F at theta multiply in.  A user with U below the largest lower
+    bound, or at or above the smallest upper bound, is decided; the band
+    is widened by a relative 1e-12 plus n_bs 2^-50 (1 + t (1 + beta S +
+    beta S_hi/w_s + t beta^2 Q/w_s^2)), which covers the rounding of the
+    n_bs-term sums, in whatever order numpy adds them, and of the
+    products, that of p raised to t and that of the exact product.
+    Users whose event U < C(beta) is undecided join the walk above,
+    before the loads are counted; users whose rate event is undecided get
+    C(theta) from a second `_full_walk`.  So every rate event is U <
+    C(theta) over every BS.  A user with no interferer has C = 1, and a
+    threshold that overflows to inf is never exceeded.  Link gains past
+    the float range (a gain of 0 on every link, or of inf on two) leave
+    some C undefined, which is a ScenarioError naming path_loss_exp.
     """
     n_users = real.users.shape[0]
     if not real.tier_counts.any() or n_users == 0:
@@ -604,63 +629,40 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
         return math.nan, nan, nan, math.nan
     bs = _bs_field(real, scenario, config)
     n_bs, beta = bs.x.size, scenario.sir_target
-    split = None if bs.shadow is not None else _split(real, bs, config)
+    split = _split(real, bs, config)
     start = rng.bit_generator.state
-    far = None
-    if split is None:
-        serving = np.empty(n_users, dtype=np.int64)
-        cover, beta_sum, beta_max = np.empty((3, n_users))
-        work = _workspace(n_bs, n_users)
-        with np.errstate(over="ignore"):
-            for users, w in _gain_tiles(real, bs, rng, work):
-                srv = serving[users] = w.argmax(axis=1)
-                cover[users] = _ccdf(w, srv, beta, None if rate_target is None
-                                     else (beta_sum[users], beta_max[users]), work)
-        tally = cover
+    serving, (gain, cover, beta_sum, beta_max) = _near_pass(
+        real, bs, split, rng, beta, rate_target is not None)
+    rate_stream, far_stream = rng.spawn(2)
+    per_gain = beta / gain
+    far = split.far * per_gain
+    far[2] *= per_gain
+    certified = gain > bs.power.max() * split.gap ** -bs.alpha * (1.0 + 1e-9)
+    f_low, f_high = _band(1.0, 1.0, (0.0, 0.0), far, n_bs)
+    u_far = far_stream.random(n_users)
+    tally = np.where(u_far < f_low, cover, 0.0)
+    band = ~((u_far < f_low) | (u_far >= f_high))
+    again = band | ~certified
+    if rate_target is not None:
+        u = rate_stream.random(n_users)
+        low, high = _band(1.0, cover, (beta_sum, beta_max), far, n_bs)
+        covered = u < low
+        again |= ~covered & ~(u >= high)
+    if again.any():
+        picked = np.flatnonzero(again)
+        sums = np.empty((2, picked.size))
+        serving[picked], exact = _full_walk(real, bs, rng, start, again, beta, sums)
+        near_cover = cover[picked]
+        kept = np.where(band[picked], near_cover * (u_far[picked] * near_cover < exact),
+                        tally[picked])
+        tally[picked] = np.where(certified[picked], kept, exact)
+        cover[picked], beta_sum[picked], beta_max[picked] = exact, *sums
+        far[:, picked] = 0.0
         if rate_target is not None:
-            u = rng.spawn(1)[0].random(n_users)
-            covered = u < cover
-    else:
-        with np.errstate(over="ignore"):
-            serving, (gain, cover, beta_sum, beta_max) = _near_pass(
-                real, bs, split, beta, rate_target is not None)
-        rate_stream, far_stream = rng.spawn(2)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            per_gain = beta / gain
-            far = split.far * per_gain
-            far[2] *= per_gain
-            certified = gain > bs.power.max() * split.gap ** -bs.alpha * (1.0 + 1e-9)
-            f_low, f_high = _band(1.0, 1.0, (0.0, 0.0), far, n_bs)
-        u_far = far_stream.random(n_users)
-        tally = np.where(u_far < f_low, cover, 0.0)
-        band = ~((u_far < f_low) | (u_far >= f_high))
-        again = band | ~certified
-        if rate_target is not None:
-            u = rate_stream.random(n_users)
-            with np.errstate(over="ignore", invalid="ignore"):
-                low, high = _band(1.0, cover, (beta_sum, beta_max), far, n_bs)
-            covered = u < low
-            again |= ~covered & ~(u >= high)
-        if again.any():
-            picked = np.flatnonzero(again)
-            exact, exact_sum, exact_max = np.empty((3, picked.size))
-            work = _workspace(n_bs, picked.size)
-            done = 0
-            with np.errstate(over="ignore"):
-                for users, w in _gain_tiles(real, bs, rng, work, again):
-                    k = slice(done, done + users.size)
-                    done += users.size
-                    srv = serving[users] = w.argmax(axis=1)
-                    exact[k] = _ccdf(w, srv, beta, (exact_sum[k], exact_max[k]), work)
-            del work, w  # w is a view of work
-            near_cover = cover[picked]
-            kept = np.where(band[picked], near_cover * (u_far[picked] * near_cover < exact),
-                            tally[picked])
-            tally[picked] = np.where(certified[picked], kept, exact)
-            cover[picked], beta_sum[picked], beta_max[picked] = exact, exact_sum, exact_max
-            far[:, picked] = 0.0
-            if rate_target is not None:
-                covered[picked] = u[picked] < exact
+            covered[picked] = u[picked] < exact
+    if np.isnan(cover).any():
+        raise ScenarioError(f"link gains leave the float range at path_loss_exp "
+                            f"{scenario.path_loss_exp:g}, so some SIRs are undefined")
     assoc = np.bincount(bs.tier_of[serving], minlength=scenario.k_tiers) / n_users
     g = config.guard_margin  # 0 in toroidal mode
     top = config.window_side - g
@@ -673,20 +675,12 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     load = np.bincount(serving[covered], minlength=n_bs)
     # Overflows give inf or nan bounds: a nan bound decides nothing, and a
     # user whose theta is inf never exceeds it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = np.exp2(rate_target * (load[serving] - covered + 1.0)) - 1.0
-        low, high = _band(theta / beta, cover, (beta_sum, beta_max), far, n_bs)
-        hit = u < low
-        open_ = ~hit & ~(u >= high) & (theta < math.inf)
+    theta = np.exp2(rate_target * (load[serving] - covered + 1.0)) - 1.0
+    low, high = _band(theta / beta, cover, (beta_sum, beta_max), far, n_bs)
+    hit = u < low
+    open_ = ~hit & ~(u >= high) & (theta < math.inf)
     if open_.any():
-        if far is not None:  # a split pass sizes each walk's tiles to its users
-            work = _workspace(n_bs, int(open_.sum()))
-        end = rng.bit_generator.state
-        rng.bit_generator.state = start
-        with np.errstate(over="ignore"):
-            for users, w in _gain_tiles(real, bs, rng, work, open_):
-                hit[users] = u[users] < _ccdf(w, serving[users], theta[users], None, work)
-        rng.bit_generator.state = end
+        hit[open_] = u[open_] < _full_walk(real, bs, rng, start, open_, theta, None)[1]
     return float(tally.mean()), assoc, area, hit
 
 

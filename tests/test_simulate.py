@@ -134,22 +134,32 @@ def test_serving_bs_is_first_argmax(monkeypatch):
         w[rng.integers(0, rows, (2, 64)), np.arange(64)] = 2.0
         w[rows - 1, ::3] = 2.0
         tall.append(w)
-    picks = []
-    # The tiles stand in for `_gain_tiles`, which only the dense pass walks.
-    monkeypatch.setattr(simulate, "_split", lambda *_: None)
+    picks, walked = [], []
+    # The tiles stand in for `_gain_tiles` twice: in the near pass, whose
+    # one block of users has every BS in its near field (all BSs share one
+    # point), and in the walk over every BS that uncertified users get.
     monkeypatch.setattr(simulate, "_ccdf",
                         lambda w, srv, *_: picks.append(srv) or np.zeros(srv.size))
     for w in (ties, spiky, rng.random((1, 512)), np.zeros((7, 512)),
               rng.random((1237, 3)), *tall):
         want = np.argmax(w, axis=0)
         tile = np.ascontiguousarray(w.T)
-        monkeypatch.setattr(simulate, "_gain_tiles",
-                            lambda *_: iter([(slice(0, tile.shape[0]), tile)]))
+
+        def tiles(pts, bs, rng, work, pick=None):
+            users = slice(0, tile.shape[0]) if pick is None else np.flatnonzero(pick)
+            walked.append(users)
+            return iter([(users, tile[users])])
+
+        monkeypatch.setattr(simulate, "_gain_tiles", tiles)
         real = Realization(bs_pos=[np.zeros((w.shape[0], 2))],
                            users=np.zeros((w.shape[1], 2)), window_side=1.0)
         _user_pass(real, one_tier(), SimConfig(window_side=1.0), rng, None)
-        got = picks.pop()
+        got, *again = picks
         assert got.dtype == want.dtype and np.array_equal(got, want)
+        for srv, users in zip(again, walked[1:], strict=True):
+            assert np.array_equal(srv, want[users])
+        picks.clear()
+        walked.clear()
 
 
 def test_association_is_nearest_bs_without_shadowing():
@@ -455,7 +465,7 @@ def test_gain_kernel_matches_hypot_oracle(boundary, shadowing):
                        users=rng.uniform(0, side, (37, 2)), window_side=side)
     real.users[5] = real.bs_pos[1][3]        # a link at the distance floor
     bs = _bs_field(real, sc, config)
-    [got] = [w.T for _, w in _gain_tiles(real, bs, np.random.default_rng(62),
+    [got] = [w.T for _, w in _gain_tiles(real.users, bs, np.random.default_rng(62),
                                          _workspace(32, 37))]
     tier_of = np.repeat([0, 1], [9, 23])
     shadow_db = None
@@ -482,7 +492,7 @@ def test_gain_kernel_matches_hypot_oracle_off_alpha_4(boundary, shadowing):
                        users=rng.uniform(0, side, (37, 2)), window_side=side)
     real.users[5] = real.bs_pos[1][3]        # a link at the distance floor
     bs = _bs_field(real, sc, config)
-    [got] = [w.T for _, w in _gain_tiles(real, bs, np.random.default_rng(72),
+    [got] = [w.T for _, w in _gain_tiles(real.users, bs, np.random.default_rng(72),
                                          _workspace(32, 37))]
     shadow_db = None
     if shadowing is not None:
@@ -566,13 +576,13 @@ def test_picked_tiles_are_the_picked_columns_of_the_full_walk():
     bs = _bs_field(real, sc, SimConfig(window_side=6.0, replicates=1))
     work = _workspace(320, 1300)
     full = np.hstack([w.T.copy() for _, w in
-                      _gain_tiles(real, bs, np.random.default_rng(96), work)])
+                      _gain_tiles(real.users, bs, np.random.default_rng(96), work)])
     assert full.shape == (320, 1300)
     index = np.arange(1300)
     for pick in (rng.random(1300) < 0.1, index % 211 == 7, index == 700, index == 1299):
         picked = np.random.default_rng(96)
         users, tiles = zip(*[(u, w.T.copy()) for u, w in
-                             _gain_tiles(real, bs, picked, work, pick)])
+                             _gain_tiles(real.users, bs, picked, work, pick)])
         assert np.array_equal(np.concatenate(users), np.flatnonzero(pick))
         assert np.array_equal(np.hstack(tiles), full[:, pick])
         drawn = np.random.default_rng(96)
@@ -641,7 +651,8 @@ def _split_layouts(name, count, seed):
         real = sample_network(case, rho, config, rng)
         real = Realization(real.bs_pos, real.users[:500], side)
         if name != "shadowed":
-            assert simulate._split(real, _bs_field(real, case, config), config)
+            split = simulate._split(real, _bs_field(real, case, config), config)
+            assert split.users.size > 2
         yield case, config, real, rng.bit_generator.state
 
 
@@ -655,7 +666,8 @@ def _replay(seed, i, state):
 def test_split_pass_keeps_association_areas_and_rate_events_bit_for_bit(name):
     # Association and areas come from the serving BS, which the split
     # certifies or walks again, and every rate event is decided exactly;
-    # shadowed passes stay dense, so their coverage keeps its bits too.
+    # shadowed passes are one block, where F = 1, so their coverage keeps
+    # its bits too.
     for i, (sc, config, real, state) in enumerate(_split_layouts(name, 8, 37)):
         rng = _replay(37, i, state)
         got = _user_pass(real, sc, config, rng, 0.1)
@@ -706,7 +718,7 @@ def test_far_sums_bound_each_users_far_field(boundary, alpha):
                        users=rng.uniform(1.0, side - 1.0, (60, 2)), window_side=side)
     bs = _bs_field(real, sc, config)
     split = simulate._split(real, bs, config)
-    assert split is not None
+    assert split.users.size > 2
     gains = hypot_link_gains(np.vstack(real.bs_pos), bs.tier_of, real.users, [4.0, 0.25],
                              alpha, side if boundary == "toroidal" else None)
     far = np.ones(gains.shape, dtype=bool)
@@ -720,6 +732,34 @@ def test_far_sums_bound_each_users_far_field(boundary, alpha):
     assert np.all(total.sum(axis=0) <= s_hi * (1 + 1e-12))
     assert np.all((total ** 2).sum(axis=0) <= q * (1 + 1e-12))
     assert np.all(total.max(axis=0) <= 4.0 * split.gap ** -alpha * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("boundary", ["toroidal", "guard"])
+def test_split_is_one_block_when_shadowed_or_on_a_small_grid(boundary):
+    # About 4 BSs a cell and a multiple of 3 cells a side: 400 BSs give a
+    # grid of 9 cells, 600 one of 12.  Shadowed, or at 9 cells, the split
+    # is one block of every user with every BS near and nothing far; at
+    # 12 cells, unshadowed, it is many blocks.
+    side = 9.0
+    config = SimConfig(window_side=side, replicates=1,
+                       guard_margin=1.0 if boundary == "guard" else 0.0)
+    rng = np.random.default_rng(47)
+    users = rng.uniform(1.0, side - 1.0, (200, 2))
+    for n_bs, shadowing in ((400, None), (600, ShadowingSpec(0.0, 4.0)), (600, None)):
+        real = Realization(bs_pos=[rng.uniform(0, side, (n_bs // 10, 2)),
+                                   rng.uniform(0, side, (n_bs - n_bs // 10, 2))],
+                           users=users, window_side=side)
+        bs = _bs_field(real, two_tier(shadowing=shadowing), config)
+        split = simulate._split(real, bs, config)
+        assert np.array_equal(np.sort(split.order), np.arange(200))
+        if n_bs == 600 and shadowing is None:
+            assert split.users.size > 2 and split.far.any()
+            continue
+        assert split.users.tolist() == [0, 200] and split.fields.tolist() == [0, n_bs]
+        assert np.array_equal(split.order, np.arange(200))
+        assert np.array_equal(split.near, np.arange(n_bs))
+        assert split.far.shape == (3, 200) and not split.far.any()
+        assert np.all(split.gap == math.inf)
 
 
 @pytest.mark.parametrize("config", [
@@ -860,6 +900,36 @@ def test_huge_sir_target_gives_coverage_near_zero():
     assert math.isfinite(est.mean) and math.isfinite(est.ci_halfwidth_99)
     assert 0.0 <= est.mean < 1e-4
     assert est.dropped == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("boundary", ["toroidal", "guard"])
+@pytest.mark.parametrize("alpha", [120.0, 200.0, 300.0])
+def test_large_path_loss_exponent_answers_or_names_it(alpha, boundary):
+    # Gains d^-alpha overflow to inf within a few hundredths of a BS here.
+    # A user with one inf gain is covered; one with two has no defined SIR.
+    # Either way no warning escapes, and a replicate with BSs and users is
+    # never dropped: the pass answers, or names path_loss_exp.  At alpha =
+    # 120 no user has two inf gains, so the pass answers.
+    sc = replace(load_scenario(str(Path(__file__).resolve().parents[1] / "scenarios"
+                                   / "two-tier-baseline.json"))[0], path_loss_exp=alpha)
+    config = SimConfig(window_side=12.0, replicates=2, seed=3,
+                       guard_margin=1.0 if boundary == "guard" else 0.0)
+    real = sample_network(sc, (1.0, 1.0), config, np.random.default_rng([3, 0]))
+    assert real.tier_counts.all() and real.users.shape[0] > 0
+    try:
+        cov, assoc, area, events = _user_pass(real, sc, config,
+                                              np.random.default_rng([3, 0]), 0.1)
+    except ScenarioError as exc:
+        assert alpha > 120.0
+        assert "path_loss_exp" in str(exc)
+        with pytest.raises(ScenarioError, match="path_loss_exp"):
+            spatial_mc(sc, (1.0, 1.0), config, rate_target=0.1)
+        return
+    assert 0.0 < cov <= 1.0 and not np.isnan(assoc).any() and events.dtype == bool
+    est = spatial_mc(sc, (1.0, 1.0), config, rate_target=0.1)
+    assert est.coverage.dropped == est.rate.dropped == 0
+    assert est.coverage.samples == est.rate.samples == 2
 
 
 @pytest.mark.parametrize("rate_target", [None, 0.1])
