@@ -304,6 +304,8 @@ def cmd_rate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.tier is not None and args.estimator != "area":
+        raise _UsageError("--tier needs --estimator area")
     scenario, doc = load_scenario(args.scenario)
     rho = _resolve_rho(args, scenario)
     config = _sim_config(args, doc, scenario, rho)

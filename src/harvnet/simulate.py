@@ -83,23 +83,17 @@ _MARGIN = 3
 class SimConfig:
     """Window geometry, replication, and seeding for one experiment.
 
-    `guard_margin` sets the edge model: 0 is a toroidal window, whose
-    distances wrap at the window side, and a margin g > 0 is a guard band,
-    with users only in the inner square [g, side - g]^2 and no wrap.
+    The window is a torus: distances wrap at the window side.
     """
 
     window_side: float
     replicates: int = 20
     seed: int = 0
-    guard_margin: float = 0.0
 
     def __post_init__(self):
         _check_positive(self.window_side, "window_side")
         _check_integer(self.replicates, "replicates", 1)
         _check_integer(self.seed, "seed", 0)
-        if not 0.0 <= self.guard_margin < self.window_side / 2:
-            raise ScenarioError(f"guard_margin must lie in [0, window_side/2) "
-                                f"(got {self.guard_margin})")
 
 
 @dataclass
@@ -183,25 +177,21 @@ def sample_network(scenario: NetworkScenario, rho, config: SimConfig,
     """Draw the thinned BS pattern and the user pattern for one replicate.
 
     Per-tier ON BSs form a Poisson process with density rho_k lambda_k on
-    the full window.  Users are Poisson(lambda_u) on the full window in
-    toroidal mode, or on the inner square in guard mode (every statistic is
-    sampled at the users, so shrinking their support just discards
-    edge-biased samples).  An expected point count past the float range or
-    past _MAX_POINTS is a ScenarioError naming the window side.
+    the window, and users a Poisson(lambda_u) process on it.  An expected
+    point count past the float range or past _MAX_POINTS is a
+    ScenarioError naming the window side.
     """
     rho = check_availability_vector(rho, scenario.k_tiers)
     side = config.window_side
-    g = config.guard_margin  # 0 in toroidal mode
-    inner = side - 2.0 * g
     means = [float(r) * t.density * side * side for r, t in zip(rho, scenario.tiers)]
-    means.append(scenario.user_density * inner * inner)
+    means.append(scenario.user_density * side * side)
     if not all(map(math.isfinite, means)):
         raise ScenarioError(f"window_side {side} gives a non-finite expected point count")
     if sum(means) > _MAX_POINTS:
         raise ScenarioError(f"window_side {side} gives {sum(means):.3g} expected points "
                             f"per replicate (at most {_MAX_POINTS})")
     bs_pos = [rng.uniform(0.0, side, (rng.poisson(m), 2)) for m in means[:-1]]
-    users = rng.uniform(g, side - g, (rng.poisson(means[-1]), 2))
+    users = rng.uniform(0.0, side, (rng.poisson(means[-1]), 2))
     return Realization(bs_pos=bs_pos, users=users, window_side=side)
 
 
@@ -215,11 +205,10 @@ class _BSField:
     power: np.ndarray               # (n_bs,) transmit power per BS
     shadow: tuple[np.ndarray, np.ndarray] | None   # (n_bs, 1) dB mean, std
     alpha: float
-    period: float | None            # wrap period in toroidal mode
+    period: float                   # window side, at which distances wrap
 
 
-def _bs_field(realization: Realization, scenario: NetworkScenario,
-              config: SimConfig) -> _BSField:
+def _bs_field(realization: Realization, scenario: NetworkScenario) -> _BSField:
     xy = np.vstack(realization.bs_pos or [np.empty((0, 2))])
     tier_of = np.repeat(np.arange(len(realization.bs_pos)),
                         realization.tier_counts)
@@ -233,7 +222,7 @@ def _bs_field(realization: Realization, scenario: NetworkScenario,
         power=np.array([t.tx_power for t in scenario.tiers], dtype=float)[tier_of],
         shadow=(means[col], stds[col]) if shadowed else None,
         alpha=scenario.path_loss_exp,
-        period=None if config.guard_margin else config.window_side)
+        period=realization.window_side)
 
 
 def _tile_width(n_bs: int) -> int:
@@ -253,12 +242,11 @@ def _workspace(n_bs: int, n_pts: int) -> np.ndarray:
 
 
 def _axis_sq(bs_coord, pts_coord, period, out, tmp):
-    """Squared (wrapped) coordinate differences, (n_pts, n_bs), into out via tmp."""
+    """Squared wrapped coordinate differences, (n_pts, n_bs), into out via tmp."""
     out[:] = bs_coord
     d = np.subtract(out, pts_coord[:, None], out=out)
     np.abs(d, out=d)
-    if period is not None:
-        np.minimum(d, np.subtract(period, d, out=tmp), out=d)
+    np.minimum(d, np.subtract(period, d, out=tmp), out=d)
     return np.multiply(d, d, out=d)
 
 
@@ -277,8 +265,8 @@ def _chunk_gains(bs: _BSField, pts: np.ndarray, work: np.ndarray) -> np.ndarray:
     One row per user, its BSs along the row, stacked tier by tier.  W
     includes transmit power and path loss, not shadowing (see
     `_gain_tiles`); fading is deliberately excluded because cell selection
-    averages over it.  Toroidal mode wraps coordinate differences at window
-    scale.  Path loss is P/(d^2)^2 at alpha = 4, else P (d^2)^(-alpha/2),
+    averages over it.  Coordinate differences wrap at the window side.
+    Path loss is P/(d^2)^2 at alpha = 4, else P (d^2)^(-alpha/2),
     with d^2 summed from one block per coordinate, each a copy of the BS
     coordinate row per user less that user's coordinate, and P the power
     row of `bs`.  W and two scratch blocks are views of the rows of `work`,
@@ -390,62 +378,48 @@ def _far_sums(bs: _BSField, cell: np.ndarray, n: int, h: float) -> np.ndarray:
     of w_j^2, P and P2 being the cell's sums of P_j and P_j^2.  Each sum is
     a correlation of a power grid with a kernel over cell offsets that is
     zero on the near field, one kernel per position of a cell in its
-    block, taken by FFT: circular on the torus, zero-padded to twice the
-    grid in guard mode.  The FFT's rounding, within a small multiple of
-    2^-52 log2(cells) ||grid||_2 ||kernel||_2, is covered by widening each
-    sum by 2^-30 ||grid||_2 ||kernel||_2.
+    block, taken by circular FFT, as offsets wrap on the torus.  The FFT's
+    rounding, within a small multiple of 2^-52 log2(cells) ||grid||_2
+    ||kernel||_2, is covered by widening each sum by 2^-30 ||grid||_2
+    ||kernel||_2.
     """
     from numpy import fft  # loaded at the first split pass, not at import
 
     b, m = _BLOCK, _MARGIN
-    torus = bs.period is not None
-    size = n if torus else 2 * n
-    off = np.arange(size)
-    if torus:
-        gap = np.minimum(off, size - off)
-        hi = np.minimum(gap + 1, n / 2) * h
-    else:
-        off[n:] -= size
-        gap = np.abs(off)
-        hi = (gap + 1) * h
+    off = np.arange(n)
+    gap = np.minimum(off, n - off)
+    hi = np.minimum(gap + 1, n / 2) * h
     lo = np.maximum(gap - 1, 0) * h
     d2_lo, d2_hi = np.add.outer(lo * lo, lo * lo), np.add.outer(hi * hi, hi * hi)
     k_near = np.divide(1.0, d2_lo ** (0.5 * bs.alpha), out=np.zeros_like(d2_lo),
                        where=d2_lo > 0)
     kernels = np.stack([d2_hi ** (-0.5 * bs.alpha), k_near, k_near * k_near])
-    grids = np.zeros((3, size, size))
-    for grid, weights in zip(grids[1:], (bs.power, bs.power ** 2)):
-        grid[:n, :n] = np.bincount(cell, weights, n * n).reshape(n, n)
-    grids[0] = grids[1]
+    p, p2 = (np.bincount(cell, w, n * n).reshape(n, n) for w in (bs.power, bs.power ** 2))
+    grids = np.stack([p, p, p2])
     spectra = fft.rfft2(grids)
     slack = np.array([-1.0, 1.0, 1.0]) * 2.0 ** -30 * np.sqrt((grids * grids).sum(axis=(1, 2)))
-    shift = off + m + np.arange(b)[:, None]
-    if torus:
-        shift %= n
-    near = (shift >= 0) & (shift < b + 2 * m)           # (position, offset)
+    near = (off + m + np.arange(b)[:, None]) % n < b + 2 * m  # (position, offset)
     out = np.empty((3, n, n))
     for px in range(b):
         for py in range(b):
             kern = kernels * ~(near[px][:, None] & near[py])
-            sums = fft.irfft2(spectra * np.conj(fft.rfft2(kern)), s=(size, size))
+            sums = fft.irfft2(spectra * np.conj(fft.rfft2(kern)), s=(n, n))
             sums += (slack * np.sqrt((kern * kern).sum(axis=(1, 2))))[:, None, None]
-            out[:, px::b, py::b] = sums[:, px:n:b, py:n:b]
+            out[:, px::b, py::b] = sums[:, px::b, py::b]
     np.maximum(out[0], 0.0, out=out[0])
     return out
 
 
-def _split(real: Realization, bs: _BSField, config: SimConfig) -> _Split:
+def _split(real: Realization, bs: _BSField) -> _Split:
     """User blocks, their near fields and far sums for the user pass.
 
     Square cells tile the window, n per side, n a multiple of _BLOCK,
     with about _CELL_BS BSs each.  Users go in blocks of _BLOCK x _BLOCK
     cells, and a block's near field is the cells within _MARGIN cells of
-    it (clipped at the window in guard mode).  A shadowed field, or a
-    grid of at most _BLOCK + 2 _MARGIN cells a side, is one block: every
-    user, every BS near and nothing far.  Per-link shadowing factors have
-    no far-field bound; on such a grid a block's near field would wrap
-    onto itself on the torus, and in guard mode it leaves at most a thin
-    ring of far cells, where many blocks measured slower than one.
+    it, wrapping at the window's edges.  A shadowed field, or a grid of at
+    most _BLOCK + 2 _MARGIN cells a side, is one block: every user, every
+    BS near and nothing far.  Per-link shadowing factors have no far-field
+    bound, and on such a grid a block's near field would wrap onto itself.
     """
     n_bs, n_users = bs.x.size, real.users.shape[0]
     b, m = _BLOCK, _MARGIN
@@ -455,7 +429,7 @@ def _split(real: Realization, bs: _BSField, config: SimConfig) -> _Split:
                       near=np.arange(n_bs), fields=np.array([0, n_bs]),
                       far=np.broadcast_to(0.0, (3, n_users)),
                       gap=np.broadcast_to(math.inf, n_users))
-    h, nb = config.window_side / n, n // b
+    h, nb = real.window_side / n, n // b
     bs_cell = _cells(bs.x, h, n) * n + _cells(bs.y, h, n)
     first = np.concatenate(([0], np.cumsum(np.bincount(bs_cell, minlength=n * n))))
     ux, uy = (_cells(real.users[:, i], h, n) for i in (0, 1))
@@ -464,12 +438,9 @@ def _split(real: Realization, bs: _BSField, config: SimConfig) -> _Split:
     edges = np.concatenate(([0], np.cumsum(np.bincount(block, minlength=nb * nb))))
     listed = np.flatnonzero(np.diff(edges))
     # Each listed block's near cells, row by row, and their BSs.
-    xs, ys = (b * i[:, None] + np.arange(-m, b + m) for i in np.divmod(listed, nb))
-    if bs.period is not None:
-        xs, ys = xs % n, ys % n
-    inside = ((xs >= 0) & (xs < n))[:, :, None] & ((ys >= 0) & (ys < n))[:, None, :]
-    cells = (np.clip(xs, 0, n - 1)[:, :, None] * n + np.clip(ys, 0, n - 1)[:, None, :])
-    count = np.where(inside, first[cells + 1] - first[cells], 0).ravel()
+    xs, ys = ((b * i[:, None] + np.arange(-m, b + m)) % n for i in np.divmod(listed, nb))
+    cells = xs[:, :, None] * n + ys[:, None, :]
+    count = (first[cells + 1] - first[cells]).ravel()
     ends = np.cumsum(count)
     per_block = count.reshape(listed.size, -1).sum(axis=1)
     fields = np.concatenate(([0], np.cumsum(per_block)))
@@ -482,11 +453,7 @@ def _split(real: Realization, bs: _BSField, config: SimConfig) -> _Split:
 
     def edge_gap(c, x):
         lo = c // b * b - m
-        below, above = x - lo * h, (lo + b + 2 * m) * h - x
-        if bs.period is None:
-            below[lo <= 0] = math.inf
-            above[lo + b + 2 * m >= n] = math.inf
-        return np.minimum(below, above)
+        return np.minimum(x - lo * h, (lo + b + 2 * m) * h - x)
 
     far = _far_sums(bs, bs_cell, n, h).reshape(3, -1)[:, ux * n + uy]
     gap = np.minimum(edge_gap(ux, real.users[:, 0]), edge_gap(uy, real.users[:, 1]))
@@ -569,8 +536,8 @@ def _band(t, cover, sums, far, n_bs: int):
 
 
 @np.errstate(all="ignore")
-def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
-               rng, rate_target: float | None):
+def _user_pass(real: Realization, scenario: NetworkScenario, rng,
+               rate_target: float | None):
     """Coverage, per-tier association and area, and rate tally of one realization.
 
     Returns (mean coverage tally, per-tier association fractions, per-tier
@@ -578,9 +545,9 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     realization has no BS or no user.  A user served by s is covered
     with probability C(beta), where C(theta) = prod_(j != s)
     1/(1 + theta r_j), r_j = w_j/w_s, is the CCDF of its SIR under Rayleigh
-    fading given the link gains.  Tier k's service area is the user
-    square's area times its association fraction over its BS count in the
-    square (nan without one).
+    fading given the link gains.  Tier k's service area is the window's
+    area times its association fraction over its BS count (nan without
+    one).
 
     The pass splits C = C_near F, C_near over the BSs of the user's near
     field (`_split`, `_near_pass`) and F over the rest, and tallies
@@ -627,9 +594,9 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
     if not real.tier_counts.any() or n_users == 0:
         nan = np.full(scenario.k_tiers, math.nan)
         return math.nan, nan, nan, math.nan
-    bs = _bs_field(real, scenario, config)
+    bs = _bs_field(real, scenario)
     n_bs, beta = bs.x.size, scenario.sir_target
-    split = _split(real, bs, config)
+    split = _split(real, bs)
     start = rng.bit_generator.state
     serving, (gain, cover, beta_sum, beta_max) = _near_pass(
         real, bs, split, rng, beta, rate_target is not None)
@@ -664,12 +631,9 @@ def _user_pass(real: Realization, scenario: NetworkScenario, config: SimConfig,
         raise ScenarioError(f"link gains leave the float range at path_loss_exp "
                             f"{scenario.path_loss_exp:g}, so some SIRs are undefined")
     assoc = np.bincount(bs.tier_of[serving], minlength=scenario.k_tiers) / n_users
-    g = config.guard_margin  # 0 in toroidal mode
-    top = config.window_side - g
-    inner = (bs.x >= g) & (bs.x <= top) & (bs.y >= g) & (bs.y <= top)
-    counts = np.bincount(bs.tier_of[inner], minlength=scenario.k_tiers)
+    counts = real.tier_counts
     area = np.full(scenario.k_tiers, math.nan)
-    np.divide((top - g) ** 2 * assoc, counts, out=area, where=counts > 0)
+    np.divide(real.window_side ** 2 * assoc, counts, out=area, where=counts > 0)
     if rate_target is None:
         return float(tally.mean()), assoc, area, math.nan
     load = np.bincount(serving[covered], minlength=n_bs)
@@ -722,7 +686,7 @@ def spatial_mc(scenario: NetworkScenario, rho, config: SimConfig,
     def one(replicate: int):
         rng = _replicate_rng(config, replicate)
         real = sample_network(scenario, rho, config, rng)
-        return _user_pass(real, scenario, config, rng, rate_target)
+        return _user_pass(real, scenario, rng, rate_target)
 
     stats = _run_replicates(one, config)
     # Areas first: when no replicate has a BS or a user, the error names them.

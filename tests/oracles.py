@@ -51,7 +51,6 @@ from harvnet.region import boundary, sweep_boundary
 from harvnet.simulate import (
     _USER_CHUNK,
     Realization,
-    SimConfig,
     _bs_field,
     _chunk_gains,
     _tile_width,
@@ -322,20 +321,18 @@ def mp_tier_constants(scenario):
     return out
 
 
-def hypot_link_gains(bs_xy, tier_of, pts, powers, alpha, period=None,
-                     shadow_db=None):
+def hypot_link_gains(bs_xy, tier_of, pts, powers, alpha, period, shadow_db=None):
     """Average received power of every (BS, point) link, one link at a time.
 
     Distance is math.hypot of the coordinate differences, each wrapped to
-    min(d, period - d) when a period is given, floored at 1e-9; the gain
-    is P d^-alpha, times 10^(shadow_db/10) for the link when given.
+    min(d, period - d), floored at 1e-9; the gain is P d^-alpha, times
+    10^(shadow_db/10) for the link when given.
     """
     out = np.empty((len(bs_xy), len(pts)))
     for i, (bx, by) in enumerate(bs_xy):
         for j, (px, py) in enumerate(pts):
             dx, dy = abs(bx - px), abs(by - py)
-            if period is not None:
-                dx, dy = min(dx, period - dx), min(dy, period - dy)
+            dx, dy = min(dx, period - dx), min(dy, period - dy)
             gain = powers[tier_of[i]] * max(math.hypot(dx, dy), 1e-9) ** -alpha
             if shadow_db is not None:
                 gain *= 10.0 ** (shadow_db[i, j] / 10.0)
@@ -470,7 +467,7 @@ def _shadowed(gains, factors):
     return gains
 
 
-def associate(realization, scenario, rng, config=None):
+def associate(realization, scenario, rng):
     """Serving (tier, within-tier index) per user: max average received power.
 
     Each block of _USER_CHUNK users draws its shadowing from `rng` in the
@@ -478,9 +475,7 @@ def associate(realization, scenario, rng, config=None):
     """
     if not realization.tier_counts.any():
         raise ScenarioError("no BS available: realization has no ON BS")
-    if config is None:
-        config = SimConfig(window_side=realization.window_side, replicates=1)
-    bs = _bs_field(realization, scenario, config)
+    bs = _bs_field(realization, scenario)
     users = realization.users
     serving = np.empty(users.shape[0], dtype=np.int64)
     for lo in range(0, users.shape[0], _USER_CHUNK):
@@ -497,25 +492,22 @@ def probe_service_areas(scenario, rho, config, tiers):
     """Per-tier mean service area and 99% halfwidth from uniform probes.
 
     Replicate i samples a network from default_rng([seed, i]) with
-    `sample_network`, drops 4096 uniform points on the window (the
-    inner square in guard mode) and associates them with `associate`.  Tier
-    k's area is the square's area times its probe share over its BS count
-    in the square; a replicate without such a BS is left out.
+    `sample_network`, drops 4096 uniform points on the window and
+    associates them with `associate`.  Tier k's area is the window's area
+    times its probe share over its BS count; a replicate without such a
+    BS is left out.
     """
-    g = config.guard_margin
-    lo, hi = g, config.window_side - g
+    side = config.window_side
     vals = {k: [] for k in tiers}
     for i in range(config.replicates):
         rng = np.random.default_rng([config.seed, i])
         real = sample_network(scenario, rho, config, rng)
-        pts = Realization(real.bs_pos, rng.uniform(lo, hi, (4096, 2)),
-                          config.window_side)
-        served, _ = associate(pts, scenario, rng, config)
+        pts = Realization(real.bs_pos, rng.uniform(0.0, side, (4096, 2)), side)
+        served, _ = associate(pts, scenario, rng)
         for k in tiers:
-            xy = real.bs_pos[k]
-            count = np.sum(np.all((xy >= lo) & (xy <= hi), axis=1))
+            count = len(real.bs_pos[k])
             if count:
-                vals[k].append((hi - lo) ** 2 * np.mean(served == k) / count)
+                vals[k].append(side * side * np.mean(served == k) / count)
     z99 = NormalDist().inv_cdf(0.995)
     return {k: (float(np.mean(v)), z99 * float(np.std(v, ddof=1)) / math.sqrt(len(v)))
             for k, v in vals.items()}
@@ -526,7 +518,7 @@ def raw_fading_coverage(scenario, rho, config):
 
     Replicate i samples a network from default_rng([seed, i]) with
     `sample_network`.  Each link's average gain is P d^-alpha from np.hypot
-    of the (wrapped, in toroidal mode) coordinate differences, times
+    of the wrapped coordinate differences, times
     lognormal shadowing; each user is served by its strongest link.  Every
     gain is then multiplied by an exponential fading draw, and the user is
     covered when its serving power exceeds beta times the sum of the rest.
@@ -542,8 +534,7 @@ def raw_fading_coverage(scenario, rho, config):
             continue
         tier_of = np.repeat(np.arange(scenario.k_tiers), real.tier_counts)
         d = np.abs(bs[:, None, :] - real.users[None, :, :])
-        if not config.guard_margin:
-            d = np.minimum(d, side - d)
+        d = np.minimum(d, side - d)
         dist = np.maximum(np.hypot(d[..., 0], d[..., 1]), 1e-9)
         power = np.array([t.tx_power for t in scenario.tiers])[tier_of]
         mean_db = np.array([t.shadowing.mean_db for t in scenario.tiers])[tier_of]
@@ -561,8 +552,7 @@ def raw_fading_coverage(scenario, rho, config):
 def _row_weight_axis_sq(bs_coord, pts_coord, period, out, tmp):
     d = np.subtract.outer(bs_coord, pts_coord, out=out)
     np.abs(d, out=d)
-    if period is not None:
-        np.minimum(d, np.subtract(period, d, out=tmp), out=d)
+    np.minimum(d, np.subtract(period, d, out=tmp), out=d)
     return np.multiply(d, d, out=d)
 
 
@@ -594,7 +584,7 @@ def _row_weight_strongest(w, work):
     return rows - np.multiply(mask, desc, out=weighted).max(axis=0).astype(np.int64)
 
 
-def row_weight_user_pass(real, scenario, config, rng, rate_target):
+def row_weight_user_pass(real, scenario, rng, rate_target):
     """`simulate._user_pass` with the earlier gain kernel and serving pick.
 
     Path loss is multiplied by an (n_bs, 1) power column in one broadcast,
@@ -606,7 +596,7 @@ def row_weight_user_pass(real, scenario, config, rng, rate_target):
     if not real.tier_counts.any() or n_users == 0:
         nan = np.full(scenario.k_tiers, math.nan)
         return math.nan, nan, nan, math.nan
-    bs = _bs_field(real, scenario, config)
+    bs = _bs_field(real, scenario)
     power = np.array([t.tx_power for t in scenario.tiers])[bs.tier_of[:, None]]
     n_bs, beta = bs.x.size, scenario.sir_target
     serving = np.empty(n_users, dtype=np.int64)
@@ -639,12 +629,9 @@ def row_weight_user_pass(real, scenario, config, rng, rate_target):
             with np.errstate(over="ignore"):
                 cover[users] = 1.0 / w.prod(axis=0)
     assoc = np.bincount(bs.tier_of[serving], minlength=scenario.k_tiers) / n_users
-    g = config.guard_margin
-    top = config.window_side - g
-    inner = (bs.x >= g) & (bs.x <= top) & (bs.y >= g) & (bs.y <= top)
-    counts = np.bincount(bs.tier_of[inner], minlength=scenario.k_tiers)
+    counts = real.tier_counts
     area = np.full(scenario.k_tiers, math.nan)
-    np.divide((top - g) ** 2 * assoc, counts, out=area, where=counts > 0)
+    np.divide(real.window_side ** 2 * assoc, counts, out=area, where=counts > 0)
     if rate_target is None:
         return float(cover.mean()), assoc, area, math.nan
     covered = sir > beta
@@ -654,7 +641,7 @@ def row_weight_user_pass(real, scenario, config, rng, rate_target):
     return float(cover.mean()), assoc, area, float(np.mean(rate > rate_target))
 
 
-def full_matrix_rate_events(real, scenario, config, rng, rate_target):
+def full_matrix_rate_events(real, scenario, rng, rate_target):
     """Each user's rate event U < C(theta_u), from the whole gain matrix at once.
 
     Every user's gains come from one `_chunk_gains` call, with the
@@ -665,7 +652,7 @@ def full_matrix_rate_events(real, scenario, config, rng, rate_target):
     a user is covered when U < C(beta), and theta_u = 2^(T (o + 1)) - 1
     with o the covered other users on its BS.  No bound is used.
     """
-    bs = _bs_field(real, scenario, config)
+    bs = _bs_field(real, scenario)
     n = real.users.shape[0]
     w = _chunk_gains(bs, real.users, np.empty((3, n * bs.x.size))).T
     if bs.shadow is not None:

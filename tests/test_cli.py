@@ -271,21 +271,22 @@ def test_non_finite_scenario_fields_are_rejected(tmp_path, capsys, field, value)
 
 
 @pytest.mark.parametrize("sim, error", [
-    ({"guard_margin": 0.0}, ""),
-    ({"guard_margin": 2}, ""),
-    ({"guard_margin": 3}, "error: guard_margin must lie in [0, window_side/2) (got 3.0)\n"),
-    ({"guard_margin": -1}, "error: guard_margin must lie in [0, window_side/2) (got -1.0)\n"),
-    ({"boundary": "toroidal", "guard_margin": 0.0}, "error: unknown sim key(s): 'boundary'\n"),
-    ({"boundary": "guard", "guard_margin": 2}, "error: unknown sim key(s): 'boundary'\n"),
-], ids=["toroidal", "guard", "margin-half-side", "margin-negative", "boundary-toroidal",
-        "boundary-guard"])
-def test_guard_margin_alone_sets_the_edge_model(tmp_path, capsys, sim, error):
+    ({"guard_margin": 0.0}, "error: unknown sim key(s): 'guard_margin'\n"),
+    ({"guard_margin": 2}, "error: unknown sim key(s): 'guard_margin'\n"),
+    ({"boundary": "toroidal"}, "error: unknown sim key(s): 'boundary'\n"),
+    ({"boundary": "guard", "guard_margin": 2},
+     "error: unknown sim key(s): 'boundary', 'guard_margin'\n"),
+], ids=["margin-zero", "margin-positive", "boundary-toroidal", "boundary-guard"])
+def test_edge_model_keys_are_unknown(tmp_path, capsys, sim, error):
+    # The window is always a torus; the keys that once chose another edge
+    # model are errors, not silently ignored.
     doc = json.loads(json.dumps(BASE_DOC))
     doc["sim"].update(sim)
     path = tmp_path / "sim.json"
     path.write_text(json.dumps(doc))
-    assert main(["simulate", str(path), "--replicates", "2"]) == (1 if error else 0)
-    assert capsys.readouterr().err == error
+    assert main(["simulate", str(path), "--replicates", "2"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", error)
 
 
 def test_sir_target_overflow_exits_without_traceback(scenario_file):
@@ -362,7 +363,7 @@ def _malformed(mutate):
     ("simulate", lambda d: d["sim"].update(window_side=[12]),
      "sim.window_side must be a number"),
     ("simulate", lambda d: d["sim"].update(guard_margin="1"),
-     "sim.guard_margin must be a number"),
+     "unknown sim key(s): 'guard_margin'"),
     ("rate", lambda d: d.update(sweep=_sweep(stop=None) | {"stop": "1"}),
      "sweep.stop must be a number"),
     ("rate", lambda d: d.update(sweep=_sweep(variable=None) | {"variabel": "rate_target"}),
@@ -781,6 +782,10 @@ def test_usage_errors(scenario_file, capsys):
     assert main(["rate", scenario_file, "--rho", "0.5"]) == 1
     assert main(["rate", scenario_file, "--rho", "a,b"]) == 1
     capsys.readouterr()
+    for estimator in ("coverage", "rate", "association"):
+        assert main(["simulate", scenario_file, "--estimator", estimator,
+                     "--tier", "2"]) == 1
+        assert capsys.readouterr().err == "usage error: --tier needs --estimator area\n"
     assert main(["availability", scenario_file, "--policy2", "k=2:x"]) == 1
     assert capsys.readouterr().err == "usage error: cannot parse cutoff in 'k=2:x'\n"
 

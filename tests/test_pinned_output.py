@@ -15,10 +15,10 @@ value must also lie within its series tolerance of the float oracle
 `oracles.fsum_rate_ccdf`.
 `data/pinned_spatial_output.json` holds the stdout, stderr and exit code
 of `validate` and of every `simulate` estimator on the bundled scenarios,
-and every `spatial_mc` field of a shadowed, alpha = 3.5, guard-window
-scenario with over 512 users per replicate, recorded before the user pass
-was split into tiles; the `validate` lines that print the distance of the
-solved rho from the CTMC estimate were re-recorded with the new root search.
+and every `spatial_mc` field of a shadowed, alpha = 3.5 scenario with
+over 512 users per replicate; the `validate` lines that print the
+distance of the solved rho from the CTMC estimate were re-recorded with
+the new root search.
 The `availability-ctmc-*` lines of `validate` were re-recorded again when
 the cycle sampler came to draw the ON and OFF totals of 1,024 batches of
 cycles in place of every cycle's periods, which changes its draws and
@@ -28,8 +28,10 @@ and battery-sweep were re-recorded again when the unshadowed user pass came
 to tally each user's near-field coverage times a draw against its far
 factor; their windows are large enough for that split, the other two
 scenarios' are not, and every other line, the shadowed record included,
-kept its bytes.  Rerun this file as a script to re-record all three, only
-when an output change is meant.
+kept its bytes.  The shadowed record was re-recorded when the window
+became a torus everywhere, having run on a guard-band window before;
+every CLI line kept its bytes.  Rerun this file as a script to re-record
+all three, only when an output change is meant.
 """
 
 import contextlib
@@ -78,15 +80,14 @@ SPATIAL_CASES = [(cmd[0], f"scenarios/{name}.json", *cmd[1:],
                   *(["--rho", "1,1"] if name == "rate-surface" and cmd[0] == "simulate"
                     else []))
                  for name in SCENARIOS for cmd in SPATIAL_COMMANDS]
-# Shadowed, alpha = 3.5 and a guard window: about 500 BSs and 1,000 users
-# per replicate, so each pass has a full and a partial 512-user block.
+# Shadowed and alpha = 3.5: about 500 BSs and 2,560 users per replicate,
+# so each pass has full 512-user blocks and a partial one.
 SHADOWED = NetworkScenario(
     tiers=(TierParams(1.0, 4.0, 1.0, 5, ShadowingSpec(1.5, 6.0)),
            TierParams(10.0, 0.25, 1.0, 5, ShadowingSpec(0.0, 4.0))),
     path_loss_exp=3.5, sir_target=0.5, user_density=40.0)
 SHADOWED_RHO = (0.9, 0.7)
-SHADOWED_CONFIG = SimConfig(window_side=8.0, replicates=3, seed=61,
-                            guard_margin=1.5)
+SHADOWED_CONFIG = SimConfig(window_side=8.0, replicates=3, seed=61)
 RATE_RHO = [[r1, r2] for r1 in (0.0, 0.3, 0.7, 1.0) for r2 in (0.0, 0.3, 0.7, 1.0)
             if r1 or r2]
 RATE_CASES = [(name, t, tol) for name in SCENARIOS

@@ -153,7 +153,7 @@ def test_serving_bs_is_first_argmax(monkeypatch):
         monkeypatch.setattr(simulate, "_gain_tiles", tiles)
         real = Realization(bs_pos=[np.zeros((w.shape[0], 2))],
                            users=np.zeros((w.shape[1], 2)), window_side=1.0)
-        _user_pass(real, one_tier(), SimConfig(window_side=1.0), rng, None)
+        _user_pass(real, one_tier(), rng, None)
         got, *again = picks
         assert got.dtype == want.dtype and np.array_equal(got, want)
         for srv, users in zip(again, walked[1:], strict=True):
@@ -170,8 +170,7 @@ def test_association_is_nearest_bs_without_shadowing():
                                rng.uniform(0, side, (7, 2))],
                        users=rng.uniform(0, side, (40, 2)),
                        window_side=side)
-    config = SimConfig(window_side=side, replicates=1)
-    tiers, idx = associate(real, sc, np.random.default_rng(9), config)
+    tiers, idx = associate(real, sc, np.random.default_rng(9))
     all_bs = np.vstack(real.bs_pos)
     tier_of = np.repeat([0, 1], [4, 7])
     d = np.abs(all_bs[:, None, :] - real.users[None, :, :])
@@ -210,17 +209,6 @@ def test_coverage_estimate_near_analytic_constant():
         est.ci_halfwidth_99 + other.ci_halfwidth_99
 
 
-def test_guard_window_agrees_with_toroidal():
-    sc = two_tier()
-    tor = coverage_mc(sc, [1.0, 1.0],
-                      SimConfig(window_side=7.0, replicates=8, seed=33))
-    gua = coverage_mc(sc, [1.0, 1.0],
-                      SimConfig(window_side=9.0, replicates=8, seed=33,
-                                guard_margin=1.5))
-    assert abs(tor.mean - gua.mean) < \
-        tor.ci_halfwidth_99 + gua.ci_halfwidth_99 + 0.01
-
-
 def test_association_mc_fractions_sum_to_one():
     sc = two_tier()
     config = SimConfig(window_side=6.0, replicates=6, seed=17)
@@ -253,9 +241,8 @@ def test_rate_edge_cases():
     lone = Realization(bs_pos=[np.array([[2.0, 2.0]])],
                        users=np.random.default_rng(1).uniform(0, 4, (30, 2)),
                        window_side=4.0)
-    config = SimConfig(window_side=4.0, replicates=1)
     for t in (0.1, 1.0, 10.0):
-        events = _user_pass(lone, one_tier(), config, np.random.default_rng(2), t)[3]
+        events = _user_pass(lone, one_tier(), np.random.default_rng(2), t)[3]
         assert events.all()
     sc = two_tier(shadowing=ShadowingSpec(0.5, 4.0), lam_u=30.0)
     config = SimConfig(window_side=6.0, replicates=3, seed=5)
@@ -276,18 +263,17 @@ def test_rate_bounds_hold_where_coverage_rounds_to_one():
     real = Realization(bs_pos=[np.array([[1.0, 1.0], [3.0, 3.0]])],
                        users=1.0 + d[:, None] * np.column_stack((np.cos(phi), np.sin(phi))),
                        window_side=4.0)
-    config = SimConfig(window_side=4.0, replicates=1)
-    events = _user_pass(real, one_tier(), config, np.random.default_rng(4), 0.332)[3]
-    want = full_matrix_rate_events(real, one_tier(), config, np.random.default_rng(4), 0.332)
+    events = _user_pass(real, one_tier(), np.random.default_rng(4), 0.332)[3]
+    want = full_matrix_rate_events(real, one_tier(), np.random.default_rng(4), 0.332)
     assert 0.2 < want.mean() < 0.8
     assert np.array_equal(events, want)
 
 
-# Shadowed, alpha = 3.5 and a guard window, with over 1,024 users per
-# layout, so undecided users fall in several draw blocks of the replay.
+# Shadowed and alpha = 3.5, with about 3,200 users per layout, so
+# undecided users fall in several draw blocks of the replay.
 SHADOWED = replace(two_tier(powers=(4.0, 0.25), lam_u=50.0,
                             shadowing=ShadowingSpec(1.5, 6.0)), path_loss_exp=3.5)
-SHADOWED_CONFIG = SimConfig(window_side=8.0, replicates=1, guard_margin=1.5)
+SHADOWED_CONFIG = SimConfig(window_side=8.0, replicates=1)
 BUNDLED = ("two-tier-baseline", "battery-sweep", "gamma-rich", "rate-surface")
 
 
@@ -320,10 +306,10 @@ def test_rate_events_match_full_matrix_oracle(name, monkeypatch):
         rng = np.random.default_rng([71, i])
         real = sample_network(sc, rho, config, rng)
         state = rng.bit_generator.state
-        events = _user_pass(real, sc, config, rng, (0.1, 1.0)[i % 2])[3]
+        events = _user_pass(real, sc, rng, (0.1, 1.0)[i % 2])[3]
         replay = np.random.default_rng([71, i])
         replay.bit_generator.state = state
-        want = full_matrix_rate_events(real, sc, config, replay, (0.1, 1.0)[i % 2])
+        want = full_matrix_rate_events(real, sc, replay, (0.1, 1.0)[i % 2])
         assert np.array_equal(events, want), (i, np.flatnonzero(events != want))
         assert rng.bit_generator.state == replay.bit_generator.state
     if name == "shadowed":
@@ -349,7 +335,7 @@ def test_rate_tally_agrees_with_sampled_fading(name):
     def fading(i):
         rng = np.random.default_rng([config.seed + 1, i])
         real = sample_network(sc, rho, config, rng)
-        return row_weight_user_pass(real, sc, config, rng, 0.1)[3]
+        return row_weight_user_pass(real, sc, rng, 0.1)[3]
 
     want = simulate._combine(simulate._run_replicates(fading, config), config, "fading")
     assert est.dropped == want.dropped == 0
@@ -410,15 +396,10 @@ def test_sim_config_validation():
         SimConfig(window_side=0.0)
     with pytest.raises(ScenarioError):
         SimConfig(window_side=5.0, replicates=0)
-    # guard_margin alone sets the edge model: 0 is toroidal, (0, side/2) a guard band.
-    for margin in (-0.5, 2.5, 3.0, math.nan, math.inf):
-        with pytest.raises(ScenarioError, match=re.escape(
-                f"guard_margin must lie in [0, window_side/2) (got {margin})")):
-            SimConfig(window_side=5.0, guard_margin=margin)
-    for margin in (0.0, 1e-9, 2.4):
-        SimConfig(window_side=5.0, guard_margin=margin)
-    with pytest.raises(TypeError):
-        SimConfig(window_side=5.0, boundary="guard")
+    # The window is always a torus: no field sets another edge model.
+    for key in ("guard_margin", "boundary"):
+        with pytest.raises(TypeError):
+            SimConfig(window_side=5.0, **{key: 1.0})
     for seed in (-1, 1.5, "3"):
         with pytest.raises(ScenarioError, match="seed"):
             SimConfig(window_side=5.0, seed=seed)
@@ -452,19 +433,16 @@ def test_expected_point_count_is_capped_before_any_draw(monkeypatch):
         sample_network(sc, [0.5, 0.5], SimConfig(window_side=4.01), rng)
 
 
-@pytest.mark.parametrize("boundary", ["toroidal", "guard"])
 @pytest.mark.parametrize("shadowing", [None, ShadowingSpec(1.5, 6.0)])
-def test_gain_kernel_matches_hypot_oracle(boundary, shadowing):
+def test_gain_kernel_matches_hypot_oracle(shadowing):
     sc = two_tier(powers=(4.0, 0.25), shadowing=shadowing)
     side = 5.0
-    config = SimConfig(window_side=side, replicates=1,
-                       guard_margin=1.0 if boundary == "guard" else 0.0)
     rng = np.random.default_rng(61)
     real = Realization(bs_pos=[rng.uniform(0, side, (9, 2)),
                                rng.uniform(0, side, (23, 2))],
                        users=rng.uniform(0, side, (37, 2)), window_side=side)
     real.users[5] = real.bs_pos[1][3]        # a link at the distance floor
-    bs = _bs_field(real, sc, config)
+    bs = _bs_field(real, sc)
     [got] = [w.T for _, w in _gain_tiles(real.users, bs, np.random.default_rng(62),
                                          _workspace(32, 37))]
     tier_of = np.repeat([0, 1], [9, 23])
@@ -473,25 +451,21 @@ def test_gain_kernel_matches_hypot_oracle(boundary, shadowing):
         z = np.random.default_rng(62).standard_normal(got.shape)
         shadow_db = shadowing.mean_db + shadowing.std_db * z
     want = hypot_link_gains(np.vstack(real.bs_pos), tier_of, real.users,
-                            [4.0, 0.25], 4.0,
-                            side if boundary == "toroidal" else None, shadow_db)
+                            [4.0, 0.25], 4.0, side, shadow_db)
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("boundary", ["toroidal", "guard"])
 @pytest.mark.parametrize("shadowing", [None, ShadowingSpec(1.5, 6.0)])
-def test_gain_kernel_matches_hypot_oracle_off_alpha_4(boundary, shadowing):
+def test_gain_kernel_matches_hypot_oracle_off_alpha_4(shadowing):
     # alpha = 4 squares d^2; any other exponent goes through np.power.
     sc = replace(two_tier(powers=(4.0, 0.25), shadowing=shadowing), path_loss_exp=3.5)
     side = 5.0
-    config = SimConfig(window_side=side, replicates=1,
-                       guard_margin=1.0 if boundary == "guard" else 0.0)
     rng = np.random.default_rng(71)
     real = Realization(bs_pos=[rng.uniform(0, side, (9, 2)),
                                rng.uniform(0, side, (23, 2))],
                        users=rng.uniform(0, side, (37, 2)), window_side=side)
     real.users[5] = real.bs_pos[1][3]        # a link at the distance floor
-    bs = _bs_field(real, sc, config)
+    bs = _bs_field(real, sc)
     [got] = [w.T for _, w in _gain_tiles(real.users, bs, np.random.default_rng(72),
                                          _workspace(32, 37))]
     shadow_db = None
@@ -499,8 +473,7 @@ def test_gain_kernel_matches_hypot_oracle_off_alpha_4(boundary, shadowing):
         z = np.random.default_rng(72).standard_normal(got.shape)
         shadow_db = shadowing.mean_db + shadowing.std_db * z
     want = hypot_link_gains(np.vstack(real.bs_pos), np.repeat([0, 1], [9, 23]),
-                            real.users, [4.0, 0.25], 3.5,
-                            side if boundary == "toroidal" else None, shadow_db)
+                            real.users, [4.0, 0.25], 3.5, side, shadow_db)
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
@@ -514,7 +487,7 @@ def test_gain_kernel_ignores_what_a_workspace_held(alpha):
     real = Realization(bs_pos=[rng.uniform(0, 5.0, (9, 2)),
                                rng.uniform(0, 5.0, (23, 2))],
                        users=rng.uniform(0, 5.0, (512 + 37, 2)), window_side=5.0)
-    bs = _bs_field(real, sc, SimConfig(window_side=5.0, replicates=1))
+    bs = _bs_field(real, sc)
     work = _workspace(32, 512 + 37)
     full = _chunk_gains(bs, real.users[:512], work).T
     assert full.shape == (32, 512) and np.shares_memory(full, work)
@@ -573,7 +546,7 @@ def test_picked_tiles_are_the_picked_columns_of_the_full_walk():
     real = Realization(bs_pos=[rng.uniform(0, 6.0, (30, 2)),
                                rng.uniform(0, 6.0, (290, 2))],
                        users=rng.uniform(0, 6.0, (1300, 2)), window_side=6.0)
-    bs = _bs_field(real, sc, SimConfig(window_side=6.0, replicates=1))
+    bs = _bs_field(real, sc)
     work = _workspace(320, 1300)
     full = np.hstack([w.T.copy() for _, w in
                       _gain_tiles(real.users, bs, np.random.default_rng(96), work)])
@@ -590,33 +563,29 @@ def test_picked_tiles_are_the_picked_columns_of_the_full_walk():
         assert picked.bit_generator.state == drawn.bit_generator.state
 
 
-def _assert_row_weight_bits(real, sc, config, rate_target):
+def _assert_row_weight_bits(real, sc, rate_target):
     # The rate tallies differ by design; they are compared in law by
     # test_rate_tally_agrees_with_sampled_fading.
     got_rng, want_rng = np.random.default_rng(92), np.random.default_rng(92)
-    got = _user_pass(real, sc, config, got_rng, rate_target)
-    want = row_weight_user_pass(real, sc, config, want_rng, rate_target)
+    got = _user_pass(real, sc, got_rng, rate_target)
+    want = row_weight_user_pass(real, sc, want_rng, rate_target)
     assert np.array_equal(np.hstack(got[:3]), np.hstack(want[:3]), equal_nan=True)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("rate_target", [None, 0.2])
-@pytest.mark.parametrize("boundary", ["toroidal", "guard"])
 @pytest.mark.parametrize("shadowing", [None, ShadowingSpec(1.5, 6.0)])
 @pytest.mark.parametrize("alpha", [4.0, 3.5])
-def test_user_pass_matches_row_weight_kernel_bit_for_bit(alpha, shadowing, boundary,
-                                                         rate_target):
+def test_user_pass_matches_row_weight_kernel_bit_for_bit(alpha, shadowing, rate_target):
     # 320 BSs give tiles of 204 users; 513 users leave a one-user tail tile
     # after the first draw block.
     sc = replace(two_tier(powers=(4.0, 0.25), shadowing=shadowing), path_loss_exp=alpha)
     side = 6.0
-    config = SimConfig(window_side=side, replicates=1,
-                       guard_margin=1.0 if boundary == "guard" else 0.0)
     rng = np.random.default_rng(91)
     real = Realization(bs_pos=[rng.uniform(0, side, (30, 2)),
                                rng.uniform(0, side, (290, 2))],
                        users=rng.uniform(0, side, (513, 2)), window_side=side)
-    _assert_row_weight_bits(real, sc, config, rate_target)
+    _assert_row_weight_bits(real, sc, rate_target)
 
 
 @pytest.mark.parametrize("rate_target", [None, 0.2])
@@ -627,16 +596,16 @@ def test_user_pass_matches_row_weight_kernel_past_int16_rows(rate_target):
     real = Realization(bs_pos=[rng.uniform(0, 60.0, (3000, 2)),
                                rng.uniform(0, 60.0, (30000, 2))],
                        users=rng.uniform(0, 60.0, (8, 2)), window_side=60.0)
-    _assert_row_weight_bits(real, sc, SimConfig(window_side=60.0, replicates=1),
-                            rate_target)
+    _assert_row_weight_bits(real, sc, rate_target)
 
 
 def _split_layouts(name, count, seed):
-    """`count` layouts on which the user pass splits, with their configs.
+    """`count` layouts on which the user pass splits.
 
-    Layout i is torus or guard and alpha = 4 or 3.5 in turn, on a window
-    of about 1,000 ON BSs, keeping 500 of its users to bound the cost of
-    the dense oracles; the kept users are still uniform on the window.
+    Layouts have alpha = 4 in pairs and 3.5 in the pairs between, on a
+    window of about 1,000 ON BSs, keeping 500 of its users to bound the
+    cost of the dense oracles; the kept users are still uniform on the
+    window.
     """
     if name == "shadowed":
         sc, rho = SHADOWED, np.array([0.9, 0.7])
@@ -645,15 +614,13 @@ def _split_layouts(name, count, seed):
     side = math.sqrt(1000.0 / float(rho @ sc.densities()))
     for i in range(count):
         case = replace(sc, path_loss_exp=(4.0, 3.5)[i // 2 % 2])
-        config = SimConfig(window_side=side, replicates=1,
-                           guard_margin=(0.0, side / 10)[i % 2])
         rng = np.random.default_rng([seed, i])
-        real = sample_network(case, rho, config, rng)
+        real = sample_network(case, rho, SimConfig(window_side=side, replicates=1), rng)
         real = Realization(real.bs_pos, real.users[:500], side)
         if name != "shadowed":
-            split = simulate._split(real, _bs_field(real, case, config), config)
+            split = simulate._split(real, _bs_field(real, case))
             assert split.users.size > 2
-        yield case, config, real, rng.bit_generator.state
+        yield case, real, rng.bit_generator.state
 
 
 def _replay(seed, i, state):
@@ -668,59 +635,56 @@ def test_split_pass_keeps_association_areas_and_rate_events_bit_for_bit(name):
     # certifies or walks again, and every rate event is decided exactly;
     # shadowed passes are one block, where F = 1, so their coverage keeps
     # its bits too.
-    for i, (sc, config, real, state) in enumerate(_split_layouts(name, 8, 37)):
+    for i, (sc, real, state) in enumerate(_split_layouts(name, 8, 37)):
         rng = _replay(37, i, state)
-        got = _user_pass(real, sc, config, rng, 0.1)
+        got = _user_pass(real, sc, rng, 0.1)
         want_rng = _replay(37, i, state)
-        want = row_weight_user_pass(real, sc, config, want_rng, None)
+        want = row_weight_user_pass(real, sc, want_rng, None)
         first = 0 if name == "shadowed" else 1
         assert np.array_equal(np.hstack(got[first:3]), np.hstack(want[first:3]),
                               equal_nan=True), i
         assert rng.bit_generator.state == want_rng.bit_generator.state
-        events = full_matrix_rate_events(real, sc, config, _replay(37, i, state), 0.1)
+        events = full_matrix_rate_events(real, sc, _replay(37, i, state), 0.1)
         assert np.array_equal(got[3], events), (i, np.flatnonzero(got[3] != events))
 
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_split_coverage_tally_is_unbiased_for_the_dense_coverage(name):
-    # Over 20 layouts (torus and guard, alpha = 4 and 3.5), the tally
-    # C_near 1{U' < F} less the dense C averages to 0 within its 99% CI,
-    # and its spread adds under 5% to the between-layout variance of C.
+    # Over 20 layouts (alpha = 4 and 3.5), the tally C_near 1{U' < F} less
+    # the dense C averages to 0 within its 99% CI, and its spread adds
+    # under 5% to the between-layout variance of C.
     diffs, dense = [], []
-    for i, (sc, config, real, state) in enumerate(_split_layouts(name, 20, 41)):
-        got = _user_pass(real, sc, config, _replay(41, i, state), None)[0]
-        want = row_weight_user_pass(real, sc, config, _replay(41, i, state), None)[0]
+    for i, (sc, real, state) in enumerate(_split_layouts(name, 20, 41)):
+        got = _user_pass(real, sc, _replay(41, i, state), None)[0]
+        want = row_weight_user_pass(real, sc, _replay(41, i, state), None)[0]
         diffs.append(got - want)
         dense.append(want)
     diffs = np.array(diffs)
     assert np.any(diffs != 0)
     hw = _t99(diffs.size - 1) * diffs.std(ddof=1) / math.sqrt(diffs.size)
     assert abs(diffs.mean()) <= hw, (diffs.mean(), hw)
-    # Layouts of one window mode and alpha share a mean coverage.
+    # Layouts i and i + 4 share an alpha, so a mean coverage.
     dense = np.array(dense).reshape(-1, 4)
     spread = ((dense - dense.mean(axis=0)) ** 2).sum()
     assert (diffs ** 2).sum() < 0.05 * spread, ((diffs ** 2).sum(), spread)
 
 
-@pytest.mark.parametrize("boundary", ["toroidal", "guard"])
 @pytest.mark.parametrize("alpha", [4.0, 3.5])
-def test_far_sums_bound_each_users_far_field(boundary, alpha):
+def test_far_sums_bound_each_users_far_field(alpha):
     # Against link gains from the hypot oracle: every user's far BSs (all
     # but its block's near field) sum to within [S_lo, S_hi], their
     # squares to at most Q, and none beats P_max gap^-alpha.
     sc = replace(two_tier(powers=(4.0, 0.25)), path_loss_exp=alpha)
     side = 9.0
-    config = SimConfig(window_side=side, replicates=1,
-                       guard_margin=1.0 if boundary == "guard" else 0.0)
     rng = np.random.default_rng(43)
     real = Realization(bs_pos=[rng.uniform(0, side, (90, 2)),
                                rng.uniform(0, side, (910, 2))],
                        users=rng.uniform(1.0, side - 1.0, (60, 2)), window_side=side)
-    bs = _bs_field(real, sc, config)
-    split = simulate._split(real, bs, config)
+    bs = _bs_field(real, sc)
+    split = simulate._split(real, bs)
     assert split.users.size > 2
     gains = hypot_link_gains(np.vstack(real.bs_pos), bs.tier_of, real.users, [4.0, 0.25],
-                             alpha, side if boundary == "toroidal" else None)
+                             alpha, side)
     far = np.ones(gains.shape, dtype=bool)
     for i in range(split.users.size - 1):
         users = split.order[split.users[i]:split.users[i + 1]]
@@ -734,23 +698,20 @@ def test_far_sums_bound_each_users_far_field(boundary, alpha):
     assert np.all(total.max(axis=0) <= 4.0 * split.gap ** -alpha * (1 + 1e-12))
 
 
-@pytest.mark.parametrize("boundary", ["toroidal", "guard"])
-def test_split_is_one_block_when_shadowed_or_on_a_small_grid(boundary):
+def test_split_is_one_block_when_shadowed_or_on_a_small_grid():
     # About 4 BSs a cell and a multiple of 3 cells a side: 400 BSs give a
     # grid of 9 cells, 600 one of 12.  Shadowed, or at 9 cells, the split
     # is one block of every user with every BS near and nothing far; at
     # 12 cells, unshadowed, it is many blocks.
     side = 9.0
-    config = SimConfig(window_side=side, replicates=1,
-                       guard_margin=1.0 if boundary == "guard" else 0.0)
     rng = np.random.default_rng(47)
     users = rng.uniform(1.0, side - 1.0, (200, 2))
     for n_bs, shadowing in ((400, None), (600, ShadowingSpec(0.0, 4.0)), (600, None)):
         real = Realization(bs_pos=[rng.uniform(0, side, (n_bs // 10, 2)),
                                    rng.uniform(0, side, (n_bs - n_bs // 10, 2))],
                            users=users, window_side=side)
-        bs = _bs_field(real, two_tier(shadowing=shadowing), config)
-        split = simulate._split(real, bs, config)
+        bs = _bs_field(real, two_tier(shadowing=shadowing))
+        split = simulate._split(real, bs)
         assert np.array_equal(np.sort(split.order), np.arange(200))
         if n_bs == 600 and shadowing is None:
             assert split.users.size > 2 and split.far.any()
@@ -764,21 +725,16 @@ def test_split_is_one_block_when_shadowed_or_on_a_small_grid(boundary):
 
 @pytest.mark.parametrize("config", [
     SimConfig(window_side=3.0, replicates=6, seed=4),
-    SimConfig(window_side=5.0, replicates=6, seed=0, guard_margin=1.0),
 ])
 def test_spatial_mc_equals_wrappers(config):
     # Tier 0 comes up empty in some replicates, which drops them from its
-    # area; in guard mode so does a tier 0 with no BS in the inner square.
+    # area.
     sc = two_tier(powers=(1.0, 0.5), lam_u=20.0, shadowing=ShadowingSpec(0.5, 4.0))
     rho = [0.1, 1.0]
-    lo, hi = 0.0, config.window_side
-    if config.guard_margin:
-        lo, hi = config.guard_margin, config.window_side - config.guard_margin
     empty = 0
     for i in range(config.replicates):
-        xy = sample_network(sc, rho, config,
-                            np.random.default_rng([config.seed, i])).bs_pos[0]
-        empty += not np.any(np.all((xy >= lo) & (xy <= hi), axis=1))
+        empty += not sample_network(sc, rho, config,
+                                    np.random.default_rng([config.seed, i])).tier_counts[0]
     assert 0 < empty < config.replicates
     est = spatial_mc(sc, rho, config, rate_target=0.1, area_tiers=(0, 1))
     assert est.area[0].dropped == empty
@@ -805,7 +761,7 @@ def test_service_area_follows_replicate_stream():
         if real.tier_counts[0] == 0:
             vals.append(math.nan)
             continue
-        tiers, _ = associate(real, sc, rng, config)
+        tiers, _ = associate(real, sc, rng)
         vals.append(side * side * np.mean(tiers == 0) / int(real.tier_counts[0]))
     usable = [v for v in vals if not math.isnan(v)]
     assert 0 < len(usable) < config.replicates
@@ -821,9 +777,7 @@ def test_probe_pass_without_any_bs_gives_nan():
     real = Realization(bs_pos=[np.empty((0, 2)), np.empty((0, 2))],
                        users=np.random.default_rng(0).uniform(0, 3.0, (5, 2)),
                        window_side=3.0)
-    config = SimConfig(window_side=3.0, replicates=1)
-    cov, assoc, area, rate = _user_pass(real, sc, config,
-                                        np.random.default_rng(0), 0.1)
+    cov, assoc, area, rate = _user_pass(real, sc, np.random.default_rng(0), 0.1)
     assert area.shape == (2,) and np.isnan(area).all()
     assert np.isnan(assoc).all() and math.isnan(cov) and math.isnan(rate)
 
@@ -831,8 +785,6 @@ def test_probe_pass_without_any_bs_gives_nan():
 @pytest.mark.parametrize("config, oracle_config", [
     (SimConfig(window_side=6.0, replicates=16, seed=71),
      SimConfig(window_side=6.0, replicates=16, seed=72)),
-    (SimConfig(window_side=8.0, replicates=16, seed=73, guard_margin=1.0),
-     SimConfig(window_side=8.0, replicates=16, seed=74, guard_margin=1.0)),
 ])
 def test_service_areas_agree_with_probe_oracle(config, oracle_config):
     sc = two_tier(powers=(1.0, 0.5), lam_u=20.0, shadowing=ShadowingSpec(0.5, 4.0))
@@ -866,18 +818,14 @@ def test_service_area_of_a_nearly_empty_tier_raises():
         "no usable replicate for the tiers[0] service area out of 2")
 
 
-@pytest.mark.parametrize("boundary", ["toroidal", "guard"])
 @pytest.mark.parametrize("shadowing", [None, ShadowingSpec(0.5, 4.0)])
-def test_coverage_agrees_with_raw_fading_oracle(boundary, shadowing):
+def test_coverage_agrees_with_raw_fading_oracle(shadowing):
     # About 110 users per replicate, so one fading draw per link leaves
     # much of the replicate spread that the conditional coverage removes.
     sc = two_tier(powers=(1.0, 0.5), lam_u=3.0, shadowing=shadowing)
-    guard = {"guard_margin": 1.0} if boundary == "guard" else {}
-    side = 8.0 if guard else 6.0
-    est = coverage_mc(sc, [0.5, 1.0],
-                      SimConfig(window_side=side, replicates=64, seed=81, **guard))
+    est = coverage_mc(sc, [0.5, 1.0], SimConfig(window_side=6.0, replicates=64, seed=81))
     mean, hw = raw_fading_coverage(
-        sc, [0.5, 1.0], SimConfig(window_side=side, replicates=64, seed=82, **guard))
+        sc, [0.5, 1.0], SimConfig(window_side=6.0, replicates=64, seed=82))
     assert est.dropped == 0
     assert est.agrees_with(mean, hw), (est, mean, hw)
     assert est.ci_halfwidth_99 < hw
@@ -887,8 +835,7 @@ def test_single_bs_covers_every_user():
     real = Realization(bs_pos=[np.array([[2.0, 2.0]])],
                        users=np.random.default_rng(1).uniform(0, 4, (30, 2)),
                        window_side=4.0)
-    cov, _, _, _ = _user_pass(real, one_tier(), SimConfig(window_side=4.0, replicates=1),
-                              np.random.default_rng(2), None)
+    cov, _, _, _ = _user_pass(real, one_tier(), np.random.default_rng(2), None)
     assert cov == 1.0
 
 
@@ -903,9 +850,8 @@ def test_huge_sir_target_gives_coverage_near_zero():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("boundary", ["toroidal", "guard"])
 @pytest.mark.parametrize("alpha", [120.0, 200.0, 300.0])
-def test_large_path_loss_exponent_answers_or_names_it(alpha, boundary):
+def test_large_path_loss_exponent_answers_or_names_it(alpha):
     # Gains d^-alpha overflow to inf within a few hundredths of a BS here.
     # A user with one inf gain is covered; one with two has no defined SIR.
     # Either way no warning escapes, and a replicate with BSs and users is
@@ -913,13 +859,11 @@ def test_large_path_loss_exponent_answers_or_names_it(alpha, boundary):
     # 120 no user has two inf gains, so the pass answers.
     sc = replace(load_scenario(str(Path(__file__).resolve().parents[1] / "scenarios"
                                    / "two-tier-baseline.json"))[0], path_loss_exp=alpha)
-    config = SimConfig(window_side=12.0, replicates=2, seed=3,
-                       guard_margin=1.0 if boundary == "guard" else 0.0)
+    config = SimConfig(window_side=12.0, replicates=2, seed=3)
     real = sample_network(sc, (1.0, 1.0), config, np.random.default_rng([3, 0]))
     assert real.tier_counts.all() and real.users.shape[0] > 0
     try:
-        cov, assoc, area, events = _user_pass(real, sc, config,
-                                              np.random.default_rng([3, 0]), 0.1)
+        cov, assoc, area, events = _user_pass(real, sc, np.random.default_rng([3, 0]), 0.1)
     except ScenarioError as exc:
         assert alpha > 120.0
         assert "path_loss_exp" in str(exc)
@@ -942,7 +886,7 @@ def test_user_pass_draws_only_shadowing_from_the_replicate_generator(rate_target
     real = sample_network(sc, [1.0, 1.0], config, rng)
     assert real.users.shape[0] > 512
     state = rng.bit_generator.state
-    _user_pass(real, sc, config, rng, rate_target)
+    _user_pass(real, sc, rng, rate_target)
     assert rng.bit_generator.state == state
 
 
@@ -1032,11 +976,10 @@ def test_user_pass_memory_is_a_tile_plus_its_draw_blocks(shadowing, rate_target)
     real = Realization(bs_pos=[rng.uniform(0, side, (100, 2)),
                                rng.uniform(0, side, (1100, 2))],
                        users=rng.uniform(0, side, (1100, 2)), window_side=side)
-    config = SimConfig(window_side=side, replicates=1)
     block = 1200 * 512 * 8
     tracemalloc.start()
     try:
-        stats = _user_pass(real, sc, config, np.random.default_rng(82), rate_target)
+        stats = _user_pass(real, sc, np.random.default_rng(82), rate_target)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
