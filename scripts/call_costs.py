@@ -16,7 +16,10 @@ microseconds, on the bundled scenarios:
   N = 2,000 at r = 1, where some batch keeps a positive count up to the
   full level, so the sampler's level loop runs its whole O(N x batches);
 - load_scenario of two-tier-baseline: read, parse and check one scenario
-  file, as every subcommand does first.
+  file, as every subcommand does first;
+- spatial_mc on two-tier-baseline at its fixed point and its own sim
+  block at 4 replicates, with rate target 0.1 and both tiers' areas: the
+  spatial pass `harvnet validate` makes (HETNET_THREADS sets its threads).
 
 The minimum rejects most of the host's noise; compare runs made on the
 same host.  Usage:
@@ -49,7 +52,9 @@ def _scenario(name):
 
 def cases(repeat):
     """(label, calls per run, run) for every row of the table, for `repeat` runs and a warm one."""
-    base = _scenario("two-tier-baseline")
+    base, doc = load_scenario(_path("two-tier-baseline"))
+    rho_base = hn.solve_availability(base).rho
+    sim = hn.SimConfig(**{**doc["sim"], "replicates": 4})
     full = [hn.PolicySpec(int(n)) for n in base.batteries()]
     surface = _scenario("rate-surface")
     grid = np.linspace(0.1, 1.0, 10)
@@ -88,6 +93,8 @@ def cases(repeat):
          lambda: hn.simulate_on_off(long_chain, hn.PolicySpec(1), 100_000, seed=7)),
         ("load_scenario, two-tier-baseline", 1,
          lambda: load_scenario(_path("two-tier-baseline"))),
+        ("spatial_mc 4 reps, rate 0.1, areas, two-tier-baseline", 1,
+         lambda: hn.spatial_mc(base, rho_base, sim, rate_target=0.1, area_tiers=(0, 1))),
     ]
     return out
 

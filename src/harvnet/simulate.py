@@ -19,22 +19,24 @@ per user (see `_user_pass`), drawn from a stream spawned off the
 replicate's seed, so asking for a rate moves no other estimate.
 
 Every gain comes from one walk, `_gain_tiles`, over some users against
-some BSs, in draw blocks of 512 users, whose shadowing comes whole from
-the replicate generator, each cut into tiles of about 2^16 links that
-hold one row of BS gains per user.  The pass splits each user's coverage
-C = C_near F at the edge of its near field: square cells tile the
-window, users go in blocks of cells, and each block's users are walked
-against the BSs of the cells around it (`_split`, `_near_pass`).  F,
-over the far BSs, is decided against a second uniform U' per user, the
-tally being C_near 1{U' < F}, which is unbiased for C, from bounds on
-the far field's power that cell sums give without any far link
-(`_far_sums`).  The few users whose U' or serving BS the bounds leave
-undecided, and those whose rate event they leave undecided, are walked
-again against every BS (`_full_walk`), so association, areas and rate
-events are those of every BS, bit for bit.  A shadowed pass, or one on
-a window of few cells, is one block with every BS near: nothing is far,
-F = 1, and the tally is C.  `coverage_mc`, `association_mc`, `rate_mc`
-and `service_area_mc` are views of this pass.
+some BSs, in tiles of about 2^16 links that hold one row of BS gains per
+user; the shadowing comes whole from the replicate generator, one draw
+block of 512 users at a time, and a tile may span draw blocks.  The pass
+splits each user's coverage C = C_near F at the edge of its near field:
+square cells tile the window, users go in blocks of cells, and each
+block's users are walked against the BSs of the cells around it
+(`_split`, `_near_pass`).  F, over the far BSs, is decided against a
+second uniform U' per user, the tally being C_near 1{U' < F}, which is
+unbiased for C, from bounds on the far field's power that cell sums give
+without any far link (`_far_sums`, from kernel spectra built once per
+grid of cells and kept for later replicates and calls).  The few users
+whose U' or serving BS the bounds leave undecided, and those whose rate
+event they leave undecided, are walked again against every BS
+(`_full_walk`), so association, areas and rate events are those of every
+BS, bit for bit.  A shadowed pass, or one on a window of few cells, is
+one block with every BS near: nothing is far, F = 1, and the tally is C.
+`coverage_mc`, `association_mc`, `rate_mc` and `service_area_mc` are
+views of this pass.
 
 Replicates are embarrassingly parallel: replicate i derives its own
 generator from (seed, i), runs independently (optionally on a thread pool
@@ -48,9 +50,10 @@ link gains leave the float range (see `_user_pass`).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -289,37 +292,41 @@ def _chunk_gains(bs: _BSField, pts: np.ndarray, work: np.ndarray) -> np.ndarray:
 def _gain_tiles(pts: np.ndarray, bs: _BSField, rng, work, pick=None):
     """Yield (users, W) for each tile of the users at `pts`: indices and gains.
 
-    Users go in draw blocks of _USER_CHUNK.  When shadowing is on, each
+    The walked users, all of them or, with `pick`, a boolean mask over
+    them, those picked, go in tiles of `_tile_width` users; a tile may
+    span draw blocks of _USER_CHUNK users.  Each tile's W (users, n_bs) is
+    row 0 of `work` (a `_workspace`), valid until the next tile; `users`
+    is a slice, or with `pick` an index array.  When shadowing is on, each
     block's normals are drawn whole from `rng`, in (n_bs, block) order,
-    into one block buffer, so `rng` advances by whole blocks whatever is
-    tiled.  A block's users go in tiles of `_tile_width` users, and each
-    tile's W (users, n_bs), shadowing multiplied in from the transposed
-    columns of the block, is row 0 of `work` (a `_workspace`), valid until
-    the next tile; `users` is a slice.  With `pick`, a boolean mask over
-    the users, only the picked users are tiled, `users` is an index array,
-    and the walk ends with the last block holding one; only their factors
-    are formed, in row 1 of `work`.  A user's gains come from its own row
-    alone, so they depend neither on the tiling nor on `pick`.
+    into one block buffer, as the walk reaches the block, up to the block
+    of the last walked user, so `rng` advances by whole blocks whatever is
+    tiled.  A tile takes its users' factors from each block it spans,
+    multiplied in from the transposed columns of the block; with `pick`
+    only the picked users' factors are formed, in row 1 of `work`.  A
+    user's gains come from its own row alone, so they depend neither on
+    the tiling nor on `pick`.
     """
     n_users, n_bs = pts.shape[0], bs.x.size
-    width = _tile_width(n_bs)
-    stop = n_users if pick is None else np.flatnonzero(pick)[-1] + 1
+    walked = np.arange(n_users) if pick is None else np.flatnonzero(pick)
     block = None if bs.shadow is None else np.empty(n_bs * min(_USER_CHUNK, n_users))
-    for lo in range(0, stop, _USER_CHUNK):
-        m = min(_USER_CHUNK, n_users - lo)
-        cols = None if pick is None else np.flatnonzero(pick[lo:lo + m])
+    lo = hi = 0                     # users lo:hi hold the drawn block
+    for a, b in _tiles(walked.size, _tile_width(n_bs)):
+        at = walked[a:b]
+        users = slice(a, b) if pick is None else at
+        w = _chunk_gains(bs, pts[users], work)
         if block is not None:
-            z = rng.standard_normal(out=block[:n_bs * m].reshape(n_bs, m))
-            if cols is None:
-                _shadow_factors(bs, z)
-        for a, b in _tiles(m if cols is None else cols.size, width):
-            users = slice(lo + a, lo + b) if cols is None else lo + cols[a:b]
-            w = _chunk_gains(bs, pts[users], work)
-            if block is not None:
-                w *= (z[:, a:b] if cols is None else _shadow_factors(bs, np.take(
-                    z, cols[a:b], axis=1, mode="clip",
-                    out=work[1, :w.size].reshape(w.shape[::-1])))).T
-            yield users, w
+            cuts = [0, *(np.flatnonzero(np.diff(at // _USER_CHUNK)) + 1), b - a]
+            for s, e in zip(cuts, cuts[1:]):
+                while hi <= at[s]:
+                    lo, hi = hi, min(hi + _USER_CHUNK, n_users)
+                    z = rng.standard_normal(out=block[:n_bs * (hi - lo)].reshape(n_bs, hi - lo))
+                    if pick is None:
+                        _shadow_factors(bs, z)
+                cols = at[s:e] - lo
+                w[s:e] *= (z[:, cols[0]:cols[-1] + 1] if pick is None else _shadow_factors(
+                    bs, np.take(z, cols, axis=1, mode="clip",
+                                out=work[1, :n_bs * (e - s)].reshape(n_bs, e - s)))).T
+        yield users, w
 
 
 def _ccdf(w: np.ndarray, srv: np.ndarray, scale, sums, work) -> np.ndarray:
@@ -369,6 +376,33 @@ class _Split:
     gap: np.ndarray
 
 
+@functools.lru_cache(maxsize=4)
+def _far_kernels(n: int, h: float, alpha: float, b: int, m: int):
+    """Conjugate spectra (b, b, 3, n, n//2 + 1) and 2-norms (b, b, 3) of far kernels.
+
+    One kernel per far sum (S_lo, S_hi, Q) and position of a cell in its
+    b x b block, over cell offsets on a torus of n x n cells of side h,
+    zero on the near field (offsets within m cells past the block).  They
+    depend on the grid alone, so every replicate of a pass, and every pass
+    on the same grid, shares them: about 216 n^2 bytes per grid.  Read-only.
+    """
+    from numpy import fft
+
+    off = np.arange(n)
+    gap = np.minimum(off, n - off)
+    hi = np.minimum(gap + 1, n / 2) * h
+    lo = np.maximum(gap - 1, 0) * h
+    d2_lo, d2_hi = np.add.outer(lo * lo, lo * lo), np.add.outer(hi * hi, hi * hi)
+    k_near = np.divide(1.0, d2_lo ** (0.5 * alpha), out=np.zeros_like(d2_lo),
+                       where=d2_lo > 0)
+    near = (off + m + np.arange(b)[:, None]) % n < b + 2 * m  # (position, offset)
+    kern = (np.stack([d2_hi ** (-0.5 * alpha), k_near, k_near * k_near])
+            * ~(near[:, None, None, :, None] & near[None, :, None, None, :]))
+    spectra, norms = np.conj(fft.rfft2(kern)), np.sqrt((kern * kern).sum(axis=(-2, -1)))
+    spectra.flags.writeable = norms.flags.writeable = False
+    return spectra, norms
+
+
 def _far_sums(bs: _BSField, cell: np.ndarray, n: int, h: float) -> np.ndarray:
     """(S_lo, S_hi, Q) per cell, (3, n, n), over the BSs outside its near field.
 
@@ -378,34 +412,24 @@ def _far_sums(bs: _BSField, cell: np.ndarray, n: int, h: float) -> np.ndarray:
     of w_j^2, P and P2 being the cell's sums of P_j and P_j^2.  Each sum is
     a correlation of a power grid with a kernel over cell offsets that is
     zero on the near field, one kernel per position of a cell in its
-    block, taken by circular FFT, as offsets wrap on the torus.  The FFT's
-    rounding, within a small multiple of 2^-52 log2(cells) ||grid||_2
-    ||kernel||_2, is covered by widening each sum by 2^-30 ||grid||_2
-    ||kernel||_2.
+    block (`_far_kernels`, built once per grid), taken by one batch of
+    circular FFTs, as offsets wrap on the torus.  The FFT's rounding,
+    within a small multiple of 2^-52 log2(cells) ||grid||_2 ||kernel||_2,
+    is covered by widening each sum by 2^-30 ||grid||_2 ||kernel||_2.
     """
     from numpy import fft  # loaded at the first split pass, not at import
 
-    b, m = _BLOCK, _MARGIN
-    off = np.arange(n)
-    gap = np.minimum(off, n - off)
-    hi = np.minimum(gap + 1, n / 2) * h
-    lo = np.maximum(gap - 1, 0) * h
-    d2_lo, d2_hi = np.add.outer(lo * lo, lo * lo), np.add.outer(hi * hi, hi * hi)
-    k_near = np.divide(1.0, d2_lo ** (0.5 * bs.alpha), out=np.zeros_like(d2_lo),
-                       where=d2_lo > 0)
-    kernels = np.stack([d2_hi ** (-0.5 * bs.alpha), k_near, k_near * k_near])
+    b = _BLOCK
+    kernels, norms = _far_kernels(n, h, bs.alpha, b, _MARGIN)
     p, p2 = (np.bincount(cell, w, n * n).reshape(n, n) for w in (bs.power, bs.power ** 2))
     grids = np.stack([p, p, p2])
-    spectra = fft.rfft2(grids)
     slack = np.array([-1.0, 1.0, 1.0]) * 2.0 ** -30 * np.sqrt((grids * grids).sum(axis=(1, 2)))
-    near = (off + m + np.arange(b)[:, None]) % n < b + 2 * m  # (position, offset)
+    sums = fft.irfft2(fft.rfft2(grids) * kernels, s=(n, n))
+    sums += (slack * norms)[..., None, None]
     out = np.empty((3, n, n))
     for px in range(b):
         for py in range(b):
-            kern = kernels * ~(near[px][:, None] & near[py])
-            sums = fft.irfft2(spectra * np.conj(fft.rfft2(kern)), s=(n, n))
-            sums += (slack * np.sqrt((kern * kern).sum(axis=(1, 2))))[:, None, None]
-            out[:, px::b, py::b] = sums[:, px::b, py::b]
+            out[:, px::b, py::b] = sums[px, py, :, px::b, py::b]
     np.maximum(out[0], 0.0, out=out[0])
     return out
 
@@ -466,23 +490,25 @@ def _near_pass(real: Realization, bs: _BSField, split: _Split, rng, beta: float,
 
     Each user block is walked with `_gain_tiles` against its near field's
     BSs, kept in their order, so the serving BS is the first of largest
-    gain there.  Only a one-block split, whose near field is every BS, is
-    shadowed, and its walk draws the shadowing from `rng`.  A user with no
-    near BS gets gain 0, which no bound certifies.  The sums are left 0
-    unless `sums`.  Returns the serving BSs and a (4, n_users) array, in
-    user order.
+    gain there; the near fields' coordinates and powers are gathered once
+    and sliced per block.  Only a one-block split, whose near field is
+    every BS, is shadowed, and its walk draws the shadowing from `rng`.  A
+    user with no near BS gets gain 0, which no bound certifies.  The sums
+    are left 0 unless `sums`.  Returns the serving BSs and a (4, n_users)
+    array, in user order.
     """
     serving = np.zeros(real.users.shape[0], dtype=np.int64)
     vals = np.zeros((4, serving.size))      # gain, cover, beta S, beta R
     pts = real.users[split.order]
-    sizes, edges = np.diff(split.fields).tolist(), split.users.tolist()
-    work = np.empty((3, max((k * min(_tile_width(k), hi - lo)
-                             for k, lo, hi in zip(sizes, edges, edges[1:]) if k), default=0)))
-    for i, (k, lo, hi) in enumerate(zip(sizes, edges, edges[1:])):
-        if not k:
-            continue
-        near = split.near[split.fields[i]:split.fields[i + 1]]
-        field = replace(bs, x=bs.x[near], y=bs.y[near], power=bs.power[near])
+    xs, ys, ps = bs.x[split.near], bs.y[split.near], bs.power[split.near]
+    fields, edges = split.fields.tolist(), split.users.tolist()
+    blocks = [(f, g, lo, hi) for f, g, lo, hi in zip(fields, fields[1:], edges, edges[1:])
+              if g > f]
+    work = np.empty((3, max(((g - f) * min(_tile_width(g - f), hi - lo)
+                             for f, g, lo, hi in blocks), default=0)))
+    for f, g, lo, hi in blocks:
+        near = split.near[f:g]
+        field = _BSField(xs[f:g], ys[f:g], bs.tier_of, ps[f:g], bs.shadow, bs.alpha, bs.period)
         for users, w in _gain_tiles(pts[lo:hi], field, rng, work):
             users = slice(lo + users.start, lo + users.stop)
             srv = w.argmax(axis=1)
@@ -498,7 +524,8 @@ def _near_pass(real: Realization, bs: _BSField, split: _Split, rng, beta: float,
 def _full_walk(real: Realization, bs: _BSField, rng, start, pick, scale, sums):
     """Serving BS and C(scale) over every BS, for each user in `pick`.
 
-    The picked users are walked with `_gain_tiles`, their shadowing
+    The picked users are walked with `_gain_tiles`, in tiles that may span
+    draw blocks (one tile when they fit its width), their shadowing
     replayed from `start`, `rng`'s state when the pass began, and `rng` is
     left as it was.  `scale` is a scalar or one value per user; `sums`,
     None or a (2, picked users) array, gets each picked user's beta S and

@@ -27,6 +27,10 @@ pick, on tiles of one row per BS, for bit-for-bit comparison; its rate
 tally still draws one Rayleigh fade per link.  `full_matrix_rate_events`
 decides each user's rate event from the whole gain matrix and a direct
 product of its SIR CCDF.
+`per_position_far_sums` is the split pass's far-field cell sums as they
+were before the kernel spectra were kept per grid: one kernel and one
+pair of FFTs per position of a cell in its block, for bit-for-bit
+comparison.
 `root_search_contains` and `two_sweep_grid_coverage` decide region
 membership from the root-searched boundaries, rho_k <= boundary + tol.
 `associate` gives each user its strongest-average BS one whole 512-user
@@ -49,6 +53,8 @@ from scipy.stats import nbinom
 from harvnet.model import ScenarioError
 from harvnet.region import boundary, sweep_boundary
 from harvnet.simulate import (
+    _BLOCK,
+    _MARGIN,
     _USER_CHUNK,
     Realization,
     _bs_field,
@@ -670,3 +676,39 @@ def full_matrix_rate_events(real, scenario, rng, rate_target):
     covered = u < ccdf(scenario.sir_target)
     load = np.bincount(serving[covered], minlength=w.shape[0])
     return u < ccdf(np.exp2(rate_target * (load[serving] - covered + 1.0)) - 1.0)
+
+
+def per_position_far_sums(bs, cell, n, h):
+    """(S_lo, S_hi, Q) per cell, (3, n, n), one position of a cell at a time.
+
+    For each of the _BLOCK x _BLOCK positions of a cell in its block, the
+    three kernels over cell offsets are zeroed on that position's near
+    field and transformed, the power grids correlated with them by
+    circular FFT, and the position's cells kept; each sum is widened by
+    2^-30 ||grid||_2 ||kernel||_2, S_lo downwards and floored at 0.
+    """
+    from numpy import fft
+
+    b, m = _BLOCK, _MARGIN
+    off = np.arange(n)
+    gap = np.minimum(off, n - off)
+    hi = np.minimum(gap + 1, n / 2) * h
+    lo = np.maximum(gap - 1, 0) * h
+    d2_lo, d2_hi = np.add.outer(lo * lo, lo * lo), np.add.outer(hi * hi, hi * hi)
+    k_near = np.divide(1.0, d2_lo ** (0.5 * bs.alpha), out=np.zeros_like(d2_lo),
+                       where=d2_lo > 0)
+    kernels = np.stack([d2_hi ** (-0.5 * bs.alpha), k_near, k_near * k_near])
+    p, p2 = (np.bincount(cell, w, n * n).reshape(n, n) for w in (bs.power, bs.power ** 2))
+    grids = np.stack([p, p, p2])
+    spectra = fft.rfft2(grids)
+    slack = np.array([-1.0, 1.0, 1.0]) * 2.0 ** -30 * np.sqrt((grids * grids).sum(axis=(1, 2)))
+    near = (off + m + np.arange(b)[:, None]) % n < b + 2 * m
+    out = np.empty((3, n, n))
+    for px in range(b):
+        for py in range(b):
+            kern = kernels * ~(near[px][:, None] & near[py])
+            sums = fft.irfft2(spectra * np.conj(fft.rfft2(kern)), s=(n, n))
+            sums += (slack * np.sqrt((kern * kern).sum(axis=(1, 2))))[:, None, None]
+            out[:, px::b, py::b] = sums[:, px::b, py::b]
+    np.maximum(out[0], 0.0, out=out[0])
+    return out

@@ -877,7 +877,7 @@ def test_cli_import_leaves_thread_pool_logging_and_scipy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, harvnet.cli; print(sorted(m for m in sys.modules if m.split('.')[0]"
-         " in ('concurrent', 'logging', 'scipy')))"],
+         " in ('concurrent', 'logging', 'scipy') or m.startswith('numpy.fft')))"],
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -45,6 +45,7 @@ from oracles import (
     associate,
     full_matrix_rate_events,
     hypot_link_gains,
+    per_position_far_sums,
     probe_service_areas,
     raw_fading_coverage,
     row_weight_user_pass,
@@ -536,31 +537,38 @@ def test_coverage_product_keeps_bs_order(per_user):
 
 
 def test_picked_tiles_are_the_picked_columns_of_the_full_walk():
-    # Shadowed, alpha = 3.5, 1,300 users in three draw blocks, and 320 BSs
-    # give tiles of 204 users.  A walk over picked users yields their
-    # columns of the full walk bit for bit, in one workspace the full walk
-    # left dirty, and draws the shadowing of the blocks up to its last pick.
-    sc = replace(two_tier(powers=(4.0, 0.25), shadowing=ShadowingSpec(1.5, 6.0)),
-                 path_loss_exp=3.5)
+    # Alpha = 3.5, 1,300 users in three draw blocks, and 320 BSs give
+    # tiles of 204 users, which may span draw blocks, shadowed or not.  A
+    # walk over picked users yields their columns of the full walk bit for
+    # bit, in one workspace the full walk left dirty, in as few tiles as
+    # the width allows, and draws the shadowing of the blocks up to its
+    # last pick.  A pick spread over the three blocks is one tile.
     rng = np.random.default_rng(95)
     real = Realization(bs_pos=[rng.uniform(0, 6.0, (30, 2)),
                                rng.uniform(0, 6.0, (290, 2))],
                        users=rng.uniform(0, 6.0, (1300, 2)), window_side=6.0)
-    bs = _bs_field(real, sc)
-    work = _workspace(320, 1300)
-    full = np.hstack([w.T.copy() for _, w in
-                      _gain_tiles(real.users, bs, np.random.default_rng(96), work)])
-    assert full.shape == (320, 1300)
     index = np.arange(1300)
-    for pick in (rng.random(1300) < 0.1, index % 211 == 7, index == 700, index == 1299):
-        picked = np.random.default_rng(96)
-        users, tiles = zip(*[(u, w.T.copy()) for u, w in
-                             _gain_tiles(real.users, bs, picked, work, pick)])
-        assert np.array_equal(np.concatenate(users), np.flatnonzero(pick))
-        assert np.array_equal(np.hstack(tiles), full[:, pick])
-        drawn = np.random.default_rng(96)
-        drawn.standard_normal(320 * min(1300, (index[pick][-1] // 512 + 1) * 512))
-        assert picked.bit_generator.state == drawn.bit_generator.state
+    spread = np.isin(index, [3, 511, 512, 700, 1023, 1024, 1299])
+    picks = (rng.random(1300) < 0.1, index % 211 == 7, index == 700, index == 1299, spread)
+    for shadowing in (ShadowingSpec(1.5, 6.0), None):
+        sc = replace(two_tier(powers=(4.0, 0.25), shadowing=shadowing), path_loss_exp=3.5)
+        bs = _bs_field(real, sc)
+        work = _workspace(320, 1300)
+        full = np.hstack([w.T.copy() for _, w in
+                          _gain_tiles(real.users, bs, np.random.default_rng(96), work)])
+        assert full.shape == (320, 1300)
+        for pick in picks:
+            picked = np.random.default_rng(96)
+            users, tiles = zip(*[(u, w.T.copy()) for u, w in
+                                 _gain_tiles(real.users, bs, picked, work, pick)])
+            assert len(tiles) == -(-np.count_nonzero(pick) // 204)
+            assert np.array_equal(np.concatenate(users), np.flatnonzero(pick))
+            assert np.array_equal(np.hstack(tiles), full[:, pick])
+            drawn = np.random.default_rng(96)
+            if shadowing is not None:
+                drawn.standard_normal(320 * min(1300, (index[pick][-1] // 512 + 1) * 512))
+            assert picked.bit_generator.state == drawn.bit_generator.state
+        assert len(tiles) == 1
 
 
 def _assert_row_weight_bits(real, sc, rate_target):
@@ -696,6 +704,42 @@ def test_far_sums_bound_each_users_far_field(alpha):
     assert np.all(total.sum(axis=0) <= s_hi * (1 + 1e-12))
     assert np.all((total ** 2).sum(axis=0) <= q * (1 + 1e-12))
     assert np.all(total.max(axis=0) <= 4.0 * split.gap ** -alpha * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("alpha", [4.0, 3.5, 2.5])
+@pytest.mark.parametrize("n", [12, 18, 27, 60])
+def test_far_sums_equal_the_per_position_loop_bit_for_bit(n, alpha):
+    # The kernel spectra kept per grid, inverted in one batch, give the
+    # sums of one kernel and one pair of FFTs per position of a cell.
+    sc = replace(two_tier(powers=(4.0, 0.25)), path_loss_exp=alpha)
+    rng = np.random.default_rng([44, n])
+    for side in (9.0, 40.0):
+        real = Realization(bs_pos=[rng.uniform(0, side, (n * n // 2, 2)),
+                                   rng.uniform(0, side, (3 * n * n, 2))],
+                           users=np.empty((0, 2)), window_side=side)
+        bs, h = _bs_field(real, sc), side / n
+        cell = simulate._cells(bs.x, h, n) * n + simulate._cells(bs.y, h, n)
+        assert np.array_equal(simulate._far_sums(bs, cell, n, h),
+                              per_position_far_sums(bs, cell, n, h))
+
+
+def test_far_kernels_are_built_once_per_grid(monkeypatch):
+    # Replicates and calls on one grid (18 cells a side at window 12)
+    # share the kernel spectra; a new path-loss exponent or window side
+    # builds its own.
+    monkeypatch.setenv("HETNET_THREADS", "1")
+    sc, rho = _bundled("two-tier-baseline")
+    config = SimConfig(window_side=12.0, replicates=4, seed=7)
+    kernels = simulate._far_kernels
+    kernels.cache_clear()
+    spatial_mc(sc, rho, config)
+    assert kernels.cache_info()[:2] == (3, 1)           # hits, misses
+    spatial_mc(sc, rho, config, rate_target=0.1)
+    assert kernels.cache_info()[:2] == (7, 1)
+    spatial_mc(replace(sc, path_loss_exp=3.5), rho, config)
+    assert kernels.cache_info()[:2] == (10, 2)
+    spatial_mc(sc, rho, replace(config, window_side=8.0))
+    assert kernels.cache_info()[:2] == (13, 3)
 
 
 def test_split_is_one_block_when_shadowed_or_on_a_small_grid():
@@ -946,9 +990,9 @@ def test_tiles_cover_each_block_in_order():
 
 @pytest.mark.parametrize("width", [1, 3, 7, 512])
 def test_tile_width_changes_no_estimate(monkeypatch, width):
-    # Tiles of 1 user, of 3, of 7 with a lone user left at the end of a
-    # full block (512 = 73 x 7 + 1), and one tile per 512-user draw block
-    # (the pass before tiles) give the same bits: the draws follow the
+    # Tiles of 1 user, of 3, of 7 with one spanning the first two draw
+    # blocks (512 = 73 x 7 + 1), and of 512 users (one per draw block, as
+    # the pass before tiles) give the same bits: the draws follow the
     # blocks, a user's values come from its own row, and numpy takes the
     # product over a lone user's BSs one at a time in order, as over a
     # wider tile's.
